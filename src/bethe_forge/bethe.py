@@ -16,20 +16,27 @@ plus random points.  Families with S identically -1 bypass Newton: their
 solutions are exactly those multisets.
 
 Eigenvectors are plane-wave superpositions over ordered excitation positions
-x_1 <= ... <= x_M (a doubly occupied site appears twice); coordinates carry
+x_1 <= ... <= x_M (a doubly occupied site appears twice); amplitudes carry
 one scattering factor per permutation inversion and one decay factor N per
-doubled position.  Vectors are returned unnormalized with their norm.
+doubled position.  Each (L, M) sector has one cached, read-only position
+table: the sorted positions of every basis state, in sector_basis order,
+and the mask of doubled sites.  Assembly evaluates each of the M! plane
+waves over that whole table, so a SectorEigenvector holds its amplitudes as
+a vector in sector_basis order.  Vectors are returned unnormalized with
+their norm.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import lambda_fn, lambda_grad, s_matrix, n_factor, random_momenta
-from .hamiltonian import invariants, occupation_to_positions, sector_basis
+from .constraints import (_inversion_pairs, lambda_fn, lambda_grad, n_factor,
+                          random_momenta, s_matrix, scattering_amplitude)
+from .hamiltonian import invariants, sector_basis
 
 
 @dataclass(frozen=True)
@@ -53,10 +60,24 @@ class SolverConfig:
     trivial_s_probes: int = 6
 
 
+@functools.lru_cache(maxsize=32)
+def _sector_positions(L, M):
+    """Read-only position table of the (L, M) sector, rows in sector_basis
+    order: the (dim, M) sorted 1-based excitation positions and the
+    (dim, M-1) mask of doubled sites (x_{j+1} == x_j)."""
+    occ = np.array(sector_basis(L, M), dtype=np.intp).reshape(-1, L)
+    sites = np.tile(np.arange(1, L + 1), len(occ))
+    X = np.repeat(sites, occ.ravel()).reshape(len(occ), M)
+    doubled = X[:, 1:] == X[:, :-1]
+    X.setflags(write=False)
+    doubled.setflags(write=False)
+    return X, doubled
+
+
 @dataclass
 class SectorEigenvector:
     M: int
-    coords: dict                    # ordered position tuple -> amplitude
+    vector: np.ndarray              # amplitudes in sector_basis order
     norm: float
     amp_scale: float                # largest pre-cancellation term magnitude
     degenerate_flag: bool = False
@@ -66,11 +87,9 @@ class SectorEigenvector:
         return self.norm <= 1e-10 * max(self.amp_scale, 1e-300)
 
     def to_vector(self, L):
-        basis = sector_basis(L, self.M)
-        vec = np.zeros(len(basis), complex)
-        for i, s in enumerate(basis):
-            vec[i] = self.coords.get(occupation_to_positions(s), 0j)
-        return vec
+        if len(self.vector) != len(_sector_positions(L, self.M)[0]):
+            raise ValueError(f"vector was not assembled for L={L}")
+        return self.vector
 
 
 def energy(params, z):
@@ -298,19 +317,15 @@ def amplitude(params, z, sigma, doubled=()):
     doubled position indices (A_id = 1; one S factor per inversion, one N per
     doubled index)."""
     sigma = tuple(sigma)
-    pos = {v: i for i, v in enumerate(sigma)}
-    out = 1.0 + 0j
-    for a in range(len(sigma)):
-        for b in range(a + 1, len(sigma)):
-            if pos[a] > pos[b]:
-                out *= s_matrix(params, z[a], z[b])
+    out = scattering_amplitude(params, z, sigma)
     for j in doubled:
         out *= n_factor(params, z[sigma[j]], z[sigma[j + 1]])
     return out
 
 
 def assemble_eigenvector(params, z, L):
-    """Coordinates a(x_1..x_M) of the Bethe vector for momenta z."""
+    """Amplitudes a(x_1..x_M) of the Bethe vector for momenta z, over the
+    whole sector basis at once (one array product per permutation)."""
     z = [complex(w) for w in z]
     M = len(z)
     degen = (M >= 2 and min(abs(a - b) for a, b in
@@ -322,34 +337,24 @@ def assemble_eigenvector(params, z, L):
              for a in range(M) for b in range(M) if a != b}
     except ValueError as exc:
         raise ValueError(f"degenerate amplitude; solution flagged ({exc})")
-    perms = []
-    for sigma in itertools.permutations(range(M)):
-        pos = {v: i for i, v in enumerate(sigma)}
-        A = 1.0 + 0j
-        for a in range(M):
-            for b in range(a + 1, M):
-                if pos[a] > pos[b]:
-                    A *= S[a, b]
-        perms.append((sigma, A))
-    zpow = [[z[n] ** x for x in range(L + 1)] for n in range(M)]
-    coords = {}
+    X, doubled = _sector_positions(L, M)
+    zpow = [np.array([z[n] ** x for x in range(L + 1)]) for n in range(M)]
+    vec = np.zeros(len(X), complex)
     scale = 0.0
-    for s in sector_basis(L, M):
-        xs = occupation_to_positions(s)
-        doubles = tuple(j for j in range(M - 1) if xs[j + 1] == xs[j])
-        total = 0j
-        for sigma, A in perms:
-            term = A
-            for j in doubles:
-                term *= N[sigma[j], sigma[j + 1]]
-            for n in range(M):
-                term *= zpow[sigma[n]][xs[n]]
-            total += term
-            scale = max(scale, abs(term))
-        coords[xs] = total
-    norm = float(np.sqrt(sum(abs(a)**2 for a in coords.values())))
-    return SectorEigenvector(M=M, coords=coords, norm=norm, amp_scale=scale,
-                             degenerate_flag=degen)
+    for sigma in itertools.permutations(range(M)):
+        A = 1.0 + 0j
+        for a, b in _inversion_pairs(sigma):
+            A *= S[a, b]
+        term = np.full(len(X), A)
+        for j in range(M - 1):
+            term[doubled[:, j]] *= N[sigma[j], sigma[j + 1]]
+        for n in range(M):
+            term *= zpow[sigma[n]][X[:, n]]
+        vec += term
+        scale = max(scale, float(np.abs(term).max(initial=0.0)))
+    vec.setflags(write=False)
+    return SectorEigenvector(M=M, vector=vec, norm=float(np.linalg.norm(vec)),
+                             amp_scale=scale, degenerate_flag=degen)
 
 
 def verify_eigenpair(H, psi, E, tol=1e-8, L=None):

@@ -31,9 +31,9 @@ import numpy as np
 from . import constraints, families, oracle, reductions
 from .bethe import (SolverConfig, assemble_eigenvector, solve_bae,
                     verify_eigenpair)
-from .hamiltonian import (GateViolation, apply_charge_conjugation, apply_frame,
-                          max_chain_length, params_from_dict, params_to_dict,
-                          with_zero_v00)
+from .hamiltonian import (ChainSpec, GateViolation, _pair_to_c,
+                          apply_charge_conjugation, apply_frame,
+                          params_from_dict, params_to_dict, with_zero_v00)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -59,9 +59,10 @@ class RunConfig:
     def __post_init__(self):
         if min(self.tol_constraint, self.tol_bae, self.tol_eig) <= 0:
             raise ValueError("tolerances must be positive")
-        if self.L > max_chain_length():
-            raise ValueError(
-                f"chain too large: L={self.L} exceeds L_max={max_chain_length()}")
+        ChainSpec(self.L)  # raises unless 2 <= L <= L_max
+        lo, hi = self.M_range
+        if not 0 <= lo <= hi:
+            raise ValueError(f"M range {lo}..{hi} is empty or negative")
 
 
 def _jsonable(obj):
@@ -118,10 +119,10 @@ def load_input(path):
             tag = data["family"]
             if tag not in families.FAMILIES:
                 raise InputError(f"unknown family tag {tag!r}")
-            free = {k: _pair(v) for k, v in data.get("free", {}).items()}
+            free = {k: _pair_to_c(v) for k, v in data.get("free", {}).items()}
             branch = data.get("branch")
             if isinstance(branch, dict):
-                branch = {k: _pair(v) for k, v in branch.items()}
+                branch = {k: _pair_to_c(v) for k, v in branch.items()}
             return families.construct(
                 tag, free, branch,
                 half_constrained=bool(data.get("half_constrained", False)))
@@ -132,14 +133,6 @@ def load_input(path):
         raise
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def _pair(x):
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
-    raise ValueError(f"cannot parse complex value from {x!r}")
 
 
 def _prepare(cfg):

@@ -16,6 +16,7 @@ All arithmetic is complex double precision.
 
 from __future__ import annotations
 
+import cmath
 import os
 from dataclasses import dataclass, field, replace
 
@@ -326,23 +327,6 @@ def sz_matrix(L):
     return np.diag([float(sum(s)) for s in states]).astype(complex)
 
 
-def occupation_to_positions(s):
-    """Occupation string -> sorted excitation-position tuple (1-based)."""
-    xs = []
-    for site, n in enumerate(s, start=1):
-        xs.extend([site] * n)
-    return tuple(xs)
-
-
-def positions_to_occupation(xs, L):
-    s = [0] * L
-    for x in xs:
-        s[x - 1] += 1
-    if any(n > 2 for n in s):
-        raise ValueError("more than two excitations on one site")
-    return tuple(s)
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format: complex numbers as [re, im]
 # ---------------------------------------------------------------------------
@@ -353,11 +337,16 @@ def _c_to_pair(z):
 
 
 def _pair_to_c(x):
+    """Parse a number or an [re, im] pair; NaN and inf are rejected."""
     if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
-    raise ValueError(f"cannot parse complex value from {x!r}")
+        z = complex(x)
+    elif isinstance(x, (list, tuple)) and len(x) == 2:
+        z = complex(float(x[0]), float(x[1]))
+    else:
+        raise ValueError(f"cannot parse complex value from {x!r}")
+    if not cmath.isfinite(z):
+        raise ValueError(f"non-finite complex value {x!r}")
+    return z
 
 
 def params_to_dict(params):

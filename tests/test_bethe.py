@@ -138,15 +138,92 @@ class TestAmplitude:
         assert abs(bf.amplitude(h, z, (0, 1), doubled=(0,)) - expect) < 1e-12
 
 
+def _positions(s):
+    """Occupation string -> sorted 1-based excitation positions."""
+    return tuple(site for site, n in enumerate(s, start=1) for _ in range(n))
+
+
+def _reference_assembly(params, z, L):
+    """Per-basis-state assembly loop: (vector, norm, amp_scale, degenerate)."""
+    z = [complex(w) for w in z]
+    M = len(z)
+    degen = (M >= 2 and min(abs(a - b) for a, b in
+                            itertools.combinations(z, 2)) <= 1e-6)
+    S = {(a, b): bf.s_matrix(params, z[a], z[b])
+         for a in range(M) for b in range(M) if a != b}
+    N = {(a, b): bf.n_factor(params, z[a], z[b])
+         for a in range(M) for b in range(M) if a != b}
+    perms = []
+    for sigma in itertools.permutations(range(M)):
+        pos = {v: i for i, v in enumerate(sigma)}
+        A = 1.0 + 0j
+        for a in range(M):
+            for b in range(a + 1, M):
+                if pos[a] > pos[b]:
+                    A *= S[a, b]
+        perms.append((sigma, A))
+    zpow = [[z[n] ** x for x in range(L + 1)] for n in range(M)]
+    basis = bf.sector_basis(L, M)
+    vec = np.zeros(len(basis), complex)
+    scale = 0.0
+    for i, s in enumerate(basis):
+        xs = _positions(s)
+        doubles = tuple(j for j in range(M - 1) if xs[j + 1] == xs[j])
+        total = 0j
+        for sigma, A in perms:
+            term = A
+            for j in doubles:
+                term *= N[sigma[j], sigma[j + 1]]
+            for n in range(M):
+                term *= zpow[sigma[n]][xs[n]]
+            total += term
+            scale = max(scale, abs(term))
+        vec[i] = total
+    norm = float(np.sqrt(sum(abs(a)**2 for a in vec)))
+    return vec, norm, scale, degen
+
+
+def _assert_matches_reference(h, z, L):
+    vec, norm, scale, degen = _reference_assembly(h, z, L)
+    psi = bf.assemble_eigenvector(h, z, L)
+    tol = 1e-12 * scale
+    got = psi.to_vector(L)
+    assert got.shape == vec.shape
+    assert np.max(np.abs(got - vec)) <= tol
+    assert abs(psi.norm - norm) <= tol
+    assert abs(psi.amp_scale - scale) <= tol
+    assert psi.degenerate_flag == degen
+    ref_null = norm <= 1e-10 * max(scale, 1e-300)
+    assert psi.is_null == ref_null
+    return psi
+
+
 class TestAssembleEigenvector:
+    @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
+    def test_matches_reference_loop(self, tag, rng):
+        """The vectorised assembly reproduces the per-basis-state loop for
+        generic momenta, L in {3, 4, 5}, M in {1, 2, 3}; every M >= 2 basis
+        has doubled-site states."""
+        h, _ = family_instance(tag, rng)
+        for L in (3, 4, 5):
+            for M in (1, 2, 3):
+                z = cdraw(rng, M)
+                _assert_matches_reference(h, z, L)
+
+    def test_to_vector_rejects_other_length(self, rng):
+        psi = bf.assemble_eigenvector(random_params(rng), cdraw(rng, 2), 4)
+        with pytest.raises(ValueError, match="L=5"):
+            psi.to_vector(5)
+
     def test_m1_plane_wave(self, rng):
         h = random_params(rng)
         L = 5
         z = np.exp(2j * np.pi / L)
         psi = bf.assemble_eigenvector(h, [z], L)
-        for x in range(1, L + 1):
-            assert abs(psi.coords[(x,)] - z**x) < 1e-12
-            assert abs(abs(psi.coords[(x,)]) - 1) < 1e-12
+        for occ, val in zip(bf.sector_basis(L, 1), psi.vector):
+            (x,) = _positions(occ)
+            assert abs(val - z**x) < 1e-12
+            assert abs(abs(val) - 1) < 1e-12
 
     def test_m2_eigenpair(self, rng):
         h, _ = family_instance("gZF", rng)
@@ -212,7 +289,7 @@ class TestAssembleEigenvector:
         h, _ = family_instance("17V1a", rng)
         L = 4
         z = np.exp(1j * np.pi / L)
-        psi = bf.assemble_eigenvector(h, [z, z], L)
+        psi = _assert_matches_reference(h, [z, z], L)
         assert psi.degenerate_flag
         # coinciding roots of a trivial-S family produce the null vector
         assert psi.is_null
@@ -223,7 +300,8 @@ class TestAssembleEigenvector:
         sols = bf.solve_bae(h, L, 2)
         s = sols[0]
         psi = bf.assemble_eigenvector(h, s.z, L)
-        for xs, val in psi.coords.items():
+        for occ, val in zip(bf.sector_basis(L, 2), psi.vector):
+            xs = _positions(occ)
             doubles = tuple(j for j in range(1) if xs[j + 1] == xs[j])
             resum = sum(bf.amplitude(h, s.z, sigma, doubles)
                         * s.z[sigma[0]]**xs[0] * s.z[sigma[1]]**xs[1]

@@ -90,6 +90,28 @@ class TestClassifyCommand:
     def test_nonpositive_tolerance_exit_2(self, gzf_file):
         assert main(["classify", gzf_file, "--tol-constraint", "0"]) == 2
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_raw_hamiltonian_exit_2(self, tmp_path, capsys, rng, bad):
+        from conftest import draw_free
+        d = bf.params_to_dict(bf.construct("gZF", draw_free("gZF", rng)))
+        d["p"] = [bad, 0.0]
+        d["v"][1][2] = [0.0, bad]
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(d))
+        assert main(["classify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "CBA-solvable" not in captured.out
+        assert "non-finite" in captured.err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_preset_free_value_exit_2(self, tmp_path, capsys, bad):
+        data = json.loads((PRESETS / "gZF.json").read_text())
+        data["free"]["p"] = [1.0, bad]
+        path = tmp_path / "nonfinite_preset.json"
+        path.write_text(json.dumps(data))
+        assert main(["classify", str(path)]) == 2
+        assert "CBA-solvable" not in capsys.readouterr().out
+
 
 class TestSpectrumCommand:
     def test_gzf_m1_full_coverage(self, capsys, gzf_file):
@@ -140,6 +162,14 @@ class TestSpectrumCommand:
 class TestVerifyCommand:
     def test_verify_passes(self, gzf_file):
         assert main(["verify", gzf_file, "--L", "4", "--M", "1..2"]) == 0
+
+    @pytest.mark.parametrize("L, M", [("1", "1"), ("0", "1..2"),
+                                      ("4", "3..1"), ("4", "-1")])
+    def test_bad_chain_length_or_m_range_exit_2(self, capsys, gzf_file, L, M):
+        assert main(["verify", gzf_file, "--L", L, "--M", M]) == 2
+        captured = capsys.readouterr()
+        assert "verified" not in captured.out
+        assert captured.err.startswith("error:")
 
 
 class TestCatalogCommand:
