@@ -15,6 +15,16 @@ seeded from all multisets of the trivial-scattering roots z^L = (-1)^(M-1)
 plus random points.  Families with S identically -1 bypass Newton: their
 solutions are exactly those multisets.
 
+Newton runs over all seeds as one batch.  Each evaluation takes Lambda (and
+dLambda, when the Jacobian is needed) in one call over the M(M-1) ordered
+pairs of every row (constraints.ordered_pairs) and builds F and J from that
+table; only rows still iterating are evaluated.  The line search tries the
+full step on every row, then all shorter steps damping^1 .. damping^24 at
+once on the rows the full step made worse; each row takes the first step
+that lowers its residual and is dropped as stuck if none does.  Rows never
+interact (nothing is shared or reduced across them), so each row follows
+the path it would follow alone, whatever the batch around it.
+
 Eigenvectors are plane-wave superpositions over ordered excitation positions
 x_1 <= ... <= x_M (a doubly occupied site appears twice); amplitudes carry
 one scattering factor per permutation inversion and one decay factor N per
@@ -35,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (_inversion_pairs, lambda_fn, lambda_grad, n_factor,
-                          random_momenta, s_matrix, scattering_amplitude)
+                          ordered_pairs, random_momenta, s_matrix,
+                          scattering_amplitude)
 from .hamiltonian import invariants, sector_basis
 
 
@@ -131,121 +142,137 @@ def _is_trivial_s(params, rng, probes):
     return True
 
 
-def _bae_system_batch(params, Z, L, sign):
-    """F_j for a (n, M) batch of momentum tuples."""
+@functools.lru_cache(maxsize=8)
+def _bae_pairs(M):
+    """Positions in the ordered-pair table (constraints.ordered_pairs) used by
+    BAE row j, with m_t the t-th index != j in ascending order:
+    others[j, t] = m_t, P[j, t] = (j, m_t), Q[j, t] = (m_t, j), and
+    PX[j, t] / QX[j, t] the other M-2 pairs of P[j] / Q[j], in order."""
+    _, _, col = ordered_pairs(M)
+    js = np.arange(M)[:, None]
+    others = np.array([[m for m in range(M) if m != j] for j in range(M)],
+                      dtype=np.intp)
+    keep = np.array([[s for s in range(M - 1) if s != t]
+                     for t in range(M - 1)], dtype=np.intp)
+    P, Q = col[js, others], col[others, js]
+    out = others, P, Q, P[:, keep], Q[:, keep]
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _pair_product(lam, cols):
+    """prod_t lam[:, cols[..., t]], multiplied in order onto ones."""
+    out = np.ones((len(lam),) + cols.shape[:-1], complex)
+    for t in range(cols.shape[-1]):
+        out = out * lam[:, cols[..., t]]
+    return out
+
+
+def _bae_system(params, Z, L, sign, jacobian=False):
+    """F_j, and its Jacobian if asked, for an (n, M) batch of momentum
+    tuples, from one Lambda (and dLambda) table over the ordered pairs."""
     n, M = Z.shape
-    lam = {(i, j): lambda_fn(params, Z[:, i], Z[:, j])
-           for i in range(M) for j in range(M) if i != j}
-    F = np.empty((n, M), complex)
-    for j in range(M):
-        pj = np.ones(n, complex)
-        qj = np.ones(n, complex)
-        for m in range(M):
-            if m != j:
-                pj = pj * lam[j, m]
-                qj = qj * lam[m, j]
-        F[:, j] = Z[:, j]**L * pj - sign * qj
-    return F
+    I, J, _ = ordered_pairs(M)
+    others, P, Q, PX, QX = _bae_pairs(M)
+    Zi, Zj = Z[:, I], Z[:, J]
+    lam = lambda_fn(params, Zi, Zj)
+    ZL = Z**L
+    pj = _pair_product(lam, P)
+    F = ZL * pj - sign * _pair_product(lam, Q)
+    if not jacobian:
+        return F, None
+    d1, d2 = lambda_grad(params, Zi, Zj)
+    exP, exQ = _pair_product(lam, PX), _pair_product(lam, QX)
+    dP = dQ = 0
+    for t in range(M - 1):
+        dP = dP + d1[:, P[:, t]] * exP[:, :, t]
+        dQ = dQ + d2[:, Q[:, t]] * exQ[:, :, t]
+    Jac = np.zeros((n, M, M), complex)
+    diag = np.arange(M)
+    Jac[:, diag, diag] = L * Z**(L - 1) * pj + ZL * dP - sign * dQ
+    Jac[:, diag[:, None], others] = (ZL[:, :, None] * (d2[:, P] * exP)
+                                     - sign * (d1[:, Q] * exQ))
+    return F, Jac
 
 
-def _bae_jacobian_batch(params, Z, L, sign):
-    n, M = Z.shape
-    lam = {(i, j): lambda_fn(params, Z[:, i], Z[:, j])
-           for i in range(M) for j in range(M) if i != j}
-    grad = {(i, j): lambda_grad(params, Z[:, i], Z[:, j])
-            for i in range(M) for j in range(M) if i != j}
-
-    def prod_excl(pairs, skip):
-        out = np.ones(n, complex)
-        for pr in pairs:
-            if pr != skip:
-                out = out * lam[pr]
-        return out
-
-    J = np.zeros((n, M, M), complex)
-    for j in range(M):
-        pj_pairs = [(j, m) for m in range(M) if m != j]
-        qj_pairs = [(m, j) for m in range(M) if m != j]
-        pj = prod_excl(pj_pairs, None)
-        dP = sum(grad[j, m][0] * prod_excl(pj_pairs, (j, m))
-                 for m in range(M) if m != j)
-        dQ = sum(grad[m, j][1] * prod_excl(qj_pairs, (m, j))
-                 for m in range(M) if m != j)
-        J[:, j, j] = L * Z[:, j]**(L - 1) * pj + Z[:, j]**L * dP - sign * dQ
-        for k in range(M):
-            if k == j:
-                continue
-            dPk = grad[j, k][1] * prod_excl(pj_pairs, (j, k))
-            dQk = grad[k, j][0] * prod_excl(qj_pairs, (k, j))
-            J[:, j, k] = Z[:, j]**L * dPk - sign * dQk
-    return J
+def _residual(params, Z, L, sign):
+    """Per-row max_j |F_j| relative to max(1, max_j |z_j|^L)."""
+    F, _ = _bae_system(params, Z, L, sign)
+    scale = np.maximum(1.0, np.max(np.abs(Z), axis=1)**L)
+    return np.max(np.abs(F), axis=1) / scale
 
 
 def _newton_batch(params, Z0, L, cfg):
     """Damped Newton on the cleared BAE system, over a batch of seeds.
 
-    Returns the converged rows.
+    Returns the converged rows, in seed order.
     """
     Z = np.array(Z0, complex)
     n, M = Z.shape
     sign = (-1.0) ** (M - 1)
+    # step factors of the line search: 1, d, d^2, ... while above 1e-8, at
+    # most 25 of them
+    damps = [1.0]
+    while len(damps) < 25 and damps[-1] > 1e-8:
+        damps.append(damps[-1] * cfg.damping)
+    damps = np.array(damps)
 
-    def resnorm(Zc):
-        F = _bae_system_batch(params, Zc, L, sign)
-        scale = np.maximum(1.0, np.max(np.abs(Zc), axis=1)**L)
-        r = np.max(np.abs(F), axis=1) / scale
-        return F, r
-
-    F, res = resnorm(Z)
-    active = np.isfinite(res)
-    done = ~active  # rows that converged (or were abandoned as non-finite)
+    res = _residual(params, Z, L, sign)
+    active = np.flatnonzero(np.isfinite(res))
     converged = np.zeros(n, bool)
 
     for _ in range(cfg.max_iter):
-        hit = active & (res <= cfg.newton_tol)
-        converged |= hit
-        active &= ~hit
-        if not active.any():
+        hit = res[active] <= cfg.newton_tol
+        converged[active[hit]] = True
+        active = active[~hit]
+        if not active.size:
             break
-        J = _bae_jacobian_batch(params, Z, L, sign)
-        det = np.linalg.det(J)
-        bad = active & (~np.isfinite(det) | (np.abs(det) == 0))
-        active &= ~bad
-        if not active.any():
+        F, Jac = _bae_system(params, Z[active], L, sign, jacobian=True)
+        det = np.linalg.det(Jac)
+        ok = np.isfinite(det) & (np.abs(det) != 0)
+        active, F, Jac = active[ok], F[ok], Jac[ok]
+        if not active.size:
             break
-        step = np.zeros_like(Z)
-        idx = np.where(active)[0]
         try:
-            step[idx] = np.linalg.solve(J[idx], -F[idx, :, None])[:, :, 0]
+            step = np.linalg.solve(Jac, -F[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            for i in idx:
+            step = np.zeros_like(F)
+            ok = np.ones(len(active), bool)
+            for i in range(len(active)):
                 try:
-                    step[i] = np.linalg.solve(J[i], -F[i])
+                    step[i] = np.linalg.solve(Jac[i], -F[i])
                 except np.linalg.LinAlgError:
-                    active[i] = False
-        if not active.any():
-            break
-        damp = np.ones(n)
-        trial, rt = None, None
-        for _ in range(25):
-            trial = Z + damp[:, None] * step
-            Ft, rt = resnorm(trial)
-            worse = active & ~(rt < res) & (damp > 1e-8)
-            if not worse.any():
+                    ok[i] = False
+            active, step = active[ok], step[ok]
+            if not active.size:
                 break
-            damp[worse] *= cfg.damping
-        stuck = active & ~(rt < res)
-        active &= ~stuck
-        upd = active
-        Z[upd] = trial[upd]
-        F[upd] = Ft[upd]
-        res[upd] = rt[upd]
-    hit = active & (res <= cfg.newton_tol)
-    converged |= hit
+        # line search: the full step for every row, then all shorter steps
+        # at once for the rows it made worse; each row takes its first step
+        # factor that lowers its residual, or is dropped as stuck
+        Za, r0 = Z[active], res[active]
+        trial = Za + damps[0] * step
+        rt = _residual(params, trial, L, sign)
+        worse = np.flatnonzero(~(rt < r0))
+        if worse.size:
+            tw = Za[worse] + damps[1:, None, None] * step[worse]
+            tw = tw.reshape(-1, M)
+            rw = _residual(params, tw, L, sign)
+            better = rw.reshape(len(damps) - 1, -1) < r0[worse]
+            first = np.argmax(better, axis=0)
+            found = better[first, np.arange(len(worse))]
+            pick = first[found] * len(worse) + np.flatnonzero(found)
+            trial[worse[found]] = tw[pick]
+            rt[worse[found]] = rw[pick]
+        kept = rt < r0
+        active = active[kept]
+        Z[active] = trial[kept]
+        res[active] = rt[kept]
+    converged[active[res[active] <= cfg.newton_tol]] = True
     return Z[converged]
 
 
-def _canonical(z, tol):
+def _canonical(z):
     zs = sorted((complex(w) for w in z), key=lambda w: (w.real, w.imag))
     return tuple(zs)
 
@@ -283,7 +310,7 @@ def solve_bae(params, L, M, config=None):
             res = bae_residual(params, zs, L)
             degen = min(abs(a - b) for a, b in
                         itertools.combinations(zs, 2)) <= cfg.degenerate_tol
-            out.append(BetheSolution(_canonical(zs, cfg.dedup_tol),
+            out.append(BetheSolution(_canonical(zs),
                                      energy(params, zs), res, degen))
         return out
 
@@ -303,7 +330,7 @@ def solve_bae(params, L, M, config=None):
         res = bae_residual(params, z, L)
         if not (res <= cfg.bae_tol):
             continue
-        zs = _canonical(z, cfg.dedup_tol)
+        zs = _canonical(z)
         if any(_same(zs, prev.z, cfg.dedup_tol) for prev in found):
             continue
         degen = min(abs(a - b) for a, b in

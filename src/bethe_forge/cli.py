@@ -269,19 +269,20 @@ def run_spectrum(cfg):
                                "degenerate": False, "eig_residual": 0.0,
                                "verified": True}],
                 "verified": 1, "matched": 1, "unmatched_energies": [],
-                "null_vectors": 0, "max_eig_residual": 0.0,
+                "null_vectors": 0, "coincident_roots": 0,
+                "max_eig_residual": 0.0,
                 "completeness": 1.0,
             })
             continue
         sols = solve_bae(params, cfg.L, M,
                          SolverConfig(seed=cfg.seed, bae_tol=cfg.tol_bae))
-        Hsec = oracle.sector_matrix(params, cfg.L, M)
         spec = oracle.sector_spectrum(params, cfg.L, M)
+        Hsec = spec.matrix
         scale = float(np.max(np.abs(Hsec))) or 1.0
         entries = []
         verified = []
         kept_states = []   # (energy, unit vector) of accepted eigenpairs
-        nulls = 0
+        nulls = coincident = 0
         max_res = 0.0
         for sol in sols:
             entry = {
@@ -290,6 +291,14 @@ def run_spectrum(cfg):
                 "bae_residual": sol.bae_residual,
                 "degenerate": sol.degenerate_flag,
             }
+            if sol.degenerate_flag:
+                # the plane-wave form degenerates when two roots coincide:
+                # such sets give a null vector, or pass the BAE check and
+                # still fail as eigenvectors
+                entry["rejected"] = "coincident roots"
+                coincident += 1
+                entries.append(entry)
+                continue
             try:
                 psi = assemble_eigenvector(params, sol.z, cfg.L)
             except ValueError as exc:
@@ -336,6 +345,7 @@ def run_spectrum(cfg):
             "matched": rep.matched,
             "unmatched_energies": rep.unmatched,
             "null_vectors": nulls,
+            "coincident_roots": coincident,
             "max_eig_residual": max_res,
             "completeness": rep.coverage,
         })
@@ -353,6 +363,7 @@ def _text_spectrum(report):
             f"Sz = {sec['M']} sector (dimension {sec['dimension']}): "
             f"{len(sec['solutions'])} Bethe solutions, {sec['verified']} verified, "
             f"{sec['matched']} matched to ED, {sec['null_vectors']} null, "
+            f"{sec['coincident_roots']} with coincident roots, "
             f"completeness {sec['completeness']:.1%}")
         for ent in sec["solutions"]:
             zs = ", ".join(_fmt_c(z, 4) for z in ent["z"])
@@ -361,9 +372,10 @@ def _text_spectrum(report):
                 extra = f"  eig res {ent['eig_residual']:.1e}"
             elif "eigenvector" in ent:
                 extra = f"  [{ent['eigenvector']}]"
-            flag = " (degenerate roots)" if ent["degenerate"] else ""
-            if ent.get("equivalent_state"):
-                flag += " (same state as an earlier root set)"
+            elif "rejected" in ent:
+                extra = f"  [rejected: {ent['rejected']}]"
+            flag = (" (same state as an earlier root set)"
+                    if ent.get("equivalent_state") else "")
             lines.append(f"    z = ({zs})  E = {_fmt_c(ent['energy'], 5)}  "
                          f"bae res {ent['bae_residual']:.1e}{extra}{flag}")
         if sec["unmatched_energies"]:

@@ -15,6 +15,7 @@ measure-zero failure set).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -102,34 +103,45 @@ def scattering_amplitude(params, z, perm):
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def ordered_pairs(M):
+    """Read-only index arrays of the M(M-1) ordered pairs (i, j), i != j, in
+    row-major order: I, J, and the (M, M) map col[i, j] from a pair to its
+    position (-1 on the diagonal).  Lambda over every pair of an (n, M)
+    momentum batch is then one call, lambda_fn(params, Z[:, I], Z[:, J])."""
+    I, J = np.nonzero(~np.eye(M, dtype=bool))
+    col = np.full((M, M), -1)
+    col[I, J] = np.arange(len(I))
+    for a in (I, J, col):
+        a.setflags(write=False)
+    return I, J, col
+
+
 class _PairTable:
     """Vectorized Lambda/S/N for all ordered pairs of an (nsamp, M) momentum batch."""
 
     def __init__(self, params, Z):
+        I, J, self.col = ordered_pairs(Z.shape[1])
         self.Z = Z
-        M = Z.shape[1]
-        self.lam = {}
-        for i in range(M):
-            for j in range(M):
-                if i != j:
-                    self.lam[i, j] = lambda_fn(params, Z[:, i], Z[:, j])
+        self.lam = lambda_fn(params, Z[:, I], Z[:, J])
         self.params = params
 
     def singular(self):
-        bad = np.zeros(self.Z.shape[0], bool)
-        scale = max(np.max(np.abs(v)) for v in self.lam.values())
-        for v in self.lam.values():
-            bad |= np.abs(v) <= S_SING_TOL * max(scale, 1e-300)
-        return bad
+        scale = np.max(np.abs(self.lam))
+        return np.any(np.abs(self.lam) <= S_SING_TOL * max(scale, 1e-300),
+                      axis=1)
+
+    def _lam(self, i, j):
+        return self.lam[:, self.col[i, j]]
 
     def S(self, i, j):
-        return -self.lam[i, j] / self.lam[j, i]
+        return -self._lam(i, j) / self._lam(j, i)
 
     def N(self, i, j):
         h, Z = self.params, self.Z
         zz = Z[:, i] * Z[:, j]
         return ((Z[:, i] - Z[:, j]) * (h.p + h.q * zz) * (h.t2 + h.t1 * zz)
-                / (2 * self.lam[j, i]))
+                / (2 * self._lam(j, i)))
 
     def A(self, perm, inv_table):
         out = np.ones(self.Z.shape[0], complex)
@@ -205,7 +217,7 @@ def _single(params, z, which):
     Z = np.array([z])
     table = _PairTable(params, Z)
     if table.singular()[0]:
-        if any(v[0] != 0 for v in table.lam.values()):
+        if np.any(table.lam[0] != 0):
             raise ValueError("resample momenta: Lambda singular at this point")
         # Lambda vanishes identically on this parameter ray; resampling
         # cannot help, so return the literal IEEE evaluation instead.

@@ -748,7 +748,6 @@ class FamilyMatch:
     branch: dict
     free_params: dict
     frame: str                      # word over {P, C, T}; "" is the identity
-    gauge: tuple = (1.0, 1.0, 1.0)  # absorbed into the free parameters
     fit_residual: float = 0.0
     degenerate: bool = False        # several (family, frame) matches
     all_matches: list = field(default_factory=list)

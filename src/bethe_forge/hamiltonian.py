@@ -122,13 +122,10 @@ class ChainSpec:
     """Periodic chain of L three-state sites."""
 
     L: int
-    boundary: str = "periodic"
 
     def __post_init__(self):
         if self.L < 2:
             raise ValueError("chain length must be at least 2")
-        if self.boundary != "periodic":
-            raise ValueError("only periodic boundaries are supported")
         if self.L > max_chain_length():
             raise ValueError(
                 f"chain too large: L={self.L} exceeds L_max={max_chain_length()}")

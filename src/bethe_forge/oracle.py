@@ -24,6 +24,7 @@ class SectorSpectrum:
     M: int
     eigenvalues: np.ndarray
     dimension: int
+    matrix: np.ndarray | None = None   # the sector matrix, when built here
 
 
 @dataclass
@@ -49,6 +50,7 @@ def sector_matrix(params, L, M):
 
 
 def sector_spectrum(params, L, M):
+    """Eigenvalues of the (L, M) sector matrix, returned with the matrix."""
     H = sector_matrix(params, L, M)
     if H.shape[0] > SECTOR_DIM_CAP:
         raise ValueError(f"sector dimension {H.shape[0]} exceeds cap")
@@ -56,7 +58,7 @@ def sector_spectrum(params, L, M):
         ev = np.linalg.eigvals(H) if H.size else np.empty(0, complex)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed for L={L}, M={M}: {exc}")
-    return SectorSpectrum(M=M, eigenvalues=ev, dimension=H.shape[0])
+    return SectorSpectrum(M=M, eigenvalues=ev, dimension=H.shape[0], matrix=H)
 
 
 def match_multiset(values, reference, tol):

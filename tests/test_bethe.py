@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import bethe_forge as bf
+from bethe_forge import bethe
 from bethe_forge.bethe import SolverConfig
+from bethe_forge.constraints import lambda_fn, lambda_grad
 
 from conftest import cdraw, draw_free, family_instance, random_params
 
@@ -99,6 +101,139 @@ class TestSolveBAE:
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert x.z == y.z
+
+
+def _reference_system(params, Z, L, sign):
+    """Per-pair loop for F_j over a (n, M) batch of momentum tuples."""
+    n, M = Z.shape
+    lam = {(i, j): lambda_fn(params, Z[:, i], Z[:, j])
+           for i in range(M) for j in range(M) if i != j}
+    F = np.empty((n, M), complex)
+    for j in range(M):
+        pj = np.ones(n, complex)
+        qj = np.ones(n, complex)
+        for m in range(M):
+            if m != j:
+                pj = pj * lam[j, m]
+                qj = qj * lam[m, j]
+        F[:, j] = Z[:, j]**L * pj - sign * qj
+    return F
+
+
+def _reference_jacobian(params, Z, L, sign):
+    n, M = Z.shape
+    lam = {(i, j): lambda_fn(params, Z[:, i], Z[:, j])
+           for i in range(M) for j in range(M) if i != j}
+    grad = {(i, j): lambda_grad(params, Z[:, i], Z[:, j])
+            for i in range(M) for j in range(M) if i != j}
+
+    def prod_excl(pairs, skip):
+        out = np.ones(n, complex)
+        for pr in pairs:
+            if pr != skip:
+                out = out * lam[pr]
+        return out
+
+    J = np.zeros((n, M, M), complex)
+    for j in range(M):
+        pj_pairs = [(j, m) for m in range(M) if m != j]
+        qj_pairs = [(m, j) for m in range(M) if m != j]
+        pj = prod_excl(pj_pairs, None)
+        dP = sum(grad[j, m][0] * prod_excl(pj_pairs, (j, m))
+                 for m in range(M) if m != j)
+        dQ = sum(grad[m, j][1] * prod_excl(qj_pairs, (m, j))
+                 for m in range(M) if m != j)
+        J[:, j, j] = L * Z[:, j]**(L - 1) * pj + Z[:, j]**L * dP - sign * dQ
+        for k in range(M):
+            if k == j:
+                continue
+            dPk = grad[j, k][1] * prod_excl(pj_pairs, (j, k))
+            dQk = grad[k, j][0] * prod_excl(qj_pairs, (k, j))
+            J[:, j, k] = Z[:, j]**L * dPk - sign * dQk
+    return J
+
+
+def _reference_newton(params, Z0, L, cfg):
+    """Damped Newton over the whole batch every iteration, with a sequential
+    line search of up to 25 damped trials; returns the converged rows."""
+    Z = np.array(Z0, complex)
+    n, M = Z.shape
+    sign = (-1.0) ** (M - 1)
+
+    def resnorm(Zc):
+        F = _reference_system(params, Zc, L, sign)
+        scale = np.maximum(1.0, np.max(np.abs(Zc), axis=1)**L)
+        r = np.max(np.abs(F), axis=1) / scale
+        return F, r
+
+    F, res = resnorm(Z)
+    active = np.isfinite(res)
+    converged = np.zeros(n, bool)
+
+    for _ in range(cfg.max_iter):
+        hit = active & (res <= cfg.newton_tol)
+        converged |= hit
+        active &= ~hit
+        if not active.any():
+            break
+        J = _reference_jacobian(params, Z, L, sign)
+        det = np.linalg.det(J)
+        bad = active & (~np.isfinite(det) | (np.abs(det) == 0))
+        active &= ~bad
+        if not active.any():
+            break
+        step = np.zeros_like(Z)
+        idx = np.where(active)[0]
+        try:
+            step[idx] = np.linalg.solve(J[idx], -F[idx, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            for i in idx:
+                try:
+                    step[i] = np.linalg.solve(J[i], -F[i])
+                except np.linalg.LinAlgError:
+                    active[i] = False
+        if not active.any():
+            break
+        damp = np.ones(n)
+        trial, rt = None, None
+        for _ in range(25):
+            trial = Z + damp[:, None] * step
+            Ft, rt = resnorm(trial)
+            worse = active & ~(rt < res) & (damp > 1e-8)
+            if not worse.any():
+                break
+            damp[worse] *= cfg.damping
+        stuck = active & ~(rt < res)
+        active &= ~stuck
+        upd = active
+        Z[upd] = trial[upd]
+        F[upd] = Ft[upd]
+        res[upd] = rt[upd]
+    hit = active & (res <= cfg.newton_tol)
+    converged |= hit
+    return Z[converged]
+
+
+class TestNewtonMatchesReference:
+    CFG = SolverConfig(random_seeds=20, max_iter=40)
+
+    @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
+    def test_same_roots_as_reference(self, tag, rng, monkeypatch):
+        """solve_bae over the pair-table Newton with its batched line search
+        returns the same root sets, bit for bit, as over the per-pair loop
+        with the sequential line search.  Newton also runs for the trivial-S
+        families here, which solve_bae otherwise answers without it."""
+        h, _ = family_instance(tag, rng)
+        monkeypatch.setattr(bethe, "_is_trivial_s", lambda *args: False)
+        for L in (4, 5):
+            for M in (2, 3):
+                got = bf.solve_bae(h, L, M, self.CFG)
+                with monkeypatch.context() as mp:
+                    mp.setattr(bethe, "_newton_batch", _reference_newton)
+                    ref = bf.solve_bae(h, L, M, self.CFG)
+                assert got
+                assert ([(s.z, s.bae_residual) for s in got]
+                        == [(s.z, s.bae_residual) for s in ref])
 
 
 class TestAmplitude:

@@ -172,6 +172,24 @@ class TestVerifyCommand:
         assert captured.err.startswith("error:")
 
 
+    def test_coincident_roots_rejected_before_assembly(self, capsys):
+        # Newton finds an M = 2 root set of this run whose two roots agree
+        # to about 5e-13; it passes the BAE check, and as a Bethe vector it
+        # failed the eigen-residual check (0.91) and the whole verify
+        code = main(["verify", str(PRESETS / "17V2.json"), "--L", "7",
+                     "--M", "2..3", "--seed", "0", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["all_verified"]
+        for sec in report["sectors"]:
+            rejected = [e for e in sec["solutions"]
+                        if e.get("rejected") == "coincident roots"]
+            assert sec["coincident_roots"] == len(rejected) > 0
+            for e in rejected:
+                assert e["degenerate"]
+                assert "eig_residual" not in e and "verified" not in e
+
+
 class TestCatalogCommand:
     def test_ten_rows(self, capsys):
         code = main(["catalog", "--json"])
