@@ -19,11 +19,16 @@ Newton runs over all seeds as one batch.  Each evaluation takes Lambda (and
 dLambda, when the Jacobian is needed) in one call over the M(M-1) ordered
 pairs of every row (constraints.ordered_pairs) and builds F and J from that
 table; only rows still iterating are evaluated.  The line search tries the
-full step on every row, then all shorter steps damping^1 .. damping^24 at
+full step on every row, then all shorter steps DAMPING^1 .. DAMPING^24 at
 once on the rows the full step made worse; each row takes the first step
 that lowers its residual and is dropped as stuck if none does.  Rows never
 interact (nothing is shared or reduced across them), so each row follows
 the path it would follow alone, whatever the batch around it.
+
+S, N, the plane-wave amplitudes A and the singular rule all come from the
+pair table of constraints (_PairTable): the BAE residuals of a whole batch
+of root sets, the trivial-S probe and the amplitudes of one root set are
+reads of one table each.
 
 Eigenvectors are plane-wave superpositions over ordered excitation positions
 x_1 <= ... <= x_M (a doubly occupied site appears twice); amplitudes carry
@@ -38,16 +43,22 @@ their norm.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (_inversion_pairs, lambda_fn, lambda_grad, n_factor,
-                          ordered_pairs, random_momenta, s_matrix,
-                          scattering_amplitude)
+from .constraints import (_PairTable, lambda_fn, lambda_grad, ordered_pairs,
+                          pair_row, random_momenta)
 from .hamiltonian import invariants, sector_basis
+
+DAMPING = 0.5            # line-search step factor
+NEWTON_TOL = 1e-12       # Newton stops below this relative residual
+DEDUP_TOL = 1e-8         # root sets this close are one solution
+DEGENERATE_TOL = 1e-6    # roots this close are coincident
+TRIVIAL_S_PROBES = 6     # random pairs at which S = -1 is tested
 
 
 @dataclass(frozen=True)
@@ -63,12 +74,7 @@ class SolverConfig:
     seed: int = 0
     random_seeds: int = 100
     max_iter: int = 200
-    damping: float = 0.5
-    newton_tol: float = 1e-12
     bae_tol: float = 1e-10
-    dedup_tol: float = 1e-8
-    degenerate_tol: float = 1e-6
-    trivial_s_probes: int = 6
 
 
 @functools.lru_cache(maxsize=32)
@@ -112,34 +118,51 @@ def energy(params, z):
     return len(z) * V + sum(params.q * w + params.p / w for w in z)
 
 
-def bae_residual(params, z, L):
-    """max_j |z_j^L - prod_{n != j} S(z_n, z_j)|; +inf at an S singularity."""
-    z = [complex(w) for w in z]
-    res = 0.0
-    for j, zj in enumerate(z):
-        prod = 1.0 + 0j
-        try:
-            for n, zn in enumerate(z):
-                if n != j:
-                    prod *= s_matrix(params, zn, zj)
-        except ValueError:
-            return float("inf")
-        val = abs(zj**L - prod)
-        if not np.isfinite(val):
-            return float("inf")
-        res = max(res, val)
+def _bae_residuals(params, Z, L):
+    """bae_residual of every row of an (n, M) batch, from one pair table.
+
+    The table holds Python complex numbers (object dtype), not complex128:
+    numpy may compute complex128 array products with fused multiply-adds,
+    and at ill-conditioned roots that rounding difference is amplified
+    (seen: 5e-11 on residuals near 1e-10), enough to move a root set across
+    bae_tol.  Python complex products round the same way on every machine
+    and in every batch."""
+    Z = Z.astype(object)
+    table = _PairTable(params, Z)
+    n, M = Z.shape
+    res = np.zeros(n)
+    for j in range(M):
+        prod = np.ones(n, complex)
+        for m in range(M):
+            if m != j:
+                prod = prod * table.S(m, j)
+        res = np.maximum(res, np.abs(Z[:, j]**L - prod).astype(float))
+    res[table.singular() | ~np.isfinite(res)] = np.inf
     return res
 
 
-def _is_trivial_s(params, rng, probes):
-    for _ in range(probes):
-        z1, z2 = random_momenta(rng, 2)
-        try:
-            if abs(s_matrix(params, z1, z2) + 1) > 1e-10:
-                return False
-        except ValueError:
-            return False
-    return True
+def bae_residual(params, z, L):
+    """max_j |z_j^L - prod_{n != j} S(z_n, z_j)|; +inf at an S singularity."""
+    return float(_bae_residuals(params, np.array([z], complex), L)[0])
+
+
+def _is_trivial_s(params, rng):
+    """Whether S(z1, z2) = -1 at TRIVIAL_S_PROBES random pairs (and is
+    nowhere singular there), read from one pair table.  The probes are drawn
+    from a copy of rng; rng itself moves past the first probe only, where a
+    nontrivial S already fails."""
+    probes = copy.deepcopy(rng)
+    Z = np.array([random_momenta(probes, 2) for _ in range(TRIVIAL_S_PROBES)])
+    random_momenta(rng, 2)
+    table = _PairTable(params, Z)
+    off = np.abs(table.S(0, 1) + 1) > 1e-10
+    return not np.any(table.singular() | off)
+
+
+def _coincident(z):
+    """Whether two of the momenta z lie within DEGENERATE_TOL of each other."""
+    return any(abs(a - b) <= DEGENERATE_TOL
+               for a, b in itertools.combinations(z, 2))
 
 
 @functools.lru_cache(maxsize=8)
@@ -215,7 +238,7 @@ def _newton_batch(params, Z0, L, cfg):
     # most 25 of them
     damps = [1.0]
     while len(damps) < 25 and damps[-1] > 1e-8:
-        damps.append(damps[-1] * cfg.damping)
+        damps.append(damps[-1] * DAMPING)
     damps = np.array(damps)
 
     res = _residual(params, Z, L, sign)
@@ -223,7 +246,7 @@ def _newton_batch(params, Z0, L, cfg):
     converged = np.zeros(n, bool)
 
     for _ in range(cfg.max_iter):
-        hit = res[active] <= cfg.newton_tol
+        hit = res[active] <= NEWTON_TOL
         converged[active[hit]] = True
         active = active[~hit]
         if not active.size:
@@ -268,7 +291,7 @@ def _newton_batch(params, Z0, L, cfg):
         active = active[kept]
         Z[active] = trial[kept]
         res[active] = rt[kept]
-    converged[active[res[active] <= cfg.newton_tol]] = True
+    converged[active[res[active] <= NEWTON_TOL]] = True
     return Z[converged]
 
 
@@ -277,8 +300,8 @@ def _canonical(z):
     return tuple(zs)
 
 
-def _same(za, zb, tol):
-    return all(abs(a - b) <= tol for a, b in zip(za, zb))
+def _same(za, zb):
+    return all(abs(a - b) <= DEDUP_TOL for a, b in zip(za, zb))
 
 
 def _multiset_seeds(L, M, sign_roots):
@@ -304,15 +327,11 @@ def solve_bae(params, L, M, config=None):
     phase = 0.0 if sign == 1 else np.pi / L
     free_roots = [np.exp(1j * (2 * np.pi * n / L + phase)) for n in range(L)]
 
-    if _is_trivial_s(params, rng, cfg.trivial_s_probes):
-        out = []
-        for zs in _multiset_seeds(L, M, free_roots):
-            res = bae_residual(params, zs, L)
-            degen = min(abs(a - b) for a, b in
-                        itertools.combinations(zs, 2)) <= cfg.degenerate_tol
-            out.append(BetheSolution(_canonical(zs),
-                                     energy(params, zs), res, degen))
-        return out
+    if _is_trivial_s(params, rng):
+        Z = np.array(_multiset_seeds(L, M, free_roots), complex)
+        return [BetheSolution(_canonical(zs), energy(params, zs), float(res),
+                              _coincident(zs))
+                for zs, res in zip(Z, _bae_residuals(params, Z, L))]
 
     seeds = list(_multiset_seeds(L, M, free_roots))
     # coincident entries can sit on a singular Jacobian; perturbed copies
@@ -323,30 +342,29 @@ def solve_bae(params, L, M, config=None):
             seeds.append(tuple(np.array(s) * (1 + wiggle)))
     seeds += [tuple(random_momenta(rng, M)) for _ in range(cfg.random_seeds)]
 
+    Z = _newton_batch(params, np.array(seeds, complex), L, cfg)
+    Z = Z[~np.any(np.abs(Z) < 1e-8, axis=1)]
     found = []
-    for z in _newton_batch(params, np.array(seeds, complex), L, cfg):
-        if np.any(np.abs(z) < 1e-8):
-            continue
-        res = bae_residual(params, z, L)
+    for z, res in zip(Z, _bae_residuals(params, Z, L)):
         if not (res <= cfg.bae_tol):
             continue
         zs = _canonical(z)
-        if any(_same(zs, prev.z, cfg.dedup_tol) for prev in found):
+        if any(_same(zs, prev.z) for prev in found):
             continue
-        degen = min(abs(a - b) for a, b in
-                    itertools.combinations(zs, 2)) <= cfg.degenerate_tol
-        found.append(BetheSolution(zs, energy(params, zs), res, degen))
+        found.append(BetheSolution(zs, energy(params, zs), float(res),
+                                   _coincident(zs)))
     return found
 
 
 def amplitude(params, z, sigma, doubled=()):
     """Plane-wave coefficient for permutation sigma with decay factors for the
     doubled position indices (A_id = 1; one S factor per inversion, one N per
-    doubled index)."""
+    doubled index).  ValueError where Lambda is singular at a pair of z."""
     sigma = tuple(sigma)
-    out = scattering_amplitude(params, z, sigma)
+    table = pair_row(params, z).require()
+    out = complex(table.A(sigma)[0])
     for j in doubled:
-        out *= n_factor(params, z[sigma[j]], z[sigma[j + 1]])
+        out *= complex(table.N(sigma[j], sigma[j + 1])[0])
     return out
 
 
@@ -355,13 +373,8 @@ def assemble_eigenvector(params, z, L):
     whole sector basis at once (one array product per permutation)."""
     z = [complex(w) for w in z]
     M = len(z)
-    degen = (M >= 2 and min(abs(a - b) for a, b in
-                            itertools.combinations(z, 2)) <= 1e-6)
     try:
-        S = {(a, b): s_matrix(params, z[a], z[b])
-             for a in range(M) for b in range(M) if a != b}
-        N = {(a, b): n_factor(params, z[a], z[b])
-             for a in range(M) for b in range(M) if a != b}
+        table = pair_row(params, z).require()
     except ValueError as exc:
         raise ValueError(f"degenerate amplitude; solution flagged ({exc})")
     X, doubled = _sector_positions(L, M)
@@ -369,19 +382,16 @@ def assemble_eigenvector(params, z, L):
     vec = np.zeros(len(X), complex)
     scale = 0.0
     for sigma in itertools.permutations(range(M)):
-        A = 1.0 + 0j
-        for a, b in _inversion_pairs(sigma):
-            A *= S[a, b]
-        term = np.full(len(X), A)
+        term = np.full(len(X), table.A(sigma)[0])
         for j in range(M - 1):
-            term[doubled[:, j]] *= N[sigma[j], sigma[j + 1]]
+            term[doubled[:, j]] *= table.N(sigma[j], sigma[j + 1])[0]
         for n in range(M):
             term *= zpow[sigma[n]][X[:, n]]
         vec += term
         scale = max(scale, float(np.abs(term).max(initial=0.0)))
     vec.setflags(write=False)
     return SectorEigenvector(M=M, vector=vec, norm=float(np.linalg.norm(vec)),
-                             amp_scale=scale, degenerate_flag=degen)
+                             amp_scale=scale, degenerate_flag=_coincident(z))
 
 
 def verify_eigenpair(H, psi, E, tol=1e-8, L=None):

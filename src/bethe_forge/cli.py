@@ -333,8 +333,6 @@ def run_spectrum(cfg):
                 all_ok = False
             entries.append(entry)
         rep = oracle.compare(verified, spec, tol=cfg.tol_eig, scale=scale)
-        rep.max_eig_residual = max_res
-        rep.null_vectors = nulls
         if rep.unmatched:
             all_ok = False
         report["sectors"].append({

@@ -7,6 +7,13 @@ and the double-occupancy decay coefficient is
 
     N(z1, z2) = (z1 - z2)(p + q z1 z2)(t2 + t1 z1 z2) / (2 Lambda(z2, z1)).
 
+The pair table (_PairTable) is the one home of these: it takes Lambda over
+every ordered pair of an (n, M) momentum batch in one call and builds S, N,
+the plane-wave amplitude A(perm) (the product of S over the inversions of
+perm) and the singular rule from it.  s_matrix, n_factor and pair_row are
+one-row reads of that table; the Bethe solver and eigenvector assembly read
+it too.
+
 A Hamiltonian is CBA-solvable iff three symmetrized sums vanish identically in
 the momenta; this module tests that by randomized evaluation (a rational
 function vanishing at generic sample points vanishes identically, up to a
@@ -29,14 +36,12 @@ _PERMS3 = list(itertools.permutations(range(3)))
 _PERMS4 = list(itertools.permutations(range(4)))
 
 
+@functools.lru_cache(maxsize=64)
 def _inversion_pairs(perm):
+    """The pairs (a, b), a < b, that the tuple perm puts out of order."""
     pos = {v: i for i, v in enumerate(perm)}
-    return [(a, b) for a in range(len(perm)) for b in range(a + 1, len(perm))
-            if pos[a] > pos[b]]
-
-
-_INV3 = {perm: _inversion_pairs(perm) for perm in _PERMS3}
-_INV4 = {perm: _inversion_pairs(perm) for perm in _PERMS4}
+    return tuple((a, b) for a in range(len(perm)) for b in range(a + 1, len(perm))
+                 if pos[a] > pos[b])
 
 
 def _coeffs(params):
@@ -75,34 +80,6 @@ def lambda_grad(params, z1, z2):
     return d1, d2
 
 
-def s_matrix(params, z1, z2):
-    """Two-body scattering amplitude S(z1, z2) = -Lambda(z1,z2)/Lambda(z2,z1)."""
-    num = lambda_fn(params, z1, z2)
-    den = lambda_fn(params, z2, z1)
-    scale = max(abs(num), abs(den))
-    if abs(den) <= S_SING_TOL * max(scale, 1e-300):
-        raise ValueError(f"singular S at ({z1}, {z2})")
-    return -num / den
-
-
-def n_factor(params, z1, z2):
-    """Decay coefficient attaching to a doubly occupied site."""
-    den = 2 * lambda_fn(params, z2, z1)
-    num = (z1 - z2) * (params.p + params.q * z1 * z2) * (params.t2 + params.t1 * z1 * z2)
-    if abs(den) <= S_SING_TOL * max(abs(num), abs(den), 1e-300):
-        raise ValueError(f"singular N at ({z1}, {z2})")
-    return num / den
-
-
-def scattering_amplitude(params, z, perm):
-    """Plane-wave coefficient A_sigma: product of S over the inversions of sigma
-    (A_id = 1, A_{sigma T_j} = S(z_{sigma(j)}, z_{sigma(j+1)}) A_sigma)."""
-    out = 1.0 + 0j
-    for a, b in _inversion_pairs(tuple(perm)):
-        out *= s_matrix(params, z[a], z[b])
-    return out
-
-
 @functools.lru_cache(maxsize=8)
 def ordered_pairs(M):
     """Read-only index arrays of the M(M-1) ordered pairs (i, j), i != j, in
@@ -117,37 +94,94 @@ def ordered_pairs(M):
     return I, J, col
 
 
+def _ratio(num, den):
+    """num / den elementwise; NaN where den is exactly 0 (a singular pair),
+    which also keeps object-dtype tables from raising ZeroDivisionError."""
+    return np.divide(num, den, out=np.full(num.shape, np.nan, num.dtype),
+                     where=den != 0)
+
+
 class _PairTable:
-    """Vectorized Lambda/S/N for all ordered pairs of an (nsamp, M) momentum batch."""
+    """Lambda over all ordered pairs of an (n, M) momentum batch, and what is
+    built from it: S(i, j), N(i, j), A(perm) and the singular masks.
+
+    Z may be complex128 or an object array of Python complex numbers; the
+    table then computes in that arithmetic."""
 
     def __init__(self, params, Z):
-        I, J, self.col = ordered_pairs(Z.shape[1])
+        self.I, self.J, self.col = ordered_pairs(Z.shape[1])
         self.Z = Z
-        self.lam = lambda_fn(params, Z[:, I], Z[:, J])
         self.params = params
+        self.lam = lambda_fn(params, Z[:, self.I], Z[:, self.J])
+        # den[:, k] = Lambda(z_j, z_i) for pair k = (i, j): the denominator
+        # of S(i, j) and N(i, j)
+        self.den = self.lam[:, self.col[self.J, self.I]]
+
+    def singular_pairs(self):
+        """(n, M(M-1)) mask of the pairs (i, j) where S(i, j) and N(i, j) are
+        singular: |Lambda(z_j, z_i)| <= S_SING_TOL max(|Lambda(z_i, z_j)|,
+        |Lambda(z_j, z_i)|, 1e-300).  An overflowed (infinite) Lambda is
+        not singular: its S and N are not finite and fail where they are
+        used, whereas a singular point would be resampled."""
+        num, den = np.abs(self.lam), np.abs(self.den)
+        scale = np.maximum(np.maximum(num, den), 1e-300)
+        return (den <= S_SING_TOL * scale) & (scale < np.inf)
 
     def singular(self):
-        scale = np.max(np.abs(self.lam))
-        return np.any(np.abs(self.lam) <= S_SING_TOL * max(scale, 1e-300),
-                      axis=1)
+        """Per-row mask: some pair of the row is singular."""
+        return np.any(self.singular_pairs(), axis=1)
 
-    def _lam(self, i, j):
-        return self.lam[:, self.col[i, j]]
+    def require(self, what="S", pair=None):
+        """Self, or ValueError naming a singular pair of row 0: pair (i, j)
+        if given, else the first in row-major order."""
+        bad = self.singular_pairs()[0]
+        for k in range(len(bad)) if pair is None else [self.col[pair]]:
+            if bad[k]:
+                z1, z2 = complex(self.Z[0, self.I[k]]), complex(self.Z[0, self.J[k]])
+                raise ValueError(f"singular {what} at ({z1}, {z2})")
+        return self
+
+    @functools.cached_property
+    def _s(self):
+        return _ratio(-self.lam, self.den)
+
+    @functools.cached_property
+    def _n(self):
+        h = self.params
+        Zi, Zj = self.Z[:, self.I], self.Z[:, self.J]
+        zz = Zi * Zj
+        return _ratio((Zi - Zj) * (h.p + h.q * zz) * (h.t2 + h.t1 * zz),
+                      2 * self.den)
 
     def S(self, i, j):
-        return -self._lam(i, j) / self._lam(j, i)
+        return self._s[:, self.col[i, j]]
 
     def N(self, i, j):
-        h, Z = self.params, self.Z
-        zz = Z[:, i] * Z[:, j]
-        return ((Z[:, i] - Z[:, j]) * (h.p + h.q * zz) * (h.t2 + h.t1 * zz)
-                / (2 * self._lam(j, i)))
+        return self._n[:, self.col[i, j]]
 
-    def A(self, perm, inv_table):
+    def A(self, perm):
+        """Plane-wave coefficient of perm: the product of S over its
+        inversions (A_id = 1, A_{sigma T_j} = S(z_{sigma(j)}, z_{sigma(j+1)})
+        A_sigma)."""
         out = np.ones(self.Z.shape[0], complex)
-        for a, b in inv_table[perm]:
+        for a, b in _inversion_pairs(tuple(perm)):
             out = out * self.S(a, b)
         return out
+
+
+def pair_row(params, z):
+    """The pair table of the single momentum tuple z."""
+    return _PairTable(params, np.array([z], complex))
+
+
+def s_matrix(params, z1, z2):
+    """Two-body scattering amplitude S(z1, z2) = -Lambda(z1,z2)/Lambda(z2,z1)."""
+    return complex(pair_row(params, (z1, z2)).require("S", (0, 1)).S(0, 1)[0])
+
+
+def n_factor(params, z1, z2):
+    """Decay coefficient attaching to a doubly occupied site."""
+    return complex(pair_row(params, (z1, z2)).require("N", (0, 1)).N(0, 1)[0])
 
 
 def _e21_terms(params, table):
@@ -160,7 +194,7 @@ def _e21_terms(params, table):
                                   - h.p * (1 / a + 1 / b + 1 / c)
                                   + h.tp / (a * b))
                  + table.N(j, k) * h.s3 * b + h.t2 / a)
-        terms.append(table.A(perm, _INV3) * w)
+        terms.append(table.A(perm) * w)
     return terms
 
 
@@ -173,7 +207,7 @@ def _e12_terms(params, table):
         w = (1 / a) * (table.N(j, k) * (inv.X12 - h.q * (a + b + c)
                                         - h.p * (1 / b + 1 / c) + h.sp * b * c)
                        + table.N(i, j) * h.t3 / b + h.t1 * c)
-        terms.append(table.A(perm, _INV3) * w)
+        terms.append(table.A(perm) * w)
     return terms
 
 
@@ -188,7 +222,7 @@ def _e22_terms(params, table):
                         - h.q * (a + b + c + d) + h.sp * c * d
                         - h.p * (1 / a + 1 / b + 1 / c + 1 / d))
                      + table.N(k, l) * h.t2 / a + table.N(i, j) * h.t1 * d)
-        terms.append(table.A(perm, _INV4) * w)
+        terms.append(table.A(perm) * w)
     return terms
 
 
@@ -214,15 +248,11 @@ def _single(params, z, which):
         raise ValueError(f"{which} takes {M} momenta")
     if any(w == 0 for w in z):
         raise ValueError("invalid momentum z = 0")
-    Z = np.array([z])
-    table = _PairTable(params, Z)
-    if table.singular()[0]:
-        if np.any(table.lam[0] != 0):
-            raise ValueError("resample momenta: Lambda singular at this point")
-        # Lambda vanishes identically on this parameter ray; resampling
-        # cannot help, so return the literal IEEE evaluation instead.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return complex(sum(_CONSTRAINTS[which][1](params, table))[0])
+    table = pair_row(params, z)
+    if table.singular()[0] and np.any(table.lam[0] != 0):
+        raise ValueError("resample momenta: Lambda singular at this point")
+    # where Lambda vanishes identically on this parameter ray, resampling
+    # cannot help: S and N are NaN there, and so is the sum
     return complex(sum(_CONSTRAINTS[which][1](params, table))[0])
 
 
@@ -278,11 +308,14 @@ def is_cba_solvable(params, n_samples=20, tol=1e-9, seed=0, rng=None):
             if need <= 0:
                 break
             Z = random_momenta(rng, (need, M))
-            r, bad = _constraint_batch(params, Z, which)
+            with np.errstate(all="ignore"):   # overflow fails the test below
+                r, bad = _constraint_batch(params, Z, which)
             rel = np.concatenate([rel, r[~bad]])
         if rel.size < n_samples:
             raise RuntimeError("could not draw nonsingular momenta")
         m = float(np.max(rel))
+        if not np.isfinite(m):
+            m = np.inf      # a NaN residual must fail, not compare false
         if m > worst:
             worst = m
         if m > tol and failing is None:

@@ -115,6 +115,7 @@ class Family:
 
     name = ""
     free_names = ()
+    anchors = ("p", "tp")   # slots that must be nonzero to read free_names
     branches = ({},)
     half_free_names = None  # first-vacuum-only variant, where one exists
     reduced_names = ()
@@ -128,8 +129,13 @@ class Family:
         raise NotImplementedError(f"{self.name} has no half-constrained form")
 
     def read_free(self, params, inv, branch):
-        """Anchor extraction of the free parameters; None when degenerate."""
-        raise NotImplementedError
+        """Anchor extraction of the free parameters; None when an anchor is
+        0.  Each free name is read off its slot, or off the invariants for Y
+        and X22."""
+        if any(getattr(params, a) == 0 for a in self.anchors):
+            return None
+        return {n: getattr(inv if n in ("Y", "X22") else params, n)
+                for n in self.free_names}
 
     def reduced(self, free, branch):
         raise NotImplementedError
@@ -142,11 +148,8 @@ class Family:
 
     def reduction_gauge(self, free, branch, red):
         """(N0, gamma) of the normalization + gauge map; gamma = g0 g2 / g1^2."""
-        raise NotImplementedError
-
-    # shared helpers
-    def _std_free(self, params, names):
-        return {n: getattr(params, n) for n in names}
+        p, tp, t2 = _require(free, "p", "tp", "t2")
+        return tp / p**2, p / t2
 
 
 class GZF(Family):
@@ -167,11 +170,6 @@ class GZF(Family):
             q=p**3 / tp**2, s3=p**3 / tp**2, t1=p**2 * t2 / tp**2,
             t3=p, s2=p**2 * s1 / tp**2, sp=p**4 / tp**3,
         )
-
-    def read_free(self, params, inv, branch):
-        if params.p == 0 or params.tp == 0:
-            return None
-        return self._std_free(params, ("p", "tp", "t2", "s1"))
 
     def reduced(self, free, branch):
         p, tp, t2, s1 = _require(free, "p", "tp", "t2", "s1")
@@ -270,6 +268,7 @@ class GIK(Family):
 class GB(Family):
     name = "gB"
     free_names = ("p", "q", "t1", "t2", "tp")
+    anchors = ("t1", "t2", "tp")
     branches = ({"J": J_PLUS}, {"J": J_MINUS})
     reduced_names = ("tau_p", "theta", "mu", "tau_2")
     s_formula = ("-L(z1,z2)/L(z2,z1) with L = J mu^4 tau_p^2 z1^2 z2^2"
@@ -297,11 +296,6 @@ class GB(Family):
             s3=-J**2 * p * t1 / t2, t3=-J * q * t2 / t1,
             sp=J * t1**2 * tp / t2**2,
         )
-
-    def read_free(self, params, inv, branch):
-        if params.t1 == 0 or params.t2 == 0 or params.tp == 0:
-            return None
-        return self._std_free(params, ("p", "q", "t1", "t2", "tp"))
 
     def reduced(self, free, branch):
         p, q, t1, t2, tp = _require(free, "p", "q", "t1", "t2", "tp")
@@ -334,6 +328,7 @@ class GB(Family):
 class SPR(Family):
     name = "SpR"
     free_names = ("p", "q", "tp", "t2", "t3")
+    anchors = ("p", "tp", "t2")
     reduced_names = ("tau_p", "tau_3", "theta", "tau_2")
     s_formula = ("-((tau_3^2-tau_3+1)z1 z2 - tau_p(z1+z2-tau_3 z2) + tau_p^2)"
                  " / ((tau_3^2-tau_3+1)z1 z2 - tau_p(z1+z2-tau_3 z1) + tau_p^2)")
@@ -350,11 +345,6 @@ class SPR(Family):
             t1=q * t2 / p, s1=p * t3 / t2, s2=q * t3 / t2, s3=q * t3 / p,
             sp=q * (t3**2 - t3 * p + p**2) / (p * tp),
         )
-
-    def read_free(self, params, inv, branch):
-        if params.p == 0 or params.tp == 0 or params.t2 == 0:
-            return None
-        return self._std_free(params, ("p", "q", "tp", "t2", "t3"))
 
     def reduced(self, free, branch):
         p, q, tp, t2, t3 = _require(free, "p", "q", "tp", "t2", "t3")
@@ -373,14 +363,11 @@ class SPR(Family):
         return (red.tau_2 * tp * (z1 - z2)
                 / (2 * (c * z1 * z2 - tp * (z1 + z2 - t3 * z1) + tp**2)))
 
-    def reduction_gauge(self, free, branch, red):
-        p, tp, t2 = _require(free, "p", "tp", "t2")
-        return tp / p**2, p / t2
-
 
 class SB5(Family):
     name = "SB5"
     free_names = ("p", "q", "t2", "Y")
+    anchors = ("p", "t2")
     branches = ({"J": J_PLUS}, {"J": J_MINUS})
     reduced_names = ("theta", "upsilon", "tau_2")
     s_formula = ("-(theta z1 z2(z1-J^2 z2) - upsilon z1 z2 + z1 - J z2)"
@@ -399,11 +386,6 @@ class SB5(Family):
             t1=q * t2 / p, s1=-J**2 * p**2 / t2, s2=-J * p * q / t2,
             t3=-J**2 * p, s3=-J * q,
         )
-
-    def read_free(self, params, inv, branch):
-        if params.p == 0 or params.t2 == 0:
-            return None
-        return dict(p=params.p, q=params.q, t2=params.t2, Y=inv.Y)
 
     def reduced(self, free, branch):
         p, q, t2, Y = _require(free, "p", "q", "t2", "Y")
@@ -463,11 +445,6 @@ class V17_1A(Family):
             p=p, q=q, tp=tp, t2=t2, sp=p * q / tp, t1=q * t2 / p, t3=t3, s3=s3,
         )
 
-    def read_free(self, params, inv, branch):
-        if params.p == 0 or params.tp == 0:
-            return None
-        return self._std_free(params, ("p", "q", "tp", "t2"))
-
     def reduced(self, free, branch):
         p, q, tp, t2 = _require(free, "p", "q", "tp", "t2")
         return ReducedParams(tau_p=tp / p, tau_2=t2 / p, theta=q / p,
@@ -479,10 +456,6 @@ class V17_1A(Family):
     def n_closed(self, red, z1, z2):
         tp = red.tau_p
         return red.tau_2 * tp * (z1 - z2) / (2 * (z1 - tp) * (z2 - tp))
-
-    def reduction_gauge(self, free, branch, red):
-        p, tp, t2 = _require(free, "p", "tp", "t2")
-        return tp / p**2, p / t2
 
 
 class V17_1B(Family):
@@ -507,11 +480,6 @@ class V17_1B(Family):
             sp=I * p**4 / tp**3, t1=I * p**2 * t2 / tp**2,
         )
 
-    def read_free(self, params, inv, branch):
-        if params.p == 0 or params.tp == 0:
-            return None
-        return self._std_free(params, ("p", "tp", "t2"))
-
     def reduced(self, free, branch):
         p, tp, t2 = _require(free, "p", "tp", "t2")
         I = branch["I"]
@@ -520,10 +488,6 @@ class V17_1B(Family):
 
     s_closed = V17_1A.s_closed
     n_closed = V17_1A.n_closed
-
-    def reduction_gauge(self, free, branch, red):
-        p, tp, t2 = _require(free, "p", "tp", "t2")
-        return tp / p**2, p / t2
 
 
 class V17_2(Family):
@@ -560,11 +524,6 @@ class V17_2(Family):
             sp=p * q / tp, t1=-p**2 * t2 / tp**2, t3=t3, s3=s3,
         )
 
-    def read_free(self, params, inv, branch):
-        if params.p == 0 or params.tp == 0:
-            return None
-        return self._std_free(params, ("p", "q", "tp", "t2"))
-
     def reduced(self, free, branch):
         p, q, tp, t2 = _require(free, "p", "q", "tp", "t2")
         return ReducedParams(tau_p=tp / p, tau_2=t2 / p, theta=q / p)
@@ -579,10 +538,6 @@ class V17_2(Family):
         return (-red.tau_2 * (z1 - z2) * (z1 * z2 - tp**2)
                 / (2 * (th * tp * z1 * z2 - (th * tp**2 + 1) * z1 + tp)
                    * (z1 - tp) * (z2 - tp)))
-
-    def reduction_gauge(self, free, branch, red):
-        p, tp, t2 = _require(free, "p", "tp", "t2")
-        return tp / p**2, p / t2
 
 
 class V14_1(Family):
@@ -616,11 +571,6 @@ class V14_1(Family):
             p=p, tp=tp, t2=t2, t1=-p**2 * t2 / tp**2, t3=t3,
         )
 
-    def read_free(self, params, inv, branch):
-        if params.p == 0 or params.tp == 0:
-            return None
-        return dict(p=params.p, tp=params.tp, t2=params.t2, X22=inv.X22)
-
     def reduced(self, free, branch):
         p, tp, t2, X22 = _require(free, "p", "tp", "t2", "X22")
         return ReducedParams(tau_p=tp / p, tau_2=t2 / p,
@@ -634,10 +584,6 @@ class V14_1(Family):
         tp = red.tau_p
         return (red.tau_2 * (z1 - z2) * (z1 * z2 - tp**2)
                 / (2 * (z1 - tp)**2 * (z2 - tp)))
-
-    def reduction_gauge(self, free, branch, red):
-        p, tp, t2 = _require(free, "p", "tp", "t2")
-        return tp / p**2, p / t2
 
 
 class V14_2(Family):
@@ -669,11 +615,6 @@ class V14_2(Family):
             p=p, tp=tp, t1=t1, t2=t2, t3=-tp**2 * t1 / (p * t2),
         )
 
-    def read_free(self, params, inv, branch):
-        if params.p == 0 or params.tp == 0:
-            return None
-        return self._std_free(params, ("p", "tp", "t2"))
-
     def reduced(self, free, branch):
         p, tp, t2 = _require(free, "p", "tp", "t2")
         return ReducedParams(tau_p=tp / p, tau_2=t2 / p)
@@ -684,10 +625,6 @@ class V14_2(Family):
         tp = red.tau_p
         return (red.tau_2 * (z1 - z2) * (z1 * z2 + tp**2)
                 / (2 * tp * (z1 - tp) * (z2 - tp)))
-
-    def reduction_gauge(self, free, branch, red):
-        p, tp, t2 = _require(free, "p", "tp", "t2")
-        return tp / p**2, p / t2
 
 
 FAMILIES = {f.name: f for f in

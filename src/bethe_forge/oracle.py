@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import (max_chain_length, sector_basis, two_site_matrix,
-                          _apply_bonds)
+from .hamiltonian import ChainSpec, sector_basis, two_site_matrix, _apply_bonds
 
 SECTOR_DIM_CAP = 20000
 
@@ -32,18 +31,13 @@ class SectorReport:
     M: int
     dimension: int
     matched: int
-    total: int
     unmatched: list = field(default_factory=list)
-    max_eig_residual: float = 0.0
-    null_vectors: int = 0
     coverage: float = 0.0
 
 
 def sector_matrix(params, L, M):
     """Restriction of the periodic chain to the S^z = M occupation basis."""
-    if L > max_chain_length():
-        raise ValueError(
-            f"chain too large: L={L} exceeds L_max={max_chain_length()}")
+    ChainSpec(L)  # raises unless 2 <= L <= L_max
     basis = sector_basis(L, M)
     index = {s: i for i, s in enumerate(basis)}
     return _apply_bonds(two_site_matrix(params), basis, index, L)
@@ -88,6 +82,6 @@ def compare(cba_solutions, ed, tol=1e-8, scale=1.0):
     energies = [sol.energy for sol in cba_solutions]
     matched, unmatched = match_multiset(energies, ed.eigenvalues, tol * scale)
     report = SectorReport(M=ed.M, dimension=ed.dimension, matched=matched,
-                          total=len(energies), unmatched=unmatched)
+                          unmatched=unmatched)
     report.coverage = matched / ed.dimension if ed.dimension else 1.0
     return report

@@ -53,6 +53,70 @@ class TestBAEResidual:
         assert bf.bae_residual(h, [taup, cdraw(rng)], 4) == float("inf")
 
 
+def _reference_bae_residual(params, z, L):
+    """Scalar loop over s_matrix: max_j |z_j^L - prod_{n != j} S(z_n, z_j)|,
+    +inf at an S singularity."""
+    z = [complex(w) for w in z]
+    res = 0.0
+    for j, zj in enumerate(z):
+        prod = 1.0 + 0j
+        try:
+            for n, zn in enumerate(z):
+                if n != j:
+                    prod *= bf.s_matrix(params, zn, zj)
+        except ValueError:
+            return float("inf")
+        val = abs(zj**L - prod)
+        if not np.isfinite(val):
+            return float("inf")
+        res = max(res, val)
+    return res
+
+
+def _singular_point(params, rng, M):
+    """M momenta where S(z_0, z_1) is singular: Lambda(z_1, z_0) = 0 to
+    rounding while Lambda(z_0, z_1) is not (a zero of a factor the two
+    share is 0/0, not a pole).  Newton on the first argument of Lambda from
+    random starts."""
+    z0 = cdraw(rng)
+    for _ in range(50):
+        w = cdraw(rng, rmin=0.2, rmax=3.0)
+        for _ in range(60):
+            d1, _ = lambda_grad(params, w, z0)
+            if d1 == 0:
+                break
+            w = w - lambda_fn(params, w, z0) / d1
+        den, num = abs(lambda_fn(params, w, z0)), abs(lambda_fn(params, z0, w))
+        if 0.05 < abs(w) < 20 and den <= 1e-14 * num:
+            return [z0, complex(w)] + list(cdraw(rng, M - 2))
+    raise AssertionError("no pole of S found")
+
+
+class TestBatchedBAEResidual:
+    @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
+    def test_matches_scalar_loop(self, tag, rng):
+        """The batched residuals equal the scalar s_matrix loop row by row,
+        M = 1..3: random points, solve_bae roots and, where S is not
+        identically -1, a singular point (inf on both sides)."""
+        h, _ = family_instance(tag, rng)
+        L = 5
+        cfg = SolverConfig(random_seeds=10, max_iter=40)
+        for M in (1, 2, 3):
+            rows = [cdraw(rng, M) for _ in range(8)]
+            rows += [s.z for s in bf.solve_bae(h, L, M, cfg)][:8]
+            if M >= 2 and tag not in bf.TRIVIAL_S_TAGS:
+                rows.append(_singular_point(h, rng, M))
+            got = bethe._bae_residuals(h, np.array(rows, complex), L)
+            for z, r in zip(rows, got):
+                ref = _reference_bae_residual(h, z, L)
+                if ref == float("inf"):
+                    assert r == ref
+                else:
+                    assert abs(r - ref) <= 1e-12 * max(1, ref), (z, r, ref)
+            if M >= 2 and tag not in bf.TRIVIAL_S_TAGS:
+                assert got[-1] == float("inf")
+
+
 class TestSolveBAE:
     def test_m1_exact(self, rng):
         h = random_params(rng)
@@ -171,7 +235,7 @@ def _reference_newton(params, Z0, L, cfg):
     converged = np.zeros(n, bool)
 
     for _ in range(cfg.max_iter):
-        hit = active & (res <= cfg.newton_tol)
+        hit = active & (res <= bethe.NEWTON_TOL)
         converged |= hit
         active &= ~hit
         if not active.any():
@@ -202,14 +266,14 @@ def _reference_newton(params, Z0, L, cfg):
             worse = active & ~(rt < res) & (damp > 1e-8)
             if not worse.any():
                 break
-            damp[worse] *= cfg.damping
+            damp[worse] *= bethe.DAMPING
         stuck = active & ~(rt < res)
         active &= ~stuck
         upd = active
         Z[upd] = trial[upd]
         F[upd] = Ft[upd]
         res[upd] = rt[upd]
-    hit = active & (res <= cfg.newton_tol)
+    hit = active & (res <= bethe.NEWTON_TOL)
     converged |= hit
     return Z[converged]
 

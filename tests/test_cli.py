@@ -113,6 +113,24 @@ class TestClassifyCommand:
         assert "CBA-solvable" not in capsys.readouterr().out
 
 
+class TestOverflowingInput:
+    """p = q = 1e308: the constraint sums overflow to NaN, which must read
+    as not solvable rather than pass and fail later."""
+
+    @pytest.fixture
+    def huge_file(self, tmp_path, rng):
+        from conftest import random_params
+        return write_params(tmp_path, random_params(rng).replace(p=1e308, q=1e308))
+
+    def test_classify_says_not_solvable(self, capsys, huge_file):
+        assert main(["classify", huge_file]) == 0
+        assert "CBA-solvable: NO" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["spectrum", "verify"])
+    def test_spectrum_refused_exit_4(self, mode, huge_file):
+        assert main([mode, huge_file, "--L", "4", "--M", "1"]) == 4
+
+
 class TestSpectrumCommand:
     def test_gzf_m1_full_coverage(self, capsys, gzf_file):
         code = main(["spectrum", gzf_file, "--L", "4", "--M", "1..2", "--json"])

@@ -1,10 +1,12 @@
 """Scattering data and the randomized solvability test."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import bethe_forge as bf
-from bethe_forge.constraints import scattering_amplitude
+from bethe_forge.constraints import _PairTable, pair_row
 
 from conftest import cdraw, draw_free, family_instance, random_params
 
@@ -103,13 +105,36 @@ class TestAmplitude:
     def test_identity(self, rng):
         h = random_params(rng)
         z = cdraw(rng, 3)
-        assert scattering_amplitude(h, z, (0, 1, 2)) == 1
+        assert bf.amplitude(h, z, (0, 1, 2)) == 1
 
     def test_transposition(self, rng):
         h = random_params(rng)
         z = cdraw(rng, 2)
         expect = bf.s_matrix(h, z[0], z[1])
-        assert abs(scattering_amplitude(h, z, (1, 0)) - expect) < 1e-12
+        assert abs(bf.amplitude(h, z, (1, 0)) - expect) < 1e-12
+
+
+class TestPairTable:
+    @pytest.mark.parametrize("tag", (None,) + bf.FAMILY_ORDER)
+    def test_batch_rows_equal_one_row_reads(self, tag, rng):
+        """S, N and A read from an (n, M) batch equal s_matrix, n_factor and
+        amplitude (one-row reads) row by row, M = 2..4; so does the
+        singular mask."""
+        h = random_params(rng) if tag is None else family_instance(tag, rng)[0]
+
+        def close(a, b):
+            assert abs(a - b) <= 1e-13 * max(1, abs(b))
+
+        for M in (2, 3, 4):
+            Z = np.array([cdraw(rng, M) for _ in range(5)])
+            table = _PairTable(h, Z)
+            for r, z in enumerate(Z):
+                assert table.singular()[r] == pair_row(h, z).singular()[0]
+                for i, j in itertools.permutations(range(M), 2):
+                    close(table.S(i, j)[r], bf.s_matrix(h, z[i], z[j]))
+                    close(table.N(i, j)[r], bf.n_factor(h, z[i], z[j]))
+                for perm in itertools.permutations(range(M)):
+                    close(table.A(perm)[r], bf.amplitude(h, z, perm))
 
 
 class TestConstraintSums:
@@ -167,7 +192,7 @@ class TestConstraintSums:
                 base = fn(h, z)
                 pi = tuple(rng.permutation(len(z)))
                 permuted = [z[i] for i in pi]
-                a_pi = scattering_amplitude(h, z, pi)
+                a_pi = bf.amplitude(h, z, pi)
                 assert abs(fn(h, permuted) * a_pi - base) < 1e-9 * max(1, abs(base))
 
 
@@ -199,6 +224,21 @@ class TestSolvability:
         h = bf.HamiltonianParams(t1=1, t2=1)
         with pytest.raises(bf.GateViolation, match="pseudo-excitation"):
             bf.is_cba_solvable(h)
+
+    @pytest.mark.parametrize("slot", ["q", "v"])
+    def test_nan_input_not_solvable(self, slot, rng):
+        """A NaN residual fails its constraint instead of comparing false."""
+        h, _ = family_instance("gZF", rng)
+        if slot == "q":
+            bad = h.replace(q=float("nan"))
+        else:
+            v = np.array(h.v)
+            v[1, 1] = np.nan
+            bad = h.replace(v=v)
+        verdict = bf.is_cba_solvable(bad)
+        assert not verdict.solvable
+        assert verdict.max_residual == float("inf")
+        assert verdict.failing_constraint in ("E21", "E12", "E22")
 
     def test_verdict_consistency(self, rng):
         h, _ = family_instance("17V2", rng)

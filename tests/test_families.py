@@ -172,6 +172,22 @@ class TestClassifier:
                 for k, val in branch.items():
                     assert abs(complex(m.branch[k]) - complex(val)) < 1e-12
 
+    @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
+    def test_read_free_anchors(self, tag, rng):
+        """read_free returns the free values in free_names order, read off
+        their slots or the invariants, and None when an anchor is 0."""
+        fam = bf.FAMILIES[tag]
+        branch = fam.branches[0]
+        free = draw_free(tag, rng)
+        h = bf.construct(tag, free, branch)
+        got = fam.read_free(h, bf.invariants(h), branch)
+        assert list(got) == list(fam.free_names)
+        for name in fam.free_names:
+            assert abs(got[name] - free[name]) <= 1e-12 * max(1, abs(free[name]))
+        for a in fam.anchors:
+            h0 = h.replace(**{a: 0})
+            assert fam.read_free(h0, bf.invariants(h0), branch) is None
+
     def test_refuses_unsolvable(self, rng):
         with pytest.raises(ValueError, match="not CBA-solvable"):
             bf.classify(random_params(rng), seed=4)

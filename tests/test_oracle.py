@@ -1,6 +1,7 @@
 """Dense reference spectra and spectrum matching."""
 
 import numpy as np
+import pytest
 
 import bethe_forge as bf
 from bethe_forge.bethe import BetheSolution
@@ -9,6 +10,12 @@ from conftest import cdraw, family_instance, random_params
 
 
 class TestSectorMatrix:
+    def test_chain_length_guard(self, rng):
+        h = random_params(rng)
+        for L in (1, bf.max_chain_length() + 1):
+            with pytest.raises(ValueError, match="chain"):
+                bf.sector_matrix(h, L, 1)
+
     def test_vacuum_sector(self, rng):
         h = bf.with_zero_v00(random_params(rng))
         m = bf.sector_matrix(h, 4, 0)
