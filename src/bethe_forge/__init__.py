@@ -59,6 +59,7 @@ from .bethe import (
     assemble_eigenvector,
     bae_residual,
     energy,
+    momentum,
     solve_bae,
     verify_eigenpair,
 )

@@ -38,11 +38,15 @@ table: the sorted positions of every basis state, in sector_basis order,
 and the mask of doubled sites.  Assembly evaluates each of the M! plane
 waves over that whole table, so a SectorEigenvector holds its amplitudes as
 a vector in sector_basis order.  Vectors are returned unnormalized with
-their norm.
+their norm.  The left shift s -> s[1:] + s[:1] multiplies a Bethe vector by
+prod z; momentum(z, L) names the translation block this puts it in (see
+oracle).
 """
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import copy
 import functools
 import itertools
@@ -58,6 +62,7 @@ DAMPING = 0.5            # line-search step factor
 NEWTON_TOL = 1e-12       # Newton stops below this relative residual
 DEDUP_TOL = 1e-8         # root sets this close are one solution
 DEGENERATE_TOL = 1e-6    # roots this close are coincident
+MOMENTUM_TOL = 1e-6      # prod z this close to e^{2 pi i m / L} is in block m
 TRIVIAL_S_PROBES = 6     # random pairs at which S = -1 is tested
 
 
@@ -116,6 +121,20 @@ def energy(params, z):
         raise ValueError("invalid momentum z = 0")
     V = invariants(params).V
     return len(z) * V + sum(params.q * w + params.p / w for w in z)
+
+
+def momentum(z, L):
+    """Translation block m of the root set z: the m in 0..L-1 with
+    e^{2 pi i m / L} = prod z, the eigenvalue of the left shift
+    s -> s[1:] + s[:1] on its Bethe vector; None unless prod z lies within
+    MOMENTUM_TOL of that root of unity."""
+    P = 1
+    for w in z:
+        P *= complex(w)
+    if not cmath.isfinite(P):
+        return None
+    m = round(L * cmath.phase(P) / (2 * cmath.pi)) % L
+    return m if abs(P - cmath.exp(2j * cmath.pi * m / L)) <= MOMENTUM_TOL else None
 
 
 def _bae_residuals(params, Z, L):
@@ -304,6 +323,27 @@ def _same(za, zb):
     return all(abs(a - b) <= DEDUP_TOL for a, b in zip(za, zb))
 
 
+def _distinct(sets):
+    """Indices of the canonical root sets that are not _same as an earlier
+    kept one, in order.  Sets within DEDUP_TOL root by root have first roots
+    whose real parts lie within DEDUP_TOL, so the kept sets are held sorted
+    by that real part and each new set is compared only with the window
+    around its own (twice as wide, so that rounding in the window's bounds
+    cannot drop a match)."""
+    keys, kept, out = [], [], []
+    for i, zs in enumerate(sets):
+        x = zs[0].real
+        lo = bisect.bisect_left(keys, x - 2 * DEDUP_TOL)
+        hi = bisect.bisect_right(keys, x + 2 * DEDUP_TOL)
+        if any(_same(zs, kept[k]) for k in range(lo, hi)):
+            continue
+        k = bisect.bisect_right(keys, x)
+        keys.insert(k, x)
+        kept.insert(k, zs)
+        out.append(i)
+    return out
+
+
 def _multiset_seeds(L, M, sign_roots):
     return [tuple(c) for c in
             itertools.combinations_with_replacement(sign_roots, M)]
@@ -344,16 +384,12 @@ def solve_bae(params, L, M, config=None):
 
     Z = _newton_batch(params, np.array(seeds, complex), L, cfg)
     Z = Z[~np.any(np.abs(Z) < 1e-8, axis=1)]
-    found = []
-    for z, res in zip(Z, _bae_residuals(params, Z, L)):
-        if not (res <= cfg.bae_tol):
-            continue
-        zs = _canonical(z)
-        if any(_same(zs, prev.z) for prev in found):
-            continue
-        found.append(BetheSolution(zs, energy(params, zs), float(res),
-                                   _coincident(zs)))
-    return found
+    res = _bae_residuals(params, Z, L)
+    ok = res <= cfg.bae_tol
+    sets, res = [_canonical(z) for z in Z[ok]], res[ok]
+    return [BetheSolution(sets[i], energy(params, sets[i]), float(res[i]),
+                          _coincident(sets[i]))
+            for i in _distinct(sets)]
 
 
 def amplitude(params, z, sigma, doubled=()):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constraints, families, oracle, reductions
-from .bethe import (SolverConfig, assemble_eigenvector, solve_bae,
+from .bethe import (SolverConfig, assemble_eigenvector, momentum, solve_bae,
                     verify_eigenpair)
 from .hamiltonian import (ChainSpec, GateViolation, _pair_to_c,
                           apply_charge_conjugation, apply_frame,
@@ -266,9 +266,10 @@ def run_spectrum(cfg):
             report["sectors"].append({
                 "M": 0, "dimension": 1,
                 "solutions": [{"z": [], "energy": 0j, "bae_residual": 0.0,
-                               "degenerate": False, "eig_residual": 0.0,
-                               "verified": True}],
+                               "degenerate": False, "momentum": 0,
+                               "eig_residual": 0.0, "verified": True}],
                 "verified": 1, "matched": 1, "unmatched_energies": [],
+                "uncovered_by_momentum": [0] * cfg.L,
                 "null_vectors": 0, "coincident_roots": 0,
                 "max_eig_residual": 0.0,
                 "completeness": 1.0,
@@ -281,15 +282,18 @@ def run_spectrum(cfg):
         scale = float(np.max(np.abs(Hsec))) or 1.0
         entries = []
         verified = []
-        kept_states = []   # (energy, unit vector) of accepted eigenpairs
+        # (energy, unit vector) of accepted eigenpairs, by momentum
+        kept_states = {}
         nulls = coincident = 0
         max_res = 0.0
         for sol in sols:
+            m = momentum(sol.z, cfg.L)
             entry = {
                 "z": list(sol.z),
                 "energy": sol.energy,
                 "bae_residual": sol.bae_residual,
                 "degenerate": sol.degenerate_flag,
+                "momentum": m,
             }
             if sol.degenerate_flag:
                 # the plane-wave form degenerates when two roots coincide:
@@ -316,16 +320,18 @@ def run_spectrum(cfg):
             max_res = max(max_res, res)
             if res <= cfg.tol_eig:
                 # distinct root sets can describe the same state at symmetric
-                # points; count each eigenvector ray once
+                # points; count each eigenvector ray once (states of
+                # different momenta are orthogonal)
                 unit = vec / np.linalg.norm(vec)
+                kept = kept_states.setdefault(m, [])
                 dup = any(abs(sol.energy - e0) <= cfg.tol_eig * scale
                           and 1 - abs(np.vdot(v0, unit)) <= 1e-6
-                          for e0, v0 in kept_states)
+                          for e0, v0 in kept)
                 if dup:
                     entry["verified"] = True
                     entry["equivalent_state"] = True
                 else:
-                    kept_states.append((sol.energy, unit))
+                    kept.append((sol.energy, unit))
                     verified.append(sol)
                     entry["verified"] = True
             else:
@@ -342,6 +348,7 @@ def run_spectrum(cfg):
             "verified": len(verified),
             "matched": rep.matched,
             "unmatched_energies": rep.unmatched,
+            "uncovered_by_momentum": rep.uncovered,
             "null_vectors": nulls,
             "coincident_roots": coincident,
             "max_eig_residual": max_res,

@@ -1,6 +1,7 @@
 """Bethe-equation solving, eigenvector assembly, eigenpair verification."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ import pytest
 import bethe_forge as bf
 from bethe_forge import bethe
 from bethe_forge.bethe import SolverConfig
+from bethe_forge.cli import load_input
 from bethe_forge.constraints import lambda_fn, lambda_grad
 
 from conftest import cdraw, draw_free, family_instance, random_params
+
+PRESETS = Path(bf.__file__).parent / "presets"
 
 
 class TestEnergy:
@@ -298,6 +302,49 @@ class TestNewtonMatchesReference:
                 assert got
                 assert ([(s.z, s.bae_residual) for s in got]
                         == [(s.z, s.bae_residual) for s in ref])
+
+
+def _reference_distinct(sets):
+    """The all-pairs duplicate scan: each set against every kept one."""
+    kept, out = [], []
+    for i, zs in enumerate(sets):
+        if any(bethe._same(zs, prev) for prev in kept):
+            continue
+        kept.append(zs)
+        out.append(i)
+    return out
+
+
+class TestDistinct:
+    def test_gb_solve_same_as_all_pairs_scan(self, monkeypatch):
+        """On a gB solve at L = 9, M = 3 the windowed scan keeps exactly the
+        root sets, in the same order, that the all-pairs scan keeps, and
+        there were duplicates to drop."""
+        h = bf.with_zero_v00(load_input(str(PRESETS / "gB.json")))
+        real, seen = bethe._distinct, []
+
+        def record(sets):
+            seen.extend(sets)
+            return real(sets)
+
+        monkeypatch.setattr(bethe, "_distinct", record)
+        got = bf.solve_bae(h, 9, 3)
+        assert real(seen) == _reference_distinct(seen)
+        assert len(seen) > len(got) > 0
+
+    def test_clustered_sets(self, rng):
+        """Near-duplicates straddling DEDUP_TOL, and sets whose first roots
+        share a real part but differ elsewhere."""
+        base = [tuple(cdraw(rng, 3)) for _ in range(30)]
+        base += [(b[0].real + 1j * rng.uniform(-1, 1),) + b[1:] for b in base]
+        sets = []
+        for _ in range(400):
+            b = base[rng.integers(len(base))]
+            step = 0.8 * bethe.DEDUP_TOL * rng.uniform(-1, 1, (3, 2))
+            sets.append(tuple(z + complex(*d) for z, d in zip(b, step)))
+        got = bethe._distinct(sets)
+        assert got == _reference_distinct(sets)
+        assert len(base) < len(got) < len(sets)
 
 
 class TestAmplitude:

@@ -145,6 +145,25 @@ class TestSpectrumCommand:
         assert not m2["unmatched_energies"]
         assert report["all_verified"]
 
+    def test_momentum_in_report(self, capsys):
+        """Every solution entry names its translation block, and each sector
+        counts per block the ED eigenvalues no Bethe state covers."""
+        L = 5
+        code = main(["verify", str(PRESETS / "gB.json"), "--L", str(L),
+                     "--M", "0..3", "--json"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        for sec in report["sectors"]:
+            uncovered = sec["uncovered_by_momentum"]
+            assert len(uncovered) == L
+            assert sum(uncovered) == sec["dimension"] - sec["matched"]
+            for ent in sec["solutions"]:
+                assert ent["momentum"] == bf.momentum(
+                    [complex(*z) for z in ent["z"]], L)
+        m1 = report["sectors"][1]
+        assert sorted(e["momentum"] for e in m1["solutions"]) == list(range(L))
+        assert report["sectors"][0]["solutions"][0]["momentum"] == 0
+
     def test_unsolvable_refused_exit_4(self, tmp_path, rng):
         from conftest import random_params
         path = write_params(tmp_path, random_params(rng))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bethe_forge as bf
 from bethe_forge.bethe import BetheSolution
@@ -104,22 +105,34 @@ class TestCompare:
 
     def test_identical_lists(self):
         ed = bf.SectorSpectrum(M=1, eigenvalues=np.array([1.0, 2.0, 3.0 + 1j]),
-                               dimension=3)
+                               dimension=3, momenta=np.zeros(3, int), L=3)
         rep = bf.compare(self._sols([1.0, 2.0, 3.0 + 1j]), ed, tol=1e-10)
         assert rep.matched == 3 and not rep.unmatched
         assert rep.coverage == 1.0
 
     def test_corrupted_energy_reported(self):
-        ed = bf.SectorSpectrum(M=1, eigenvalues=np.array([1.0, 2.0]), dimension=2)
+        ed = bf.SectorSpectrum(M=1, eigenvalues=np.array([1.0, 2.0]), dimension=2,
+                               momenta=np.zeros(2, int), L=2)
         rep = bf.compare(self._sols([1.0, 5.0]), ed, tol=1e-8)
         assert rep.matched == 1
         assert rep.unmatched == [5.0]
 
     def test_multiplicity_consumed_once(self):
-        ed = bf.SectorSpectrum(M=1, eigenvalues=np.array([1.0, 1.0]), dimension=2)
+        ed = bf.SectorSpectrum(M=1, eigenvalues=np.array([1.0, 1.0]), dimension=2,
+                               momenta=np.zeros(2, int), L=2)
         rep = bf.compare(self._sols([1.0, 1.0, 1.0]), ed, tol=1e-8)
         assert rep.matched == 2
         assert len(rep.unmatched) == 1
+
+    def test_energy_in_other_block_unmatched(self):
+        """An energy present only in another block does not match; the
+        block's own eigenvalue stays uncovered."""
+        ed = bf.SectorSpectrum(M=1, eigenvalues=np.array([1.0, 2.0]), dimension=2,
+                               momenta=np.array([0, 1]), L=2)
+        rep = bf.compare(self._sols([2.0]), ed, tol=1e-8)
+        assert rep.matched == 0
+        assert rep.unmatched == [2.0]
+        assert rep.uncovered == [1, 1]
 
     def test_m1_full_coverage(self, rng):
         h, _ = family_instance("SpR", rng)
@@ -147,3 +160,141 @@ class TestCompare:
             rep = bf.compare(accepted, spec, tol=1e-8, scale=scale)
             assert rep.matched == len(accepted)
             assert not rep.unmatched
+
+
+def _momentum_basis(L, M, m):
+    """Columns sum_{d < p} e^{-2 pi i m d / L} T^d |r> / sqrt(p), T the left
+    shift s -> s[1:] + s[:1], over the orbits whose period p has
+    m p = 0 mod L; r is an orbit's first state in sector_basis order.  Built
+    state by state from the definition."""
+    basis = bf.sector_basis(L, M)
+    index = {s: i for i, s in enumerate(basis)}
+    seen, cols = set(), []
+    for s in basis:
+        if s in seen:
+            continue
+        orbit, t = [s], s[1:] + s[:1]
+        while t != s:
+            orbit.append(t)
+            t = t[1:] + t[:1]
+        seen.update(orbit)
+        p = len(orbit)
+        if m * p % L:
+            continue
+        col = np.zeros(len(basis), complex)
+        for d, t in enumerate(orbit):
+            col[index[t]] = np.exp(-2j * np.pi * m * d / L) / np.sqrt(p)
+        cols.append(col)
+    return np.array(cols, complex).reshape(-1, len(basis)).T
+
+
+def _same_multiset(a, b, tol):
+    matched, _ = bf.oracle.match_multiset(list(a), b, tol)
+    return len(a) == len(b) == matched
+
+
+def _block_spectra(h, L, M):
+    spec = bf.sector_spectrum(h, L, M)
+    return [spec.eigenvalues[spec.momenta == m] for m in range(L)]
+
+
+class TestTranslationBlocks:
+    def test_block_matrices_from_definition(self, rng):
+        """Each block matrix is F_m^dagger H F_m, F_m built from the
+        definition, including orbits shorter than L."""
+        h = random_params(rng)
+        for L in (3, 4, 5, 6):
+            for M in (1, 2, 3):
+                H = bf.sector_matrix(h, L, M)
+                blocks = list(bf.oracle._block_matrices(H, L, M))
+                assert [m for m, _, _ in blocks] == list(range(L))
+                for m, idx, block in blocks:
+                    F = _momentum_basis(L, M, m)
+                    assert len(idx) == F.shape[1]
+                    assert np.allclose(block, F.conj().T @ H @ F,
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
+    def test_bethe_vectors_in_their_block(self, tag, rng):
+        """Every verified Bethe vector lies in the block of its momentum and
+        its energy matches an eigenvalue of that block."""
+        h, _ = family_instance(tag, rng)
+        cfg = bf.SolverConfig(random_seeds=20)
+        count = {}
+        for L in (5, 6):
+            for M in (1, 2, 3):
+                spec = bf.sector_spectrum(h, L, M)
+                H = spec.matrix
+                scale = max(1.0, float(np.max(np.abs(H))))
+                verified = []
+                for s in bf.solve_bae(h, L, M, cfg):
+                    if s.degenerate_flag:
+                        continue
+                    psi = bf.assemble_eigenvector(h, s.z, L)
+                    if psi.is_null:
+                        continue
+                    vec = psi.to_vector(L)
+                    if bf.verify_eigenpair(H, vec, s.energy) > 1e-8:
+                        continue
+                    F = _momentum_basis(L, M, bf.momentum(s.z, L))
+                    off = vec - F @ (F.conj().T @ vec)
+                    assert np.linalg.norm(off) <= 1e-8 * np.linalg.norm(vec)
+                    verified.append(s)
+                count[M] = count.get(M, 0) + len(verified)
+                rep = bf.compare(verified, spec, tol=1e-8, scale=scale)
+                assert not rep.unmatched, (tag, L, M)
+        assert all(count.values())
+
+    def test_union_is_sector_spectrum(self, rng, monkeypatch):
+        """The block spectra together are the whole-sector spectrum."""
+        cases = [(family_instance(tag, rng)[0], L, M)
+                 for tag in bf.FAMILY_ORDER
+                 for L in range(3, 10) for M in (1, 2, 3)]
+        monkeypatch.setenv("BETHE_FORGE_LMAX", "12")
+        cases.append((family_instance("17V1a", rng)[0], 12, 3))
+        for h, L, M in cases:
+            spec = bf.sector_spectrum(h, L, M)
+            whole = np.linalg.eigvals(spec.matrix)
+            scale = max(1.0, float(np.max(np.abs(spec.matrix))))
+            assert _same_multiset(spec.eigenvalues, whole, 1e-9 * scale), (L, M)
+
+
+@st.composite
+def _annulus(draw):
+    r = draw(st.floats(0.5, 1.5))
+    return r * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+
+
+@st.composite
+def _params(draw):
+    kw = {k: draw(_annulus()) for k in bf.hamiltonian.OFFDIAG_KEYS}
+    v = np.array([draw(_annulus()) for _ in range(9)]).reshape(3, 3)
+    return bf.HamiltonianParams(v=v, **kw)
+
+
+_SECTORS = st.tuples(st.integers(3, 7), st.integers(1, 3))
+_BLOCK_TOL = 1e-7
+
+
+class TestBlockInvariances:
+    @settings(max_examples=25, deadline=None)
+    @given(_params(), _SECTORS, st.lists(_annulus(), min_size=3, max_size=3),
+           st.lists(_annulus(), min_size=3, max_size=3))
+    def test_gauge_and_telescoping_keep_each_block(self, h, sector, g, a):
+        L, M = sector
+        ref = _block_spectra(h, L, M)
+        scale = max(1.0, max(float(np.max(np.abs(e))) for e in ref if e.size))
+        for hx in (bf.apply_gauge(h, g), bf.apply_telescopic(h, a)):
+            for m, ev in enumerate(_block_spectra(hx, L, M)):
+                assert _same_multiset(ev, ref[m], _BLOCK_TOL * scale), m
+
+    @settings(max_examples=25, deadline=None)
+    @given(_params(), _SECTORS)
+    def test_parity_reverses_momentum(self, h, sector):
+        """Site reversal conjugates the shift, so block m of the mirrored
+        chain is block -m of the original."""
+        L, M = sector
+        ref = _block_spectra(h, L, M)
+        scale = max(1.0, max(float(np.max(np.abs(e))) for e in ref if e.size))
+        for m, ev in enumerate(_block_spectra(bf.apply_parity(h), L, M)):
+            assert _same_multiset(ev, ref[-m % L], _BLOCK_TOL * scale), m
