@@ -27,8 +27,8 @@ the path it would follow alone, whatever the batch around it.
 
 S, N, the plane-wave amplitudes A and the singular rule all come from the
 pair table of constraints (_PairTable): the BAE residuals of a whole batch
-of root sets, the trivial-S probe and the amplitudes of one root set are
-reads of one table each.
+of root sets, the trivial-S probe and the amplitudes of a batch of root
+sets are reads of one table each.
 
 Eigenvectors are plane-wave superpositions over ordered excitation positions
 x_1 <= ... <= x_M (a doubly occupied site appears twice); amplitudes carry
@@ -36,11 +36,18 @@ one scattering factor per permutation inversion and one decay factor N per
 doubled position.  Each (L, M) sector has one cached, read-only position
 table: the sorted positions of every basis state, in sector_basis order,
 and the mask of doubled sites.  Assembly evaluates each of the M! plane
-waves over that whole table, so a SectorEigenvector holds its amplitudes as
-a vector in sector_basis order.  Vectors are returned unnormalized with
-their norm.  The left shift s -> s[1:] + s[:1] multiplies a Bethe vector by
+waves over that whole table for a whole batch of root sets at once, one
+(n, dim) array in sector_basis order; assemble_eigenvector is its one-row
+read, a SectorEigenvector.  Vectors are returned unnormalized with their
+norm.  The left shift s -> s[1:] + s[:1] multiplies a Bethe vector by
 prod z; momentum(z, L) names the translation block this puts it in (see
 oracle).
+
+check_roots verifies the root sets of a sector one translation block at a
+time: one pair table, one assembly, one residual product and one Gram
+matrix of unit vectors per block, which finds the root sets that give a
+state already seen.  It returns one RootCheck per root set; the command
+line only renders them.
 """
 
 from __future__ import annotations
@@ -96,6 +103,12 @@ def _sector_positions(L, M):
     return X, doubled
 
 
+def _is_null(norm, amp_scale):
+    """Whether a Bethe vector's terms cancelled: its norm is at most 1e-10 of
+    its largest term.  Vectorizes over arrays."""
+    return norm <= 1e-10 * np.maximum(amp_scale, 1e-300)
+
+
 @dataclass
 class SectorEigenvector:
     M: int
@@ -106,7 +119,7 @@ class SectorEigenvector:
 
     @property
     def is_null(self):
-        return self.norm <= 1e-10 * max(self.amp_scale, 1e-300)
+        return bool(_is_null(self.norm, self.amp_scale))
 
     def to_vector(self, L):
         if len(self.vector) != len(_sector_positions(L, self.M)[0]):
@@ -404,41 +417,135 @@ def amplitude(params, z, sigma, doubled=()):
     return out
 
 
+def _assemble(table, L):
+    """Bethe vectors of every root set of a pair table over the (L, M)
+    sector: the (n, dim) amplitudes in sector_basis order and each row's
+    largest pre-cancellation term magnitude.  One array product per
+    permutation, multiplied in the same order for every row, over powers
+    z**x taken in Python; the rows of root sets with a singular pair hold
+    meaningless values."""
+    n, M = table.Z.shape
+    X, doubled = _sector_positions(L, M)
+    zpow = np.array([[[w ** x for x in range(L + 1)] for w in row]
+                     for row in table.Z.tolist()], complex)
+    vecs = np.zeros((n, len(X)), complex)
+    scale = np.zeros(n)
+    with np.errstate(all="ignore"):
+        for sigma in itertools.permutations(range(M)):
+            term = np.repeat(table.A(sigma)[:, None], len(X), axis=1)
+            for j in range(M - 1):
+                term[:, doubled[:, j]] *= table.N(sigma[j], sigma[j + 1])[:, None]
+            for k in range(M):
+                term *= zpow[:, sigma[k], X[:, k]]
+            vecs += term
+            scale = np.maximum(scale, np.abs(term).max(axis=1, initial=0.0))
+    return vecs, scale
+
+
+def _singular_amplitude(table, row):
+    """The message of a root set whose amplitudes are singular."""
+    return f"degenerate amplitude; solution flagged ({table.singular_at(row)})"
+
+
 def assemble_eigenvector(params, z, L):
     """Amplitudes a(x_1..x_M) of the Bethe vector for momenta z, over the
-    whole sector basis at once (one array product per permutation)."""
+    whole sector basis at once: the one-row read of _assemble."""
     z = [complex(w) for w in z]
-    M = len(z)
-    try:
-        table = pair_row(params, z).require()
-    except ValueError as exc:
-        raise ValueError(f"degenerate amplitude; solution flagged ({exc})")
-    X, doubled = _sector_positions(L, M)
-    zpow = [np.array([z[n] ** x for x in range(L + 1)]) for n in range(M)]
-    vec = np.zeros(len(X), complex)
-    scale = 0.0
-    for sigma in itertools.permutations(range(M)):
-        term = np.full(len(X), table.A(sigma)[0])
-        for j in range(M - 1):
-            term[doubled[:, j]] *= table.N(sigma[j], sigma[j + 1])[0]
-        for n in range(M):
-            term *= zpow[sigma[n]][X[:, n]]
-        vec += term
-        scale = max(scale, float(np.abs(term).max(initial=0.0)))
+    table = pair_row(params, z)
+    if table.singular()[0]:
+        raise ValueError(_singular_amplitude(table, 0))
+    vecs, scale = _assemble(table, L)
+    vec = vecs[0]
     vec.setflags(write=False)
-    return SectorEigenvector(M=M, vector=vec, norm=float(np.linalg.norm(vec)),
-                             amp_scale=scale, degenerate_flag=_coincident(z))
+    return SectorEigenvector(M=len(z), vector=vec,
+                             norm=float(np.linalg.norm(vecs, axis=1)[0]),
+                             amp_scale=float(scale[0]),
+                             degenerate_flag=_coincident(z))
 
 
-def verify_eigenpair(H, psi, E, tol=1e-8, L=None):
+def _eig_residuals(H, V, E):
+    """||H v - E v|| / ||v|| for every row v of V and its energy in E."""
+    return (np.linalg.norm(V @ H.T - E[:, None] * V, axis=1)
+            / np.linalg.norm(V, axis=1))
+
+
+def verify_eigenpair(H, psi, E):
     """Relative eigenpair residual ||H psi - E psi|| / ||psi||."""
-    if isinstance(psi, SectorEigenvector):
-        if L is None:
-            raise TypeError("pass L to expand a SectorEigenvector")
-        vec = psi.to_vector(L)
-    else:
-        vec = np.asarray(psi, dtype=complex)
-    nrm = np.linalg.norm(vec)
-    if nrm == 0:
+    vec = np.asarray(psi, dtype=complex)
+    if np.linalg.norm(vec) == 0:
         raise ValueError("null Bethe vector")
-    return float(np.linalg.norm(H @ vec - complex(E) * vec) / nrm)
+    return float(_eig_residuals(H, vec[None], np.array([complex(E)]))[0])
+
+
+@dataclass(frozen=True)
+class RootCheck:
+    """What check_roots found for one root set: its translation block and
+    its outcome, one of
+
+    * "coincident": two roots coincide; rejected before assembly;
+    * "singular": an amplitude is singular; message names the pair;
+    * "null": the amplitudes cancel to a null vector;
+    * "verified" / "unverified": the eigenpair residual is within tol_eig
+      or not;
+    * "equivalent": verified, but the same state as an earlier verified
+      root set.
+
+    The last three carry the eigenpair residual."""
+    momentum: int | None
+    outcome: str
+    eig_residual: float | None = None
+    message: str | None = None
+
+
+def check_roots(params, sols, H, L, tol_eig, scale):
+    """Check the root sets sols of one (L, M) sector against its matrix H:
+    one RootCheck per root set, in order.
+
+    Root sets are checked one translation block at a time (those with no
+    block form one more group): one pair table, one (n, dim) assembly, one
+    residual product V H^T and one Gram matrix per block.  A verified set is
+    an equivalent state when an earlier kept set of its block has an energy
+    within tol_eig * scale and spans the same ray (1 - |<u0, u>| <= 1e-6 for
+    the unit vectors); distinct root sets can describe one state at
+    symmetric points.  Different blocks are orthogonal, so no ray is shared
+    across them."""
+    out = [None] * len(sols)
+    blocks = {}
+    for i, sol in enumerate(sols):
+        m = momentum(sol.z, L)
+        if sol.degenerate_flag:
+            # the plane-wave form degenerates when two roots coincide: such
+            # sets give a null vector, or pass the BAE check and still fail
+            # as eigenvectors
+            out[i] = RootCheck(m, "coincident")
+        else:
+            blocks.setdefault(m, []).append(i)
+    for m, rows in blocks.items():
+        table = _PairTable(params, np.array([sols[i].z for i in rows], complex))
+        vecs, amp = _assemble(table, L)
+        norms = np.linalg.norm(vecs, axis=1)
+        singular = table.singular()
+        null = ~singular & _is_null(norms, amp)
+        for k in np.flatnonzero(singular):
+            out[rows[k]] = RootCheck(m, "singular",
+                                     message=_singular_amplitude(table, k))
+        for k in np.flatnonzero(null):
+            out[rows[k]] = RootCheck(m, "null")
+        good = np.flatnonzero(~singular & ~null)
+        E = np.array([sols[rows[k]].energy for k in good], complex)
+        res = _eig_residuals(H, vecs[good], E)
+        ok = res <= tol_eig
+        for k, r in zip(good[~ok], res[~ok]):
+            out[rows[k]] = RootCheck(m, "unverified", float(r))
+        good, res, E = good[ok], res[ok], E[ok]
+        U = vecs[good] / norms[good, None]
+        overlap = np.abs(U.conj() @ U.T)    # overlap[a, b] = |<u_a, u_b>|
+        kept = []
+        for a, k in enumerate(good):
+            same = any(abs(E[a] - E[b]) <= tol_eig * scale
+                       and 1 - overlap[b, a] <= 1e-6 for b in kept)
+            if not same:
+                kept.append(a)
+            out[rows[k]] = RootCheck(m, "equivalent" if same else "verified",
+                                     float(res[a]))
+    return out

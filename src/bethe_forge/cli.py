@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constraints, families, oracle, reductions
-from .bethe import (SolverConfig, assemble_eigenvector, momentum, solve_bae,
-                    verify_eigenpair)
+from .bethe import SolverConfig, check_roots, solve_bae
 from .hamiltonian import (ChainSpec, GateViolation, _pair_to_c,
                           apply_charge_conjugation, apply_frame,
                           params_from_dict, params_to_dict, with_zero_v00)
@@ -278,66 +277,16 @@ def run_spectrum(cfg):
         sols = solve_bae(params, cfg.L, M,
                          SolverConfig(seed=cfg.seed, bae_tol=cfg.tol_bae))
         spec = oracle.sector_spectrum(params, cfg.L, M)
-        Hsec = spec.matrix
-        scale = float(np.max(np.abs(Hsec))) or 1.0
-        entries = []
-        verified = []
-        # (energy, unit vector) of accepted eigenpairs, by momentum
-        kept_states = {}
-        nulls = coincident = 0
-        max_res = 0.0
-        for sol in sols:
-            m = momentum(sol.z, cfg.L)
-            entry = {
-                "z": list(sol.z),
-                "energy": sol.energy,
-                "bae_residual": sol.bae_residual,
-                "degenerate": sol.degenerate_flag,
-                "momentum": m,
-            }
-            if sol.degenerate_flag:
-                # the plane-wave form degenerates when two roots coincide:
-                # such sets give a null vector, or pass the BAE check and
-                # still fail as eigenvectors
-                entry["rejected"] = "coincident roots"
-                coincident += 1
-                entries.append(entry)
-                continue
-            try:
-                psi = assemble_eigenvector(params, sol.z, cfg.L)
-            except ValueError as exc:
-                entry["eigenvector"] = f"failed: {exc}"
-                entries.append(entry)
-                continue
-            if psi.is_null:
-                entry["eigenvector"] = "null"
-                nulls += 1
-                entries.append(entry)
-                continue
-            vec = psi.to_vector(cfg.L)
-            res = verify_eigenpair(Hsec, vec, sol.energy)
-            entry["eig_residual"] = res
-            max_res = max(max_res, res)
-            if res <= cfg.tol_eig:
-                # distinct root sets can describe the same state at symmetric
-                # points; count each eigenvector ray once (states of
-                # different momenta are orthogonal)
-                unit = vec / np.linalg.norm(vec)
-                kept = kept_states.setdefault(m, [])
-                dup = any(abs(sol.energy - e0) <= cfg.tol_eig * scale
-                          and 1 - abs(np.vdot(v0, unit)) <= 1e-6
-                          for e0, v0 in kept)
-                if dup:
-                    entry["verified"] = True
-                    entry["equivalent_state"] = True
-                else:
-                    kept.append((sol.energy, unit))
-                    verified.append(sol)
-                    entry["verified"] = True
-            else:
-                entry["verified"] = False
-                all_ok = False
-            entries.append(entry)
+        scale = float(np.max(np.abs(spec.matrix))) or 1.0
+        checks = check_roots(params, sols, spec.matrix, cfg.L, cfg.tol_eig,
+                             scale)
+        entries = [_solution_entry(sol, chk) for sol, chk in zip(sols, checks)]
+        outcomes = [chk.outcome for chk in checks]
+        if "unverified" in outcomes:
+            all_ok = False
+        verified = [sol for sol, out in zip(sols, outcomes) if out == "verified"]
+        max_res = max([0.0] + [chk.eig_residual for chk in checks
+                               if chk.eig_residual is not None])
         rep = oracle.compare(verified, spec, tol=cfg.tol_eig, scale=scale)
         if rep.unmatched:
             all_ok = False
@@ -349,8 +298,8 @@ def run_spectrum(cfg):
             "matched": rep.matched,
             "unmatched_energies": rep.unmatched,
             "uncovered_by_momentum": rep.uncovered,
-            "null_vectors": nulls,
-            "coincident_roots": coincident,
+            "null_vectors": outcomes.count("null"),
+            "coincident_roots": outcomes.count("coincident"),
             "max_eig_residual": max_res,
             "completeness": rep.coverage,
         })
@@ -359,6 +308,29 @@ def run_spectrum(cfg):
                          if all_ok else
                          "some eigenpairs failed verification or matching")
     return report
+
+
+def _solution_entry(sol, check):
+    """The report entry of one root set and what check_roots found."""
+    entry = {
+        "z": list(sol.z),
+        "energy": sol.energy,
+        "bae_residual": sol.bae_residual,
+        "degenerate": sol.degenerate_flag,
+        "momentum": check.momentum,
+    }
+    if check.outcome == "coincident":
+        entry["rejected"] = "coincident roots"
+    elif check.outcome == "singular":
+        entry["eigenvector"] = f"failed: {check.message}"
+    elif check.outcome == "null":
+        entry["eigenvector"] = "null"
+    else:
+        entry["eig_residual"] = check.eig_residual
+        entry["verified"] = check.outcome != "unverified"
+        if check.outcome == "equivalent":
+            entry["equivalent_state"] = True
+    return entry
 
 
 def _text_spectrum(report):
@@ -560,15 +532,13 @@ def main(argv=None):
 
     try:
         if cfg.mode == "classify":
-            report = run_classify(cfg)
-            text = _text_classify(report)
+            report, render = run_classify(cfg), _text_classify
         elif cfg.mode in ("spectrum", "verify"):
-            report = run_spectrum(cfg)
+            report, render = run_spectrum(cfg), _text_spectrum
             report["mode"] = cfg.mode
-            text = _text_spectrum(report)
         else:
-            report = run_catalog(cfg)
-            text = _text_catalog(report)
+            report, render = run_catalog(cfg), _text_catalog
+        text = None if cfg.json_output else render(report)
     except (json.JSONDecodeError, FileNotFoundError, InputError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -131,14 +131,23 @@ class _PairTable:
         """Per-row mask: some pair of the row is singular."""
         return np.any(self.singular_pairs(), axis=1)
 
-    def require(self, what="S", pair=None):
-        """Self, or ValueError naming a singular pair of row 0: pair (i, j)
-        if given, else the first in row-major order."""
-        bad = self.singular_pairs()[0]
+    def singular_at(self, row, what="S", pair=None):
+        """"singular {what} at (z1, z2)" for a singular pair of the row:
+        pair (i, j) if given, else the first in row-major order; None if
+        there is none."""
+        bad = self.singular_pairs()[row]
         for k in range(len(bad)) if pair is None else [self.col[pair]]:
             if bad[k]:
-                z1, z2 = complex(self.Z[0, self.I[k]]), complex(self.Z[0, self.J[k]])
-                raise ValueError(f"singular {what} at ({z1}, {z2})")
+                z1 = complex(self.Z[row, self.I[k]])
+                z2 = complex(self.Z[row, self.J[k]])
+                return f"singular {what} at ({z1}, {z2})"
+        return None
+
+    def require(self, what="S", pair=None):
+        """Self, or ValueError naming a singular pair of row 0 (singular_at)."""
+        msg = self.singular_at(0, what, pair)
+        if msg:
+            raise ValueError(msg)
         return self
 
     @functools.cached_property

@@ -17,6 +17,7 @@ All arithmetic is complex double precision.
 from __future__ import annotations
 
 import cmath
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -143,17 +144,22 @@ def two_site_matrix(params):
 
 
 def invariants(params):
-    """Telescoping-invariant combinations of the diagonal entries."""
-    v = params.v
-    V = v[0, 1] + v[1, 0] - 2 * v[0, 0]
-    return DiagonalInvariants(
-        V=V,
-        X11=v[1, 1] - v[0, 0] - V,
-        Y=v[0, 2] + v[2, 0] - 2 * v[0, 0] - 2 * V,
-        X12=v[1, 2] + v[2, 0] - v[1, 0] - v[0, 0] - 2 * V,
-        X21=v[2, 1] + v[0, 2] - v[0, 1] - v[0, 0] - 2 * V,
-        X22=v[2, 2] - v[0, 0] - 2 * V,
-    )
+    """Telescoping-invariant combinations of the diagonal entries, memoized
+    on the instance (params is frozen and its v read-only)."""
+    inv = params.__dict__.get("_invariants")
+    if inv is None:
+        v = params.v
+        V = v[0, 1] + v[1, 0] - 2 * v[0, 0]
+        inv = DiagonalInvariants(
+            V=V,
+            X11=v[1, 1] - v[0, 0] - V,
+            Y=v[0, 2] + v[2, 0] - 2 * v[0, 0] - 2 * V,
+            X12=v[1, 2] + v[2, 0] - v[1, 0] - v[0, 0] - 2 * V,
+            X21=v[2, 1] + v[0, 2] - v[0, 1] - v[0, 0] - 2 * V,
+            X22=v[2, 2] - v[0, 0] - 2 * V,
+        )
+        object.__setattr__(params, "_invariants", inv)
+    return inv
 
 
 def symmetric_diagonal(inv):
@@ -316,6 +322,15 @@ def sector_basis(L, M):
 
     rec([], M, L)
     return out
+
+
+def sector_dimension(L, M):
+    """len(sector_basis(L, M)), counted without listing the basis: the
+    strings with k twos and M - 2k ones."""
+    if M < 0:
+        return 0
+    return sum(math.comb(L, k) * math.comb(L - k, M - 2 * k)
+               for k in range(min(M // 2, L) + 1))
 
 
 def sz_matrix(L):

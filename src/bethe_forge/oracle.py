@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bethe import momentum
-from .hamiltonian import ChainSpec, sector_basis, two_site_matrix, _apply_bonds
+from .hamiltonian import (ChainSpec, _apply_bonds, sector_basis,
+                          sector_dimension, two_site_matrix)
 
 SECTOR_DIM_CAP = 20000
 
@@ -114,10 +115,12 @@ def _block_matrices(H, L, M):
 
 def sector_spectrum(params, L, M):
     """Eigenvalues of the (L, M) sector, solved block by block, with their
-    block labels; returned with the sector matrix."""
+    block labels; returned with the sector matrix.  A sector larger than
+    SECTOR_DIM_CAP is refused before its matrix is allocated."""
+    dim = sector_dimension(L, M)
+    if dim > SECTOR_DIM_CAP:
+        raise ValueError(f"sector dimension {dim} exceeds cap")
     H = sector_matrix(params, L, M)
-    if H.shape[0] > SECTOR_DIM_CAP:
-        raise ValueError(f"sector dimension {H.shape[0]} exceeds cap")
     evs, labels = [np.empty(0, complex)], [np.empty(0, np.intp)]
     for m, idx, block in _block_matrices(H, L, M):
         if not idx.size:
@@ -144,16 +147,6 @@ def _take_nearest(pool, v, tol):
         return False
     pool.pop(k)
     return True
-
-
-def match_multiset(values, reference, tol):
-    """Greedy nearest matching of values into the reference multiset.
-
-    Returns (number matched, list of unmatched values).
-    """
-    pool = list(reference)
-    unmatched = [v for v in values if not _take_nearest(pool, v, tol)]
-    return len(values) - len(unmatched), unmatched
 
 
 def compare(cba_solutions, ed, tol=1e-8, scale=1.0):

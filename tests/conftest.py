@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import bethe_forge as bf
+from bethe_forge.oracle import _take_nearest
 
 
 def cdraw(rng, n=None, rmin=0.5, rmax=1.5):
@@ -24,6 +25,14 @@ def family_instance(tag, rng, branch=None):
     if branch is None:
         branch = fam.branches[rng.integers(len(fam.branches))]
     return bf.construct(tag, draw_free(tag, rng), branch), branch
+
+
+def match_multiset(values, reference, tol):
+    """Greedy nearest matching of values into the reference multiset, by
+    the oracle's rule: (number matched, list of unmatched values)."""
+    pool = list(reference)
+    unmatched = [v for v in values if not _take_nearest(pool, v, tol)]
+    return len(values) - len(unmatched), unmatched
 
 
 def random_params(rng, scale=1.0):

@@ -15,7 +15,8 @@ from bethe_forge.families import J_PLUS
 from bethe_forge.hamiltonian import sz_matrix
 from bethe_forge.reductions import SZ_TWO_SITE
 
-from conftest import cdraw, draw_free, dyadic, dyadic_params, random_params
+from conftest import (cdraw, draw_free, dyadic, dyadic_params, match_multiset,
+                      random_params)
 from test_reductions import (reduce_family, spr_expected, v17_1a_expected,
                              v17_1b_expected, v17_2_expected, v14_1_expected,
                              v14_2_expected, sb5_wtilde_expected)
@@ -281,7 +282,7 @@ def test_criterion_7_physical_data_invariance():
         e2 = [s.energy / h2.p for s in bf.solve_bae(h2, L, 2, cfg)]
         assert len(e1) == len(e2), tag
         scale = max(1.0, max(abs(e) for e in e1))
-        matched, unmatched = bf.oracle.match_multiset(
+        matched, unmatched = match_multiset(
             e1, np.array(e2), 1e-9 * scale)
         assert matched == len(e1) and not unmatched, (tag, unmatched)
     report(7, True, "equal reduced parameters: identical reduced matrices, "

@@ -10,7 +10,7 @@ import bethe_forge as bf
 from bethe_forge import bethe
 from bethe_forge.bethe import SolverConfig
 from bethe_forge.cli import load_input
-from bethe_forge.constraints import lambda_fn, lambda_grad
+from bethe_forge.constraints import _PairTable, lambda_fn, lambda_grad
 
 from conftest import cdraw, draw_free, family_instance, random_params
 
@@ -429,9 +429,9 @@ def _reference_assembly(params, z, L):
     return vec, norm, scale, degen
 
 
-def _assert_matches_reference(h, z, L):
+def _assert_matches_reference(h, z, L, psi=None):
     vec, norm, scale, degen = _reference_assembly(h, z, L)
-    psi = bf.assemble_eigenvector(h, z, L)
+    psi = psi or bf.assemble_eigenvector(h, z, L)
     tol = 1e-12 * scale
     got = psi.to_vector(L)
     assert got.shape == vec.shape
@@ -447,14 +447,21 @@ def _assert_matches_reference(h, z, L):
 class TestAssembleEigenvector:
     @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
     def test_matches_reference_loop(self, tag, rng):
-        """The vectorised assembly reproduces the per-basis-state loop for
-        generic momenta, L in {3, 4, 5}, M in {1, 2, 3}; every M >= 2 basis
-        has doubled-site states."""
+        """The vectorised assembly, one row and a batch of three alike,
+        reproduces the per-basis-state loop for generic momenta,
+        L in {3, 4, 5}, M in {1, 2, 3}; every M >= 2 basis has doubled-site
+        states."""
         h, _ = family_instance(tag, rng)
         for L in (3, 4, 5):
             for M in (1, 2, 3):
-                z = cdraw(rng, M)
-                _assert_matches_reference(h, z, L)
+                Z = np.array([cdraw(rng, M) for _ in range(3)])
+                vecs, amp = bethe._assemble(_PairTable(h, Z), L)
+                norms = np.linalg.norm(vecs, axis=1)
+                for z, vec, norm, scale in zip(Z, vecs, norms, amp):
+                    _assert_matches_reference(h, z, L)
+                    batch_row = bethe.SectorEigenvector(
+                        M, vec, norm, scale, bethe._coincident(z))
+                    _assert_matches_reference(h, z, L, batch_row)
 
     def test_to_vector_rejects_other_length(self, rng):
         psi = bf.assemble_eigenvector(random_params(rng), cdraw(rng, 2), 4)
@@ -554,6 +561,111 @@ class TestAssembleEigenvector:
                         for sigma in reversed(list(
                             itertools.permutations(range(2)))))
             assert abs(val - resum) < 1e-10 * max(1, abs(val))
+
+
+def _reference_checks(params, sols, H, L, tol_eig, scale):
+    """The per-root-set loop that check_roots batches: one-row assembly and
+    residual, and a pairwise vdot scan for equivalent states, as
+    (momentum, outcome, eig_residual, message) per root set."""
+    out, kept = [], {}
+    for sol in sols:
+        m = bf.momentum(sol.z, L)
+        if sol.degenerate_flag:
+            out.append((m, "coincident", None, None))
+            continue
+        try:
+            psi = bf.assemble_eigenvector(params, sol.z, L)
+        except ValueError as exc:
+            out.append((m, "singular", None, str(exc)))
+            continue
+        if psi.is_null:
+            out.append((m, "null", None, None))
+            continue
+        vec = psi.to_vector(L)
+        res = bf.verify_eigenpair(H, vec, sol.energy)
+        if not res <= tol_eig:
+            out.append((m, "unverified", res, None))
+            continue
+        unit = vec / np.linalg.norm(vec)
+        seen = kept.setdefault(m, [])
+        dup = any(abs(sol.energy - e0) <= tol_eig * scale
+                  and 1 - abs(np.vdot(v0, unit)) <= 1e-6 for e0, v0 in seen)
+        if not dup:
+            seen.append((sol.energy, unit))
+        out.append((m, "equivalent" if dup else "verified", res, None))
+    return out
+
+
+def _assert_checks_match_reference(params, sols, H, L):
+    scale = float(np.max(np.abs(H))) or 1.0
+    got = bethe.check_roots(params, sols, H, L, 1e-8, scale)
+    want = _reference_checks(params, sols, H, L, 1e-8, scale)
+    assert len(got) == len(want)
+    for g, (m, outcome, res, msg) in zip(got, want):
+        assert (g.momentum, g.outcome, g.message) == (m, outcome, msg)
+        if res is None:
+            assert g.eig_residual is None
+        else:
+            assert abs(g.eig_residual - res) <= 1e-12 * max(1.0, res)
+    return [g.outcome for g in got]
+
+
+class TestCheckRoots:
+    def test_singular_and_null_rows_in_one_batch(self, rng):
+        """A block holding a singular root set, a null one, one that is no
+        eigenvector and true Bethe states gives the outcomes and messages
+        of one-row calls."""
+        free = draw_free("14V1", rng)
+        h = bf.construct("14V1", free, {"eps": 1})
+        L, M = 4, 2
+        H = bf.sector_matrix(h, L, M)
+        sols = [s for s in bf.solve_bae(h, L, M) if not s.degenerate_flag]
+        m = bf.momentum(sols[0].z, L)
+        K = np.exp(2j * np.pi * m / L)
+        taup = free["tp"] / free["p"]
+        w, u = np.sqrt(K), cdraw(rng)
+
+        def sol(z):
+            return bethe.BetheSolution(tuple(z), bf.energy(h, z), 0.0)
+
+        # z1 = tp/p makes Lambda singular; (w, w) cancels to the null vector
+        # (flagged coincident by the solver, so it reaches assembly only
+        # when built by hand)
+        batch = ([sol([taup, K / taup])] + sols[:3] + [sol([w, w])]
+                 + [sol([u, K / u])] + sols[3:])
+        outcomes = _assert_checks_match_reference(h, batch, H, L)
+        assert outcomes[0] == "singular" and outcomes[4] == "null"
+        assert outcomes[5] == "unverified"
+        assert outcomes[1] == "verified"      # sols[0], in block m
+        assert {bf.momentum(batch[i].z, L) for i in (0, 4, 5)} == {m}
+        with pytest.raises(ValueError) as exc:
+            bf.assemble_eigenvector(h, batch[0].z, L)
+        chk = bethe.check_roots(h, batch[:1], H, L, 1e-8, 1.0)[0]
+        assert chk.message == str(exc.value)
+
+    @pytest.mark.parametrize("name, M", [
+        ("izergin_korepin", 2), ("izergin_korepin", 3), ("bariev", 2),
+        ("zamolodchikov_fateev", 2)])
+    def test_equivalent_states_match_pairwise_scan(self, name, M):
+        """The Gram-matrix dedup marks the same equivalent states as the
+        pairwise scan, on sectors that have some (L = 7, seed 0)."""
+        L = 7
+        h = bf.with_zero_v00(load_input(PRESETS / f"{name}.json"))
+        H = bf.sector_matrix(h, L, M)
+        sols = bf.solve_bae(h, L, M, SolverConfig(seed=0))
+        outcomes = _assert_checks_match_reference(h, sols, H, L)
+        assert "equivalent" in outcomes
+
+    @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
+    def test_matches_one_row_loop(self, tag, rng):
+        """Every family at L = 5, M = 1..3: the batched checks equal the
+        one-row loop root set by root set."""
+        h, _ = family_instance(tag, rng)
+        L = 5
+        for M in (1, 2, 3):
+            H = bf.sector_matrix(h, L, M)
+            sols = bf.solve_bae(h, L, M, SolverConfig(random_seeds=20))
+            _assert_checks_match_reference(h, sols, H, L)
 
 
 class TestSecondVacuum:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import bethe_forge as bf
+from bethe_forge import cli
 from bethe_forge.cli import main
 
 PRESETS = Path(__file__).resolve().parents[1] / "src" / "bethe_forge" / "presets"
@@ -144,6 +145,14 @@ class TestSpectrumCommand:
         assert m2["verified"] >= 5
         assert not m2["unmatched_energies"]
         assert report["all_verified"]
+
+    def test_json_report_renders_no_text(self, capsys, gzf_file, monkeypatch):
+        def render(report):
+            raise AssertionError("text rendered for a --json run")
+        monkeypatch.setattr(cli, "_text_spectrum", render)
+        assert main(["spectrum", gzf_file, "--L", "4", "--M", "1",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["all_verified"]
 
     def test_momentum_in_report(self, capsys):
         """Every solution entry names its translation block, and each sector

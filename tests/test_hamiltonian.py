@@ -71,6 +71,12 @@ class TestInvariants:
         assert inv.V == 2 and inv.X11 == -2 and inv.Y == -4
         assert inv.X12 == -5 and inv.X21 == -5 and inv.X22 == -4
 
+    def test_memoized_per_instance(self, rng):
+        h = random_params(rng)
+        assert bf.invariants(h) is bf.invariants(h)
+        # a replaced instance gets its own invariants (doubling is exact)
+        assert bf.invariants(h.replace(v=2 * h.v)).V == 2 * bf.invariants(h).V
+
     def test_telescoping_invariance(self, rng):
         for _ in range(10):
             h = random_params(rng)

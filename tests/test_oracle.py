@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import bethe_forge as bf
 from bethe_forge.bethe import BetheSolution
 
-from conftest import cdraw, family_instance, random_params
+from conftest import cdraw, family_instance, match_multiset, random_params
 
 
 class TestSectorMatrix:
@@ -97,6 +97,15 @@ class TestSectorSpectrum:
                    bf.apply_telescopic(h, cdraw(rng, 3))):
             ev = np.sort_complex(bf.sector_spectrum(hx, L, M).eigenvalues)
             assert np.max(np.abs(ev - ref)) < 1e-9 * scale
+
+
+    def test_dimension_cap_checked_before_the_matrix(self, rng, monkeypatch):
+        def build(*args):
+            raise AssertionError("sector matrix built past the cap")
+        monkeypatch.setattr(bf.oracle, "SECTOR_DIM_CAP", 10)
+        monkeypatch.setattr(bf.oracle, "sector_matrix", build)
+        with pytest.raises(ValueError, match="dimension 16 exceeds cap"):
+            bf.sector_spectrum(random_params(rng), 4, 3)
 
 
 class TestCompare:
@@ -189,7 +198,7 @@ def _momentum_basis(L, M, m):
 
 
 def _same_multiset(a, b, tol):
-    matched, _ = bf.oracle.match_multiset(list(a), b, tol)
+    matched, _ = match_multiset(list(a), b, tol)
     return len(a) == len(b) == matched
 
 
