@@ -69,6 +69,7 @@ from .oracle import (
     compare,
     sector_matrix,
     sector_spectrum,
+    verify_sector,
 )
 
 __version__ = "0.1.0"

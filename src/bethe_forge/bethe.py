@@ -5,7 +5,8 @@ conditions on a periodic chain of length L with M excitations are
 
     z_j^L = prod_{n != j} S(z_n, z_j),    j = 1..M.
 
-M = 1 is exact (L-th roots of unity).  For M >= 2 a damped Newton iteration
+M < 2 is exact: the pseudo-vacuum (M = 0) is the one empty root set, and
+M = 1 the L-th roots of unity.  For M >= 2 a damped Newton iteration
 runs on the denominator-cleared polynomial system
 
     F_j = z_j^L prod_{n != j} Lambda(z_j, z_n)
@@ -46,8 +47,8 @@ oracle).
 check_roots verifies the root sets of a sector one translation block at a
 time: one pair table, one assembly, one residual product and one Gram
 matrix of unit vectors per block, which finds the root sets that give a
-state already seen.  It returns one RootCheck per root set; the command
-line only renders them.
+state already seen.  It returns one RootCheck per root set;
+oracle.verify_sector collects them into the sector's report.
 """
 
 from __future__ import annotations
@@ -365,16 +366,15 @@ def _multiset_seeds(L, M, sign_roots):
 def solve_bae(params, L, M, config=None):
     """All distinct Bethe-equation solutions found for the (L, M) sector."""
     cfg = config or SolverConfig()
-    if M < 1 or M > 3:
+    if M < 0 or M > 3:
         raise ValueError("M <= 3 supported")
     rng = np.random.default_rng(cfg.seed)
 
-    if M == 1:
-        out = []
-        for n in range(L):
-            z = np.exp(2j * np.pi * n / L)
-            out.append(BetheSolution((z,), energy(params, [z]), 0.0, False))
-        return out
+    if M < 2:
+        # no scattering: the M-subsets of the L-th roots of unity, exactly
+        roots = [np.exp(2j * np.pi * n / L) for n in range(L)]
+        return [BetheSolution(z, energy(params, z), 0.0, False)
+                for z in itertools.combinations(roots, M)]
 
     sign = (-1.0) ** (M - 1)
     phase = 0.0 if sign == 1 else np.pi / L

@@ -15,22 +15,27 @@ Input files hold either a raw Hamiltonian (keys p, q, t1, t2, s1, s2, t3, s3,
 tp, sp and a 3x3 "v" array; complex numbers as [re, im] pairs) or a family
 preset {"family": tag, "branch": ..., "free": {...}}.
 
-Exit codes: 0 success, 2 parse error, 3 hypothesis-gate violation,
-4 mode refusal, 1 internal error.
+The pipeline lives in the library: after the preamble shared with classify,
+spectrum and verify make one oracle.verify_sector call per M (M = 0 too) and
+only render its reports.
+
+Exit codes: 0 success, 2 parse error or bad option value, 3 hypothesis-gate
+violation, 4 mode refusal, 1 internal error or failed verification.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import constraints, families, oracle, reductions
-from .bethe import SolverConfig, check_roots, solve_bae
-from .hamiltonian import (ChainSpec, GateViolation, _pair_to_c,
+from .bethe import SolverConfig
+from .hamiltonian import (FRAME_WORDS, ChainSpec, GateViolation, _pair_to_c,
                           apply_charge_conjugation, apply_frame,
                           params_from_dict, params_to_dict, with_zero_v00)
 
@@ -56,8 +61,13 @@ class RunConfig:
     conjugate_vacuum: bool = False
 
     def __post_init__(self):
-        if min(self.tol_constraint, self.tol_bae, self.tol_eig) <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in
+                   (self.tol_constraint, self.tol_bae, self.tol_eig)):
+            raise ValueError("tolerances must be finite and positive")
+        if self.constraint_samples < 1:
+            raise ValueError("at least 1 constraint sample is needed")
+        if self.seed < 0:
+            raise ValueError("the seed must be non-negative")
         ChainSpec(self.L)  # raises unless 2 <= L <= L_max
         lo, hi = self.M_range
         if not 0 <= lo <= hi:
@@ -134,13 +144,23 @@ def load_input(path):
         raise InputError(str(exc)) from exc
 
 
-def _prepare(cfg):
+def _analyse(cfg):
+    """The input after its hypothesis gates, its solvability verdict, and
+    its family match (None when not solvable or unmatched)."""
     params = load_input(cfg.input_path)
     if cfg.conjugate_vacuum:
         params = apply_charge_conjugation(params)
     # the ansatz energies are measured from a zero-eigenvalue pseudo-vacuum;
     # subtracting v00 * Identity shifts the whole spectrum by L*v00
-    return with_zero_v00(params)
+    params = with_zero_v00(params)
+    params.check_gates()
+    verdict = constraints.is_cba_solvable(
+        params, n_samples=cfg.constraint_samples, tol=cfg.tol_constraint,
+        seed=cfg.seed)
+    match = (families.classify(params, tol=cfg.tol_constraint,
+                               check_solvable=False)
+             if verdict.solvable else None)
+    return params, verdict, match
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +168,7 @@ def _prepare(cfg):
 # ---------------------------------------------------------------------------
 
 def run_classify(cfg):
-    params = _prepare(cfg)
-    params.check_gates()
-    verdict = constraints.is_cba_solvable(
-        params, n_samples=cfg.constraint_samples, tol=cfg.tol_constraint,
-        seed=cfg.seed)
+    params, verdict, match = _analyse(cfg)
     report = {
         "mode": "classify",
         "solvable": verdict.solvable,
@@ -164,8 +180,6 @@ def run_classify(cfg):
     if not verdict.solvable:
         report["family"] = None
         return report
-    match = families.classify(params, tol=cfg.tol_constraint,
-                              check_solvable=False)
     if match is None:
         rng = np.random.default_rng(cfg.seed)
         z1, z2 = constraints.random_momenta(rng, 2)
@@ -237,77 +251,43 @@ def _text_classify(report):
 # ---------------------------------------------------------------------------
 
 def run_spectrum(cfg):
-    params = _prepare(cfg)
-    params.check_gates()
-    verdict = constraints.is_cba_solvable(
-        params, n_samples=cfg.constraint_samples, tol=cfg.tol_constraint,
-        seed=cfg.seed)
+    params, verdict, match = _analyse(cfg)
     if not verdict.solvable:
         raise ModeRefusal(
             f"input is not CBA-solvable (residual {verdict.max_residual:.3e}); "
             "spectrum mode refused")
-    match = families.classify(params, tol=cfg.tol_constraint, check_solvable=False)
-    report = {
-        "mode": "spectrum",
+    lo, hi = cfg.M_range
+    if hi > 3:
+        raise ModeRefusal("M <= 3 supported")
+    solver = SolverConfig(seed=cfg.seed, bae_tol=cfg.tol_bae)
+    reps = [oracle.verify_sector(params, cfg.L, M, solver, cfg.tol_eig)
+            for M in range(lo, hi + 1)]
+    all_ok = all(rep.passed for rep in reps)
+    return {
+        "mode": cfg.mode,
         "L": cfg.L,
         "family": match.tag if match else None,
         "solvable": True,
         "max_constraint_residual": verdict.max_residual,
-        "sectors": [],
-    }
-    all_ok = True
-    for M in range(cfg.M_range[0], cfg.M_range[1] + 1):
-        if M > 3:
-            raise ModeRefusal("M <= 3 supported")
-        if M == 0:
-            # pseudo-vacuum sector: one state, eigenvalue zero after the
-            # v00 canonicalization
-            report["sectors"].append({
-                "M": 0, "dimension": 1,
-                "solutions": [{"z": [], "energy": 0j, "bae_residual": 0.0,
-                               "degenerate": False, "momentum": 0,
-                               "eig_residual": 0.0, "verified": True}],
-                "verified": 1, "matched": 1, "unmatched_energies": [],
-                "uncovered_by_momentum": [0] * cfg.L,
-                "null_vectors": 0, "coincident_roots": 0,
-                "max_eig_residual": 0.0,
-                "completeness": 1.0,
-            })
-            continue
-        sols = solve_bae(params, cfg.L, M,
-                         SolverConfig(seed=cfg.seed, bae_tol=cfg.tol_bae))
-        spec = oracle.sector_spectrum(params, cfg.L, M)
-        scale = float(np.max(np.abs(spec.matrix))) or 1.0
-        checks = check_roots(params, sols, spec.matrix, cfg.L, cfg.tol_eig,
-                             scale)
-        entries = [_solution_entry(sol, chk) for sol, chk in zip(sols, checks)]
-        outcomes = [chk.outcome for chk in checks]
-        if "unverified" in outcomes:
-            all_ok = False
-        verified = [sol for sol, out in zip(sols, outcomes) if out == "verified"]
-        max_res = max([0.0] + [chk.eig_residual for chk in checks
-                               if chk.eig_residual is not None])
-        rep = oracle.compare(verified, spec, tol=cfg.tol_eig, scale=scale)
-        if rep.unmatched:
-            all_ok = False
-        report["sectors"].append({
-            "M": M,
+        "sectors": [{
+            "M": rep.M,
             "dimension": rep.dimension,
-            "solutions": entries,
-            "verified": len(verified),
+            "solutions": [_solution_entry(sol, chk)
+                          for sol, chk in zip(rep.solutions, rep.checks)],
+            "verified": rep.count("verified"),
             "matched": rep.matched,
             "unmatched_energies": rep.unmatched,
             "uncovered_by_momentum": rep.uncovered,
-            "null_vectors": outcomes.count("null"),
-            "coincident_roots": outcomes.count("coincident"),
-            "max_eig_residual": max_res,
+            "null_vectors": rep.count("null"),
+            "coincident_roots": rep.count("coincident"),
+            "max_eig_residual": rep.max_eig_residual,
             "completeness": rep.coverage,
-        })
-    report["all_verified"] = all_ok
-    report["verdict"] = ("all accepted eigenpairs verified and matched"
-                         if all_ok else
-                         "some eigenpairs failed verification or matching")
-    return report
+        } for rep in reps],
+        "all_verified": all_ok,
+        "verdict": ("all accepted eigenpairs verified and matched"
+                    if all_ok else
+                    "some eigenpairs failed verification or matching"),
+    }
 
 
 def _solution_entry(sol, check):
@@ -391,28 +371,26 @@ def run_catalog(cfg):
         free = _random_free(fam, rng)
         branch0 = dict(fam.branches[0])
         params = fam.build(free, fam.branches[0])
+        images = {word: families.classify(apply_frame(params, word),
+                                          tol=1e-8, check_solvable=False)
+                  for word in FRAME_WORDS[1:]}     # every word but identity
         actions = {}
         for word in ("P", "C", "T"):
-            image = apply_frame(params, word)
-            m = families.classify(image, tol=1e-8, check_solvable=False)
+            m = images[word]
             if m is None:
                 actions[word] = "outside catalog"
             else:
                 note = " (branch swapped)" if m.branch != branch0 else ""
                 frame = m.frame or "identity"
                 actions[word] = f"{m.tag} via {frame}{note}"
-        # invariance words: image = same family, same branch, identity frame
-        invariant = set()
-        for word in ("P", "C", "T", "PC", "PT", "CT", "PCT"):
-            m = families.classify(apply_frame(params, word), tol=1e-8,
-                                  check_solvable=False)
+        # generators of the invariance words: image = same family, same
+        # branch, identity frame
+        generators = []
+        for word, m in images.items():
             if (m is not None and m.tag == tag and m.frame == ""
                     and all(abs(complex(m.branch[k]) - complex(v)) < 1e-9
-                            for k, v in branch0.items())):
-                invariant.add(word)
-        generators = []
-        for word in ("P", "C", "T", "PC", "PT", "CT", "PCT"):
-            if word in invariant and word not in _word_group(generators):
+                            for k, v in branch0.items())
+                    and word not in _word_group(generators)):
                 generators.append(word)
         rows.append({
             "family": tag,
@@ -514,18 +492,12 @@ def main(argv=None):
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         cfg = RunConfig(
-            input_path=getattr(ns, "input", None),
-            mode=ns.mode,
-            L=getattr(ns, "L", 4),
-            M_range=getattr(ns, "M", (1, 2)),
-            tol_constraint=ns.tol_constraint,
-            tol_bae=ns.tol_bae,
-            tol_eig=ns.tol_eig,
-            constraint_samples=ns.constraint_samples,
-            seed=ns.seed,
-            json_output=ns.json_output,
-            conjugate_vacuum=ns.conjugate_vacuum,
-        )
+            input_path=getattr(ns, "input", None), mode=ns.mode,
+            L=getattr(ns, "L", 4), M_range=getattr(ns, "M", (1, 2)),
+            tol_constraint=ns.tol_constraint, tol_bae=ns.tol_bae,
+            tol_eig=ns.tol_eig, constraint_samples=ns.constraint_samples,
+            seed=ns.seed, json_output=ns.json_output,
+            conjugate_vacuum=ns.conjugate_vacuum)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -535,7 +507,6 @@ def main(argv=None):
             report, render = run_classify(cfg), _text_classify
         elif cfg.mode in ("spectrum", "verify"):
             report, render = run_spectrum(cfg), _text_spectrum
-            report["mode"] = cfg.mode
         else:
             report, render = run_catalog(cfg), _text_catalog
         text = None if cfg.json_output else render(report)

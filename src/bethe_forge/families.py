@@ -76,11 +76,7 @@ def reduced_parameters(params):
 
 
 def _require(free, *names):
-    vals = []
-    for n in names:
-        z = complex(free[n])
-        vals.append(z)
-    return vals
+    return [complex(free[n]) for n in names]
 
 
 def _nonzero(**kw):
@@ -110,12 +106,11 @@ def _u_roots(v):
 # ---------------------------------------------------------------------------
 
 class Family:
-    """One solution family: constructor, anchors, closed-form S and N,
-    reduction gauge."""
+    """One solution family: constructor, closed-form S and N, reduction
+    gauge."""
 
     name = ""
     free_names = ()
-    anchors = ("p", "tp")   # slots that must be nonzero to read free_names
     branches = ({},)
     half_free_names = None  # first-vacuum-only variant, where one exists
     reduced_names = ()
@@ -129,11 +124,9 @@ class Family:
         raise NotImplementedError(f"{self.name} has no half-constrained form")
 
     def read_free(self, params, inv, branch):
-        """Anchor extraction of the free parameters; None when an anchor is
-        0.  Each free name is read off its slot, or off the invariants for Y
-        and X22."""
-        if any(getattr(params, a) == 0 for a in self.anchors):
-            return None
+        """The free parameters, each read off its slot, or off the invariants
+        for Y and X22.  A zero where the family needs a nonzero value is
+        refused by build (DegenerateFamilyPoint)."""
         return {n: getattr(inv if n in ("Y", "X22") else params, n)
                 for n in self.free_names}
 
@@ -268,7 +261,6 @@ class GIK(Family):
 class GB(Family):
     name = "gB"
     free_names = ("p", "q", "t1", "t2", "tp")
-    anchors = ("t1", "t2", "tp")
     branches = ({"J": J_PLUS}, {"J": J_MINUS})
     reduced_names = ("tau_p", "theta", "mu", "tau_2")
     s_formula = ("-L(z1,z2)/L(z2,z1) with L = J mu^4 tau_p^2 z1^2 z2^2"
@@ -328,7 +320,6 @@ class GB(Family):
 class SPR(Family):
     name = "SpR"
     free_names = ("p", "q", "tp", "t2", "t3")
-    anchors = ("p", "tp", "t2")
     reduced_names = ("tau_p", "tau_3", "theta", "tau_2")
     s_formula = ("-((tau_3^2-tau_3+1)z1 z2 - tau_p(z1+z2-tau_3 z2) + tau_p^2)"
                  " / ((tau_3^2-tau_3+1)z1 z2 - tau_p(z1+z2-tau_3 z1) + tau_p^2)")
@@ -367,7 +358,6 @@ class SPR(Family):
 class SB5(Family):
     name = "SB5"
     free_names = ("p", "q", "t2", "Y")
-    anchors = ("p", "t2")
     branches = ({"J": J_PLUS}, {"J": J_MINUS})
     reduced_names = ("theta", "upsilon", "tau_2")
     s_formula = ("-(theta z1 z2(z1-J^2 z2) - upsilon z1 z2 + z1 - J z2)"
@@ -711,7 +701,7 @@ def classify(params, tol=1e-9, check_solvable=True, n_samples=20,
     """Match a Hamiltonian to a solution family modulo P/C/T and gauge.
 
     Tries all eight frames; in each, reads the candidate free parameters off
-    their anchor slots for every family and branch, reconstructs, and accepts
+    their slots for every family and branch, reconstructs, and accepts
     when all off-diagonals and diagonal invariants agree to the relative
     tolerance.  Returns the first match by (frame, family, branch) precedence
     with every other match recorded, or None when nothing fits.

@@ -22,6 +22,9 @@ general eigensolver is used and eigenvalues are compared as complex numbers.
 Matching against Bethe-ansatz output is multiset-aware (each reference
 eigenvalue is consumed once per multiplicity) with an absolute tolerance
 after normalizing by the largest matrix entry.
+
+verify_sector runs the whole pipeline of one sector, M = 0 (the
+pseudo-vacuum) included, into one SectorReport.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bethe import momentum
+from .bethe import check_roots, momentum, solve_bae
 from .hamiltonian import (ChainSpec, _apply_bonds, sector_basis,
                           sector_dimension, two_site_matrix)
 
@@ -56,6 +59,22 @@ class SectorReport:
     unmatched: list = field(default_factory=list)
     coverage: float = 0.0
     uncovered: list = field(default_factory=list)  # per block m: ED values left
+    solutions: list = field(default_factory=list)  # root sets (verify_sector)
+    checks: list = field(default_factory=list)     # their RootChecks, in order
+
+    def count(self, outcome):
+        """How many root sets check_roots gave this outcome."""
+        return sum(chk.outcome == outcome for chk in self.checks)
+
+    @property
+    def max_eig_residual(self):
+        return max([0.0] + [chk.eig_residual for chk in self.checks
+                            if chk.eig_residual is not None])
+
+    @property
+    def passed(self):
+        """No eigenpair check failed and every verified state matched."""
+        return not self.unmatched and not self.count("unverified")
 
 
 def sector_matrix(params, L, M):
@@ -164,3 +183,19 @@ def compare(cba_solutions, ed, tol=1e-8, scale=1.0):
         M=ed.M, dimension=ed.dimension, matched=matched, unmatched=unmatched,
         coverage=matched / ed.dimension if ed.dimension else 1.0,
         uncovered=[len(p) for p in pools])
+
+
+def verify_sector(params, L, M, solver_config, tol_eig):
+    """Solve, diagonalize, check and match the (L, M) sector: the root sets
+    of solve_bae, each checked against the sector matrix (check_roots), and
+    the verified ones matched against the block spectra (compare), with
+    tol_eig relative to the largest matrix entry."""
+    sols = solve_bae(params, L, M, solver_config)
+    spec = sector_spectrum(params, L, M)
+    scale = float(np.max(np.abs(spec.matrix))) or 1.0
+    checks = check_roots(params, sols, spec.matrix, L, tol_eig, scale)
+    verified = [sol for sol, chk in zip(sols, checks)
+                if chk.outcome == "verified"]
+    rep = compare(verified, spec, tol=tol_eig, scale=scale)
+    rep.solutions, rep.checks = sols, checks
+    return rep

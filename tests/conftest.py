@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import bethe_forge as bf
 from bethe_forge.oracle import _take_nearest
@@ -12,6 +13,13 @@ def cdraw(rng, n=None, rmin=0.5, rmax=1.5):
     ph = rng.uniform(0, 2 * np.pi, shape)
     out = r * np.exp(1j * ph)
     return complex(out) if n is None else out
+
+
+@st.composite
+def annulus(draw):
+    """Hypothesis strategy: complex numbers with 0.5 <= |z| <= 1.5."""
+    r = draw(st.floats(0.5, 1.5))
+    return r * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
 
 
 def draw_free(tag, rng):

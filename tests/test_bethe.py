@@ -122,6 +122,11 @@ class TestBatchedBAEResidual:
 
 
 class TestSolveBAE:
+    def test_m0_is_the_empty_root_set(self, rng):
+        sols = bf.solve_bae(random_params(rng), 6, 0)
+        assert [(s.z, s.energy, s.bae_residual, s.degenerate_flag)
+                for s in sols] == [((), 0, 0.0, False)]
+
     def test_m1_exact(self, rng):
         h = random_params(rng)
         L = 6

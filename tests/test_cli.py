@@ -178,8 +178,13 @@ class TestSpectrumCommand:
         path = write_params(tmp_path, random_params(rng))
         assert main(["spectrum", path, "--L", "4", "--M", "1"]) == 4
 
-    def test_m_cap_exit_4(self, gzf_file):
+    def test_m_cap_exit_4(self, gzf_file, monkeypatch):
         assert main(["spectrum", gzf_file, "--L", "4", "--M", "4"]) == 4
+        solved = []
+        monkeypatch.setattr(bf.oracle, "solve_bae",
+                            lambda *args, **kw: solved.append(args[2]))
+        assert main(["spectrum", gzf_file, "--L", "4", "--M", "1..4"]) == 4
+        assert solved == []
 
     def test_conjugate_vacuum_run(self, capsys):
         # build on the second pseudo-vacuum of a 17-vertex model
@@ -234,6 +239,28 @@ class TestVerifyCommand:
             for e in rejected:
                 assert e["degenerate"]
                 assert "eig_residual" not in e and "verified" not in e
+
+
+class TestNumericOptions:
+    @pytest.mark.parametrize("args", [
+        ["verify", "gIK", "--L", "5", "--M", "1..2", "--tol-bae", "nan"],
+        ["verify", "gIK", "--L", "5", "--M", "1..2", "--tol-eig", "inf"],
+        ["classify", "generic", "--tol-constraint", "inf"],
+        ["classify", "generic", "--constraint-samples", "0"],
+        ["classify", "generic", "--constraint-samples", "-1"],
+        ["classify", "generic", "--seed", "-1"],
+    ])
+    def test_bad_value_exit_2(self, capsys, tmp_path, rng, args):
+        """NaN or infinite tolerances, no constraint samples and a negative
+        seed are refused before any work, with no verdict printed."""
+        from conftest import random_params
+        files = {"gIK": str(PRESETS / "gIK.json"),
+                 "generic": write_params(tmp_path, random_params(rng))}
+        assert main([files.get(a, a) for a in args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "verified" not in captured.out
+        assert "CBA-solvable" not in captured.out
 
 
 class TestCatalogCommand:

@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bethe_forge as bf
 from bethe_forge.families import J_PLUS, J_MINUS, DegenerateFamilyPoint
+from bethe_forge.hamiltonian import FRAME_WORDS
 
-from conftest import cdraw, draw_free, random_params
+from conftest import annulus, cdraw, draw_free, random_params
+
+# slots each family's build needs nonzero, where not (p, tp)
+_NONZERO_SLOTS = {"gB": ("t1", "t2", "tp"), "SpR": ("p", "tp", "t2"),
+                  "SB5": ("p", "t2")}
 
 
 class TestConstructors:
@@ -175,7 +181,9 @@ class TestClassifier:
     @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
     def test_read_free_anchors(self, tag, rng):
         """read_free returns the free values in free_names order, read off
-        their slots or the invariants, and None when an anchor is 0."""
+        their slots or the invariants; where a slot the family needs nonzero
+        is 0, build refuses what read_free returns (gIK's read_free refuses
+        it itself, as it divides by p)."""
         fam = bf.FAMILIES[tag]
         branch = fam.branches[0]
         free = draw_free(tag, rng)
@@ -184,9 +192,14 @@ class TestClassifier:
         assert list(got) == list(fam.free_names)
         for name in fam.free_names:
             assert abs(got[name] - free[name]) <= 1e-12 * max(1, abs(free[name]))
-        for a in fam.anchors:
+        for a in _NONZERO_SLOTS.get(tag, ("p", "tp")):
             h0 = h.replace(**{a: 0})
-            assert fam.read_free(h0, bf.invariants(h0), branch) is None
+            got0 = fam.read_free(h0, bf.invariants(h0), branch)
+            if tag == "gIK":
+                assert got0 is None
+                continue
+            with pytest.raises(DegenerateFamilyPoint):
+                fam.build(got0, branch)
 
     def test_refuses_unsolvable(self, rng):
         with pytest.raises(ValueError, match="not CBA-solvable"):
@@ -244,6 +257,27 @@ class TestClassifier:
         assert m.degenerate
         tags = {t for t, _, w, _ in m.all_matches if w == ""}
         assert {"gZF", "SpR"} <= tags
+
+    @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_member_found_in_any_frame_gauge_and_telescoping(self, tag, data):
+        """A family member seen through any P/C/T word, gauge and
+        telescoping term is still listed under its family.  The free values
+        are a generic draw, as in classify-mix: exact values such as v = 1
+        put gIK on a double root of its u-quadratic, where reading v back
+        moves u by about sqrt(rounding) and the match is lost."""
+        fam = bf.FAMILIES[tag]
+        seed = data.draw(st.integers(0, 2**32 - 1), "free-value seed")
+        free = draw_free(tag, np.random.default_rng(seed))
+        branch = data.draw(st.sampled_from(fam.branches), "branch")
+        word = data.draw(st.sampled_from(FRAME_WORDS), "word")
+        g = data.draw(st.lists(annulus(), min_size=3, max_size=3), "gauge")
+        a = data.draw(st.lists(annulus(), min_size=3, max_size=3), "telescoping")
+        h = bf.apply_frame(bf.construct(tag, free, branch), word)
+        h = bf.apply_telescopic(bf.apply_gauge(h, g), a)
+        m = bf.classify(h, check_solvable=False)
+        assert m is not None and tag in {t for t, _, _, _ in m.all_matches}
 
     def test_match_reconstruction_invariant(self, rng):
         from bethe_forge.families import _param_distance

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import bethe_forge as bf
 from bethe_forge.bethe import BetheSolution
 
-from conftest import cdraw, family_instance, match_multiset, random_params
+from conftest import (annulus, cdraw, family_instance, match_multiset,
+                      random_params)
 
 
 class TestSectorMatrix:
@@ -171,6 +172,44 @@ class TestCompare:
             assert not rep.unmatched
 
 
+class TestVerifySector:
+    def test_vacuum(self, rng):
+        """M = 0 runs the same path: one empty root set, verified and
+        matched to the one zero eigenvalue."""
+        h = bf.with_zero_v00(random_params(rng))
+        rep = bf.verify_sector(h, 5, 0, bf.SolverConfig(), 1e-8)
+        assert [s.z for s in rep.solutions] == [()]
+        assert [(c.momentum, c.outcome, c.eig_residual) for c in rep.checks] \
+            == [(0, "verified", 0.0)]
+        assert (rep.dimension, rep.matched, rep.coverage) == (1, 1, 1.0)
+        assert rep.uncovered == [0] * 5
+        assert rep.passed and rep.max_eig_residual == 0.0
+
+    @pytest.mark.parametrize("tag", ["gIK", "17V2", "14V2"])
+    def test_counts_follow_the_checks(self, tag, rng):
+        """The report's counts are those of its RootChecks, and the verified
+        root sets are exactly what compare matched."""
+        h, _ = family_instance(tag, rng)
+        L, M, tol = 5, 2, 1e-8
+        cfg = bf.SolverConfig(random_seeds=20)
+        rep = bf.verify_sector(h, L, M, cfg, tol)
+        assert len(rep.checks) == len(rep.solutions) > 0
+        outcomes = [c.outcome for c in rep.checks]
+        assert rep.count("verified") == outcomes.count("verified")
+        verified = [s for s, o in zip(rep.solutions, outcomes)
+                    if o == "verified"]
+        spec = bf.sector_spectrum(h, L, M)
+        ref = bf.compare(verified, spec, tol=tol,
+                         scale=float(np.max(np.abs(spec.matrix))))
+        assert (rep.matched, rep.unmatched, rep.uncovered) \
+            == (ref.matched, ref.unmatched, ref.uncovered)
+        assert rep.max_eig_residual == max(
+            [0.0] + [c.eig_residual for c in rep.checks
+                     if c.eig_residual is not None])
+        assert rep.passed == ("unverified" not in outcomes
+                              and not rep.unmatched)
+
+
 def _momentum_basis(L, M, m):
     """Columns sum_{d < p} e^{-2 pi i m d / L} T^d |r> / sqrt(p), T the left
     shift s -> s[1:] + s[:1], over the orbits whose period p has
@@ -269,15 +308,9 @@ class TestTranslationBlocks:
 
 
 @st.composite
-def _annulus(draw):
-    r = draw(st.floats(0.5, 1.5))
-    return r * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
-
-
-@st.composite
 def _params(draw):
-    kw = {k: draw(_annulus()) for k in bf.hamiltonian.OFFDIAG_KEYS}
-    v = np.array([draw(_annulus()) for _ in range(9)]).reshape(3, 3)
+    kw = {k: draw(annulus()) for k in bf.hamiltonian.OFFDIAG_KEYS}
+    v = np.array([draw(annulus()) for _ in range(9)]).reshape(3, 3)
     return bf.HamiltonianParams(v=v, **kw)
 
 
@@ -287,8 +320,8 @@ _BLOCK_TOL = 1e-7
 
 class TestBlockInvariances:
     @settings(max_examples=25, deadline=None)
-    @given(_params(), _SECTORS, st.lists(_annulus(), min_size=3, max_size=3),
-           st.lists(_annulus(), min_size=3, max_size=3))
+    @given(_params(), _SECTORS, st.lists(annulus(), min_size=3, max_size=3),
+           st.lists(annulus(), min_size=3, max_size=3))
     def test_gauge_and_telescoping_keep_each_block(self, h, sector, g, a):
         L, M = sector
         ref = _block_spectra(h, L, M)
@@ -307,3 +340,15 @@ class TestBlockInvariances:
         scale = max(1.0, max(float(np.max(np.abs(e))) for e in ref if e.size))
         for m, ev in enumerate(_block_spectra(bf.apply_parity(h), L, M)):
             assert _same_multiset(ev, ref[-m % L], _BLOCK_TOL * scale), m
+
+    @settings(max_examples=25, deadline=None)
+    @given(_params(), st.tuples(st.integers(3, 5), st.integers(0, 3)))
+    def test_charge_conjugation_maps_m_to_2l_minus_m(self, h, sector):
+        """Relabelling 0 <-> 2 on every site commutes with the shift and maps
+        S^z = M onto S^z = 2L - M, so each block keeps its spectrum."""
+        L, M = sector
+        ref = _block_spectra(h, L, 2 * L - M)
+        scale = max(1.0, max(float(np.max(np.abs(e))) for e in ref if e.size))
+        conj = _block_spectra(bf.apply_charge_conjugation(h), L, M)
+        for m, ev in enumerate(conj):
+            assert _same_multiset(ev, ref[m], _BLOCK_TOL * scale), m
