@@ -6,23 +6,31 @@ conditions on a periodic chain of length L with M excitations are
     z_j^L = prod_{n != j} S(z_n, z_j),    j = 1..M.
 
 M < 2 is exact: the pseudo-vacuum (M = 0) is the one empty root set, and
-M = 1 the L-th roots of unity.  For M >= 2 a damped Newton iteration
-runs on the denominator-cleared polynomial system
+M = 1 the L-th roots of unity.  For M >= 2 the BAE are solved as the
+denominator-cleared polynomial system
 
     F_j = z_j^L prod_{n != j} Lambda(z_j, z_n)
-          - (-1)^(M-1) prod_{n != j} Lambda(z_n, z_j),
+          - (-1)^(M-1) prod_{n != j} Lambda(z_n, z_j).
 
-seeded from all multisets of the trivial-scattering roots z^L = (-1)^(M-1)
-plus random points.  Families with S identically -1 bypass Newton: their
-solutions are exactly those multisets.
+Families with S identically -1 need no solver: their solutions are exactly
+the multisets of the trivial-scattering roots z^L = (-1)^(M-1).
 
-Newton runs over all seeds as one batch.  Each evaluation takes Lambda (and
-dLambda, when the Jacobian is needed) in one call over the M(M-1) ordered
-pairs of every row (constraints.ordered_pairs) and builds F and J from that
-table; only rows still iterating are evaluated.  The line search tries the
-full step on every row, then all shorter steps DAMPING^1 .. DAMPING^24 at
-once on the rows the full step made worse; each row takes the first step
-that lowers its residual and is dropped as stuck if none does.  Rows never
+M = 2 needs no seeds either.  The BAE force (z1 z2)^L = 1, so each solution
+lies on a line z1 z2 = e^{2 pi i n / L}, one per translation block, and on
+that line F_1 is one polynomial in z1 of degree L + 2 whose coefficients
+come from Lambda by one FFT (_m2_pairs).  Its companion roots give every
+solution; one Newton step, kept where it lowers the BAE residual, polishes
+each (_polish).
+
+M = 3 runs damped Newton from all multisets of the trivial-scattering roots
+plus random points, over all seeds as one batch.  Each iteration takes
+dLambda in one call over the M(M-1) ordered pairs of every row still
+iterating (constraints.ordered_pairs); the Lambda table, and F with it,
+comes from the line search that accepted the row's point.  The line search
+tries the full step on every row, then the shorter steps DAMPING^1 ..
+DAMPING^5 at once on the rows the full step made worse, then DAMPING^6 ..
+DAMPING^24 on the rows still worse; each row takes the first step that
+lowers its residual and is dropped as stuck if none does.  Rows never
 interact (nothing is shared or reduced across them), so each row follows
 the path it would follow alone, whatever the batch around it.
 
@@ -85,8 +93,8 @@ class BetheSolution:
 @dataclass
 class SolverConfig:
     seed: int = 0
-    random_seeds: int = 100
-    max_iter: int = 200
+    random_seeds: int = 100     # random Newton starts, M = 3 only
+    max_iter: int = 200         # Newton iteration cap, M = 3 only
     bae_tol: float = 1e-10
 
 
@@ -225,38 +233,62 @@ def _pair_product(lam, cols):
     return out
 
 
-def _bae_system(params, Z, L, sign, jacobian=False):
-    """F_j, and its Jacobian if asked, for an (n, M) batch of momentum
-    tuples, from one Lambda (and dLambda) table over the ordered pairs."""
+def _bae_values(params, Z, L, sign, lam=None):
+    """F_j for an (n, M) batch of momentum tuples, and the Lambda table over
+    the ordered pairs it is built from (taken here when not given)."""
+    I, J, _ = ordered_pairs(Z.shape[1])
+    _, P, Q, _, _ = _bae_pairs(Z.shape[1])
+    if lam is None:
+        lam = lambda_fn(params, Z[:, I], Z[:, J])
+    return Z**L * _pair_product(lam, P) - sign * _pair_product(lam, Q), lam
+
+
+def _bae_system(params, Z, L, sign, lam=None):
+    """F_j and its Jacobian for an (n, M) batch of momentum tuples, from the
+    Lambda table lam of Z (taken here when not given) and one dLambda table
+    over the ordered pairs."""
     n, M = Z.shape
     I, J, _ = ordered_pairs(M)
     others, P, Q, PX, QX = _bae_pairs(M)
-    Zi, Zj = Z[:, I], Z[:, J]
-    lam = lambda_fn(params, Zi, Zj)
-    ZL = Z**L
-    pj = _pair_product(lam, P)
-    F = ZL * pj - sign * _pair_product(lam, Q)
-    if not jacobian:
-        return F, None
-    d1, d2 = lambda_grad(params, Zi, Zj)
+    F, lam = _bae_values(params, Z, L, sign, lam)
+    d1, d2 = lambda_grad(params, Z[:, I], Z[:, J])
     exP, exQ = _pair_product(lam, PX), _pair_product(lam, QX)
     dP = dQ = 0
     for t in range(M - 1):
         dP = dP + d1[:, P[:, t]] * exP[:, :, t]
         dQ = dQ + d2[:, Q[:, t]] * exQ[:, :, t]
+    ZL = Z**L
     Jac = np.zeros((n, M, M), complex)
     diag = np.arange(M)
-    Jac[:, diag, diag] = L * Z**(L - 1) * pj + ZL * dP - sign * dQ
+    Jac[:, diag, diag] = (L * Z**(L - 1) * _pair_product(lam, P) + ZL * dP
+                          - sign * dQ)
     Jac[:, diag[:, None], others] = (ZL[:, :, None] * (d2[:, P] * exP)
                                      - sign * (d1[:, Q] * exQ))
     return F, Jac
 
 
 def _residual(params, Z, L, sign):
-    """Per-row max_j |F_j| relative to max(1, max_j |z_j|^L)."""
-    F, _ = _bae_system(params, Z, L, sign)
+    """Per-row max_j |F_j| relative to max(1, max_j |z_j|^L), and the
+    Lambda table F was built from."""
+    F, lam = _bae_values(params, Z, L, sign)
     scale = np.maximum(1.0, np.max(np.abs(Z), axis=1)**L)
-    return np.max(np.abs(F), axis=1) / scale
+    return np.max(np.abs(F), axis=1) / scale, lam
+
+
+def _solve_steps(Jac, F):
+    """Newton steps -J^{-1} F of a batch, and the mask of rows solved (a
+    row whose Jacobian the solver refuses has none)."""
+    ok = np.ones(len(F), bool)
+    try:
+        return np.linalg.solve(Jac, -F[:, :, None])[:, :, 0], ok
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(F)
+        for i in range(len(F)):
+            try:
+                step[i] = np.linalg.solve(Jac[i], -F[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return step, ok
 
 
 def _newton_batch(params, Z0, L, cfg):
@@ -268,13 +300,16 @@ def _newton_batch(params, Z0, L, cfg):
     n, M = Z.shape
     sign = (-1.0) ** (M - 1)
     # step factors of the line search: 1, d, d^2, ... while above 1e-8, at
-    # most 25 of them
+    # most 25 of them; the shorter ones are tried in two stages, d^1..d^5
+    # first (most rows take one of them), the rest on the rows still worse
     damps = [1.0]
     while len(damps) < 25 and damps[-1] > 1e-8:
         damps.append(damps[-1] * DAMPING)
-    damps = np.array(damps)
+    stages = [np.array(damps[1:6]), np.array(damps[6:])]
 
-    res = _residual(params, Z, L, sign)
+    # the Lambda table of each row's current point, carried from the line
+    # search that accepted it into the next F and Jacobian
+    res, lam = _residual(params, Z, L, sign)
     active = np.flatnonzero(np.isfinite(res))
     converged = np.zeros(n, bool)
 
@@ -284,48 +319,91 @@ def _newton_batch(params, Z0, L, cfg):
         active = active[~hit]
         if not active.size:
             break
-        F, Jac = _bae_system(params, Z[active], L, sign, jacobian=True)
+        F, Jac = _bae_system(params, Z[active], L, sign, lam[active])
         det = np.linalg.det(Jac)
         ok = np.isfinite(det) & (np.abs(det) != 0)
         active, F, Jac = active[ok], F[ok], Jac[ok]
         if not active.size:
             break
-        try:
-            step = np.linalg.solve(Jac, -F[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            step = np.zeros_like(F)
-            ok = np.ones(len(active), bool)
-            for i in range(len(active)):
-                try:
-                    step[i] = np.linalg.solve(Jac[i], -F[i])
-                except np.linalg.LinAlgError:
-                    ok[i] = False
-            active, step = active[ok], step[ok]
-            if not active.size:
-                break
-        # line search: the full step for every row, then all shorter steps
-        # at once for the rows it made worse; each row takes its first step
-        # factor that lowers its residual, or is dropped as stuck
+        step, ok = _solve_steps(Jac, F)
+        active, step = active[ok], step[ok]
+        if not active.size:
+            break
+        # line search: the full step for every row, then the shorter steps
+        # stage by stage for the rows still worse; each row takes its first
+        # step factor that lowers its residual, or is dropped as stuck
         Za, r0 = Z[active], res[active]
         trial = Za + damps[0] * step
-        rt = _residual(params, trial, L, sign)
+        rt, lt = _residual(params, trial, L, sign)
         worse = np.flatnonzero(~(rt < r0))
-        if worse.size:
-            tw = Za[worse] + damps[1:, None, None] * step[worse]
+        for factors in stages:
+            if not worse.size:
+                break
+            tw = Za[worse] + factors[:, None, None] * step[worse]
             tw = tw.reshape(-1, M)
-            rw = _residual(params, tw, L, sign)
-            better = rw.reshape(len(damps) - 1, -1) < r0[worse]
+            rw, lw = _residual(params, tw, L, sign)
+            better = rw.reshape(len(factors), -1) < r0[worse]
             first = np.argmax(better, axis=0)
             found = better[first, np.arange(len(worse))]
             pick = first[found] * len(worse) + np.flatnonzero(found)
-            trial[worse[found]] = tw[pick]
-            rt[worse[found]] = rw[pick]
+            rows = worse[found]
+            trial[rows] = tw[pick]
+            rt[rows], lt[rows] = rw[pick], lw[pick]
+            worse = worse[~found]
         kept = rt < r0
         active = active[kept]
         Z[active] = trial[kept]
-        res[active] = rt[kept]
+        res[active], lam[active] = rt[kept], lt[kept]
     converged[active[res[active] <= NEWTON_TOL]] = True
     return Z[converged]
+
+
+def _m2_pairs(params, L):
+    """Every M = 2 root pair candidate, from one polynomial per momentum
+    block, in block order.
+
+    The BAE give (z1 z2)^L = 1, so a solution lies on a line z1 z2 = w =
+    e^{2 pi i n / L}.  There z1^2 Lambda(z1, w/z1) = P(z1) and
+    z1 Lambda(w/z1, z1) = Q(z1) are cubics, and F_1 = z1^L Lambda(z1, z2)
+    + Lambda(z2, z1) = 0 is z1^(L-1) P(z1) + Q(z1) = 0, of degree L + 2.
+    P and Q come from lambda_fn at the 8th roots of unity by one FFT, exact
+    for these degrees.  Each root z gives the pair (z, w/z), so every
+    solution appears in both orders."""
+    x = np.exp(2j * np.pi * np.arange(8) / 8)
+    w = np.exp(2j * np.pi * np.arange(L) / L)
+    P = np.fft.fft(x**2 * lambda_fn(params, x, w[:, None] / x), axis=1) / 8
+    Q = np.fft.fft(x * lambda_fn(params, w[:, None] / x, x), axis=1) / 8
+    pairs = [np.empty((0, 2), complex)]
+    for n in range(L):
+        c = np.zeros(L + 3, complex)         # c[k]: coefficient of z^k
+        c[L - 1:] += P[n, :4]
+        c[:4] += Q[n, :4]
+        # FFT rounding leaves a vanishing leading coefficient as noise
+        top = np.flatnonzero(np.abs(c) > 1e-14 * np.abs(c).max())
+        if top.size:
+            z = np.roots(c[top[-1]::-1])
+            with np.errstate(all="ignore"):
+                pairs.append(np.stack([z, w[n] / z], axis=1))
+    return np.concatenate(pairs)
+
+
+def _polish(params, Z, res, L):
+    """One Newton step on the cleared BAE system for every root set of a
+    batch with BAE residuals res, kept where it lowers the BAE residual:
+    the points and their residuals.  Straight from the polynomial the
+    relative residual is at rounding level, but the BAE residual scales
+    with |z|^L.  Further steps can lower it a little more where it is
+    near bae_tol, but there they only move the point among floating-point
+    neighbours of the root whose BAE residuals straddle bae_tol: which one
+    was kept, and so whether the root set was accepted, differed between
+    rescaled copies of one Hamiltonian."""
+    with np.errstate(all="ignore"):
+        F, Jac = _bae_system(params, Z, L, (-1.0) ** (Z.shape[1] - 1))
+        step, _ = _solve_steps(Jac, F)
+        trial = Z + step
+        rt = _bae_residuals(params, trial, L)
+    better = rt < res
+    return np.where(better[:, None], trial, Z), np.where(better, rt, res)
 
 
 def _canonical(z):
@@ -358,9 +436,27 @@ def _distinct(sets):
     return out
 
 
-def _multiset_seeds(L, M, sign_roots):
-    return [tuple(c) for c in
-            itertools.combinations_with_replacement(sign_roots, M)]
+def _multiset_seeds(L, M):
+    """Every multiset of M roots of z^L = (-1)^(M-1), the solutions at
+    S = -1."""
+    phase = 0.0 if M % 2 else np.pi / L
+    roots = [np.exp(1j * (2 * np.pi * n / L + phase)) for n in range(L)]
+    return [tuple(c)
+            for c in itertools.combinations_with_replacement(roots, M)]
+
+
+def _newton_seeds(L, M, rng, cfg):
+    """Newton starts: the multiset seeds, a perturbed copy of each one with
+    coincident entries, and cfg.random_seeds random points."""
+    seeds = _multiset_seeds(L, M)
+    # coincident entries can sit on a singular Jacobian; perturbed copies
+    # give Newton a way off the symmetric point
+    for s in list(seeds):
+        if len(set(s)) < M:
+            wiggle = 1e-2 * random_momenta(rng, M)
+            seeds.append(tuple(np.array(s) * (1 + wiggle)))
+    seeds += [tuple(random_momenta(rng, M)) for _ in range(cfg.random_seeds)]
+    return np.array(seeds, complex)
 
 
 def solve_bae(params, L, M, config=None):
@@ -376,28 +472,20 @@ def solve_bae(params, L, M, config=None):
         return [BetheSolution(z, energy(params, z), 0.0, False)
                 for z in itertools.combinations(roots, M)]
 
-    sign = (-1.0) ** (M - 1)
-    phase = 0.0 if sign == 1 else np.pi / L
-    free_roots = [np.exp(1j * (2 * np.pi * n / L + phase)) for n in range(L)]
-
     if _is_trivial_s(params, rng):
-        Z = np.array(_multiset_seeds(L, M, free_roots), complex)
+        Z = np.array(_multiset_seeds(L, M), complex)
         return [BetheSolution(_canonical(zs), energy(params, zs), float(res),
                               _coincident(zs))
                 for zs, res in zip(Z, _bae_residuals(params, Z, L))]
 
-    seeds = list(_multiset_seeds(L, M, free_roots))
-    # coincident entries can sit on a singular Jacobian; perturbed copies
-    # give Newton a way off the symmetric point
-    for s in list(seeds):
-        if len(set(s)) < M:
-            wiggle = 1e-2 * random_momenta(rng, M)
-            seeds.append(tuple(np.array(s) * (1 + wiggle)))
-    seeds += [tuple(random_momenta(rng, M)) for _ in range(cfg.random_seeds)]
-
-    Z = _newton_batch(params, np.array(seeds, complex), L, cfg)
+    if M == 2:
+        Z = _m2_pairs(params, L)
+    else:
+        Z = _newton_batch(params, _newton_seeds(L, M, rng, cfg), L, cfg)
     Z = Z[~np.any(np.abs(Z) < 1e-8, axis=1)]
     res = _bae_residuals(params, Z, L)
+    if M == 2:
+        Z, res = _polish(params, Z, res, L)
     ok = res <= cfg.bae_tol
     sets, res = [_canonical(z) for z in Z[ok]], res[ok]
     return [BetheSolution(sets[i], energy(params, sets[i]), float(res[i]),

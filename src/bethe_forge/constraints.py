@@ -11,8 +11,9 @@ The pair table (_PairTable) is the one home of these: it takes Lambda over
 every ordered pair of an (n, M) momentum batch in one call and builds S, N,
 the plane-wave amplitude A(perm) (the product of S over the inversions of
 perm) and the singular rule from it.  s_matrix, n_factor and pair_row are
-one-row reads of that table; the Bethe solver and eigenvector assembly read
-it too.
+one-row reads of that table (s_matrix and n_factor in Python complex
+arithmetic, as the Bethe solver's BAE residuals); the Bethe solver and
+eigenvector assembly read it too.
 
 A Hamiltonian is CBA-solvable iff three symmetrized sums vanish identically in
 the momenta; this module tests that by randomized evaluation (a rational
@@ -183,14 +184,20 @@ def pair_row(params, z):
     return _PairTable(params, np.array([z], complex))
 
 
+def _exact_pair(params, z1, z2):
+    """The pair table of (z1, z2) in Python complex arithmetic (object
+    dtype), the arithmetic of the batched BAE residuals."""
+    return _PairTable(params, np.array([[complex(z1), complex(z2)]], object))
+
+
 def s_matrix(params, z1, z2):
     """Two-body scattering amplitude S(z1, z2) = -Lambda(z1,z2)/Lambda(z2,z1)."""
-    return complex(pair_row(params, (z1, z2)).require("S", (0, 1)).S(0, 1)[0])
+    return complex(_exact_pair(params, z1, z2).require("S", (0, 1)).S(0, 1)[0])
 
 
 def n_factor(params, z1, z2):
     """Decay coefficient attaching to a doubly occupied site."""
-    return complex(pair_row(params, (z1, z2)).require("N", (0, 1)).N(0, 1)[0])
+    return complex(_exact_pair(params, z1, z2).require("N", (0, 1)).N(0, 1)[0])
 
 
 def _e21_terms(params, table):

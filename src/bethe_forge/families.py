@@ -130,6 +130,17 @@ class Family:
         return {n: getattr(inv if n in ("Y", "X22") else params, n)
                 for n in self.free_names}
 
+    def fit(self, params, inv, branch):
+        """(free values, fit residual) of params as a member of this family
+        and branch: the free values read_free reads, and the relative
+        distance of params from the member build makes of them; None where
+        read_free refuses.  Raises as build does where no member can be
+        built."""
+        free = self.read_free(params, inv, branch)
+        if free is None:
+            return None
+        return free, _param_distance(params, self.build(free, branch))
+
     def reduced(self, free, branch):
         raise NotImplementedError
 
@@ -203,10 +214,12 @@ class GIK(Family):
         lo, hi = _u_roots(v)
         return (lo, hi) if branch["u"] == 0 else (hi, lo)
 
-    def build(self, free, branch):
+    def build(self, free, branch, us=None):
+        """The member of free and branch; us = (u_t1, u_s2) in place of
+        the roots of the u-quadratic at v, where given."""
         p, tp, t2, v = _require(free, "p", "tp", "t2", "v")
         _nonzero(p=p, tp=tp, t2=t2, v=v)
-        u_t1, u_s2 = self._us(v, branch)
+        u_t1, u_s2 = us or self._us(v, branch)
         pi = p**2 / tp
         return _assemble(
             dict(X11=v * (v + 1) * pi, Y=(v**2 + 1) * pi,
@@ -229,6 +242,28 @@ class GIK(Family):
         if v == 0:
             return None
         return dict(p=params.p, tp=params.tp, t2=params.t2, v=v)
+
+    def fit(self, params, inv, branch):
+        """As Family.fit, with u read off the t1 slot instead of recomputed
+        from v: u_t1 = p^2 t2 / (t1 tp^2), and u_s2 = 1 / (v^4 u_t1), its
+        partner root.  Near a double root of the u-quadratic (v = 1 or
+        v = -1/3) the roots move by about the square root of the rounding
+        in v, enough to lose the match.  The residual also holds the
+        quadratic's relative residual at u_t1, and the branch must order
+        the two roots as build does."""
+        free = self.read_free(params, inv, branch)
+        if free is None or params.t1 == 0:
+            return None
+        p, tp, t2, v = _require(free, "p", "tp", "t2", "v")
+        u_t1 = p**2 * t2 / (params.t1 * tp**2)
+        u_s2 = 1 / (v**4 * u_t1)
+        lower = (u_t1.real, u_t1.imag) <= (u_s2.real, u_s2.imag)
+        if lower != (branch["u"] == 0):
+            return None
+        terms = (v**4 * u_t1**2, (1 + 2 * v - v**2) * u_t1, 1)
+        quad = abs(sum(terms)) / sum(abs(t) for t in terms)
+        candidate = self.build(free, branch, (u_t1, u_s2))
+        return free, max(_param_distance(params, candidate), quad)
 
     def reduced(self, free, branch):
         p, tp, t2, v = _require(free, "p", "tp", "t2", "v")
@@ -721,16 +756,12 @@ def classify(params, tol=1e-9, check_solvable=True, n_samples=20,
         for tag in FAMILY_ORDER:
             fam = FAMILIES[tag]
             for branch in fam.branches:
-                free = fam.read_free(framed, inv, branch)
-                if free is None:
-                    continue
                 try:
-                    candidate = fam.build(free, branch)
+                    fit = fam.fit(framed, inv, branch)
                 except (DegenerateFamilyPoint, ZeroDivisionError):
                     continue
-                res = _param_distance(framed, candidate)
-                if res <= tol:
-                    matches.append((tag, dict(branch), free, word, res))
+                if fit is not None and fit[1] <= tol:
+                    matches.append((tag, dict(branch), fit[0], word, fit[1]))
     if not matches:
         return None
     tag, branch, free, word, res = matches[0]

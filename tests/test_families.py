@@ -279,6 +279,30 @@ class TestClassifier:
         m = bf.classify(h, check_solvable=False)
         assert m is not None and tag in {t for t, _, _, _ in m.all_matches}
 
+    @pytest.mark.parametrize("v", [1.0, -1 / 3])
+    @pytest.mark.parametrize("branch", [0, 1])
+    def test_gik_at_a_double_root_of_the_u_quadratic(self, v, branch):
+        """At v = 1 and v = -1/3 the two roots u coincide, and u recomputed
+        from the v read back moves by about sqrt(rounding); read off the
+        t1 slot it keeps the match."""
+        free = dict(p=0.9 + 0.2j, tp=1.1 - 0.3j, t2=0.8 + 0.1j, v=v)
+        h = bf.construct("gIK", free, {"u": branch})
+        assert bf.is_cba_solvable(h).solvable
+        m = bf.classify(h, check_solvable=False)
+        assert m is not None and m.tag == "gIK" and m.frame == ""
+        assert m.fit_residual <= 1e-12
+
+    def test_gik_u_off_its_quadratic_is_no_member(self, rng):
+        """u read off the t1 slot must still solve the u-quadratic: a
+        Hamiltonian built from a gIK member with u_t1 moved by 1e-6 (and
+        u_s2 = 1 / (v^4 u_t1) moved with it) is not matched to gIK."""
+        fam = bf.FAMILIES["gIK"]
+        free = draw_free("gIK", rng)
+        u_t1 = fam._us(free["v"], {"u": 0})[0] * (1 + 1e-6)
+        h = fam.build(free, {"u": 0}, (u_t1, 1 / (free["v"]**4 * u_t1)))
+        m = bf.classify(h, check_solvable=False)
+        assert m is None or "gIK" not in {t for t, _, _, _ in m.all_matches}
+
     def test_match_reconstruction_invariant(self, rng):
         from bethe_forge.families import _param_distance
         h = bf.construct("gIK", draw_free("gIK", rng), {"u": 1})

@@ -342,6 +342,23 @@ class TestBlockInvariances:
             assert _same_multiset(ev, ref[-m % L], _BLOCK_TOL * scale), m
 
     @settings(max_examples=25, deadline=None)
+    @given(_params(), _SECTORS)
+    def test_time_reversal_keeps_each_block_up_to_its_sign(self, h, sector):
+        """Time reversal transposes H, and the shift is a real permutation,
+        so the block-m states of H^T are the complex conjugates of the
+        block -m states of H: block m of the reversed chain is the
+        transpose of block -m, with its spectrum.  With parity, which
+        reverses momentum once more, each block keeps its own spectrum."""
+        L, M = sector
+        ref = _block_spectra(h, L, M)
+        scale = max(1.0, max(float(np.max(np.abs(e))) for e in ref if e.size))
+        t = bf.apply_time_reversal(h)
+        for m, ev in enumerate(_block_spectra(t, L, M)):
+            assert _same_multiset(ev, ref[-m % L], _BLOCK_TOL * scale), m
+        for m, ev in enumerate(_block_spectra(bf.apply_parity(t), L, M)):
+            assert _same_multiset(ev, ref[m], _BLOCK_TOL * scale), m
+
+    @settings(max_examples=25, deadline=None)
     @given(_params(), st.tuples(st.integers(3, 5), st.integers(0, 3)))
     def test_charge_conjugation_maps_m_to_2l_minus_m(self, h, sector):
         """Relabelling 0 <-> 2 on every site commutes with the shift and maps
