@@ -30,9 +30,17 @@ comes from the line search that accepted the row's point.  The line search
 tries the full step on every row, then the shorter steps DAMPING^1 ..
 DAMPING^5 at once on the rows the full step made worse, then DAMPING^6 ..
 DAMPING^24 on the rows still worse; each row takes the first step that
-lowers its residual and is dropped as stuck if none does.  Rows never
-interact (nothing is shared or reduced across them), so each row follows
-the path it would follow alone, whatever the batch around it.
+lowers its residual and is dropped as stuck if none does.  A row stops
+when its relative residual reaches NEWTON_TOL (converged), when it is
+stuck, when its Jacobian is singular, at the iteration cap, or when it has
+stalled: its residual is not STALL_FACTOR below its value STALL_WINDOW
+iterations earlier (converged rows are taken out first).  Near a root of
+multiplicity k a Newton step cuts the residual to at most ((k-1)/k)^k <=
+0.30 of itself, so no row that has reached a root's basin stalls; the rows
+that do wander until the cap, and an iteration costs about the same for a
+few rows as for the whole batch.  Rows never interact (nothing is shared or
+reduced across them), so each row follows the path it would follow alone,
+whatever the batch around it.
 
 S, N, the plane-wave amplitudes A and the singular rule all come from the
 pair table of constraints (_PairTable): the BAE residuals of a whole batch
@@ -76,6 +84,8 @@ from .hamiltonian import invariants, sector_basis
 
 DAMPING = 0.5            # line-search step factor
 NEWTON_TOL = 1e-12       # Newton stops below this relative residual
+STALL_WINDOW = 20        # Newton drops a row whose relative residual is not
+STALL_FACTOR = 10.0      # STALL_FACTOR below its value STALL_WINDOW steps ago
 DEDUP_TOL = 1e-8         # root sets this close are one solution
 DEGENERATE_TOL = 1e-6    # roots this close are coincident
 MOMENTUM_TOL = 1e-6      # prod z this close to e^{2 pi i m / L} is in block m
@@ -93,7 +103,7 @@ class BetheSolution:
 @dataclass
 class SolverConfig:
     seed: int = 0
-    random_seeds: int = 100     # random Newton starts, M = 3 only
+    random_seeds: int = 300     # random Newton starts, M = 3 only
     max_iter: int = 200         # Newton iteration cap, M = 3 only
     bae_tol: float = 1e-10
 
@@ -312,11 +322,18 @@ def _newton_batch(params, Z0, L, cfg):
     res, lam = _residual(params, Z, L, sign)
     active = np.flatnonzero(np.isfinite(res))
     converged = np.zeros(n, bool)
+    # past[it % STALL_WINDOW] holds every row's residual at iteration it,
+    # until iteration it + STALL_WINDOW reads and replaces it
+    past = np.empty((STALL_WINDOW, n))
 
-    for _ in range(cfg.max_iter):
+    for it in range(cfg.max_iter):
         hit = res[active] <= NEWTON_TOL
         converged[active[hit]] = True
         active = active[~hit]
+        if it >= STALL_WINDOW:
+            then = past[it % STALL_WINDOW, active]
+            active = active[res[active] <= then / STALL_FACTOR]
+        past[it % STALL_WINDOW] = res
         if not active.size:
             break
         F, Jac = _bae_system(params, Z[active], L, sign, lam[active])
@@ -412,16 +429,21 @@ def _canonical(z):
 
 
 def _same(za, zb):
-    return all(abs(a - b) <= DEDUP_TOL for a, b in zip(za, zb))
+    """Whether the root sets za and zb are one multiset to DEDUP_TOL: some
+    ordering of zb lies within DEDUP_TOL of za root by root.  Sorting alone
+    does not line them up: two roots whose real parts differ only by
+    rounding (a conjugate-like pair) sort in either order."""
+    return any(all(abs(a - b) <= DEDUP_TOL for a, b in zip(za, perm))
+               for perm in itertools.permutations(zb))
 
 
 def _distinct(sets):
     """Indices of the canonical root sets that are not _same as an earlier
-    kept one, in order.  Sets within DEDUP_TOL root by root have first roots
-    whose real parts lie within DEDUP_TOL, so the kept sets are held sorted
-    by that real part and each new set is compared only with the window
-    around its own (twice as wide, so that rounding in the window's bounds
-    cannot drop a match)."""
+    kept one, in order.  The smallest real parts of two _same sets (their
+    canonical first roots') lie within DEDUP_TOL, so the kept sets are held
+    sorted by that real part and each new set is compared only with the
+    window around its own (twice as wide, so that rounding in the window's
+    bounds cannot drop a match)."""
     keys, kept, out = [], [], []
     for i, zs in enumerate(sets):
         x = zs[0].real

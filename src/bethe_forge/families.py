@@ -144,6 +144,12 @@ class Family:
     def reduced(self, free, branch):
         raise NotImplementedError
 
+    def member_reduced(self, member, free, branch):
+        """The reduced parameters of member, a classified Hamiltonian in the
+        family's frame with free values free: those of free, unless the
+        family reads more of them off member."""
+        return self.reduced(free, branch)
+
     def s_closed(self, red, z1, z2):
         raise NotImplementedError
 
@@ -244,9 +250,8 @@ class GIK(Family):
         return dict(p=params.p, tp=params.tp, t2=params.t2, v=v)
 
     def fit(self, params, inv, branch):
-        """As Family.fit, with u read off the t1 slot instead of recomputed
-        from v: u_t1 = p^2 t2 / (t1 tp^2), and u_s2 = 1 / (v^4 u_t1), its
-        partner root.  Near a double root of the u-quadratic (v = 1 or
+        """As Family.fit, with u read off the t1 slot (_read_us) instead of
+        recomputed from v.  Near a double root of the u-quadratic (v = 1 or
         v = -1/3) the roots move by about the square root of the rounding
         in v, enough to lose the match.  The residual also holds the
         quadratic's relative residual at u_t1, and the branch must order
@@ -254,9 +259,8 @@ class GIK(Family):
         free = self.read_free(params, inv, branch)
         if free is None or params.t1 == 0:
             return None
-        p, tp, t2, v = _require(free, "p", "tp", "t2", "v")
-        u_t1 = p**2 * t2 / (params.t1 * tp**2)
-        u_s2 = 1 / (v**4 * u_t1)
+        v = free["v"]
+        u_t1, u_s2 = self._read_us(params, free)
         lower = (u_t1.real, u_t1.imag) <= (u_s2.real, u_s2.imag)
         if lower != (branch["u"] == 0):
             return None
@@ -265,11 +269,26 @@ class GIK(Family):
         candidate = self.build(free, branch, (u_t1, u_s2))
         return free, max(_param_distance(params, candidate), quad)
 
-    def reduced(self, free, branch):
+    @staticmethod
+    def _read_us(params, free):
+        """(u_t1, u_s2) of the member params with free values free: u_t1 =
+        p^2 t2 / (t1 tp^2) off the t1 slot, and u_s2 = 1 / (v^4 u_t1), its
+        partner root."""
         p, tp, t2, v = _require(free, "p", "tp", "t2", "v")
-        u_t1, u_s2 = self._us(v, branch)
+        u_t1 = p**2 * t2 / (params.t1 * tp**2)
+        return u_t1, 1 / (v**4 * u_t1)
+
+    def reduced(self, free, branch, us=None):
+        """The reduced parameters of free and branch; us = (u_t1, u_s2) in
+        place of the roots of the u-quadratic at v, where given."""
+        p, tp, t2, v = _require(free, "p", "tp", "t2", "v")
+        u_t1, u_s2 = us or self._us(v, branch)
         return ReducedParams(tau_p=tp / p, tau_2=t2 / p, theta=v**2 * p / tp,
                              extra=dict(v=v, u_t1=u_t1, u_s2=u_s2))
+
+    def member_reduced(self, member, free, branch):
+        """As reduced, with u read off the member's t1 slot as fit does."""
+        return self.reduced(free, branch, self._read_us(member, free))
 
     def s_closed(self, red, z1, z2):
         tp, v = red.tau_p, red.extra["v"]
@@ -289,8 +308,7 @@ class GIK(Family):
         p, tp, t2, v = _require(free, "p", "tp", "t2", "v")
         if v == 1:
             raise DegenerateFamilyPoint("reduction not valid for v = 1")
-        _, u_s2 = self._us(v, branch)
-        return tp / p**2, (p / t2) * np.sqrt((v - 1) / (v * u_s2))
+        return tp / p**2, (p / t2) * np.sqrt((v - 1) / (v * red.extra["u_s2"]))
 
 
 class GB(Family):

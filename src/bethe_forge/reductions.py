@@ -51,7 +51,7 @@ def reduce_hamiltonian(params, match):
     """
     fam = FAMILIES[match.tag]
     branch = _normalize_branch(fam, match.branch)
-    red = fam.reduced(match.free_params, branch)
-    n0, gamma = fam.reduction_gauge(match.free_params, branch, red)
     framed = apply_frame(params, match.frame)
+    red = fam.member_reduced(framed, match.free_params, branch)
+    n0, gamma = fam.reduction_gauge(match.free_params, branch, red)
     return reduce_two_site(framed, n0, gamma), red

@@ -226,6 +226,44 @@ class TestM2Completeness:
             assert rep.passed, L
 
 
+# matched M = 3 states per preset at L = 5..9 (verify --seed 0) with 100
+# random Newton starts run to the iteration cap
+_M3_MATCHED_AT_CAP = {
+    "14V1": (9, 12, 18, 23, 26),
+    "14V2": (10, 20, 35, 56, 84),
+    "17V1a": (10, 20, 35, 56, 84),
+    "17V1b": (10, 20, 35, 56, 84),
+    "17V2": (3, 4, 15, 13, 19),
+    "SB5": (9, 11, 17, 18, 20),
+    "SpR": (4, 7, 13, 23, 27),
+    "bariev": (6, 6, 13, 17, 36),
+    "gB": (8, 15, 15, 18, 30),
+    "gIK": (8, 11, 10, 17, 22),
+    "gZF": (2, 3, 3, 9, 6),
+    "izergin_korepin": (10, 9, 37, 40, 84),
+    "main_branch_genus5": (4, 4, 7, 11, 20),
+    "martins_1A": (1, 4, 6, 7, 8),
+    "martins_1B": (11, 9, 18, 25, 39),
+    "martins_2A": (10, 9, 37, 40, 84),
+    "martins_2B": (10, 10, 23, 26, 56),
+    "special_branch_genus5": (5, 3, 11, 16, 21),
+    "zamolodchikov_fateev": (3, 2, 6, 7, 13),
+}
+
+
+class TestM3Completeness:
+    @pytest.mark.parametrize("name", sorted(_M3_MATCHED_AT_CAP))
+    def test_not_below_newton_to_the_cap(self, name):
+        """At L = 5..9 every preset matches at least as many M = 3 states as
+        before Newton dropped stalled rows (and took more starts), and
+        every root set accepted verifies and matches."""
+        h = load_input(PRESETS / f"{name}.json")
+        for L, before in zip(range(5, 10), _M3_MATCHED_AT_CAP[name]):
+            rep = bf.verify_sector(h, L, 3, SolverConfig(seed=0), 1e-8)
+            assert rep.matched >= before, L
+            assert rep.passed, L
+
+
 def _reference_system(params, Z, L, sign):
     """Per-pair loop for F_j over a (n, M) batch of momentum tuples."""
     n, M = Z.shape
@@ -278,7 +316,9 @@ def _reference_jacobian(params, Z, L, sign):
 
 def _reference_newton(params, Z0, L, cfg):
     """Damped Newton over the whole batch every iteration, with a sequential
-    line search of up to 25 damped trials; returns the converged rows."""
+    line search of up to 25 damped trials, dropping a row whose residual is
+    not STALL_FACTOR below its value STALL_WINDOW iterations earlier;
+    returns the converged rows."""
     Z = np.array(Z0, complex)
     n, M = Z.shape
     sign = (-1.0) ** (M - 1)
@@ -292,11 +332,16 @@ def _reference_newton(params, Z0, L, cfg):
     F, res = resnorm(Z)
     active = np.isfinite(res)
     converged = np.zeros(n, bool)
+    history = []
 
-    for _ in range(cfg.max_iter):
+    for it in range(cfg.max_iter):
         hit = active & (res <= bethe.NEWTON_TOL)
         converged |= hit
         active &= ~hit
+        if it >= bethe.STALL_WINDOW:
+            then = history[it - bethe.STALL_WINDOW]
+            active &= res <= then / bethe.STALL_FACTOR
+        history.append(res.copy())
         if not active.any():
             break
         J = _reference_jacobian(params, Z, L, sign)
@@ -380,11 +425,32 @@ class TestNewtonBatch:
                 assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
+class TestStallRule:
+    @pytest.mark.parametrize("name", ["gB", "izergin_korepin"])
+    def test_root_basins_converge(self, name):
+        """Started within about 1e-4 of every accepted M = 3 root set at
+        L = 7, coincident ones included, every row converges: the stall
+        rule drops no row that has reached a root's basin."""
+        L = 7
+        h = load_input(PRESETS / f"{name}.json")
+        cfg = SolverConfig(seed=0)
+        Z = np.array([s.z for s in bf.solve_bae(h, L, 3, cfg)])
+        wiggle = np.exp(2j * np.pi * np.random.default_rng(0).random(Z.shape))
+        got = bethe._newton_batch(h, Z * (1 + 1e-4 * wiggle), L, cfg)
+        assert len(Z) and len(got) == len(Z)
+
+
 def _reference_distinct(sets):
-    """The all-pairs duplicate scan: each set against every kept one."""
+    """The all-pairs duplicate scan: each set against every kept one, as
+    multisets (some ordering of the kept set lies within DEDUP_TOL of the
+    new one root by root)."""
+    def same(za, zb):
+        return any(np.max(np.abs(np.subtract(za, perm))) <= bethe.DEDUP_TOL
+                   for perm in itertools.permutations(zb))
+
     kept, out = [], []
     for i, zs in enumerate(sets):
-        if any(bethe._same(zs, prev) for prev in kept):
+        if any(same(zs, prev) for prev in kept):
             continue
         kept.append(zs)
         out.append(i)
@@ -409,15 +475,20 @@ class TestDistinct:
         assert len(seen) > len(got) > 0
 
     def test_clustered_sets(self, rng):
-        """Near-duplicates straddling DEDUP_TOL, and sets whose first roots
-        share a real part but differ elsewhere."""
+        """Canonical near-duplicates straddling DEDUP_TOL; sets whose first
+        roots share a real part but differ elsewhere; and sets with two
+        roots of one real part, which sort in either order once perturbed
+        (a conjugate-like pair)."""
         base = [tuple(cdraw(rng, 3)) for _ in range(30)]
         base += [(b[0].real + 1j * rng.uniform(-1, 1),) + b[1:] for b in base]
+        base += [(b[0], b[0].real + 1j * rng.uniform(-1, 1), b[2])
+                 for b in base[:30]]
         sets = []
-        for _ in range(400):
+        for _ in range(600):
             b = base[rng.integers(len(base))]
             step = 0.8 * bethe.DEDUP_TOL * rng.uniform(-1, 1, (3, 2))
-            sets.append(tuple(z + complex(*d) for z, d in zip(b, step)))
+            sets.append(bethe._canonical(z + complex(*d)
+                                         for z, d in zip(b, step)))
         got = bethe._distinct(sets)
         assert got == _reference_distinct(sets)
         assert len(base) < len(got) < len(sets)
@@ -724,13 +795,21 @@ class TestCheckRoots:
         ("zamolodchikov_fateev", 2)])
     def test_equivalent_states_match_pairwise_scan(self, name, M):
         """The Gram-matrix dedup marks the same equivalent states as the
-        pairwise scan, on sectors that have some (L = 9, seed 0)."""
+        pairwise scan.  The batch is a sector's root sets (L = 9, seed 0),
+        none of them equivalent, and each again in reversed order, which is
+        the same state, as a conjugate-like pair sorted the other way is.
+        Every copy of a verified set is equivalent."""
         L = 9
         h = bf.with_zero_v00(load_input(PRESETS / f"{name}.json"))
         H = bf.sector_matrix(h, L, M)
         sols = bf.solve_bae(h, L, M, SolverConfig(seed=0))
-        outcomes = _assert_checks_match_reference(h, sols, H, L)
-        assert "equivalent" in outcomes
+        again = [bethe.BetheSolution(s.z[::-1], s.energy, s.bae_residual,
+                                     s.degenerate_flag) for s in sols]
+        outcomes = _assert_checks_match_reference(h, sols + again, H, L)
+        first, second = outcomes[:len(sols)], outcomes[len(sols):]
+        assert "verified" in first and "equivalent" not in first
+        assert second == ["equivalent" if o == "verified" else o
+                          for o in first]
 
     @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
     def test_matches_one_row_loop(self, tag, rng):

@@ -236,6 +236,19 @@ class TestIzerginKorepinMap:
             e[6, 6] = (k**3 - k + 1) / ((k**3 + 1) * (k - 1))
             assert np.max(np.abs(W - e)) < 1e-10
 
+    @pytest.mark.parametrize("branch", [0, 1])
+    def test_u_read_off_the_member_at_a_double_root(self, branch):
+        """At v = -1/3 both roots of the u-quadratic are u = -9.  A member
+        built from exactly those u reduces with them to 1e-12; recomputed
+        from the v read back they were about 1e-7 off."""
+        free = dict(p=0.9 + 0.2j, tp=1.1 - 0.3j, t2=0.8 + 0.1j, v=-1 / 3)
+        h = bf.FAMILIES["gIK"].build(free, {"u": branch}, (-9.0, -9.0))
+        m = bf.classify(h, check_solvable=False)
+        assert m is not None and m.tag == "gIK" and m.frame == ""
+        _, red = bf.reduce_hamiltonian(h, m)
+        assert abs(red.extra["u_t1"] + 9) <= 1e-12 * 9
+        assert abs(red.extra["u_s2"] + 9) <= 1e-12 * 9
+
 
 class TestMainBranchGenus5Map:
     def test_wtilde(self, rng):
