@@ -19,6 +19,11 @@ The pipeline lives in the library: after the preamble shared with classify,
 spectrum and verify make one oracle.verify_sector call per M (M = 0 too) and
 only render its reports.
 
+With --json every mode prints its report through to_json: keys sorted, a
+two-space indent, complex numbers as [re, im] and non-finite floats as
+NaN / Infinity / -Infinity, byte for byte what json.dumps(..., sort_keys=True,
+indent=2) writes.  ``python -m bethe_forge`` runs main from a checkout.
+
 Exit codes: 0 success, 2 parse error or bad option value, 3 hypothesis-gate
 violation, 4 mode refusal, 1 internal error or failed verification.
 """
@@ -26,6 +31,7 @@ violation, 4 mode refusal, 1 internal error or failed verification.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -74,20 +80,75 @@ class RunConfig:
             raise ValueError(f"M range {lo}..{hi} is empty or negative")
 
 
-def _jsonable(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.complexfloating,)):
-        return _jsonable(complex(obj))
+_escape = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x):
+    text = _float_repr(x)
+    return _NONFINITE.get(text, text)
+
+
+def to_json(obj, nl="\n"):
+    """The --json text of a report: the bytes json.dumps(obj, sort_keys=True,
+    indent=2) writes, with complex numbers as [re, im], numpy scalars and
+    arrays as their .item() and .tolist() values, and dict keys through str().
+    Written in one pass because json falls back to its pure-Python encoder
+    when asked to indent.  ``nl`` is the newline and indent of obj's level."""
+    t = type(obj)
+    if t is float:
+        return _float_repr(obj) if math.isfinite(obj) else _float_text(obj)
+    if t is complex or t is np.complex128:
+        inner = nl + "  "
+        if cmath.isfinite(obj):
+            re, im = _float_repr(obj.real), _float_repr(obj.imag)
+        else:
+            re, im = _float_text(obj.real), _float_text(obj.imag)
+        return f"[{inner}{re},{inner}{im}{nl}]"
+    if t is str:
+        return _escape(obj)
+    if t is dict:
+        if not obj:
+            return "{}"
+        if not all(type(k) is str for k in obj):
+            obj = {str(k): v for k, v in obj.items()}
+        inner = nl + "  "
+        return ("{" + inner + ("," + inner).join(
+            [f"{_escape(k)}: {to_json(obj[k], inner)}" for k in sorted(obj)])
+            + nl + "}")
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if t is int:
+        return int.__repr__(obj)
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return ("[" + inner + ("," + inner).join(
+            [to_json(v, inner) for v in obj]) + nl + "]")
+    if obj is None:
+        return "null"
+    # subclasses of the types above, and the other numpy types
+    if isinstance(obj, (complex, np.complexfloating)):
+        return to_json(complex(obj), nl)
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        return to_json(obj.item(), nl)
     if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
+        return to_json(obj.tolist(), nl)
+    if isinstance(obj, str):
+        return _escape(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return to_json(dict(obj), nl)
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
+        return to_json(list(obj), nl)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _fmt_c(z, prec=6):
@@ -118,23 +179,32 @@ class InputError(ValueError):
 
 
 def load_input(path):
-    """Parse a Hamiltonian or preset file into parameters."""
-    with open(path) as fh:
-        data = json.load(fh)
+    """Parse a Hamiltonian or preset file into parameters.  A file that
+    cannot be read, decoded or parsed, or holds malformed fields, raises
+    InputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:    # ValueError: bad UTF-8 or JSON
+        raise InputError(str(exc)) from exc
     if not isinstance(data, dict):
         raise InputError("input must be a JSON object")
     try:
         if "family" in data:
             tag = data["family"]
-            if tag not in families.FAMILIES:
+            if not isinstance(tag, str) or tag not in families.FAMILIES:
                 raise InputError(f"unknown family tag {tag!r}")
-            free = {k: _pair_to_c(v) for k, v in data.get("free", {}).items()}
+            free = data.get("free", {})
             branch = data.get("branch")
+            half = data.get("half_constrained", False)
+            if not isinstance(free, dict):
+                raise InputError("free must be a JSON object")
+            if not isinstance(half, bool):
+                raise InputError("half_constrained must be true or false")
+            free = {k: _pair_to_c(v) for k, v in free.items()}
             if isinstance(branch, dict):
                 branch = {k: _pair_to_c(v) for k, v in branch.items()}
-            return families.construct(
-                tag, free, branch,
-                half_constrained=bool(data.get("half_constrained", False)))
+            return families.construct(tag, free, branch, half_constrained=half)
         return params_from_dict(data)
     except KeyError as exc:
         raise InputError(f"missing field {exc}") from exc
@@ -510,7 +580,7 @@ def main(argv=None):
         else:
             report, render = run_catalog(cfg), _text_catalog
         text = None if cfg.json_output else render(report)
-    except (json.JSONDecodeError, FileNotFoundError, InputError) as exc:
+    except InputError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except GateViolation as exc:
@@ -527,7 +597,7 @@ def main(argv=None):
         return EXIT_INTERNAL
 
     if cfg.json_output:
-        print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+        print(to_json(report))
     else:
         print(text)
     if cfg.mode == "verify" and not report.get("all_verified", False):

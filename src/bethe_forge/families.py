@@ -121,7 +121,7 @@ class Family:
         raise NotImplementedError
 
     def build_half(self, free, branch):
-        raise NotImplementedError(f"{self.name} has no half-constrained form")
+        raise ValueError(f"{self.name} has no half-constrained form")
 
     def read_free(self, params, inv, branch):
         """The free parameters, each read off its slot, or off the invariants
@@ -692,13 +692,19 @@ def construct(tag, free, branch=None, half_constrained=False):
 
 
 def _normalize_branch(fam, branch):
+    """The branch values: None is the first branch, an int indexes
+    fam.branches, and a dict overrides the first branch's values."""
     if branch is None:
         return fam.branches[0]
-    if isinstance(branch, int):
+    if isinstance(branch, dict):
+        out = dict(fam.branches[0])
+        out.update(branch)
+        return out
+    if (isinstance(branch, (int, np.integer)) and not isinstance(branch, bool)
+            and 0 <= branch < len(fam.branches)):
         return fam.branches[branch]
-    out = dict(fam.branches[0])
-    out.update(branch)
-    return out
+    raise ValueError(f"branch must be null, an object or an index "
+                     f"0..{len(fam.branches) - 1}, not {branch!r}")
 
 
 def family_reduced(tag, free, branch=None):

@@ -352,7 +352,8 @@ def _pair_to_c(x):
     """Parse a number or an [re, im] pair; NaN and inf are rejected."""
     if isinstance(x, (int, float)):
         z = complex(x)
-    elif isinstance(x, (list, tuple)) and len(x) == 2:
+    elif (isinstance(x, (list, tuple)) and len(x) == 2
+          and all(isinstance(c, (int, float)) for c in x)):
         z = complex(float(x[0]), float(x[1]))
     else:
         raise ValueError(f"cannot parse complex value from {x!r}")
@@ -372,7 +373,9 @@ def params_from_dict(d):
     v = np.zeros((3, 3), complex)
     if "v" in d:
         rows = d["v"]
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        if not (isinstance(rows, (list, tuple)) and len(rows) == 3
+                and all(isinstance(r, (list, tuple)) and len(r) == 3
+                        for r in rows)):
             raise ValueError("v must be a 3x3 array")
         for i in range(3):
             for j in range(3):

@@ -1,15 +1,28 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import collections
+import enum
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import bethe_forge as bf
-from bethe_forge import cli
+from bethe_forge import bethe, cli
 from bethe_forge.cli import main
 
-PRESETS = Path(__file__).resolve().parents[1] / "src" / "bethe_forge" / "presets"
+SRC = Path(__file__).resolve().parents[1] / "src"
+PRESETS = SRC / "bethe_forge" / "presets"
+
+
+GB_FREE = {"p": [1, 0], "q": [0.6, 0.2], "t1": [0.9, -0.4],
+           "t2": [1.1, 0.3], "tp": [0.7, 0.5]}
 
 
 def write_params(tmp_path, params, name="h.json"):
@@ -112,6 +125,41 @@ class TestClassifyCommand:
         path.write_text(json.dumps(data))
         assert main(["classify", str(path)]) == 2
         assert "CBA-solvable" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content", [
+        {"family": "gB", "free": 5},
+        {"family": "gB", "free": GB_FREE, "branch": 7},
+        {"family": ["gB"]},
+        {"p": [1, 0], "v": 5},
+        {"p": [1, 0], "v": [1, 2, 3]},
+        {"p": [1, 0], "v": [[0, 0, 0], [0, 0, 0], 5]},
+        {"p": [1, None]},
+        {"family": "gB", "free": GB_FREE, "half_constrained": "no"},
+        {"family": "gB", "free": GB_FREE, "half_constrained": True},
+        {"family": "gB", "free": GB_FREE, "branch": True},
+        {"family": "gB", "free": GB_FREE, "branch": -1},
+        {"family": "gB", "free": GB_FREE, "branch": 1.0},
+        b'{"family": "gB\xff"}',
+        "directory",
+    ], ids=["free-not-object", "branch-out-of-range", "family-not-string",
+            "v-not-array", "v-flat", "v-row-not-array", "pair-with-null",
+            "half-constrained-string", "no-half-constrained-form",
+            "branch-bool", "branch-negative", "branch-float", "not-utf8",
+            "directory"])
+    def test_malformed_file_exit_2(self, tmp_path, capsys, content):
+        """Malformed fields, undecodable bytes and an unreadable path are
+        parse errors: exit 2, a "parse error:" line and no verdict."""
+        path = tmp_path / "bad.json"
+        if content == "directory":
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(json.dumps(content))
+        assert main(["classify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parse error:")
+        assert captured.out == ""
 
 
 class TestOverflowingInput:
@@ -316,3 +364,163 @@ class TestCatalogCommand:
         out = capsys.readouterr().out
         assert "10 solution families" in out
         assert "gIK" in out and "14V2" in out
+
+
+def _jsonable(obj):
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (np.complexfloating,)):
+        return _jsonable(complex(obj))
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(x) for x in obj.tolist()]
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(x) for x in obj]
+    return obj
+
+
+def _reference_dumps(obj):
+    """The --json encoder that cli.to_json replaced: convert, then json's
+    pure-Python indent encoder."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2)
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e-300,
+                     1.7976931348623157e308, 1e16, float("nan"),
+                     float("inf"), float("-inf")]))
+_NUMPY_SCALARS = st.one_of(
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.complex_numbers().map(np.complex128))
+_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=3)),
+    hnp.arrays(np.complex128, hnp.array_shapes(max_dims=2, max_side=3)))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS, st.text(),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    _NUMPY_SCALARS, _ARRAYS)
+_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.floats(),
+                  st.booleans(), st.none())
+_VALUES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(_KEYS, kids, max_size=4)), max_leaves=20)
+
+
+class TestJsonReport:
+    """cli.to_json prints the bytes of the encoder it replaced."""
+
+    @staticmethod
+    def _printed_and_reference(argv, capsys, monkeypatch):
+        reports = []
+        for name in ("run_classify", "run_spectrum", "run_catalog"):
+            run = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda cfg, run=run: reports.append(run(cfg))
+                or reports[-1])
+        main(argv)
+        (report,) = reports
+        return capsys.readouterr().out, _reference_dumps(report) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["catalog"],
+        ["classify", str(PRESETS / "gZF.json")],
+        ["verify", str(PRESETS / "gB.json"), "--L", "5", "--M", "0..3"],
+        ["verify", str(PRESETS / "14V2.json"), "--L", "6", "--M", "0..3"],
+        ["spectrum", str(PRESETS / "izergin_korepin.json"), "--L", "5",
+         "--M", "1..3"],
+        ["verify", str(PRESETS / "17V2.json"), "--L", "7", "--M", "2..3"],
+    ])
+    def test_every_mode(self, argv, capsys, monkeypatch):
+        printed, reference = self._printed_and_reference(
+            argv + ["--json"], capsys, monkeypatch)
+        assert printed == reference
+
+    def test_unclassified_and_unsolvable(self, capsys, monkeypatch, tmp_path,
+                                         rng):
+        """An unclassified input reports raw S and N at sample momenta; an
+        overflowing one an infinite constraint residual."""
+        from conftest import cdraw, random_params
+        free = dict(p=cdraw(rng), q=cdraw(rng), tp=cdraw(rng), t2=cdraw(rng),
+                    t3=cdraw(rng), s3=cdraw(rng), X22=cdraw(rng))
+        inputs = [bf.construct("17V1a", free, half_constrained=True),
+                  random_params(rng).replace(p=1e308, q=1e308)]
+        printed = []
+        for i, h in enumerate(inputs):
+            path = write_params(tmp_path, h, f"h{i}.json")
+            out, reference = self._printed_and_reference(
+                ["classify", path, "--json"], capsys, monkeypatch)
+            assert out == reference
+            printed.append(out)
+            monkeypatch.undo()
+        assert '"unclassified": true' in printed[0]
+        assert '"max_constraint_residual": Infinity' in printed[1]
+
+    def test_singular_null_and_equivalent_root_sets(self, capsys, monkeypatch,
+                                                    tmp_path, rng):
+        """A sector whose solver hands over a singular, a null, a
+        non-eigenvector and repeated root sets, as in TestCheckRoots."""
+        from conftest import cdraw, draw_free
+        free = draw_free("14V1", rng)
+        path = write_params(tmp_path, bf.construct("14V1", free, {"eps": 1}))
+        solve = bf.oracle.solve_bae
+
+        def batch(h, L, M, cfg):
+            sols = [s for s in solve(h, L, M, cfg) if not s.degenerate_flag]
+            K = np.exp(2j * np.pi * bf.momentum(sols[0].z, L) / L)
+            taup, w, u = free["tp"] / free["p"], np.sqrt(K), cdraw(rng)
+
+            def sol(z):
+                return bethe.BetheSolution(tuple(z), bf.energy(h, z), 0.0)
+            again = [sol(s.z[::-1]) for s in sols]
+            return ([sol([taup, K / taup]), sol([w, w]), sol([u, K / u])]
+                    + sols + again)
+
+        monkeypatch.setattr(bf.oracle, "solve_bae", batch)
+        printed, reference = self._printed_and_reference(
+            ["spectrum", path, "--L", "4", "--M", "2", "--json"], capsys,
+            monkeypatch)
+        assert printed == reference
+        entries = json.loads(printed)["sectors"][0]["solutions"]
+        assert entries[0]["eigenvector"].startswith("failed:")
+        assert entries[1]["eigenvector"] == "null"
+        assert entries[2]["verified"] is False
+        assert any(e.get("equivalent_state") for e in entries)
+
+    @given(_VALUES)
+    def test_nested_values(self, value):
+        assert cli.to_json(value) == _reference_dumps(value)
+
+    def test_subclasses_and_other_numpy_types(self):
+        point = collections.namedtuple("point", "x y")
+        value = [collections.OrderedDict(b=1, a=point(2.5, -0.0)),
+                 enum.IntEnum("n", "one two").two, np.str_("\u00e9"),
+                 np.complex64(1 + 2j), np.float16(0.1), np.uint8(7),
+                 np.array([[1, 2]], dtype=np.int32), np.array([True])]
+        assert cli.to_json(value) == _reference_dumps(value)
+
+    @pytest.mark.parametrize("value", [object(), {"a": [1, {2}]}, b"bytes",
+                                       np.datetime64("2020-01-01")])
+    def test_other_objects_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _reference_dumps(value)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli.to_json(value)
+
+
+def test_python_dash_m_runs_the_cli():
+    """python -m bethe_forge runs the command line from a checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "bethe_forge", "catalog",
+                           "--json"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["families"]) == 10
