@@ -22,14 +22,21 @@ come from Lambda by one FFT (_m2_pairs).  Its companion roots give every
 solution; one Newton step, kept where it lowers the BAE residual, polishes
 each (_polish).
 
-M = 3 runs damped Newton from all multisets of the trivial-scattering roots
-plus random points, over all seeds as one batch.  Each iteration takes
-dLambda in one call over the M(M-1) ordered pairs of every row still
-iterating (constraints.ordered_pairs); the Lambda table, and F with it,
-comes from the line search that accepted the row's point.  The line search
-tries the full step on every row, then the shorter steps DAMPING^1 ..
-DAMPING^5 at once on the rows the full step made worse, then DAMPING^6 ..
-DAMPING^24 on the rows still worse; each row takes the first step that
+M = 3 is solved one translation block at a time as well.  S(a, b) S(b, a)
+= 1 gives (z1 z2 z3)^L = 1, so a solution lies on a line z1 z2 z3 = w =
+e^{2 pi i n / L}; damped Newton runs on the two unknowns (z1, z2) with z3 =
+w / (z1 z2), on F_1 = F_2 = 0 (F_3 then vanishes where no Lambda does).
+The starts are fixed (_block_starts): every multiset of three distinct
+L-th roots of unity, the S = -1 solutions, in the block of its product, and
+the same Halton grid of (z1, z2) points in every block; no start depends
+on the seed.  All starts run as one batch.  Each iteration takes F and its
+3 x 3 Jacobian from _bae_system, reduces the Jacobian to the 2 x 2 one of
+the block by the chain rule, and solves it in closed form (_block_steps);
+the Lambda table, and F with it, comes from the line search that accepted
+the row's point, and the residual is that of all three F_j.  The line
+search tries the full step on every row, then the shorter steps DAMPING^1
+.. DAMPING^5 at once on the rows the full step made worse, then DAMPING^6
+.. DAMPING^24 on the rows still worse; each row takes the first step that
 lowers its residual and is dropped as stuck if none does.  A row stops
 when its relative residual reaches NEWTON_TOL (converged), when it is
 stuck, when its Jacobian is singular, at the iteration cap, or when it has
@@ -38,9 +45,15 @@ iterations earlier (converged rows are taken out first).  Near a root of
 multiplicity k a Newton step cuts the residual to at most ((k-1)/k)^k <=
 0.30 of itself, so no row that has reached a root's basin stalls; the rows
 that do wander until the cap, and an iteration costs about the same for a
-few rows as for the whole batch.  Rows never interact (nothing is shared or
-reduced across them), so each row follows the path it would follow alone,
-whatever the batch around it.
+few rows as for the whole batch.  A converged row is kept only if one more
+Newton step at its point is at most DEDUP_TOL max(1, max |z|): near a
+coincident point the system is degenerate (F_1 = F_2 on z1 = z2), Newton
+converges there only linearly and reaches NEWTON_TOL about 1e-3 from the
+point, and such sets pass the BAE check but fail as eigenvectors.  Rows
+never interact (nothing is shared or reduced across them), so each row
+follows the path it would follow alone, whatever the batch around it.
+Completeness of Bethe roots: Hao, Nepomechie and Sommese,
+arXiv:1308.4645.
 
 S, N, the plane-wave amplitudes A and the singular rule all come from the
 pair table of constraints (_PairTable): the BAE residuals of a whole batch
@@ -83,6 +96,7 @@ from .constraints import (_PairTable, lambda_fn, lambda_grad, ordered_pairs,
 from .hamiltonian import invariants, sector_basis
 
 DAMPING = 0.5            # line-search step factor
+GRID_STARTS = 600        # M = 3 Halton starts per solve, ceil(600 / L) a block
 NEWTON_TOL = 1e-12       # Newton stops below this relative residual
 STALL_WINDOW = 20        # Newton drops a row whose relative residual is not
 STALL_FACTOR = 10.0      # STALL_FACTOR below its value STALL_WINDOW steps ago
@@ -102,8 +116,7 @@ class BetheSolution:
 
 @dataclass
 class SolverConfig:
-    seed: int = 0
-    random_seeds: int = 300     # random Newton starts, M = 3 only
+    seed: int = 0               # trivial-S probe only; no root set uses it
     max_iter: int = 200         # Newton iteration cap, M = 3 only
     bae_tol: float = 1e-10
 
@@ -301,14 +314,35 @@ def _solve_steps(Jac, F):
         return step, ok
 
 
-def _newton_batch(params, Z0, L, cfg):
-    """Damped Newton on the cleared BAE system, over a batch of seeds.
+def _on_line(Z2, w):
+    """The (n, 3) points (z1, z2, w / (z1 z2)) of an (n, 2) batch."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.column_stack([Z2, w / (Z2[:, 0] * Z2[:, 1])])
 
-    Returns the converged rows, in seed order.
+
+def _block_steps(params, Z, L, lam=None):
+    """Newton steps on (z1, z2) of the block system F_1 = F_2 = 0, z3 = w /
+    (z1 z2), for an (n, 3) batch on its block lines: non-finite where the
+    2 x 2 Jacobian is singular.  By the chain rule the Jacobian is
+    J[:2, :2] - J[:2, 2] (z3/z1, z3/z2) of the 3 x 3 one of _bae_system."""
+    F, Jac = _bae_system(params, Z, L, 1.0, lam)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        A = Jac[:, :2, :2] - Jac[:, :2, 2:] * (Z[:, 2:] / Z[:, :2])[:, None, :]
+        det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
+        return np.column_stack([A[:, 1, 1] * F[:, 0] - A[:, 0, 1] * F[:, 1],
+                                A[:, 0, 0] * F[:, 1] - A[:, 1, 0] * F[:, 0]]
+                               ) / -det[:, None]
+
+
+def _newton_batch(params, Z0, w, L, cfg):
+    """Damped Newton on the cleared M = 3 BAE system, over a batch of starts
+    Z0 on their block lines z1 z2 z3 = w.
+
+    Returns the converged rows that one more Newton step moves by at most
+    DEDUP_TOL max(1, max |z|), in start order.
     """
     Z = np.array(Z0, complex)
-    n, M = Z.shape
-    sign = (-1.0) ** (M - 1)
+    n = len(Z)
     # step factors of the line search: 1, d, d^2, ... while above 1e-8, at
     # most 25 of them; the shorter ones are tried in two stages, d^1..d^5
     # first (most rows take one of them), the rest on the rows still worse
@@ -319,7 +353,7 @@ def _newton_batch(params, Z0, L, cfg):
 
     # the Lambda table of each row's current point, carried from the line
     # search that accepted it into the next F and Jacobian
-    res, lam = _residual(params, Z, L, sign)
+    res, lam = _residual(params, Z, L, 1.0)
     active = np.flatnonzero(np.isfinite(res))
     converged = np.zeros(n, bool)
     # past[it % STALL_WINDOW] holds every row's residual at iteration it,
@@ -336,29 +370,24 @@ def _newton_batch(params, Z0, L, cfg):
         past[it % STALL_WINDOW] = res
         if not active.size:
             break
-        F, Jac = _bae_system(params, Z[active], L, sign, lam[active])
-        det = np.linalg.det(Jac)
-        ok = np.isfinite(det) & (np.abs(det) != 0)
-        active, F, Jac = active[ok], F[ok], Jac[ok]
-        if not active.size:
-            break
-        step, ok = _solve_steps(Jac, F)
+        step = _block_steps(params, Z[active], L, lam[active])
+        ok = np.all(np.isfinite(step), axis=1)
         active, step = active[ok], step[ok]
         if not active.size:
             break
         # line search: the full step for every row, then the shorter steps
         # stage by stage for the rows still worse; each row takes its first
         # step factor that lowers its residual, or is dropped as stuck
-        Za, r0 = Z[active], res[active]
-        trial = Za + damps[0] * step
-        rt, lt = _residual(params, trial, L, sign)
+        Za, wa, r0 = Z[active, :2], w[active], res[active]
+        trial = _on_line(Za + damps[0] * step, wa)
+        rt, lt = _residual(params, trial, L, 1.0)
         worse = np.flatnonzero(~(rt < r0))
         for factors in stages:
             if not worse.size:
                 break
             tw = Za[worse] + factors[:, None, None] * step[worse]
-            tw = tw.reshape(-1, M)
-            rw, lw = _residual(params, tw, L, sign)
+            tw = _on_line(tw.reshape(-1, 2), np.tile(wa[worse], len(factors)))
+            rw, lw = _residual(params, tw, L, 1.0)
             better = rw.reshape(len(factors), -1) < r0[worse]
             first = np.argmax(better, axis=0)
             found = better[first, np.arange(len(worse))]
@@ -372,7 +401,45 @@ def _newton_batch(params, Z0, L, cfg):
         Z[active] = trial[kept]
         res[active], lam[active] = rt[kept], lt[kept]
     converged[active[res[active] <= NEWTON_TOL]] = True
-    return Z[converged]
+    done = np.flatnonzero(converged)
+    step = _block_steps(params, Z[done], L, lam[done])
+    scale = np.maximum(1.0, np.max(np.abs(Z[done]), axis=1))
+    return Z[done[np.max(np.abs(step), axis=1) <= DEDUP_TOL * scale]]
+
+
+def _halton(n, base):
+    """Points 1..n of the van der Corput sequence in base."""
+    i, out, f = np.arange(1, n + 1), np.zeros(n), 1.0
+    while i.any():
+        f /= base
+        out += f * (i % base)
+        i //= base
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _block_starts(L):
+    """The M = 3 Newton starts and their block roots: read-only (n, 3) points
+    Z and (n,) roots w with z1 z2 z3 = w, an L-th root of unity.  First every
+    multiset of three distinct L-th roots of unity (S = -1 solutions), in the
+    block of its product; then, in every block, the same Halton grid of
+    ceil(GRID_STARTS / L) points (z1, z2) with z3 = w / (z1 z2): bases 2 and
+    3 give z1's radius, log-uniform in [1/2, 2], and phase, bases 5 and 7
+    give z2's.  Multisets with coincident roots are left out: they sit on
+    the degenerate set z_i = z_j."""
+    roots = np.exp(2j * np.pi * np.arange(L) / L)
+    trip = np.array(list(itertools.combinations(range(L), 3)),
+                    dtype=np.intp).reshape(-1, 3)
+    k = -(-GRID_STARTS // L)
+    r1, a1, r2, a2 = (_halton(k, b) for b in (2, 3, 5, 7))
+    grid = np.column_stack([2.0 ** (2 * r1 - 1) * np.exp(2j * np.pi * a1),
+                            2.0 ** (2 * r2 - 1) * np.exp(2j * np.pi * a2)])
+    wg = np.repeat(roots, k)
+    Z = np.concatenate([roots[trip], _on_line(np.tile(grid, (L, 1)), wg)])
+    w = np.concatenate([roots[trip.sum(axis=1) % L], wg])
+    Z.setflags(write=False)
+    w.setflags(write=False)
+    return Z, w
 
 
 def _m2_pairs(params, L):
@@ -467,20 +534,6 @@ def _multiset_seeds(L, M):
             for c in itertools.combinations_with_replacement(roots, M)]
 
 
-def _newton_seeds(L, M, rng, cfg):
-    """Newton starts: the multiset seeds, a perturbed copy of each one with
-    coincident entries, and cfg.random_seeds random points."""
-    seeds = _multiset_seeds(L, M)
-    # coincident entries can sit on a singular Jacobian; perturbed copies
-    # give Newton a way off the symmetric point
-    for s in list(seeds):
-        if len(set(s)) < M:
-            wiggle = 1e-2 * random_momenta(rng, M)
-            seeds.append(tuple(np.array(s) * (1 + wiggle)))
-    seeds += [tuple(random_momenta(rng, M)) for _ in range(cfg.random_seeds)]
-    return np.array(seeds, complex)
-
-
 def solve_bae(params, L, M, config=None):
     """All distinct Bethe-equation solutions found for the (L, M) sector."""
     cfg = config or SolverConfig()
@@ -503,7 +556,7 @@ def solve_bae(params, L, M, config=None):
     if M == 2:
         Z = _m2_pairs(params, L)
     else:
-        Z = _newton_batch(params, _newton_seeds(L, M, rng, cfg), L, cfg)
+        Z = _newton_batch(params, *_block_starts(L), L, cfg)
     Z = Z[~np.any(np.abs(Z) < 1e-8, axis=1)]
     res = _bae_residuals(params, Z, L)
     if M == 2:

@@ -34,6 +34,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -41,8 +42,8 @@ import numpy as np
 
 from . import constraints, families, oracle, reductions
 from .bethe import SolverConfig
-from .hamiltonian import (FRAME_WORDS, ChainSpec, GateViolation, _pair_to_c,
-                          apply_charge_conjugation, apply_frame,
+from .hamiltonian import (FRAME_WORDS, OFFDIAG_KEYS, ChainSpec, GateViolation,
+                          _pair_to_c, apply_charge_conjugation, apply_frame,
                           params_from_dict, params_to_dict, with_zero_v00)
 
 EXIT_OK = 0
@@ -178,9 +179,23 @@ class InputError(ValueError):
     pass
 
 
+PRESET_KEYS = ("family", "free", "branch", "half_constrained", "note")
+RAW_KEYS = OFFDIAG_KEYS + ("v", "note")
+
+
+def _known_keys(obj, allowed, what):
+    """Raise InputError naming the keys of obj outside allowed: a misspelt
+    key would otherwise read as 0 or as the default."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise InputError(f"unknown {what} {', '.join(map(repr, unknown))} "
+                         f"(known: {', '.join(allowed) or 'none'})")
+
+
 def load_input(path):
     """Parse a Hamiltonian or preset file into parameters.  A file that
-    cannot be read, decoded or parsed, or holds malformed fields, raises
+    cannot be read, decoded or parsed, or holds malformed fields or keys
+    unknown to its form (a preset's family, or the raw Hamiltonian), raises
     InputError."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -201,10 +216,18 @@ def load_input(path):
                 raise InputError("free must be a JSON object")
             if not isinstance(half, bool):
                 raise InputError("half_constrained must be true or false")
+            fam = families.FAMILIES[tag]
+            _known_keys(data, PRESET_KEYS, "preset key")
+            names = fam.half_free_names if half else fam.free_names
+            if names is not None:       # else construct refuses the form
+                _known_keys(free, names, f"free parameter of {tag}")
             free = {k: _pair_to_c(v) for k, v in free.items()}
             if isinstance(branch, dict):
+                _known_keys(branch, tuple(fam.branches[0]),
+                            f"branch key of {tag}")
                 branch = {k: _pair_to_c(v) for k, v in branch.items()}
             return families.construct(tag, free, branch, half_constrained=half)
+        _known_keys(data, RAW_KEYS, "Hamiltonian key")
         return params_from_dict(data)
     except KeyError as exc:
         raise InputError(f"missing field {exc}") from exc
@@ -596,13 +619,19 @@ def main(argv=None):
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
-    if cfg.json_output:
-        print(to_json(report))
-    else:
-        print(text)
-    if cfg.mode == "verify" and not report.get("all_verified", False):
-        return EXIT_INTERNAL
-    return EXIT_OK
+    code = (EXIT_INTERNAL
+            if cfg.mode == "verify" and not report.get("all_verified", False)
+            else EXIT_OK)
+    try:
+        print(to_json(report) if cfg.json_output else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (`| head`): what is left cannot be
+        # written, and the interpreter's flush at exit must not try again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

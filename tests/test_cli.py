@@ -139,16 +139,27 @@ class TestClassifyCommand:
         {"family": "gB", "free": GB_FREE, "branch": True},
         {"family": "gB", "free": GB_FREE, "branch": -1},
         {"family": "gB", "free": GB_FREE, "branch": 1.0},
+        {"family": "gB", "free": GB_FREE, "bogus": 3},
+        {"family": "gB", "free": {**GB_FREE, "bogus": [3, 0]}},
+        {"family": "gB", "free": GB_FREE, "branch": {"foo": [1, 0]}},
+        {"family": "gZF", "free": {k: [1, 0] for k in ("p", "tp", "t2", "s1")},
+         "branch": {"J": [1, 0]}},
+        {"family": "17V2", "half_constrained": True, "free": {
+            k: [1, 0] for k in ("p", "q", "tp", "t2", "t3", "s3", "X22")}},
+        {"p": [1, 0], "t1": [1, 0], "bogus": 3},
         b'{"family": "gB\xff"}',
         "directory",
     ], ids=["free-not-object", "branch-out-of-range", "family-not-string",
             "v-not-array", "v-flat", "v-row-not-array", "pair-with-null",
             "half-constrained-string", "no-half-constrained-form",
-            "branch-bool", "branch-negative", "branch-float", "not-utf8",
-            "directory"])
+            "branch-bool", "branch-negative", "branch-float",
+            "unknown-preset-key", "unknown-free-name", "unknown-branch-key",
+            "branch-key-of-no-branch", "unknown-half-free-name",
+            "unknown-raw-key", "not-utf8", "directory"])
     def test_malformed_file_exit_2(self, tmp_path, capsys, content):
-        """Malformed fields, undecodable bytes and an unreadable path are
-        parse errors: exit 2, a "parse error:" line and no verdict."""
+        """Malformed fields, keys the file's form does not know, undecodable
+        bytes and an unreadable path are parse errors: exit 2, a "parse
+        error:" line and no verdict."""
         path = tmp_path / "bad.json"
         if content == "directory":
             path.mkdir()
@@ -524,3 +535,27 @@ def test_python_dash_m_runs_the_cli():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(proc.stdout)["families"]) == 10
+
+
+@pytest.mark.parametrize("args, code", [
+    (["catalog", "--json"], 0),
+    (["catalog"], 0),
+    (["verify", str(PRESETS / "gB.json"), "--L", "4", "--M", "1..2",
+      "--json"], 0),
+    (["verify", str(PRESETS / "gB.json"), "--L", "4", "--M", "1",
+      "--tol-eig", "1e-300"], 1),
+], ids=["catalog-json", "catalog-text", "verify-json", "verify-failing"])
+def test_reader_closing_early(args, code):
+    """A reader that closes the pipe before the report is written (as
+    `| head -c 100` can): no traceback, and the exit code the run computed
+    (1 for a verification that failed)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "bethe_forge", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == code, err
+    assert err == ""

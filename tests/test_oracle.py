@@ -191,7 +191,7 @@ class TestVerifySector:
         root sets are exactly what compare matched."""
         h, _ = family_instance(tag, rng)
         L, M, tol = 5, 2, 1e-8
-        cfg = bf.SolverConfig(random_seeds=20)
+        cfg = bf.SolverConfig()
         rep = bf.verify_sector(h, L, M, cfg, tol)
         assert len(rep.checks) == len(rep.solutions) > 0
         outcomes = [c.outcome for c in rep.checks]
@@ -267,7 +267,7 @@ class TestTranslationBlocks:
         """Every verified Bethe vector lies in the block of its momentum and
         its energy matches an eigenvalue of that block."""
         h, _ = family_instance(tag, rng)
-        cfg = bf.SolverConfig(random_seeds=20)
+        cfg = bf.SolverConfig()
         count = {}
         for L in (5, 6):
             for M in (1, 2, 3):
