@@ -92,7 +92,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (_PairTable, lambda_fn, lambda_grad, ordered_pairs,
-                          pair_row, random_momenta)
+                          pair_row, permutation_table, random_momenta)
 from .hamiltonian import invariants, sector_basis
 
 DAMPING = 0.5            # line-search step factor
@@ -594,8 +594,8 @@ def _assemble(table, L):
     vecs = np.zeros((n, len(X)), complex)
     scale = np.zeros(n)
     with np.errstate(all="ignore"):
-        for sigma in itertools.permutations(range(M)):
-            term = np.repeat(table.A(sigma)[:, None], len(X), axis=1)
+        for s, sigma in enumerate(permutation_table(M)[0]):
+            term = np.repeat(table.amps[:, s, None], len(X), axis=1)
             for j in range(M - 1):
                 term[:, doubled[:, j]] *= table.N(sigma[j], sigma[j + 1])[:, None]
             for k in range(M):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -544,7 +545,10 @@ def _parse_m_range(text):
     return m, m
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     ap = argparse.ArgumentParser(
         prog="bethe-forge",
         description="Classify and solve three-state spin-chain Hamiltonians "

@@ -9,16 +9,20 @@ and the double-occupancy decay coefficient is
 
 The pair table (_PairTable) is the one home of these: it takes Lambda over
 every ordered pair of an (n, M) momentum batch in one call and builds S, N,
-the plane-wave amplitude A(perm) (the product of S over the inversions of
-perm) and the singular rule from it.  s_matrix, n_factor and pair_row are
-one-row reads of that table (s_matrix and n_factor in Python complex
-arithmetic, as the Bethe solver's BAE residuals); the Bethe solver and
-eigenvector assembly read it too.
+the singular rule and amps, the (n, M!) plane-wave amplitudes of every
+permutation (the product of S over its inversions), from it.  amps is one
+gather-and-multiply pass per inversion over permutation_table's padded
+inversion index; A(perm) reads one column.  s_matrix, n_factor and
+pair_row are one-row reads of that table (s_matrix and n_factor in Python
+complex arithmetic, as the Bethe solver's BAE residuals); the Bethe solver
+and eigenvector assembly read it too.
 
 A Hamiltonian is CBA-solvable iff three symmetrized sums vanish identically in
 the momenta; this module tests that by randomized evaluation (a rational
 function vanishing at generic sample points vanishes identically, up to a
-measure-zero failure set).
+measure-zero failure set).  Each sum's summands are one (n, M!) array:
+amps times the integrand over the momenta gathered in every permutation's
+order, with N at its adjacent pairs.
 """
 
 from __future__ import annotations
@@ -32,17 +36,6 @@ import numpy as np
 from .hamiltonian import invariants
 
 S_SING_TOL = 1e-13
-
-_PERMS3 = list(itertools.permutations(range(3)))
-_PERMS4 = list(itertools.permutations(range(4)))
-
-
-@functools.lru_cache(maxsize=64)
-def _inversion_pairs(perm):
-    """The pairs (a, b), a < b, that the tuple perm puts out of order."""
-    pos = {v: i for i, v in enumerate(perm)}
-    return tuple((a, b) for a in range(len(perm)) for b in range(a + 1, len(perm))
-                 if pos[a] > pos[b])
 
 
 def _coeffs(params):
@@ -93,6 +86,30 @@ def ordered_pairs(M):
     for a in (I, J, col):
         a.setflags(write=False)
     return I, J, col
+
+
+@functools.lru_cache(maxsize=8)
+def permutation_table(M):
+    """Read-only tables of the M! permutations of range(M), in
+    itertools.permutations order: perms (M!, M); inv (M!, K), K = M(M-1)/2,
+    the ordered-pair positions (ordered_pairs' col[a, b]) of each
+    permutation's inversions (a, b), a < b, in (a, b) order; and index, the
+    map from a permutation tuple to its row.  Rows of inv are padded at the
+    front with M(M-1), the position of a column of ones: multiplying the
+    columns in turn onto a one then multiplies ones first, which is exact,
+    and each product takes the rounding of its unpadded product."""
+    perms = np.array(list(itertools.permutations(range(M))), int)
+    _, _, col = ordered_pairs(M)
+    pos = np.argsort(perms, axis=1)
+    K = M * (M - 1) // 2
+    inv = np.full((len(perms), K), M * (M - 1))
+    for r in range(len(perms)):
+        pairs = [col[a, b] for a in range(M) for b in range(a + 1, M)
+                 if pos[r, a] > pos[r, b]]
+        inv[r, K - len(pairs):] = pairs
+    for a in (perms, inv):
+        a.setflags(write=False)
+    return perms, inv, {tuple(p): r for r, p in enumerate(perms.tolist())}
 
 
 def _ratio(num, den):
@@ -169,14 +186,27 @@ class _PairTable:
     def N(self, i, j):
         return self._n[:, self.col[i, j]]
 
-    def A(self, perm):
-        """Plane-wave coefficient of perm: the product of S over its
+    @functools.cached_property
+    def amps(self):
+        """(n, M!) plane-wave coefficients of every permutation, in
+        permutation_table order: the product of S over the permutation's
         inversions (A_id = 1, A_{sigma T_j} = S(z_{sigma(j)}, z_{sigma(j+1)})
-        A_sigma)."""
-        out = np.ones(self.Z.shape[0], complex)
-        for a, b in _inversion_pairs(tuple(perm)):
-            out = out * self.S(a, b)
+        A_sigma), multiplied onto a one in (a, b) order."""
+        _, inv, _ = permutation_table(self.Z.shape[1])
+        s = np.concatenate([self._s, np.ones((len(self.Z), 1), self._s.dtype)],
+                           axis=1)
+        out = np.ones((len(self.Z), len(inv)), complex)
+        for k in range(inv.shape[1]):
+            out = out * s[:, inv[:, k]]
         return out
+
+    def A(self, perm):
+        """The amps column of perm."""
+        return self.amps[:, permutation_table(self.Z.shape[1])[2][tuple(perm)]]
+
+    def adjacent_n(self, perms, k):
+        """(n, len(perms)) N(perm[k], perm[k+1]) of each row of perms."""
+        return self._n[:, self.col[perms[:, k], perms[:, k + 1]]]
 
 
 def pair_row(params, z):
@@ -201,45 +231,38 @@ def n_factor(params, z1, z2):
 
 
 def _e21_terms(params, table):
-    h, inv, Z = params, invariants(params), table.Z
-    terms = []
-    for perm in _PERMS3:
-        a, b, c = (Z[:, i] for i in perm)
-        i, j, k = perm
-        w = c * (table.N(i, j) * (inv.X21 - h.q * (a + b)
-                                  - h.p * (1 / a + 1 / b + 1 / c)
-                                  + h.tp / (a * b))
-                 + table.N(j, k) * h.s3 * b + h.t2 / a)
-        terms.append(table.A(perm) * w)
-    return terms
+    h, inv = params, invariants(params)
+    perms, _, _ = permutation_table(3)
+    a, b, c = (table.Z[:, perms[:, k]] for k in range(3))
+    w = c * (table.adjacent_n(perms, 0) * (inv.X21 - h.q * (a + b)
+                                           - h.p * (1 / a + 1 / b + 1 / c)
+                                           + h.tp / (a * b))
+             + table.adjacent_n(perms, 1) * h.s3 * b + h.t2 / a)
+    return table.amps * w
 
 
 def _e12_terms(params, table):
-    h, inv, Z = params, invariants(params), table.Z
-    terms = []
-    for perm in _PERMS3:
-        a, b, c = (Z[:, i] for i in perm)
-        i, j, k = perm
-        w = (1 / a) * (table.N(j, k) * (inv.X12 - h.q * (a + b + c)
-                                        - h.p * (1 / b + 1 / c) + h.sp * b * c)
-                       + table.N(i, j) * h.t3 / b + h.t1 * c)
-        terms.append(table.A(perm) * w)
-    return terms
+    h, inv = params, invariants(params)
+    perms, _, _ = permutation_table(3)
+    a, b, c = (table.Z[:, perms[:, k]] for k in range(3))
+    w = (1 / a) * (table.adjacent_n(perms, 1) * (inv.X12 - h.q * (a + b + c)
+                                                 - h.p * (1 / b + 1 / c)
+                                                 + h.sp * b * c)
+                   + table.adjacent_n(perms, 0) * h.t3 / b + h.t1 * c)
+    return table.amps * w
 
 
 def _e22_terms(params, table):
-    h, inv, Z = params, invariants(params), table.Z
-    terms = []
-    for perm in _PERMS4:
-        a, b, c, d = (Z[:, i] for i in perm)
-        i, j, k, l = perm
-        w = c * d * (table.N(i, j) * table.N(k, l)
-                     * (inv.X22 + inv.Y + h.tp / (a * b)
-                        - h.q * (a + b + c + d) + h.sp * c * d
-                        - h.p * (1 / a + 1 / b + 1 / c + 1 / d))
-                     + table.N(k, l) * h.t2 / a + table.N(i, j) * h.t1 * d)
-        terms.append(table.A(perm) * w)
-    return terms
+    h, inv = params, invariants(params)
+    perms, _, _ = permutation_table(4)
+    a, b, c, d = (table.Z[:, perms[:, k]] for k in range(4))
+    n01, n23 = table.adjacent_n(perms, 0), table.adjacent_n(perms, 2)
+    w = c * d * (n01 * n23
+                 * (inv.X22 + inv.Y + h.tp / (a * b)
+                    - h.q * (a + b + c + d) + h.sp * c * d
+                    - h.p * (1 / a + 1 / b + 1 / c + 1 / d))
+                 + n23 * h.t2 / a + n01 * h.t1 * d)
+    return table.amps * w
 
 
 _CONSTRAINTS = {"E21": (3, _e21_terms), "E12": (3, _e12_terms), "E22": (4, _e22_terms)}
@@ -251,8 +274,8 @@ def _constraint_batch(params, Z, which):
     table = _PairTable(params, Z)
     bad = table.singular()
     terms = term_fn(params, table)
-    total = sum(terms)
-    scale = np.maximum.reduce([np.abs(t) for t in terms])
+    total = sum(terms.T)       # added in permutation order
+    scale = np.abs(terms).max(axis=1)
     rel = np.abs(total) / np.where(scale > 0, scale, 1.0)
     return rel, bad
 
@@ -269,7 +292,7 @@ def _single(params, z, which):
         raise ValueError("resample momenta: Lambda singular at this point")
     # where Lambda vanishes identically on this parameter ray, resampling
     # cannot help: S and N are NaN there, and so is the sum
-    return complex(sum(_CONSTRAINTS[which][1](params, table))[0])
+    return complex(sum(_CONSTRAINTS[which][1](params, table).T)[0])
 
 
 def constraint_e21(params, z):

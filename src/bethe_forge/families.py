@@ -8,12 +8,18 @@ u of  v^4 u^2 + (1+2v-v^2) u + 1 = 0  for gIK, a primitive cube root of unity
 J for gB and SB5, a sign eps for 17V1a and 14V1, a square root of -1 for
 17V1b.
 
+Each family's closed-form relations give a member's fingerprint
+(couplings): its ten off-diagonals and the diagonal invariants X11, Y,
+X12, X21, X22.  build wraps a fingerprint into HamiltonianParams, so the
+relations have one implementation.
+
 Classification works modulo parity / charge conjugation / time reversal and
 gauge: the gauge orbit only rescales (t1, t2) against (s1, s2) and every
 family keeps t2 free, so reading the free parameters off their slots absorbs
-the gauge exactly.  The classifier tries all eight P/C/T frames, every family
-and branch, reconstructs, and compares all off-diagonals plus the diagonal
-invariants.
+the gauge exactly.  The classifier tries all eight P/C/T frames and every
+family and branch: it reads the free parameters off the framed input, takes
+the member fingerprint they give, and compares it with the framed input's
+fingerprint, all candidates in one array pass.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import (DiagonalInvariants, HamiltonianParams, apply_frame,
-                          FRAME_WORDS, invariants, symmetric_diagonal)
+from .hamiltonian import (DiagonalInvariants, HamiltonianParams, OFFDIAG_KEYS,
+                          apply_frame, FRAME_WORDS, invariants,
+                          symmetric_diagonal)
 from . import constraints
 
 J_PLUS = np.exp(2j * np.pi / 3)
@@ -87,9 +94,22 @@ def _nonzero(**kw):
                 "choose an alternative presentation")
 
 
-def _assemble(inv_dict, V, **offdiag):
-    inv = DiagonalInvariants(V=V, **inv_dict)
-    return HamiltonianParams(v=symmetric_diagonal(inv), **offdiag)
+_ZEROS = (0j,) * len(OFFDIAG_KEYS)
+
+
+def _couplings(X11, Y, X12, X21, X22, **offdiag):
+    """A fingerprint from closed-form relations: the ten off-diagonals in
+    OFFDIAG_KEYS order (0 where not given), then X11, Y, X12, X21, X22."""
+    return (*map(offdiag.get, OFFDIAG_KEYS, _ZEROS), X11, Y, X12, X21, X22)
+
+
+def _member(fingerprint, V):
+    """The Hamiltonian of a fingerprint and V, with the symmetric_diagonal
+    representative of its invariants."""
+    X11, Y, X12, X21, X22 = fingerprint[10:]
+    inv = DiagonalInvariants(V=V, X11=X11, Y=Y, X12=X12, X21=X21, X22=X22)
+    return HamiltonianParams(v=symmetric_diagonal(inv),
+                             **dict(zip(OFFDIAG_KEYS, fingerprint[:10])))
 
 
 def _u_roots(v):
@@ -117,8 +137,15 @@ class Family:
     s_formula = ""
     n_formula = ""
 
-    def build(self, free, branch):
+    def couplings(self, free, branch):
+        """The fingerprint of the member of free and branch (_couplings),
+        from the family's closed-form relations.  Raises
+        DegenerateFamilyPoint where a relation divides by zero."""
         raise NotImplementedError
+
+    def build(self, free, branch):
+        """The member of free and branch, with free.get("V", 0) for V."""
+        return _member(self.couplings(free, branch), free.get("V", 0))
 
     def build_half(self, free, branch):
         raise ValueError(f"{self.name} has no half-constrained form")
@@ -130,16 +157,17 @@ class Family:
         return {n: getattr(inv if n in ("Y", "X22") else params, n)
                 for n in self.free_names}
 
-    def fit(self, params, inv, branch):
-        """(free values, fit residual) of params as a member of this family
-        and branch: the free values read_free reads, and the relative
-        distance of params from the member build makes of them; None where
-        read_free refuses.  Raises as build does where no member can be
-        built."""
+    def candidate(self, params, inv, branch):
+        """(free values, fingerprint, residual floor) of the member of this
+        family and branch that params would be: the free values read_free
+        reads and the member's fingerprint (couplings); params's fit
+        residual is the larger of the floor and the fingerprint distance
+        (_distances).  None where read_free refuses.  Raises as couplings
+        does where no member can be built."""
         free = self.read_free(params, inv, branch)
         if free is None:
             return None
-        return free, _param_distance(params, self.build(free, branch))
+        return free, self.couplings(free, branch), 0.0
 
     def reduced(self, free, branch):
         raise NotImplementedError
@@ -169,13 +197,12 @@ class GZF(Family):
     s_formula = "-(z1 z2 - tau_p(z1+z2-sigma z2) + tau_p^2) / (z1 z2 - tau_p(z1+z2-sigma z1) + tau_p^2)"
     n_formula = "tau_2 tau_p (z1-z2) / 2(z1 z2 - tau_p(z1+z2-sigma z1) + tau_p^2)"
 
-    def build(self, free, branch):
+    def couplings(self, free, branch):
         p, tp, t2, s1 = _require(free, "p", "tp", "t2", "s1")
         _nonzero(p=p, tp=tp)
-        return _assemble(
-            dict(X11=0, Y=2 * p**2 / tp, X12=(3 * p**2 - s1 * t2) / tp,
-                 X21=(3 * p**2 - s1 * t2) / tp, X22=(4 * p**2 - 2 * s1 * t2) / tp),
-            free.get("V", 0),
+        return _couplings(
+            X11=0, Y=2 * p**2 / tp, X12=(3 * p**2 - s1 * t2) / tp,
+            X21=(3 * p**2 - s1 * t2) / tp, X22=(4 * p**2 - 2 * s1 * t2) / tp,
             p=p, tp=tp, t2=t2, s1=s1,
             q=p**3 / tp**2, s3=p**3 / tp**2, t1=p**2 * t2 / tp**2,
             t3=p, s2=p**2 * s1 / tp**2, sp=p**4 / tp**3,
@@ -221,18 +248,20 @@ class GIK(Family):
         return (lo, hi) if branch["u"] == 0 else (hi, lo)
 
     def build(self, free, branch, us=None):
-        """The member of free and branch; us = (u_t1, u_s2) in place of
-        the roots of the u-quadratic at v, where given."""
+        return _member(self.couplings(free, branch, us), free.get("V", 0))
+
+    def couplings(self, free, branch, us=None):
+        """The fingerprint of the member of free and branch; us = (u_t1,
+        u_s2) in place of the roots of the u-quadratic at v, where given."""
         p, tp, t2, v = _require(free, "p", "tp", "t2", "v")
         _nonzero(p=p, tp=tp, t2=t2, v=v)
         u_t1, u_s2 = us or self._us(v, branch)
         pi = p**2 / tp
-        return _assemble(
-            dict(X11=v * (v + 1) * pi, Y=(v**2 + 1) * pi,
-                 X12=(v**2 + 1 - 1 / u_s2) * pi,
-                 X21=(v**2 + 1 - 1 / u_t1) * pi,
-                 X22=2 * (v + 1) * pi),
-            free.get("V", 0),
+        return _couplings(
+            X11=v * (v + 1) * pi, Y=(v**2 + 1) * pi,
+            X12=(v**2 + 1 - 1 / u_s2) * pi,
+            X21=(v**2 + 1 - 1 / u_t1) * pi,
+            X22=2 * (v + 1) * pi,
             p=p, tp=tp, t2=t2,
             sp=v**4 * p**4 / tp**3, q=v**2 * p**3 / tp**2,
             s3=v**2 * p**3 / tp**2, t3=p,
@@ -249,11 +278,11 @@ class GIK(Family):
             return None
         return dict(p=params.p, tp=params.tp, t2=params.t2, v=v)
 
-    def fit(self, params, inv, branch):
-        """As Family.fit, with u read off the t1 slot (_read_us) instead of
-        recomputed from v.  Near a double root of the u-quadratic (v = 1 or
-        v = -1/3) the roots move by about the square root of the rounding
-        in v, enough to lose the match.  The residual also holds the
+    def candidate(self, params, inv, branch):
+        """As Family.candidate, with u read off the t1 slot (_read_us)
+        instead of recomputed from v.  Near a double root of the u-quadratic
+        (v = 1 or v = -1/3) the roots move by about the square root of the
+        rounding in v, enough to lose the match.  The floor is the
         quadratic's relative residual at u_t1, and the branch must order
         the two roots as build does."""
         free = self.read_free(params, inv, branch)
@@ -266,8 +295,7 @@ class GIK(Family):
             return None
         terms = (v**4 * u_t1**2, (1 + 2 * v - v**2) * u_t1, 1)
         quad = abs(sum(terms)) / sum(abs(t) for t in terms)
-        candidate = self.build(free, branch, (u_t1, u_s2))
-        return free, max(_param_distance(params, candidate), quad)
+        return free, self.couplings(free, branch, (u_t1, u_s2)), quad
 
     @staticmethod
     def _read_us(params, free):
@@ -322,20 +350,19 @@ class GB(Family):
                  " - mu^2 tau_p(z1+z2) - J mu tau_p theta z2 + mu^2 tau_p^2")
     n_formula = "tau_2 tau_p mu^2 (z1-z2)(1 + mu z1 z2) / 2 L(z2,z1)"
 
-    def build(self, free, branch):
+    def couplings(self, free, branch):
         p, q, t1, t2, tp = _require(free, "p", "q", "t1", "t2", "tp")
         _nonzero(t1=t1, t2=t2, tp=tp)
         J = branch["J"]
         core = J * t1**2 * tp**2 - p * q * t2**2
         num = p**2 * t1**2 * t2 + J * p * q * t1 * t2**2 + J**2 * q**2 * t2**3
         den = t1**2 * t2 * tp
-        return _assemble(
-            dict(X11=J**2 * t1 * tp / t2,
-                 Y=(num - J**2 * t1**3 * tp**2) / den,
-                 X12=(num + t1**3 * tp**2) / den,
-                 X21=(num + J * t1**3 * tp**2) / den,
-                 X22=num / den),
-            free.get("V", 0),
+        return _couplings(
+            X11=J**2 * t1 * tp / t2,
+            Y=(num - J**2 * t1**3 * tp**2) / den,
+            X12=(num + t1**3 * tp**2) / den,
+            X21=(num + J * t1**3 * tp**2) / den,
+            X22=num / den,
             p=p, q=q, t1=t1, t2=t2, tp=tp,
             s1=J * core / (t1 * t2**2), s2=J**2 * core / t2**3,
             s3=-J**2 * p * t1 / t2, t3=-J * q * t2 / t1,
@@ -378,13 +405,12 @@ class SPR(Family):
                  " / ((tau_3^2-tau_3+1)z1 z2 - tau_p(z1+z2-tau_3 z1) + tau_p^2)")
     n_formula = "tau_2 tau_p (z1-z2) / 2((tau_3^2-tau_3+1)z1 z2 - tau_p(z1+z2-tau_3 z1) + tau_p^2)"
 
-    def build(self, free, branch):
+    def couplings(self, free, branch):
         p, q, tp, t2, t3 = _require(free, "p", "q", "tp", "t2", "t3")
         _nonzero(p=p, tp=tp, t2=t2)
         W = (t3**2 - t3 * p + p**2) / tp + q * tp / p
-        return _assemble(
-            dict(X11=0, Y=W, X12=W, X21=W, X22=W),
-            free.get("V", 0),
+        return _couplings(
+            X11=0, Y=W, X12=W, X21=W, X22=W,
             p=p, q=q, tp=tp, t2=t2, t3=t3,
             t1=q * t2 / p, s1=p * t3 / t2, s2=q * t3 / t2, s3=q * t3 / p,
             sp=q * (t3**2 - t3 * p + p**2) / (p * tp),
@@ -418,13 +444,12 @@ class SB5(Family):
     n_formula = ("-tau_2 (z1-z2)(theta z1 z2 + 1)"
                  " / 2(theta z1 z2(z2-J^2 z1) - upsilon z1 z2 + z2 - J z1)")
 
-    def build(self, free, branch):
+    def couplings(self, free, branch):
         p, q, t2, Y = _require(free, "p", "q", "t2", "Y")
         _nonzero(p=p, t2=t2)
         J = branch["J"]
-        return _assemble(
-            dict(X11=0, Y=Y, X12=Y, X21=Y, X22=Y),
-            free.get("V", 0),
+        return _couplings(
+            X11=0, Y=Y, X12=Y, X21=Y, X22=Y,
             p=p, q=q, t2=t2,
             t1=q * t2 / p, s1=-J**2 * p**2 / t2, s2=-J * p * q / t2,
             t3=-J**2 * p, s3=-J * q,
@@ -464,15 +489,14 @@ class V17_1A(Family):
     s_formula = "-1"
     n_formula = "tau_2 tau_p (z1-z2) / 2(z1-tau_p)(z2-tau_p)"
 
-    def build(self, free, branch):
+    def couplings(self, free, branch):
         p, q, tp, t2 = _require(free, "p", "q", "tp", "t2")
         _nonzero(p=p, tp=tp)
         e = branch["eps"]
         Y = p**2 / tp + q * tp / p
-        return _assemble(
-            dict(X11=0, Y=Y, X12=Y + e * p**2 / tp, X21=Y + e * q * tp / p,
-                 X22=(1 + e) * Y),
-            free.get("V", 0),
+        return _couplings(
+            X11=0, Y=Y, X12=Y + e * p**2 / tp, X21=Y + e * q * tp / p,
+            X22=(1 + e) * Y,
             p=p, q=q, tp=tp, t2=t2,
             sp=p * q / tp, t1=q * t2 / p, s3=e * q, t3=e * p,
         )
@@ -482,11 +506,10 @@ class V17_1A(Family):
             free, "p", "q", "tp", "t2", "t3", "s3", "X22")
         _nonzero(p=p, tp=tp)
         Y = p**2 / tp + q * tp / p
-        return _assemble(
-            dict(X11=0, Y=Y, X12=Y + p * t3 / tp, X21=Y + tp * s3 / p, X22=X22),
-            free.get("V", 0),
+        return _member(_couplings(
+            X11=0, Y=Y, X12=Y + p * t3 / tp, X21=Y + tp * s3 / p, X22=X22,
             p=p, q=q, tp=tp, t2=t2, sp=p * q / tp, t1=q * t2 / p, t3=t3, s3=s3,
-        )
+        ), free.get("V", 0))
 
     def reduced(self, free, branch):
         p, q, tp, t2 = _require(free, "p", "q", "tp", "t2")
@@ -509,15 +532,14 @@ class V17_1B(Family):
     s_formula = "-1"
     n_formula = "tau_2 tau_p (z1-z2) / 2(z1-tau_p)(z2-tau_p)"
 
-    def build(self, free, branch):
+    def couplings(self, free, branch):
         p, tp, t2 = _require(free, "p", "tp", "t2")
         _nonzero(p=p, tp=tp)
         I = branch["I"]
         pi = p**2 / tp
-        return _assemble(
-            dict(X11=0, Y=(1 + I) * pi, X12=(2 * I + 1) * pi,
-                 X21=(I + 2) * pi, X22=(1 + I) * pi),
-            free.get("V", 0),
+        return _couplings(
+            X11=0, Y=(1 + I) * pi, X12=(2 * I + 1) * pi,
+            X21=(I + 2) * pi, X22=(1 + I) * pi,
             p=p, tp=tp, t2=t2,
             q=I * p**3 / tp**2, t3=I * p, s3=p**3 / tp**2,
             sp=I * p**4 / tp**3, t1=I * p**2 * t2 / tp**2,
@@ -543,14 +565,13 @@ class V17_2(Family):
     n_formula = ("-tau_2 (z1-z2)(z1 z2 - tau_p^2)"
                  " / 2(theta tau_p z1 z2 - (theta tau_p^2+1)z1 + tau_p)(z1-tau_p)(z2-tau_p)")
 
-    def build(self, free, branch):
+    def couplings(self, free, branch):
         p, q, tp, t2 = _require(free, "p", "q", "tp", "t2")
         _nonzero(p=p, tp=tp)
         Y = p**2 / tp + q * tp / p
-        return _assemble(
-            dict(X11=Y, Y=Y, X12=2 * p**2 / tp + q * tp / p,
-                 X21=p**2 / tp + 2 * q * tp / p, X22=2 * Y),
-            free.get("V", 0),
+        return _couplings(
+            X11=Y, Y=Y, X12=2 * p**2 / tp + q * tp / p,
+            X21=p**2 / tp + 2 * q * tp / p, X22=2 * Y,
             p=p, q=q, tp=tp, t2=t2,
             sp=p * q / tp, t1=-p**2 * t2 / tp**2, s3=q, t3=p,
         )
@@ -559,13 +580,12 @@ class V17_2(Family):
         p, q, tp, t2, t3, s3 = _require(free, "p", "q", "tp", "t2", "t3", "s3")
         _nonzero(p=p, q=q, tp=tp)
         Y = p**2 / tp + q * tp / p
-        return _assemble(
-            dict(X11=Y, Y=Y, X12=2 * Y - q * tp * t3 / p**2,
-                 X21=2 * Y - p**2 * s3 / (q * tp), X22=2 * Y),
-            free.get("V", 0),
+        return _member(_couplings(
+            X11=Y, Y=Y, X12=2 * Y - q * tp * t3 / p**2,
+            X21=2 * Y - p**2 * s3 / (q * tp), X22=2 * Y,
             p=p, q=q, tp=tp, t2=t2,
             sp=p * q / tp, t1=-p**2 * t2 / tp**2, t3=t3, s3=s3,
-        )
+        ), free.get("V", 0))
 
     def reduced(self, free, branch):
         p, q, tp, t2 = _require(free, "p", "q", "tp", "t2")
@@ -592,14 +612,13 @@ class V14_1(Family):
     s_formula = "-(z2-tau_p)/(z1-tau_p)"
     n_formula = "tau_2 (z1-z2)(z1 z2 - tau_p^2) / 2(z1-tau_p)^2(z2-tau_p)"
 
-    def build(self, free, branch):
+    def couplings(self, free, branch):
         p, tp, t2, X22 = _require(free, "p", "tp", "t2", "X22")
         _nonzero(p=p, tp=tp)
         e = branch["eps"]
         pi = p**2 / tp
-        return _assemble(
-            dict(X11=pi, Y=pi, X12=2 * pi, X21=X22 - pi, X22=X22),
-            free.get("V", 0),
+        return _couplings(
+            X11=pi, Y=pi, X12=2 * pi, X21=X22 - pi, X22=X22,
             p=p, tp=tp, t2=t2, t1=-p**2 * t2 / tp**2, t3=e * p,
         )
 
@@ -608,11 +627,10 @@ class V14_1(Family):
             free, "p", "tp", "t2", "t3", "X21", "X22")
         _nonzero(p=p, tp=tp)
         pi = p**2 / tp
-        return _assemble(
-            dict(X11=pi, Y=pi, X12=2 * pi, X21=X21, X22=X22),
-            free.get("V", 0),
+        return _member(_couplings(
+            X11=pi, Y=pi, X12=2 * pi, X21=X21, X22=X22,
             p=p, tp=tp, t2=t2, t1=-p**2 * t2 / tp**2, t3=t3,
-        )
+        ), free.get("V", 0))
 
     def reduced(self, free, branch):
         p, tp, t2, X22 = _require(free, "p", "tp", "t2", "X22")
@@ -637,13 +655,12 @@ class V14_2(Family):
     s_formula = "-1"
     n_formula = "tau_2 (z1-z2)(z1 z2 + tau_p^2) / 2 tau_p (z1-tau_p)(z2-tau_p)"
 
-    def build(self, free, branch):
+    def couplings(self, free, branch):
         p, tp, t2 = _require(free, "p", "tp", "t2")
         _nonzero(p=p, tp=tp)
         pi = p**2 / tp
-        return _assemble(
-            dict(X11=0, Y=pi, X12=pi, X21=0, X22=0),
-            free.get("V", 0),
+        return _couplings(
+            X11=0, Y=pi, X12=pi, X21=0, X22=0,
             p=p, tp=tp, t2=t2, t1=p**2 * t2 / tp**2, t3=-p,
         )
 
@@ -652,11 +669,10 @@ class V14_2(Family):
         _nonzero(p=p, tp=tp, t2=t2)
         pi = p**2 / tp
         X = (p**2 * t2 - tp**2 * t1) / (tp * t2)
-        return _assemble(
-            dict(X11=0, Y=pi, X12=pi, X21=X, X22=X),
-            free.get("V", 0),
+        return _member(_couplings(
+            X11=0, Y=pi, X12=pi, X21=X, X22=X,
             p=p, tp=tp, t1=t1, t2=t2, t3=-tp**2 * t1 / (p * t2),
-        )
+        ), free.get("V", 0))
 
     def reduced(self, free, branch):
         p, tp, t2 = _require(free, "p", "tp", "t2")
@@ -739,20 +755,30 @@ class FamilyMatch:
     all_matches: list = field(default_factory=list)
 
 
+def _fingerprint(params):
+    """The 15 couplings the classifier compares: the ten off-diagonals in
+    OFFDIAG_KEYS order, then the diagonal invariants X11, Y, X12, X21, X22
+    (not V)."""
+    inv = invariants(params)
+    return (tuple(getattr(params, k) for k in OFFDIAG_KEYS)
+            + (inv.X11, inv.Y, inv.X12, inv.X21, inv.X22))
+
+
+def _distances(fa, fb):
+    """Row-wise relative distance of two (K, 15) fingerprint arrays: the
+    largest slot difference over the largest magnitude in either row, 0
+    where both rows vanish."""
+    with np.errstate(all="ignore"):     # a NaN distance matches nothing
+        scale = np.maximum(np.abs(fa).max(axis=1), np.abs(fb).max(axis=1))
+        diff = np.abs(fa - fb).max(axis=1)
+        return np.divide(diff, scale, out=np.zeros_like(diff),
+                         where=scale != 0)
+
+
 def _param_distance(a, b):
     """Relative distance over off-diagonals and diagonal invariants (not V)."""
-    ia, ib = invariants(a), invariants(b)
-    vals_a = [getattr(a, k) for k in
-              ("p", "q", "t1", "t2", "s1", "s2", "t3", "s3", "tp", "sp")]
-    vals_b = [getattr(b, k) for k in
-              ("p", "q", "t1", "t2", "s1", "s2", "t3", "s3", "tp", "sp")]
-    for k in ("X11", "Y", "X12", "X21", "X22"):
-        vals_a.append(getattr(ia, k))
-        vals_b.append(getattr(ib, k))
-    scale = max(max(abs(x) for x in vals_a), max(abs(x) for x in vals_b))
-    if scale == 0:
-        return 0.0
-    return max(abs(x - y) for x, y in zip(vals_a, vals_b)) / scale
+    fa, fb = (np.array([_fingerprint(h)], complex) for h in (a, b))
+    return float(_distances(fa, fb)[0])
 
 
 def classify(params, tol=1e-9, check_solvable=True, n_samples=20,
@@ -760,9 +786,10 @@ def classify(params, tol=1e-9, check_solvable=True, n_samples=20,
     """Match a Hamiltonian to a solution family modulo P/C/T and gauge.
 
     Tries all eight frames; in each, reads the candidate free parameters off
-    their slots for every family and branch, reconstructs, and accepts
-    when all off-diagonals and diagonal invariants agree to the relative
-    tolerance.  Returns the first match by (frame, family, branch) precedence
+    their slots for every family and branch and takes the member
+    fingerprint they give.  One array pass compares every member with its
+    framed input and accepts when all off-diagonals and diagonal invariants
+    agree to the relative tolerance.  Returns the first match by (frame, family, branch) precedence
     with every other match recorded, or None when nothing fits.
     """
     params.check_gates()
@@ -773,19 +800,30 @@ def classify(params, tol=1e-9, check_solvable=True, n_samples=20,
             raise ValueError(
                 f"not CBA-solvable (max residual {verdict.max_residual:.3e} "
                 f"in {verdict.failing_constraint})")
-    matches = []
+    found, targets, members = [], [], []
     for word in FRAME_WORDS:
         framed = apply_frame(params, word)
         inv = invariants(framed)
+        target = _fingerprint(framed)
         for tag in FAMILY_ORDER:
             fam = FAMILIES[tag]
             for branch in fam.branches:
                 try:
-                    fit = fam.fit(framed, inv, branch)
+                    cand = fam.candidate(framed, inv, branch)
                 except (DegenerateFamilyPoint, ZeroDivisionError):
                     continue
-                if fit is not None and fit[1] <= tol:
-                    matches.append((tag, dict(branch), fit[0], word, fit[1]))
+                if cand is not None:
+                    free, fp, floor = cand
+                    found.append((tag, dict(branch), free, word, floor))
+                    targets.append(target)
+                    members.append(fp)
+    dists = (_distances(np.array(targets, complex), np.array(members, complex))
+             if found else [])
+    matches = []
+    for (tag, branch, free, word, floor), dist in zip(found, dists):
+        r = max(float(dist), floor)
+        if r <= tol:
+            matches.append((tag, branch, free, word, r))
     if not matches:
         return None
     tag, branch, free, word, res = matches[0]

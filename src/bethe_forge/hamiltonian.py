@@ -270,27 +270,41 @@ def _as_chain_spec(spec):
     return spec if isinstance(spec, ChainSpec) else ChainSpec(int(spec))
 
 
-def _column_actions(m2):
-    """For each two-site input pair, the list of (output pair, amplitude)."""
-    cols = {}
-    for c in range(9):
-        nz = np.nonzero(m2[:, c])[0]
-        cols[(c // 3, c % 3)] = [((r // 3, r % 3), m2[r, c]) for r in nz]
-    return cols
-
-
-def _apply_bonds(m2, states, index, L):
-    dim = len(states)
-    H = np.zeros((dim, dim), complex)
-    cols = _column_actions(m2)
-    for s in states:
-        j = index[s]
-        for bond in range(L):
-            nxt = (bond + 1) % L
-            for (r1, r2), val in cols[(s[bond], s[nxt])]:
-                new = list(s)
-                new[bond], new[nxt] = r1, r2
-                H[index[tuple(new)], j] += val
+def _apply_bonds(m2, states, L):
+    """The periodic chain of two-site matrix m2 over states, occupation
+    tuples sorted lexicographically (as sector_basis and np.ndindex list
+    them).  States are coded as base-3 integers, site 1 most significant,
+    so the sorted codes hold each bond's image at its searchsorted
+    position.  Entries accumulate by np.add.at in (state, bond, output)
+    order, each input pair's output pairs in m2's row order: the order of a
+    loop over states, bonds and outputs, so each entry is summed in that
+    loop's order."""
+    occ = np.array(states, dtype=np.int64).reshape(len(states), L)
+    weight = 3 ** np.arange(L - 1, -1, -1, dtype=np.int64)
+    codes = occ @ weight
+    # outputs of each input pair c = 3 i1 + i2: the nonzero rows of m2[:, c]
+    # in order, padded to the longest column (ok marks the real ones)
+    outs = [np.nonzero(m2[:, c])[0] for c in range(9)]
+    K = max(len(r) for r in outs)
+    out_row = np.zeros((9, K), np.int64)
+    ok = np.zeros((9, K), bool)
+    for c, r in enumerate(outs):
+        out_row[c, :len(r)] = r
+        ok[c, :len(r)] = True
+    out_val = m2[out_row, np.arange(9)[:, None]]
+    bond = np.arange(L)
+    nxt = (bond + 1) % L
+    d1, d2 = occ[:, bond], occ[:, nxt]             # (dim, L)
+    pair = 3 * d1 + d2
+    r = out_row[pair]                              # (dim, L, K)
+    image = (codes[:, None, None]
+             + (r // 3 - d1[..., None]) * weight[:, None]
+             + (r % 3 - d2[..., None]) * weight[nxt][:, None])
+    keep = ok[pair]
+    col = np.broadcast_to(np.arange(len(codes))[:, None, None], keep.shape)
+    H = np.zeros((len(codes), len(codes)), complex)
+    np.add.at(H, (np.searchsorted(codes, image[keep]), col[keep]),
+              out_val[pair][keep])
     return H
 
 
@@ -298,10 +312,7 @@ def chain_matrix(params, spec):
     """Full 3^L x 3^L periodic chain matrix, sum of L embedded two-site terms."""
     spec = _as_chain_spec(spec)
     L = spec.L
-    m2 = two_site_matrix(params)
-    states = list(np.ndindex(*(3,) * L))
-    index = {s: i for i, s in enumerate(states)}
-    return _apply_bonds(m2, states, index, L)
+    return _apply_bonds(two_site_matrix(params), list(np.ndindex(*(3,) * L)), L)
 
 
 def sector_basis(L, M):

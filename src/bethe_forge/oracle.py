@@ -80,9 +80,7 @@ class SectorReport:
 def sector_matrix(params, L, M):
     """Restriction of the periodic chain to the S^z = M occupation basis."""
     ChainSpec(L)  # raises unless 2 <= L <= L_max
-    basis = sector_basis(L, M)
-    index = {s: i for i, s in enumerate(basis)}
-    return _apply_bonds(two_site_matrix(params), basis, index, L)
+    return _apply_bonds(two_site_matrix(params), sector_basis(L, M), L)
 
 
 @functools.lru_cache(maxsize=32)

@@ -559,3 +559,30 @@ def test_reader_closing_early(args, code):
     proc.stderr.close()
     assert proc.wait(timeout=120) == code, err
     assert err == ""
+
+
+def test_one_parser_per_process_keeps_no_state(capsys):
+    """main parses with one cached parser.  Classify, verify --seed 5, an
+    argument error and catalog, run twice in turn in one process, print
+    and return what each prints and returns with a freshly built parser."""
+    runs = [
+        ["classify", str(PRESETS / "gZF.json"), "--json"],
+        ["verify", str(PRESETS / "gB.json"), "--L", "4", "--M", "1..2",
+         "--seed", "5", "--json"],
+        ["verify", str(PRESETS / "gB.json"), "--L", "four"],
+        ["catalog"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+    parser = cli.build_parser()
+    assert [run(argv) for argv in runs + runs] == fresh + fresh
+    assert cli.build_parser() is parser

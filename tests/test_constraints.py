@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bethe_forge as bf
+from bethe_forge import constraints
 from bethe_forge.constraints import _PairTable, pair_row
 
 from conftest import cdraw, draw_free, family_instance, random_params
@@ -194,6 +195,70 @@ class TestConstraintSums:
                 permuted = [z[i] for i in pi]
                 a_pi = bf.amplitude(h, z, pi)
                 assert abs(fn(h, permuted) * a_pi - base) < 1e-9 * max(1, abs(base))
+
+
+def _reference_terms(which, params, table):
+    """The per-permutation loops of one constraint sum: (n, M!) summands in
+    itertools.permutations order, each plane-wave coefficient the product
+    of S over the permutation's inversions."""
+    h, inv, Z = params, bf.invariants(params), table.Z
+    M = 4 if which == "E22" else 3
+    terms = []
+    for perm in itertools.permutations(range(M)):
+        pos = {v: i for i, v in enumerate(perm)}
+        A = np.ones(len(Z), complex)
+        for x in range(M):
+            for y in range(x + 1, M):
+                if pos[x] > pos[y]:
+                    A = A * table.S(x, y)
+        zs = [Z[:, i] for i in perm]
+        if which == "E21":
+            a, b, c = zs
+            i, j, k = perm
+            w = c * (table.N(i, j) * (inv.X21 - h.q * (a + b)
+                                      - h.p * (1 / a + 1 / b + 1 / c)
+                                      + h.tp / (a * b))
+                     + table.N(j, k) * h.s3 * b + h.t2 / a)
+        elif which == "E12":
+            a, b, c = zs
+            i, j, k = perm
+            w = (1 / a) * (table.N(j, k) * (inv.X12 - h.q * (a + b + c)
+                                            - h.p * (1 / b + 1 / c)
+                                            + h.sp * b * c)
+                           + table.N(i, j) * h.t3 / b + h.t1 * c)
+        else:
+            a, b, c, d = zs
+            i, j, k, l = perm
+            w = c * d * (table.N(i, j) * table.N(k, l)
+                         * (inv.X22 + inv.Y + h.tp / (a * b)
+                            - h.q * (a + b + c + d) + h.sp * c * d
+                            - h.p * (1 / a + 1 / b + 1 / c + 1 / d))
+                         + table.N(k, l) * h.t2 / a + table.N(i, j) * h.t1 * d)
+        terms.append(A * w)
+    return np.array(terms).T
+
+
+class TestBatchedTerms:
+    @pytest.mark.parametrize("tag", (None,) + bf.FAMILY_ORDER)
+    def test_match_per_permutation_loops(self, tag, rng):
+        """The (n, M!) summands of each constraint, their sum and the
+        relative residual match the per-permutation loops to 1e-13 of the
+        largest summand, for every family and for generic inputs."""
+        for _ in range(5):
+            h = (random_params(rng) if tag is None
+                 else family_instance(tag, rng)[0])
+            for which, (M, term_fn) in constraints._CONSTRAINTS.items():
+                Z = np.array([cdraw(rng, M) for _ in range(8)])
+                table = _PairTable(h, Z)
+                got, ref = term_fn(h, table), _reference_terms(which, h, table)
+                assert got.shape == ref.shape
+                scale = np.abs(ref).max(axis=1)
+                assert np.all(np.abs(got - ref) <= 1e-13 * scale[:, None])
+                assert np.all(np.abs(got.sum(axis=1) - ref.sum(axis=1))
+                              <= 1e-13 * scale)
+                rel, _ = constraints._constraint_batch(h, Z, which)
+                ref_rel = np.abs(ref.sum(axis=1)) / scale
+                assert np.all(np.abs(rel - ref_rel) <= 1e-13)
 
 
 class TestSolvability:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bethe_forge as bf
+from bethe_forge import families
 from bethe_forge.families import J_PLUS, J_MINUS, DegenerateFamilyPoint
-from bethe_forge.hamiltonian import FRAME_WORDS
+from bethe_forge.hamiltonian import FRAME_WORDS, OFFDIAG_KEYS
 
 from conftest import annulus, cdraw, draw_free, random_params
 
@@ -309,6 +310,122 @@ class TestClassifier:
         m = bf.classify(h, check_solvable=False)
         rebuilt = bf.construct(m.tag, m.free_params, m.branch)
         assert _param_distance(h, rebuilt) <= max(m.fit_residual, 1e-12)
+
+
+def _reference_distance(a, b):
+    """Relative distance over the off-diagonals and the diagonal invariants
+    of two Hamiltonians, in Python arithmetic."""
+    ia, ib = bf.invariants(a), bf.invariants(b)
+    keys = ("X11", "Y", "X12", "X21", "X22")
+    vals_a = [getattr(a, k) for k in OFFDIAG_KEYS] + [getattr(ia, k) for k in keys]
+    vals_b = [getattr(b, k) for k in OFFDIAG_KEYS] + [getattr(ib, k) for k in keys]
+    scale = max(max(abs(x) for x in vals_a), max(abs(x) for x in vals_b))
+    if scale == 0:
+        return 0.0
+    return max(abs(x - y) for x, y in zip(vals_a, vals_b)) / scale
+
+
+def _reference_fit(fam, params, inv, branch):
+    """(free values, residual) of params against the member Hamiltonian
+    that build makes of the free values read off params; gIK reads u off
+    the t1 slot and adds its quadratic's residual."""
+    free = fam.read_free(params, inv, branch)
+    if free is None:
+        return None
+    if fam.name != "gIK":
+        return free, _reference_distance(params, fam.build(free, branch))
+    if params.t1 == 0:
+        return None
+    v = free["v"]
+    u_t1, u_s2 = fam._read_us(params, free)
+    lower = (u_t1.real, u_t1.imag) <= (u_s2.real, u_s2.imag)
+    if lower != (branch["u"] == 0):
+        return None
+    terms = (v**4 * u_t1**2, (1 + 2 * v - v**2) * u_t1, 1)
+    quad = abs(sum(terms)) / sum(abs(t) for t in terms)
+    member = fam.build(free, branch, (u_t1, u_s2))
+    return free, max(_reference_distance(params, member), quad)
+
+
+def _reference_classify(params, tol=1e-9):
+    """Every (tag, branch, free values, frame, residual) match, in
+    (frame, family, branch) order, one HamiltonianParams member each."""
+    matches = []
+    for word in FRAME_WORDS:
+        framed = bf.apply_frame(params, word)
+        inv = bf.invariants(framed)
+        for tag in bf.FAMILY_ORDER:
+            fam = bf.FAMILIES[tag]
+            for branch in fam.branches:
+                try:
+                    fit = _reference_fit(fam, framed, inv, branch)
+                except (DegenerateFamilyPoint, ZeroDivisionError):
+                    continue
+                if fit is not None and fit[1] <= tol:
+                    matches.append((tag, dict(branch), fit[0], word, fit[1]))
+    return matches
+
+
+def _classify_mix_input(rng):
+    """A family member seen through a random P/C/T frame, gauge and
+    telescoping term, or (one in four) a generic input; the draw of the
+    classify-mix benchmark workload."""
+    def annulus(n=None):
+        z = rng.uniform(0.6, 1.4, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        return complex(z) if n is None else z
+    if rng.random() < 0.25:
+        return bf.HamiltonianParams(v=annulus(9).reshape(3, 3),
+                                    **{k: annulus() for k in OFFDIAG_KEYS})
+    tag = bf.FAMILY_ORDER[rng.integers(len(bf.FAMILY_ORDER))]
+    fam = bf.FAMILIES[tag]
+    branch = fam.branches[rng.integers(len(fam.branches))]
+    h = bf.construct(tag, {n: annulus() for n in fam.free_names}, branch)
+    h = bf.apply_frame(h, FRAME_WORDS[rng.integers(len(FRAME_WORDS))])
+    return bf.apply_telescopic(bf.apply_gauge(h, annulus(3)), annulus(3))
+
+
+def _one_slot_moved(rng):
+    """For every family, branch and fingerprint slot, a member with that
+    slot moved by 1e-6 relative: off its family where the slot is fixed by
+    the others."""
+    for tag in bf.FAMILY_ORDER:
+        fam = bf.FAMILIES[tag]
+        for branch in fam.branches:
+            fp = fam.couplings(draw_free(tag, rng), branch)
+            for k in range(len(fp)):
+                moved = list(fp)
+                moved[k] += 1e-6 * max(1, abs(fp[k]))
+                yield families._member(tuple(moved), 0)
+
+
+class TestClassifierMatchesReference:
+    def test_same_matches_as_member_hamiltonians(self):
+        """classify's one fingerprint pass gives the match list of the fit
+        that builds every member Hamiltonian: the same (tag, branch, frame)
+        in the same order, the same free values, residuals within 1e-15.
+        Inputs: 600 classify-mix draws, every family with each fingerprint
+        slot moved in turn, and gIK at the double roots of its
+        u-quadratic."""
+        rng = np.random.default_rng(20)
+        inputs = [_classify_mix_input(rng) for _ in range(600)]
+        inputs += list(_one_slot_moved(rng))
+        inputs += [bf.construct("gIK", dict(p=0.9 + 0.2j, tp=1.1 - 0.3j,
+                                            t2=0.8 + 0.1j, v=v), {"u": u})
+                   for v in (1.0, -1 / 3) for u in (0, 1)]
+        matched = 0
+        for h in inputs:
+            ref = _reference_classify(h)
+            m = bf.classify(h, check_solvable=False)
+            if not ref:
+                assert m is None
+                continue
+            matched += 1
+            assert [(t, b, w) for t, b, w, _ in m.all_matches] == \
+                [(t, b, w) for t, b, _, w, _ in ref]
+            assert m.free_params == ref[0][2]
+            for (_, _, _, r), (_, _, _, _, r_ref) in zip(m.all_matches, ref):
+                assert abs(r - r_ref) <= 1e-15
+        assert matched >= 400
 
 
 # Action table: how parity, charge conjugation and time reversal act on

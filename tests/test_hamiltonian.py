@@ -1,12 +1,17 @@
 """Two-site matrix layout, invariants, discrete transformations, chains."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import bethe_forge as bf
+from bethe_forge.cli import load_input
 from bethe_forge.hamiltonian import symmetric_diagonal
 
-from conftest import cdraw, random_params
+from conftest import cdraw, dyadic_params, random_params
+
+PRESETS = sorted((Path(bf.__file__).parent / "presets").glob("*.json"))
 
 
 def kron_embed(m2, L, bond):
@@ -284,6 +289,48 @@ class TestChain:
                    bf.apply_time_reversal):
             ev = np.sort_complex(np.linalg.eigvals(bf.chain_matrix(op(h), L)))
             assert np.max(np.abs(ev - ref)) < 1e-10 * scale
+
+
+def _reference_apply_bonds(m2, states, L):
+    """The tuple-keyed loop: for each state, bond and output pair of m2's
+    input-pair column, add the amplitude at the image state's index."""
+    index = {s: i for i, s in enumerate(states)}
+    H = np.zeros((len(states), len(states)), complex)
+    for s in states:
+        j = index[s]
+        for bond in range(L):
+            nxt = (bond + 1) % L
+            c = 3 * s[bond] + s[nxt]
+            for r in np.nonzero(m2[:, c])[0]:
+                new = list(s)
+                new[bond], new[nxt] = r // 3, r % 3
+                H[index[tuple(new)], j] += m2[r, c]
+    return H
+
+
+class TestApplyBonds:
+    """hamiltonian._apply_bonds builds the same bytes as the dict loop."""
+
+    @pytest.mark.parametrize("path", PRESETS, ids=lambda p: p.stem)
+    def test_preset_sectors_and_chains(self, path):
+        h = load_input(path)
+        m2 = bf.two_site_matrix(h)
+        for L in range(2, 10):
+            for M in range(4):
+                expect = _reference_apply_bonds(m2, bf.sector_basis(L, M), L)
+                assert bf.sector_matrix(h, L, M).tobytes() == expect.tobytes()
+        for L in range(2, 6):
+            expect = _reference_apply_bonds(
+                m2, list(np.ndindex(*(3,) * L)), L)
+            assert bf.chain_matrix(h, L).tobytes() == expect.tobytes()
+
+    def test_random_and_dyadic_chains(self, rng):
+        for h in (random_params(rng), dyadic_params(rng)):
+            m2 = bf.two_site_matrix(h)
+            for L in (2, 3, 4):
+                expect = _reference_apply_bonds(
+                    m2, list(np.ndindex(*(3,) * L)), L)
+                assert bf.chain_matrix(h, L).tobytes() == expect.tobytes()
 
 
 class TestSectorBasis:
