@@ -270,41 +270,47 @@ def _as_chain_spec(spec):
     return spec if isinstance(spec, ChainSpec) else ChainSpec(int(spec))
 
 
+def _state_keys(occ):
+    """Each row of the uint8 occupation array occ as one L-byte key.  Keys
+    compare like the occupation tuples, so a lexicographically sorted
+    basis has sorted keys and np.searchsorted finds a state's index, at
+    any L."""
+    occ = np.ascontiguousarray(occ, dtype=np.uint8)
+    return occ.view(f"V{occ.shape[1]}").ravel()
+
+
 def _apply_bonds(m2, states, L):
     """The periodic chain of two-site matrix m2 over states, occupation
     tuples sorted lexicographically (as sector_basis and np.ndindex list
-    them).  States are coded as base-3 integers, site 1 most significant,
-    so the sorted codes hold each bond's image at its searchsorted
-    position.  Entries accumulate by np.add.at in (state, bond, output)
-    order, each input pair's output pairs in m2's row order: the order of a
-    loop over states, bonds and outputs, so each entry is summed in that
-    loop's order."""
-    occ = np.array(states, dtype=np.int64).reshape(len(states), L)
-    weight = 3 ** np.arange(L - 1, -1, -1, dtype=np.int64)
-    codes = occ @ weight
+    them).  Each bond's image is a copy of its state with the bond's two
+    digits set, found by searchsorted over the sorted _state_keys.  Entries
+    accumulate by np.add.at in (state, bond, output) order, each input
+    pair's output pairs in m2's row order: the order of a loop over states,
+    bonds and outputs, so each entry is summed in that loop's order."""
+    occ = np.array(states, dtype=np.uint8).reshape(len(states), L)
     # outputs of each input pair c = 3 i1 + i2: the nonzero rows of m2[:, c]
     # in order, padded to the longest column (ok marks the real ones)
     outs = [np.nonzero(m2[:, c])[0] for c in range(9)]
     K = max(len(r) for r in outs)
-    out_row = np.zeros((9, K), np.int64)
+    out_row = np.zeros((9, K), np.intp)
     ok = np.zeros((9, K), bool)
     for c, r in enumerate(outs):
         out_row[c, :len(r)] = r
         ok[c, :len(r)] = True
     out_val = m2[out_row, np.arange(9)[:, None]]
-    bond = np.arange(L)
-    nxt = (bond + 1) % L
-    d1, d2 = occ[:, bond], occ[:, nxt]             # (dim, L)
-    pair = 3 * d1 + d2
-    r = out_row[pair]                              # (dim, L, K)
-    image = (codes[:, None, None]
-             + (r // 3 - d1[..., None]) * weight[:, None]
-             + (r % 3 - d2[..., None]) * weight[nxt][:, None])
-    keep = ok[pair]
-    col = np.broadcast_to(np.arange(len(codes))[:, None, None], keep.shape)
-    H = np.zeros((len(codes), len(codes)), complex)
-    np.add.at(H, (np.searchsorted(codes, image[keep]), col[keep]),
-              out_val[pair][keep])
+    nxt = (np.arange(L) + 1) % L
+    pair = 3 * occ.astype(np.intp) + occ[:, nxt]   # (dim, L)
+    # every (state, bond, output) entry, in that order
+    col, bond, k = np.nonzero(ok[pair])
+    c = pair[col, bond]
+    r = out_row[c, k]
+    image = occ[col]
+    row = np.arange(len(col))
+    image[row, bond] = r // 3
+    image[row, nxt[bond]] = r % 3
+    H = np.zeros((len(occ), len(occ)), complex)
+    np.add.at(H, (np.searchsorted(_state_keys(occ), _state_keys(image)), col),
+              out_val[c, k])
     return H
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bethe import check_roots, momentum, solve_bae
-from .hamiltonian import (ChainSpec, _apply_bonds, sector_basis,
+from .hamiltonian import (ChainSpec, _apply_bonds, _state_keys, sector_basis,
                           sector_dimension, two_site_matrix)
 
 SECTOR_DIM_CAP = 20000
@@ -90,15 +90,12 @@ def _orbit_table(L, M):
     of lowest index), and d with state = T^d (representative); for each
     orbit its representative's index and its period."""
     occ = np.array(sector_basis(L, M), dtype=np.uint8).reshape(-1, L)
-    # each row as one L-byte key; keys compare like the occupation tuples,
-    # so the lexicographic basis is sorted by key, at any L
-    key = f"V{L}"
-    keys = occ.view(key).ravel()
+    keys = _state_keys(occ)
     n = len(keys)
     # image[d, i]: index of T^d applied to state i
     image = np.empty((L, n), np.intp)
     for d in range(L):
-        image[d] = np.searchsorted(keys, np.roll(occ, -d, axis=1).view(key).ravel())
+        image[d] = np.searchsorted(keys, _state_keys(np.roll(occ, -d, axis=1)))
     rep = image.min(axis=0)
     reps, orbit = np.unique(rep, return_inverse=True)
     back = np.argmax(image == rep, axis=0)     # T^back (state) = rep

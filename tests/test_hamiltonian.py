@@ -332,6 +332,15 @@ class TestApplyBonds:
                     m2, list(np.ndindex(*(3,) * L)), L)
                 assert bf.chain_matrix(h, L).tobytes() == expect.tobytes()
 
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_long_chain_sectors(self, monkeypatch, M):
+        # 3^40 does not fit in int64: the state keys must sort at any L
+        monkeypatch.setenv("BETHE_FORGE_LMAX", "41")
+        h = load_input(PRESETS[0])
+        basis = bf.sector_basis(41, M)
+        expect = _reference_apply_bonds(bf.two_site_matrix(h), basis, 41)
+        assert bf.sector_matrix(h, 41, M).tobytes() == expect.tobytes()
+
 
 class TestSectorBasis:
     def test_vacuum_sector(self):
