@@ -66,24 +66,25 @@ one scattering factor per permutation inversion and one decay factor N per
 doubled position.  Each (L, M) sector has one cached, read-only position
 table: the sorted positions of every basis state, in sector_basis order,
 and the mask of doubled sites.  Assembly evaluates each of the M! plane
-waves over that whole table for a whole batch of root sets at once, one
-(n, dim) array in sector_basis order; assemble_eigenvector is its one-row
-read, a SectorEigenvector.  Vectors are returned unnormalized with their
-norm.  The left shift s -> s[1:] + s[:1] multiplies a Bethe vector by
-prod z; momentum(z, L) names the translation block this puts it in (see
-oracle).
+waves over that table, or over chosen rows of it, for a whole batch of
+root sets at once; assemble_eigenvector is its one-row read over the
+whole sector, a SectorEigenvector.  Vectors are returned unnormalized with
+their norm.  The left shift s -> s[1:] + s[:1] multiplies a Bethe vector
+by prod z; momentum(z, L) names the translation block this puts it in
+(see oracle), and _momenta names it for a whole batch in one array pass.
 
-check_roots verifies the root sets of a sector one translation block at a
-time: one pair table, one assembly, one residual product and one Gram
-matrix of unit vectors per block, which finds the root sets that give a
-state already seen.  It returns one RootCheck per root set;
+check_roots verifies the root sets of a sector in the momentum basis, one
+translation block at a time, from each root set's amplitudes at the
+block's orbit representatives only; no vector or matrix of the whole
+sector is formed (see check_roots for why the residual, null test and
+equal-state test are exact for the block vector, and how that vector
+relates to the Bethe vector).  It returns one RootCheck per root set;
 oracle.verify_sector collects them into the sector's report.
 """
 
 from __future__ import annotations
 
 import bisect
-import cmath
 import copy
 import functools
 import itertools
@@ -93,7 +94,7 @@ import numpy as np
 
 from .constraints import (_PairTable, lambda_fn, lambda_grad, ordered_pairs,
                           pair_row, permutation_table, random_momenta)
-from .hamiltonian import invariants, sector_basis
+from .hamiltonian import _orbit_table, _sector_occupations, invariants
 
 DAMPING = 0.5            # line-search step factor
 GRID_STARTS = 600        # M = 3 Halton starts per solve, ceil(600 / L) a block
@@ -126,7 +127,7 @@ def _sector_positions(L, M):
     """Read-only position table of the (L, M) sector, rows in sector_basis
     order: the (dim, M) sorted 1-based excitation positions and the
     (dim, M-1) mask of doubled sites (x_{j+1} == x_j)."""
-    occ = np.array(sector_basis(L, M), dtype=np.intp).reshape(-1, L)
+    occ = _sector_occupations(L, M).astype(np.intp)
     sites = np.tile(np.arange(1, L + 1), len(occ))
     X = np.repeat(sites, occ.ravel()).reshape(len(occ), M)
     doubled = X[:, 1:] == X[:, :-1]
@@ -168,18 +169,24 @@ def energy(params, z):
     return len(z) * V + sum(params.q * w + params.p / w for w in z)
 
 
+def _momenta(Z, L):
+    """Translation block m of every root set of an (n, M) batch Z: the m in
+    0..L-1 with e^{2 pi i m / L} = prod z, the eigenvalue of the left shift
+    s -> s[1:] + s[:1] on its Bethe vector, or -1 unless prod z is finite
+    and lies within MOMENTUM_TOL of that root of unity."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        P = np.prod(np.asarray(Z, complex), axis=1)
+        finite = np.isfinite(P)
+        phase = np.angle(np.where(finite, P, 1.0))
+        m = np.rint(L * phase / (2 * np.pi)).astype(np.intp) % L
+        near = np.abs(P - np.exp(2j * np.pi * m / L)) <= MOMENTUM_TOL
+    return np.where(finite & near, m, -1)
+
+
 def momentum(z, L):
-    """Translation block m of the root set z: the m in 0..L-1 with
-    e^{2 pi i m / L} = prod z, the eigenvalue of the left shift
-    s -> s[1:] + s[:1] on its Bethe vector; None unless prod z lies within
-    MOMENTUM_TOL of that root of unity."""
-    P = 1
-    for w in z:
-        P *= complex(w)
-    if not cmath.isfinite(P):
-        return None
-    m = round(L * cmath.phase(P) / (2 * cmath.pi)) % L
-    return m if abs(P - cmath.exp(2j * cmath.pi * m / L)) <= MOMENTUM_TOL else None
+    """Translation block of the root set z (_momenta), None if it has none."""
+    m = int(_momenta(np.array([z], complex), L)[0])
+    return None if m < 0 else m
 
 
 def _bae_residuals(params, Z, L):
@@ -580,15 +587,16 @@ def amplitude(params, z, sigma, doubled=()):
     return out
 
 
-def _assemble(table, L):
+def _assemble(table, L, rows=slice(None)):
     """Bethe vectors of every root set of a pair table over the (L, M)
-    sector: the (n, dim) amplitudes in sector_basis order and each row's
-    largest pre-cancellation term magnitude.  One array product per
-    permutation, multiplied in the same order for every row, over powers
-    z**x taken in Python; the rows of root sets with a singular pair hold
-    meaningless values."""
+    sector, read at the given rows of its position table: the (n, len(rows))
+    amplitudes, in sector_basis order over the whole sector by default,
+    and each row's largest pre-cancellation term magnitude over them.  One
+    array product per permutation, multiplied in the same order for every
+    row, over powers z**x taken in Python; the rows of root sets with a
+    singular pair hold meaningless values."""
     n, M = table.Z.shape
-    X, doubled = _sector_positions(L, M)
+    X, doubled = (a[rows] for a in _sector_positions(L, M))
     zpow = np.array([[[w ** x for x in range(L + 1)] for w in row]
                      for row in table.Z.tolist()], complex)
     vecs = np.zeros((n, len(X)), complex)
@@ -649,44 +657,71 @@ class RootCheck:
     * "singular": an amplitude is singular; message names the pair;
     * "null": the amplitudes cancel to a null vector;
     * "verified" / "unverified": the eigenpair residual is within tol_eig
-      or not;
+      or not; also "unverified", with no residual and a message naming
+      prod z, a root set with no translation block;
     * "equivalent": verified, but the same state as an earlier verified
       root set.
 
-    The last three carry the eigenpair residual."""
+    The last three carry the eigenpair residual of the block vector (see
+    check_roots)."""
     momentum: int | None
     outcome: str
     eig_residual: float | None = None
     message: str | None = None
 
 
-def check_roots(params, sols, H, L, tol_eig, scale):
-    """Check the root sets sols of one (L, M) sector against its matrix H:
-    one RootCheck per root set, in order.
+def check_roots(params, sols, blocks, L, tol_eig, scale):
+    """Check the root sets sols of one (L, M) sector against its translation
+    blocks: one RootCheck per root set, in order.
 
-    Root sets are checked one translation block at a time (those with no
-    block form one more group): one pair table, one (n, dim) assembly, one
-    residual product V H^T and one Gram matrix per block.  A verified set is
-    an equivalent state when an earlier kept set of its block has an energy
-    within tol_eig * scale and spans the same ray (1 - |<u0, u>| <= 1e-6 for
-    the unit vectors); distinct root sets can describe one state at
-    symmetric points.  Different blocks are orthogonal, so no ray is shared
-    across them."""
+    blocks maps each block m to (idx, B): the orbits of _orbit_table whose
+    momentum states |r, m> span it (the columns of F_m) and its matrix
+    B = F_m^dagger H F_m (oracle.sector_spectrum).  A root set in block m is
+    read only at the orbit representatives r of idx, as c_r = sqrt(p_r)
+    psi(r), psi its Bethe vector, and checked as the block vector phi =
+    F_m c: F_m has orthonormal columns and H F_m = F_m B (T H = H T), so
+    ||phi|| = ||c||, <phi_a, phi_b> = <c_a, c_b> and the eigenpair residual
+    of phi is ||B c - E c|| / ||c||.  Where the BAE hold exactly, psi lies
+    in block m (psi(T^d r) = e^{-2 pi i m d / L} psi(r)) and phi = psi.
+    The BAE are the condition that psi be periodic, so a BAE residual
+    leaves psi off the block by a translation defect of that order, and
+    phi's residual differs from psi's by about that defect: within the
+    root set's BAE residual + 1e-12 on every preset tested.  The null test
+    compares ||c|| with the representatives' largest term.
+
+    Root sets are checked one block at a time: one pair table, one (n, k_m)
+    assembly at the representatives, one residual product and one Gram
+    matrix per block.  A root set whose prod z is no L-th root of unity
+    (momentum None) has no block; it cannot solve the BAE and is unverified.
+    A verified set is an equivalent state when an earlier kept set of its
+    block has an energy within tol_eig * scale and spans the same ray
+    (1 - |<u0, u>| <= 1e-6 for the unit vectors); distinct root sets can
+    describe one state at symmetric points.  Different blocks are
+    orthogonal, so no ray is shared across them."""
+    if not sols:
+        return []
+    Z = np.array([sol.z for sol in sols], complex)
+    reps, period = _orbit_table(L, Z.shape[1])[2:]
     out = [None] * len(sols)
-    blocks = {}
-    for i, sol in enumerate(sols):
-        m = momentum(sol.z, L)
+    groups = {}
+    for i, (sol, m) in enumerate(zip(sols, _momenta(Z, L).tolist())):
         if sol.degenerate_flag:
             # the plane-wave form degenerates when two roots coincide: such
             # sets give a null vector, or pass the BAE check and still fail
             # as eigenvectors
-            out[i] = RootCheck(m, "coincident")
+            out[i] = RootCheck(None if m < 0 else m, "coincident")
+        elif m < 0:
+            out[i] = RootCheck(None, "unverified", message=(
+                f"no translation block: prod z = {complex(np.prod(Z[i]))} "
+                "is not an L-th root of unity"))
         else:
-            blocks.setdefault(m, []).append(i)
-    for m, rows in blocks.items():
-        table = _PairTable(params, np.array([sols[i].z for i in rows], complex))
-        vecs, amp = _assemble(table, L)
-        norms = np.linalg.norm(vecs, axis=1)
+            groups.setdefault(m, []).append(i)
+    for m, rows in groups.items():
+        idx, B = blocks[m]
+        table = _PairTable(params, Z[rows])
+        vecs, amp = _assemble(table, L, reps[idx])
+        C = vecs * np.sqrt(period[idx])
+        norms = np.linalg.norm(C, axis=1)
         singular = table.singular()
         null = ~singular & _is_null(norms, amp)
         for k in np.flatnonzero(singular):
@@ -696,12 +731,12 @@ def check_roots(params, sols, H, L, tol_eig, scale):
             out[rows[k]] = RootCheck(m, "null")
         good = np.flatnonzero(~singular & ~null)
         E = np.array([sols[rows[k]].energy for k in good], complex)
-        res = _eig_residuals(H, vecs[good], E)
+        res = _eig_residuals(B, C[good], E)
         ok = res <= tol_eig
         for k, r in zip(good[~ok], res[~ok]):
             out[rows[k]] = RootCheck(m, "unverified", float(r))
         good, res, E = good[ok], res[ok], E[ok]
-        U = vecs[good] / norms[good, None]
+        U = C[good] / norms[good, None]
         overlap = np.abs(U.conj() @ U.T)    # overlap[a, b] = |<u_a, u_b>|
         kept = []
         for a, k in enumerate(good):

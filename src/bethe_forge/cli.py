@@ -399,6 +399,10 @@ def _solution_entry(sol, check):
         entry["eigenvector"] = f"failed: {check.message}"
     elif check.outcome == "null":
         entry["eigenvector"] = "null"
+    elif check.eig_residual is None:
+        # unverified before assembly: the root set has no translation block
+        entry["rejected"] = check.message
+        entry["verified"] = False
     else:
         entry["eig_residual"] = check.eig_residual
         entry["verified"] = check.outcome != "unverified"

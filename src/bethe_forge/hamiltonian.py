@@ -17,6 +17,7 @@ All arithmetic is complex double precision.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -279,14 +280,21 @@ def _state_keys(occ):
     return occ.view(f"V{occ.shape[1]}").ravel()
 
 
-def _apply_bonds(m2, states, L):
+def _apply_bonds(m2, states, L, basis=None):
     """The periodic chain of two-site matrix m2 over states, occupation
-    tuples sorted lexicographically (as sector_basis and np.ndindex list
-    them).  Each bond's image is a copy of its state with the bond's two
-    digits set, found by searchsorted over the sorted _state_keys.  Entries
-    accumulate by np.add.at in (state, bond, output) order, each input
-    pair's output pairs in m2's row order: the order of a loop over states,
-    bonds and outputs, so each entry is summed in that loop's order."""
+    tuples or rows sorted lexicographically (as sector_basis and np.ndindex
+    list them).  Each bond's image is a copy of its state with the bond's
+    two digits set, found by searchsorted over the sorted _state_keys.
+    Entries accumulate by np.add.at in (state, bond, output) order, each
+    input pair's output pairs in m2's row order: the order of a loop over
+    states, bonds and outputs, so each entry is summed in that loop's order.
+
+    Given basis, a sorted (dim, L) uint8 occupation table holding every
+    image, the images are looked up there instead and the result is the
+    (len(states), dim) array whose row i is the chain's column at states[i]
+    (out[i, j] = <basis_j| H |states_i>); each entry is summed in the same
+    order as in the square build, and with m2 transposed the rows are those
+    of the square build at states."""
     occ = np.array(states, dtype=np.uint8).reshape(len(states), L)
     # outputs of each input pair c = 3 i1 + i2: the nonzero rows of m2[:, c]
     # in order, padded to the longest column (ok marks the real ones)
@@ -299,7 +307,7 @@ def _apply_bonds(m2, states, L):
         ok[c, :len(r)] = True
     out_val = m2[out_row, np.arange(9)[:, None]]
     nxt = (np.arange(L) + 1) % L
-    pair = 3 * occ.astype(np.intp) + occ[:, nxt]   # (dim, L)
+    pair = 3 * occ.astype(np.intp) + occ[:, nxt]   # (n, L)
     # every (state, bond, output) entry, in that order
     col, bond, k = np.nonzero(ok[pair])
     c = pair[col, bond]
@@ -308,9 +316,12 @@ def _apply_bonds(m2, states, L):
     row = np.arange(len(col))
     image[row, bond] = r // 3
     image[row, nxt[bond]] = r % 3
-    H = np.zeros((len(occ), len(occ)), complex)
-    np.add.at(H, (np.searchsorted(_state_keys(occ), _state_keys(image)), col),
-              out_val[c, k])
+    square = basis is None
+    if square:
+        basis = occ
+    row = np.searchsorted(_state_keys(basis), _state_keys(image))
+    H = np.zeros((len(occ), len(basis)), complex)
+    np.add.at(H, (row, col) if square else (col, row), out_val[c, k])
     return H
 
 
@@ -321,24 +332,72 @@ def chain_matrix(params, spec):
     return _apply_bonds(two_site_matrix(params), list(np.ndindex(*(3,) * L)), L)
 
 
+@functools.lru_cache(maxsize=32)
+def _sector_occupations(L, M):
+    """Read-only (dim, L) uint8 table of the occupation strings over
+    {0, 1, 2} with digit sum M, rows in lexicographic order: the one copy of
+    the (L, M) sector basis that sector_basis, the sector matrix, the
+    translation orbits and the Bethe position table read.  Built site by
+    site from the right: the strings of the last l sites with digit sum s
+    are, in order, digit d followed by those of the last l - 1 sites with
+    sum s - d, for d = 0, 1, 2, which keeps them sorted."""
+    if M < 0:
+        out = np.zeros((0, L), np.uint8)
+    else:
+        # tails[s]: the strings of the last l sites with digit sum s
+        tails = [np.zeros((int(s == 0), 0), np.uint8) for s in range(M + 1)]
+        for _ in range(L):
+            tails = [np.concatenate([
+                np.column_stack([np.full(len(tails[s - d]), d, np.uint8),
+                                 tails[s - d]])
+                for d in range(min(s, 2) + 1)]) for s in range(M + 1)]
+        out = tails[M]
+    out.setflags(write=False)
+    return out
+
+
 def sector_basis(L, M):
     """Occupation strings over {0,1,2} of length L with digit sum M,
     in lexicographic order (site 1 first)."""
-    if not 0 <= M <= 2 * L:
-        return []
-    out = []
+    return [tuple(s) for s in _sector_occupations(L, M).tolist()]
 
-    def rec(prefix, rem, sites_left):
-        if sites_left == 0:
-            if rem == 0:
-                out.append(tuple(prefix))
-            return
-        for d in range(3):
-            if d <= rem and rem - d <= 2 * (sites_left - 1):
-                rec(prefix + [d], rem - d, sites_left - 1)
 
-    rec([], M, L)
+@functools.lru_cache(maxsize=32)
+def _orbit_table(L, M):
+    """Read-only translation orbits of the (L, M) sector, in sector_basis
+    order: for each state its orbit (numbered by representative, the state
+    of lowest index), and d with state = T^d (representative); for each
+    orbit its representative's index and its period.  T is the left shift
+    s -> s[1:] + s[:1]."""
+    occ = _sector_occupations(L, M)
+    keys = _state_keys(occ)
+    n = len(keys)
+    # image[d, i]: index of T^d applied to state i
+    image = np.empty((L, n), np.intp)
+    for d in range(L):
+        image[d] = np.searchsorted(keys, _state_keys(np.roll(occ, -d, axis=1)))
+    rep = image.min(axis=0)
+    reps, orbit = np.unique(rep, return_inverse=True)
+    back = np.argmax(image == rep, axis=0)     # T^back (state) = rep
+    fixed = image[1:] == np.arange(n)
+    period = np.where(fixed.any(axis=0), np.argmax(fixed, axis=0) + 1, L)
+    shift = (-back) % period
+    out = orbit, shift, reps, period[reps]
+    for a in out:
+        a.setflags(write=False)
     return out
+
+
+def _representative_rows(params, L, M):
+    """The rows H[reps] of the (L, M) sector matrix H at its translation
+    orbits' representatives (_orbit_table), a (k, dim) array, without
+    building H: the chain of the transposed two-site matrix applied to the
+    representatives, its images looked up in the whole sector.  Each entry
+    equals H's bit for bit (_apply_bonds)."""
+    ChainSpec(L)  # raises unless 2 <= L <= L_max
+    occ = _sector_occupations(L, M)
+    reps = _orbit_table(L, M)[2]
+    return _apply_bonds(two_site_matrix(params).T, occ[reps], L, occ)
 
 
 def sector_dimension(L, M):

@@ -9,12 +9,16 @@ momentum states
     |r, m> = sum_{d < p} e^{-2 pi i m d / L} T^d |r> / sqrt(p),
 
 one for each orbit of T with representative r and period p such that
-m p = 0 mod L.  The sector matrix is built once; each block matrix
-F_m^dagger H F_m (F_m the columns |r, m>) is read from its representative
-rows, and each block is diagonalized on its own.
+m p = 0 mod L.  Each block matrix B_m = F_m^dagger H F_m (F_m the columns
+|r, m>) is read from H's rows at the representatives, and only those rows
+are built (hamiltonian._representative_rows), a (k, dim) array for the k
+orbits; the dim x dim sector matrix is built only by sector_matrix, which
+verify_sector does not call.  Each block is diagonalized on its own.
 
 A Bethe state with momenta z satisfies T psi = (prod z) psi, so it lies in
-the block m with e^{2 pi i m / L} = prod z (bethe.momentum).  Its energy is
+the block m with e^{2 pi i m / L} = prod z (bethe.momentum).  It is
+verified in that block, as the block vector with coordinates
+sqrt(p_r) psi(r) against B_m (bethe.check_roots), and its energy is
 matched only against the eigenvalues of that block.
 
 Chain matrices here are generically non-Hermitian complex matrices, so the
@@ -29,13 +33,13 @@ pseudo-vacuum) included, into one SectorReport.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bethe import check_roots, momentum, solve_bae
-from .hamiltonian import (ChainSpec, _apply_bonds, _state_keys, sector_basis,
+from .bethe import _momenta, check_roots, solve_bae
+from .hamiltonian import (ChainSpec, _apply_bonds, _orbit_table,
+                          _representative_rows, _sector_occupations,
                           sector_dimension, two_site_matrix)
 
 SECTOR_DIM_CAP = 20000
@@ -48,7 +52,8 @@ class SectorSpectrum:
     dimension: int
     momenta: np.ndarray                # translation block m of each eigenvalue
     L: int
-    matrix: np.ndarray | None = None   # the sector matrix, when built here
+    blocks: dict = field(default_factory=dict)  # m -> (orbit indices, B_m)
+    scale: float = 1.0                 # largest |entry| of the sector matrix
 
 
 @dataclass
@@ -80,37 +85,13 @@ class SectorReport:
 def sector_matrix(params, L, M):
     """Restriction of the periodic chain to the S^z = M occupation basis."""
     ChainSpec(L)  # raises unless 2 <= L <= L_max
-    return _apply_bonds(two_site_matrix(params), sector_basis(L, M), L)
+    return _apply_bonds(two_site_matrix(params), _sector_occupations(L, M), L)
 
 
-@functools.lru_cache(maxsize=32)
-def _orbit_table(L, M):
-    """Read-only translation orbits of the (L, M) sector, in sector_basis
-    order: for each state its orbit (numbered by representative, the state
-    of lowest index), and d with state = T^d (representative); for each
-    orbit its representative's index and its period."""
-    occ = np.array(sector_basis(L, M), dtype=np.uint8).reshape(-1, L)
-    keys = _state_keys(occ)
-    n = len(keys)
-    # image[d, i]: index of T^d applied to state i
-    image = np.empty((L, n), np.intp)
-    for d in range(L):
-        image[d] = np.searchsorted(keys, _state_keys(np.roll(occ, -d, axis=1)))
-    rep = image.min(axis=0)
-    reps, orbit = np.unique(rep, return_inverse=True)
-    back = np.argmax(image == rep, axis=0)     # T^back (state) = rep
-    fixed = image[1:] == np.arange(n)
-    period = np.where(fixed.any(axis=0), np.argmax(fixed, axis=0) + 1, L)
-    shift = (-back) % period
-    out = orbit, shift, reps, period[reps]
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
-def _block_matrices(H, L, M):
+def _block_matrices(rows, L, M):
     """Block matrices F_m^dagger H F_m, m = 0..L-1, as (m, orbit indices of
-    block m, matrix).
+    block m, matrix), from rows = H[reps], the sector matrix's rows at the
+    orbit representatives (_representative_rows).
 
     T H = H T, so H F_m[:, b] is again a T-eigenvector and the block entry
     (a, b) is sqrt(p_a) times its component on the representative r_a:
@@ -119,7 +100,7 @@ def _block_matrices(H, L, M):
     orbit, shift, reps, period = _orbit_table(L, M)
     k = len(reps)
     G = np.zeros((k, k, L), complex)
-    G[:, orbit, shift] = H[reps]
+    G[:, orbit, shift] = rows
     G = np.fft.fft(G, axis=2)
     G *= np.sqrt(period[:, None] / period[None, :])[:, :, None]
     for m in range(L):
@@ -129,14 +110,18 @@ def _block_matrices(H, L, M):
 
 def sector_spectrum(params, L, M):
     """Eigenvalues of the (L, M) sector, solved block by block, with their
-    block labels; returned with the sector matrix.  A sector larger than
-    SECTOR_DIM_CAP is refused before its matrix is allocated."""
+    block labels, the block matrices and the largest |entry| of the sector
+    matrix.  Only the sector matrix's representative rows are built, never
+    the matrix itself; by translation invariance every entry of it is an
+    entry of those rows.  A sector larger than SECTOR_DIM_CAP is refused
+    before anything is allocated."""
     dim = sector_dimension(L, M)
     if dim > SECTOR_DIM_CAP:
         raise ValueError(f"sector dimension {dim} exceeds cap")
-    H = sector_matrix(params, L, M)
-    evs, labels = [np.empty(0, complex)], [np.empty(0, np.intp)]
-    for m, idx, block in _block_matrices(H, L, M):
+    rows = _representative_rows(params, L, M)
+    evs, labels, blocks = [np.empty(0, complex)], [np.empty(0, np.intp)], {}
+    for m, idx, block in _block_matrices(rows, L, M):
+        blocks[m] = idx, block
         if not idx.size:
             continue
         try:
@@ -145,9 +130,9 @@ def sector_spectrum(params, L, M):
             raise RuntimeError(
                 f"eigensolver failed for L={L}, M={M}, block {m}: {exc}")
         labels.append(np.full(idx.size, m))
-    return SectorSpectrum(M=M, eigenvalues=np.concatenate(evs),
-                          dimension=H.shape[0], momenta=np.concatenate(labels),
-                          L=L, matrix=H)
+    return SectorSpectrum(M=M, eigenvalues=np.concatenate(evs), dimension=dim,
+                          momenta=np.concatenate(labels), L=L, blocks=blocks,
+                          scale=float(np.max(np.abs(rows), initial=0.0)))
 
 
 def _take_nearest(pool, v, tol):
@@ -169,9 +154,10 @@ def compare(cba_solutions, ed, tol=1e-8, scale=1.0):
     no block (prod z not an L-th root of unity) is unmatched."""
     pools = [list(ed.eigenvalues[ed.momenta == m]) for m in range(ed.L)]
     unmatched = []
-    for sol in cba_solutions:
-        m = momentum(sol.z, ed.L)
-        if m is None or not _take_nearest(pools[m], sol.energy, tol * scale):
+    Z = np.array([sol.z for sol in cba_solutions], complex)
+    for sol, m in zip(cba_solutions,
+                      _momenta(Z.reshape(len(cba_solutions), ed.M), ed.L)):
+        if m < 0 or not _take_nearest(pools[m], sol.energy, tol * scale):
             unmatched.append(sol.energy)
     matched = len(cba_solutions) - len(unmatched)
     return SectorReport(
@@ -182,13 +168,13 @@ def compare(cba_solutions, ed, tol=1e-8, scale=1.0):
 
 def verify_sector(params, L, M, solver_config, tol_eig):
     """Solve, diagonalize, check and match the (L, M) sector: the root sets
-    of solve_bae, each checked against the sector matrix (check_roots), and
+    of solve_bae, each checked in its translation block (check_roots), and
     the verified ones matched against the block spectra (compare), with
-    tol_eig relative to the largest matrix entry."""
+    tol_eig relative to the largest sector matrix entry."""
     sols = solve_bae(params, L, M, solver_config)
     spec = sector_spectrum(params, L, M)
-    scale = float(np.max(np.abs(spec.matrix))) or 1.0
-    checks = check_roots(params, sols, spec.matrix, L, tol_eig, scale)
+    scale = spec.scale or 1.0
+    checks = check_roots(params, sols, spec.blocks, L, tol_eig, scale)
     verified = [sol for sol, chk in zip(sols, checks)
                 if chk.outcome == "verified"]
     rep = compare(verified, spec, tol=tol_eig, scale=scale)

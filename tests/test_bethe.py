@@ -1,5 +1,7 @@
 """Bethe-equation solving, eigenvector assembly, eigenpair verification."""
 
+import cmath
+import functools
 import itertools
 from pathlib import Path
 
@@ -790,15 +792,72 @@ class TestAssembleEigenvector:
             assert abs(val - resum) < 1e-10 * max(1, abs(val))
 
 
+def _reference_momentum(z, L):
+    """The one-root-set momentum in Python complex arithmetic."""
+    P = 1
+    for w in z:
+        P *= complex(w)
+    if not cmath.isfinite(P):
+        return None
+    m = round(L * cmath.phase(P) / (2 * cmath.pi)) % L
+    return m if abs(P - cmath.exp(2j * cmath.pi * m / L)) <= bethe.MOMENTUM_TOL else None
+
+
+@functools.lru_cache(maxsize=None)
+def _preset_solutions(name, L, M):
+    h = bf.with_zero_v00(load_input(PRESETS / f"{name}.json"))
+    return h, tuple(bf.solve_bae(h, L, M, SolverConfig(seed=0)))
+
+
+PRESET_NAMES = sorted(p.stem for p in PRESETS.glob("*.json"))
+
+
+class TestMomenta:
+    def test_batch_matches_one_row_reference(self):
+        """The batched momenta equal the one-row Python reference for every
+        root set of every preset at L = 3..12, M = 1..3."""
+        count = 0
+        for name in PRESET_NAMES:
+            for L in range(3, 13):
+                for M in (1, 2, 3):
+                    sols = _preset_solutions(name, L, M)[1]
+                    Z = np.array([s.z for s in sols], complex).reshape(-1, M)
+                    want = [_reference_momentum(z, L) for z in Z]
+                    got = bethe._momenta(Z, L)
+                    assert [None if m < 0 else m for m in got.tolist()] \
+                        == want, (name, L, M)
+                    assert [bf.momentum(z, L) for z in Z] == want
+                    count += len(Z)
+        assert count > 20000
+
+    def test_edge_cases(self):
+        L = 4
+        Z = np.array([[1j, 1j], [1.0, 1 + 1e-3], [np.inf, 1.0],
+                      [np.nan, 1.0], [-1.0, 1.0]], complex)
+        want = [_reference_momentum(z, L) for z in Z]
+        assert want == [2, None, None, None, 2]
+        assert bethe._momenta(Z, L).tolist() == [2, -1, -1, -1, 2]
+        assert bethe._momenta(np.empty((3, 0), complex), L).tolist() == [0] * 3
+        assert bf.momentum((), L) == 0
+
+
 def _reference_checks(params, sols, H, L, tol_eig, scale):
-    """The per-root-set loop that check_roots batches: one-row assembly and
-    residual, and a pairwise vdot scan for equivalent states, as
-    (momentum, outcome, eig_residual, message) per root set."""
+    """The per-root-set loop that check_roots batches: one-row assembly over
+    the whole sector and residual against the sector matrix, and a pairwise
+    vdot scan for equivalent states, as (momentum, outcome, eig_residual,
+    message) per root set.  A root set with no translation block is
+    unverified before assembly."""
     out, kept = [], {}
     for sol in sols:
         m = bf.momentum(sol.z, L)
         if sol.degenerate_flag:
             out.append((m, "coincident", None, None))
+            continue
+        if m is None:
+            P = complex(np.prod(np.asarray(sol.z, complex)))
+            out.append((m, "unverified", None,
+                        f"no translation block: prod z = {P} is not an "
+                        "L-th root of unity"))
             continue
         try:
             psi = bf.assemble_eigenvector(params, sol.z, L)
@@ -823,17 +882,28 @@ def _reference_checks(params, sols, H, L, tol_eig, scale):
     return out
 
 
-def _assert_checks_match_reference(params, sols, H, L):
+def _assert_checks_match_reference(params, sols, L, M):
+    """check_roots on the block matrices of sector_spectrum gives the
+    reference's momentum, outcome and message for every root set.  The
+    block residual is that of the block vector built from the
+    representatives, which equals the whole Bethe vector's up to its
+    translation defect; for a BAE solution (judged by its BAE residual b
+    recomputed here) the two residuals agree within b + 1e-12."""
+    spec = bf.sector_spectrum(params, L, M)
+    H = bf.sector_matrix(params, L, M)
     scale = float(np.max(np.abs(H))) or 1.0
-    got = bethe.check_roots(params, sols, H, L, 1e-8, scale)
+    assert spec.scale == float(np.max(np.abs(H)))
+    got = bethe.check_roots(params, sols, spec.blocks, L, 1e-8, scale)
     want = _reference_checks(params, sols, H, L, 1e-8, scale)
     assert len(got) == len(want)
-    for g, (m, outcome, res, msg) in zip(got, want):
+    for sol, g, (m, outcome, res, msg) in zip(sols, got, want):
         assert (g.momentum, g.outcome, g.message) == (m, outcome, msg)
         if res is None:
             assert g.eig_residual is None
-        else:
-            assert abs(g.eig_residual - res) <= 1e-12 * max(1.0, res)
+            continue
+        b = bf.bae_residual(params, sol.z, L)
+        if b <= SolverConfig().bae_tol:
+            assert abs(g.eig_residual - res) <= b + 1e-12
     return [g.outcome for g in got]
 
 
@@ -845,7 +915,6 @@ class TestCheckRoots:
         free = draw_free("14V1", rng)
         h = bf.construct("14V1", free, {"eps": 1})
         L, M = 4, 2
-        H = bf.sector_matrix(h, L, M)
         sols = [s for s in bf.solve_bae(h, L, M) if not s.degenerate_flag]
         m = bf.momentum(sols[0].z, L)
         K = np.exp(2j * np.pi * m / L)
@@ -860,15 +929,34 @@ class TestCheckRoots:
         # when built by hand)
         batch = ([sol([taup, K / taup])] + sols[:3] + [sol([w, w])]
                  + [sol([u, K / u])] + sols[3:])
-        outcomes = _assert_checks_match_reference(h, batch, H, L)
+        outcomes = _assert_checks_match_reference(h, batch, L, M)
         assert outcomes[0] == "singular" and outcomes[4] == "null"
         assert outcomes[5] == "unverified"
         assert outcomes[1] == "verified"      # sols[0], in block m
         assert {bf.momentum(batch[i].z, L) for i in (0, 4, 5)} == {m}
         with pytest.raises(ValueError) as exc:
             bf.assemble_eigenvector(h, batch[0].z, L)
-        chk = bethe.check_roots(h, batch[:1], H, L, 1e-8, 1.0)[0]
+        blocks = bf.sector_spectrum(h, L, M).blocks
+        chk = bethe.check_roots(h, batch[:1], blocks, L, 1e-8, 1.0)[0]
         assert chk.message == str(exc.value)
+
+    def test_root_set_with_no_block_is_unverified(self, rng):
+        """A root set whose prod z is no L-th root of unity cannot solve the
+        BAE: it is unverified with a message naming prod z and no residual,
+        wherever it sits in the batch, and the sector does not pass."""
+        h, _ = family_instance("gIK", rng)
+        L, M = 5, 2
+        sols = [s for s in bf.solve_bae(h, L, M) if not s.degenerate_flag]
+        z = (1.1 + 0.2j, 0.7 - 0.4j)
+        stray = bethe.BetheSolution(z, bf.energy(h, z), 0.0)
+        batch = sols[:2] + [stray] + sols[2:]
+        outcomes = _assert_checks_match_reference(h, batch, L, M)
+        blocks = bf.sector_spectrum(h, L, M).blocks
+        chk = bethe.check_roots(h, batch, blocks, L, 1e-8, 1.0)[2]
+        assert (chk.momentum, chk.outcome, chk.eig_residual) \
+            == (None, "unverified", None)
+        assert str(complex(z[0] * z[1])) in chk.message
+        assert outcomes[:2] == outcomes[3:5] == ["verified"] * 2
 
     @pytest.mark.parametrize("name, M", [
         ("izergin_korepin", 2), ("izergin_korepin", 3), ("bariev", 2),
@@ -881,11 +969,10 @@ class TestCheckRoots:
         Every copy of a verified set is equivalent."""
         L = 9
         h = bf.with_zero_v00(load_input(PRESETS / f"{name}.json"))
-        H = bf.sector_matrix(h, L, M)
         sols = bf.solve_bae(h, L, M, SolverConfig(seed=0))
         again = [bethe.BetheSolution(s.z[::-1], s.energy, s.bae_residual,
                                      s.degenerate_flag) for s in sols]
-        outcomes = _assert_checks_match_reference(h, sols + again, H, L)
+        outcomes = _assert_checks_match_reference(h, sols + again, L, M)
         first, second = outcomes[:len(sols)], outcomes[len(sols):]
         assert "verified" in first and "equivalent" not in first
         assert second == ["equivalent" if o == "verified" else o
@@ -898,9 +985,24 @@ class TestCheckRoots:
         h, _ = family_instance(tag, rng)
         L = 5
         for M in (1, 2, 3):
-            H = bf.sector_matrix(h, L, M)
             sols = bf.solve_bae(h, L, M, SolverConfig())
-            _assert_checks_match_reference(h, sols, H, L)
+            _assert_checks_match_reference(h, sols, L, M)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_match_one_row_loop(self, name):
+        """Every preset at L = 4 and L = 7, M = 0..3: the block checks give
+        the whole-sector reference's outcomes."""
+        for L in (4, 7):
+            for M in range(4):
+                h, sols = _preset_solutions(name, L, M)
+                _assert_checks_match_reference(h, list(sols), L, M)
+
+    def test_long_trivial_chain_matches_one_row_loop(self, monkeypatch):
+        """17V1a at L = 12, M = 1..3 (sector dimension up to 352)."""
+        monkeypatch.setenv("BETHE_FORGE_LMAX", "12")
+        for M in (1, 2, 3):
+            h, sols = _preset_solutions("17V1a", 12, M)
+            _assert_checks_match_reference(h, list(sols), 12, M)
 
 
 class TestSecondVacuum:

@@ -232,6 +232,33 @@ class TestSpectrumCommand:
         assert sorted(e["momentum"] for e in m1["solutions"]) == list(range(L))
         assert report["sectors"][0]["solutions"][0]["momentum"] == 0
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_root_set_with_no_block_fails_verify(
+            self, capsys, monkeypatch, json_flag):
+        """A root set whose prod z is no L-th root of unity is reported
+        unverified with the message naming prod z, in JSON and in text, and
+        verify exits 1."""
+        solve = bf.oracle.solve_bae
+        z = (1.1 + 0.2j, 0.7 - 0.4j)
+
+        def with_stray(params, L, M, cfg):
+            stray = bethe.BetheSolution(z, bf.energy(params, z), 0.0)
+            return solve(params, L, M, cfg) + [stray]
+
+        monkeypatch.setattr(bf.oracle, "solve_bae", with_stray)
+        code = main(["verify", str(PRESETS / "gB.json"), "--L", "5",
+                     "--M", "2"] + json_flag)
+        out = capsys.readouterr().out
+        assert code == 1
+        assert f"prod z = {complex(z[0] * z[1])}" in out
+        if json_flag:
+            report = json.loads(out)
+            ent = report["sectors"][0]["solutions"][-1]
+            assert ent["momentum"] is None and ent["verified"] is False
+            assert ent["rejected"].startswith("no translation block")
+            assert "eig_residual" not in ent
+            assert not report["all_verified"]
+
     def test_unsolvable_refused_exit_4(self, tmp_path, rng):
         from conftest import random_params
         path = write_params(tmp_path, random_params(rng))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import bethe_forge as bf
+from bethe_forge import hamiltonian as ham
 from bethe_forge.cli import load_input
 from bethe_forge.hamiltonian import symmetric_diagonal
 
-from conftest import cdraw, dyadic_params, random_params
+from conftest import cdraw, dyadic_params, family_instance, random_params
 
 PRESETS = sorted((Path(bf.__file__).parent / "presets").glob("*.json"))
 
@@ -342,7 +343,48 @@ class TestApplyBonds:
         assert bf.sector_matrix(h, 41, M).tobytes() == expect.tobytes()
 
 
+def _reference_sector_basis(L, M):
+    """The digit-by-digit recursion over occupation prefixes."""
+    if not 0 <= M <= 2 * L:
+        return []
+    out = []
+
+    def rec(prefix, rem, sites_left):
+        if sites_left == 0:
+            if rem == 0:
+                out.append(tuple(prefix))
+            return
+        for d in range(3):
+            if d <= rem and rem - d <= 2 * (sites_left - 1):
+                rec(prefix + [d], rem - d, sites_left - 1)
+
+    rec([], M, L)
+    return out
+
+
 class TestSectorBasis:
+    def test_matches_recursion(self):
+        for L in range(1, 10):
+            for M in range(-1, 2 * L + 2):
+                assert bf.sector_basis(L, M) == _reference_sector_basis(L, M)
+        for M in range(4):
+            assert bf.sector_basis(41, M) == _reference_sector_basis(41, M)
+
+    def test_one_table_per_sector(self, rng):
+        """verify_sector, sector_matrix and sector_basis of one (L, M) read
+        one read-only occupation table, built once."""
+        for cache in (ham._sector_occupations, ham._orbit_table,
+                      bf.bethe._sector_positions):
+            cache.cache_clear()
+        h, _ = family_instance("gIK", rng)
+        L, M = 6, 2
+        bf.verify_sector(h, L, M, bf.SolverConfig(), 1e-8)
+        bf.sector_matrix(h, L, M)
+        bf.sector_basis(L, M)
+        info = ham._sector_occupations.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert not ham._sector_occupations(L, M).flags.writeable
+
     def test_vacuum_sector(self):
         assert bf.sector_basis(4, 0) == [(0, 0, 0, 0)]
 

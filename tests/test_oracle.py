@@ -1,14 +1,19 @@
 """Dense reference spectra and spectrum matching."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bethe_forge as bf
 from bethe_forge.bethe import BetheSolution
+from bethe_forge.cli import load_input
 
 from conftest import (annulus, cdraw, family_instance, match_multiset,
                       random_params)
+
+PRESETS = sorted((Path(bf.__file__).parent / "presets").glob("*.json"))
 
 
 class TestSectorMatrix:
@@ -200,7 +205,7 @@ class TestVerifySector:
                     if o == "verified"]
         spec = bf.sector_spectrum(h, L, M)
         ref = bf.compare(verified, spec, tol=tol,
-                         scale=float(np.max(np.abs(spec.matrix))))
+                         scale=float(np.max(np.abs(bf.sector_matrix(h, L, M)))))
         assert (rep.matched, rep.unmatched, rep.uncovered) \
             == (ref.matched, ref.unmatched, ref.uncovered)
         assert rep.max_eig_residual == max(
@@ -208,6 +213,68 @@ class TestVerifySector:
                      if c.eig_residual is not None])
         assert rep.passed == ("unverified" not in outcomes
                               and not rep.unmatched)
+
+
+class TestNoDenseSector:
+    @pytest.mark.parametrize("tag", ["gIK", "17V1a"])
+    def test_verify_sector_builds_only_representative_rows(
+            self, tag, rng, monkeypatch):
+        """verify_sector never builds the sector matrix: with sector_matrix
+        raising, no array that _apply_bonds returns has more rows than the
+        sector has translation orbits, for a Newton family (gIK) and a
+        trivial-S one (17V1a), L = 5, M = 0..3."""
+        h, _ = family_instance(tag, rng)
+        L, built = 5, []
+        apply_bonds = bf.hamiltonian._apply_bonds
+
+        def no_dense(*args):
+            raise AssertionError("sector_matrix called")
+
+        def rows_only(*args):
+            out = apply_bonds(*args)
+            built.append(out.shape)
+            return out
+
+        monkeypatch.setattr(bf.oracle, "sector_matrix", no_dense)
+        monkeypatch.setattr(bf.hamiltonian, "_apply_bonds", rows_only)
+        for M in range(4):
+            del built[:]
+            orbits = len(bf.hamiltonian._orbit_table(L, M)[2])
+            rep = bf.verify_sector(h, L, M, bf.SolverConfig(), 1e-8)
+            assert rep.passed and rep.matched, M
+            assert built and all(n <= orbits for n, _ in built), (M, built)
+
+
+class TestRepresentativeRows:
+    """The rows built at the orbit representatives, and the block matrices
+    read from them, equal those of the dense sector matrix byte for byte."""
+
+    @staticmethod
+    def _assert_same_blocks(h, L, M):
+        reps = bf.hamiltonian._orbit_table(L, M)[2]
+        dense = bf.sector_matrix(h, L, M)
+        rows = bf.hamiltonian._representative_rows(h, L, M)
+        assert rows.tobytes() == dense[reps].tobytes(), (L, M)
+        for (m, ia, a), (_, ib, b) in zip(
+                bf.oracle._block_matrices(rows, L, M),
+                bf.oracle._block_matrices(dense[reps], L, M)):
+            assert np.array_equal(ia, ib)
+            assert a.tobytes() == b.tobytes(), (L, M, m)
+        spec = bf.sector_spectrum(h, L, M)
+        assert spec.scale == float(np.max(np.abs(dense)))
+        assert spec.dimension == len(dense)
+
+    @pytest.mark.parametrize("path", PRESETS, ids=lambda p: p.stem)
+    def test_preset_sectors(self, path):
+        h = load_input(path)
+        for L in range(2, 10):
+            for M in range(4):
+                self._assert_same_blocks(h, L, M)
+
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_long_chain_sectors(self, monkeypatch, M):
+        monkeypatch.setenv("BETHE_FORGE_LMAX", "41")
+        self._assert_same_blocks(load_input(PRESETS[0]), 41, M)
 
 
 def _momentum_basis(L, M, m):
@@ -254,7 +321,8 @@ class TestTranslationBlocks:
         for L in (3, 4, 5, 6):
             for M in (1, 2, 3):
                 H = bf.sector_matrix(h, L, M)
-                blocks = list(bf.oracle._block_matrices(H, L, M))
+                rows = bf.hamiltonian._representative_rows(h, L, M)
+                blocks = list(bf.oracle._block_matrices(rows, L, M))
                 assert [m for m, _, _ in blocks] == list(range(L))
                 for m, idx, block in blocks:
                     F = _momentum_basis(L, M, m)
@@ -272,7 +340,7 @@ class TestTranslationBlocks:
         for L in (5, 6):
             for M in (1, 2, 3):
                 spec = bf.sector_spectrum(h, L, M)
-                H = spec.matrix
+                H = bf.sector_matrix(h, L, M)
                 scale = max(1.0, float(np.max(np.abs(H))))
                 verified = []
                 for s in bf.solve_bae(h, L, M, cfg):
@@ -302,8 +370,9 @@ class TestTranslationBlocks:
         cases.append((family_instance("17V1a", rng)[0], 12, 3))
         for h, L, M in cases:
             spec = bf.sector_spectrum(h, L, M)
-            whole = np.linalg.eigvals(spec.matrix)
-            scale = max(1.0, float(np.max(np.abs(spec.matrix))))
+            H = bf.sector_matrix(h, L, M)
+            whole = np.linalg.eigvals(H)
+            scale = max(1.0, float(np.max(np.abs(H))))
             assert _same_multiset(spec.eigenvalues, whole, 1e-9 * scale), (L, M)
 
 
