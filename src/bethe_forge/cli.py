@@ -399,13 +399,13 @@ def _solution_entry(sol, check):
         entry["eigenvector"] = f"failed: {check.message}"
     elif check.outcome == "null":
         entry["eigenvector"] = "null"
-    elif check.eig_residual is None:
-        # unverified before assembly: the root set has no translation block
-        entry["rejected"] = check.message
-        entry["verified"] = False
     else:
-        entry["eig_residual"] = check.eig_residual
+        # a root set with no block is unverified before assembly, unmeasured
+        if check.eig_residual is not None:
+            entry["eig_residual"] = check.eig_residual
         entry["verified"] = check.outcome != "unverified"
+        if check.message:
+            entry["rejected"] = check.message
         if check.outcome == "equivalent":
             entry["equivalent_state"] = True
     return entry
@@ -427,8 +427,8 @@ def _text_spectrum(report):
                 extra = f"  eig res {ent['eig_residual']:.1e}"
             elif "eigenvector" in ent:
                 extra = f"  [{ent['eigenvector']}]"
-            elif "rejected" in ent:
-                extra = f"  [rejected: {ent['rejected']}]"
+            if "rejected" in ent:
+                extra += f"  [rejected: {ent['rejected']}]"
             flag = (" (same state as an earlier root set)"
                     if ent.get("equivalent_state") else "")
             lines.append(f"    z = ({zs})  E = {_fmt_c(ent['energy'], 5)}  "

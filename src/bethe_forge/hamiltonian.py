@@ -280,48 +280,43 @@ def _state_keys(occ):
     return occ.view(f"V{occ.shape[1]}").ravel()
 
 
-def _apply_bonds(m2, states, L, basis=None):
-    """The periodic chain of two-site matrix m2 over states, occupation
-    tuples or rows sorted lexicographically (as sector_basis and np.ndindex
-    list them).  Each bond's image is a copy of its state with the bond's
-    two digits set, found by searchsorted over the sorted _state_keys.
-    Entries accumulate by np.add.at in (state, bond, output) order, each
-    input pair's output pairs in m2's row order: the order of a loop over
-    states, bonds and outputs, so each entry is summed in that loop's order.
-
-    Given basis, a sorted (dim, L) uint8 occupation table holding every
-    image, the images are looked up there instead and the result is the
-    (len(states), dim) array whose row i is the chain's column at states[i]
-    (out[i, j] = <basis_j| H |states_i>); each entry is summed in the same
-    order as in the square build, and with m2 transposed the rows are those
-    of the square build at states."""
+def _apply_bonds(m2, states, L, basis):
+    """The rows at states of the periodic chain H of two-site matrix m2 over
+    basis: the (len(states), len(basis)) array out[i, j] = <states_i| H
+    |basis_j>.  states are occupation tuples or rows; basis is a (dim, L)
+    uint8 occupation table sorted lexicographically (as sector_basis and
+    np.ndindex list them) that holds every state a bond reaches from them.
+    Bond b links state i to the copy of it with the bond's two digits set
+    to a pair r with m2[c, r] != 0, c its pair there; the copy's column is
+    found by searchsorted over the sorted _state_keys.  Entries accumulate
+    by np.add.at in (state, bond, entry) order, so each out[i, j] sums its
+    terms m2[c, r] in ascending bond order whatever the other states are:
+    the rows at a subset of the basis equal those of the square matrix bit
+    for bit."""
     occ = np.array(states, dtype=np.uint8).reshape(len(states), L)
-    # outputs of each input pair c = 3 i1 + i2: the nonzero rows of m2[:, c]
-    # in order, padded to the longest column (ok marks the real ones)
-    outs = [np.nonzero(m2[:, c])[0] for c in range(9)]
+    # entries of each pair c = 3 i1 + i2: the nonzero columns of m2[c] in
+    # order, padded to the longest row (ok marks the real ones)
+    outs = [np.nonzero(m2[c])[0] for c in range(9)]
     K = max(len(r) for r in outs)
-    out_row = np.zeros((9, K), np.intp)
+    out_col = np.zeros((9, K), np.intp)
     ok = np.zeros((9, K), bool)
     for c, r in enumerate(outs):
-        out_row[c, :len(r)] = r
+        out_col[c, :len(r)] = r
         ok[c, :len(r)] = True
-    out_val = m2[out_row, np.arange(9)[:, None]]
+    out_val = m2[np.arange(9)[:, None], out_col]
     nxt = (np.arange(L) + 1) % L
     pair = 3 * occ.astype(np.intp) + occ[:, nxt]   # (n, L)
-    # every (state, bond, output) entry, in that order
-    col, bond, k = np.nonzero(ok[pair])
-    c = pair[col, bond]
-    r = out_row[c, k]
-    image = occ[col]
-    row = np.arange(len(col))
-    image[row, bond] = r // 3
-    image[row, nxt[bond]] = r % 3
-    square = basis is None
-    if square:
-        basis = occ
-    row = np.searchsorted(_state_keys(basis), _state_keys(image))
+    # every (state, bond, entry) term, in that order
+    row, bond, k = np.nonzero(ok[pair])
+    c = pair[row, bond]
+    r = out_col[c, k]
+    image = occ[row]
+    term = np.arange(len(row))
+    image[term, bond] = r // 3
+    image[term, nxt[bond]] = r % 3
+    col = np.searchsorted(_state_keys(basis), _state_keys(image))
     H = np.zeros((len(occ), len(basis)), complex)
-    np.add.at(H, (row, col) if square else (col, row), out_val[c, k])
+    np.add.at(H, (row, col), out_val[c, k])
     return H
 
 
@@ -329,7 +324,8 @@ def chain_matrix(params, spec):
     """Full 3^L x 3^L periodic chain matrix, sum of L embedded two-site terms."""
     spec = _as_chain_spec(spec)
     L = spec.L
-    return _apply_bonds(two_site_matrix(params), list(np.ndindex(*(3,) * L)), L)
+    full = np.array(list(np.ndindex(*(3,) * L)), np.uint8).reshape(-1, L)
+    return _apply_bonds(two_site_matrix(params), full, L, full)
 
 
 @functools.lru_cache(maxsize=32)
@@ -391,13 +387,11 @@ def _orbit_table(L, M):
 def _representative_rows(params, L, M):
     """The rows H[reps] of the (L, M) sector matrix H at its translation
     orbits' representatives (_orbit_table), a (k, dim) array, without
-    building H: the chain of the transposed two-site matrix applied to the
-    representatives, its images looked up in the whole sector.  Each entry
-    equals H's bit for bit (_apply_bonds)."""
+    building H.  Each entry equals H's bit for bit (_apply_bonds)."""
     ChainSpec(L)  # raises unless 2 <= L <= L_max
     occ = _sector_occupations(L, M)
     reps = _orbit_table(L, M)[2]
-    return _apply_bonds(two_site_matrix(params).T, occ[reps], L, occ)
+    return _apply_bonds(two_site_matrix(params), occ[reps], L, occ)
 
 
 def sector_dimension(L, M):

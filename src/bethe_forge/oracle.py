@@ -85,7 +85,8 @@ class SectorReport:
 def sector_matrix(params, L, M):
     """Restriction of the periodic chain to the S^z = M occupation basis."""
     ChainSpec(L)  # raises unless 2 <= L <= L_max
-    return _apply_bonds(two_site_matrix(params), _sector_occupations(L, M), L)
+    occ = _sector_occupations(L, M)
+    return _apply_bonds(two_site_matrix(params), occ, L, occ)
 
 
 def _block_matrices(rows, L, M):

@@ -1004,6 +1004,59 @@ class TestCheckRoots:
             h, sols = _preset_solutions("17V1a", 12, M)
             _assert_checks_match_reference(h, list(sols), 12, M)
 
+    @pytest.mark.parametrize("L, M", [(12, 2), (16, 2), (11, 3)])
+    def test_bound_state_root_sets_match_whole_sector(self, L, M,
+                                                      monkeypatch):
+        """Root sets with a root well inside the unit circle, |z|^L < 1e-2
+        (a bound-state pair), where psi's translation defect relative to
+        its terms may be up to b / |z|^L for the absolute BAE residual b:
+        on every such root set of the presets the block check gives the
+        whole-sector outcome, and its residual lies within b + 1e-12."""
+        monkeypatch.setenv("BETHE_FORGE_LMAX", str(L))
+        verified = 0
+        for name in PRESET_NAMES:
+            h, sols = _preset_solutions(name, L, M)
+            bound = [s for s in sols if min(abs(w) for w in s.z) ** L < 1e-2]
+            if bound:
+                outcomes = _assert_checks_match_reference(h, bound, L, M)
+                verified += outcomes.count("verified")
+        assert verified >= 20
+
+    def test_defect_gate_on_perturbed_bound_states(self, monkeypatch):
+        """Each preset's deepest bound-state root set at L = 16, M = 2
+        (|z|^L < 1e-2), its smallest root scaled by 1 + eps, eps = 1e-15 ..
+        1e-9, so that b runs from about 1e-9 to 1e-3: phi's residual alone
+        would verify sets whose whole Bethe vector fails, and the
+        translation defect gate turns them down, naming the defect.  Every
+        set the block check verifies verifies in the whole sector."""
+        L, M = 16, 2
+        monkeypatch.setenv("BETHE_FORGE_LMAX", str(L))
+        gated = 0
+        for name in PRESET_NAMES:
+            h, sols = _preset_solutions(name, L, M)
+            bound = [s for s in sols if not s.degenerate_flag
+                     and min(abs(w) for w in s.z) ** L < 1e-2]
+            if not bound:
+                continue
+            z = np.array(min(bound, key=lambda s: min(abs(w) for w in s.z)).z)
+            small = np.argmin(np.abs(z))
+            spec = bf.sector_spectrum(h, L, M)
+            H = bf.sector_matrix(h, L, M)
+            for eps in np.logspace(-15, -9, 13):
+                zz = z.copy()
+                zz[small] *= 1 + eps
+                sol = bethe.BetheSolution(tuple(zz), bf.energy(h, zz), 0.0)
+                got, = bethe.check_roots(h, [sol], spec.blocks, L, 1e-8,
+                                         spec.scale)
+                (_, want, _, _), = _reference_checks(h, [sol], H, L, 1e-8,
+                                                      spec.scale)
+                if got.outcome == "verified":
+                    assert want == "verified", (name, eps)
+                elif got.eig_residual <= 1e-8:
+                    assert got.message.startswith("translation defect")
+                    gated += 1
+        assert gated >= 5
+
 
 class TestSecondVacuum:
     def test_conjugate_run_covers_opposite_sector(self, rng):

@@ -259,6 +259,37 @@ class TestSpectrumCommand:
             assert "eig_residual" not in ent
             assert not report["all_verified"]
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_translation_defect_fails_verify(
+            self, capsys, monkeypatch, json_flag):
+        """SB5's deepest bound state at L = 16, M = 2 with its smallest
+        root scaled by 1 + 1e-10 passes the block residual but not the
+        translation defect gate: it is reported unverified with its
+        residual and the defect, in JSON and in text, and verify exits 1."""
+        monkeypatch.setenv("BETHE_FORGE_LMAX", "16")
+        solve = bf.oracle.solve_bae
+
+        def with_pushed(params, L, M, cfg):
+            sols = solve(params, L, M, cfg)
+            z = np.array(min(sols, key=lambda s: min(map(abs, s.z))).z)
+            z[np.argmin(np.abs(z))] *= 1 + 1e-10
+            pushed = bethe.BetheSolution(tuple(z), bf.energy(params, z), 0.0)
+            return sols + [pushed]
+
+        monkeypatch.setattr(bf.oracle, "solve_bae", with_pushed)
+        code = main(["verify", str(PRESETS / "SB5.json"), "--L", "16",
+                     "--M", "2"] + json_flag)
+        out = capsys.readouterr().out
+        assert code == 1
+        if not json_flag:
+            assert "rejected: translation defect" in out
+            return
+        report = json.loads(out)
+        ent = report["sectors"][0]["solutions"][-1]
+        assert ent["verified"] is False and ent["eig_residual"] <= 1e-8
+        assert ent["rejected"].startswith("translation defect")
+        assert not report["all_verified"]
+
     def test_unsolvable_refused_exit_4(self, tmp_path, rng):
         from conftest import random_params
         path = write_params(tmp_path, random_params(rng))
