@@ -8,7 +8,6 @@ against dense exact diagonalization.
 """
 
 from .hamiltonian import (
-    ChainSpec,
     DiagonalInvariants,
     GateViolation,
     HamiltonianParams,
@@ -19,8 +18,8 @@ from .hamiltonian import (
     apply_telescopic,
     apply_time_reversal,
     chain_matrix,
+    check_chain,
     invariants,
-    max_chain_length,
     params_from_dict,
     params_to_dict,
     sector_basis,
@@ -54,7 +53,6 @@ from .reductions import reduce_hamiltonian, reduce_two_site
 from .bethe import (
     BetheSolution,
     SectorEigenvector,
-    SolverConfig,
     amplitude,
     assemble_eigenvector,
     bae_residual,

@@ -13,7 +13,8 @@ denominator-cleared polynomial system
           - (-1)^(M-1) prod_{n != j} Lambda(z_n, z_j).
 
 Families with S identically -1 need no solver: their solutions are exactly
-the multisets of the trivial-scattering roots z^L = (-1)^(M-1).
+the multisets of the trivial-scattering roots z^L = (-1)^(M-1).  S = -1 is
+tested at six fixed pairs of momenta (_TRIVIAL_S_PROBES).
 
 M = 2 needs no seeds either.  The BAE force (z1 z2)^L = 1, so each solution
 lies on a line z1 z2 = e^{2 pi i n / L}, one per translation block, and on
@@ -28,8 +29,8 @@ e^{2 pi i n / L}; damped Newton runs on the two unknowns (z1, z2) with z3 =
 w / (z1 z2), on F_1 = F_2 = 0 (F_3 then vanishes where no Lambda does).
 The starts are fixed (_block_starts): every multiset of three distinct
 L-th roots of unity, the S = -1 solutions, in the block of its product, and
-the same Halton grid of (z1, z2) points in every block; no start depends
-on the seed.  All starts run as one batch.  Each iteration takes F and its
+the same Halton grid of (z1, z2) points in every block; no start is
+random.  All starts run as one batch.  Each iteration takes F and its
 3 x 3 Jacobian from _bae_system, reduces the Jacobian to the 2 x 2 one of
 the block by the chain rule, and solves it in closed form (_block_steps);
 the Lambda table, and F with it, comes from the line search that accepted
@@ -39,7 +40,7 @@ search tries the full step on every row, then the shorter steps DAMPING^1
 .. DAMPING^24 on the rows still worse; each row takes the first step that
 lowers its residual and is dropped as stuck if none does.  A row stops
 when its relative residual reaches NEWTON_TOL (converged), when it is
-stuck, when its Jacobian is singular, at the iteration cap, or when it has
+stuck, when its Jacobian is singular, at MAX_ITER iterations, or when it has
 stalled: its residual is not STALL_FACTOR below its value STALL_WINDOW
 iterations earlier (converged rows are taken out first).  Near a root of
 multiplicity k a Newton step cuts the residual to at most ((k-1)/k)^k <=
@@ -85,7 +86,6 @@ oracle.verify_sector collects them into the sector's report.
 from __future__ import annotations
 
 import bisect
-import copy
 import functools
 import itertools
 from dataclasses import dataclass
@@ -93,18 +93,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (_PairTable, lambda_fn, lambda_grad, ordered_pairs,
-                          pair_row, permutation_table, random_momenta)
+                          pair_row, permutation_table)
 from .hamiltonian import _orbit_table, _sector_occupations, invariants
 
+BAE_TOL = 1e-10          # largest BAE residual of an accepted root set
 DAMPING = 0.5            # line-search step factor
 GRID_STARTS = 600        # M = 3 Halton starts per solve, ceil(600 / L) a block
 NEWTON_TOL = 1e-12       # Newton stops below this relative residual
+MAX_ITER = 200           # Newton iteration cap, M = 3
 STALL_WINDOW = 20        # Newton drops a row whose relative residual is not
 STALL_FACTOR = 10.0      # STALL_FACTOR below its value STALL_WINDOW steps ago
 DEDUP_TOL = 1e-8         # root sets this close are one solution
 DEGENERATE_TOL = 1e-6    # roots this close are coincident
 MOMENTUM_TOL = 1e-6      # prod z this close to e^{2 pi i m / L} is in block m
-TRIVIAL_S_PROBES = 6     # random pairs at which S = -1 is tested
+
+# the pairs (z1, z2) at which S = -1 is tested: six points of the annulus
+# 0.5 <= |z| <= 2, the first draws of constraints.random_momenta at seed 0
+_TRIVIAL_S_PROBES = np.array([
+    (1.4074767580971808+0.37057001552752244j,
+     0.8998064031495278+0.09377881996916455j),
+    (-1.3480859043241713-1.0680537616584869j,
+     -0.2401291693776874-1.8536443891956824j),
+    (0.5288902015281042-1.204429714617546j,
+     1.902326995877117+0.03273562780124551j),
+    (-0.22769420549010114-1.771533650277791j,
+     0.2478443252211732+0.4914158451537818j),
+    (-0.5515230696313601+1.7079273562317374j,
+     -1.1603915294472242+0.6126490823354334j),
+    (-0.2594744305126721-0.47640007884061064j,
+     -0.41321348785272605-0.5481183969228107j),
+])
+_TRIVIAL_S_PROBES.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -113,13 +132,6 @@ class BetheSolution:
     energy: complex
     bae_residual: float
     degenerate_flag: bool = False
-
-
-@dataclass
-class SolverConfig:
-    seed: int = 0               # trivial-S probe only; no root set uses it
-    max_iter: int = 200         # Newton iteration cap, M = 3 only
-    bae_tol: float = 1e-10
 
 
 @functools.lru_cache(maxsize=32)
@@ -225,15 +237,10 @@ def bae_residual(params, z, L):
     return float(_bae_residuals(params, np.array([z], complex), L)[0])
 
 
-def _is_trivial_s(params, rng):
-    """Whether S(z1, z2) = -1 at TRIVIAL_S_PROBES random pairs (and is
-    nowhere singular there), read from one pair table.  The probes are drawn
-    from a copy of rng; rng itself moves past the first probe only, where a
-    nontrivial S already fails."""
-    probes = copy.deepcopy(rng)
-    Z = np.array([random_momenta(probes, 2) for _ in range(TRIVIAL_S_PROBES)])
-    random_momenta(rng, 2)
-    table = _PairTable(params, Z)
+def _is_trivial_s(params):
+    """Whether S(z1, z2) = -1 at the _TRIVIAL_S_PROBES pairs (and is nowhere
+    singular there), read from one pair table."""
+    table = _PairTable(params, _TRIVIAL_S_PROBES)
     off = np.abs(table.S(0, 1) + 1) > 1e-10
     return not np.any(table.singular() | off)
 
@@ -349,7 +356,7 @@ def _block_steps(params, Z, L, lam=None):
                                ) / -det[:, None]
 
 
-def _newton_batch(params, Z0, w, L, cfg):
+def _newton_batch(params, Z0, w, L):
     """Damped Newton on the cleared M = 3 BAE system, over a batch of starts
     Z0 on their block lines z1 z2 z3 = w.
 
@@ -375,7 +382,7 @@ def _newton_batch(params, Z0, w, L, cfg):
     # until iteration it + STALL_WINDOW reads and replaces it
     past = np.empty((STALL_WINDOW, n))
 
-    for it in range(cfg.max_iter):
+    for it in range(MAX_ITER):
         hit = res[active] <= NEWTON_TOL
         converged[active[hit]] = True
         active = active[~hit]
@@ -549,12 +556,11 @@ def _multiset_seeds(L, M):
             for c in itertools.combinations_with_replacement(roots, M)]
 
 
-def solve_bae(params, L, M, config=None):
-    """All distinct Bethe-equation solutions found for the (L, M) sector."""
-    cfg = config or SolverConfig()
+def solve_bae(params, L, M, bae_tol=BAE_TOL):
+    """All distinct Bethe-equation solutions found for the (L, M) sector
+    with a BAE residual of at most bae_tol."""
     if M < 0 or M > 3:
         raise ValueError("M <= 3 supported")
-    rng = np.random.default_rng(cfg.seed)
 
     if M < 2:
         # no scattering: the M-subsets of the L-th roots of unity, exactly
@@ -562,7 +568,7 @@ def solve_bae(params, L, M, config=None):
         return [BetheSolution(z, energy(params, z), 0.0, False)
                 for z in itertools.combinations(roots, M)]
 
-    if _is_trivial_s(params, rng):
+    if _is_trivial_s(params):
         Z = np.array(_multiset_seeds(L, M), complex)
         return [BetheSolution(_canonical(zs), energy(params, zs), float(res),
                               _coincident(zs))
@@ -571,12 +577,12 @@ def solve_bae(params, L, M, config=None):
     if M == 2:
         Z = _m2_pairs(params, L)
     else:
-        Z = _newton_batch(params, *_block_starts(L), L, cfg)
+        Z = _newton_batch(params, *_block_starts(L), L)
     Z = Z[~np.any(np.abs(Z) < 1e-8, axis=1)]
     res = _bae_residuals(params, Z, L)
     if M == 2:
         Z, res = _polish(params, Z, res, L)
-    ok = res <= cfg.bae_tol
+    ok = res <= bae_tol
     sets, res = [_canonical(z) for z in Z[ok]], res[ok]
     return [BetheSolution(sets[i], energy(params, sets[i]), float(res[i]),
                           _coincident(sets[i]))

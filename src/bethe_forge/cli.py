@@ -42,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constraints, families, oracle, reductions
-from .bethe import SolverConfig
-from .hamiltonian import (FRAME_WORDS, OFFDIAG_KEYS, ChainSpec, GateViolation,
-                          _pair_to_c, apply_charge_conjugation, apply_frame,
+from .bethe import BAE_TOL
+from .hamiltonian import (FRAME_WORDS, OFFDIAG_KEYS, GateViolation, _pair_to_c,
+                          apply_charge_conjugation, apply_frame, check_chain,
                           params_from_dict, params_to_dict, with_zero_v00)
 
 EXIT_OK = 0
@@ -56,17 +56,20 @@ EXIT_REFUSED = 4
 
 @dataclass
 class RunConfig:
-    input_path: str | None = None
-    mode: str = "classify"
-    L: int = 4
-    M_range: tuple = (1, 2)
-    tol_constraint: float = 1e-9
-    tol_bae: float = 1e-10
-    tol_eig: float = 1e-8
-    constraint_samples: int = 20
-    seed: int = 0
-    json_output: bool = False
-    conjugate_vacuum: bool = False
+    """One run's options, as build_parser defines and defaults them; the
+    input path, L and M_range are None where the mode takes none."""
+
+    input_path: str | None
+    mode: str
+    L: int | None
+    M_range: tuple | None
+    tol_constraint: float
+    tol_bae: float
+    tol_eig: float
+    constraint_samples: int
+    seed: int
+    json_output: bool
+    conjugate_vacuum: bool
 
     def __post_init__(self):
         if not all(math.isfinite(t) and t > 0 for t in
@@ -76,10 +79,14 @@ class RunConfig:
             raise ValueError("at least 1 constraint sample is needed")
         if self.seed < 0:
             raise ValueError("the seed must be non-negative")
-        ChainSpec(self.L)  # raises unless 2 <= L <= L_max
+        if self.mode not in ("spectrum", "verify"):
+            return
         lo, hi = self.M_range
         if not 0 <= lo <= hi:
             raise ValueError(f"M range {lo}..{hi} is empty or negative")
+        # sector dimensions rise with M up to M = L and fall after it: the
+        # range's largest sector is the one nearest M = L
+        check_chain(self.L, min(max(lo, self.L), hi))
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -353,8 +360,7 @@ def run_spectrum(cfg):
     lo, hi = cfg.M_range
     if hi > 3:
         raise ModeRefusal("M <= 3 supported")
-    solver = SolverConfig(seed=cfg.seed, bae_tol=cfg.tol_bae)
-    reps = [oracle.verify_sector(params, cfg.L, M, solver, cfg.tol_eig)
+    reps = [oracle.verify_sector(params, cfg.L, M, cfg.tol_bae, cfg.tol_eig)
             for M in range(lo, hi + 1)]
     all_ok = all(rep.passed for rep in reps)
     return {
@@ -557,13 +563,15 @@ def build_parser():
         prog="bethe-forge",
         description="Classify and solve three-state spin-chain Hamiltonians "
                     "by coordinate Bethe ansatz.")
+    ap.set_defaults(input_path=None, L=None, M_range=None)
     sub = ap.add_subparsers(dest="mode", required=True)
 
     def common(p, needs_file=True):
         if needs_file:
-            p.add_argument("input", help="Hamiltonian or preset JSON file")
+            p.add_argument("input_path", metavar="input",
+                           help="Hamiltonian or preset JSON file")
         p.add_argument("--tol-constraint", type=float, default=1e-9)
-        p.add_argument("--tol-bae", type=float, default=1e-10)
+        p.add_argument("--tol-bae", type=float, default=BAE_TOL)
         p.add_argument("--tol-eig", type=float, default=1e-8)
         p.add_argument("--constraint-samples", type=int, default=20)
         p.add_argument("--seed", type=int, default=0)
@@ -579,6 +587,7 @@ def build_parser():
         common(ps)
         ps.add_argument("--L", type=int, required=True)
         ps.add_argument("--M", type=_parse_m_range, default=(1, 2),
+                        dest="M_range",
                         help="excitation range, e.g. 2 or 1..2")
     pk = sub.add_parser("catalog", help="list the ten families")
     common(pk, needs_file=False)
@@ -592,13 +601,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
-        cfg = RunConfig(
-            input_path=getattr(ns, "input", None), mode=ns.mode,
-            L=getattr(ns, "L", 4), M_range=getattr(ns, "M", (1, 2)),
-            tol_constraint=ns.tol_constraint, tol_bae=ns.tol_bae,
-            tol_eig=ns.tol_eig, constraint_samples=ns.constraint_samples,
-            seed=ns.seed, json_output=ns.json_output,
-            conjugate_vacuum=ns.conjugate_vacuum)
+        cfg = RunConfig(**vars(ns))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -10,6 +10,11 @@ Conventions used throughout the package:
   entries v[i, j]; U(1) invariance (row and column trit sums equal) holds
   by construction.
 * Chains are periodic: site L+1 is identified with site 1.
+* One size guard, check_chain, precedes every chain or sector matrix:
+  L >= 2, dim <= SECTOR_DIM_CAP and dim * L^2 <= WORK_CAP, the cost of the
+  translation-orbit table (L shifts of the dim x L basis), which dim alone
+  does not bound (an M = 1 sector has dim = L).  The whole 3^L space
+  passes up to L = 9.
 
 All arithmetic is complex double precision.
 """
@@ -19,7 +24,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,18 +44,13 @@ OFFDIAG_SLOTS = {
     "sp": ((2, 0), (0, 2)),
 }
 
-DEFAULT_L_MAX = 9
+SECTOR_DIM_CAP = 20000       # largest basis a chain matrix is built on
+WORK_CAP = 5_000_000         # largest dim * L^2 of a chain or sector
 
 
 class GateViolation(ValueError):
     """Input lies outside the classification hypotheses (rank-2 symmetry or
     no pseudo-excitation channel)."""
-
-
-def max_chain_length():
-    """Dense-ED memory guard; override with the BETHE_FORGE_LMAX env var."""
-    env = os.environ.get("BETHE_FORGE_LMAX")
-    return int(env) if env else DEFAULT_L_MAX
 
 
 @dataclass(frozen=True)
@@ -117,20 +116,6 @@ class DiagonalInvariants:
 
     def as_dict(self):
         return {k: getattr(self, k) for k in ("V", "X11", "Y", "X12", "X21", "X22")}
-
-
-@dataclass(frozen=True)
-class ChainSpec:
-    """Periodic chain of L three-state sites."""
-
-    L: int
-
-    def __post_init__(self):
-        if self.L < 2:
-            raise ValueError("chain length must be at least 2")
-        if self.L > max_chain_length():
-            raise ValueError(
-                f"chain too large: L={self.L} exceeds L_max={max_chain_length()}")
 
 
 def two_site_matrix(params):
@@ -267,8 +252,22 @@ def apply_telescopic(params, a):
 # chains and sectors
 # ---------------------------------------------------------------------------
 
-def _as_chain_spec(spec):
-    return spec if isinstance(spec, ChainSpec) else ChainSpec(int(spec))
+def check_chain(L, M=None):
+    """Raise ValueError unless a chain of L sites may be built on its S^z = M
+    sector, or with M None on its whole 3^L space: L >= 2, dim <=
+    SECTOR_DIM_CAP and dim * L^2 <= WORK_CAP, dim counted, not listed."""
+    if L < 2:
+        raise ValueError("chain length must be at least 2")
+    if M is None:
+        dim, where = 3 ** L, f"L={L}"
+    else:
+        dim, where = sector_dimension(L, M), f"L={L}, M={M}"
+    if dim > SECTOR_DIM_CAP:
+        raise ValueError(f"chain too large: dimension {dim} at {where} "
+                         f"exceeds cap {SECTOR_DIM_CAP}")
+    if dim * L * L > WORK_CAP:
+        raise ValueError(f"chain too large: dimension {dim} times L^2 at "
+                         f"{where} exceeds cap {WORK_CAP}")
 
 
 def _state_keys(occ):
@@ -320,10 +319,9 @@ def _apply_bonds(m2, states, L, basis):
     return H
 
 
-def chain_matrix(params, spec):
+def chain_matrix(params, L):
     """Full 3^L x 3^L periodic chain matrix, sum of L embedded two-site terms."""
-    spec = _as_chain_spec(spec)
-    L = spec.L
+    check_chain(L)
     full = np.array(list(np.ndindex(*(3,) * L)), np.uint8).reshape(-1, L)
     return _apply_bonds(two_site_matrix(params), full, L, full)
 
@@ -388,7 +386,7 @@ def _representative_rows(params, L, M):
     """The rows H[reps] of the (L, M) sector matrix H at its translation
     orbits' representatives (_orbit_table), a (k, dim) array, without
     building H.  Each entry equals H's bit for bit (_apply_bonds)."""
-    ChainSpec(L)  # raises unless 2 <= L <= L_max
+    check_chain(L, M)
     occ = _sector_occupations(L, M)
     reps = _orbit_table(L, M)[2]
     return _apply_bonds(two_site_matrix(params), occ[reps], L, occ)
@@ -405,6 +403,7 @@ def sector_dimension(L, M):
 
 def sz_matrix(L):
     """Diagonal total-S^z in the full product basis."""
+    check_chain(L)
     states = list(np.ndindex(*(3,) * L))
     return np.diag([float(sum(s)) for s in states]).astype(complex)
 

@@ -14,6 +14,9 @@ m p = 0 mod L.  Each block matrix B_m = F_m^dagger H F_m (F_m the columns
 are built (hamiltonian._representative_rows), a (k, dim) array for the k
 orbits; the dim x dim sector matrix is built only by sector_matrix, which
 verify_sector does not call.  Each block is diagonalized on its own.
+Both refuse a sector outside hamiltonian.check_chain's caps before they
+allocate anything, and verify_sector diagonalizes before it solves, so an
+oversized sector is refused before the solver runs.
 
 A Bethe state with momenta z satisfies T psi = (prod z) psi, so it lies in
 the block m with e^{2 pi i m / L} = prod z (bethe.momentum).  It is
@@ -38,11 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bethe import _momenta, check_roots, solve_bae
-from .hamiltonian import (ChainSpec, _apply_bonds, _orbit_table,
-                          _representative_rows, _sector_occupations,
-                          sector_dimension, two_site_matrix)
-
-SECTOR_DIM_CAP = 20000
+from .hamiltonian import (_apply_bonds, _orbit_table, _representative_rows,
+                          _sector_occupations, check_chain, two_site_matrix)
 
 
 @dataclass
@@ -84,7 +84,7 @@ class SectorReport:
 
 def sector_matrix(params, L, M):
     """Restriction of the periodic chain to the S^z = M occupation basis."""
-    ChainSpec(L)  # raises unless 2 <= L <= L_max
+    check_chain(L, M)
     occ = _sector_occupations(L, M)
     return _apply_bonds(two_site_matrix(params), occ, L, occ)
 
@@ -114,11 +114,7 @@ def sector_spectrum(params, L, M):
     block labels, the block matrices and the largest |entry| of the sector
     matrix.  Only the sector matrix's representative rows are built, never
     the matrix itself; by translation invariance every entry of it is an
-    entry of those rows.  A sector larger than SECTOR_DIM_CAP is refused
-    before anything is allocated."""
-    dim = sector_dimension(L, M)
-    if dim > SECTOR_DIM_CAP:
-        raise ValueError(f"sector dimension {dim} exceeds cap")
+    entry of those rows."""
     rows = _representative_rows(params, L, M)
     evs, labels, blocks = [np.empty(0, complex)], [np.empty(0, np.intp)], {}
     for m, idx, block in _block_matrices(rows, L, M):
@@ -131,7 +127,8 @@ def sector_spectrum(params, L, M):
             raise RuntimeError(
                 f"eigensolver failed for L={L}, M={M}, block {m}: {exc}")
         labels.append(np.full(idx.size, m))
-    return SectorSpectrum(M=M, eigenvalues=np.concatenate(evs), dimension=dim,
+    return SectorSpectrum(M=M, eigenvalues=np.concatenate(evs),
+                          dimension=rows.shape[1],
                           momenta=np.concatenate(labels), L=L, blocks=blocks,
                           scale=float(np.max(np.abs(rows), initial=0.0)))
 
@@ -167,13 +164,13 @@ def compare(cba_solutions, ed, tol=1e-8, scale=1.0):
         uncovered=[len(p) for p in pools])
 
 
-def verify_sector(params, L, M, solver_config, tol_eig):
-    """Solve, diagonalize, check and match the (L, M) sector: the root sets
-    of solve_bae, each checked in its translation block (check_roots), and
-    the verified ones matched against the block spectra (compare), with
-    tol_eig relative to the largest sector matrix entry."""
-    sols = solve_bae(params, L, M, solver_config)
+def verify_sector(params, L, M, bae_tol, tol_eig):
+    """Diagonalize, solve, check and match the (L, M) sector: the root sets
+    of solve_bae within bae_tol, each checked in its translation block
+    (check_roots), and the verified ones matched against the block spectra
+    (compare), with tol_eig relative to the largest sector matrix entry."""
     spec = sector_spectrum(params, L, M)
+    sols = solve_bae(params, L, M, bae_tol)
     scale = spec.scale or 1.0
     checks = check_roots(params, sols, spec.blocks, L, tol_eig, scale)
     verified = [sol for sol, chk in zip(sols, checks)

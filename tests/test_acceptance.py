@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 import bethe_forge as bf
-from bethe_forge.bethe import SolverConfig
 from bethe_forge.families import J_PLUS
 from bethe_forge.hamiltonian import sz_matrix
 from bethe_forge.reductions import SZ_TWO_SITE
@@ -150,7 +149,7 @@ def test_criterion_5_m2_eigenpairs():
             Hs = bf.sector_matrix(h, L, 2)
             ev = np.linalg.eigvals(Hs)
             scale = max(1.0, float(np.max(np.abs(Hs))))
-            for sol in bf.solve_bae(h, L, 2, SolverConfig(seed=SEED)):
+            for sol in bf.solve_bae(h, L, 2):
                 psi = bf.assemble_eigenvector(h, sol.z, L)
                 if psi.is_null:
                     continue
@@ -165,7 +164,7 @@ def test_criterion_5_m2_eigenpairs():
         h = bf.construct(tag, draw_free(tag, rng), branch)
         for L in (4, 5):
             Hs = bf.sector_matrix(h, L, 2)
-            sols = bf.solve_bae(h, L, 2, SolverConfig(seed=SEED))
+            sols = bf.solve_bae(h, L, 2)
             distinct = [s for s in sols if not s.degenerate_flag]
             assert len(distinct) == L * (L - 1) // 2, (tag, L)
             good = 0
@@ -277,9 +276,8 @@ def test_criterion_7_physical_data_invariance():
             assert abs(s1v - s2v) <= 1e-9 * max(1, abs(s1v)), tag
 
         # two-excitation energies agree once the overall scale p is removed
-        cfg = SolverConfig(seed=SEED)
-        e1 = [s.energy / h1.p for s in bf.solve_bae(h1, L, 2, cfg)]
-        e2 = [s.energy / h2.p for s in bf.solve_bae(h2, L, 2, cfg)]
+        e1 = [s.energy / h1.p for s in bf.solve_bae(h1, L, 2)]
+        e2 = [s.energy / h2.p for s in bf.solve_bae(h2, L, 2)]
         assert len(e1) == len(e2), tag
         scale = max(1.0, max(abs(e) for e in e1))
         matched, unmatched = match_multiset(

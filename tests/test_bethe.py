@@ -3,6 +3,7 @@
 import cmath
 import functools
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,7 @@ import pytest
 
 import bethe_forge as bf
 from bethe_forge import bethe
-from bethe_forge.bethe import SolverConfig
-from bethe_forge.cli import load_input
+from bethe_forge.cli import load_input, main
 from bethe_forge.constraints import _PairTable, lambda_fn, lambda_grad
 
 from conftest import cdraw, draw_free, family_instance, random_params
@@ -100,16 +100,16 @@ def _singular_point(params, rng, M):
 
 class TestBatchedBAEResidual:
     @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
-    def test_matches_scalar_loop(self, tag, rng):
+    def test_matches_scalar_loop(self, tag, rng, monkeypatch):
         """The batched residuals equal the scalar s_matrix loop row by row,
         M = 1..3: random points, solve_bae roots and, where S is not
         identically -1, a singular point (inf on both sides)."""
         h, _ = family_instance(tag, rng)
         L = 5
-        cfg = SolverConfig(max_iter=40)
+        monkeypatch.setattr(bethe, "MAX_ITER", 40)
         for M in (1, 2, 3):
             rows = [cdraw(rng, M) for _ in range(8)]
-            rows += [s.z for s in bf.solve_bae(h, L, M, cfg)][:8]
+            rows += [s.z for s in bf.solve_bae(h, L, M)][:8]
             if M >= 2 and tag not in bf.TRIVIAL_S_TAGS:
                 rows.append(_singular_point(h, rng, M))
             got = bethe._bae_residuals(h, np.array(rows, complex), L)
@@ -171,31 +171,37 @@ class TestSolveBAE:
 
     def test_deterministic(self, rng):
         h, _ = family_instance("SpR", rng)
-        a = bf.solve_bae(h, 4, 2, SolverConfig(seed=7))
-        b = bf.solve_bae(h, 4, 2, SolverConfig(seed=7))
+        a = bf.solve_bae(h, 4, 2)
+        b = bf.solve_bae(h, 4, 2)
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert x.z == y.z
 
-    def test_m2_roots_do_not_depend_on_seed(self):
-        """M = 2 root sets come from one polynomial per momentum block, so
-        the solver's seed changes none of them."""
-        for name in ("gIK", "bariev", "17V2"):
-            h = load_input(PRESETS / f"{name}.json")
-            runs = [[(s.z, s.bae_residual)
-                     for s in bf.solve_bae(h, 7, 2, SolverConfig(seed=k))]
-                    for k in (0, 1, 1234)]
-            assert runs[0] and runs[0] == runs[1] == runs[2], name
+    @staticmethod
+    def _sectors(name, L, M, seed, capsys):
+        """The sectors of verify --json for a preset at one --seed."""
+        main(["verify", str(PRESETS / f"{name}.json"), "--L", str(L),
+              "--M", str(M), "--seed", str(seed), "--json"])
+        return json.loads(capsys.readouterr().out)["sectors"]
 
-    def test_m3_roots_do_not_depend_on_seed(self):
-        """M = 3 Newton starts from a fixed grid on each block line, so the
-        solver's seed changes none of the root sets."""
-        for name in ("gIK", "bariev", "17V2"):
-            h = load_input(PRESETS / f"{name}.json")
-            runs = [[(s.z, s.bae_residual)
-                     for s in bf.solve_bae(h, 6, 3, SolverConfig(seed=k))]
-                    for k in (0, 1, 1234)]
-            assert runs[0] and runs[0] == runs[1] == runs[2], name
+    def test_m2_roots_do_not_depend_on_seed(self, capsys):
+        """M = 2 root sets come from one polynomial per momentum block, or
+        in closed form where S = -1 at the fixed probe pairs, so --seed
+        changes no root set, check or match of verify --json, for Newton
+        families and a trivial-S one (17V1a)."""
+        for name in ("gIK", "bariev", "17V2", "17V1a"):
+            runs = [self._sectors(name, 7, 2, k, capsys) for k in (0, 1, 7)]
+            assert runs[0][0]["solutions"], name
+            assert runs[0] == runs[1] == runs[2], name
+
+    def test_m3_roots_do_not_depend_on_seed(self, capsys):
+        """M = 3 Newton starts from a fixed grid on each block line, and
+        the trivial-S probe pairs are fixed, so --seed changes no root set,
+        check or match of verify --json."""
+        for name in ("gIK", "bariev", "17V2", "17V1a"):
+            runs = [self._sectors(name, 6, 3, k, capsys) for k in (0, 1, 7)]
+            assert runs[0][0]["solutions"], name
+            assert runs[0] == runs[1] == runs[2], name
 
     def test_m3_near_coincident_clusters_rejected(self):
         """Near a coincident point the block system is degenerate (F_1 = F_2
@@ -204,7 +210,7 @@ class TestSolveBAE:
         gave 22 unverified and 8 null sets around (1, 1, 1) before
         converged rows had to pass the one-more-step test."""
         h = load_input(PRESETS / "martins_1A.json")
-        rep = bf.verify_sector(h, 3, 3, SolverConfig(), 1e-8)
+        rep = bf.verify_sector(h, 3, 3, bethe.BAE_TOL, 1e-8)
         outcomes = [c.outcome for c in rep.checks]
         assert rep.passed and rep.matched == 2
         assert "unverified" not in outcomes and "null" not in outcomes
@@ -270,7 +276,7 @@ class TestM2Completeness:
         L = 5 matches one state fewer."""
         h = load_input(PRESETS / f"{name}.json")
         for L, before in zip(range(4, 10), _M2_MATCHED_BY_NEWTON[name]):
-            rep = bf.verify_sector(h, L, 2, SolverConfig(seed=0), 1e-8)
+            rep = bf.verify_sector(h, L, 2, bethe.BAE_TOL, 1e-8)
             assert rep.matched >= before, L
             assert rep.passed, L
 
@@ -313,7 +319,7 @@ class TestM3Completeness:
         and every root set accepted verifies and matches."""
         h = load_input(PRESETS / f"{name}.json")
         for L, before in zip(range(3, 10), _M3_MATCHED[name]):
-            rep = bf.verify_sector(h, L, 3, SolverConfig(seed=0), 1e-8)
+            rep = bf.verify_sector(h, L, 3, bethe.BAE_TOL, 1e-8)
             assert rep.matched >= before, L
             assert rep.passed, L
 
@@ -368,7 +374,7 @@ def _reference_jacobian(params, Z, L, sign):
     return J
 
 
-def _reference_block_newton(params, Z0, w, L, cfg):
+def _reference_block_newton(params, Z0, w, L):
     """Damped Newton on the M = 3 block system over the whole batch every
     iteration: F and the 3 x 3 Jacobian from the per-pair loops, the 2 x 2
     system on (z1, z2) with z3 = w / (z1 z2) solved by np.linalg.solve, a
@@ -409,7 +415,7 @@ def _reference_block_newton(params, Z0, w, L, cfg):
     active = np.isfinite(res)
     converged = np.zeros(n, bool)
     history = []
-    for it in range(cfg.max_iter):
+    for it in range(bethe.MAX_ITER):
         hit = active & (res <= bethe.NEWTON_TOL)
         converged |= hit
         active &= ~hit
@@ -450,8 +456,6 @@ def _same_points(got, ref):
 
 
 class TestNewtonMatchesReference:
-    CFG = SolverConfig(max_iter=40)
-
     @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
     def test_same_roots_as_reference(self, tag, rng, monkeypatch):
         """solve_bae over the block Newton, with its closed-form 2 x 2 solve
@@ -465,12 +469,13 @@ class TestNewtonMatchesReference:
         solve_bae otherwise answers without it."""
         h, _ = family_instance(tag, rng)
         monkeypatch.setattr(bethe, "_is_trivial_s", lambda *args: False)
-        clear = self.CFG.bae_tol / 10
+        monkeypatch.setattr(bethe, "MAX_ITER", 40)
+        clear = bethe.BAE_TOL / 10
         for L in (4, 5):
-            got = bf.solve_bae(h, L, 3, self.CFG)
+            got = bf.solve_bae(h, L, 3)
             with monkeypatch.context() as mp:
                 mp.setattr(bethe, "_newton_batch", _reference_block_newton)
-                ref = bf.solve_bae(h, L, 3, self.CFG)
+                ref = bf.solve_bae(h, L, 3)
             assert got
             for one, other in ((got, ref), (ref, got)):
                 for a in one:
@@ -481,10 +486,8 @@ class TestNewtonMatchesReference:
 
 
 class TestNewtonBatch:
-    CFG = SolverConfig(max_iter=40)
-
     @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
-    def test_same_rows_as_reference(self, tag, rng):
+    def test_same_rows_as_reference(self, tag, rng, monkeypatch):
         """_newton_batch, with its carried Lambda table, closed-form 2 x 2
         solve and two-stage line search, accepts the same rows at the same
         points, to 1e-12 relative, as the per-pair loops with np.linalg.solve
@@ -494,10 +497,11 @@ class TestNewtonBatch:
         the 14V2, 17V1 and 17V2 families such zeros form curves, and where
         on them a row lands follows the rounding of its steps."""
         h, _ = family_instance(tag, rng)
+        monkeypatch.setattr(bethe, "MAX_ITER", 40)
         for L in (4, 5):
             Z0, w = bethe._block_starts(L)
-            got = bethe._newton_batch(h, Z0, w, L, self.CFG)
-            ref = _reference_block_newton(h, Z0, w, L, self.CFG)
+            got = bethe._newton_batch(h, Z0, w, L)
+            ref = _reference_block_newton(h, Z0, w, L)
             got = got[bethe._bae_residuals(h, got, L) <= 1e-6]
             ref = ref[bethe._bae_residuals(h, ref, L) <= 1e-6]
             assert len(got) and _same_points(got, ref)
@@ -512,13 +516,12 @@ class TestStallRule:
         rule drops no row that has reached a root's basin."""
         L = 7
         h = load_input(PRESETS / f"{name}.json")
-        cfg = SolverConfig(seed=0)
-        Z = np.array([s.z for s in bf.solve_bae(h, L, 3, cfg)])
+        Z = np.array([s.z for s in bf.solve_bae(h, L, 3)])
         blocks = [bethe.momentum(z, L) for z in Z]
         w = np.exp(2j * np.pi * np.array(blocks) / L)
         wiggle = np.exp(2j * np.pi * np.random.default_rng(0).random((len(Z), 2)))
         Z0 = bethe._on_line(Z[:, :2] * (1 + 1e-4 * wiggle), w)
-        got = bethe._newton_batch(h, Z0, w, L, cfg)
+        got = bethe._newton_batch(h, Z0, w, L)
         assert len(Z) and len(got) == len(Z)
 
 
@@ -740,10 +743,9 @@ class TestAssembleEigenvector:
     def test_m3_eigenpairs_generic_family(self, rng):
         h, _ = family_instance("SpR", rng)
         L, M = 4, 3
-        cfg = SolverConfig()
         Hs = bf.sector_matrix(h, L, M)
         checked = 0
-        for s in bf.solve_bae(h, L, M, cfg):
+        for s in bf.solve_bae(h, L, M):
             psi = bf.assemble_eigenvector(h, s.z, L)
             if psi.is_null or s.degenerate_flag:
                 continue
@@ -756,11 +758,10 @@ class TestAssembleEigenvector:
         """Every accepted solution assembles into a true eigenvector,
         L in {3, 4}, M in {1, 2}."""
         h, _ = family_instance(tag, rng)
-        cfg = SolverConfig(seed=1)
         for L in (3, 4):
             for M in (1, 2):
                 Hs = bf.sector_matrix(h, L, M)
-                for s in bf.solve_bae(h, L, M, cfg):
+                for s in bf.solve_bae(h, L, M):
                     psi = bf.assemble_eigenvector(h, s.z, L)
                     if psi.is_null:
                         continue
@@ -806,7 +807,7 @@ def _reference_momentum(z, L):
 @functools.lru_cache(maxsize=None)
 def _preset_solutions(name, L, M):
     h = bf.with_zero_v00(load_input(PRESETS / f"{name}.json"))
-    return h, tuple(bf.solve_bae(h, L, M, SolverConfig(seed=0)))
+    return h, tuple(bf.solve_bae(h, L, M))
 
 
 PRESET_NAMES = sorted(p.stem for p in PRESETS.glob("*.json"))
@@ -902,7 +903,7 @@ def _assert_checks_match_reference(params, sols, L, M):
             assert g.eig_residual is None
             continue
         b = bf.bae_residual(params, sol.z, L)
-        if b <= SolverConfig().bae_tol:
+        if b <= bethe.BAE_TOL:
             assert abs(g.eig_residual - res) <= b + 1e-12
     return [g.outcome for g in got]
 
@@ -969,7 +970,7 @@ class TestCheckRoots:
         Every copy of a verified set is equivalent."""
         L = 9
         h = bf.with_zero_v00(load_input(PRESETS / f"{name}.json"))
-        sols = bf.solve_bae(h, L, M, SolverConfig(seed=0))
+        sols = bf.solve_bae(h, L, M)
         again = [bethe.BetheSolution(s.z[::-1], s.energy, s.bae_residual,
                                      s.degenerate_flag) for s in sols]
         outcomes = _assert_checks_match_reference(h, sols + again, L, M)
@@ -985,7 +986,7 @@ class TestCheckRoots:
         h, _ = family_instance(tag, rng)
         L = 5
         for M in (1, 2, 3):
-            sols = bf.solve_bae(h, L, M, SolverConfig())
+            sols = bf.solve_bae(h, L, M)
             _assert_checks_match_reference(h, sols, L, M)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -997,22 +998,19 @@ class TestCheckRoots:
                 h, sols = _preset_solutions(name, L, M)
                 _assert_checks_match_reference(h, list(sols), L, M)
 
-    def test_long_trivial_chain_matches_one_row_loop(self, monkeypatch):
+    def test_long_trivial_chain_matches_one_row_loop(self):
         """17V1a at L = 12, M = 1..3 (sector dimension up to 352)."""
-        monkeypatch.setenv("BETHE_FORGE_LMAX", "12")
         for M in (1, 2, 3):
             h, sols = _preset_solutions("17V1a", 12, M)
             _assert_checks_match_reference(h, list(sols), 12, M)
 
     @pytest.mark.parametrize("L, M", [(12, 2), (16, 2), (11, 3)])
-    def test_bound_state_root_sets_match_whole_sector(self, L, M,
-                                                      monkeypatch):
+    def test_bound_state_root_sets_match_whole_sector(self, L, M):
         """Root sets with a root well inside the unit circle, |z|^L < 1e-2
         (a bound-state pair), where psi's translation defect relative to
         its terms may be up to b / |z|^L for the absolute BAE residual b:
         on every such root set of the presets the block check gives the
         whole-sector outcome, and its residual lies within b + 1e-12."""
-        monkeypatch.setenv("BETHE_FORGE_LMAX", str(L))
         verified = 0
         for name in PRESET_NAMES:
             h, sols = _preset_solutions(name, L, M)
@@ -1022,7 +1020,7 @@ class TestCheckRoots:
                 verified += outcomes.count("verified")
         assert verified >= 20
 
-    def test_defect_gate_on_perturbed_bound_states(self, monkeypatch):
+    def test_defect_gate_on_perturbed_bound_states(self):
         """Each preset's deepest bound-state root set at L = 16, M = 2
         (|z|^L < 1e-2), its smallest root scaled by 1 + eps, eps = 1e-15 ..
         1e-9, so that b runs from about 1e-9 to 1e-3: phi's residual alone
@@ -1030,7 +1028,6 @@ class TestCheckRoots:
         translation defect gate turns them down, naming the defect.  Every
         set the block check verifies verifies in the whole sector."""
         L, M = 16, 2
-        monkeypatch.setenv("BETHE_FORGE_LMAX", str(L))
         gated = 0
         for name in PRESET_NAMES:
             h, sols = _preset_solutions(name, L, M)

@@ -266,11 +266,10 @@ class TestSpectrumCommand:
         root scaled by 1 + 1e-10 passes the block residual but not the
         translation defect gate: it is reported unverified with its
         residual and the defect, in JSON and in text, and verify exits 1."""
-        monkeypatch.setenv("BETHE_FORGE_LMAX", "16")
         solve = bf.oracle.solve_bae
 
-        def with_pushed(params, L, M, cfg):
-            sols = solve(params, L, M, cfg)
+        def with_pushed(params, L, M, bae_tol):
+            sols = solve(params, L, M, bae_tol)
             z = np.array(min(sols, key=lambda s: min(map(abs, s.z))).z)
             z[np.argmin(np.abs(z))] *= 1 + 1e-10
             pushed = bethe.BetheSolution(tuple(z), bf.energy(params, z), 0.0)
@@ -314,8 +313,29 @@ class TestSpectrumCommand:
         # the conjugated run produces its own verified eigenvector family
         assert report["sectors"][1]["verified"] > 0
 
-    def test_chain_too_large_exit_2(self, gzf_file):
-        assert main(["spectrum", gzf_file, "--L", "12", "--M", "1"]) == 2
+    def test_chain_too_large_exit_2(self, capsys, gzf_file, monkeypatch):
+        """A sector past the size guard anywhere in the M range exits 2
+        with an error line before any sector is solved."""
+        def no_solve(*args):
+            raise AssertionError("sector solved past the guard")
+
+        monkeypatch.setattr(bf.oracle, "solve_bae", no_solve)
+        for L, M in (("31", "3..3"), ("31", "1..3"), ("171", "0..1")):
+            assert main(["spectrum", gzf_file, "--L", L, "--M", M]) == 2
+            captured = capsys.readouterr()
+            assert not captured.out
+            assert captured.err.startswith("error: chain too large")
+        # the stub is live: a chain that fits reaches it
+        assert main(["spectrum", gzf_file, "--L", "4", "--M", "1"]) == 1
+        assert "sector solved past the guard" in capsys.readouterr().err
+
+    def test_long_chain_needs_no_override(self, capsys):
+        """17V1a at L = 12, M = 1..3 verifies with nothing set in the
+        environment."""
+        code = main(["verify", str(PRESETS / "17V1a.json"), "--L", "12",
+                     "--M", "1..3"])
+        assert code == 0
+        assert capsys.readouterr().out.endswith("all eigenpairs verified\n")
 
     def test_deterministic_spectrum_json(self, capsys, gzf_file):
         args = ["spectrum", gzf_file, "--L", "4", "--M", "2", "--json",

@@ -271,15 +271,28 @@ class TestChain:
         assert abs((H @ e0)[0] - L * h.v[0, 0]) < 1e-12
         assert np.max(np.abs((H @ e0)[1:])) == 0
 
-    def test_chain_too_large(self):
-        with pytest.raises(ValueError, match="chain too large"):
-            bf.ChainSpec(12)
+    def test_chain_too_large(self, rng, monkeypatch):
+        """One size guard: L >= 2, dim <= SECTOR_DIM_CAP and dim L^2 <=
+        WORK_CAP.  The whole chain fits up to L = 9 (3^10 > 20,000); the
+        work cap admits M = 3 up to L = 30, M = 2 up to 55 and M = 1 up to
+        170.  chain_matrix and sz_matrix, dense over all 3^L states,
+        refuse L = 10 before they list the basis."""
+        def no_basis(*args):
+            raise AssertionError("basis listed past the guard")
 
-    def test_lmax_env_override(self, monkeypatch):
-        monkeypatch.setenv("BETHE_FORGE_LMAX", "4")
-        assert bf.max_chain_length() == 4
-        with pytest.raises(ValueError, match="chain too large"):
-            bf.ChainSpec(5)
+        with pytest.raises(ValueError, match="at least 2"):
+            bf.check_chain(1, 1)
+        for L, M in ((9, None), (30, 3), (55, 2), (170, 1), (41, 2)):
+            bf.check_chain(L, M)
+        for L, M in ((10, None), (31, 3), (56, 2), (171, 1)):
+            with pytest.raises(ValueError, match="chain too large"):
+                bf.check_chain(L, M)
+        monkeypatch.setattr(np, "ndindex", no_basis)
+        h = random_params(rng)
+        for build in (lambda: bf.chain_matrix(h, 10),
+                      lambda: ham.sz_matrix(10)):
+            with pytest.raises(ValueError, match="dimension 59049 at L=10 "):
+                build()
 
     def test_pct_spectrum_equivalences(self, rng):
         h = random_params(rng)
@@ -334,9 +347,8 @@ class TestApplyBonds:
                 assert bf.chain_matrix(h, L).tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("M", [1, 2])
-    def test_long_chain_sectors(self, monkeypatch, M):
+    def test_long_chain_sectors(self, M):
         # 3^40 does not fit in int64: the state keys must sort at any L
-        monkeypatch.setenv("BETHE_FORGE_LMAX", "41")
         h = load_input(PRESETS[0])
         basis = bf.sector_basis(41, M)
         expect = _reference_apply_bonds(bf.two_site_matrix(h), basis, 41)
@@ -378,7 +390,7 @@ class TestSectorBasis:
             cache.cache_clear()
         h, _ = family_instance("gIK", rng)
         L, M = 6, 2
-        bf.verify_sector(h, L, M, bf.SolverConfig(), 1e-8)
+        bf.verify_sector(h, L, M, bf.bethe.BAE_TOL, 1e-8)
         bf.sector_matrix(h, L, M)
         bf.sector_basis(L, M)
         info = ham._sector_occupations.cache_info()

@@ -17,11 +17,17 @@ PRESETS = sorted((Path(bf.__file__).parent / "presets").glob("*.json"))
 
 
 class TestSectorMatrix:
-    def test_chain_length_guard(self, rng):
+    def test_chain_length_guard(self, rng, monkeypatch):
+        """The size guard refuses L < 2, M = 3 at L = 31 and M = 1 at
+        L = 171 (dim L^2 past the work cap) before the basis is built."""
+        def no_basis(*args):
+            raise AssertionError("sector basis built past the guard")
+
         h = random_params(rng)
-        for L in (1, bf.max_chain_length() + 1):
+        monkeypatch.setattr(bf.oracle, "_sector_occupations", no_basis)
+        for L, M in ((1, 1), (31, 3), (171, 1)):
             with pytest.raises(ValueError, match="chain"):
-                bf.sector_matrix(h, L, 1)
+                bf.sector_matrix(h, L, M)
 
     def test_vacuum_sector(self, rng):
         h = bf.with_zero_v00(random_params(rng))
@@ -108,10 +114,26 @@ class TestSectorSpectrum:
     def test_dimension_cap_checked_before_the_matrix(self, rng, monkeypatch):
         def build(*args):
             raise AssertionError("sector matrix built past the cap")
-        monkeypatch.setattr(bf.oracle, "SECTOR_DIM_CAP", 10)
+        monkeypatch.setattr(bf.hamiltonian, "SECTOR_DIM_CAP", 10)
         monkeypatch.setattr(bf.oracle, "sector_matrix", build)
-        with pytest.raises(ValueError, match="dimension 16 exceeds cap"):
+        with pytest.raises(ValueError,
+                           match="dimension 16 at L=4, M=3 exceeds cap 10"):
             bf.sector_spectrum(random_params(rng), 4, 3)
+
+    def test_work_cap_checked_before_the_basis(self, rng, monkeypatch):
+        """M = 3 at L = 31 and M = 1 at L = 171 are small sectors (dim
+        5,425 and 171) whose orbit table, L shifts of the dim x L basis,
+        is past the work cap: sector_spectrum refuses them before the
+        basis is built.  One site less, both fit."""
+        def no_basis(*args):
+            raise AssertionError("sector basis built past the guard")
+
+        monkeypatch.setattr(bf.hamiltonian, "_sector_occupations", no_basis)
+        for L, M in ((31, 3), (171, 1)):
+            with pytest.raises(ValueError, match="times L\\^2 at "
+                               f"L={L}, M={M} exceeds cap 5000000"):
+                bf.sector_spectrum(random_params(rng), L, M)
+            bf.check_chain(L - 1, M)
 
 
 class TestCompare:
@@ -182,7 +204,7 @@ class TestVerifySector:
         """M = 0 runs the same path: one empty root set, verified and
         matched to the one zero eigenvalue."""
         h = bf.with_zero_v00(random_params(rng))
-        rep = bf.verify_sector(h, 5, 0, bf.SolverConfig(), 1e-8)
+        rep = bf.verify_sector(h, 5, 0, bf.bethe.BAE_TOL, 1e-8)
         assert [s.z for s in rep.solutions] == [()]
         assert [(c.momentum, c.outcome, c.eig_residual) for c in rep.checks] \
             == [(0, "verified", 0.0)]
@@ -196,8 +218,7 @@ class TestVerifySector:
         root sets are exactly what compare matched."""
         h, _ = family_instance(tag, rng)
         L, M, tol = 5, 2, 1e-8
-        cfg = bf.SolverConfig()
-        rep = bf.verify_sector(h, L, M, cfg, tol)
+        rep = bf.verify_sector(h, L, M, bf.bethe.BAE_TOL, tol)
         assert len(rep.checks) == len(rep.solutions) > 0
         outcomes = [c.outcome for c in rep.checks]
         assert rep.count("verified") == outcomes.count("verified")
@@ -240,7 +261,7 @@ class TestNoDenseSector:
         for M in range(4):
             del built[:]
             orbits = len(bf.hamiltonian._orbit_table(L, M)[2])
-            rep = bf.verify_sector(h, L, M, bf.SolverConfig(), 1e-8)
+            rep = bf.verify_sector(h, L, M, bf.bethe.BAE_TOL, 1e-8)
             assert rep.passed and rep.matched, M
             assert built and all(n <= orbits for n, _ in built), (M, built)
 
@@ -272,8 +293,7 @@ class TestRepresentativeRows:
                 self._assert_same_blocks(h, L, M)
 
     @pytest.mark.parametrize("M", [1, 2])
-    def test_long_chain_sectors(self, monkeypatch, M):
-        monkeypatch.setenv("BETHE_FORGE_LMAX", "41")
+    def test_long_chain_sectors(self, M):
         self._assert_same_blocks(load_input(PRESETS[0]), 41, M)
 
 
@@ -335,7 +355,6 @@ class TestTranslationBlocks:
         """Every verified Bethe vector lies in the block of its momentum and
         its energy matches an eigenvalue of that block."""
         h, _ = family_instance(tag, rng)
-        cfg = bf.SolverConfig()
         count = {}
         for L in (5, 6):
             for M in (1, 2, 3):
@@ -343,7 +362,7 @@ class TestTranslationBlocks:
                 H = bf.sector_matrix(h, L, M)
                 scale = max(1.0, float(np.max(np.abs(H))))
                 verified = []
-                for s in bf.solve_bae(h, L, M, cfg):
+                for s in bf.solve_bae(h, L, M):
                     if s.degenerate_flag:
                         continue
                     psi = bf.assemble_eigenvector(h, s.z, L)
@@ -361,12 +380,11 @@ class TestTranslationBlocks:
                 assert not rep.unmatched, (tag, L, M)
         assert all(count.values())
 
-    def test_union_is_sector_spectrum(self, rng, monkeypatch):
+    def test_union_is_sector_spectrum(self, rng):
         """The block spectra together are the whole-sector spectrum."""
         cases = [(family_instance(tag, rng)[0], L, M)
                  for tag in bf.FAMILY_ORDER
                  for L in range(3, 10) for M in (1, 2, 3)]
-        monkeypatch.setenv("BETHE_FORGE_LMAX", "12")
         cases.append((family_instance("17V1a", rng)[0], 12, 3))
         for h, L, M in cases:
             spec = bf.sector_spectrum(h, L, M)
