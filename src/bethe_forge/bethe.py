@@ -30,11 +30,13 @@ w / (z1 z2), on F_1 = F_2 = 0 (F_3 then vanishes where no Lambda does).
 The starts are fixed (_block_starts): every multiset of three distinct
 L-th roots of unity, the S = -1 solutions, in the block of its product, and
 the same Halton grid of (z1, z2) points in every block; no start is
-random.  All starts run as one batch.  Each iteration takes F and its
-3 x 3 Jacobian from _bae_system, reduces the Jacobian to the 2 x 2 one of
-the block by the chain rule, and solves it in closed form (_block_steps);
-the Lambda table, and F with it, comes from the line search that accepted
-the row's point, and the residual is that of all three F_j.  The line
+random.  All starts run as one batch, under one np.errstate.  Each
+iteration forms F_1, F_2 and the four entries of the 2 x 2 block Jacobian,
+the chain-rule reduction of the 3 x 3 one, straight from the row's Lambda
+table and one dLambda table, and solves it in closed form (_block_steps);
+no 3 x 3 Jacobian and no F_3 are built.  The Lambda table comes from the
+line search that accepted the row's point, and the residual is that of all
+three F_j, its row maxima taken as column folds (_row_max).  The line
 search tries the full step on every row, then the shorter steps DAMPING^1
 .. DAMPING^5 at once on the rows the full step made worse, then DAMPING^6
 .. DAMPING^24 on the rows still worse; each row takes the first step that
@@ -271,31 +273,42 @@ def _bae_pairs(M):
 
 
 def _pair_product(lam, cols):
-    """prod_t lam[:, cols[..., t]], multiplied in order onto ones."""
-    out = np.ones((len(lam),) + cols.shape[:-1], complex)
-    for t in range(cols.shape[-1]):
+    """prod_t lam[:, cols[..., t]], multiplied in order from the first
+    factor; ones where there is none (M = 2's PX and QX)."""
+    if not cols.shape[-1]:
+        return np.ones((len(lam),) + cols.shape[:-1], complex)
+    out = lam[:, cols[..., 0]]
+    for t in range(1, cols.shape[-1]):
         out = out * lam[:, cols[..., t]]
     return out
 
 
-def _bae_values(params, Z, L, sign, lam=None):
+def _row_max(A):
+    """max over the columns of a 2-d array, row by row, as np.maximum folds:
+    exact and NaN-propagating like np.max(A, axis=1), without a reduction's
+    overhead on a few columns."""
+    out = A[:, 0]
+    for j in range(1, A.shape[1]):
+        out = np.maximum(out, A[:, j])
+    return out
+
+
+def _bae_values(params, Z, L, sign):
     """F_j for an (n, M) batch of momentum tuples, and the Lambda table over
-    the ordered pairs it is built from (taken here when not given)."""
+    the ordered pairs it is built from."""
     I, J, _ = ordered_pairs(Z.shape[1])
     _, P, Q, _, _ = _bae_pairs(Z.shape[1])
-    if lam is None:
-        lam = lambda_fn(params, Z[:, I], Z[:, J])
+    lam = lambda_fn(params, Z[:, I], Z[:, J])
     return Z**L * _pair_product(lam, P) - sign * _pair_product(lam, Q), lam
 
 
-def _bae_system(params, Z, L, sign, lam=None):
-    """F_j and its Jacobian for an (n, M) batch of momentum tuples, from the
-    Lambda table lam of Z (taken here when not given) and one dLambda table
-    over the ordered pairs."""
+def _bae_system(params, Z, L, sign):
+    """F_j and its Jacobian for an (n, M) batch of momentum tuples, from one
+    Lambda and one dLambda table over the ordered pairs."""
     n, M = Z.shape
     I, J, _ = ordered_pairs(M)
     others, P, Q, PX, QX = _bae_pairs(M)
-    F, lam = _bae_values(params, Z, L, sign, lam)
+    F, lam = _bae_values(params, Z, L, sign)
     d1, d2 = lambda_grad(params, Z[:, I], Z[:, J])
     exP, exQ = _pair_product(lam, PX), _pair_product(lam, QX)
     dP = dQ = 0
@@ -316,8 +329,8 @@ def _residual(params, Z, L, sign):
     """Per-row max_j |F_j| relative to max(1, max_j |z_j|^L), and the
     Lambda table F was built from."""
     F, lam = _bae_values(params, Z, L, sign)
-    scale = np.maximum(1.0, np.max(np.abs(Z), axis=1)**L)
-    return np.max(np.abs(F), axis=1) / scale, lam
+    scale = np.maximum(1.0, _row_max(np.abs(Z))**L)
+    return _row_max(np.abs(F)) / scale, lam
 
 
 def _solve_steps(Jac, F):
@@ -338,22 +351,46 @@ def _solve_steps(Jac, F):
 
 def _on_line(Z2, w):
     """The (n, 3) points (z1, z2, w / (z1 z2)) of an (n, 2) batch."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.column_stack([Z2, w / (Z2[:, 0] * Z2[:, 1])])
+    Z = np.empty((len(Z2), 3), complex)
+    Z[:, :2] = Z2
+    np.divide(w, Z2[:, 0] * Z2[:, 1], out=Z[:, 2])
+    return Z
 
 
-def _block_steps(params, Z, L, lam=None):
+def _block_steps(params, Z, L, lam):
     """Newton steps on (z1, z2) of the block system F_1 = F_2 = 0, z3 = w /
-    (z1 z2), for an (n, 3) batch on its block lines: non-finite where the
-    2 x 2 Jacobian is singular.  By the chain rule the Jacobian is
-    J[:2, :2] - J[:2, 2] (z3/z1, z3/z2) of the 3 x 3 one of _bae_system."""
-    F, Jac = _bae_system(params, Z, L, 1.0, lam)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        A = Jac[:, :2, :2] - Jac[:, :2, 2:] * (Z[:, 2:] / Z[:, :2])[:, None, :]
-        det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-        return np.column_stack([A[:, 1, 1] * F[:, 0] - A[:, 0, 1] * F[:, 1],
-                                A[:, 0, 0] * F[:, 1] - A[:, 1, 0] * F[:, 0]]
-                               ) / -det[:, None]
+    (z1 z2), for an (n, 3) batch on its block lines with its Lambda table
+    lam: non-finite where the 2 x 2 Jacobian is singular.
+
+    By the chain rule the block Jacobian is A[i, k] = dF_i/dz_k - dF_i/dz_3
+    z3/z_k, i, k = 1, 2.  F_1, F_2 and the six derivatives A is made of are
+    taken straight from lam and one lambda_grad table, with the factors of
+    _bae_system multiplied in its order, so every entry equals that of the
+    reduction of its 3 x 3 Jacobian to the last bit (up to the sign of a
+    zero); F_3 and dF_3 are not formed.  Column i of the (n, 2) arrays
+    below belongs to F_i, whose pairs are P (i, m_t) and Q (m_t, i), m_t
+    its t-th other index: m_1 is the other of z1, z2, and m_2 is z3."""
+    I, J, _ = ordered_pairs(3)
+    _, P, Q, _, _ = _bae_pairs(3)
+    P, Q = P[:2], Q[:2]
+    d1, d2 = lambda_grad(params, Z[:, I], Z[:, J])
+    lp0, lp1 = lam[:, P[:, 0]], lam[:, P[:, 1]]
+    lq0, lq1 = lam[:, Q[:, 0]], lam[:, Q[:, 1]]
+    z = Z[:, :2]
+    zL = z**L
+    lp = lp0 * lp1
+    F = zL * lp - lq0 * lq1
+    # dF_i/dz_i, dF_i/dz_{m_1} and dF_i/dz_3
+    dP = d1[:, P[:, 0]] * lp1 + d1[:, P[:, 1]] * lp0
+    dQ = d2[:, Q[:, 0]] * lq1 + d2[:, Q[:, 1]] * lq0
+    diag = L * z**(L - 1) * lp + zL * dP - dQ
+    cross = zL * (d2[:, P[:, 0]] * lp1) - d1[:, Q[:, 0]] * lq1
+    last = zL * (d2[:, P[:, 1]] * lp0) - d1[:, Q[:, 1]] * lq0
+    r = Z[:, 2:] / z                            # z3/z1, z3/z2
+    a = diag - last * r                         # A[0, 0], A[1, 1]
+    b = cross - last * r[:, ::-1]               # A[0, 1], A[1, 0]
+    det = a[:, 0] * a[:, 1] - b[:, 0] * b[:, 1]
+    return (a[:, ::-1] * F - b * F[:, ::-1]) / -det[:, None]
 
 
 def _newton_batch(params, Z0, w, L):
@@ -375,58 +412,61 @@ def _newton_batch(params, Z0, w, L):
 
     # the Lambda table of each row's current point, carried from the line
     # search that accepted it into the next F and Jacobian
-    res, lam = _residual(params, Z, L, 1.0)
-    active = np.flatnonzero(np.isfinite(res))
-    converged = np.zeros(n, bool)
-    # past[it % STALL_WINDOW] holds every row's residual at iteration it,
-    # until iteration it + STALL_WINDOW reads and replaces it
-    past = np.empty((STALL_WINDOW, n))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        res, lam = _residual(params, Z, L, 1.0)
+        active = np.flatnonzero(np.isfinite(res))
+        converged = np.zeros(n, bool)
+        # past[it % STALL_WINDOW] holds every row's residual at iteration it,
+        # until iteration it + STALL_WINDOW reads and replaces it
+        past = np.empty((STALL_WINDOW, n))
 
-    for it in range(MAX_ITER):
-        hit = res[active] <= NEWTON_TOL
-        converged[active[hit]] = True
-        active = active[~hit]
-        if it >= STALL_WINDOW:
-            then = past[it % STALL_WINDOW, active]
-            active = active[res[active] <= then / STALL_FACTOR]
-        past[it % STALL_WINDOW] = res
-        if not active.size:
-            break
-        step = _block_steps(params, Z[active], L, lam[active])
-        ok = np.all(np.isfinite(step), axis=1)
-        active, step = active[ok], step[ok]
-        if not active.size:
-            break
-        # line search: the full step for every row, then the shorter steps
-        # stage by stage for the rows still worse; each row takes its first
-        # step factor that lowers its residual, or is dropped as stuck
-        Za, wa, r0 = Z[active, :2], w[active], res[active]
-        trial = _on_line(Za + damps[0] * step, wa)
-        rt, lt = _residual(params, trial, L, 1.0)
-        worse = np.flatnonzero(~(rt < r0))
-        for factors in stages:
-            if not worse.size:
+        for it in range(MAX_ITER):
+            hit = res[active] <= NEWTON_TOL
+            converged[active[hit]] = True
+            active = active[~hit]
+            if it >= STALL_WINDOW:
+                then = past[it % STALL_WINDOW, active]
+                active = active[res[active] <= then / STALL_FACTOR]
+            past[it % STALL_WINDOW] = res
+            if not active.size:
                 break
-            tw = Za[worse] + factors[:, None, None] * step[worse]
-            tw = _on_line(tw.reshape(-1, 2), np.tile(wa[worse], len(factors)))
-            rw, lw = _residual(params, tw, L, 1.0)
-            better = rw.reshape(len(factors), -1) < r0[worse]
-            first = np.argmax(better, axis=0)
-            found = better[first, np.arange(len(worse))]
-            pick = first[found] * len(worse) + np.flatnonzero(found)
-            rows = worse[found]
-            trial[rows] = tw[pick]
-            rt[rows], lt[rows] = rw[pick], lw[pick]
-            worse = worse[~found]
-        kept = rt < r0
-        active = active[kept]
-        Z[active] = trial[kept]
-        res[active], lam[active] = rt[kept], lt[kept]
-    converged[active[res[active] <= NEWTON_TOL]] = True
-    done = np.flatnonzero(converged)
-    step = _block_steps(params, Z[done], L, lam[done])
-    scale = np.maximum(1.0, np.max(np.abs(Z[done]), axis=1))
-    return Z[done[np.max(np.abs(step), axis=1) <= DEDUP_TOL * scale]]
+            step = _block_steps(params, Z[active], L, lam[active])
+            ok = np.isfinite(step[:, 0]) & np.isfinite(step[:, 1])
+            active, step = active[ok], step[ok]
+            if not active.size:
+                break
+            # line search: the full step for every row, then the shorter
+            # steps stage by stage for the rows still worse; each row takes
+            # its first step factor that lowers its residual, or is dropped
+            # as stuck
+            Za, wa, r0 = Z[active, :2], w[active], res[active]
+            trial = _on_line(Za + damps[0] * step, wa)
+            rt, lt = _residual(params, trial, L, 1.0)
+            worse = np.flatnonzero(~(rt < r0))
+            for factors in stages:
+                if not worse.size:
+                    break
+                tw = Za[worse] + factors[:, None, None] * step[worse]
+                tw = _on_line(tw.reshape(-1, 2),
+                              np.tile(wa[worse], len(factors)))
+                rw, lw = _residual(params, tw, L, 1.0)
+                better = rw.reshape(len(factors), -1) < r0[worse]
+                first = np.argmax(better, axis=0)
+                found = better[first, np.arange(len(worse))]
+                pick = first[found] * len(worse) + np.flatnonzero(found)
+                rows = worse[found]
+                trial[rows] = tw[pick]
+                rt[rows], lt[rows] = rw[pick], lw[pick]
+                worse = worse[~found]
+            kept = rt < r0
+            active = active[kept]
+            Z[active] = trial[kept]
+            res[active], lam[active] = rt[kept], lt[kept]
+        converged[active[res[active] <= NEWTON_TOL]] = True
+        done = np.flatnonzero(converged)
+        step = _block_steps(params, Z[done], L, lam[done])
+        scale = np.maximum(1.0, _row_max(np.abs(Z[done])))
+        return Z[done[_row_max(np.abs(step)) <= DEDUP_TOL * scale]]
 
 
 def _halton(n, base):
@@ -607,15 +647,15 @@ def _assemble(table, L, rows=slice(None)):
     amplitudes, in sector_basis order over the whole sector by default,
     and each row's largest pre-cancellation term magnitude over them.  One
     array product per permutation, multiplied in the same order for every
-    row, over powers z**x taken in Python; the rows of root sets with a
+    row, over the powers z**x, x = 0..L, of one numpy power (binary powering
+    below x = 100, as Python's complex power); the rows of root sets with a
     singular pair hold meaningless values."""
     n, M = table.Z.shape
     X, doubled = (a[rows] for a in _sector_positions(L, M))
-    zpow = np.array([[[w ** x for x in range(L + 1)] for w in row]
-                     for row in table.Z.tolist()], complex)
     vecs = np.zeros((n, len(X)), complex)
     scale = np.zeros(n)
     with np.errstate(all="ignore"):
+        zpow = table.Z[:, :, None] ** np.arange(L + 1)
         for s, sigma in enumerate(permutation_table(M)[0]):
             term = np.repeat(table.amps[:, s, None], len(X), axis=1)
             for j in range(M - 1):
@@ -719,7 +759,9 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
     A verified set is an equivalent state when an earlier kept set of its
     block has an energy within tol_eig * scale and spans the same ray
     (1 - |<u0, u>| <= 1e-6 for the unit vectors); distinct root sets can
-    describe one state at symmetric points.  Different blocks are
+    describe one state at symmetric points.  Both tests are one array mask
+    over the block's pairs, and the kept sets are settled in order only
+    over the rows that have an earlier candidate.  Different blocks are
     orthogonal, so no ray is shared across them."""
     if not sols:
         return []
@@ -766,12 +808,15 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
         good, res, E = good[ok], res[ok], E[ok]
         U = C[good] / norms[good, None]
         overlap = np.abs(U.conj() @ U.T)    # overlap[a, b] = |<u_a, u_b>|
-        kept = []
+        # near[a, b], b < a: a is the same state as b, if b is kept; the
+        # energy distance is np.hypot's, which is the scalar complex abs
+        dE = E[:, None] - E
+        near = np.tril((np.hypot(dE.real, dE.imag) <= tol_eig * scale)
+                       & (1 - overlap.T <= 1e-6), -1)
+        same = np.zeros(len(good), bool)
+        for a in np.flatnonzero(near.any(axis=1)):
+            same[a] = np.any(near[a, :a] & ~same[:a])
         for a, k in enumerate(good):
-            same = any(abs(E[a] - E[b]) <= tol_eig * scale
-                       and 1 - overlap[b, a] <= 1e-6 for b in kept)
-            if not same:
-                kept.append(a)
-            out[rows[k]] = RootCheck(m, "equivalent" if same else "verified",
-                                     float(res[a]))
+            out[rows[k]] = RootCheck(m, "equivalent" if same[a] else
+                                     "verified", float(res[a]))
     return out

@@ -14,7 +14,12 @@ Conventions used throughout the package:
   L >= 2, dim <= SECTOR_DIM_CAP and dim * L^2 <= WORK_CAP, the cost of the
   translation-orbit table (L shifts of the dim x L basis), which dim alone
   does not bound (an M = 1 sector has dim = L).  The whole 3^L space
-  passes up to L = 9.
+  passes up to L = 9.  No array a build makes may hold more than
+  ENTRY_CAP entries either: dim^2 for a dense matrix (check_chain with
+  dense), and for the oracle's sector spectrum k^2 * L, its block table
+  over the k translation orbits, which is at least k * dim, its
+  representative rows (_representative_rows).  Both are checked before
+  the array is allocated.
 
 All arithmetic is complex double precision.
 """
@@ -46,6 +51,7 @@ OFFDIAG_SLOTS = {
 
 SECTOR_DIM_CAP = 20000       # largest basis a chain matrix is built on
 WORK_CAP = 5_000_000         # largest dim * L^2 of a chain or sector
+ENTRY_CAP = 10_000_000       # largest array a chain or sector build makes
 
 
 class GateViolation(ValueError):
@@ -252,10 +258,11 @@ def apply_telescopic(params, a):
 # chains and sectors
 # ---------------------------------------------------------------------------
 
-def check_chain(L, M=None):
+def check_chain(L, M=None, dense=False):
     """Raise ValueError unless a chain of L sites may be built on its S^z = M
     sector, or with M None on its whole 3^L space: L >= 2, dim <=
-    SECTOR_DIM_CAP and dim * L^2 <= WORK_CAP, dim counted, not listed."""
+    SECTOR_DIM_CAP and dim * L^2 <= WORK_CAP, dim counted, not listed; with
+    dense, the dim x dim matrix also within ENTRY_CAP."""
     if L < 2:
         raise ValueError("chain length must be at least 2")
     if M is None:
@@ -268,6 +275,15 @@ def check_chain(L, M=None):
     if dim * L * L > WORK_CAP:
         raise ValueError(f"chain too large: dimension {dim} times L^2 at "
                          f"{where} exceeds cap {WORK_CAP}")
+    if dense:
+        _check_entries(dim * dim, where)
+
+
+def _check_entries(entries, where):
+    """Raise ValueError if an array of this many entries exceeds ENTRY_CAP."""
+    if entries > ENTRY_CAP:
+        raise ValueError(f"chain too large: {entries} array entries at "
+                         f"{where} exceed cap {ENTRY_CAP}")
 
 
 def _state_keys(occ):
@@ -321,7 +337,7 @@ def _apply_bonds(m2, states, L, basis):
 
 def chain_matrix(params, L):
     """Full 3^L x 3^L periodic chain matrix, sum of L embedded two-site terms."""
-    check_chain(L)
+    check_chain(L, dense=True)
     full = np.array(list(np.ndindex(*(3,) * L)), np.uint8).reshape(-1, L)
     return _apply_bonds(two_site_matrix(params), full, L, full)
 
@@ -385,10 +401,14 @@ def _orbit_table(L, M):
 def _representative_rows(params, L, M):
     """The rows H[reps] of the (L, M) sector matrix H at its translation
     orbits' representatives (_orbit_table), a (k, dim) array, without
-    building H.  Each entry equals H's bit for bit (_apply_bonds)."""
+    building H.  Each entry equals H's bit for bit (_apply_bonds).  Refused
+    before they are built when the (k, k, L) block table built from them
+    (oracle.sector_spectrum), k^2 L >= k dim entries, exceeds ENTRY_CAP."""
     check_chain(L, M)
-    occ = _sector_occupations(L, M)
     reps = _orbit_table(L, M)[2]
+    # the block table is the larger: each orbit has at most L states
+    _check_entries(len(reps) ** 2 * L, f"L={L}, M={M}")
+    occ = _sector_occupations(L, M)
     return _apply_bonds(two_site_matrix(params), occ[reps], L, occ)
 
 
@@ -403,7 +423,7 @@ def sector_dimension(L, M):
 
 def sz_matrix(L):
     """Diagonal total-S^z in the full product basis."""
-    check_chain(L)
+    check_chain(L, dense=True)
     states = list(np.ndindex(*(3,) * L))
     return np.diag([float(sum(s)) for s in states]).astype(complex)
 

@@ -14,9 +14,10 @@ m p = 0 mod L.  Each block matrix B_m = F_m^dagger H F_m (F_m the columns
 are built (hamiltonian._representative_rows), a (k, dim) array for the k
 orbits; the dim x dim sector matrix is built only by sector_matrix, which
 verify_sector does not call.  Each block is diagonalized on its own.
-Both refuse a sector outside hamiltonian.check_chain's caps before they
-allocate anything, and verify_sector diagonalizes before it solves, so an
-oversized sector is refused before the solver runs.
+Both refuse a sector outside the caps of hamiltonian's size guard before
+they allocate anything (the entry cap covers the block table too), and
+verify_sector diagonalizes before it solves, so an oversized sector is
+refused before the solver runs.
 
 A Bethe state with momenta z satisfies T psi = (prod z) psi, so it lies in
 the block m with e^{2 pi i m / L} = prod z (bethe.momentum).  It is
@@ -84,7 +85,7 @@ class SectorReport:
 
 def sector_matrix(params, L, M):
     """Restriction of the periodic chain to the S^z = M occupation basis."""
-    check_chain(L, M)
+    check_chain(L, M, dense=True)
     occ = _sector_occupations(L, M)
     return _apply_bonds(two_site_matrix(params), occ, L, occ)
 
@@ -133,16 +134,19 @@ def sector_spectrum(params, L, M):
                           scale=float(np.max(np.abs(rows), initial=0.0)))
 
 
-def _take_nearest(pool, v, tol):
-    """Remove the entry of pool nearest to v if it lies within tol; return
-    whether one was removed."""
-    if not pool:
+def _take_nearest(pool, taken, v, tol):
+    """Take the entry of pool nearest to v among those not yet taken, the
+    first of equals, if it lies within tol: mark it taken and return
+    whether one was.  Distances are np.hypot's, the scalar complex abs."""
+    if not pool.size:
         return False
-    dist = [abs(v - r) for r in pool]
+    d = v - pool
+    dist = np.hypot(d.real, d.imag)
+    dist[taken] = np.inf
     k = int(np.argmin(dist))
     if dist[k] > tol:
         return False
-    pool.pop(k)
+    taken[k] = True
     return True
 
 
@@ -150,18 +154,20 @@ def compare(cba_solutions, ed, tol=1e-8, scale=1.0):
     """Match accepted Bethe energies against a sector spectrum, each only
     against the eigenvalues of its own translation block; a root set with
     no block (prod z not an L-th root of unity) is unmatched."""
-    pools = [list(ed.eigenvalues[ed.momenta == m]) for m in range(ed.L)]
+    pools = [ed.eigenvalues[ed.momenta == m] for m in range(ed.L)]
+    taken = [np.zeros(len(p), bool) for p in pools]
     unmatched = []
     Z = np.array([sol.z for sol in cba_solutions], complex)
     for sol, m in zip(cba_solutions,
                       _momenta(Z.reshape(len(cba_solutions), ed.M), ed.L)):
-        if m < 0 or not _take_nearest(pools[m], sol.energy, tol * scale):
+        if m < 0 or not _take_nearest(pools[m], taken[m], sol.energy,
+                                      tol * scale):
             unmatched.append(sol.energy)
     matched = len(cba_solutions) - len(unmatched)
     return SectorReport(
         M=ed.M, dimension=ed.dimension, matched=matched, unmatched=unmatched,
         coverage=matched / ed.dimension if ed.dimension else 1.0,
-        uncovered=[len(p) for p in pools])
+        uncovered=[len(t) - int(np.count_nonzero(t)) for t in taken])
 
 
 def verify_sector(params, L, M, bae_tol, tol_eig):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import settings, strategies as st
 
 import bethe_forge as bf
-from bethe_forge.oracle import _take_nearest
 
 
 # the same hypothesis examples on every run, with no example database: a
@@ -42,11 +41,25 @@ def family_instance(tag, rng, branch=None):
     return bf.construct(tag, draw_free(tag, rng), branch), branch
 
 
+def take_nearest(pool, v, tol):
+    """The oracle's matching rule on a list: remove the entry of pool nearest
+    to v, the first of equals, if it lies within tol; return whether one
+    was removed."""
+    if not pool:
+        return False
+    dist = [abs(v - r) for r in pool]
+    k = int(np.argmin(dist))
+    if dist[k] > tol:
+        return False
+    pool.pop(k)
+    return True
+
+
 def match_multiset(values, reference, tol):
     """Greedy nearest matching of values into the reference multiset, by
     the oracle's rule: (number matched, list of unmatched values)."""
     pool = list(reference)
-    unmatched = [v for v in values if not _take_nearest(pool, v, tol)]
+    unmatched = [v for v in values if not take_nearest(pool, v, tol)]
     return len(values) - len(unmatched), unmatched
 
 

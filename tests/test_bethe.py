@@ -12,11 +12,13 @@ import pytest
 import bethe_forge as bf
 from bethe_forge import bethe
 from bethe_forge.cli import load_input, main
-from bethe_forge.constraints import _PairTable, lambda_fn, lambda_grad
+from bethe_forge.constraints import (_PairTable, lambda_fn, lambda_grad,
+                                     ordered_pairs, permutation_table)
 
 from conftest import cdraw, draw_free, family_instance, random_params
 
 PRESETS = Path(bf.__file__).parent / "presets"
+PRESET_NAMES = sorted(p.stem for p in PRESETS.glob("*.json"))
 
 
 class TestEnergy:
@@ -507,6 +509,104 @@ class TestNewtonBatch:
             assert len(got) and _same_points(got, ref)
 
 
+def _reference_block_steps(params, Z, L):
+    """The block Newton steps by the chain rule from _bae_system's F and
+    3 x 3 Jacobian: A = J[:2, :2] - J[:2, 2] (z3/z1, z3/z2), solved in
+    closed form."""
+    with np.errstate(all="ignore"):
+        F, Jac = bethe._bae_system(params, Z, L, 1.0)
+        A = Jac[:, :2, :2] - Jac[:, :2, 2:] * (Z[:, 2:] / Z[:, :2])[:, None, :]
+        det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
+        return np.column_stack([A[:, 1, 1] * F[:, 0] - A[:, 0, 1] * F[:, 1],
+                                A[:, 0, 0] * F[:, 1] - A[:, 1, 0] * F[:, 0]]
+                               ) / -det[:, None]
+
+
+class TestBlockSteps:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_equal_to_chain_rule_reduction(self, name):
+        """_block_steps, which forms F_1, F_2 and the 2 x 2 block Jacobian
+        straight from the Lambda and dLambda tables, gives the steps of the
+        chain-rule reduction of _bae_system's 3 x 3 Jacobian to the last
+        bit, and non-finite steps on the same rows (a zero may differ in
+        sign: _bae_system adds onto 0 and multiplies by the system's
+        sign).  At L = 4, 9 and 30, on the start grid, on the points one
+        full step from it, on rows with a zero root (z3 infinite) and on
+        rows with coincident roots (z1 = z2, where F_1 = F_2 and the
+        Jacobian is singular), each a batch of start-grid size as in the
+        solver."""
+        h = load_input(PRESETS / f"{name}.json")
+        I, J, _ = ordered_pairs(3)
+        for L in (4, 9, 30):
+            Z0, w = bethe._block_starts(L)
+            with np.errstate(all="ignore"):
+                stepped = Z0[:, :2] + _reference_block_steps(h, Z0, L)
+                stepped[~np.isfinite(stepped)] = 1.0
+                zero = Z0[:, :2].copy()
+                zero[::7, 0] = 0
+                batches = [Z0] + [bethe._on_line(z2, w)
+                                  for z2 in (stepped, zero, Z0[:, [0, 0]])]
+            for Z in batches:
+                with np.errstate(all="ignore"):
+                    lam = lambda_fn(h, Z[:, I], Z[:, J])
+                    got = bethe._block_steps(h, Z, L, lam)
+                ref = _reference_block_steps(h, Z, L)
+                finite = np.all(np.isfinite(ref), axis=1)
+                assert np.array_equal(np.all(np.isfinite(got), axis=1),
+                                      finite)
+                assert np.array_equal(got[finite], ref[finite])
+
+    def test_m3_solve_builds_no_dense_jacobian(self, monkeypatch):
+        """The M = 3 solve never calls _bae_system (kept for M = 2's
+        _polish) and finds the same root sets without it."""
+        h = load_input(PRESETS / "gB.json")
+        want = bf.solve_bae(h, 5, 3)
+
+        def no_system(*args):
+            raise AssertionError("_bae_system called on the M = 3 path")
+
+        monkeypatch.setattr(bethe, "_bae_system", no_system)
+        got = bf.solve_bae(h, 5, 3)
+        assert got and got == want
+
+    def test_row_max_fold_is_np_max(self):
+        """The column fold equals np.max(axis=1), NaN and inf rows
+        included, for 1 to 4 columns."""
+        rng = np.random.default_rng(3)
+        for cols in (1, 2, 3, 4):
+            A = rng.standard_normal((40, cols))
+            A.flat[rng.choice(A.size, A.size // 3, replace=False)] = np.nan
+            A.flat[rng.choice(A.size, A.size // 4, replace=False)] = np.inf
+            A.flat[rng.choice(A.size, A.size // 5, replace=False)] = -np.inf
+            got, want = bethe._row_max(A), np.max(A, axis=1)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+
+    def test_error_state_restored(self, monkeypatch):
+        """solve_bae leaves numpy's floating-point error state as it found
+        it, also when lambda_fn raises inside the Newton loop; in the loop
+        overflow, division by zero and invalid results are ignored."""
+        h = load_input(PRESETS / "gB.json")
+        before = np.geterr()
+        bf.solve_bae(h, 5, 3)
+        assert np.geterr() == before
+        calls, seen = [], []
+
+        def failing(*args):
+            seen.append(np.geterr())
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("lambda_fn failed")
+            return lambda_fn(*args)
+
+        monkeypatch.setattr(bethe, "lambda_fn", failing)
+        with pytest.raises(RuntimeError, match="lambda_fn failed"):
+            bf.solve_bae(h, 5, 3)
+        assert len(calls) == 3 and np.geterr() == before
+        assert all(e["over"] == e["divide"] == e["invalid"] == "ignore"
+                   for e in seen)
+
+
 class TestStallRule:
     @pytest.mark.parametrize("name", ["gB", "izergin_korepin"])
     def test_root_basins_converge(self, name):
@@ -676,6 +776,27 @@ def _assert_matches_reference(h, z, L, psi=None):
     return psi
 
 
+def _assemble_python_powers(table, L):
+    """_assemble over the whole sector with every power z**x taken by
+    Python's complex power, one root at a time."""
+    n, M = table.Z.shape
+    X, doubled = bethe._sector_positions(L, M)
+    zpow = np.array([[[w ** x for x in range(L + 1)] for w in row]
+                     for row in table.Z.tolist()], complex)
+    vecs = np.zeros((n, len(X)), complex)
+    scale = np.zeros(n)
+    with np.errstate(all="ignore"):
+        for s, sigma in enumerate(permutation_table(M)[0]):
+            term = np.repeat(table.amps[:, s, None], len(X), axis=1)
+            for j in range(M - 1):
+                term[:, doubled[:, j]] *= table.N(sigma[j], sigma[j + 1])[:, None]
+            for k in range(M):
+                term *= zpow[:, sigma[k], X[:, k]]
+            vecs += term
+            scale = np.maximum(scale, np.abs(term).max(axis=1, initial=0.0))
+    return vecs, scale
+
+
 class TestAssembleEigenvector:
     @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
     def test_matches_reference_loop(self, tag, rng):
@@ -694,6 +815,29 @@ class TestAssembleEigenvector:
                     batch_row = bethe.SectorEigenvector(
                         M, vec, norm, scale, bethe._coincident(z))
                     _assert_matches_reference(h, z, L, batch_row)
+
+    def test_powers_as_python_powers(self, rng):
+        """The numpy power table gives the vectors and term scales of
+        Python's complex power bit for bit below L = 100, where both use
+        binary powering; above, numpy takes exp and log and the M = 1
+        vectors agree to 1e-13 relative."""
+        for tag in ("gB", "14V1", "gIK"):
+            h, _ = family_instance(tag, rng)
+            for L, M in ((4, 3), (9, 3), (12, 2), (30, 1), (99, 1)):
+                table = _PairTable(h, np.array([cdraw(rng, M)
+                                                for _ in range(3)]))
+                got, want = bethe._assemble(table, L), \
+                    _assemble_python_powers(table, L)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+            for L in (100, 120, 170):
+                roots = np.exp(2j * np.pi * np.arange(L) / L)[:, None]
+                for Z in (roots, cdraw(rng, L)[:, None]):
+                    table = _PairTable(h, Z)
+                    (got, _), (want, _) = bethe._assemble(table, L), \
+                        _assemble_python_powers(table, L)
+                    assert np.all(np.abs(got - want)
+                                  <= 1e-13 * np.abs(want))
 
     def test_to_vector_rejects_other_length(self, rng):
         psi = bf.assemble_eigenvector(random_params(rng), cdraw(rng, 2), 4)
@@ -809,8 +953,6 @@ def _preset_solutions(name, L, M):
     h = bf.with_zero_v00(load_input(PRESETS / f"{name}.json"))
     return h, tuple(bf.solve_bae(h, L, M))
 
-
-PRESET_NAMES = sorted(p.stem for p in PRESETS.glob("*.json"))
 
 
 class TestMomenta:
@@ -978,6 +1120,25 @@ class TestCheckRoots:
         assert "verified" in first and "equivalent" not in first
         assert second == ["equivalent" if o == "verified" else o
                           for o in first]
+
+    def test_equal_state_needs_a_kept_match(self):
+        """One verified state three times, with energies 0.6 tol_eig apart:
+        the second is equivalent to the first; the third is within tol_eig
+        only of the second, which is not kept, so it is verified, as in the
+        one-row loop."""
+        L, M, tol = 5, 2, 1e-8
+        h = bf.with_zero_v00(load_input(PRESETS / "izergin_korepin.json"))
+        spec = bf.sector_spectrum(h, L, M)
+        sols = bf.solve_bae(h, L, M)
+        checks = bethe.check_roots(h, sols, spec.blocks, L, tol, 1.0)
+        sol = next(s for s, c in zip(sols, checks) if c.outcome == "verified")
+        batch = [bethe.BetheSolution(sol.z, sol.energy + d * tol, 0.0)
+                 for d in (-0.6, 0.0, 0.6)]
+        got = bethe.check_roots(h, batch, spec.blocks, L, tol, 1.0)
+        want = _reference_checks(h, batch, bf.sector_matrix(h, L, M), L,
+                                 tol, 1.0)
+        assert [g.outcome for g in got] == [w[1] for w in want] \
+            == ["verified", "equivalent", "verified"]
 
     @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
     def test_matches_one_row_loop(self, tag, rng):

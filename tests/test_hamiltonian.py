@@ -294,6 +294,24 @@ class TestChain:
             with pytest.raises(ValueError, match="dimension 59049 at L=10 "):
                 build()
 
+    def test_dense_chain_entry_cap(self, rng, monkeypatch):
+        """The dense 3^L x 3^L chain and S^z matrices stay within
+        ENTRY_CAP up to L = 7; at L = 8 and 9, which pass the dimension
+        cap, they are refused before the basis is listed."""
+        def no_basis(*args):
+            raise AssertionError("basis listed past the guard")
+
+        bf.check_chain(7, dense=True)
+        monkeypatch.setattr(np, "ndindex", no_basis)
+        h = random_params(rng)
+        for L in (8, 9):
+            bf.check_chain(L)
+            for build in (lambda: bf.chain_matrix(h, L),
+                          lambda: ham.sz_matrix(L)):
+                with pytest.raises(ValueError, match=f"{9 ** L} array "
+                                   f"entries at L={L} exceed cap"):
+                    build()
+
     def test_pct_spectrum_equivalences(self, rng):
         h = random_params(rng)
         L = 3

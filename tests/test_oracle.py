@@ -11,7 +11,7 @@ from bethe_forge.bethe import BetheSolution
 from bethe_forge.cli import load_input
 
 from conftest import (annulus, cdraw, family_instance, match_multiset,
-                      random_params)
+                      random_params, take_nearest)
 
 PRESETS = sorted((Path(bf.__file__).parent / "presets").glob("*.json"))
 
@@ -136,6 +136,32 @@ class TestSectorSpectrum:
             bf.check_chain(L - 1, M)
 
 
+    def test_entry_cap_checked_before_the_arrays(self, rng, monkeypatch):
+        """L = 11, M = 9 (dim 19,855) passes the dimension and work caps,
+        but its 1,805 orbits would need a (k, k, L) block table, and
+        (k, dim) representative rows, of 35.8 million entries:
+        sector_spectrum refuses it before the rows are built.  sector_matrix refuses M = 3 at L = 26 (dim 3,250,
+        10.6 million entries dense).  Every sector the CLI admits (M <= 3
+        up to L = 30, M = 2 to 55, M = 1 to 170) stays within the cap."""
+        def no_rows(*args):
+            raise AssertionError("rows built past the guard")
+
+        h = random_params(rng)
+        monkeypatch.setattr(bf.hamiltonian, "_apply_bonds", no_rows)
+        with pytest.raises(ValueError, match="chain too large: 35838275 "
+                           "array entries at L=11, M=9 exceed cap 10000000"):
+            bf.sector_spectrum(h, 11, 9)
+        monkeypatch.setattr(bf.oracle, "_sector_occupations", no_rows)
+        with pytest.raises(ValueError, match="10562500 array entries at "
+                           "L=26, M=3 exceed"):
+            bf.sector_matrix(h, 26, 3)
+        bf.check_chain(25, 3, dense=True)
+        monkeypatch.setattr(bf.hamiltonian, "_apply_bonds",
+                            lambda *args: "built")
+        for L, M in ((30, 3), (55, 2), (170, 1)):
+            assert bf.hamiltonian._representative_rows(h, L, M) == "built"
+
+
 class TestCompare:
     def _sols(self, energies):
         return [BetheSolution((1.0,), e, 0.0) for e in energies]
@@ -170,6 +196,40 @@ class TestCompare:
         assert rep.matched == 0
         assert rep.unmatched == [2.0]
         assert rep.uncovered == [1, 1]
+
+    def test_matches_list_based_matching(self):
+        """The taken-mask match gives the list-based rule's matched count,
+        unmatched energies in order and uncovered counts: eigenvalues and
+        energies on a half-integer grid (exact ties, each taken by the
+        first of equals, and repeated eigenvalues), NaN and infinite
+        energies, and root sets with no block."""
+        rng = np.random.default_rng(11)
+        L = 3
+        blocks = [(np.exp(2j * np.pi * m / L),) for m in range(L)]
+        for _ in range(20):
+            n = int(rng.integers(0, 25))
+            eig = rng.integers(-3, 4, n) + 1j * rng.integers(-2, 3, n)
+            ed = bf.SectorSpectrum(M=1, eigenvalues=eig.astype(complex),
+                                   dimension=n, momenta=rng.integers(0, L, n),
+                                   L=L)
+            energies = (rng.integers(-6, 8, 30) / 2
+                        + 1j * rng.integers(-4, 5, 30) / 2)
+            sols = [BetheSolution(blocks[m], complex(e), 0.0) for m, e in
+                    zip(rng.integers(0, L, 30), energies)]
+            sols += [BetheSolution(blocks[0], complex("nan"), 0.0),
+                     BetheSolution(blocks[1], complex(np.inf, 0), 0.0),
+                     BetheSolution((1.3 + 0.2j,), 0j, 0.0)]
+            order = rng.permutation(len(sols))
+            sols = [sols[i] for i in order]
+            rep = bf.compare(sols, ed, tol=0.5, scale=2.0)
+            pools = [list(eig[ed.momenta == m]) for m in range(L)]
+            unmatched = [s.energy for s in sols
+                         if bf.momentum(s.z, L) is None
+                         or not take_nearest(pools[bf.momentum(s.z, L)],
+                                             s.energy, 1.0)]
+            assert rep.matched == len(sols) - len(unmatched)
+            assert np.array_equal(rep.unmatched, unmatched, equal_nan=True)
+            assert rep.uncovered == [len(p) for p in pools]
 
     def test_m1_full_coverage(self, rng):
         h, _ = family_instance("SpR", rng)
