@@ -53,7 +53,8 @@ Newton step at its point is at most DEDUP_TOL max(1, max |z|): near a
 coincident point the system is degenerate (F_1 = F_2 on z1 = z2), Newton
 converges there only linearly and reaches NEWTON_TOL about 1e-3 from the
 point, and such sets pass the BAE check but fail as eigenvectors.  Rows
-never interact (nothing is shared or reduced across them), so each row
+never interact (nothing is shared or reduced across them), and no product
+rounds by batch size (see constraints on numpy's temporaries), so each row
 follows the path it would follow alone, whatever the batch around it.
 Completeness of Bethe roots: Hao, Nepomechie and Sommese,
 arXiv:1308.4645.
@@ -76,13 +77,21 @@ their norm.  The left shift s -> s[1:] + s[:1] multiplies a Bethe vector
 by prod z; momentum(z, L) names the translation block this puts it in
 (see oracle), and _momenta names it for a whole batch in one array pass.
 
-check_roots verifies the root sets of a sector in the momentum basis, one
-translation block at a time, from each root set's amplitudes at the
-block's orbit representatives only; no vector or matrix of the whole
-sector is formed (see check_roots for why the residual, null test and
-equal-state test are exact for the block vector, and how that vector
-relates to the Bethe vector).  It returns one RootCheck per root set;
+check_roots verifies the root sets of a sector in the momentum basis, from
+their amplitudes at the orbit representatives only: one pair table, one
+assembly at every representative and one BAE pass for the whole sector,
+then per translation block only that block's columns, its residual
+product and its Gram matrix; no vector or matrix of the whole sector is
+formed (see check_roots for why the residual, null test and equal-state
+test are exact for the block vector, and how that vector relates to the
+Bethe vector).  It returns one RootCheck per root set;
 oracle.verify_sector collects them into the sector's report.
+
+solve_bae's bookkeeping is array passes too: the canonical (Re, Im) order
+of every root set by one np.lexsort, the coincident flags by one pairwise
+np.hypot mask and the energies in Python complex arithmetic over an object
+array (_canonical_rows, _coincident_rows, _energies); _canonical,
+_coincident and energy are their one-row reads.
 """
 
 from __future__ import annotations
@@ -96,7 +105,8 @@ import numpy as np
 
 from .constraints import (_PairTable, lambda_fn, lambda_grad, ordered_pairs,
                           pair_row, permutation_table)
-from .hamiltonian import _orbit_table, _sector_occupations, invariants
+from .hamiltonian import (_check_entries, _orbit_table, _sector_occupations,
+                          invariants)
 
 BAE_TOL = 1e-10          # largest BAE residual of an accepted root set
 DAMPING = 0.5            # line-search step factor
@@ -174,13 +184,30 @@ class SectorEigenvector:
         return self.vector
 
 
+def _row(z):
+    """The momenta z as a (1, M) complex batch."""
+    return np.array([[complex(w) for w in z]], complex)
+
+
+def _energies(params, Z):
+    """E = M V + sum_n (q z_n + p / z_n) of every row of an (n, M) batch of
+    nonzero momenta, summed from the int 0 in row order as Python's sum()
+    adds, in Python complex arithmetic (object dtype), so that every row
+    has the bits of its one-row sum whatever the batch: a complex array."""
+    n, M = Z.shape
+    Zo = Z.astype(object)
+    total = np.zeros(n, object)
+    for j in range(M):
+        total = total + (params.q * Zo[:, j] + params.p / Zo[:, j])
+    return np.array(M * invariants(params).V + total, complex)
+
+
 def energy(params, z):
-    """E = M V + sum_n (q z_n + p / z_n)."""
-    z = [complex(w) for w in z]
-    if any(w == 0 for w in z):
+    """E = M V + sum_n (q z_n + p / z_n): the one-row read of _energies."""
+    Z = _row(z)
+    if np.any(Z == 0):
         raise ValueError("invalid momentum z = 0")
-    V = invariants(params).V
-    return len(z) * V + sum(params.q * w + params.p / w for w in z)
+    return _energies(params, Z)[0]
 
 
 def _momenta(Z, L):
@@ -247,10 +274,18 @@ def _is_trivial_s(params):
     return not np.any(table.singular() | off)
 
 
+def _coincident_rows(Z):
+    """Per-row mask of an (n, M) batch: two of the row's momenta lie within
+    DEGENERATE_TOL of each other (np.hypot, the scalar complex abs)."""
+    I, J = np.triu_indices(Z.shape[1], 1)
+    d = Z[:, I] - Z[:, J]
+    return np.any(np.hypot(d.real, d.imag) <= DEGENERATE_TOL, axis=1)
+
+
 def _coincident(z):
-    """Whether two of the momenta z lie within DEGENERATE_TOL of each other."""
-    return any(abs(a - b) <= DEGENERATE_TOL
-               for a, b in itertools.combinations(z, 2))
+    """Whether two of the momenta z lie within DEGENERATE_TOL of each other:
+    the one-row read of _coincident_rows."""
+    return bool(_coincident_rows(_row(z))[0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -279,7 +314,8 @@ def _pair_product(lam, cols):
         return np.ones((len(lam),) + cols.shape[:-1], complex)
     out = lam[:, cols[..., 0]]
     for t in range(1, cols.shape[-1]):
-        out = out * lam[:, cols[..., t]]
+        factor = lam[:, cols[..., t]]
+        out = out * factor
     return out
 
 
@@ -299,7 +335,8 @@ def _bae_values(params, Z, L, sign):
     I, J, _ = ordered_pairs(Z.shape[1])
     _, P, Q, _, _ = _bae_pairs(Z.shape[1])
     lam = lambda_fn(params, Z[:, I], Z[:, J])
-    return Z**L * _pair_product(lam, P) - sign * _pair_product(lam, Q), lam
+    rhs = _pair_product(lam, Q)
+    return Z**L * _pair_product(lam, P) - sign * rhs, lam
 
 
 def _bae_system(params, Z, L, sign):
@@ -315,13 +352,13 @@ def _bae_system(params, Z, L, sign):
     for t in range(M - 1):
         dP = dP + d1[:, P[:, t]] * exP[:, :, t]
         dQ = dQ + d2[:, Q[:, t]] * exQ[:, :, t]
-    ZL = Z**L
+    ZL, ZL1 = Z**L, Z**(L - 1)
+    lp = _pair_product(lam, P)
     Jac = np.zeros((n, M, M), complex)
     diag = np.arange(M)
-    Jac[:, diag, diag] = (L * Z**(L - 1) * _pair_product(lam, P) + ZL * dP
-                          - sign * dQ)
-    Jac[:, diag[:, None], others] = (ZL[:, :, None] * (d2[:, P] * exP)
-                                     - sign * (d1[:, Q] * exQ))
+    Jac[:, diag, diag] = L * ZL1 * lp + ZL * dP - sign * dQ
+    dp, dq = d2[:, P] * exP, d1[:, Q] * exQ
+    Jac[:, diag[:, None], others] = ZL[:, :, None] * dp - sign * dq
     return F, Jac
 
 
@@ -377,15 +414,16 @@ def _block_steps(params, Z, L, lam):
     lp0, lp1 = lam[:, P[:, 0]], lam[:, P[:, 1]]
     lq0, lq1 = lam[:, Q[:, 0]], lam[:, Q[:, 1]]
     z = Z[:, :2]
-    zL = z**L
+    zL, zL1 = z**L, z**(L - 1)
     lp = lp0 * lp1
     F = zL * lp - lq0 * lq1
     # dF_i/dz_i, dF_i/dz_{m_1} and dF_i/dz_3
     dP = d1[:, P[:, 0]] * lp1 + d1[:, P[:, 1]] * lp0
     dQ = d2[:, Q[:, 0]] * lq1 + d2[:, Q[:, 1]] * lq0
-    diag = L * z**(L - 1) * lp + zL * dP - dQ
-    cross = zL * (d2[:, P[:, 0]] * lp1) - d1[:, Q[:, 0]] * lq1
-    last = zL * (d2[:, P[:, 1]] * lp0) - d1[:, Q[:, 1]] * lq0
+    dp0, dp1 = d2[:, P[:, 0]] * lp1, d2[:, P[:, 1]] * lp0
+    diag = L * zL1 * lp + zL * dP - dQ
+    cross = zL * dp0 - d1[:, Q[:, 0]] * lq1
+    last = zL * dp1 - d1[:, Q[:, 1]] * lq0
     r = Z[:, 2:] / z                            # z3/z1, z3/z2
     a = diag - last * r                         # A[0, 0], A[1, 1]
     b = cross - last * r[:, ::-1]               # A[0, 1], A[1, 0]
@@ -552,9 +590,17 @@ def _polish(params, Z, res, L):
     return np.where(better[:, None], trial, Z), np.where(better, rt, res)
 
 
+def _canonical_rows(Z):
+    """Every row of an (n, M) batch sorted by (Re, Im), ties in row order:
+    the stable sort by that key, one np.lexsort over the rows."""
+    order = np.lexsort((Z.imag, Z.real), axis=1)
+    return np.take_along_axis(Z, order, axis=1)
+
+
 def _canonical(z):
-    zs = sorted((complex(w) for w in z), key=lambda w: (w.real, w.imag))
-    return tuple(zs)
+    """The root set z in canonical order, a tuple: the one-row read of
+    _canonical_rows."""
+    return tuple(_canonical_rows(_row(z))[0].tolist())
 
 
 def _same(za, zb):
@@ -596,6 +642,16 @@ def _multiset_seeds(L, M):
             for c in itertools.combinations_with_replacement(roots, M)]
 
 
+def _solutions(params, Z, res):
+    """BetheSolutions of the root sets of an (n, M) batch Z with BAE
+    residuals res: z in canonical order, the energy summed in Z's order;
+    orders, energies and coincident flags each one array pass."""
+    sets = [tuple(z) for z in _canonical_rows(Z).tolist()]
+    E, flags = _energies(params, Z), _coincident_rows(Z)
+    return [BetheSolution(z, e, r, f) for z, e, r, f
+            in zip(sets, E, res.tolist(), flags.tolist())]
+
+
 def solve_bae(params, L, M, bae_tol=BAE_TOL):
     """All distinct Bethe-equation solutions found for the (L, M) sector
     with a BAE residual of at most bae_tol."""
@@ -605,14 +661,13 @@ def solve_bae(params, L, M, bae_tol=BAE_TOL):
     if M < 2:
         # no scattering: the M-subsets of the L-th roots of unity, exactly
         roots = [np.exp(2j * np.pi * n / L) for n in range(L)]
-        return [BetheSolution(z, energy(params, z), 0.0, False)
-                for z in itertools.combinations(roots, M)]
+        sets = list(itertools.combinations(roots, M))
+        Z = np.array(sets, complex).reshape(len(sets), M)
+        return _solutions(params, Z, np.zeros(len(Z)))
 
     if _is_trivial_s(params):
         Z = np.array(_multiset_seeds(L, M), complex)
-        return [BetheSolution(_canonical(zs), energy(params, zs), float(res),
-                              _coincident(zs))
-                for zs, res in zip(Z, _bae_residuals(params, Z, L))]
+        return _solutions(params, Z, _bae_residuals(params, Z, L))
 
     if M == 2:
         Z = _m2_pairs(params, L)
@@ -623,10 +678,9 @@ def solve_bae(params, L, M, bae_tol=BAE_TOL):
     if M == 2:
         Z, res = _polish(params, Z, res, L)
     ok = res <= bae_tol
-    sets, res = [_canonical(z) for z in Z[ok]], res[ok]
-    return [BetheSolution(sets[i], energy(params, sets[i]), float(res[i]),
-                          _coincident(sets[i]))
-            for i in _distinct(sets)]
+    Z = _canonical_rows(Z[ok])
+    keep = _distinct([tuple(z) for z in Z.tolist()])
+    return _solutions(params, Z[keep], res[ok][keep])
 
 
 def amplitude(params, z, sigma, doubled=()):
@@ -645,25 +699,32 @@ def _assemble(table, L, rows=slice(None)):
     """Bethe vectors of every root set of a pair table over the (L, M)
     sector, read at the given rows of its position table: the (n, len(rows))
     amplitudes, in sector_basis order over the whole sector by default,
-    and each row's largest pre-cancellation term magnitude over them.  One
-    array product per permutation, multiplied in the same order for every
-    row, over the powers z**x, x = 0..L, of one numpy power (binary powering
-    below x = 100, as Python's complex power); the rows of root sets with a
-    singular pair hold meaningless values."""
+    and, entry by entry, the largest pre-cancellation term magnitude (a
+    caller reads a vector's largest term as the maximum over its entries).
+    One array product per permutation, multiplied in the same order for
+    every row, over the powers z**x, x = 0..L, of one numpy power (binary
+    powering below x = 100, as Python's complex power); the rows of root
+    sets with a singular pair hold meaningless values.  No product is taken
+    in place: numpy multiplies a one-entry complex array in place unfused,
+    so a batch of one root set at one position would round differently from
+    the same root set in a larger batch."""
     n, M = table.Z.shape
     X, doubled = (a[rows] for a in _sector_positions(L, M))
     vecs = np.zeros((n, len(X)), complex)
-    scale = np.zeros(n)
+    scale = np.zeros((n, len(X)))
     with np.errstate(all="ignore"):
         zpow = table.Z[:, :, None] ** np.arange(L + 1)
         for s, sigma in enumerate(permutation_table(M)[0]):
             term = np.repeat(table.amps[:, s, None], len(X), axis=1)
             for j in range(M - 1):
-                term[:, doubled[:, j]] *= table.N(sigma[j], sigma[j + 1])[:, None]
+                at = doubled[:, j]
+                term[:, at] = (term[:, at]
+                               * table.N(sigma[j], sigma[j + 1])[:, None])
             for k in range(M):
-                term *= zpow[:, sigma[k], X[:, k]]
+                factor = zpow[:, sigma[k], X[:, k]]
+                term = term * factor
             vecs += term
-            scale = np.maximum(scale, np.abs(term).max(axis=1, initial=0.0))
+            np.maximum(scale, np.abs(term), out=scale)
     return vecs, scale
 
 
@@ -684,7 +745,7 @@ def assemble_eigenvector(params, z, L):
     vec.setflags(write=False)
     return SectorEigenvector(M=len(z), vector=vec,
                              norm=float(np.linalg.norm(vecs, axis=1)[0]),
-                             amp_scale=float(scale[0]),
+                             amp_scale=float(scale[0].max(initial=0.0)),
                              degenerate_flag=_coincident(z))
 
 
@@ -752,71 +813,91 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
     gate phi's residual would verify sets whose psi fails.  The null test
     compares ||c|| with the representatives' largest term.
 
-    Root sets are checked one block at a time: one pair table, one (n, k_m)
-    assembly at the representatives, one residual product and one Gram
-    matrix per block.  A root set whose prod z is no L-th root of unity
-    (momentum None) has no block; it cannot solve the BAE and is unverified.
-    A verified set is an equivalent state when an earlier kept set of its
-    block has an energy within tol_eig * scale and spans the same ray
-    (1 - |<u0, u>| <= 1e-6 for the unit vectors); distinct root sets can
-    describe one state at symmetric points.  Both tests are one array mask
-    over the block's pairs, and the kept sets are settled in order only
-    over the rows that have an earlier candidate.  Different blocks are
-    orthogonal, so no ray is shared across them."""
+    Root sets are checked in one pass over the sector: one pair table, one
+    assembly at every orbit representative (every full-period orbit lies in
+    every block), one BAE-sides pass for the defects and one singular mask
+    over all root sets that reach assembly.  Only what belongs to a block
+    is taken per block: its columns idx of those arrays, the null test
+    against the largest term at its representatives, B c - E c and the
+    Gram matrix of its verified sets.  A root set whose prod z is no L-th
+    root of unity (momentum None) has no block; it cannot solve the BAE and
+    is unverified.  A verified set is an equivalent state when an earlier
+    kept set of its block has an energy within tol_eig * scale and spans
+    the same ray (1 - |<u0, u>| <= 1e-6 for the unit vectors); distinct root
+    sets can describe one state at symmetric points.  Both tests are one
+    array mask over the block's pairs, and the kept sets are settled in
+    order only over the rows that have an earlier candidate.  Different
+    blocks are orthogonal, so no ray is shared across them.  The amplitude
+    table is refused above hamiltonian.ENTRY_CAP entries before it is
+    allocated."""
     if not sols:
         return []
     Z = np.array([sol.z for sol in sols], complex)
-    reps, period = _orbit_table(L, Z.shape[1])[2:]
-    out = [None] * len(sols)
-    groups = {}
-    for i, (sol, m) in enumerate(zip(sols, _momenta(Z, L).tolist())):
-        if sol.degenerate_flag:
-            # the plane-wave form degenerates when two roots coincide: such
-            # sets give a null vector, or pass the BAE check and still fail
-            # as eigenvectors
-            out[i] = RootCheck(None if m < 0 else m, "coincident")
-        elif m < 0:
-            out[i] = RootCheck(None, "unverified", message=(
-                f"no translation block: prod z = {complex(np.prod(Z[i]))} "
-                "is not an L-th root of unity"))
-        else:
-            groups.setdefault(m, []).append(i)
-    for m, rows in groups.items():
+    n, M = Z.shape
+    reps, period = _orbit_table(L, M)[2:]
+    mom = _momenta(Z, L)
+    # the plane-wave form degenerates when two roots coincide: such sets
+    # give a null vector, or pass the BAE check and still fail as
+    # eigenvectors
+    flagged = np.array([sol.degenerate_flag for sol in sols], bool)
+    out = [None] * n
+    for i in np.flatnonzero(flagged):
+        out[i] = RootCheck(None if mom[i] < 0 else int(mom[i]), "coincident")
+    for i in np.flatnonzero(~flagged & (mom < 0)):
+        out[i] = RootCheck(None, "unverified", message=(
+            f"no translation block: prod z = {complex(np.prod(Z[i]))} "
+            "is not an L-th root of unity"))
+    live = np.flatnonzero(~flagged & (mom >= 0))
+    if not live.size:
+        return out
+    _check_entries(live.size * len(reps), f"L={L}, M={M}")
+    table = _PairTable(params, Z[live])
+    vecs, amp = _assemble(table, L, reps)
+    C = vecs * np.sqrt(period)
+    singular = table.singular()
+    lhs, rhs = _bae_sides(table, L)
+    with np.errstate(all="ignore"):
+        defect = np.abs(1 - rhs / lhs).max(axis=1, initial=0.0)
+    E = np.array([sols[i].energy for i in live], complex)
+    m_live = mom[live]
+    order = np.argsort(m_live, kind="stable")
+    starts = np.flatnonzero(np.diff(m_live[order])) + 1
+    for rows in np.split(order, starts):
+        m = int(m_live[rows[0]])
         idx, B = blocks[m]
-        table = _PairTable(params, Z[rows])
-        vecs, amp = _assemble(table, L, reps[idx])
-        C = vecs * np.sqrt(period[idx])
-        norms = np.linalg.norm(C, axis=1)
-        singular = table.singular()
-        null = ~singular & _is_null(norms, amp)
-        for k in np.flatnonzero(singular):
-            out[rows[k]] = RootCheck(m, "singular",
-                                     message=_singular_amplitude(table, k))
-        for k in np.flatnonzero(null):
-            out[rows[k]] = RootCheck(m, "null")
-        good = np.flatnonzero(~singular & ~null)
-        E = np.array([sols[rows[k]].energy for k in good], complex)
-        res = _eig_residuals(B, C[good], E)
-        lhs, rhs = _bae_sides(table, L)
-        with np.errstate(all="ignore"):
-            defect = np.abs(1 - rhs[good] / lhs[good]).max(axis=1, initial=0.0)
-        ok = (res <= tol_eig) & (defect <= tol_eig)
-        for k, r, d in zip(good[~ok], res[~ok], defect[~ok]):
-            msg = (f"translation defect {d:.1e} above tol_eig"
-                   if r <= tol_eig else None)
-            out[rows[k]] = RootCheck(m, "unverified", float(r), msg)
-        good, res, E = good[ok], res[ok], E[ok]
-        U = C[good] / norms[good, None]
+        Cb = C[rows[:, None], idx]
+        norms = np.linalg.norm(Cb, axis=1)
+        sing = singular[rows]
+        null = ~sing & _is_null(
+            norms, amp[rows[:, None], idx].max(axis=1, initial=0.0))
+        good = np.flatnonzero(~sing & ~null)
+        res = _eig_residuals(B, Cb[good], E[rows[good]])
+        d = defect[rows[good]]
+        ok = (res <= tol_eig) & (d <= tol_eig)
+        kept = good[ok]
+        Eg = E[rows[kept]]
+        U = Cb[kept] / norms[kept, None]
         overlap = np.abs(U.conj() @ U.T)    # overlap[a, b] = |<u_a, u_b>|
         # near[a, b], b < a: a is the same state as b, if b is kept; the
         # energy distance is np.hypot's, which is the scalar complex abs
-        dE = E[:, None] - E
+        dE = Eg[:, None] - Eg
         near = np.tril((np.hypot(dE.real, dE.imag) <= tol_eig * scale)
                        & (1 - overlap.T <= 1e-6), -1)
-        same = np.zeros(len(good), bool)
+        same = np.zeros(len(kept), bool)
         for a in np.flatnonzero(near.any(axis=1)):
             same[a] = np.any(near[a, :a] & ~same[:a])
-        for a, k in enumerate(good):
-            out[rows[k]] = RootCheck(m, "equivalent" if same[a] else
-                                     "verified", float(res[a]))
+        outcome = np.where(ok, "verified", "unverified").astype(object)
+        outcome[np.flatnonzero(ok)[same]] = "equivalent"
+
+        at = live[rows].tolist()
+        for k in np.flatnonzero(sing).tolist():
+            out[at[k]] = RootCheck(m, "singular", message=_singular_amplitude(
+                table, rows[k]))
+        for k in np.flatnonzero(null).tolist():
+            out[at[k]] = RootCheck(m, "null")
+        for k, r, dk, o in zip(good.tolist(), res.tolist(), d.tolist(),
+                               outcome.tolist()):
+            msg = (f"translation defect {dk:.1e} above tol_eig"
+                   if o == "unverified" and r <= tol_eig else None)
+            out[at[k]] = RootCheck(m, o, r, msg)
     return out

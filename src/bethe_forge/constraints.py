@@ -23,6 +23,13 @@ function vanishing at generic sample points vanishes identically, up to a
 measure-zero failure set).  Each sum's summands are one (n, M!) array:
 amps times the integrand over the momenta gathered in every permutation's
 order, with N at its adjacent pairs.
+
+Batch size never changes a bit of Lambda, its gradient or the pair table.
+For an array temporary of 256 KiB or more numpy computes x * (temporary),
+x of the same shape, in place as (temporary) * x, and complex
+multiplication, fused where the CPU has FMA, does not commute to the last
+bit.  So in lambda_fn, lambda_grad, the pair table and the Bethe solver's
+Newton kernel the right operand of such a product is always a named array.
 """
 
 from __future__ import annotations
@@ -50,11 +57,14 @@ def _coeffs(params):
 
 
 def lambda_fn(params, z1, z2):
-    """Lambda(z1, z2); polynomial in both momenta.  Vectorizes over arrays."""
+    """Lambda(z1, z2); polynomial in both momenta.  Vectorizes over arrays,
+    each entry computed as it would be alone (see the module docstring on
+    batch size)."""
     p, q, s1, s2, t1, t2, tp, sp, X11, Y = _coeffs(params)
-    zz = z1 * z2
-    u = z2 * (s1 + s2 * zz) * (t2 + t1 * zz)
-    a = Y * zz - q * zz * (z1 + z2) - p * (z1 + z2) + sp * zz * zz + tp
+    zz, zs = z1 * z2, z1 + z2
+    f1 = s1 + s2 * zz
+    u = z2 * f1 * (t2 + t1 * zz)
+    a = Y * zz - q * zz * zs - p * zs + sp * zz * zz + tp
     b = X11 * z2 - q * zz - p
     return u - a * b
 
@@ -62,15 +72,17 @@ def lambda_fn(params, z1, z2):
 def lambda_grad(params, z1, z2):
     """(d/dz1, d/dz2) of lambda_fn, for Newton iterations on the BAE."""
     p, q, s1, s2, t1, t2, tp, sp, X11, Y = _coeffs(params)
-    zz = z1 * z2
+    zz, zs = z1 * z2, z1 + z2
     f1 = s1 + s2 * zz
     f2 = t2 + t1 * zz
-    a = Y * zz - q * zz * (z1 + z2) - p * (z1 + z2) + sp * zz * zz + tp
+    a = Y * zz - q * zz * zs - p * zs + sp * zz * zz + tp
     b = X11 * z2 - q * zz - p
     da1 = Y * z2 - q * z2 * (2 * z1 + z2) - p + 2 * sp * z1 * z2 * z2
     da2 = Y * z1 - q * z1 * (z1 + 2 * z2) - p + 2 * sp * z1 * z1 * z2
-    d1 = z2 * z2 * (s2 * f2 + t1 * f1) - da1 * b - a * (-q * z2)
-    d2 = f1 * f2 + zz * (s2 * f2 + t1 * f1) - da2 * b - a * (X11 - q * z1)
+    df = s2 * f2 + t1 * f1
+    db1, db2 = -q * z2, X11 - q * z1
+    d1 = z2 * z2 * df - da1 * b - a * db1
+    d2 = f1 * f2 + zz * df - da2 * b - a * db2
     return d1, d2
 
 
@@ -197,7 +209,8 @@ class _PairTable:
                            axis=1)
         out = np.ones((len(self.Z), len(inv)), complex)
         for k in range(inv.shape[1]):
-            out = out * s[:, inv[:, k]]
+            factor = s[:, inv[:, k]]
+            out = out * factor
         return out
 
     def A(self, perm):

@@ -18,8 +18,9 @@ Conventions used throughout the package:
   ENTRY_CAP entries either: dim^2 for a dense matrix (check_chain with
   dense), and for the oracle's sector spectrum k^2 * L, its block table
   over the k translation orbits, which is at least k * dim, its
-  representative rows (_representative_rows).  Both are checked before
-  the array is allocated.
+  representative rows (_representative_rows), and for bethe.check_roots
+  its amplitude table, root sets times k.  Each is checked before the
+  array is allocated.
 
 All arithmetic is complex double precision.
 """

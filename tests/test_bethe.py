@@ -218,6 +218,107 @@ class TestSolveBAE:
         assert "unverified" not in outcomes and "null" not in outcomes
 
 
+def _reference_canonical(z):
+    """The canonical order as a stable sort by (Re, Im) in Python."""
+    return tuple(sorted((complex(w) for w in z),
+                        key=lambda w: (w.real, w.imag)))
+
+
+def _reference_energy(params, z):
+    """M V + sum_n (q z_n + p / z_n), summed from the int 0 in Python
+    complex arithmetic."""
+    total = 0
+    for w in z:
+        w = complex(w)
+        total = total + (params.q * w + params.p / w)
+    return len(z) * bf.invariants(params).V + total
+
+
+def _reference_coincident(z):
+    return any(abs(complex(a) - complex(b)) <= bethe.DEGENERATE_TOL
+               for a, b in itertools.combinations(z, 2))
+
+
+def _bits(z):
+    return np.array(z, complex).tobytes()
+
+
+class TestBookkeeping:
+    """solve_bae's canonical order, coincident flags and energies, taken as
+    array passes over all root sets, equal the one-row Python rules."""
+
+    def test_trivial_s_root_sets(self):
+        """Every trivial-S root set of 17V1a, 17V1b and 14V2 at L = 3..13,
+        M = 2, 3 (6,798 sets): z tuple, energy, BAE residual and flag as
+        the one-row rules give them on the multiset seeds, bit for bit."""
+        count = 0
+        for name in ("17V1a", "17V1b", "14V2"):
+            h = bf.with_zero_v00(load_input(PRESETS / f"{name}.json"))
+            for L in range(3, 14):
+                for M in (2, 3):
+                    Z = np.array(bethe._multiset_seeds(L, M), complex)
+                    res = bethe._bae_residuals(h, Z, L)
+                    got = bf.solve_bae(h, L, M)
+                    assert len(got) == len(Z)
+                    for sol, zs, r in zip(got, Z, res):
+                        assert _bits(sol.z) == _bits(_reference_canonical(zs))
+                        assert _bits(sol.energy) == \
+                            _bits(_reference_energy(h, zs))
+                        assert sol.bae_residual == r
+                        assert sol.degenerate_flag == _reference_coincident(zs)
+                    count += len(got)
+        assert count == 6798
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_solved_root_sets(self, name):
+        """L = 4..9, M = 0..3: each solution's z is canonical and its flag
+        is the one-row rule's on it; its energy is the one-row rule's on it
+        bit for bit, except at trivial S for M >= 2, where the energy is
+        summed in seed order (test_trivial_s_root_sets); M < 2 keeps the
+        order of itertools.combinations over the roots of unity."""
+        for L in range(4, 10):
+            for M in range(4):
+                h, sols = _preset_solutions(name, L, M)
+                seed_order = M >= 2 and bethe._is_trivial_s(h)
+                for sol in sols:
+                    assert _bits(sol.z) == _bits(_reference_canonical(sol.z))
+                    assert seed_order or _bits(sol.energy) == \
+                        _bits(_reference_energy(h, sol.z))
+                    assert sol.degenerate_flag == \
+                        _reference_coincident(sol.z)
+                if M < 2:
+                    roots = [np.exp(2j * np.pi * n / L) for n in range(L)]
+                    assert [_bits(s.z) for s in sols] == \
+                        [_bits(c) for c in itertools.combinations(roots, M)]
+
+    def test_batches_and_one_row_reads(self, rng):
+        """On random batches with ties in the real part, exact duplicates,
+        near-coincident roots and signed zeros: the batch functions equal
+        the one-row rules row by row, and _canonical, _coincident and
+        energy (their one-row reads) do too."""
+        h, _ = family_instance("gB", rng)
+        for M in (0, 1, 2, 3):
+            Z = cdraw(rng, 200 * M).reshape(200, M)
+            if M >= 2:
+                Z[::3, 1] = Z[::3, 0].real + 1j * rng.uniform(-1, 1, 67)
+                Z[1::5, 1] = Z[1::5, 0]
+                Z[2::7, 1] = Z[2::7, 0] + 0.9 * bethe.DEGENERATE_TOL
+                Z[3::11, 0] = complex(-0.0, 0.5)
+                Z[3::11, 1] = complex(0.0, 0.5)
+            canon = bethe._canonical_rows(Z)
+            E = bethe._energies(h, Z)
+            flags = bethe._coincident_rows(Z)
+            for z, c, e, f in zip(Z, canon, E, flags):
+                want = _reference_canonical(z)
+                assert _bits(c) == _bits(want)
+                assert bethe._canonical(z) == want
+                assert _bits(e) == _bits(_reference_energy(h, z))
+                assert _bits(bf.energy(h, z)) == _bits(e)
+                assert f == bethe._coincident(z) == _reference_coincident(z)
+            if M >= 2:
+                assert 0 < flags.sum() < len(Z)
+
+
 class TestBlockStarts:
     @pytest.mark.parametrize("L", [3, 4, 7, 9])
     def test_on_block_lines(self, L):
@@ -556,6 +657,25 @@ class TestBlockSteps:
                                       finite)
                 assert np.array_equal(got[finite], ref[finite])
 
+    def test_steps_do_not_depend_on_batch_size(self):
+        """_block_steps on a 2,748-row batch, the L = 9 start grid and three
+        copies of it moved off the grid, equals the same rows in their own
+        687-row batches bit for bit: the big batch is past the 256 KiB at
+        which numpy computes x * (temporary) in place, operands swapped."""
+        h = load_input(PRESETS / "gIK.json")
+        L = 9
+        Z0, w = bethe._block_starts(L)
+        batches = [Z0] + [bethe._on_line(Z0[:, :2] * f, w)
+                          for f in (1.01, 0.99, 1.02 - 0.01j)]
+        with np.errstate(all="ignore"):
+            lams = [bethe._residual(h, Z, L, 1.0)[1] for Z in batches]
+            got = bethe._block_steps(h, np.concatenate(batches), L,
+                                     np.concatenate(lams))
+            want = np.concatenate([bethe._block_steps(h, Z, L, lam)
+                                   for Z, lam in zip(batches, lams)])
+        assert len(got) == 2748
+        assert got.tobytes() == want.tobytes()
+
     def test_m3_solve_builds_no_dense_jacobian(self, monkeypatch):
         """The M = 3 solve never calls _bae_system (kept for M = 2's
         _polish) and finds the same root sets without it."""
@@ -784,16 +904,19 @@ def _assemble_python_powers(table, L):
     zpow = np.array([[[w ** x for x in range(L + 1)] for w in row]
                      for row in table.Z.tolist()], complex)
     vecs = np.zeros((n, len(X)), complex)
-    scale = np.zeros(n)
+    scale = np.zeros((n, len(X)))
     with np.errstate(all="ignore"):
         for s, sigma in enumerate(permutation_table(M)[0]):
             term = np.repeat(table.amps[:, s, None], len(X), axis=1)
             for j in range(M - 1):
-                term[:, doubled[:, j]] *= table.N(sigma[j], sigma[j + 1])[:, None]
+                at = doubled[:, j]
+                term[:, at] = (term[:, at]
+                               * table.N(sigma[j], sigma[j + 1])[:, None])
             for k in range(M):
-                term *= zpow[:, sigma[k], X[:, k]]
+                factor = zpow[:, sigma[k], X[:, k]]
+                term = term * factor
             vecs += term
-            scale = np.maximum(scale, np.abs(term).max(axis=1, initial=0.0))
+            scale = np.maximum(scale, np.abs(term))
     return vecs, scale
 
 
@@ -810,7 +933,8 @@ class TestAssembleEigenvector:
                 Z = np.array([cdraw(rng, M) for _ in range(3)])
                 vecs, amp = bethe._assemble(_PairTable(h, Z), L)
                 norms = np.linalg.norm(vecs, axis=1)
-                for z, vec, norm, scale in zip(Z, vecs, norms, amp):
+                for z, vec, norm, scale in zip(Z, vecs, norms,
+                                               amp.max(axis=1)):
                     _assert_matches_reference(h, z, L)
                     batch_row = bethe.SectorEigenvector(
                         M, vec, norm, scale, bethe._coincident(z))
@@ -838,6 +962,37 @@ class TestAssembleEigenvector:
                         _assemble_python_powers(table, L)
                     assert np.all(np.abs(got - want)
                                   <= 1e-13 * np.abs(want))
+
+    def test_amp_scale_is_the_largest_term(self, rng):
+        """assemble_eigenvector's amp_scale, the maximum of _assemble's
+        per-entry term maxima, is the largest term over the whole sector:
+        bit for bit that of the Python-power assembly below L = 100."""
+        for tag in bf.FAMILY_ORDER:
+            h, _ = family_instance(tag, rng)
+            for L, M in ((2, 3), (3, 1), (4, 2), (5, 3), (9, 3), (12, 2)):
+                z = cdraw(rng, M)
+                psi = bf.assemble_eigenvector(h, z, L)
+                _, scale = _assemble_python_powers(_PairTable(h, z[None]), L)
+                assert psi.amp_scale == float(scale.max())
+
+    def test_rows_do_not_depend_on_the_batch(self, rng):
+        """Each root set's amplitudes and term maxima are those of the same
+        root set assembled alone, bit for bit, over the whole sector and
+        at each single position (a one-entry array, which numpy would
+        multiply unfused in place), doubled sites included."""
+        for tag in ("gB", "14V1", "gIK"):
+            h, _ = family_instance(tag, rng)
+            for L, M in ((2, 3), (3, 2), (4, 3), (5, 1)):
+                Z = np.array([cdraw(rng, M) for _ in range(5)])
+                table = _PairTable(h, Z)
+                dim = len(bethe._sector_positions(L, M)[0])
+                for rows in [slice(None)] + [[r] for r in range(dim)]:
+                    vecs, amp = bethe._assemble(table, L, rows)
+                    for i, z in enumerate(Z):
+                        v1, a1 = bethe._assemble(_PairTable(h, z[None]), L,
+                                                 rows)
+                        assert v1.tobytes() == vecs[i:i + 1].tobytes()
+                        assert a1.tobytes() == amp[i:i + 1].tobytes()
 
     def test_to_vector_rejects_other_length(self, rng):
         psi = bf.assemble_eigenvector(random_params(rng), cdraw(rng, 2), 4)
@@ -1180,6 +1335,64 @@ class TestCheckRoots:
                 outcomes = _assert_checks_match_reference(h, bound, L, M)
                 verified += outcomes.count("verified")
         assert verified >= 20
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_sector_pass_equals_block_by_block(self, name):
+        """check_roots on a whole sector gives every root set the momentum,
+        outcome and message of check_roots called once per translation
+        block on that block's root sets alone (and once on the coincident
+        and blockless ones), and its eigenpair residual within 1e-13:
+        L = 5, 7, 9 at M = 2, 3, and the trivial-S presets at L = 12 too."""
+        sizes = [(L, M) for L in (5, 7, 9) for M in (2, 3)]
+        if name in ("17V1a", "17V1b", "14V2"):
+            sizes += [(12, 2), (12, 3)]
+        for L, M in sizes:
+            h, sols = _preset_solutions(name, L, M)
+            spec = bf.sector_spectrum(h, L, M)
+            got = bethe.check_roots(h, list(sols), spec.blocks, L, 1e-8,
+                                    spec.scale)
+            groups = {}
+            for i, sol in enumerate(sols):
+                groups.setdefault(bf.momentum(sol.z, L), []).append(i)
+            for rows in groups.values():
+                alone = bethe.check_roots(h, [sols[i] for i in rows],
+                                          spec.blocks, L, 1e-8, spec.scale)
+                for i, want in zip(rows, alone):
+                    g = got[i]
+                    assert (g.momentum, g.outcome, g.message) == \
+                        (want.momentum, want.outcome, want.message)
+                    if want.eig_residual is None:
+                        assert g.eig_residual is None
+                    else:
+                        assert abs(g.eig_residual - want.eig_residual) \
+                            <= 1e-13
+
+    def test_entry_cap_checked_before_the_amplitude_table(self, monkeypatch):
+        """The sector's amplitude table, root sets reaching assembly times
+        orbits (120 x 21 at 17V1a, L = 10, M = 3), passes through the entry
+        cap: one entry below it check_roots refuses before the table is
+        built, and at it the checks are those of the default cap."""
+        L, M = 10, 3
+        h, sols = _preset_solutions("17V1a", L, M)
+        spec = bf.sector_spectrum(h, L, M)
+        live = sum(not s.degenerate_flag for s in sols)
+        entries = live * len(bf.hamiltonian._orbit_table(L, M)[2])
+        assert entries == 120 * 21
+        want = bethe.check_roots(h, list(sols), spec.blocks, L, 1e-8, 1.0)
+        assemble = bethe._assemble
+
+        def no_table(*args):
+            raise AssertionError("amplitude table built past the cap")
+
+        monkeypatch.setattr(bethe, "_assemble", no_table)
+        monkeypatch.setattr(bf.hamiltonian, "ENTRY_CAP", entries - 1)
+        with pytest.raises(ValueError, match=f"chain too large: {entries} "
+                           f"array entries at L={L}, M={M} exceed cap"):
+            bethe.check_roots(h, list(sols), spec.blocks, L, 1e-8, 1.0)
+        monkeypatch.setattr(bethe, "_assemble", assemble)
+        monkeypatch.setattr(bf.hamiltonian, "ENTRY_CAP", entries)
+        assert bethe.check_roots(h, list(sols), spec.blocks, L, 1e-8,
+                                 1.0) == want
 
     def test_defect_gate_on_perturbed_bound_states(self):
         """Each preset's deepest bound-state root set at L = 16, M = 2

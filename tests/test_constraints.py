@@ -47,6 +47,46 @@ class TestLambda:
         assert abs(d2 - fd2) < 1e-6 * max(1, abs(fd2))
 
 
+class TestBatchSize:
+    """Batch size never changes a bit.  numpy computes x * (temporary) of
+    256 KiB or more in place as (temporary) * x, and fused complex
+    multiplication does not commute to the last bit; 3,000 rows of six
+    momentum pairs, or of three momenta, are past that size."""
+
+    def _chunked(self, f, *args):
+        parts = [f(*(a[i:i + 100] for a in args))
+                 for i in range(0, len(args[0]), 100)]
+        if isinstance(parts[0], tuple):
+            return tuple(np.concatenate(p) for p in zip(*parts))
+        return np.concatenate(parts)
+
+    @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
+    def test_lambda_tables_equal_their_chunks(self, tag, rng):
+        """lambda_fn and lambda_grad on 3,000 random rows equal the same
+        rows in chunks of 100, bit for bit."""
+        h, _ = family_instance(tag, rng)
+        Z = constraints.random_momenta(rng, (3000, 12))
+        z1, z2 = Z[:, :6], Z[:, 6:]
+        got = bf.lambda_fn(h, z1, z2)
+        want = self._chunked(lambda a, b: bf.lambda_fn(h, a, b), z1, z2)
+        assert got.tobytes() == want.tobytes()
+        got = constraints.lambda_grad(h, z1, z2)
+        want = self._chunked(lambda a, b: constraints.lambda_grad(h, a, b),
+                             z1, z2)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_pair_table_equals_its_chunks(self, rng):
+        """S, N and the plane-wave amplitudes of 3,000 root sets equal those
+        of the same root sets 100 at a time, bit for bit."""
+        h, _ = family_instance("gIK", rng)
+        Z = constraints.random_momenta(rng, (3000, 3))
+        table = _PairTable(h, Z)
+        for attr in ("_s", "_n", "amps"):
+            want = self._chunked(lambda a: getattr(_PairTable(h, a), attr), Z)
+            assert getattr(table, attr).tobytes() == want.tobytes()
+
+
 class TestSMatrix:
     def test_equal_momenta(self, rng):
         h = random_params(rng)
