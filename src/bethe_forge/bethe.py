@@ -118,6 +118,7 @@ STALL_FACTOR = 10.0      # STALL_FACTOR below its value STALL_WINDOW steps ago
 DEDUP_TOL = 1e-8         # root sets this close are one solution
 DEGENERATE_TOL = 1e-6    # roots this close are coincident
 MOMENTUM_TOL = 1e-6      # prod z this close to e^{2 pi i m / L} is in block m
+ASSEMBLE_CHUNK = 1 << 16  # root sets x positions per _assemble chunk
 
 # the pairs (z1, z2) at which S = -1 is tested: six points of the annulus
 # 0.5 <= |z| <= 2, the first draws of constraints.random_momenta at seed 0
@@ -707,24 +708,31 @@ def _assemble(table, L, rows=slice(None)):
     sets with a singular pair hold meaningless values.  No product is taken
     in place: numpy multiplies a one-entry complex array in place unfused,
     so a batch of one root set at one position would round differently from
-    the same root set in a larger batch."""
+    the same root set in a larger batch.  The root sets are taken in chunks
+    of at most ASSEMBLE_CHUNK entries (root sets x positions, one root set
+    at least), each written into the two outputs, so the temporaries stay
+    bounded whatever the sector; rows do not depend on their batch, so the
+    chunks do not move a bit."""
     n, M = table.Z.shape
     X, doubled = (a[rows] for a in _sector_positions(L, M))
     vecs = np.zeros((n, len(X)), complex)
     scale = np.zeros((n, len(X)))
+    step = max(1, ASSEMBLE_CHUNK // max(len(X), 1))
     with np.errstate(all="ignore"):
-        zpow = table.Z[:, :, None] ** np.arange(L + 1)
-        for s, sigma in enumerate(permutation_table(M)[0]):
-            term = np.repeat(table.amps[:, s, None], len(X), axis=1)
-            for j in range(M - 1):
-                at = doubled[:, j]
-                term[:, at] = (term[:, at]
-                               * table.N(sigma[j], sigma[j + 1])[:, None])
-            for k in range(M):
-                factor = zpow[:, sigma[k], X[:, k]]
-                term = term * factor
-            vecs += term
-            np.maximum(scale, np.abs(term), out=scale)
+        for start in range(0, n, step):
+            r = slice(start, start + step)
+            zpow = table.Z[r, :, None] ** np.arange(L + 1)
+            for s, sigma in enumerate(permutation_table(M)[0]):
+                term = np.repeat(table.amps[r, s, None], len(X), axis=1)
+                for j in range(M - 1):
+                    at = doubled[:, j]
+                    term[:, at] = (term[:, at]
+                                   * table.N(sigma[j], sigma[j + 1])[r, None])
+                for k in range(M):
+                    factor = zpow[:, sigma[k], X[:, k]]
+                    term = term * factor
+                vecs[r] += term
+                np.maximum(scale[r], np.abs(term), out=scale[r])
     return vecs, scale
 
 

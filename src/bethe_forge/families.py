@@ -20,10 +20,20 @@ the gauge exactly.  The classifier tries all eight P/C/T frames and every
 family and branch: it reads the free parameters off the framed input, takes
 the member fingerprint they give, and compares it with the framed input's
 fingerprint, all candidates in one array pass.
+
+Most candidates are ruled out before they are built, by the vanishing
+vertices that tell 19-, 17- and 14-vertex families apart.  Each family and
+branch caches the slots its couplings leave exactly zero, read once at a
+generic point.  A candidate whose zero slot holds c > 2 tol of the framed
+input's largest slot cannot match: the member's fingerprint distance is at
+least c / (1 + c) > tol for tol < 1/4.  Every family is a cone, so the input
+is matched at unit scale, divided by the power of two of its largest slot
+(exactly), and the free values are scaled back.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -693,6 +703,22 @@ FAMILIES = {f.name: f for f in
 TRIVIAL_S_TAGS = ("17V1a", "17V1b", "14V2")
 
 
+def _zero_mask(fam, branch):
+    """The fingerprint slots that fam's couplings leave exactly zero for
+    every member of branch, as bits (bit k for slot k), read at a generic
+    free-parameter point."""
+    free = {n: complex(0.9 + 0.13 * k, 0.4 - 0.21 * k)
+            for k, n in enumerate(fam.free_names)}
+    return sum(1 << k for k, c in enumerate(fam.couplings(free, branch))
+               if c == 0)
+
+
+_ZERO_MASKS = {tag: tuple(_zero_mask(fam, b) for b in fam.branches)
+               for tag, fam in FAMILIES.items()}
+_SLOT_NAMES = OFFDIAG_KEYS + ("X11", "Y", "X12", "X21", "X22")
+_SLOT_BITS = 1 << np.arange(len(_SLOT_NAMES))
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -781,6 +807,18 @@ def _param_distance(a, b):
     return float(_distances(fa, fb)[0])
 
 
+def _ldexp(z, e):
+    """z * 2**e, exact barring overflow and underflow, zero signs kept."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
+def _scaled(params, e):
+    """params * 2**e, slot by slot (as _ldexp)."""
+    v = np.ascontiguousarray(params.v).view(float)
+    return HamiltonianParams(v=np.ldexp(v, e).view(complex), **{
+        k: _ldexp(getattr(params, k), e) for k in OFFDIAG_KEYS})
+
+
 def classify(params, tol=1e-9, check_solvable=True, n_samples=20,
              constraint_tol=1e-9, seed=0):
     """Match a Hamiltonian to a solution family modulo P/C/T and gauge.
@@ -789,8 +827,19 @@ def classify(params, tol=1e-9, check_solvable=True, n_samples=20,
     their slots for every family and branch and takes the member
     fingerprint they give.  One array pass compares every member with its
     framed input and accepts when all off-diagonals and diagonal invariants
-    agree to the relative tolerance.  Returns the first match by (frame, family, branch) precedence
-    with every other match recorded, or None when nothing fits.
+    agree to the relative tolerance.  Returns the first match by (frame,
+    family, branch) precedence with every other match recorded, or None
+    when nothing fits.
+
+    A candidate is skipped unbuilt when a slot its family and branch leave
+    exactly zero (_ZERO_MASKS) holds more than 2 tol of the framed input's
+    largest slot: with c that share, its distance is at least c / (1 + c),
+    above tol for tol < 1/4 (nothing is skipped for larger tol).  Families
+    are cones, so the input is matched divided by 2**e, e the binary
+    exponent of its largest slot; the division is exact, the couplings'
+    products of up to five slots stay in range at any scale, and the free
+    values read off a slot are multiplied back by 2**e (gIK's v, a ratio,
+    is not).
     """
     params.check_gates()
     if check_solvable:
@@ -800,14 +849,21 @@ def classify(params, tol=1e-9, check_solvable=True, n_samples=20,
             raise ValueError(
                 f"not CBA-solvable (max residual {verdict.max_residual:.3e} "
                 f"in {verdict.failing_constraint})")
-    found, targets, members = [], [], []
-    for word in FRAME_WORDS:
-        framed = apply_frame(params, word)
+    e = math.frexp(max(map(abs, _fingerprint(params))))[1]
+    unit = _scaled(params, -e)
+    frames = [apply_frame(unit, word) for word in FRAME_WORDS]
+    targets = np.array([_fingerprint(f) for f in frames], complex)
+    mags = np.abs(targets)
+    large = ((mags > 2 * tol * mags.max(axis=1, keepdims=True)) @ _SLOT_BITS
+             if tol < 0.25 else np.zeros(len(frames), int)).tolist()
+    found, rows, members = [], [], []
+    for i, (word, framed) in enumerate(zip(FRAME_WORDS, frames)):
         inv = invariants(framed)
-        target = _fingerprint(framed)
         for tag in FAMILY_ORDER:
             fam = FAMILIES[tag]
-            for branch in fam.branches:
+            for branch, zeros in zip(fam.branches, _ZERO_MASKS[tag]):
+                if zeros & large[i]:
+                    continue
                 try:
                     cand = fam.candidate(framed, inv, branch)
                 except (DegenerateFamilyPoint, ZeroDivisionError):
@@ -815,9 +871,9 @@ def classify(params, tol=1e-9, check_solvable=True, n_samples=20,
                 if cand is not None:
                     free, fp, floor = cand
                     found.append((tag, dict(branch), free, word, floor))
-                    targets.append(target)
+                    rows.append(i)
                     members.append(fp)
-    dists = (_distances(np.array(targets, complex), np.array(members, complex))
+    dists = (_distances(targets[rows], np.array(members, complex))
              if found else [])
     matches = []
     for (tag, branch, free, word, floor), dist in zip(found, dists):
@@ -827,6 +883,8 @@ def classify(params, tol=1e-9, check_solvable=True, n_samples=20,
     if not matches:
         return None
     tag, branch, free, word, res = matches[0]
+    free = {n: _ldexp(x, e) if n in _SLOT_NAMES else x
+            for n, x in free.items()}
     distinct_tags = {m[0] for m in matches}
     return FamilyMatch(tag=tag, branch=branch, free_params=free, frame=word,
                        fit_residual=res, degenerate=len(distinct_tags) > 1,

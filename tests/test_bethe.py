@@ -994,6 +994,28 @@ class TestAssembleEigenvector:
                         assert v1.tobytes() == vecs[i:i + 1].tobytes()
                         assert a1.tobytes() == amp[i:i + 1].tobytes()
 
+    def test_chunks_do_not_move_a_bit(self, rng, monkeypatch):
+        """_assemble taken in chunks of ASSEMBLE_CHUNK entries equals the
+        one-chunk pass bit for bit: chunks of one root set (also where a
+        chunk holds fewer entries than one root set's positions), of two
+        and of four, the last one partial, over the whole sector and over
+        a few positions."""
+        for tag in ("gB", "14V1", "gIK"):
+            h, _ = family_instance(tag, rng)
+            for L, M in ((3, 2), (4, 3), (6, 3), (5, 1)):
+                table = _PairTable(h, np.array([cdraw(rng, M)
+                                                for _ in range(11)]))
+                for rows in (slice(None), [0, 2, 3]):
+                    vecs, amp = bethe._assemble(table, L, rows)
+                    n = vecs.shape[1]
+                    assert vecs.size <= bethe.ASSEMBLE_CHUNK
+                    for chunk in (1, n, 2 * n, 4 * n + 1):
+                        with monkeypatch.context() as m:
+                            m.setattr(bethe, "ASSEMBLE_CHUNK", chunk)
+                            v1, a1 = bethe._assemble(table, L, rows)
+                        assert v1.tobytes() == vecs.tobytes()
+                        assert a1.tobytes() == amp.tobytes()
+
     def test_to_vector_rejects_other_length(self, rng):
         psi = bf.assemble_eigenvector(random_params(rng), cdraw(rng, 2), 4)
         with pytest.raises(ValueError, match="L=5"):

@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 import bethe_forge as bf
 from bethe_forge import bethe, cli
 from bethe_forge.cli import main
+from bethe_forge.hamiltonian import OFFDIAG_KEYS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PRESETS = SRC / "bethe_forge" / "presets"
@@ -189,6 +190,18 @@ class TestOverflowingInput:
     @pytest.mark.parametrize("mode", ["spectrum", "verify"])
     def test_spectrum_refused_exit_4(self, mode, huge_file):
         assert main([mode, huge_file, "--L", "4", "--M", "1"]) == 4
+
+    def test_scaled_preset_keeps_its_family(self, capsys, tmp_path):
+        """The gB preset times 1e80 is still gB: the classifier matches at
+        unit scale, where the couplings' fifth-degree products (1e400
+        here) stay in range."""
+        h = cli.load_input(str(PRESETS / "gB.json"))
+        path = write_params(tmp_path, bf.HamiltonianParams(
+            v=h.v * 1e80, **{k: getattr(h, k) * 1e80 for k in OFFDIAG_KEYS}))
+        assert main(["classify", path, "--json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["family"] == "gB"
+        assert captured.err == ""
 
 
 class TestSpectrumCommand:

@@ -1,15 +1,21 @@
 """Family constructors, closed-form scattering data, and the classifier."""
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bethe_forge as bf
 from bethe_forge import families
+from bethe_forge.cli import load_input
 from bethe_forge.families import J_PLUS, J_MINUS, DegenerateFamilyPoint
 from bethe_forge.hamiltonian import FRAME_WORDS, OFFDIAG_KEYS
 
 from conftest import annulus, cdraw, draw_free, random_params
+
+PRESETS = Path(bf.__file__).parent / "presets"
 
 # slots each family's build needs nonzero, where not (p, tp)
 _NONZERO_SLOTS = {"gB": ("t1", "t2", "tp"), "SpR": ("p", "tp", "t2"),
@@ -426,6 +432,165 @@ class TestClassifierMatchesReference:
             for (_, _, _, r), (_, _, _, _, r_ref) in zip(m.all_matches, ref):
                 assert abs(r - r_ref) <= 1e-15
         assert matched >= 400
+
+
+def _unskipped_matches(params, tol):
+    """classify's match list as a loop over every candidate, with no
+    zero-slot skip and no unit scale: (tag, branch, free values, frame,
+    residual) in (frame, family, branch) order, one _distances pass."""
+    found, targets, members = [], [], []
+    for word in FRAME_WORDS:
+        framed = bf.apply_frame(params, word)
+        inv = bf.invariants(framed)
+        target = families._fingerprint(framed)
+        for tag in bf.FAMILY_ORDER:
+            fam = bf.FAMILIES[tag]
+            for branch in fam.branches:
+                try:
+                    cand = fam.candidate(framed, inv, branch)
+                except (DegenerateFamilyPoint, ZeroDivisionError):
+                    continue
+                if cand is not None:
+                    found.append((tag, dict(branch), cand[0], word, cand[2]))
+                    targets.append(target)
+                    members.append(cand[1])
+    if not found:
+        return []
+    dists = families._distances(np.array(targets, complex),
+                                np.array(members, complex))
+    fits = [(tag, b, free, w, max(float(d), floor))
+            for (tag, b, free, w, floor), d in zip(found, dists)]
+    return [fit for fit in fits if fit[4] <= tol]
+
+
+def _bits(free):
+    """Free values as the bit patterns of their real and imaginary parts."""
+    return {k: (complex(z).real.hex(), complex(z).imag.hex())
+            for k, z in free.items()}
+
+
+# at 0.2 the skip bound 2 tol lies well above tol, so a looser bound would
+# lose matches there; at 0.3 nothing is skipped
+_SKIP_TOLS = (1e-9, 1e-6, 0.2, 0.3)
+
+
+def _near_bound(rng, tol, n):
+    """n members, each with one slot its family leaves zero set to c = 0.5
+    to 2.5 times tol of the largest slot (both sides of the skip bound),
+    seen through a random frame.  In every other one, each slot that holds
+    no free value first shrinks by the factor 1 / (1 + c): where the largest
+    of them leads the free values by that factor, the distance is c / (1 +
+    c), the least the bound allows."""
+    out = []
+    while len(out) < n:
+        tag = bf.FAMILY_ORDER[rng.integers(len(bf.FAMILY_ORDER))]
+        fam = bf.FAMILIES[tag]
+        b = rng.integers(len(fam.branches))
+        zeros = [k for k in range(15) if families._ZERO_MASKS[tag][b] >> k & 1]
+        if not zeros:
+            continue
+        fp = list(fam.couplings(draw_free(tag, rng), fam.branches[b]))
+        k = zeros[rng.integers(len(zeros))]
+        c = rng.uniform(0.5, 2.5) * tol
+        if len(out) % 2:
+            fp = [z if s in fam.free_names else z / (1 + c)
+                  for s, z in zip(families._SLOT_NAMES, fp)]
+        fp[k] = c * max(map(abs, fp)) * np.exp(2j * np.pi * rng.random())
+        out.append(bf.apply_frame(families._member(tuple(fp), 0),
+                                  FRAME_WORDS[rng.integers(len(FRAME_WORDS))]))
+    return out
+
+
+def _count_candidates(monkeypatch):
+    """A list whose length counts Family.candidate calls from now on."""
+    calls = []
+    for fam in bf.FAMILIES.values():
+        def counted(*args, _candidate=fam.candidate):
+            calls.append(None)
+            return _candidate(*args)
+        monkeypatch.setattr(fam, "candidate", counted)
+    return calls
+
+
+class TestCandidateSkip:
+    def test_same_match_bits_as_unskipped_loop(self):
+        """classify, with its zero-slot skip and unit scale, gives the match
+        list of the loop over all 128 candidates bit for bit: tag, branch,
+        frame, residual, degeneracy and the free values.  Inputs per tol:
+        classify-mix draws (members and generic inputs) and members moved
+        off a zero slot to either side of the skip bound."""
+        rng = np.random.default_rng(21)
+        matched = 0
+        for tol in _SKIP_TOLS:
+            inputs = [_classify_mix_input(rng) for _ in range(80)]
+            inputs += _near_bound(rng, tol, 80)
+            for h in inputs:
+                ref = _unskipped_matches(h, tol)
+                m = bf.classify(h, tol=tol, check_solvable=False)
+                if not ref:
+                    assert m is None
+                    continue
+                matched += 1
+                assert m.all_matches == [(t, b, w, r) for t, b, _, w, r in ref]
+                assert (m.tag, m.branch, m.frame, m.fit_residual) == \
+                    (ref[0][0], ref[0][1], ref[0][3], ref[0][4])
+                assert _bits(m.free_params) == _bits(ref[0][2])
+                assert m.degenerate == (len({t for t, *_ in ref}) > 1)
+        assert matched >= 300
+
+    @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
+    def test_masks_are_the_zeros_of_couplings(self, tag, rng):
+        fam = bf.FAMILIES[tag]
+        for b, branch in enumerate(fam.branches):
+            for _ in range(5):
+                fp = fam.couplings(draw_free(tag, rng), branch)
+                zeros = sum(1 << k for k, c in enumerate(fp) if c == 0)
+                assert families._ZERO_MASKS[tag][b] == zeros, (tag, b)
+
+    def test_skip_is_active(self, rng, monkeypatch):
+        h = bf.construct("14V2", draw_free("14V2", rng))
+        calls = _count_candidates(monkeypatch)
+        assert bf.classify(h, check_solvable=False).tag == "14V2"
+        assert len(calls) < 128
+
+    @pytest.mark.parametrize("tol", [0.25, 0.3, 1.0])
+    def test_no_skip_from_a_quarter(self, tol, rng, monkeypatch):
+        h = bf.construct("14V2", draw_free("14V2", rng))
+        calls = _count_candidates(monkeypatch)
+        bf.classify(h, tol=tol, check_solvable=False)
+        assert len(calls) == 128
+
+
+def _times(h, f):
+    return bf.HamiltonianParams(
+        v=h.v * f, **{k: getattr(h, k) * f for k in OFFDIAG_KEYS})
+
+
+class TestScale:
+    @pytest.mark.parametrize("path", sorted(PRESETS.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_presets_at_extreme_scales(self, path):
+        """Every family is a cone: a preset in any frame, scaled by 2^+-250
+        or 1e+-75, keeps its tag, branch and frame, with no overflow or
+        warning; under 2^k the residual keeps its bits and the free values
+        scale by 2^k exactly (the ratios not at all)."""
+        h0 = bf.with_zero_v00(load_input(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for word in FRAME_WORDS:
+                h = bf.apply_frame(h0, word)
+                m0 = bf.classify(h)
+                ratios = ("v",) if m0.tag == "gIK" else ()
+                for f in (2.0**250, 2.0**-250, 1e75, 1e-75):
+                    m = bf.classify(_times(h, f))
+                    assert (m.tag, m.branch, m.frame) == \
+                        (m0.tag, m0.branch, m0.frame), (word, f)
+                    if f in (1e75, 1e-75):
+                        continue
+                    assert m.fit_residual == m0.fit_residual
+                    assert _bits(m.free_params) == _bits(
+                        {k: z if k in ratios else z * f
+                         for k, z in m0.free_params.items()})
 
 
 # Action table: how parity, charge conjugation and time reversal act on
