@@ -39,8 +39,16 @@ line search that accepted the row's point, and the residual is that of all
 three F_j, its row maxima taken as column folds (_row_max).  The line
 search tries the full step on every row, then the shorter steps DAMPING^1
 .. DAMPING^5 at once on the rows the full step made worse, then DAMPING^6
-.. DAMPING^24 on the rows still worse; each row takes the first step that
-lowers its residual and is dropped as stuck if none does.  A row stops
+down to MIN_STEP = 2^-13 on the rows still worse; each row takes the
+first step that lowers its residual and is dropped as stuck if none does.
+Most starts end stuck, often where F_3, which the block step does not
+solve for, is the largest residual, and a stuck row tries every factor,
+so the floor bounds most of the line search's work.  The factors below
+it, down to 2^-24, end no preset's rows differently at L = 3..12, and
+at L = 13..30 they add at most duplicates of kept root sets; in the
+17V1b family they move some rows, at zeros of the cleared system that
+are no BAE solutions (tests: TestLineSearchFloor).  A floor of 2^-12
+would lose a verified gB root set at L = 22.  A row stops
 when its relative residual reaches NEWTON_TOL (converged), when it is
 stuck, when its Jacobian is singular, at MAX_ITER iterations, or when it has
 stalled: its residual is not STALL_FACTOR below its value STALL_WINDOW
@@ -62,7 +70,10 @@ arXiv:1308.4645.
 S, N, the plane-wave amplitudes A and the singular rule all come from the
 pair table of constraints (_PairTable): the BAE residuals of a whole batch
 of root sets, the trivial-S probe and the amplitudes of a batch of root
-sets are reads of one table each.
+sets are reads of one table each.  The BAE residuals and the energies are
+computed in Python's complex arithmetic, bit for bit, on float64 arrays
+(constraints.PyComplexArray), so that no fused product moves a root set
+across bae_tol and every row has the bits it has alone.
 
 Eigenvectors are plane-wave superpositions over ordered excitation positions
 x_1 <= ... <= x_M (a doubly occupied site appears twice); amplitudes carry
@@ -89,8 +100,8 @@ oracle.verify_sector collects them into the sector's report.
 
 solve_bae's bookkeeping is array passes too: the canonical (Re, Im) order
 of every root set by one np.lexsort, the coincident flags by one pairwise
-np.hypot mask and the energies in Python complex arithmetic over an object
-array (_canonical_rows, _coincident_rows, _energies); _canonical,
+np.hypot mask and the energies in Python complex arithmetic on
+PyComplexArray (_canonical_rows, _coincident_rows, _energies); _canonical,
 _coincident and energy are their one-row reads.
 """
 
@@ -103,13 +114,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (_PairTable, lambda_fn, lambda_grad, ordered_pairs,
-                          pair_row, permutation_table)
+from .constraints import (PyComplexArray, _PairTable, lambda_fn, lambda_grad,
+                          ordered_pairs, pair_row, permutation_table)
 from .hamiltonian import (_check_entries, _orbit_table, _sector_occupations,
                           invariants)
 
 BAE_TOL = 1e-10          # largest BAE residual of an accepted root set
 DAMPING = 0.5            # line-search step factor
+MIN_STEP = 2.0 ** -13    # smallest line-search step factor tried
 GRID_STARTS = 600        # M = 3 Halton starts per solve, ceil(600 / L) a block
 NEWTON_TOL = 1e-12       # Newton stops below this relative residual
 MAX_ITER = 200           # Newton iteration cap, M = 3
@@ -192,15 +204,16 @@ def _row(z):
 
 def _energies(params, Z):
     """E = M V + sum_n (q z_n + p / z_n) of every row of an (n, M) batch of
-    nonzero momenta, summed from the int 0 in row order as Python's sum()
-    adds, in Python complex arithmetic (object dtype), so that every row
-    has the bits of its one-row sum whatever the batch: a complex array."""
+    nonzero momenta, summed from 0 in row order as Python's sum() adds, in
+    Python complex arithmetic (PyComplexArray), so that every row has the
+    bits of its one-row sum whatever the batch: a complex array."""
     n, M = Z.shape
-    Zo = Z.astype(object)
-    total = np.zeros(n, object)
-    for j in range(M):
-        total = total + (params.q * Zo[:, j] + params.p / Zo[:, j])
-    return np.array(M * invariants(params).V + total, complex)
+    Zp = PyComplexArray.of(Z)
+    total = PyComplexArray(np.zeros(n), np.zeros(n))
+    with np.errstate(all="ignore"):
+        for j in range(M):
+            total = total + (params.q * Zp[:, j] + params.p / Zp[:, j])
+        return (M * invariants(params).V + total).to_complex()
 
 
 def energy(params, z):
@@ -234,16 +247,17 @@ def momentum(z, L):
 def _bae_residuals(params, Z, L):
     """bae_residual of every row of an (n, M) batch, from one pair table.
 
-    The table holds Python complex numbers (object dtype), not complex128:
-    numpy may compute complex128 array products with fused multiply-adds,
-    and at ill-conditioned roots that rounding difference is amplified
-    (seen: 5e-11 on residuals near 1e-10), enough to move a root set across
-    bae_tol.  Python complex products round the same way on every machine
-    and in every batch."""
-    table = _PairTable(params, Z.astype(object))
-    lhs, rhs = _bae_sides(table, L)
-    res = np.abs(lhs - rhs).astype(float).max(axis=1, initial=0.0)
-    res[table.singular() | ~np.isfinite(res)] = np.inf
+    The table computes in Python complex arithmetic (PyComplexArray), not
+    complex128: numpy may compute complex128 array products with fused
+    multiply-adds, and at ill-conditioned roots that rounding difference is
+    amplified (seen: 5e-11 on residuals near 1e-10), enough to move a root
+    set across bae_tol.  Python complex products round the same way on
+    every machine and in every batch."""
+    with np.errstate(all="ignore"):
+        table = _PairTable(params, PyComplexArray.of(Z))
+        lhs, rhs = _bae_sides(table, L)
+        res = abs(lhs - rhs).max(axis=1, initial=0.0)
+        res[table.singular() | ~np.isfinite(res)] = np.inf
     return res
 
 
@@ -252,7 +266,7 @@ def _bae_sides(table, L):
     arithmetic: the (n, M) arrays z_j^L and prod_{n != j} S(z_n, z_j)."""
     n, M = table.Z.shape
     lhs = table.Z ** L
-    rhs = np.empty_like(lhs)
+    rhs = lhs.copy()                    # overwritten column by column
     for j in range(M):
         prod = np.ones(n, complex)
         for m in range(M):
@@ -441,11 +455,11 @@ def _newton_batch(params, Z0, w, L):
     """
     Z = np.array(Z0, complex)
     n = len(Z)
-    # step factors of the line search: 1, d, d^2, ... while above 1e-8, at
-    # most 25 of them; the shorter ones are tried in two stages, d^1..d^5
-    # first (most rows take one of them), the rest on the rows still worse
+    # step factors of the line search: 1, d, d^2, ... down to MIN_STEP;
+    # the shorter ones are tried in two stages, d^1..d^5 first (most rows
+    # take one of them), the rest on the rows still worse
     damps = [1.0]
-    while len(damps) < 25 and damps[-1] > 1e-8:
+    while damps[-1] * DAMPING >= MIN_STEP:
         damps.append(damps[-1] * DAMPING)
     stages = [np.array(damps[1:6]), np.array(damps[6:])]
 
@@ -779,9 +793,10 @@ class RootCheck:
     * "coincident": two roots coincide; rejected before assembly;
     * "singular": an amplitude is singular; message names the pair;
     * "null": the amplitudes cancel to a null vector;
-    * "verified" / "unverified": the eigenpair residual and the
-      translation defect are both within tol_eig or not; the message names
-      the defect where the residual alone passes; also "unverified", with
+    * "verified" / "unverified": the eigenpair residual is within
+      tol_eig * scale and the translation defect within tol_eig, or not;
+      the message names the defect where the residual alone passes; also
+      "unverified", with
       no residual and a message naming prod z, a root set with no
       translation block;
     * "equivalent": verified, but the same state as an earlier verified
@@ -812,8 +827,10 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
     wraps round the chain, psi's term is off by the relative translation
     defect 1 - prod_{n != j} S(z_n, z_j) / z_j^L of the wrapping root z_j,
     which at a root with |z| < 1 may be up to b / |z|^L for the absolute
-    BAE residual b.  A set is verified when both phi's residual and its
-    largest defect are within tol_eig.  How far phi's residual lies from
+    BAE residual b.  A set is verified when phi's residual is within
+    tol_eig * scale, scale the sector matrix's largest entry (as compare
+    and the equal-state test below read tol_eig), and its largest defect,
+    a relative number, within tol_eig.  How far phi's residual lies from
     psi's is measured, not bounded.  On the preset root sets tested, bound
     states included, the two agree within b + 1e-12 with equal outcomes.
     On preset bound states pushed off their solution, psi's residual is
@@ -881,7 +898,7 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
         good = np.flatnonzero(~sing & ~null)
         res = _eig_residuals(B, Cb[good], E[rows[good]])
         d = defect[rows[good]]
-        ok = (res <= tol_eig) & (d <= tol_eig)
+        ok = (res <= tol_eig * scale) & (d <= tol_eig)
         kept = good[ok]
         Eg = E[rows[kept]]
         U = Cb[kept] / norms[kept, None]
@@ -894,8 +911,9 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
         same = np.zeros(len(kept), bool)
         for a in np.flatnonzero(near.any(axis=1)):
             same[a] = np.any(near[a, :a] & ~same[:a])
-        outcome = np.where(ok, "verified", "unverified").astype(object)
-        outcome[np.flatnonzero(ok)[same]] = "equivalent"
+        code = ok.astype(np.intp)
+        code[np.flatnonzero(ok)[same]] = 2
+        outcome = np.array(["unverified", "verified", "equivalent"])[code]
 
         at = live[rows].tolist()
         for k in np.flatnonzero(sing).tolist():
@@ -906,6 +924,6 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
         for k, r, dk, o in zip(good.tolist(), res.tolist(), d.tolist(),
                                outcome.tolist()):
             msg = (f"translation defect {dk:.1e} above tol_eig"
-                   if o == "unverified" and r <= tol_eig else None)
+                   if o == "unverified" and r <= tol_eig * scale else None)
             out[at[k]] = RootCheck(m, o, r, msg)
     return out

@@ -15,7 +15,10 @@ gather-and-multiply pass per inversion over permutation_table's padded
 inversion index; A(perm) reads one column.  s_matrix, n_factor and
 pair_row are one-row reads of that table (s_matrix and n_factor in Python
 complex arithmetic, as the Bethe solver's BAE residuals); the Bethe solver
-and eigenvector assembly read it too.
+and eigenvector assembly read it too.  The table computes in complex128
+or, given a PyComplexArray, in CPython's complex arithmetic, bit for bit,
+on float64 arrays; Lambda, S, N and the singular rule then have one
+implementation for both.
 
 A Hamiltonian is CBA-solvable iff three symmetrized sums vanish identically in
 the momenta; this module tests that by randomized evaluation (a rational
@@ -124,9 +127,153 @@ def permutation_table(M):
     return perms, inv, {tuple(p): r for r, p in enumerate(perms.tolist())}
 
 
+def _parts(x):
+    """(re, im) float64 parts of a PyComplexArray, a complex ndarray or a
+    number; a real number x is (x, +0.0), as Python's complex arithmetic
+    takes it.  None for any other type."""
+    if isinstance(x, PyComplexArray):
+        return x.re, x.im
+    if isinstance(x, np.ndarray) and x.dtype.kind == "c":
+        return x.real, x.imag
+    if isinstance(x, (int, float, complex, np.number)):
+        z = complex(x)
+        return z.real, z.imag
+    return None
+
+
+def _sum(ar, ai, br, bi):
+    return ar + br, ai + bi
+
+
+def _diff(ar, ai, br, bi):
+    return ar - br, ai - bi
+
+
+def _prod(ar, ai, br, bi):
+    """CPython's _Py_c_prod on float64 parts: four products, unfused."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _quot(ar, ai, br, bi):
+    """CPython's _Py_c_quot on float64 parts (Smith's algorithm): divided
+    through by br where |br| >= |bi|, else by bi.  The second branch is the
+    first with the parts of a and of b swapped and its imaginary numerator
+    negated (t - v, not v - t, which would flip a zero's sign), so both are
+    one pass with the branch picked per element.  Where either part of b
+    is NaN, ratio is NaN and so is the result, as CPython's third branch
+    gives; at b = 0, where CPython raises, the result is NaN too."""
+    first = np.abs(br) >= np.abs(bi)
+    big, small = np.where(first, br, bi), np.where(first, bi, br)
+    u, v = np.where(first, ar, ai), np.where(first, ai, ar)
+    ratio = small / big
+    denom = big + small * ratio
+    t = u * ratio
+    return (u + v * ratio) / denom, np.where(first, v - t, t - v) / denom
+
+
+class PyComplexArray:
+    """Complex numbers as a pair of float64 arrays re, im, with the
+    arithmetic of CPython's complex type, bit for bit, on every element at
+    once.  Each operation is the float64 sequence of Objects/complexobject.c,
+    each step rounded by numpy as C rounds it.  That holds where the
+    interpreter's compiler fuses no multiply-add (x86-64 builds without FMA
+    flags); where it does, TestPyComplexArray fails:
+
+    * a + b, a - b, -a: part by part;
+    * a * b: _Py_c_prod (_prod);
+    * a / b: _Py_c_quot, both of its branches (_quot);
+    * a ** n, n an int: c_powi, repeated squaring as c_powu (1 / a^-n for
+      n <= 0);
+    * abs(a): hypot, a float64 array.
+
+    The other operand may be a number, real or complex, or a complex
+    ndarray; a real number is (x, +0.0), as in Python, so signed zeros,
+    infinities and NaNs come out as there.  Where Python raises, this type
+    gives IEEE values: NaN for a zero divisor (ZeroDivisionError), an
+    infinite power or abs of finite input (OverflowError).  Python takes a
+    polar formula for |n| > 100; this type squares on, which no BAE
+    residual of the solver reaches (M >= 2 sectors stop at L = 55).
+    numpy's floating-point warnings are the caller's to silence
+    (np.errstate), as Python's complex gives none.  ndarrays and numpy
+    scalars defer to this type's reflected operators
+    (__array_ufunc__ = None)."""
+
+    __slots__ = ("re", "im")
+    __array_ufunc__ = None
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    @classmethod
+    def of(cls, z):
+        """z, a complex ndarray (whose parts it views) or a number, as a
+        PyComplexArray."""
+        return cls(*_parts(z))
+
+    @property
+    def shape(self):
+        return np.shape(self.re)
+
+    def __getitem__(self, key):
+        return PyComplexArray(self.re[key], self.im[key])
+
+    def __setitem__(self, key, value):
+        self.re[key], self.im[key] = _parts(value)
+
+    def copy(self):
+        return PyComplexArray(np.array(self.re), np.array(self.im))
+
+    def to_complex(self):
+        """The values as a complex128 ndarray (parts copied, not combined by
+        arithmetic, so every bit stays)."""
+        out = np.empty(self.shape, complex)
+        out.real, out.imag = self.re, self.im
+        return out
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def _operator(op, reflected=False):
+        """The method self op other (other op self if reflected)."""
+        def method(self, other):
+            b = _parts(other)
+            if b is None:
+                return NotImplemented
+            a = (self.re, self.im)
+            return PyComplexArray(*(op(*b, *a) if reflected else op(*a, *b)))
+        return method
+
+    __add__, __radd__ = _operator(_sum), _operator(_sum, True)
+    __sub__, __rsub__ = _operator(_diff), _operator(_diff, True)
+    __mul__, __rmul__ = _operator(_prod), _operator(_prod, True)
+    __truediv__, __rtruediv__ = _operator(_quot), _operator(_quot, True)
+    del _operator
+
+    def __neg__(self):
+        return PyComplexArray(-self.re, -self.im)
+
+    def __abs__(self):
+        return np.hypot(self.re, self.im)
+
+    def __pow__(self, n):
+        if not isinstance(n, (int, np.integer)):
+            return NotImplemented
+        m, bit = abs(int(n)), 1
+        r, p = (np.ones(self.shape), np.zeros(self.shape)), (self.re, self.im)
+        while bit <= m:
+            if m & bit:
+                r = _prod(*r, *p)
+            bit <<= 1
+            if bit <= m:
+                p = _prod(*p, *p)
+        return PyComplexArray(*(_quot(1.0, 0.0, *r) if n <= 0 else r))
+
+
 def _ratio(num, den):
-    """num / den elementwise; NaN where den is exactly 0 (a singular pair),
-    which also keeps object-dtype tables from raising ZeroDivisionError."""
+    """num / den elementwise; NaN where den is exactly 0 (a singular pair).
+    A PyComplexArray quotient is NaN there already."""
+    if isinstance(num, PyComplexArray):
+        return num / den
     return np.divide(num, den, out=np.full(num.shape, np.nan, num.dtype),
                      where=den != 0)
 
@@ -135,8 +282,9 @@ class _PairTable:
     """Lambda over all ordered pairs of an (n, M) momentum batch, and what is
     built from it: S(i, j), N(i, j), A(perm) and the singular masks.
 
-    Z may be complex128 or an object array of Python complex numbers; the
-    table then computes in that arithmetic."""
+    Z may be complex128 or a PyComplexArray (or an object array of Python
+    complex numbers); the table then computes in that arithmetic.  amps and
+    adjacent_n take a complex128 table."""
 
     def __init__(self, params, Z):
         self.I, self.J, self.col = ordered_pairs(Z.shape[1])
@@ -153,7 +301,7 @@ class _PairTable:
         |Lambda(z_j, z_i)|, 1e-300).  An overflowed (infinite) Lambda is
         not singular: its S and N are not finite and fail where they are
         used, whereas a singular point would be resampled."""
-        num, den = np.abs(self.lam), np.abs(self.den)
+        num, den = abs(self.lam), abs(self.den)
         scale = np.maximum(np.maximum(num, den), 1e-300)
         return (den <= S_SING_TOL * scale) & (scale < np.inf)
 
@@ -227,20 +375,25 @@ def pair_row(params, z):
     return _PairTable(params, np.array([z], complex))
 
 
-def _exact_pair(params, z1, z2):
-    """The pair table of (z1, z2) in Python complex arithmetic (object
-    dtype), the arithmetic of the batched BAE residuals."""
-    return _PairTable(params, np.array([[complex(z1), complex(z2)]], object))
+def _exact_pair(params, z1, z2, what):
+    """S(z1, z2) or N(z1, z2) (what) from the pair table of (z1, z2) in
+    Python complex arithmetic (PyComplexArray), the arithmetic of the
+    batched BAE residuals; ValueError where it is singular."""
+    with np.errstate(all="ignore"):
+        table = _PairTable(params, PyComplexArray.of(
+            np.array([[complex(z1), complex(z2)]])))
+        table.require(what, (0, 1))
+        return complex(getattr(table, what)(0, 1)[0])
 
 
 def s_matrix(params, z1, z2):
     """Two-body scattering amplitude S(z1, z2) = -Lambda(z1,z2)/Lambda(z2,z1)."""
-    return complex(_exact_pair(params, z1, z2).require("S", (0, 1)).S(0, 1)[0])
+    return _exact_pair(params, z1, z2, "S")
 
 
 def n_factor(params, z1, z2):
     """Decay coefficient attaching to a doubly occupied site."""
-    return complex(_exact_pair(params, z1, z2).require("N", (0, 1)).N(0, 1)[0])
+    return _exact_pair(params, z1, z2, "N")
 
 
 def _e21_terms(params, table):

@@ -125,6 +125,72 @@ class TestBatchedBAEResidual:
                 assert got[-1] == float("inf")
 
 
+def _object_bae_residuals(params, Z, L):
+    """The batched BAE residuals in Python complex numbers: the pair table
+    and the BAE sides over an object array, the reference for the
+    PyComplexArray arithmetic of _bae_residuals."""
+    table = _PairTable(params, Z.astype(object))
+    lhs, rhs = bethe._bae_sides(table, L)
+    res = np.abs(lhs - rhs).astype(float).max(axis=1, initial=0.0)
+    res[table.singular() | ~np.isfinite(res)] = np.inf
+    return res
+
+
+def _object_pair(params, z1, z2, what):
+    """S or N of (z1, z2) from an object-array pair table, or the message of
+    the ValueError naming its singular pair."""
+    table = _PairTable(params, np.array([[complex(z1), complex(z2)]], object))
+    try:
+        table.require(what, (0, 1))
+    except ValueError as exc:
+        return str(exc)
+    return complex(getattr(table, what)(0, 1)[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _newton_rows(name, L):
+    """The rows _newton_batch returns for a preset from the start grid."""
+    h = bf.with_zero_v00(load_input(PRESETS / f"{name}.json"))
+    return bethe._newton_batch(h, *bethe._block_starts(L), L)
+
+
+class TestExactArithmetic:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_matches_object_arrays(self, name, rng):
+        """_bae_residuals, _energies, s_matrix and n_factor equal their
+        Python complex values over object arrays bit for bit (energies:
+        _reference_energy), at L = 4..9 on every row the solver checks
+        (the M = 2 companion pairs, the M = 3 Newton rows and the trivial-S
+        seeds) and on random M = 2, 3 rows; S and N at pairs of those
+        roots, singular pairs giving the same message."""
+        h = bf.with_zero_v00(load_input(PRESETS / f"{name}.json"))
+        pairs = 0
+        for L in range(4, 10):
+            batches = [bethe._m2_pairs(h, L), _newton_rows(name, L),
+                       np.array(bethe._multiset_seeds(L, 3), complex),
+                       cdraw(rng, 40).reshape(20, 2),
+                       cdraw(rng, 60).reshape(20, 3)]
+            for Z in batches:
+                Z = Z[~np.any(np.abs(Z) < 1e-8, axis=1)]
+                got = bethe._bae_residuals(h, Z, L)
+                assert _bits(got) == _bits(_object_bae_residuals(h, Z, L))
+                E = bethe._energies(h, Z)
+                for z, e in zip(Z, E):
+                    assert _bits(e) == _bits(_reference_energy(h, z))
+                for z1, z2 in Z[::7, :2]:
+                    for fn, what in ((bf.s_matrix, "S"), (bf.n_factor, "N")):
+                        try:
+                            val = fn(h, z1, z2)
+                        except ValueError as exc:
+                            val = str(exc)
+                        want = _object_pair(h, z1, z2, what)
+                        assert type(val) is type(want)
+                        assert (val == want if isinstance(val, str)
+                                else _bits(val) == _bits(want))
+                        pairs += 1
+        assert pairs > 200
+
+
 class TestSolveBAE:
     def test_m0_is_the_empty_root_set(self, rng):
         sols = bf.solve_bae(random_params(rng), 6, 0)
@@ -481,8 +547,9 @@ def _reference_block_newton(params, Z0, w, L):
     """Damped Newton on the M = 3 block system over the whole batch every
     iteration: F and the 3 x 3 Jacobian from the per-pair loops, the 2 x 2
     system on (z1, z2) with z3 = w / (z1 z2) solved by np.linalg.solve, a
-    sequential line search of up to 25 damped trials, the stall rule, and
-    the one-more-step acceptance test; returns the accepted rows."""
+    sequential line search halving the step down to bethe.MIN_STEP, the
+    stall rule, and the one-more-step acceptance test; returns the accepted
+    rows."""
     Z = np.array(Z0, complex)
     n = len(Z)
 
@@ -532,11 +599,11 @@ def _reference_block_newton(params, Z0, w, L):
         if not active.any():
             break
         damp = np.ones(n)
-        for _ in range(25):
+        while True:
             with np.errstate(all="ignore"):
                 trial = on_line(Z[:, :2] + damp[:, None] * step)
             rt = resnorm(trial)
-            worse = active & ~(rt < res) & (damp > 1e-8)
+            worse = active & ~(rt < res) & (damp > bethe.MIN_STEP)
             if not worse.any():
                 break
             damp[worse] *= bethe.DAMPING
@@ -608,6 +675,42 @@ class TestNewtonBatch:
             got = got[bethe._bae_residuals(h, got, L) <= 1e-6]
             ref = ref[bethe._bae_residuals(h, ref, L) <= 1e-6]
             assert len(got) and _same_points(got, ref)
+
+
+class TestLineSearchFloor:
+    """The line search stops at MIN_STEP = 2^-13.  The factors below it,
+    down to 2^-24, which the solver tried before, only ever move rows
+    that do not solve the BAE."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_keep_every_row(self, name, monkeypatch):
+        """Every preset at L = 4..9: the same rows, bit for bit, as with
+        the floor at 2^-24."""
+        h = bf.with_zero_v00(load_input(PRESETS / f"{name}.json"))
+        monkeypatch.setattr(bethe, "MIN_STEP", 2.0 ** -24)
+        for L in range(4, 10):
+            ref = bethe._newton_batch(h, *bethe._block_starts(L), L)
+            assert _newton_rows(name, L).tobytes() == ref.tobytes()
+            assert _newton_rows(name, L).shape == ref.shape
+
+    @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
+    def test_family_members_keep_every_solution(self, tag, rng, monkeypatch):
+        """Three random members of every family at L = 4..6: the rows with
+        a BAE residual of at most 1e-6 are the same, bit for bit, as with
+        the floor at 2^-24 (in 17V1b the two floors can end on different
+        rows at zeros of the cleared system that are no BAE solutions)."""
+        floor = bethe.MIN_STEP
+        for _ in range(3):
+            h, _ = family_instance(tag, rng)
+            for L in (4, 5, 6):
+                Z0, w = bethe._block_starts(L)
+                rows = []
+                for step in (floor, 2.0 ** -24):
+                    monkeypatch.setattr(bethe, "MIN_STEP", step)
+                    Z = bethe._newton_batch(h, Z0, w, L)
+                    rows.append(Z[bethe._bae_residuals(h, Z, L) <= 1e-6])
+                assert len(rows[0])
+                assert rows[0].tobytes() == rows[1].tobytes()
 
 
 def _reference_block_steps(params, Z, L):
@@ -1189,7 +1292,7 @@ def _reference_checks(params, sols, H, L, tol_eig, scale):
             continue
         vec = psi.to_vector(L)
         res = bf.verify_eigenpair(H, vec, sol.energy)
-        if not res <= tol_eig:
+        if not res <= tol_eig * scale:
             out.append((m, "unverified", res, None))
             continue
         unit = vec / np.linalg.norm(vec)

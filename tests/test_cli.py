@@ -203,6 +203,25 @@ class TestOverflowingInput:
         assert json.loads(captured.out)["family"] == "gB"
         assert captured.err == ""
 
+    @pytest.mark.parametrize("scale", [1e9, 1e80, 1e-9])
+    def test_scaled_preset_verifies_as_at_scale_1(self, capsys, tmp_path,
+                                                  scale):
+        """verify reads --tol-eig relative to the sector's largest entry, in
+        the eigenpair check as in matching: the gB preset scaled by 1e9,
+        1e80 or 1e-9 exits 0 with the counts of scale 1."""
+        h = cli.load_input(str(PRESETS / "gB.json"))
+        args = ["--L", "5", "--M", "1..2", "--json"]
+        counts = []
+        for k, c in enumerate((1.0, scale)):
+            path = write_params(tmp_path, bf.HamiltonianParams(
+                v=h.v * c, **{key: getattr(h, key) * c
+                              for key in OFFDIAG_KEYS}), f"h{k}.json")
+            assert main(["verify", path] + args) == 0
+            counts.append([(s["M"], s["verified"], s["matched"])
+                           for s in json.loads(capsys.readouterr().out)
+                           ["sectors"]])
+        assert counts[1] == counts[0] == [(1, 5, 5), (2, 15, 15)]
+
 
 class TestSpectrumCommand:
     def test_gzf_m1_full_coverage(self, capsys, gzf_file):

@@ -1,13 +1,14 @@
 """Scattering data and the randomized solvability test."""
 
 import itertools
+import operator
 
 import numpy as np
 import pytest
 
 import bethe_forge as bf
 from bethe_forge import constraints
-from bethe_forge.constraints import _PairTable, pair_row
+from bethe_forge.constraints import PyComplexArray, _PairTable, pair_row
 
 from conftest import cdraw, draw_free, family_instance, random_params
 
@@ -85,6 +86,166 @@ class TestBatchSize:
         for attr in ("_s", "_n", "amps"):
             want = self._chunked(lambda a: getattr(_PairTable(h, a), attr), Z)
             assert getattr(table, attr).tobytes() == want.tobytes()
+
+
+def _edge_values(rng, n):
+    """n complex numbers whose parts mix |x| from 1e-150 to 1e150 (the two
+    parts up to 1e8 apart, so both quotient branches are taken), small
+    integers (exact cancellations, signed zero results, |re| = |im| ties)
+    and the edge values +-0, +-inf, NaN, subnormals and 1.5e308."""
+    mag = 10.0 ** rng.uniform(-150, 150, n)
+    re = mag * rng.normal(size=n)
+    im = mag * rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n)
+    edge = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                     1e-310, -2.5e-320, 1.5e308, -1.5e308])
+    small = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 3.0])
+    for part in (re, im):
+        k = rng.random(n) < 0.1
+        part[k] = rng.choice(edge, k.sum())
+        k = rng.random(n) < 0.15
+        part[k] = rng.choice(small, k.sum())
+    return _complex(re, im)
+
+
+def _complex(re, im):
+    """The complex128 array of these parts, every bit kept."""
+    out = np.empty(re.shape, complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _python(op, *columns):
+    """op over Python numbers element by element: the complex128 array of
+    its values (0 where it raised) and the mask of the elements where
+    Python raised ZeroDivisionError or OverflowError."""
+    out = np.zeros(len(columns[0]), complex)
+    raised = np.zeros(len(columns[0]), bool)
+    for k, args in enumerate(zip(*columns)):
+        try:
+            out[k] = op(*args)
+        except (ZeroDivisionError, OverflowError):
+            raised[k] = True
+    return out, raised
+
+
+def _bits(z):
+    """The bit patterns of the parts of a complex array, every NaN as one
+    pattern: which operand's NaN an operation on two NaNs passes on, and
+    so its sign bit, follows the order of the operands in numpy's loops,
+    which no value here depends on."""
+    parts = np.stack([np.real(z), np.imag(z)]).astype(float)
+    return np.where(np.isnan(parts), np.nan, parts).view(np.uint64)
+
+
+def _scalar(x):
+    """x as the object-dtype path sees it: a numpy scalar as its item."""
+    return x.item() if isinstance(x, np.generic) else x
+
+
+class TestPyComplexArray:
+    """PyComplexArray against Python's complex arithmetic, bit for bit
+    (signed zeros included, a NaN as a NaN), on 10^5 edge-heavy values:
+    the arithmetic of the batched BAE residuals and energies."""
+
+    N = 100_000
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = np.random.default_rng(20131)
+        return _edge_values(rng, self.N), _edge_values(rng, self.N)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv])
+    def test_binary(self, pairs, op):
+        """a op b for array operands; where Python raises (b = 0 in a
+        quotient) the value is NaN."""
+        a, b = pairs
+        want, raised = _python(op, a.tolist(), b.tolist())
+        with np.errstate(all="ignore"):
+            got = op(PyComplexArray.of(a), PyComplexArray.of(b)).to_complex()
+        assert np.array_equal(_bits(got)[:, ~raised], _bits(want)[:, ~raised])
+        assert raised.sum() == (op is operator.truediv) * np.sum(b == 0)
+        assert np.isnan(got[raised].real).all()
+        assert np.isnan(got[raised].imag).all()
+
+    @pytest.mark.parametrize("other", [
+        2, 0, -1, 0.5, -0.0, np.inf, np.nan, np.float64(-3.0),
+        1.5 - 2j, complex(0.0, -0.0), complex(np.inf, 1.0),
+        np.complex128(0.3 + 1e-300j), "complex array"])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv])
+    def test_mixed_operands(self, pairs, op, other):
+        """A real or complex number or a complex ndarray on either side, as
+        the object-dtype path meets Python ints, floats and complex
+        numbers: a real one enters Python's complex arithmetic as
+        (x, +0.0)."""
+        a, b = (x[:20_000] for x in pairs)
+        if other == "complex array":
+            other, py = b, b.tolist()
+        else:
+            py = [_scalar(other)] * len(a)
+        for args, pyargs in (((PyComplexArray.of(a), other), (a.tolist(), py)),
+                             ((other, PyComplexArray.of(a)), (py, a.tolist()))):
+            want, raised = _python(op, *pyargs)
+            with np.errstate(all="ignore"):
+                got = op(*args).to_complex()
+            assert np.array_equal(_bits(got)[:, ~raised],
+                                  _bits(want)[:, ~raised])
+            assert np.isnan(got[raised]).all()
+
+    def test_neg_and_abs(self, pairs):
+        """-a part by part; abs(a) is hypot's float64 value, infinite where
+        Python's raises OverflowError."""
+        a, _ = pairs
+        with np.errstate(all="ignore"):
+            neg = (-PyComplexArray.of(a)).to_complex()
+            got = abs(PyComplexArray.of(a))
+        assert np.array_equal(_bits(neg), _bits(_python(operator.neg,
+                                                        a.tolist())[0]))
+        want, raised = _python(abs, a.tolist())
+        assert got.dtype == float
+        assert np.array_equal(_bits(got[~raised]), _bits(want[~raised].real))
+        assert raised.any() and np.isposinf(got[raised]).all()
+
+    def test_integer_powers(self, pairs):
+        """a ** n for n = 1..100 on 2,000 values each (half of them within
+        10^+-3 of the unit circle, so that most powers stay finite), and
+        n = 0, -1, -2, -7: c_powi's repeated squaring and reciprocal.
+        Where Python raises OverflowError a part is infinite; where it
+        raises ZeroDivisionError (0 to a negative power) both are NaN."""
+        a, _ = pairs
+        rng = np.random.default_rng(7)
+        near = 10.0 ** rng.uniform(-3, 3, 1000) * np.exp(
+            2j * np.pi * rng.random(1000))
+        base = np.concatenate([a[:1000], near])
+        finite = 0
+        for n in list(range(-2, 101)) + [-7]:
+            want, raised = _python(lambda z: z ** n, base.tolist())
+            with np.errstate(all="ignore"):
+                got = (PyComplexArray.of(base) ** n).to_complex()
+            assert np.array_equal(_bits(got)[:, ~raised],
+                                  _bits(want)[:, ~raised]), n
+            assert np.all(np.isinf(got[raised].real)
+                          | np.isinf(got[raised].imag)
+                          | (np.isnan(got[raised].real)
+                             & np.isnan(got[raised].imag))), n
+            finite += np.count_nonzero(~raised)
+        assert finite >= 100_000
+
+    def test_rows_read_and_write(self):
+        """Indexing reads and writes both parts; copy and to_complex keep
+        every bit; complex() reads one element."""
+        z = _complex(np.array([[1.0, -0.0], [np.nan, 2.5]]),
+                     np.array([[-0.0, np.inf], [1.0, -3.0]]))
+        x = PyComplexArray.of(z).copy()
+        assert x.shape == (2, 2)
+        assert np.array_equal(_bits(x[:, ::-1].to_complex()),
+                              _bits(z[:, ::-1]))
+        x[:, 0] = np.ones(2, complex)
+        assert np.array_equal(_bits(x.to_complex()[:, 1]), _bits(z[:, 1]))
+        assert x.to_complex()[:, 0].tolist() == [1, 1]
+        assert np.array_equal(_bits(z), _bits(PyComplexArray.of(z).to_complex()))
+        assert complex(x[1, 1]) == 2.5 - 3j
 
 
 class TestSMatrix:
