@@ -5,6 +5,10 @@ conditions on a periodic chain of length L with M excitations are
 
     z_j^L = prod_{n != j} S(z_n, z_j),    j = 1..M.
 
+A root set's BAE residual is relative: max_j |z_j^L - prod_{n != j}
+S(z_n, z_j)| over max(1, max_j |z_j^L|), the scale at which Newton judges
+its own residual, so that bae_tol reads alike at roots of every size.
+
 M < 2 is exact: the pseudo-vacuum (M = 0) is the one empty root set, and
 M = 1 the L-th roots of unity.  For M >= 2 the BAE are solved as the
 denominator-cleared polynomial system
@@ -13,15 +17,17 @@ denominator-cleared polynomial system
           - (-1)^(M-1) prod_{n != j} Lambda(z_n, z_j).
 
 Families with S identically -1 need no solver: their solutions are exactly
-the multisets of the trivial-scattering roots z^L = (-1)^(M-1).  S = -1 is
-tested at six fixed pairs of momenta (_TRIVIAL_S_PROBES).
+the multisets of the trivial-scattering roots z^L = (-1)^(M-1), which for
+M < 2 are the exact sets above (_multiset_seeds).  S = -1 is tested at six
+fixed pairs of momenta (_TRIVIAL_S_PROBES).
 
 M = 2 needs no seeds either.  The BAE force (z1 z2)^L = 1, so each solution
 lies on a line z1 z2 = e^{2 pi i n / L}, one per translation block, and on
 that line F_1 is one polynomial in z1 of degree L + 2 whose coefficients
 come from Lambda by one FFT (_m2_pairs).  Its companion roots give every
-solution; one Newton step, kept where it lowers the BAE residual, polishes
-each (_polish).
+solution; one scalar Newton step along the line, kept where it lowers the
+BAE residual, polishes each (_polish).  Every Newton step of the solver is
+thus one on a block line, scalar for M = 2 and 2 x 2 for M = 3.
 
 M = 3 is solved one translation block at a time as well.  S(a, b) S(b, a)
 = 1 gives (z1 z2 z3)^L = 1, so a solution lies on a line z1 z2 z3 = w =
@@ -247,6 +253,11 @@ def momentum(z, L):
 def _bae_residuals(params, Z, L):
     """bae_residual of every row of an (n, M) batch, from one pair table.
 
+    The residual is relative, at the scale of Newton's _residual: a root
+    set whose polynomial roots are right to rounding has a residual at
+    rounding level whatever its |z|^L, so that bae_tol judges large and
+    small roots alike.
+
     The table computes in Python complex arithmetic (PyComplexArray), not
     complex128: numpy may compute complex128 array products with fused
     multiply-adds, and at ill-conditioned roots that rounding difference is
@@ -256,7 +267,8 @@ def _bae_residuals(params, Z, L):
     with np.errstate(all="ignore"):
         table = _PairTable(params, PyComplexArray.of(Z))
         lhs, rhs = _bae_sides(table, L)
-        res = abs(lhs - rhs).max(axis=1, initial=0.0)
+        scale = np.maximum(1.0, abs(lhs).max(axis=1, initial=0.0))
+        res = abs(lhs - rhs).max(axis=1, initial=0.0) / scale
         res[table.singular() | ~np.isfinite(res)] = np.inf
     return res
 
@@ -277,7 +289,8 @@ def _bae_sides(table, L):
 
 
 def bae_residual(params, z, L):
-    """max_j |z_j^L - prod_{n != j} S(z_n, z_j)|; +inf at an S singularity."""
+    """max_j |z_j^L - prod_{n != j} S(z_n, z_j)| / max(1, max_j |z_j^L|);
+    +inf at an S singularity."""
     return float(_bae_residuals(params, np.array([z], complex), L)[0])
 
 
@@ -306,27 +319,21 @@ def _coincident(z):
 @functools.lru_cache(maxsize=8)
 def _bae_pairs(M):
     """Positions in the ordered-pair table (constraints.ordered_pairs) used by
-    BAE row j, with m_t the t-th index != j in ascending order:
-    others[j, t] = m_t, P[j, t] = (j, m_t), Q[j, t] = (m_t, j), and
-    PX[j, t] / QX[j, t] the other M-2 pairs of P[j] / Q[j], in order."""
+    BAE row j, with m_t the t-th index != j in ascending order: P[j, t] =
+    (j, m_t) and Q[j, t] = (m_t, j)."""
     _, _, col = ordered_pairs(M)
     js = np.arange(M)[:, None]
     others = np.array([[m for m in range(M) if m != j] for j in range(M)],
                       dtype=np.intp)
-    keep = np.array([[s for s in range(M - 1) if s != t]
-                     for t in range(M - 1)], dtype=np.intp)
     P, Q = col[js, others], col[others, js]
-    out = others, P, Q, P[:, keep], Q[:, keep]
-    for a in out:
-        a.setflags(write=False)
-    return out
+    P.setflags(write=False)
+    Q.setflags(write=False)
+    return P, Q
 
 
 def _pair_product(lam, cols):
     """prod_t lam[:, cols[..., t]], multiplied in order from the first
-    factor; ones where there is none (M = 2's PX and QX)."""
-    if not cols.shape[-1]:
-        return np.ones((len(lam),) + cols.shape[:-1], complex)
+    factor."""
     out = lam[:, cols[..., 0]]
     for t in range(1, cols.shape[-1]):
         factor = lam[:, cols[..., t]]
@@ -344,61 +351,23 @@ def _row_max(A):
     return out
 
 
-def _bae_values(params, Z, L, sign):
+def _bae_values(params, Z, L):
     """F_j for an (n, M) batch of momentum tuples, and the Lambda table over
     the ordered pairs it is built from."""
-    I, J, _ = ordered_pairs(Z.shape[1])
-    _, P, Q, _, _ = _bae_pairs(Z.shape[1])
+    M = Z.shape[1]
+    I, J, _ = ordered_pairs(M)
+    P, Q = _bae_pairs(M)
     lam = lambda_fn(params, Z[:, I], Z[:, J])
     rhs = _pair_product(lam, Q)
-    return Z**L * _pair_product(lam, P) - sign * rhs, lam
+    return Z**L * _pair_product(lam, P) - (-1.0) ** (M - 1) * rhs, lam
 
 
-def _bae_system(params, Z, L, sign):
-    """F_j and its Jacobian for an (n, M) batch of momentum tuples, from one
-    Lambda and one dLambda table over the ordered pairs."""
-    n, M = Z.shape
-    I, J, _ = ordered_pairs(M)
-    others, P, Q, PX, QX = _bae_pairs(M)
-    F, lam = _bae_values(params, Z, L, sign)
-    d1, d2 = lambda_grad(params, Z[:, I], Z[:, J])
-    exP, exQ = _pair_product(lam, PX), _pair_product(lam, QX)
-    dP = dQ = 0
-    for t in range(M - 1):
-        dP = dP + d1[:, P[:, t]] * exP[:, :, t]
-        dQ = dQ + d2[:, Q[:, t]] * exQ[:, :, t]
-    ZL, ZL1 = Z**L, Z**(L - 1)
-    lp = _pair_product(lam, P)
-    Jac = np.zeros((n, M, M), complex)
-    diag = np.arange(M)
-    Jac[:, diag, diag] = L * ZL1 * lp + ZL * dP - sign * dQ
-    dp, dq = d2[:, P] * exP, d1[:, Q] * exQ
-    Jac[:, diag[:, None], others] = ZL[:, :, None] * dp - sign * dq
-    return F, Jac
-
-
-def _residual(params, Z, L, sign):
+def _residual(params, Z, L):
     """Per-row max_j |F_j| relative to max(1, max_j |z_j|^L), and the
     Lambda table F was built from."""
-    F, lam = _bae_values(params, Z, L, sign)
+    F, lam = _bae_values(params, Z, L)
     scale = np.maximum(1.0, _row_max(np.abs(Z))**L)
     return _row_max(np.abs(F)) / scale, lam
-
-
-def _solve_steps(Jac, F):
-    """Newton steps -J^{-1} F of a batch, and the mask of rows solved (a
-    row whose Jacobian the solver refuses has none)."""
-    ok = np.ones(len(F), bool)
-    try:
-        return np.linalg.solve(Jac, -F[:, :, None])[:, :, 0], ok
-    except np.linalg.LinAlgError:
-        step = np.zeros_like(F)
-        for i in range(len(F)):
-            try:
-                step[i] = np.linalg.solve(Jac[i], -F[i])
-            except np.linalg.LinAlgError:
-                ok[i] = False
-        return step, ok
 
 
 def _on_line(Z2, w):
@@ -416,15 +385,15 @@ def _block_steps(params, Z, L, lam):
 
     By the chain rule the block Jacobian is A[i, k] = dF_i/dz_k - dF_i/dz_3
     z3/z_k, i, k = 1, 2.  F_1, F_2 and the six derivatives A is made of are
-    taken straight from lam and one lambda_grad table, with the factors of
-    _bae_system multiplied in its order, so every entry equals that of the
-    reduction of its 3 x 3 Jacobian to the last bit (up to the sign of a
-    zero); F_3 and dF_3 are not formed.  Column i of the (n, 2) arrays
-    below belongs to F_i, whose pairs are P (i, m_t) and Q (m_t, i), m_t
-    its t-th other index: m_1 is the other of z1, z2, and m_2 is z3."""
+    taken straight from lam and one lambda_grad table, with the factors
+    multiplied in the order of the generic M x M Jacobian, so every entry
+    equals that of the reduction of the 3 x 3 Jacobian to the last bit (up
+    to the sign of a zero; tests: TestBlockSteps); F_3 and dF_3 are not
+    formed.  Column i of the (n, 2) arrays below belongs to F_i, whose
+    pairs are P (i, m_t) and Q (m_t, i), m_t its t-th other index: m_1 is
+    the other of z1, z2, and m_2 is z3."""
     I, J, _ = ordered_pairs(3)
-    _, P, Q, _, _ = _bae_pairs(3)
-    P, Q = P[:2], Q[:2]
+    P, Q = (a[:2] for a in _bae_pairs(3))
     d1, d2 = lambda_grad(params, Z[:, I], Z[:, J])
     lp0, lp1 = lam[:, P[:, 0]], lam[:, P[:, 1]]
     lq0, lq1 = lam[:, Q[:, 0]], lam[:, Q[:, 1]]
@@ -466,7 +435,7 @@ def _newton_batch(params, Z0, w, L):
     # the Lambda table of each row's current point, carried from the line
     # search that accepted it into the next F and Jacobian
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        res, lam = _residual(params, Z, L, 1.0)
+        res, lam = _residual(params, Z, L)
         active = np.flatnonzero(np.isfinite(res))
         converged = np.zeros(n, bool)
         # past[it % STALL_WINDOW] holds every row's residual at iteration it,
@@ -494,7 +463,7 @@ def _newton_batch(params, Z0, w, L):
             # as stuck
             Za, wa, r0 = Z[active, :2], w[active], res[active]
             trial = _on_line(Za + damps[0] * step, wa)
-            rt, lt = _residual(params, trial, L, 1.0)
+            rt, lt = _residual(params, trial, L)
             worse = np.flatnonzero(~(rt < r0))
             for factors in stages:
                 if not worse.size:
@@ -502,7 +471,7 @@ def _newton_batch(params, Z0, w, L):
                 tw = Za[worse] + factors[:, None, None] * step[worse]
                 tw = _on_line(tw.reshape(-1, 2),
                               np.tile(wa[worse], len(factors)))
-                rw, lw = _residual(params, tw, L, 1.0)
+                rw, lw = _residual(params, tw, L)
                 better = rw.reshape(len(factors), -1) < r0[worse]
                 first = np.argmax(better, axis=0)
                 found = better[first, np.arange(len(worse))]
@@ -587,19 +556,32 @@ def _m2_pairs(params, L):
 
 
 def _polish(params, Z, res, L):
-    """One Newton step on the cleared BAE system for every root set of a
-    batch with BAE residuals res, kept where it lowers the BAE residual:
-    the points and their residuals.  Straight from the polynomial the
-    relative residual is at rounding level, but the BAE residual scales
-    with |z|^L.  Further steps can lower it a little more where it is
-    near bae_tol, but there they only move the point among floating-point
-    neighbours of the root whose BAE residuals straddle bae_tol: which one
-    was kept, and so whether the root set was accepted, differed between
-    rescaled copies of one Hamiltonian."""
+    """One Newton step along the block line z1 z2 = const for every M = 2
+    root pair of a batch with BAE residuals res, kept where it lowers the
+    BAE residual: the pairs and their residuals.
+
+    On the line z2 = w / z1, dz2/dz1 = -r with r = z2 / z1, so F_1 =
+    z1^L Lambda(z1, z2) + Lambda(z2, z1) has the derivative
+
+        L z1^(L-1) Lambda(z1, z2) + z1^L (d1 Lambda(z1, z2)
+        - d2 Lambda(z1, z2) r) + d2 Lambda(z2, z1) - d1 Lambda(z2, z1) r,
+
+    and the step z1 -> z1 - F_1 / F_1' keeps the pair on its block (z2 =
+    z1 z2 / z1').  The companion roots carry the rounding of the
+    polynomial's coefficients; the step moves a root to where the BAE
+    themselves vanish to rounding."""
     with np.errstate(all="ignore"):
-        F, Jac = _bae_system(params, Z, L, (-1.0) ** (Z.shape[1] - 1))
-        step, _ = _solve_steps(Jac, F)
-        trial = Z + step
+        swapped = Z[:, ::-1]
+        lam = lambda_fn(params, Z, swapped)         # Lambda(z1, z2), (z2, z1)
+        d1, d2 = lambda_grad(params, Z, swapped)
+        z1, z2 = Z[:, 0], Z[:, 1]
+        r = z2 / z1
+        zL, zL1 = z1**L, z1**(L - 1)
+        F = zL * lam[:, 0] + lam[:, 1]
+        dF = (L * zL1 * lam[:, 0] + zL * (d1[:, 0] - d2[:, 0] * r)
+              + d2[:, 1] - d1[:, 1] * r)
+        t1 = z1 - F / dF
+        trial = np.column_stack([t1, z1 * z2 / t1])
         rt = _bae_residuals(params, trial, L)
     better = rt < res
     return np.where(better[:, None], trial, Z), np.where(better, rt, res)
@@ -650,7 +632,8 @@ def _distinct(sets):
 
 def _multiset_seeds(L, M):
     """Every multiset of M roots of z^L = (-1)^(M-1), the solutions at
-    S = -1."""
+    S = -1 and, for M < 2, where no S enters: the empty set, the L-th roots
+    of unity."""
     phase = 0.0 if M % 2 else np.pi / L
     roots = [np.exp(1j * (2 * np.pi * n / L + phase)) for n in range(L)]
     return [tuple(c)
@@ -673,16 +656,12 @@ def solve_bae(params, L, M, bae_tol=BAE_TOL):
     if M < 0 or M > 3:
         raise ValueError("M <= 3 supported")
 
-    if M < 2:
-        # no scattering: the M-subsets of the L-th roots of unity, exactly
-        roots = [np.exp(2j * np.pi * n / L) for n in range(L)]
-        sets = list(itertools.combinations(roots, M))
+    if M < 2 or _is_trivial_s(params):
+        # no scattering: exactly the multisets of z^L = (-1)^(M-1)
+        sets = _multiset_seeds(L, M)
         Z = np.array(sets, complex).reshape(len(sets), M)
-        return _solutions(params, Z, np.zeros(len(Z)))
-
-    if _is_trivial_s(params):
-        Z = np.array(_multiset_seeds(L, M), complex)
-        return _solutions(params, Z, _bae_residuals(params, Z, L))
+        res = _bae_residuals(params, Z, L) if M >= 2 else np.zeros(len(Z))
+        return _solutions(params, Z, res)
 
     if M == 2:
         Z = _m2_pairs(params, L)
@@ -827,12 +806,13 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
     wraps round the chain, psi's term is off by the relative translation
     defect 1 - prod_{n != j} S(z_n, z_j) / z_j^L of the wrapping root z_j,
     which at a root with |z| < 1 may be up to b / |z|^L for the absolute
-    BAE residual b.  A set is verified when phi's residual is within
-    tol_eig * scale, scale the sector matrix's largest entry (as compare
-    and the equal-state test below read tol_eig), and its largest defect,
-    a relative number, within tol_eig.  How far phi's residual lies from
-    psi's is measured, not bounded.  On the preset root sets tested, bound
-    states included, the two agree within b + 1e-12 with equal outcomes.
+    BAE residual b (bae_residual's numerator).  A set is verified when
+    phi's residual is within tol_eig * scale, scale the sector matrix's
+    largest entry (as compare and the equal-state test below read
+    tol_eig), and its largest defect, a relative number, within tol_eig.
+    How far phi's residual lies from psi's is measured, not bounded.  On
+    the preset root sets tested, bound states included, the two agree
+    within b + 1e-12 with equal outcomes.
     On preset bound states pushed off their solution, psi's residual is
     0.4 to 0.8 of the defect and phi's far smaller: without the defect
     gate phi's residual would verify sets whose psi fails.  The null test

@@ -258,8 +258,7 @@ def _analyse(cfg):
     verdict = constraints.is_cba_solvable(
         params, n_samples=cfg.constraint_samples, tol=cfg.tol_constraint,
         seed=cfg.seed)
-    match = (families.classify(params, tol=cfg.tol_constraint,
-                               check_solvable=False)
+    match = (families.classify(params, tol=cfg.tol_constraint)
              if verdict.solvable else None)
     return params, verdict, match
 
@@ -475,8 +474,7 @@ def run_catalog(cfg):
         free = _random_free(fam, rng)
         branch0 = dict(fam.branches[0])
         params = fam.build(free, fam.branches[0])
-        images = {word: families.classify(apply_frame(params, word),
-                                          tol=1e-8, check_solvable=False)
+        images = {word: families.classify(apply_frame(params, word), tol=1e-8)
                   for word in FRAME_WORDS[1:]}     # every word but identity
         actions = {}
         for word in ("P", "C", "T"):

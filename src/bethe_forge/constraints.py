@@ -492,7 +492,7 @@ def random_momenta(rng, shape, rmin=0.5, rmax=2.0):
     return r * np.exp(1j * ph)
 
 
-def is_cba_solvable(params, n_samples=20, tol=1e-9, seed=0, rng=None):
+def is_cba_solvable(params, n_samples=20, tol=1e-9, seed=0):
     """Randomized identity test of the three solvability constraint sums.
 
     Each constraint is evaluated at n_samples independent momentum tuples
@@ -501,8 +501,7 @@ def is_cba_solvable(params, n_samples=20, tol=1e-9, seed=0, rng=None):
     is scale-invariant in the parameters.
     """
     params.check_gates()
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     failing = None
     for which in ("E21", "E12", "E22"):

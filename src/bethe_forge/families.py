@@ -41,7 +41,6 @@ import numpy as np
 from .hamiltonian import (DiagonalInvariants, HamiltonianParams, OFFDIAG_KEYS,
                           apply_frame, FRAME_WORDS, invariants,
                           symmetric_diagonal)
-from . import constraints
 
 J_PLUS = np.exp(2j * np.pi / 3)
 J_MINUS = np.exp(-2j * np.pi / 3)
@@ -819,8 +818,7 @@ def _scaled(params, e):
         k: _ldexp(getattr(params, k), e) for k in OFFDIAG_KEYS})
 
 
-def classify(params, tol=1e-9, check_solvable=True, n_samples=20,
-             constraint_tol=1e-9, seed=0):
+def classify(params, tol=1e-9):
     """Match a Hamiltonian to a solution family modulo P/C/T and gauge.
 
     Tries all eight frames; in each, reads the candidate free parameters off
@@ -829,7 +827,8 @@ def classify(params, tol=1e-9, check_solvable=True, n_samples=20,
     framed input and accepts when all off-diagonals and diagonal invariants
     agree to the relative tolerance.  Returns the first match by (frame,
     family, branch) precedence with every other match recorded, or None
-    when nothing fits.
+    when nothing fits.  Solvability is not tested here: that is
+    constraints.is_cba_solvable's answer, which the CLI gives beside it.
 
     A candidate is skipped unbuilt when a slot its family and branch leave
     exactly zero (_ZERO_MASKS) holds more than 2 tol of the framed input's
@@ -842,13 +841,6 @@ def classify(params, tol=1e-9, check_solvable=True, n_samples=20,
     is not).
     """
     params.check_gates()
-    if check_solvable:
-        verdict = constraints.is_cba_solvable(
-            params, n_samples=n_samples, tol=constraint_tol, seed=seed)
-        if not verdict.solvable:
-            raise ValueError(
-                f"not CBA-solvable (max residual {verdict.max_residual:.3e} "
-                f"in {verdict.failing_constraint})")
     e = math.frexp(max(map(abs, _fingerprint(params))))[1]
     unit = _scaled(params, -e)
     frames = [apply_frame(unit, word) for word in FRAME_WORDS]

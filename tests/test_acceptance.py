@@ -90,7 +90,7 @@ def test_criterion_3_classifier_round_trip_and_pct_table():
         for i in range(50):
             branch = fam.branches[i % len(fam.branches)]
             h = bf.construct(tag, draw_free(tag, rng), branch)
-            m = bf.classify(h, tol=1e-9, check_solvable=False)
+            m = bf.classify(h, tol=1e-9)
             assert m is not None and m.tag == tag and m.frame == "", (tag, i)
             assert m.fit_residual <= 1e-9
 
@@ -101,7 +101,7 @@ def test_criterion_3_classifier_round_trip_and_pct_table():
         other = dict(fam.branches[1]) if len(fam.branches) > 1 else branch
         h = bf.construct(tag, draw_free(tag, rng), branch)
         for letter in ("P", "C", "T"):
-            m = bf.classify(bf.apply_frame(h, letter), check_solvable=False)
+            m = bf.classify(bf.apply_frame(h, letter))
             assert m is not None and m.tag == tag, (tag, letter)
             expect = PCT_TABLE[tag][letter]
             if expect == "same":
@@ -111,7 +111,7 @@ def test_criterion_3_classifier_round_trip_and_pct_table():
             else:
                 assert all(w != "" for _, _, w, _ in m.all_matches)
         for word in PCT_TABLE[tag]["inv"]:
-            m = bf.classify(bf.apply_frame(h, word), check_solvable=False)
+            m = bf.classify(bf.apply_frame(h, word))
             assert (m is not None and m.tag == tag and m.frame == ""
                     and branches_equal(m.branch, branch)), (tag, word)
     report(3, True, "round-trip 10 tags x 50 draws; P/C/T action table and "
@@ -262,8 +262,8 @@ def test_criterion_7_physical_data_invariance():
         free2 = {n: (v if n == "v" else lam * v) for n, v in free1.items()}
         h1 = bf.construct(tag, free1, branch)
         h2 = bf.construct(tag, free2, branch)
-        m1 = bf.classify(h1, check_solvable=False)
-        m2 = bf.classify(h2, check_solvable=False)
+        m1 = bf.classify(h1)
+        m2 = bf.classify(h2)
         r1, red1 = bf.reduce_hamiltonian(h1, m1)
         r2, red2 = bf.reduce_hamiltonian(h2, m2)
         scale = max(1.0, float(np.max(np.abs(r1))))

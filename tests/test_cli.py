@@ -294,15 +294,20 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_translation_defect_fails_verify(
             self, capsys, monkeypatch, json_flag):
-        """SB5's deepest bound state at L = 16, M = 2 with its smallest
-        root scaled by 1 + 1e-10 passes the block residual but not the
-        translation defect gate: it is reported unverified with its
-        residual and the defect, in JSON and in text, and verify exits 1."""
+        """SB5's bound state near (-1.482184 - 0.495386i, 0.606886 -
+        0.202838i) at L = 16, M = 2 (|z|^L = 7.9e-4 at its smaller root)
+        with its smaller root scaled by 1 + 1e-10 passes the block residual
+        but not the translation defect gate: it is reported unverified with
+        its residual and the defect, in JSON and in text, and verify exits
+        1.  (A deeper bound state, |z|^L = 1e-5, pushed as far fails the
+        block residual too.)"""
         solve = bf.oracle.solve_bae
+        near = np.array([-1.482184 - 0.495386j, 0.606886 - 0.202838j])
 
         def with_pushed(params, L, M, bae_tol):
             sols = solve(params, L, M, bae_tol)
-            z = np.array(min(sols, key=lambda s: min(map(abs, s.z))).z)
+            z = np.array(min(sols, key=lambda s: np.abs(
+                np.sort_complex(np.array(s.z)) - near).max()).z)
             z[np.argmin(np.abs(z))] *= 1 + 1e-10
             pushed = bethe.BetheSolution(tuple(z), bf.energy(params, z), 0.0)
             return sols + [pushed]
@@ -391,6 +396,15 @@ class TestVerifyCommand:
         assert "verified" not in captured.out
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("path", sorted(PRESETS.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_every_preset_verifies_at_l9(self, capsys, path):
+        """verify --L 9 --M 1..3 --json, the benchmark's job, exits 0 with
+        every root set verified on every preset."""
+        code = main(["verify", str(path), "--L", "9", "--M", "1..3",
+                     "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["all_verified"]
 
     def test_coincident_roots_rejected_before_assembly(self, capsys):
         # Newton finds an M = 2 root set of this run whose two roots agree

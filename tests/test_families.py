@@ -63,7 +63,7 @@ class TestConstructors:
         assert abs(bf.invariants(h1).V - 2.5) < 1e-12
         # V does not affect solvability or classification
         assert bf.is_cba_solvable(h1, n_samples=8).solvable
-        assert bf.classify(h1, check_solvable=False).tag == "SpR"
+        assert bf.classify(h1).tag == "SpR"
 
     def test_half_constrained_solvable_but_unclassified(self, rng):
         cases = {
@@ -80,7 +80,7 @@ class TestConstructors:
         for tag, free in cases.items():
             h = bf.construct(tag, free, half_constrained=True)
             assert bf.is_cba_solvable(h, seed=2).solvable, tag
-            assert bf.classify(h, check_solvable=False) is None, tag
+            assert bf.classify(h) is None, tag
 
 
 class TestReducedParameters:
@@ -112,7 +112,7 @@ class TestReducedParameters:
         free = {**draw_free("gZF", rng), "s1": 0}
         h = bf.construct("gZF", free)  # raw Hamiltonian is fine
         assert bf.reduced_parameters(h).sigma == 0
-        m = bf.classify(h, check_solvable=False)
+        m = bf.classify(h)
         assert m is not None and m.tag == "gZF"
         with pytest.raises(DegenerateFamilyPoint, match="s1 = 0"):
             bf.reduce_hamiltonian(h, m)
@@ -178,7 +178,7 @@ class TestClassifier:
         for branch in fam.branches:
             for _ in range(5):
                 h = bf.construct(tag, draw_free(tag, rng), branch)
-                m = bf.classify(h, check_solvable=False)
+                m = bf.classify(h)
                 assert m is not None and m.tag == tag
                 assert m.frame == ""
                 assert m.fit_residual <= 1e-9
@@ -209,8 +209,11 @@ class TestClassifier:
                 fam.build(got0, branch)
 
     def test_refuses_unsolvable(self, rng):
-        with pytest.raises(ValueError, match="not CBA-solvable"):
-            bf.classify(random_params(rng), seed=4)
+        """classify does not test solvability; an unsolvable Hamiltonian
+        fits no family, and classify returns None."""
+        h = random_params(rng)
+        assert not bf.is_cba_solvable(h, seed=4).solvable
+        assert bf.classify(h) is None
 
     def test_gate_violation(self):
         with pytest.raises(bf.GateViolation):
@@ -218,13 +221,13 @@ class TestClassifier:
 
     def test_charge_conjugated_17v1b(self, rng):
         h = bf.construct("17V1b", draw_free("17V1b", rng), {"I": 1j})
-        m = bf.classify(bf.apply_charge_conjugation(h), check_solvable=False)
+        m = bf.classify(bf.apply_charge_conjugation(h))
         assert m is not None and m.tag == "17V1b"
         assert "C" in m.frame
 
     def test_parity_gb_swaps_branch(self, rng):
         h = bf.construct("gB", draw_free("gB", rng), {"J": J_PLUS})
-        m = bf.classify(bf.apply_parity(h), check_solvable=False)
+        m = bf.classify(bf.apply_parity(h))
         assert m is not None and m.tag == "gB"
         assert m.frame == ""
         assert abs(m.branch["J"] - J_MINUS) < 1e-12
@@ -232,7 +235,7 @@ class TestClassifier:
     def test_gauged_and_telescoped_input(self, rng):
         h = bf.construct("SpR", draw_free("SpR", rng))
         hx = bf.apply_gauge(bf.apply_telescopic(h, cdraw(rng, 3)), cdraw(rng, 3))
-        m = bf.classify(hx, check_solvable=False)
+        m = bf.classify(hx)
         assert m is not None and m.tag == "SpR" and m.frame == ""
         assert m.fit_residual <= 1e-9
 
@@ -250,7 +253,7 @@ class TestClassifier:
         h = h.replace(v=symmetric_diagonal(bf.DiagonalInvariants(
             V=0, X11=0, Y=W, X12=W, X21=W, X22=W)))
         assert bf.is_cba_solvable(h, seed=6).solvable
-        m = bf.classify(h, check_solvable=False)
+        m = bf.classify(h)
         assert m is not None and m.tag == "SpR" and m.frame == ""
         assert m.fit_residual <= 1e-9
 
@@ -259,7 +262,7 @@ class TestClassifier:
         1/tau_p^2): both families must be reported, gZF first by precedence."""
         p, tp, t2 = cdraw(rng), cdraw(rng), cdraw(rng)
         h = bf.construct("gZF", dict(p=p, tp=tp, t2=t2, s1=p**2 / t2))
-        m = bf.classify(h, check_solvable=False)
+        m = bf.classify(h)
         assert m.tag == "gZF"
         assert m.degenerate
         tags = {t for t, _, w, _ in m.all_matches if w == ""}
@@ -283,7 +286,7 @@ class TestClassifier:
         a = data.draw(st.lists(annulus(), min_size=3, max_size=3), "telescoping")
         h = bf.apply_frame(bf.construct(tag, free, branch), word)
         h = bf.apply_telescopic(bf.apply_gauge(h, g), a)
-        m = bf.classify(h, check_solvable=False)
+        m = bf.classify(h)
         assert m is not None and tag in {t for t, _, _, _ in m.all_matches}
 
     @pytest.mark.parametrize("v", [1.0, -1 / 3])
@@ -295,7 +298,7 @@ class TestClassifier:
         free = dict(p=0.9 + 0.2j, tp=1.1 - 0.3j, t2=0.8 + 0.1j, v=v)
         h = bf.construct("gIK", free, {"u": branch})
         assert bf.is_cba_solvable(h).solvable
-        m = bf.classify(h, check_solvable=False)
+        m = bf.classify(h)
         assert m is not None and m.tag == "gIK" and m.frame == ""
         assert m.fit_residual <= 1e-12
 
@@ -307,13 +310,13 @@ class TestClassifier:
         free = draw_free("gIK", rng)
         u_t1 = fam._us(free["v"], {"u": 0})[0] * (1 + 1e-6)
         h = fam.build(free, {"u": 0}, (u_t1, 1 / (free["v"]**4 * u_t1)))
-        m = bf.classify(h, check_solvable=False)
+        m = bf.classify(h)
         assert m is None or "gIK" not in {t for t, _, _, _ in m.all_matches}
 
     def test_match_reconstruction_invariant(self, rng):
         from bethe_forge.families import _param_distance
         h = bf.construct("gIK", draw_free("gIK", rng), {"u": 1})
-        m = bf.classify(h, check_solvable=False)
+        m = bf.classify(h)
         rebuilt = bf.construct(m.tag, m.free_params, m.branch)
         assert _param_distance(h, rebuilt) <= max(m.fit_residual, 1e-12)
 
@@ -421,7 +424,7 @@ class TestClassifierMatchesReference:
         matched = 0
         for h in inputs:
             ref = _reference_classify(h)
-            m = bf.classify(h, check_solvable=False)
+            m = bf.classify(h)
             if not ref:
                 assert m is None
                 continue
@@ -526,7 +529,7 @@ class TestCandidateSkip:
             inputs += _near_bound(rng, tol, 80)
             for h in inputs:
                 ref = _unskipped_matches(h, tol)
-                m = bf.classify(h, tol=tol, check_solvable=False)
+                m = bf.classify(h, tol=tol)
                 if not ref:
                     assert m is None
                     continue
@@ -550,14 +553,14 @@ class TestCandidateSkip:
     def test_skip_is_active(self, rng, monkeypatch):
         h = bf.construct("14V2", draw_free("14V2", rng))
         calls = _count_candidates(monkeypatch)
-        assert bf.classify(h, check_solvable=False).tag == "14V2"
+        assert bf.classify(h).tag == "14V2"
         assert len(calls) < 128
 
     @pytest.mark.parametrize("tol", [0.25, 0.3, 1.0])
     def test_no_skip_from_a_quarter(self, tol, rng, monkeypatch):
         h = bf.construct("14V2", draw_free("14V2", rng))
         calls = _count_candidates(monkeypatch)
-        bf.classify(h, tol=tol, check_solvable=False)
+        bf.classify(h, tol=tol)
         assert len(calls) == 128
 
 
@@ -571,17 +574,20 @@ class TestScale:
                              ids=lambda p: p.stem)
     def test_presets_at_extreme_scales(self, path):
         """Every family is a cone: a preset in any frame, scaled by 2^+-250
-        or 1e+-75, keeps its tag, branch and frame, with no overflow or
-        warning; under 2^k the residual keeps its bits and the free values
-        scale by 2^k exactly (the ratios not at all)."""
+        or 1e+-75, is CBA-solvable and keeps its tag, branch and frame, with
+        no overflow or warning; under 2^k the residual keeps its bits and
+        the free values scale by 2^k exactly (the ratios not at all)."""
         h0 = bf.with_zero_v00(load_input(path))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for word in FRAME_WORDS:
                 h = bf.apply_frame(h0, word)
+                assert bf.is_cba_solvable(h).solvable, word
                 m0 = bf.classify(h)
                 ratios = ("v",) if m0.tag == "gIK" else ()
                 for f in (2.0**250, 2.0**-250, 1e75, 1e-75):
+                    assert bf.is_cba_solvable(_times(h, f)).solvable, \
+                        (word, f)
                     m = bf.classify(_times(h, f))
                     assert (m.tag, m.branch, m.frame) == \
                         (m0.tag, m0.branch, m0.frame), (word, f)
@@ -625,7 +631,7 @@ class TestPCTTable:
         other = dict(fam.branches[1]) if len(fam.branches) > 1 else branch
         for letter in ("P", "C", "T"):
             image = bf.apply_frame(h, letter)
-            m = bf.classify(image, check_solvable=False)
+            m = bf.classify(image)
             assert m is not None, (tag, letter)
             assert m.tag == tag, (tag, letter, m.tag)
             expect = PCT_TABLE[tag][letter]
@@ -647,7 +653,7 @@ class TestPCTTable:
         h = bf.construct(tag, draw_free(tag, rng), branch)
         for word in PCT_TABLE[tag]["inv"]:
             image = bf.apply_frame(h, word)
-            m = bf.classify(image, check_solvable=False)
+            m = bf.classify(image)
             assert m is not None and m.tag == tag
             assert m.frame == "", (tag, word, m.frame)
             assert branches_equal(m.branch, branch), (tag, word, m.branch)
@@ -656,7 +662,7 @@ class TestPCTTable:
         # C(SB5_J) coincides with T(SB5_{J^2}); check via the T frame
         h = bf.construct("SB5", draw_free("SB5", rng), {"J": J_PLUS})
         image = bf.apply_charge_conjugation(h)
-        m = bf.classify(image, check_solvable=False)
+        m = bf.classify(image)
         frames = {w: (b, r) for _, b, w, r in m.all_matches
                   if _ == "SB5" for b, r in [(b, r)]}
         assert "T" in frames
@@ -665,6 +671,6 @@ class TestPCTTable:
     def test_14v1_c_action_equals_p_action(self, rng):
         # C(14V1) = P(14V1): the C image matches in the P frame (and vice versa)
         h = bf.construct("14V1", draw_free("14V1", rng), {"eps": -1})
-        m = bf.classify(bf.apply_charge_conjugation(h), check_solvable=False)
+        m = bf.classify(bf.apply_charge_conjugation(h))
         words = {w for t, _, w, _ in m.all_matches if t == "14V1"}
         assert "P" in words and "C" in words and "" not in words

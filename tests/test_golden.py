@@ -27,7 +27,7 @@ def test_preset_solvable_and_classified(name):
     params = load_input(str(PRESETS / f"{name}.json"))
     verdict = bf.is_cba_solvable(params, seed=11)
     assert verdict.solvable and verdict.max_residual <= 1e-9
-    m = bf.classify(params, check_solvable=False)
+    m = bf.classify(params)
     assert m is not None
     assert m.tag == EXPECTED_FAMILY[name]
     assert m.frame == ""
@@ -49,7 +49,7 @@ def test_zf_preset_hits_spin1_xxz_point():
 
 def test_izergin_korepin_preset_parameters():
     params = load_input(str(PRESETS / "izergin_korepin.json"))
-    m = bf.classify(params, check_solvable=False)
+    m = bf.classify(params)
     assert abs(m.free_params["v"] - 4.0 / 13.0) < 1e-12
     _, red = bf.reduce_hamiltonian(params, m)
     d = 0.25
@@ -59,8 +59,8 @@ def test_izergin_korepin_preset_parameters():
 def test_martins_2a_other_branch():
     a = load_input(str(PRESETS / "izergin_korepin.json"))
     b = load_input(str(PRESETS / "martins_2A.json"))
-    ma = bf.classify(a, check_solvable=False)
-    mb = bf.classify(b, check_solvable=False)
+    ma = bf.classify(a)
+    mb = bf.classify(b)
     assert ma.branch != mb.branch
     assert abs(ma.free_params["v"] - mb.free_params["v"]) < 1e-12
 

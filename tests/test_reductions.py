@@ -19,7 +19,7 @@ D33 = np.kron(I3, E33P) - np.kron(E33P, I3)
 
 def reduce_family(tag, free, branch=None):
     h = bf.construct(tag, free, branch)
-    m = bf.classify(h, check_solvable=False)
+    m = bf.classify(h)
     assert m is not None and m.tag == tag and m.frame == ""
     return bf.reduce_hamiltonian(h, m)
 
@@ -243,7 +243,7 @@ class TestIzerginKorepinMap:
         from the v read back they were about 1e-7 off."""
         free = dict(p=0.9 + 0.2j, tp=1.1 - 0.3j, t2=0.8 + 0.1j, v=-1 / 3)
         h = bf.FAMILIES["gIK"].build(free, {"u": branch}, (-9.0, -9.0))
-        m = bf.classify(h, check_solvable=False)
+        m = bf.classify(h)
         assert m is not None and m.tag == "gIK" and m.frame == ""
         _, red = bf.reduce_hamiltonian(h, m)
         assert abs(red.extra["u_t1"] + 9) <= 1e-12 * 9
@@ -304,8 +304,8 @@ class TestPhysicalDataInvariance:
     def test_reduction_canonicalizes_telescoping(self, rng):
         h = bf.construct("17V2", draw_free("17V2", rng))
         hx = bf.apply_telescopic(h, cdraw(rng, 3))
-        m1 = bf.classify(h, check_solvable=False)
-        m2 = bf.classify(hx, check_solvable=False)
+        m1 = bf.classify(h)
+        m2 = bf.classify(hx)
         r1, _ = bf.reduce_hamiltonian(h, m1)
         r2, _ = bf.reduce_hamiltonian(hx, m2)
         assert np.max(np.abs(r1 - r2)) < 1e-10 * max(1, np.max(np.abs(r1)))
@@ -314,10 +314,10 @@ class TestPhysicalDataInvariance:
         # a charge-conjugated input classifies with frame C and reduces to
         # the same matrix as the original
         h = bf.construct("17V1b", draw_free("17V1b", rng), {"I": 1j})
-        m = bf.classify(h, check_solvable=False)
+        m = bf.classify(h)
         r1, _ = bf.reduce_hamiltonian(h, m)
         hc = bf.apply_charge_conjugation(h)
-        mc = bf.classify(hc, check_solvable=False)
+        mc = bf.classify(hc)
         assert "C" in mc.frame
         r2, _ = bf.reduce_hamiltonian(hc, mc)
         assert np.max(np.abs(r1 - r2)) < 1e-10 * max(1, np.max(np.abs(r1)))
@@ -325,8 +325,8 @@ class TestPhysicalDataInvariance:
     def test_reduction_absorbs_gauge(self, rng):
         h = bf.construct("gZF", draw_free("gZF", rng))
         hx = bf.apply_gauge(h, cdraw(rng, 3))
-        m1 = bf.classify(h, check_solvable=False)
-        m2 = bf.classify(hx, check_solvable=False)
+        m1 = bf.classify(h)
+        m2 = bf.classify(hx)
         r1, _ = bf.reduce_hamiltonian(h, m1)
         r2, _ = bf.reduce_hamiltonian(hx, m2)
         assert np.max(np.abs(r1 - r2)) < 1e-10 * max(1, np.max(np.abs(r1)))
