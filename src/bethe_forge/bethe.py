@@ -97,12 +97,14 @@ by prod z; momentum(z, L) names the translation block this puts it in
 check_roots verifies the root sets of a sector in the momentum basis, from
 their amplitudes at the orbit representatives only: one pair table, one
 assembly at every representative and one BAE pass for the whole sector,
-then per translation block only that block's columns, its residual
-product and its Gram matrix; no vector or matrix of the whole sector is
-formed (see check_roots for why the residual, null test and equal-state
-test are exact for the block vector, and how that vector relates to the
-Bethe vector).  It returns one RootCheck per root set;
-oracle.verify_sector collects them into the sector's report.
+then one zero-padded stack of every block's vectors, from which the
+norms, the residual products and the Gram matrices are each one batched
+pass; no vector or matrix of the whole sector is formed (see check_roots
+for why the residual, null test and equal-state test are exact for the
+block vector, and how that vector relates to the Bethe vector).  It
+returns one RootCheck per root set; oracle.verify_sector collects them
+into the sector's report.  Batched passes whose temporaries grow with the
+sector go in chunks of at most ASSEMBLE_CHUNK entries (_chunks).
 
 solve_bae's bookkeeping is array passes too: the canonical (Re, Im) order
 of every root set by one np.lexsort, the coincident flags by one pairwise
@@ -136,7 +138,7 @@ STALL_FACTOR = 10.0      # STALL_FACTOR below its value STALL_WINDOW steps ago
 DEDUP_TOL = 1e-8         # root sets this close are one solution
 DEGENERATE_TOL = 1e-6    # roots this close are coincident
 MOMENTUM_TOL = 1e-6      # prod z this close to e^{2 pi i m / L} is in block m
-ASSEMBLE_CHUNK = 1 << 16  # root sets x positions per _assemble chunk
+ASSEMBLE_CHUNK = 1 << 16  # entries per chunk of a batched pass (_chunks)
 
 # the pairs (z1, z2) at which S = -1 is tested: six points of the annulus
 # 0.5 <= |z| <= 2, the first draws of constraints.random_momenta at seed 0
@@ -393,21 +395,23 @@ def _block_steps(params, Z, L, lam):
     pairs are P (i, m_t) and Q (m_t, i), m_t its t-th other index: m_1 is
     the other of z1, z2, and m_2 is z3."""
     I, J, _ = ordered_pairs(3)
-    P, Q = (a[:2] for a in _bae_pairs(3))
+    # columns t = 0, 1 of P[:2] = [[0, 1], [2, 3]] and Q[:2] = [[2, 4],
+    # [0, 5]] (_bae_pairs(3)), read as slices
+    p0, p1, q0, q1 = slice(0, 4, 2), slice(1, 4, 2), slice(2, None, -2), \
+        slice(4, 6)
     d1, d2 = lambda_grad(params, Z[:, I], Z[:, J])
-    lp0, lp1 = lam[:, P[:, 0]], lam[:, P[:, 1]]
-    lq0, lq1 = lam[:, Q[:, 0]], lam[:, Q[:, 1]]
+    lp0, lp1, lq0, lq1 = lam[:, p0], lam[:, p1], lam[:, q0], lam[:, q1]
     z = Z[:, :2]
     zL, zL1 = z**L, z**(L - 1)
     lp = lp0 * lp1
     F = zL * lp - lq0 * lq1
     # dF_i/dz_i, dF_i/dz_{m_1} and dF_i/dz_3
-    dP = d1[:, P[:, 0]] * lp1 + d1[:, P[:, 1]] * lp0
-    dQ = d2[:, Q[:, 0]] * lq1 + d2[:, Q[:, 1]] * lq0
-    dp0, dp1 = d2[:, P[:, 0]] * lp1, d2[:, P[:, 1]] * lp0
+    dP = d1[:, p0] * lp1 + d1[:, p1] * lp0
+    dQ = d2[:, q0] * lq1 + d2[:, q1] * lq0
+    dp0, dp1 = d2[:, p0] * lp1, d2[:, p1] * lp0
     diag = L * zL1 * lp + zL * dP - dQ
-    cross = zL * dp0 - d1[:, Q[:, 0]] * lq1
-    last = zL * dp1 - d1[:, Q[:, 1]] * lq0
+    cross = zL * dp0 - d1[:, q0] * lq1
+    last = zL * dp1 - d1[:, q1] * lq0
     r = Z[:, 2:] / z                            # z3/z1, z3/z2
     a = diag - last * r                         # A[0, 0], A[1, 1]
     b = cross - last * r[:, ::-1]               # A[0, 1], A[1, 0]
@@ -422,8 +426,6 @@ def _newton_batch(params, Z0, w, L):
     Returns the converged rows that one more Newton step moves by at most
     DEDUP_TOL max(1, max |z|), in start order.
     """
-    Z = np.array(Z0, complex)
-    n = len(Z)
     # step factors of the line search: 1, d, d^2, ... down to MIN_STEP;
     # the shorter ones are tried in two stages, d^1..d^5 first (most rows
     # take one of them), the rest on the rows still worse
@@ -432,63 +434,78 @@ def _newton_batch(params, Z0, w, L):
         damps.append(damps[-1] * DAMPING)
     stages = [np.array(damps[1:6]), np.array(damps[6:])]
 
-    # the Lambda table of each row's current point, carried from the line
-    # search that accepted it into the next F and Jacobian
+    # the active rows are carried as compact arrays: their indices in Z0,
+    # points, block roots, relative residuals and Lambda tables (each from
+    # the line search that accepted the point, carried into the next F and
+    # Jacobian), gathered again only where a row leaves; a converged row's
+    # index, point and table are set aside in done
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        res, lam = _residual(params, Z, L)
-        active = np.flatnonzero(np.isfinite(res))
-        converged = np.zeros(n, bool)
-        # past[it % STALL_WINDOW] holds every row's residual at iteration it,
+        Za = np.array(Z0, complex)
+        ra, la = _residual(params, Za, L)
+        rows = np.flatnonzero(np.isfinite(ra))
+        Za, wa, ra, la = Za[rows], w[rows], ra[rows], la[rows]
+        done = [(rows[:0], Za[:0], la[:0])]
+        # past[it % STALL_WINDOW, i] holds row i's residual at iteration it,
         # until iteration it + STALL_WINDOW reads and replaces it
-        past = np.empty((STALL_WINDOW, n))
+        past = np.empty((STALL_WINDOW, len(Z0)))
+
+        def keep(mask):
+            if mask.all():
+                return rows, Za, wa, ra, la
+            at = np.flatnonzero(mask)
+            return rows[at], Za[at], wa[at], ra[at], la[at]
 
         for it in range(MAX_ITER):
-            hit = res[active] <= NEWTON_TOL
-            converged[active[hit]] = True
-            active = active[~hit]
+            hit = ra <= NEWTON_TOL
+            if hit.any():
+                done.append((rows[hit], Za[hit], la[hit]))
+            go = ~hit
             if it >= STALL_WINDOW:
-                then = past[it % STALL_WINDOW, active]
-                active = active[res[active] <= then / STALL_FACTOR]
-            past[it % STALL_WINDOW] = res
-            if not active.size:
+                go &= ra <= past[it % STALL_WINDOW, rows] / STALL_FACTOR
+            past[it % STALL_WINDOW, rows] = ra
+            rows, Za, wa, ra, la = keep(go)
+            if not rows.size:
                 break
-            step = _block_steps(params, Z[active], L, lam[active])
+            step = _block_steps(params, Za, L, la)
             ok = np.isfinite(step[:, 0]) & np.isfinite(step[:, 1])
-            active, step = active[ok], step[ok]
-            if not active.size:
+            rows, Za, wa, ra, la = keep(ok)
+            step = step[ok]
+            if not rows.size:
                 break
             # line search: the full step for every row, then the shorter
             # steps stage by stage for the rows still worse; each row takes
             # its first step factor that lowers its residual, or is dropped
             # as stuck
-            Za, wa, r0 = Z[active, :2], w[active], res[active]
-            trial = _on_line(Za + damps[0] * step, wa)
+            Z2 = Za[:, :2]
+            trial = _on_line(Z2 + damps[0] * step, wa)
             rt, lt = _residual(params, trial, L)
-            worse = np.flatnonzero(~(rt < r0))
+            worse = np.flatnonzero(~(rt < ra))
             for factors in stages:
                 if not worse.size:
                     break
-                tw = Za[worse] + factors[:, None, None] * step[worse]
+                tw = Z2[worse] + factors[:, None, None] * step[worse]
                 tw = _on_line(tw.reshape(-1, 2),
                               np.tile(wa[worse], len(factors)))
                 rw, lw = _residual(params, tw, L)
-                better = rw.reshape(len(factors), -1) < r0[worse]
+                better = rw.reshape(len(factors), -1) < ra[worse]
                 first = np.argmax(better, axis=0)
                 found = better[first, np.arange(len(worse))]
                 pick = first[found] * len(worse) + np.flatnonzero(found)
-                rows = worse[found]
-                trial[rows] = tw[pick]
-                rt[rows], lt[rows] = rw[pick], lw[pick]
+                moved = worse[found]
+                trial[moved] = tw[pick]
+                rt[moved], lt[moved] = rw[pick], lw[pick]
                 worse = worse[~found]
-            kept = rt < r0
-            active = active[kept]
-            Z[active] = trial[kept]
-            res[active], lam[active] = rt[kept], lt[kept]
-        converged[active[res[active] <= NEWTON_TOL]] = True
-        done = np.flatnonzero(converged)
-        step = _block_steps(params, Z[done], L, lam[done])
-        scale = np.maximum(1.0, _row_max(np.abs(Z[done])))
-        return Z[done[_row_max(np.abs(step)) <= DEDUP_TOL * scale]]
+            kept = rt < ra
+            rows, wa = rows[kept], wa[kept]
+            Za, ra, la = trial[kept], rt[kept], lt[kept]
+        hit = ra <= NEWTON_TOL
+        done.append((rows[hit], Za[hit], la[hit]))
+        rows, Za, la = (np.concatenate(a) for a in zip(*done))
+        order = np.argsort(rows)
+        Za, la = Za[order], la[order]
+        step = _block_steps(params, Za, L, la)
+        scale = np.maximum(1.0, _row_max(np.abs(Za)))
+        return Za[_row_max(np.abs(step)) <= DEDUP_TOL * scale]
 
 
 def _halton(n, base):
@@ -689,6 +706,27 @@ def amplitude(params, z, sigma, doubled=()):
     return out
 
 
+def _slots(labels, n):
+    """The positions of each label 0..n-1 in the integer array labels, in
+    order, as the rows of one table padded with -1 (one column at least),
+    and the count of each label."""
+    count = np.bincount(labels, minlength=n)
+    order = np.argsort(labels, kind="stable")
+    table = np.full((n, max(1, int(count.max(initial=0)))), -1)
+    table[labels[order],
+          np.arange(len(order)) - np.repeat(np.cumsum(count) - count, count)] \
+        = order
+    return table, count
+
+
+def _chunks(n, width):
+    """Consecutive slices covering range(n), each of at most ASSEMBLE_CHUNK
+    // width items and one at least: the chunks of a pass whose temporaries
+    hold width entries per item."""
+    step = max(1, ASSEMBLE_CHUNK // max(width, 1))
+    return [slice(a, a + step) for a in range(0, n, step)]
+
+
 def _assemble(table, L, rows=slice(None)):
     """Bethe vectors of every root set of a pair table over the (L, M)
     sector, read at the given rows of its position table: the (n, len(rows))
@@ -710,10 +748,8 @@ def _assemble(table, L, rows=slice(None)):
     X, doubled = (a[rows] for a in _sector_positions(L, M))
     vecs = np.zeros((n, len(X)), complex)
     scale = np.zeros((n, len(X)))
-    step = max(1, ASSEMBLE_CHUNK // max(len(X), 1))
     with np.errstate(all="ignore"):
-        for start in range(0, n, step):
-            r = slice(start, start + step)
+        for r in _chunks(n, len(X)):
             zpow = table.Z[r, :, None] ** np.arange(L + 1)
             for s, sigma in enumerate(permutation_table(M)[0]):
                 term = np.repeat(table.amps[r, s, None], len(X), axis=1)
@@ -793,10 +829,11 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
     """Check the root sets sols of one (L, M) sector against its translation
     blocks: one RootCheck per root set, in order.
 
-    blocks maps each block m to (idx, B): the orbits of _orbit_table whose
-    momentum states |r, m> span it (the columns of F_m) and its matrix
-    B = F_m^dagger H F_m (oracle.sector_spectrum).  A root set in block m is
-    read only at the orbit representatives r of idx, as c_r = sqrt(p_r)
+    blocks is the sector's oracle.BlockStack: for each block m the orbits
+    idx[m] of _orbit_table whose momentum states |r, m> span it (the
+    columns of F_m) and its matrix B[m] = F_m^dagger H F_m, zero-padded to
+    the largest block (oracle.sector_spectrum).  A root set in block m is
+    read only at the orbit representatives r of idx[m], as c_r = sqrt(p_r)
     psi(r), psi its Bethe vector, and checked as the block vector phi =
     F_m c: F_m has orthonormal columns and H F_m = F_m B (T H = H T), so
     ||phi|| = ||c||, <phi_a, phi_b> = <c_a, c_b> and the eigenpair residual
@@ -821,19 +858,25 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
     Root sets are checked in one pass over the sector: one pair table, one
     assembly at every orbit representative (every full-period orbit lies in
     every block), one BAE-sides pass for the defects and one singular mask
-    over all root sets that reach assembly.  Only what belongs to a block
-    is taken per block: its columns idx of those arrays, the null test
-    against the largest term at its representatives, B c - E c and the
-    Gram matrix of its verified sets.  A root set whose prod z is no L-th
-    root of unity (momentum None) has no block; it cannot solve the BAE and
-    is unverified.  A verified set is an equivalent state when an earlier
-    kept set of its block has an energy within tol_eig * scale and spans
-    the same ray (1 - |<u0, u>| <= 1e-6 for the unit vectors); distinct root
-    sets can describe one state at symmetric points.  Both tests are one
-    array mask over the block's pairs, and the kept sets are settled in
-    order only over the rows that have an earlier candidate.  Different
-    blocks are orthogonal, so no ray is shared across them.  The amplitude
-    table is refused above hamiltonian.ENTRY_CAP entries before it is
+    over all root sets that reach assembly.  The root sets are then grouped
+    by block into one zero-padded (L, rows, kmax) stack of their block
+    vectors c, rows the most root sets a block has, and the norms, the null
+    test, B c - E c and the Gram matrix of the verified sets are each one
+    batched pass over it (per chunk of blocks, _chunks, so the padded
+    temporaries stay bounded).  The padding adds only zeros to a norm, a
+    product or an overlap; the sums may round differently from those of an
+    unpadded block, within 1e-15 of the scale (tests: _per_block_checks).  A root
+    set whose prod z is no L-th root of unity (momentum None) has no block;
+    it cannot solve the BAE and is unverified.  A verified set is an
+    equivalent state when an earlier kept set of its block has an energy
+    within tol_eig * scale and spans the same ray (1 - |<u0, u>| <= 1e-6
+    for the unit vectors); distinct root sets can describe one state at
+    symmetric points.  Both tests are one array mask over each block's
+    pairs, and the kept sets are settled in order only over the rows that
+    have an earlier candidate.  Different blocks are orthogonal, so no ray
+    is shared across them.  The amplitude table (root sets x orbits) and a
+    block's Gram matrix (rows x rows), the largest arrays of the pass, are
+    refused above hamiltonian.ENTRY_CAP entries before anything is
     allocated."""
     if not sols:
         return []
@@ -855,55 +898,71 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
     live = np.flatnonzero(~flagged & (mom >= 0))
     if not live.size:
         return out
-    _check_entries(live.size * len(reps), f"L={L}, M={M}")
+    # slot[m, r]: the r-th live root set (in order) of block m, -1 beyond
+    slot = _slots(mom[live], L)[0]
+    R, kmax = slot.shape[1], blocks.idx.shape[1]
+    _check_entries(max(live.size * len(reps), R * R), f"L={L}, M={M}")
     table = _PairTable(params, Z[live])
-    vecs, amp = _assemble(table, L, reps)
-    C = vecs * np.sqrt(period)
+    C, amp = _assemble(table, L, reps)
+    C *= np.sqrt(period)
     singular = table.singular()
     lhs, rhs = _bae_sides(table, L)
     with np.errstate(all="ignore"):
         defect = np.abs(1 - rhs / lhs).max(axis=1, initial=0.0)
     E = np.array([sols[i].energy for i in live], complex)
-    m_live = mom[live]
-    order = np.argsort(m_live, kind="stable")
-    starts = np.flatnonzero(np.diff(m_live[order])) + 1
-    for rows in np.split(order, starts):
-        m = int(m_live[rows[0]])
-        idx, B = blocks[m]
-        Cb = C[rows[:, None], idx]
-        norms = np.linalg.norm(Cb, axis=1)
-        sing = singular[rows]
-        null = ~sing & _is_null(
-            norms, amp[rows[:, None], idx].max(axis=1, initial=0.0))
-        good = np.flatnonzero(~sing & ~null)
-        res = _eig_residuals(B, Cb[good], E[rows[good]])
-        d = defect[rows[good]]
-        ok = (res <= tol_eig * scale) & (d <= tol_eig)
-        kept = good[ok]
-        Eg = E[rows[kept]]
-        U = Cb[kept] / norms[kept, None]
-        overlap = np.abs(U.conj() @ U.T)    # overlap[a, b] = |<u_a, u_b>|
-        # near[a, b], b < a: a is the same state as b, if b is kept; the
+    # per live root set: its outcome, as an index into names, and its
+    # block residual
+    names = np.array(["singular", "null", "unverified", "verified",
+                      "equivalent"])
+    code = np.zeros(live.size, np.intp)
+    res = np.zeros(live.size)
+    # a chunk holds about four arrays of its padded size at once
+    for part in _chunks(L, 4 * R * max(kmax, R)):
+        rows, cols = slot[part], blocks.idx[part]
+        real = rows >= 0
+        at = np.maximum(rows, 0)[:, :, None], np.maximum(cols, 0)[:, None, :]
+        pad = ~real, cols < 0
+        Cb, Ab = C[at], amp[at]
+        for A in (Cb, Ab):
+            A[pad[0]] = 0
+            A.transpose(0, 2, 1)[pad[1]] = 0
+        r0 = at[0][..., 0]
+        sing, Eb = singular[r0], E[r0]
+        with np.errstate(all="ignore"):
+            norms = np.linalg.norm(Cb, axis=2)
+            null = ~sing & _is_null(norms, Ab.max(axis=2))
+            del Ab
+            rb = Cb @ blocks.B[part].transpose(0, 2, 1)
+            rb -= Eb[:, :, None] * Cb
+            rb = np.linalg.norm(rb, axis=2) / norms
+            Cb /= norms[:, :, None]                 # the unit vectors u
+        ok = (real & ~sing & ~null & (rb <= tol_eig * scale)
+              & (defect[r0] <= tol_eig))
+        Cb[~ok] = 0
+        overlap = np.abs(Cb.conj() @ Cb.transpose(0, 2, 1))  # |<u_a, u_b>|
+        # near[., a, b], b < a: a is the same state as b, if b is kept; the
         # energy distance is np.hypot's, which is the scalar complex abs
-        dE = Eg[:, None] - Eg
+        dE = Eb[:, :, None] - Eb[:, None, :]
         near = np.tril((np.hypot(dE.real, dE.imag) <= tol_eig * scale)
-                       & (1 - overlap.T <= 1e-6), -1)
-        same = np.zeros(len(kept), bool)
-        for a in np.flatnonzero(near.any(axis=1)):
-            same[a] = np.any(near[a, :a] & ~same[:a])
-        code = ok.astype(np.intp)
-        code[np.flatnonzero(ok)[same]] = 2
-        outcome = np.array(["unverified", "verified", "equivalent"])[code]
+                       & (1 - overlap.transpose(0, 2, 1) <= 1e-6), -1)
+        near &= ok[:, :, None] & ok[:, None, :]
+        same = np.zeros_like(ok)
+        for b, a in np.argwhere(near.any(axis=2)).tolist():
+            same[b, a] = np.any(near[b, a, :a] & ~same[b, :a])
+        blk_code = np.select([sing, null, same, ok], [0, 1, 4, 3], 2)
+        code[rows[real]] = blk_code[real]
+        res[rows[real]] = rb[real]
 
-        at = live[rows].tolist()
-        for k in np.flatnonzero(sing).tolist():
-            out[at[k]] = RootCheck(m, "singular", message=_singular_amplitude(
-                table, rows[k]))
-        for k in np.flatnonzero(null).tolist():
-            out[at[k]] = RootCheck(m, "null")
-        for k, r, dk, o in zip(good.tolist(), res.tolist(), d.tolist(),
-                               outcome.tolist()):
+    for k, (i, o, r, dk) in enumerate(zip(live.tolist(),
+                                          names[code].tolist(),
+                                          res.tolist(), defect.tolist())):
+        m = int(mom[i])
+        if o == "singular":
+            out[i] = RootCheck(m, o, message=_singular_amplitude(table, k))
+        elif o == "null":
+            out[i] = RootCheck(m, o)
+        else:
             msg = (f"translation defect {dk:.1e} above tol_eig"
                    if o == "unverified" and r <= tol_eig * scale else None)
-            out[at[k]] = RootCheck(m, o, r, msg)
+            out[i] = RootCheck(m, o, r, msg)
     return out

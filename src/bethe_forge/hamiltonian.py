@@ -16,11 +16,12 @@ Conventions used throughout the package:
   does not bound (an M = 1 sector has dim = L).  The whole 3^L space
   passes up to L = 9.  No array a build makes may hold more than
   ENTRY_CAP entries either: dim^2 for a dense matrix (check_chain with
-  dense), and for the oracle's sector spectrum k^2 * L, its block table
-  over the k translation orbits, which is at least k * dim, its
-  representative rows (_representative_rows), and for bethe.check_roots
-  its amplitude table, root sets times k.  Each is checked before the
-  array is allocated.
+  dense), and for the oracle's sector spectrum k^2 * L, its zero-padded
+  block stack over the k translation orbits, which is at least k * dim,
+  its representative rows (_representative_rows), and for
+  bethe.check_roots its amplitude table, root sets times k, and the Gram
+  matrix of the block with the most root sets.  Each is checked before
+  the array is allocated.
 
 All arithmetic is complex double precision.
 """
@@ -403,11 +404,12 @@ def _representative_rows(params, L, M):
     """The rows H[reps] of the (L, M) sector matrix H at its translation
     orbits' representatives (_orbit_table), a (k, dim) array, without
     building H.  Each entry equals H's bit for bit (_apply_bonds).  Refused
-    before they are built when the (k, k, L) block table built from them
-    (oracle.sector_spectrum), k^2 L >= k dim entries, exceeds ENTRY_CAP."""
+    before they are built when the zero-padded (L, k, k) block stack built
+    from them (oracle.BlockStack; block 0 holds all k orbits), k^2 L >= k
+    dim entries, exceeds ENTRY_CAP."""
     check_chain(L, M)
     reps = _orbit_table(L, M)[2]
-    # the block table is the larger: each orbit has at most L states
+    # the block stack is the larger: each orbit has at most L states
     _check_entries(len(reps) ** 2 * L, f"L={L}, M={M}")
     occ = _sector_occupations(L, M)
     return _apply_bonds(two_site_matrix(params), occ[reps], L, occ)

@@ -1,4 +1,4 @@
-"""Brute-force reference spectra: dense diagonalization per translation block.
+"""Brute-force reference spectra: dense diagonalization by translation block.
 
 The chain is periodic, so the cyclic shift T, the left shift
 s -> s[1:] + s[:1] of an occupation string, commutes with every sector
@@ -13,11 +13,12 @@ m p = 0 mod L.  Each block matrix B_m = F_m^dagger H F_m (F_m the columns
 |r, m>) is read from H's rows at the representatives, and only those rows
 are built (hamiltonian._representative_rows), a (k, dim) array for the k
 orbits; the dim x dim sector matrix is built only by sector_matrix, which
-verify_sector does not call.  Each block is diagonalized on its own.
-Both refuse a sector outside the caps of hamiltonian's size guard before
-they allocate anything (the entry cap covers the block table too), and
-verify_sector diagonalizes before it solves, so an oversized sector is
-refused before the solver runs.
+verify_sector does not call.  The L blocks are one zero-padded stack
+(BlockStack), and the blocks of one size are diagonalized by one batched
+eigensolver call.  Both refuse a sector outside the caps of hamiltonian's
+size guard before they allocate anything (the entry cap covers the stack
+too), and verify_sector diagonalizes before it solves, so an oversized
+sector is refused before the solver runs.
 
 A Bethe state with momenta z satisfies T psi = (prod z) psi, so it lies in
 the block m with e^{2 pi i m / L} = prod z (bethe.momentum).  It is
@@ -37,13 +38,22 @@ pseudo-vacuum) included, into one SectorReport.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bethe import _momenta, check_roots, solve_bae
+from .bethe import _chunks, _momenta, _slots, check_roots, solve_bae
 from .hamiltonian import (_apply_bonds, _orbit_table, _representative_rows,
                           _sector_occupations, check_chain, two_site_matrix)
+
+
+@dataclass(frozen=True)
+class BlockStack:
+    """A sector's L translation blocks, zero-padded to the largest, kmax."""
+    idx: np.ndarray     # (L, kmax): block m's orbits, ascending, then -1
+    B: np.ndarray       # (L, kmax, kmax): B_m = F_m^dagger H F_m, then 0
+    size: np.ndarray    # (L,): block m's dimension
 
 
 @dataclass
@@ -53,7 +63,7 @@ class SectorSpectrum:
     dimension: int
     momenta: np.ndarray                # translation block m of each eigenvalue
     L: int
-    blocks: dict = field(default_factory=dict)  # m -> (orbit indices, B_m)
+    blocks: BlockStack | None = None
     scale: float = 1.0                 # largest |entry| of the sector matrix
 
 
@@ -90,84 +100,131 @@ def sector_matrix(params, L, M):
     return _apply_bonds(two_site_matrix(params), occ, L, occ)
 
 
-def _block_matrices(rows, L, M):
-    """Block matrices F_m^dagger H F_m, m = 0..L-1, as (m, orbit indices of
-    block m, matrix), from rows = H[reps], the sector matrix's rows at the
-    orbit representatives (_representative_rows).
+def _block_stack(rows, L, M):
+    """The sector's translation blocks as one BlockStack, from rows = H[reps],
+    the sector matrix's rows at the orbit representatives
+    (_representative_rows).
 
     T H = H T, so H F_m[:, b] is again a T-eigenvector and the block entry
     (a, b) is sqrt(p_a) times its component on the representative r_a:
     sqrt(p_a / p_b) sum_{d < p_b} e^{-2 pi i m d / L} H[r_a, T^d r_b], one
-    FFT over d for all m at once."""
+    FFT over d for all m at once, in place in the stack.  Each block's
+    orbits are then packed to the front of its slot, chunk by chunk of
+    blocks (bethe._chunks).  Block 0 holds all k orbits, so the stack has
+    the k^2 L entries _representative_rows checks against ENTRY_CAP."""
     orbit, shift, reps, period = _orbit_table(L, M)
     k = len(reps)
-    G = np.zeros((k, k, L), complex)
-    G[:, orbit, shift] = rows
-    G = np.fft.fft(G, axis=2)
-    G *= np.sqrt(period[:, None] / period[None, :])[:, :, None]
-    for m in range(L):
-        idx = np.flatnonzero(m * period % L == 0)
-        yield m, idx, G[:, :, m][np.ix_(idx, idx)]
+    B = np.zeros((L, k, k), complex)
+    B[shift, :, orbit] = rows.T                  # B[d, a, b] = H[r_a, T^d r_b]
+    np.fft.fft(B, axis=0, out=B)
+    B *= np.sqrt(period[:, None] / period[None, :])
+    inside = np.arange(L)[:, None] * period % L == 0     # orbit b in block m
+    size = np.count_nonzero(inside, axis=1)
+    filled = np.arange(k) < size[:, None]
+    idx = np.where(filled, np.argsort(~inside, axis=1, kind="stable"), -1)
+    for part in _chunks(L, k * k):
+        at = np.maximum(idx[part], 0)
+        packed = B[np.arange(L)[part, None, None], at[:, :, None],
+                   at[:, None, :]]
+        packed[~filled[part]] = 0
+        packed.transpose(0, 2, 1)[~filled[part]] = 0
+        B[part] = packed
+    for a in (idx, B, size):
+        a.setflags(write=False)
+    return BlockStack(idx, B, size)
 
 
 def sector_spectrum(params, L, M):
-    """Eigenvalues of the (L, M) sector, solved block by block, with their
-    block labels, the block matrices and the largest |entry| of the sector
-    matrix.  Only the sector matrix's representative rows are built, never
-    the matrix itself; by translation invariance every entry of it is an
-    entry of those rows."""
+    """Eigenvalues of the (L, M) sector, in block order, with their block
+    labels, the block stack and the largest |entry| of the sector matrix.
+    Only the sector matrix's representative rows are built, never the
+    matrix itself; by translation invariance every entry of it is an entry
+    of those rows.  The blocks of one size go to one np.linalg.eigvals
+    call (per chunk of blocks), which gives each block's eigenvalues bit
+    for bit as a call on it alone."""
     rows = _representative_rows(params, L, M)
-    evs, labels, blocks = [np.empty(0, complex)], [np.empty(0, np.intp)], {}
-    for m, idx, block in _block_matrices(rows, L, M):
-        blocks[m] = idx, block
-        if not idx.size:
-            continue
-        try:
-            evs.append(np.linalg.eigvals(block))
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                f"eigensolver failed for L={L}, M={M}, block {m}: {exc}")
-        labels.append(np.full(idx.size, m))
-    return SectorSpectrum(M=M, eigenvalues=np.concatenate(evs),
-                          dimension=rows.shape[1],
-                          momenta=np.concatenate(labels), L=L, blocks=blocks,
+    blocks = _block_stack(rows, L, M)
+    size = blocks.size
+    start = np.cumsum(size) - size
+    evs = np.empty(int(size.sum()), complex)
+    for s in sorted(set(size.tolist()) - {0}):
+        same = np.flatnonzero(size == s)
+        for part in _chunks(len(same), s * s):
+            ms = same[part]
+            try:
+                vals = np.linalg.eigvals(blocks.B[ms, :s, :s])
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(f"eigensolver failed for L={L}, M={M}, "
+                                   f"blocks {ms.tolist()}: {exc}")
+            evs[start[ms, None] + np.arange(s)] = vals
+    return SectorSpectrum(M=M, eigenvalues=evs, dimension=rows.shape[1],
+                          momenta=np.repeat(np.arange(L), size), L=L,
+                          blocks=blocks,
                           scale=float(np.max(np.abs(rows), initial=0.0)))
-
-
-def _take_nearest(pool, taken, v, tol):
-    """Take the entry of pool nearest to v among those not yet taken, the
-    first of equals, if it lies within tol: mark it taken and return
-    whether one was.  Distances are np.hypot's, the scalar complex abs."""
-    if not pool.size:
-        return False
-    d = v - pool
-    dist = np.hypot(d.real, d.imag)
-    dist[taken] = np.inf
-    k = int(np.argmin(dist))
-    if dist[k] > tol:
-        return False
-    taken[k] = True
-    return True
 
 
 def compare(cba_solutions, ed, tol=1e-8, scale=1.0):
     """Match accepted Bethe energies against a sector spectrum, each only
     against the eigenvalues of its own translation block; a root set with
-    no block (prod z not an L-th root of unity) is unmatched."""
-    pools = [ed.eigenvalues[ed.momenta == m] for m in range(ed.L)]
-    taken = [np.zeros(len(p), bool) for p in pools]
-    unmatched = []
+    no block (prod z not an L-th root of unity) is unmatched.
+
+    The rule is greedy in root-set order: each energy takes the untaken
+    eigenvalue of its block nearest to it, the first of equals, if it lies
+    within tol * scale (np.hypot distances, the scalar complex abs).  One
+    distance pass finds every energy's nearest eigenvalue, and the first
+    row to name one takes it.  Only rows whose nearest an earlier row holds
+    apply the rule itself, in order; one that takes what a later row named
+    sends that row to the rule too."""
+    n, L = len(cba_solutions), ed.L
+    tol = tol * scale
     Z = np.array([sol.z for sol in cba_solutions], complex)
-    for sol, m in zip(cba_solutions,
-                      _momenta(Z.reshape(len(cba_solutions), ed.M), ed.L)):
-        if m < 0 or not _take_nearest(pools[m], taken[m], sol.energy,
-                                      tol * scale):
-            unmatched.append(sol.energy)
-    matched = len(cba_solutions) - len(unmatched)
+    E = np.array([sol.energy for sol in cba_solutions], complex)
+    mom = _momenta(Z.reshape(n, ed.M), L)
+    # pool[m]: positions of block m's eigenvalues, then -1 (the 0 appended)
+    pool, size = _slots(ed.momenta, L)
+    values = np.append(ed.eigenvalues, 0j)
+
+    def distances(rows):
+        """Distances of rows' energies to their pools (+inf at padding)."""
+        at = pool[mom[rows]]
+        d = E[rows, None] - values[at]
+        dist = np.hypot(d.real, d.imag)
+        dist[at < 0] = np.inf
+        return dist, at
+
+    unmatched = mom < 0
+    owner = np.full(len(ed.eigenvalues), n)    # row that took each, n: none
+    rows = np.flatnonzero(mom >= 0)
+    named = [(rows[:0], rows[:0])]              # (row, its nearest) claims
+    for part in _chunks(len(rows), pool.shape[1]):
+        i = rows[part]
+        dist, at = distances(i)
+        j = np.argmin(dist, axis=1)
+        pos = at[np.arange(len(i)), j]
+        claim = ~(dist[np.arange(len(i)), j] > tol) & (pos >= 0)
+        unmatched[i] = ~claim
+        named.append((i[claim], pos[claim]))
+    by, pos = (np.concatenate(a) for a in zip(*named))
+    np.minimum.at(owner, pos, by)
+    late = by[owner[pos] != by].tolist()     # ascending
+    while late:
+        f = late.pop(0)
+        (dist,), (at,) = distances([f])
+        dist[owner[at] < f] = np.inf           # taken before row f
+        k = int(np.argmin(dist))
+        if dist[k] > tol:
+            unmatched[f] = True
+        elif owner[at[k]] > f:
+            if owner[at[k]] < n:
+                bisect.insort(late, int(owner[at[k]]))
+            owner[at[k]] = f
+    covered = np.bincount(ed.momenta[owner < n], minlength=L)
+    lost = [cba_solutions[i].energy for i in np.flatnonzero(unmatched)]
+    matched = n - len(lost)
     return SectorReport(
-        M=ed.M, dimension=ed.dimension, matched=matched, unmatched=unmatched,
+        M=ed.M, dimension=ed.dimension, matched=matched, unmatched=lost,
         coverage=matched / ed.dimension if ed.dimension else 1.0,
-        uncovered=[len(t) - int(np.count_nonzero(t)) for t in taken])
+        uncovered=(size - covered).tolist())
 
 
 def verify_sector(params, L, M, bae_tol, tol_eig):

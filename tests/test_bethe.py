@@ -1415,6 +1415,98 @@ def _assert_checks_match_reference(params, sols, L, M):
     return [g.outcome for g in got]
 
 
+def _per_block_checks(params, sols, stack, L, tol_eig, scale):
+    """check_roots as a loop over the translation blocks: after the same
+    sector-wide pair table, assembly and BAE sides, each block takes its
+    own columns (unpadded, from the stack), its own residual product and
+    the Gram matrix of its verified sets, in block order."""
+    if not sols:
+        return []
+    Z = np.array([sol.z for sol in sols], complex)
+    n, M = Z.shape
+    reps, period = bf.hamiltonian._orbit_table(L, M)[2:]
+    mom = bethe._momenta(Z, L)
+    flagged = np.array([sol.degenerate_flag for sol in sols], bool)
+    out = [None] * n
+    for i in np.flatnonzero(flagged):
+        out[i] = bethe.RootCheck(None if mom[i] < 0 else int(mom[i]),
+                                 "coincident")
+    for i in np.flatnonzero(~flagged & (mom < 0)):
+        out[i] = bethe.RootCheck(None, "unverified", message=(
+            f"no translation block: prod z = {complex(np.prod(Z[i]))} "
+            "is not an L-th root of unity"))
+    live = np.flatnonzero(~flagged & (mom >= 0))
+    if not live.size:
+        return out
+    table = _PairTable(params, Z[live])
+    vecs, amp = bethe._assemble(table, L, reps)
+    C = vecs * np.sqrt(period)
+    singular = table.singular()
+    lhs, rhs = bethe._bae_sides(table, L)
+    with np.errstate(all="ignore"):
+        defect = np.abs(1 - rhs / lhs).max(axis=1, initial=0.0)
+    E = np.array([sols[i].energy for i in live], complex)
+    m_live = mom[live]
+    order = np.argsort(m_live, kind="stable")
+    starts = np.flatnonzero(np.diff(m_live[order])) + 1
+    for rows in np.split(order, starts):
+        m = int(m_live[rows[0]])
+        k = int(stack.size[m])
+        idx, B = stack.idx[m, :k], stack.B[m, :k, :k]
+        Cb = C[rows[:, None], idx]
+        norms = np.linalg.norm(Cb, axis=1)
+        sing = singular[rows]
+        null = ~sing & bethe._is_null(
+            norms, amp[rows[:, None], idx].max(axis=1, initial=0.0))
+        good = np.flatnonzero(~sing & ~null)
+        res = bethe._eig_residuals(B, Cb[good], E[rows[good]])
+        d = defect[rows[good]]
+        ok = (res <= tol_eig * scale) & (d <= tol_eig)
+        kept = good[ok]
+        Eg = E[rows[kept]]
+        U = Cb[kept] / norms[kept, None]
+        overlap = np.abs(U.conj() @ U.T)
+        dE = Eg[:, None] - Eg
+        near = np.tril((np.hypot(dE.real, dE.imag) <= tol_eig * scale)
+                       & (1 - overlap.T <= 1e-6), -1)
+        same = np.zeros(len(kept), bool)
+        for a in np.flatnonzero(near.any(axis=1)):
+            same[a] = np.any(near[a, :a] & ~same[:a])
+        code = ok.astype(np.intp)
+        code[np.flatnonzero(ok)[same]] = 2
+        outcome = np.array(["unverified", "verified", "equivalent"])[code]
+        at = live[rows].tolist()
+        for k in np.flatnonzero(sing).tolist():
+            out[at[k]] = bethe.RootCheck(
+                m, "singular", message=bethe._singular_amplitude(table,
+                                                                 rows[k]))
+        for k in np.flatnonzero(null).tolist():
+            out[at[k]] = bethe.RootCheck(m, "null")
+        for k, r, dk, o in zip(good.tolist(), res.tolist(), d.tolist(),
+                               outcome.tolist()):
+            msg = (f"translation defect {dk:.1e} above tol_eig"
+                   if o == "unverified" and r <= tol_eig * scale else None)
+            out[at[k]] = bethe.RootCheck(m, o, r, msg)
+    return out
+
+
+def _assert_same_as_per_block(params, sols, spec, L, scale):
+    """check_roots on the padded stack gives _per_block_checks' momentum,
+    outcome and message for every root set, and its residual within
+    1e-15 * scale."""
+    got = bethe.check_roots(params, sols, spec.blocks, L, 1e-8, scale)
+    want = _per_block_checks(params, sols, spec.blocks, L, 1e-8, scale)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.momentum, g.outcome, g.message) \
+            == (w.momentum, w.outcome, w.message)
+        if w.eig_residual is None:
+            assert g.eig_residual is None
+        else:
+            assert abs(g.eig_residual - w.eig_residual) <= 1e-15 * scale
+    return [g.outcome for g in got]
+
+
 class TestCheckRoots:
     def test_singular_and_null_rows_in_one_batch(self, rng):
         """A block holding a singular root set, a null one, one that is no
@@ -1576,6 +1668,74 @@ class TestCheckRoots:
                     else:
                         assert abs(g.eig_residual - want.eig_residual) \
                             <= 1e-13
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_padded_pass_equals_per_block_loop(self, name):
+        """The padded pass over all blocks equals the per-block loop root
+        set by root set: every preset at L = 4..9, M = 0..3, the
+        trivial-S presets at L = 12 too, and each sector's root sets again
+        in reverse order after them (every copy of a verified set
+        equivalent, blocks of unequal fill)."""
+        sizes = [(L, M) for L in range(4, 10) for M in range(4)]
+        if name in ("17V1a", "17V1b", "14V2"):
+            sizes += [(12, 2), (12, 3)]
+        outcomes = set()
+        for L, M in sizes:
+            h, sols = _preset_solutions(name, L, M)
+            spec = bf.sector_spectrum(h, L, M)
+            batch = list(sols) + list(sols[::-1][:len(sols) // 2])
+            outcomes.update(_assert_same_as_per_block(
+                h, batch, spec, L, spec.scale or 1.0))
+        assert {"verified", "equivalent"} <= outcomes
+
+    def test_padded_pass_on_mixed_batch(self, rng):
+        """Singular, null, unverified and blockless root sets beside true
+        Bethe states, at scale 1 and 1e3, as in the per-block loop."""
+        free = draw_free("14V1", rng)
+        h = bf.construct("14V1", free, {"eps": 1})
+        L, M = 4, 2
+        sols = [s for s in bf.solve_bae(h, L, M) if not s.degenerate_flag]
+        K = np.exp(2j * np.pi * bf.momentum(sols[0].z, L) / L)
+        taup = free["tp"] / free["p"]
+        w, u = np.sqrt(K), cdraw(rng)
+
+        def sol(z):
+            return bethe.BetheSolution(tuple(z), bf.energy(h, z), 0.0)
+
+        batch = ([sol([taup, K / taup])] + sols[:3] + [sol([w, w])]
+                 + [sol([u, K / u]), sol([1.1 + 0.2j, 0.7 - 0.4j])]
+                 + sols[3:])
+        spec = bf.sector_spectrum(h, L, M)
+        for scale in (1.0, 1e3):
+            outcomes = _assert_same_as_per_block(h, batch, spec, L, scale)
+            assert {"singular", "null", "unverified", "verified"} \
+                <= set(outcomes)
+
+    def test_entry_cap_covers_the_gram_matrix(self, monkeypatch):
+        """Twelve copies of one M = 1 root set in one block of a sector with
+        one orbit (17V1a, L = 5): the amplitude table has 12 entries, the
+        block's Gram matrix 144; one entry below that check_roots refuses
+        before anything is assembled, and at it every copy after the first
+        is equivalent."""
+        L, M = 5, 1
+        h, sols = _preset_solutions("17V1a", L, M)
+        spec = bf.sector_spectrum(h, L, M)
+        assert len(bf.hamiltonian._orbit_table(L, M)[2]) == 1
+        batch = [sols[0]] * 12
+        assemble = bethe._assemble
+
+        def no_table(*args):
+            raise AssertionError("amplitude table built past the cap")
+
+        monkeypatch.setattr(bethe, "_assemble", no_table)
+        monkeypatch.setattr(bf.hamiltonian, "ENTRY_CAP", 143)
+        with pytest.raises(ValueError, match="chain too large: 144 array "
+                           f"entries at L={L}, M={M} exceed cap"):
+            bethe.check_roots(h, batch, spec.blocks, L, 1e-8, 1.0)
+        monkeypatch.setattr(bethe, "_assemble", assemble)
+        monkeypatch.setattr(bf.hamiltonian, "ENTRY_CAP", 144)
+        got = bethe.check_roots(h, batch, spec.blocks, L, 1e-8, 1.0)
+        assert [c.outcome for c in got] == ["verified"] + ["equivalent"] * 11
 
     def test_entry_cap_checked_before_the_amplitude_table(self, monkeypatch):
         """The sector's amplitude table, root sets reaching assembly times

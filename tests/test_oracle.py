@@ -13,7 +13,8 @@ from bethe_forge.cli import load_input
 from conftest import (annulus, cdraw, family_instance, match_multiset,
                       random_params, take_nearest)
 
-PRESETS = sorted((Path(bf.__file__).parent / "presets").glob("*.json"))
+PRESETS_DIR = Path(bf.__file__).parent / "presets"
+PRESETS = sorted(PRESETS_DIR.glob("*.json"))
 
 
 class TestSectorMatrix:
@@ -162,6 +163,81 @@ class TestSectorSpectrum:
             assert bf.hamiltonian._representative_rows(h, L, M) == "built"
 
 
+class TestStackCap:
+    def test_entry_cap_covers_the_padded_stack(self, monkeypatch):
+        """The zero-padded block stack of 17V1a at L = 9, M = 3 (18 orbits
+        in block 0, so 9 x 18 x 18 entries whatever the smaller blocks
+        hold): one entry below the cap sector_spectrum refuses it before
+        the rows or the stack are built, and at the cap it gives the
+        spectrum of the default cap, bit for bit."""
+        h = load_input(PRESETS_DIR / "17V1a.json")
+        L, M = 9, 3
+        want = bf.sector_spectrum(h, L, M)
+        sizes = want.blocks.size
+        assert len(set(sizes.tolist())) > 1
+        entries = L * want.blocks.B.shape[1] ** 2
+        assert want.blocks.B.shape == (L, sizes.max(), sizes.max())
+        assert entries == 9 * 18 * 18
+        stack, rows = bf.oracle._block_stack, bf.hamiltonian._apply_bonds
+
+        def refuse(*args):
+            raise AssertionError("built past the cap")
+
+        monkeypatch.setattr(bf.oracle, "_block_stack", refuse)
+        monkeypatch.setattr(bf.hamiltonian, "_apply_bonds", refuse)
+        monkeypatch.setattr(bf.hamiltonian, "ENTRY_CAP", entries - 1)
+        with pytest.raises(ValueError, match=f"chain too large: {entries} "
+                           f"array entries at L={L}, M={M} exceed cap"):
+            bf.sector_spectrum(h, L, M)
+        monkeypatch.setattr(bf.oracle, "_block_stack", stack)
+        monkeypatch.setattr(bf.hamiltonian, "_apply_bonds", rows)
+        monkeypatch.setattr(bf.hamiltonian, "ENTRY_CAP", entries)
+        got = bf.sector_spectrum(h, L, M)
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.blocks.B.tobytes() == want.blocks.B.tobytes()
+
+
+def _take_nearest(pool, taken, v, tol):
+    """The matching rule on one pool with a taken mask: take the entry of
+    pool nearest to v among those not yet taken, the first of equals, if it
+    lies within tol; return whether one was taken."""
+    if not pool.size:
+        return False
+    d = v - pool
+    dist = np.hypot(d.real, d.imag)
+    dist[taken] = np.inf
+    k = int(np.argmin(dist))
+    if dist[k] > tol:
+        return False
+    taken[k] = True
+    return True
+
+
+def _reference_compare(cba_solutions, ed, tol=1e-8, scale=1.0):
+    """compare as one greedy loop over the root sets, one pool per block:
+    (matched, unmatched energies, uncovered counts per block)."""
+    pools = [ed.eigenvalues[ed.momenta == m] for m in range(ed.L)]
+    taken = [np.zeros(len(p), bool) for p in pools]
+    unmatched = []
+    for sol in cba_solutions:
+        m = bf.momentum(sol.z, ed.L)
+        if m is None or not _take_nearest(pools[m], taken[m], sol.energy,
+                                          tol * scale):
+            unmatched.append(sol.energy)
+    return (len(cba_solutions) - len(unmatched), unmatched,
+            [len(t) - int(np.count_nonzero(t)) for t in taken])
+
+
+def _assert_compare_matches_reference(sols, ed, tol, scale=1.0):
+    rep = bf.compare(sols, ed, tol=tol, scale=scale)
+    matched, unmatched, uncovered = _reference_compare(sols, ed, tol, scale)
+    assert rep.matched == matched
+    assert np.array_equal(rep.unmatched, unmatched, equal_nan=True)
+    assert [type(e) for e in rep.unmatched] == [type(e) for e in unmatched]
+    assert rep.uncovered == uncovered
+    return rep
+
+
 class TestCompare:
     def _sols(self, energies):
         return [BetheSolution((1.0,), e, 0.0) for e in energies]
@@ -230,6 +306,75 @@ class TestCompare:
             assert rep.matched == len(sols) - len(unmatched)
             assert np.array_equal(rep.unmatched, unmatched, equal_nan=True)
             assert rep.uncovered == [len(p) for p in pools]
+
+    def test_matches_reference_greedy_loop(self):
+        """The one-pass match gives the greedy loop's matched count,
+        unmatched energies in order and uncovered counts on hand-built
+        pools: degenerate eigenvalues (up to four copies), energies at
+        equal distance from two eigenvalues, many energies naming the same
+        nearest eigenvalue (so the fallback rule runs, and passes later
+        rows on to it), NaN and infinite energies, root sets with no
+        block and empty blocks."""
+        rng = np.random.default_rng(20)
+        L = 4
+        roots = [(np.exp(2j * np.pi * m / L),) for m in range(L)]
+        fallbacks = 0
+        for trial in range(200):
+            n = int(rng.integers(0, 16))
+            eig = np.repeat(rng.integers(-2, 3, n) + 1j * rng.integers(-1, 2, n),
+                            rng.integers(1, 5, n)).astype(complex)
+            mom = rng.integers(0, L - 1, len(eig))   # block L - 1 is empty
+            ed = bf.SectorSpectrum(M=1, eigenvalues=eig, dimension=len(eig),
+                                   momenta=mom, L=L)
+            k = int(rng.integers(0, 40))
+            energies = (rng.integers(-6, 7, k) / 2
+                        + 1j * rng.integers(-3, 4, k) / 2)
+            sols = [BetheSolution(roots[m], complex(e), 0.0) for m, e in
+                    zip(rng.integers(0, L, k), energies)]
+            sols += [BetheSolution(roots[0], complex("nan"), 0.0),
+                     BetheSolution(roots[1], complex(np.inf, 0), 0.0),
+                     BetheSolution(roots[2], complex(np.nan, np.inf), 0.0),
+                     BetheSolution((1.3 + 0.2j,), 0j, 0.0)]
+            sols = [sols[i] for i in rng.permutation(len(sols))]
+            tol = (0.5, 0.75, 1.0, 2.0)[trial % 4]
+            _assert_compare_matches_reference(sols, ed, tol=tol, scale=1.0)
+            # rows whose nearest eigenvalue an earlier row named
+            blocks = [bf.momentum(s.z, L) for s in sols]
+            named = {}
+            for s, m in zip(sols, blocks):
+                pool = np.flatnonzero(mom == m) if m is not None else []
+                if len(pool):
+                    d = np.abs(s.energy - eig[pool])
+                    if d.min() <= tol:
+                        j = pool[int(np.argmin(d))]
+                        fallbacks += j in named
+                        named[j] = True
+        assert fallbacks > 100
+
+    def test_fallback_passes_a_later_row_on(self):
+        """Energies 0, 0 and 1 against eigenvalues 0 and 1, tol 2: the
+        second 0 finds 0 taken and takes 1, the nearest eigenvalue of the
+        third energy, which then finds both taken."""
+        ed = bf.SectorSpectrum(M=1, eigenvalues=np.array([0j, 1 + 0j]),
+                               dimension=2, momenta=np.zeros(2, int), L=1)
+        rep = _assert_compare_matches_reference(
+            self._sols([0j, 0j, 1 + 0j]), ed, tol=2.0)
+        assert (rep.matched, rep.unmatched, rep.uncovered) == (2, [1 + 0j], [0])
+
+    @pytest.mark.parametrize("path", PRESETS, ids=lambda p: p.stem)
+    def test_sector_matches_reference(self, path):
+        """verify_sector's match equals the greedy loop over its verified
+        root sets, at L = 5..9, M = 0..3."""
+        h = bf.with_zero_v00(load_input(path))
+        for L in range(5, 10):
+            for M in range(4):
+                rep = bf.verify_sector(h, L, M, bf.bethe.BAE_TOL, 1e-8)
+                spec = bf.sector_spectrum(h, L, M)
+                verified = [s for s, c in zip(rep.solutions, rep.checks)
+                            if c.outcome == "verified"]
+                want = _reference_compare(verified, spec, 1e-8,
+                                          spec.scale or 1.0)
+                assert (rep.matched, rep.unmatched, rep.uncovered) == want
 
     def test_m1_full_coverage(self, rng):
         h, _ = family_instance("SpR", rng)
@@ -326,6 +471,17 @@ class TestNoDenseSector:
             assert built and all(n <= orbits for n, _ in built), (M, built)
 
 
+def _blocks(stack):
+    """Block m of a BlockStack for m = 0..L-1, as (orbit indices, matrix),
+    its padding cut off; the padding is checked to be -1 and 0."""
+    out = []
+    for idx, B, k in zip(stack.idx, stack.B, stack.size.tolist()):
+        assert np.all(idx[k:] == -1)
+        assert not B[k:].any() and not B[:, k:].any()
+        out.append((idx[:k], B[:k, :k]))
+    return out
+
+
 class TestRepresentativeRows:
     """The rows built at the orbit representatives, and the block matrices
     read from them, equal those of the dense sector matrix byte for byte."""
@@ -336,9 +492,11 @@ class TestRepresentativeRows:
         dense = bf.sector_matrix(h, L, M)
         rows = bf.hamiltonian._representative_rows(h, L, M)
         assert rows.tobytes() == dense[reps].tobytes(), (L, M)
-        for (m, ia, a), (_, ib, b) in zip(
-                bf.oracle._block_matrices(rows, L, M),
-                bf.oracle._block_matrices(dense[reps], L, M)):
+        got = bf.oracle._block_stack(rows, L, M)
+        want = bf.oracle._block_stack(dense[reps], L, M)
+        assert np.array_equal(got.size, want.size)
+        for m, ((ia, a), (ib, b)) in enumerate(zip(_blocks(got),
+                                                   _blocks(want))):
             assert np.array_equal(ia, ib)
             assert a.tobytes() == b.tobytes(), (L, M, m)
         spec = bf.sector_spectrum(h, L, M)
@@ -402,13 +560,38 @@ class TestTranslationBlocks:
             for M in (1, 2, 3):
                 H = bf.sector_matrix(h, L, M)
                 rows = bf.hamiltonian._representative_rows(h, L, M)
-                blocks = list(bf.oracle._block_matrices(rows, L, M))
-                assert [m for m, _, _ in blocks] == list(range(L))
-                for m, idx, block in blocks:
+                blocks = _blocks(bf.oracle._block_stack(rows, L, M))
+                assert len(blocks) == L
+                for m, (idx, block) in enumerate(blocks):
                     F = _momentum_basis(L, M, m)
                     assert len(idx) == F.shape[1]
                     assert np.allclose(block, F.conj().T @ H @ F,
                                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("path", PRESETS, ids=lambda p: p.stem)
+    def test_stacked_eigenvalues_equal_per_block_calls(self, path):
+        """The eigenvalues of the stacked blocks, one eigensolver call per
+        block size, are those of np.linalg.eigvals on each block alone, bit
+        for bit, in block order: L = 2..12, M = 0..3, sectors with empty
+        blocks (M = 0 at every L >= 2) and with blocks of unequal size
+        (L = 9 and 12 at M = 3) among them."""
+        h = bf.with_zero_v00(load_input(path))
+        empty = unequal = 0
+        for L in range(2, 13):
+            for M in range(4):
+                spec = bf.sector_spectrum(h, L, M)
+                blocks = _blocks(spec.blocks)
+                assert spec.momenta.tolist() == [
+                    m for m, (idx, _) in enumerate(blocks) for _ in idx]
+                want = [np.linalg.eigvals(B) for _, B in blocks if len(B)]
+                want = np.concatenate(want) if want else np.empty(0, complex)
+                assert spec.eigenvalues.tobytes() == want.tobytes(), (L, M)
+                sizes = set(spec.blocks.size.tolist())
+                empty += 0 in sizes
+                unequal += len(sizes - {0}) > 1
+                if (L, M) in ((9, 3), (12, 3)):
+                    assert len(sizes) > 1, (L, M)
+        assert empty >= 11 and unequal >= 2
 
     @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
     def test_bethe_vectors_in_their_block(self, tag, rng):
