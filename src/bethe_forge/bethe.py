@@ -395,23 +395,21 @@ def _block_steps(params, Z, L, lam):
     pairs are P (i, m_t) and Q (m_t, i), m_t its t-th other index: m_1 is
     the other of z1, z2, and m_2 is z3."""
     I, J, _ = ordered_pairs(3)
-    # columns t = 0, 1 of P[:2] = [[0, 1], [2, 3]] and Q[:2] = [[2, 4],
-    # [0, 5]] (_bae_pairs(3)), read as slices
-    p0, p1, q0, q1 = slice(0, 4, 2), slice(1, 4, 2), slice(2, None, -2), \
-        slice(4, 6)
+    P, Q = (a[:2] for a in _bae_pairs(3))
     d1, d2 = lambda_grad(params, Z[:, I], Z[:, J])
-    lp0, lp1, lq0, lq1 = lam[:, p0], lam[:, p1], lam[:, q0], lam[:, q1]
+    lp0, lp1 = lam[:, P[:, 0]], lam[:, P[:, 1]]
+    lq0, lq1 = lam[:, Q[:, 0]], lam[:, Q[:, 1]]
     z = Z[:, :2]
     zL, zL1 = z**L, z**(L - 1)
     lp = lp0 * lp1
     F = zL * lp - lq0 * lq1
     # dF_i/dz_i, dF_i/dz_{m_1} and dF_i/dz_3
-    dP = d1[:, p0] * lp1 + d1[:, p1] * lp0
-    dQ = d2[:, q0] * lq1 + d2[:, q1] * lq0
-    dp0, dp1 = d2[:, p0] * lp1, d2[:, p1] * lp0
+    dP = d1[:, P[:, 0]] * lp1 + d1[:, P[:, 1]] * lp0
+    dQ = d2[:, Q[:, 0]] * lq1 + d2[:, Q[:, 1]] * lq0
+    dp0, dp1 = d2[:, P[:, 0]] * lp1, d2[:, P[:, 1]] * lp0
     diag = L * zL1 * lp + zL * dP - dQ
-    cross = zL * dp0 - d1[:, q0] * lq1
-    last = zL * dp1 - d1[:, q1] * lq0
+    cross = zL * dp0 - d1[:, Q[:, 0]] * lq1
+    last = zL * dp1 - d1[:, Q[:, 1]] * lq0
     r = Z[:, 2:] / z                            # z3/z1, z3/z2
     a = diag - last * r                         # A[0, 0], A[1, 1]
     b = cross - last * r[:, ::-1]               # A[0, 1], A[1, 0]
@@ -426,6 +424,8 @@ def _newton_batch(params, Z0, w, L):
     Returns the converged rows that one more Newton step moves by at most
     DEDUP_TOL max(1, max |z|), in start order.
     """
+    Z = np.array(Z0, complex)
+    n = len(Z)
     # step factors of the line search: 1, d, d^2, ... down to MIN_STEP;
     # the shorter ones are tried in two stages, d^1..d^5 first (most rows
     # take one of them), the rest on the rows still worse
@@ -434,78 +434,63 @@ def _newton_batch(params, Z0, w, L):
         damps.append(damps[-1] * DAMPING)
     stages = [np.array(damps[1:6]), np.array(damps[6:])]
 
-    # the active rows are carried as compact arrays: their indices in Z0,
-    # points, block roots, relative residuals and Lambda tables (each from
-    # the line search that accepted the point, carried into the next F and
-    # Jacobian), gathered again only where a row leaves; a converged row's
-    # index, point and table are set aside in done
+    # the Lambda table of each row's current point, carried from the line
+    # search that accepted it into the next F and Jacobian
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        Za = np.array(Z0, complex)
-        ra, la = _residual(params, Za, L)
-        rows = np.flatnonzero(np.isfinite(ra))
-        Za, wa, ra, la = Za[rows], w[rows], ra[rows], la[rows]
-        done = [(rows[:0], Za[:0], la[:0])]
-        # past[it % STALL_WINDOW, i] holds row i's residual at iteration it,
+        res, lam = _residual(params, Z, L)
+        active = np.flatnonzero(np.isfinite(res))
+        converged = np.zeros(n, bool)
+        # past[it % STALL_WINDOW] holds every row's residual at iteration it,
         # until iteration it + STALL_WINDOW reads and replaces it
-        past = np.empty((STALL_WINDOW, len(Z0)))
-
-        def keep(mask):
-            if mask.all():
-                return rows, Za, wa, ra, la
-            at = np.flatnonzero(mask)
-            return rows[at], Za[at], wa[at], ra[at], la[at]
+        past = np.empty((STALL_WINDOW, n))
 
         for it in range(MAX_ITER):
-            hit = ra <= NEWTON_TOL
-            if hit.any():
-                done.append((rows[hit], Za[hit], la[hit]))
-            go = ~hit
+            hit = res[active] <= NEWTON_TOL
+            converged[active[hit]] = True
+            active = active[~hit]
             if it >= STALL_WINDOW:
-                go &= ra <= past[it % STALL_WINDOW, rows] / STALL_FACTOR
-            past[it % STALL_WINDOW, rows] = ra
-            rows, Za, wa, ra, la = keep(go)
-            if not rows.size:
+                then = past[it % STALL_WINDOW, active]
+                active = active[res[active] <= then / STALL_FACTOR]
+            past[it % STALL_WINDOW] = res
+            if not active.size:
                 break
-            step = _block_steps(params, Za, L, la)
+            step = _block_steps(params, Z[active], L, lam[active])
             ok = np.isfinite(step[:, 0]) & np.isfinite(step[:, 1])
-            rows, Za, wa, ra, la = keep(ok)
-            step = step[ok]
-            if not rows.size:
+            active, step = active[ok], step[ok]
+            if not active.size:
                 break
             # line search: the full step for every row, then the shorter
             # steps stage by stage for the rows still worse; each row takes
             # its first step factor that lowers its residual, or is dropped
             # as stuck
-            Z2 = Za[:, :2]
-            trial = _on_line(Z2 + damps[0] * step, wa)
+            Za, wa, r0 = Z[active, :2], w[active], res[active]
+            trial = _on_line(Za + damps[0] * step, wa)
             rt, lt = _residual(params, trial, L)
-            worse = np.flatnonzero(~(rt < ra))
+            worse = np.flatnonzero(~(rt < r0))
             for factors in stages:
                 if not worse.size:
                     break
-                tw = Z2[worse] + factors[:, None, None] * step[worse]
+                tw = Za[worse] + factors[:, None, None] * step[worse]
                 tw = _on_line(tw.reshape(-1, 2),
                               np.tile(wa[worse], len(factors)))
                 rw, lw = _residual(params, tw, L)
-                better = rw.reshape(len(factors), -1) < ra[worse]
+                better = rw.reshape(len(factors), -1) < r0[worse]
                 first = np.argmax(better, axis=0)
                 found = better[first, np.arange(len(worse))]
                 pick = first[found] * len(worse) + np.flatnonzero(found)
-                moved = worse[found]
-                trial[moved] = tw[pick]
-                rt[moved], lt[moved] = rw[pick], lw[pick]
+                rows = worse[found]
+                trial[rows] = tw[pick]
+                rt[rows], lt[rows] = rw[pick], lw[pick]
                 worse = worse[~found]
-            kept = rt < ra
-            rows, wa = rows[kept], wa[kept]
-            Za, ra, la = trial[kept], rt[kept], lt[kept]
-        hit = ra <= NEWTON_TOL
-        done.append((rows[hit], Za[hit], la[hit]))
-        rows, Za, la = (np.concatenate(a) for a in zip(*done))
-        order = np.argsort(rows)
-        Za, la = Za[order], la[order]
-        step = _block_steps(params, Za, L, la)
-        scale = np.maximum(1.0, _row_max(np.abs(Za)))
-        return Za[_row_max(np.abs(step)) <= DEDUP_TOL * scale]
+            kept = rt < r0
+            active = active[kept]
+            Z[active] = trial[kept]
+            res[active], lam[active] = rt[kept], lt[kept]
+        converged[active[res[active] <= NEWTON_TOL]] = True
+        done = np.flatnonzero(converged)
+        step = _block_steps(params, Z[done], L, lam[done])
+        scale = np.maximum(1.0, _row_max(np.abs(Z[done])))
+        return Z[done[_row_max(np.abs(step)) <= DEDUP_TOL * scale]]
 
 
 def _halton(n, base):
@@ -787,9 +772,11 @@ def assemble_eigenvector(params, z, L):
 
 
 def _eig_residuals(H, V, E):
-    """||H v - E v|| / ||v|| for every row v of V and its energy in E."""
-    return (np.linalg.norm(V @ H.T - E[:, None] * V, axis=1)
-            / np.linalg.norm(V, axis=1))
+    """||H v - E v|| / ||v|| for every row v of V and its energy in E; a
+    stack of matrices H (..., k, k) takes a stack V (..., n, k), E (..., n)."""
+    return (np.linalg.norm(V @ np.swapaxes(H, -1, -2) - E[..., None] * V,
+                           axis=-1)
+            / np.linalg.norm(V, axis=-1))
 
 
 def verify_eigenpair(H, psi, E):
@@ -932,9 +919,7 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
             norms = np.linalg.norm(Cb, axis=2)
             null = ~sing & _is_null(norms, Ab.max(axis=2))
             del Ab
-            rb = Cb @ blocks.B[part].transpose(0, 2, 1)
-            rb -= Eb[:, :, None] * Cb
-            rb = np.linalg.norm(rb, axis=2) / norms
+            rb = _eig_residuals(blocks.B[part], Cb, Eb)
             Cb /= norms[:, :, None]                 # the unit vectors u
         ok = (real & ~sing & ~null & (rb <= tol_eig * scale)
               & (defect[r0] <= tol_eig))

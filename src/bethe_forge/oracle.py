@@ -108,15 +108,15 @@ def _block_stack(rows, L, M):
     T H = H T, so H F_m[:, b] is again a T-eigenvector and the block entry
     (a, b) is sqrt(p_a) times its component on the representative r_a:
     sqrt(p_a / p_b) sum_{d < p_b} e^{-2 pi i m d / L} H[r_a, T^d r_b], one
-    FFT over d for all m at once, in place in the stack.  Each block's
-    orbits are then packed to the front of its slot, chunk by chunk of
-    blocks (bethe._chunks).  Block 0 holds all k orbits, so the stack has
+    FFT over d for all m at once.  Each block's orbits are then packed in
+    place to the front of its slot, chunk by chunk of blocks
+    (bethe._chunks).  Block 0 holds all k orbits, so the stack has
     the k^2 L entries _representative_rows checks against ENTRY_CAP."""
     orbit, shift, reps, period = _orbit_table(L, M)
     k = len(reps)
     B = np.zeros((L, k, k), complex)
     B[shift, :, orbit] = rows.T                  # B[d, a, b] = H[r_a, T^d r_b]
-    np.fft.fft(B, axis=0, out=B)
+    B = np.fft.fft(B, axis=0)
     B *= np.sqrt(period[:, None] / period[None, :])
     inside = np.arange(L)[:, None] * period % L == 0     # orbit b in block m
     size = np.count_nonzero(inside, axis=1)
