@@ -22,7 +22,12 @@ only render its reports.
 With --json every mode prints its report through to_json: keys sorted, a
 two-space indent, complex numbers as [re, im] and non-finite floats as
 NaN / Infinity / -Infinity, byte for byte what json.dumps(..., sort_keys=True,
-indent=2) writes.  ``python -m bethe_forge`` runs main from a checkout.
+indent=2) writes.  to_json is one emitter that appends to one list.  It
+writes each float's text once per report and reuses it, since a float
+prints the same wherever it stands; ±0.0 (equal, printed apart) and NaN
+(equal to nothing) are written afresh each time.  Each dict's sorted keys,
+with the text before its values, are cached per key tuple and indent.
+``python -m bethe_forge`` runs main from a checkout.
 
 Exit codes: 0 success, 2 parse error or bad option value, 3 hypothesis-gate
 violation, 4 mode refusal, 1 internal error or failed verification.
@@ -31,7 +36,6 @@ violation, 4 mode refusal, 1 internal error or failed verification.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -91,73 +95,148 @@ class RunConfig:
 
 _escape = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _float_text(x):
-    text = _float_repr(x)
-    return _NONFINITE.get(text, text)
+@functools.lru_cache(maxsize=1024)
+def _key_layout(keys, nl):
+    """The str keys of a dict opened at line break and indent nl, sorted,
+    each with the text written before its value ('{' for the first key and
+    ',' for the rest, the keys' line break and indent, the key and ': '),
+    and the keys' line break and indent."""
+    inner = nl + "  "
+    keys = sorted(keys)
+    opens = ["{" + inner] + ["," + inner] * (len(keys) - 1)
+    return tuple((k, f"{o}{_escape(k)}: ") for k, o in zip(keys, opens)), inner
 
 
-def to_json(obj, nl="\n"):
+def to_json(obj):
     """The --json text of a report: the bytes json.dumps(obj, sort_keys=True,
     indent=2) writes, with complex numbers as [re, im], numpy scalars and
     arrays as their .item() and .tolist() values, and dict keys through str().
+
     Written in one pass because json falls back to its pure-Python encoder
-    when asked to indent.  ``nl`` is the newline and indent of obj's level."""
-    t = type(obj)
-    if t is float:
-        return _float_repr(obj) if math.isfinite(obj) else _float_text(obj)
-    if t is complex or t is np.complex128:
-        inner = nl + "  "
-        if cmath.isfinite(obj):
-            re, im = _float_repr(obj.real), _float_repr(obj.imag)
+    when asked to indent.  A nested render appends to one list, joined
+    into one chunk after any dict that leaves it over 512 pieces.
+    The float, complex, bool and int values of a dict, and the float and
+    complex items of a list, are written inline, without a call of their
+    own.  A dict local to the call maps each float already written to its
+    text, so a float the report repeats is printed once; ±0.0 stay out,
+    because they compare equal but print apart, and so does NaN, which
+    equals nothing.  The sorted keys of each dict and the text before its
+    values come from _key_layout, cached per key tuple and indent."""
+    chunks, out = [], []
+    emit = out.append
+    memo = {math.inf: "Infinity", -math.inf: "-Infinity"}
+    cached = memo.get
+    complex128 = np.complex128
+
+    def ftext(x):
+        if x != 0 and x == x:
+            memo[x] = text = _float_repr(x)
+            return text
+        return "NaN" if x != x else _float_repr(x)
+
+    def render(obj, nl):
+        t = type(obj)
+        if t is dict:
+            if not obj:
+                emit("{}")
+                return
+            keys = tuple(obj)
+            for k in keys:
+                if type(k) is not str:
+                    obj = {str(k): v for k, v in obj.items()}
+                    keys = tuple(obj)
+                    break
+            heads, inner = _key_layout(keys, nl)
+            part = inner + "  "
+            for k, head in heads:
+                v = obj[k]
+                t = type(v)
+                if t is float:
+                    emit(head + (cached(v) or ftext(v)))
+                elif t is complex or t is complex128:
+                    re, im = v.real, v.imag
+                    emit(f"{head}[{part}{cached(re) or ftext(re)},"
+                         f"{part}{cached(im) or ftext(im)}{inner}]")
+                elif t is bool:
+                    emit(head + ("true" if v else "false"))
+                elif t is int:
+                    emit(head + int.__repr__(v))
+                else:
+                    emit(head)
+                    render(v, inner)
+            emit(nl + "}")
+            if len(out) > 512:
+                # each piece costs some 57 bytes beyond its text: join them
+                # as they come, so a large report is not held twice over
+                chunks.append("".join(out))
+                out.clear()
+        elif t is list or t is tuple:
+            if not obj:
+                emit("[]")
+                return
+            inner = nl + "  "
+            part = inner + "  "
+            head, sep = "[" + inner, "," + inner
+            for v in obj:
+                t = type(v)
+                if t is float:
+                    emit(head + (cached(v) or ftext(v)))
+                elif t is complex or t is complex128:
+                    re, im = v.real, v.imag
+                    emit(f"{head}[{part}{cached(re) or ftext(re)},"
+                         f"{part}{cached(im) or ftext(im)}{inner}]")
+                else:
+                    emit(head)
+                    render(v, inner)
+                head = sep
+            emit(nl + "]")
+        elif t is float:
+            emit(cached(obj) or ftext(obj))
+        elif t is complex or t is complex128:
+            inner = nl + "  "
+            re, im = obj.real, obj.imag
+            emit(f"[{inner}{cached(re) or ftext(re)},"
+                 f"{inner}{cached(im) or ftext(im)}{nl}]")
+        elif t is str:
+            emit(_escape(obj))
+        elif obj is True:
+            emit("true")
+        elif obj is False:
+            emit("false")
+        elif t is int:
+            emit(int.__repr__(obj))
+        elif obj is None:
+            emit("null")
+        # subclasses of the types above, and the other numpy types
+        elif isinstance(obj, (complex, np.complexfloating)):
+            render(complex(obj), nl)
+        elif isinstance(obj, (np.floating, np.integer, np.bool_)):
+            render(obj.item(), nl)
+        elif isinstance(obj, np.ndarray):
+            render(obj.tolist(), nl)
+        elif isinstance(obj, str):
+            emit(_escape(obj))
+        elif isinstance(obj, int):
+            emit(int.__repr__(obj))
+        elif isinstance(obj, float):
+            emit(ftext(obj))
+        elif isinstance(obj, dict):
+            render(dict(obj), nl)
+        elif isinstance(obj, (list, tuple)):
+            render(list(obj), nl)
         else:
-            re, im = _float_text(obj.real), _float_text(obj.imag)
-        return f"[{inner}{re},{inner}{im}{nl}]"
-    if t is str:
-        return _escape(obj)
-    if t is dict:
-        if not obj:
-            return "{}"
-        if not all(type(k) is str for k in obj):
-            obj = {str(k): v for k, v in obj.items()}
-        inner = nl + "  "
-        return ("{" + inner + ("," + inner).join(
-            [f"{_escape(k)}: {to_json(obj[k], inner)}" for k in sorted(obj)])
-            + nl + "}")
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if t is int:
-        return int.__repr__(obj)
-    if t is list or t is tuple:
-        if not obj:
-            return "[]"
-        inner = nl + "  "
-        return ("[" + inner + ("," + inner).join(
-            [to_json(v, inner) for v in obj]) + nl + "]")
-    if obj is None:
-        return "null"
-    # subclasses of the types above, and the other numpy types
-    if isinstance(obj, (complex, np.complexfloating)):
-        return to_json(complex(obj), nl)
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return to_json(obj.item(), nl)
-    if isinstance(obj, np.ndarray):
-        return to_json(obj.tolist(), nl)
-    if isinstance(obj, str):
-        return _escape(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
-    if isinstance(obj, dict):
-        return to_json(dict(obj), nl)
-    if isinstance(obj, (list, tuple)):
-        return to_json(list(obj), nl)
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+            raise TypeError(
+                f"Object of type {t.__name__} is not JSON serializable")
+
+    render(obj, "\n")
+    # render refers to itself: empty its cell so that the pieces, the chunks
+    # and the memo go when the call returns, not at the next collection
+    del render
+    memo.clear()        # not held while the whole text is joined
+    chunks.append("".join(out))
+    return "".join(chunks)
 
 
 def _fmt_c(z, prec=6):

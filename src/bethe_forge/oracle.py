@@ -170,11 +170,13 @@ def compare(cba_solutions, ed, tol=1e-8, scale=1.0):
 
     The rule is greedy in root-set order: each energy takes the untaken
     eigenvalue of its block nearest to it, the first of equals, if it lies
-    within tol * scale (np.hypot distances, the scalar complex abs).  One
-    distance pass finds every energy's nearest eigenvalue, and the first
-    row to name one takes it.  Only rows whose nearest an earlier row holds
-    apply the rule itself, in order; one that takes what a later row named
-    sends that row to the rule too."""
+    within tol * scale (np.hypot distances, the scalar complex abs).  A NaN
+    distance counts as infinite, and no infinite distance is within tol, so
+    a NaN energy takes nothing and is unmatched.  One distance pass finds
+    every energy's nearest eigenvalue, and the first row to name one takes
+    it.  Only rows whose nearest an earlier row holds apply the rule
+    itself, in order; one that takes what a later row named sends that row
+    to the rule too."""
     n, L = len(cba_solutions), ed.L
     tol = tol * scale
     Z = np.array([sol.z for sol in cba_solutions], complex)
@@ -185,12 +187,17 @@ def compare(cba_solutions, ed, tol=1e-8, scale=1.0):
     values = np.append(ed.eigenvalues, 0j)
 
     def distances(rows):
-        """Distances of rows' energies to their pools (+inf at padding)."""
+        """Distances of rows' energies to their pools (+inf at padding and
+        for NaN)."""
         at = pool[mom[rows]]
         d = E[rows, None] - values[at]
         dist = np.hypot(d.real, d.imag)
-        dist[at < 0] = np.inf
+        dist[(at < 0) | np.isnan(dist)] = np.inf
         return dist, at
+
+    def within(dist):
+        """Whether each distance is finite and within tol."""
+        return (dist <= tol) & (dist < np.inf)
 
     unmatched = mom < 0
     owner = np.full(len(ed.eigenvalues), n)    # row that took each, n: none
@@ -201,7 +208,7 @@ def compare(cba_solutions, ed, tol=1e-8, scale=1.0):
         dist, at = distances(i)
         j = np.argmin(dist, axis=1)
         pos = at[np.arange(len(i)), j]
-        claim = ~(dist[np.arange(len(i)), j] > tol) & (pos >= 0)
+        claim = within(dist[np.arange(len(i)), j])
         unmatched[i] = ~claim
         named.append((i[claim], pos[claim]))
     by, pos = (np.concatenate(a) for a in zip(*named))
@@ -212,7 +219,7 @@ def compare(cba_solutions, ed, tol=1e-8, scale=1.0):
         (dist,), (at,) = distances([f])
         dist[owner[at] < f] = np.inf           # taken before row f
         k = int(np.argmin(dist))
-        if dist[k] > tol:
+        if not within(dist[k]):
             unmatched[f] = True
         elif owner[at[k]] > f:
             if owner[at[k]] < n:

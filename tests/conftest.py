@@ -43,13 +43,14 @@ def family_instance(tag, rng, branch=None):
 
 def take_nearest(pool, v, tol):
     """The oracle's matching rule on a list: remove the entry of pool nearest
-    to v, the first of equals, if it lies within tol; return whether one
-    was removed."""
+    to v, the first of equals, if it lies within tol (a NaN distance
+    removes nothing); return whether one was removed."""
     if not pool:
         return False
-    dist = [abs(v - r) for r in pool]
+    dist = np.array([abs(v - r) for r in pool])
+    dist[np.isnan(dist)] = np.inf
     k = int(np.argmin(dist))
-    if dist[k] > tol:
+    if np.isinf(dist[k]) or dist[k] > tol:
         return False
     pool.pop(k)
     return True

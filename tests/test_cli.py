@@ -2,7 +2,9 @@
 
 import collections
 import enum
+import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -549,6 +551,18 @@ _VALUES = st.recursive(_LEAVES, lambda kids: st.one_of(
     st.dictionaries(_KEYS, kids, max_size=4)), max_leaves=20)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _floats(obj):
+    """The nonzero finite floats of a converted report, with repeats."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for v in obj for x in _floats(v)]
+    return [obj] if type(obj) is float and obj and math.isfinite(obj) else []
+
+
 class TestJsonReport:
     """cli.to_json prints the bytes of the encoder it replaced."""
 
@@ -572,6 +586,7 @@ class TestJsonReport:
         ["spectrum", str(PRESETS / "izergin_korepin.json"), "--L", "5",
          "--M", "1..3"],
         ["verify", str(PRESETS / "17V2.json"), "--L", "7", "--M", "2..3"],
+        ["verify", str(PRESETS / "17V1a.json"), "--L", "12", "--M", "1..3"],
     ])
     def test_every_mode(self, argv, capsys, monkeypatch):
         printed, reference = self._printed_and_reference(
@@ -628,6 +643,44 @@ class TestJsonReport:
         assert entries[1]["eigenvector"] == "null"
         assert entries[2]["verified"] is False
         assert any(e.get("equivalent_state") for e in entries)
+
+    @pytest.mark.parametrize("reports", [
+        ([0.1, {"a": 0.1, "b": [0.1, {"c": (0.1, complex(0.1, 0.1))}]},
+          complex(2.5, 0.1), {"d": complex(0.1, 2.5)}, 2.5],),
+        ([0.0, -0.0, {"a": 0.0, "b": -0.0}, complex(0.0, -0.0),
+          complex(-0.0, 0.0)],
+         [-0.0, 0.0, {"a": -0.0, "b": 0.0}, complex(-0.0, 0.0),
+          complex(0.0, -0.0)]),
+        ([_NAN, _NAN, {"a": _NAN, "b": [_INF, -_INF, _INF]}, -_INF,
+          complex(_NAN, _INF), complex(-_INF, _NAN), complex(_NAN, _NAN)],),
+        ([{"b": 1, "a": 2.5, "c": True}, {"c": None, "a": "x", "b": 3},
+          {"a": {"c": 1, "b": 2}, "b": [{"b": 3, "c": 4}, {"c": 5, "b": 6}]},
+          {"c": {"b": [{"a": 7, "b": 8}]}, "d": {"b": 9, "a": 10}}],),
+        ([{1: "int", "1": "str"}, {"1": "str", 1: "int"},
+          {None: 1, "None": 2, 2: 3, 10: 4, 1.5: 5, "1.5": 6, False: 7}],),
+        ([0.5, -0.0, 1e300, complex(0.5, 1e300)],
+         [{"x": 1e300, "y": 0.5}, -0.0, complex(1e300, 0.5)]),
+    ], ids=["float_at_depths", "signed_zeros", "non_finite", "key_orders",
+            "colliding_keys", "two_reports"])
+    def test_edge_values(self, reports, monkeypatch):
+        """Each report in turn prints the bytes of the replaced encoder,
+        writes the text of each distinct nonzero finite float once and
+        leaves no garbage for the cycle collector."""
+        written = []
+        monkeypatch.setattr(cli, "_float_repr",
+                            lambda x: written.append(x) or float.__repr__(x))
+        for value in reports:
+            written.clear()
+            gc.collect()
+            gc.disable()
+            try:
+                text = cli.to_json(value)
+            finally:
+                gc.enable()
+            assert gc.collect() == 0
+            assert text == _reference_dumps(value)
+            once = [x for x in written if x != 0 and math.isfinite(x)]
+            assert sorted(once) == sorted(set(_floats(_jsonable(value))))
 
     @given(_VALUES)
     def test_nested_values(self, value):

@@ -1,5 +1,6 @@
 """Dense reference spectra and spectrum matching."""
 
+import cmath
 from pathlib import Path
 
 import numpy as np
@@ -200,14 +201,15 @@ class TestStackCap:
 def _take_nearest(pool, taken, v, tol):
     """The matching rule on one pool with a taken mask: take the entry of
     pool nearest to v among those not yet taken, the first of equals, if it
-    lies within tol; return whether one was taken."""
+    lies within tol; a NaN distance takes nothing.  Return whether one was
+    taken."""
     if not pool.size:
         return False
     d = v - pool
     dist = np.hypot(d.real, d.imag)
-    dist[taken] = np.inf
+    dist[taken | np.isnan(dist)] = np.inf
     k = int(np.argmin(dist))
-    if dist[k] > tol:
+    if np.isinf(dist[k]) or dist[k] > tol:
         return False
     taken[k] = True
     return True
@@ -314,7 +316,8 @@ class TestCompare:
         equal distance from two eigenvalues, many energies naming the same
         nearest eigenvalue (so the fallback rule runs, and passes later
         rows on to it), NaN and infinite energies, root sets with no
-        block and empty blocks."""
+        block and empty blocks.  A NaN energy takes no eigenvalue and is
+        unmatched."""
         rng = np.random.default_rng(20)
         L = 4
         roots = [(np.exp(2j * np.pi * m / L),) for m in range(L)]
@@ -337,7 +340,9 @@ class TestCompare:
                      BetheSolution((1.3 + 0.2j,), 0j, 0.0)]
             sols = [sols[i] for i in rng.permutation(len(sols))]
             tol = (0.5, 0.75, 1.0, 2.0)[trial % 4]
-            _assert_compare_matches_reference(sols, ed, tol=tol, scale=1.0)
+            rep = _assert_compare_matches_reference(sols, ed, tol=tol,
+                                                    scale=1.0)
+            assert sum(map(cmath.isnan, rep.unmatched)) == 2
             # rows whose nearest eigenvalue an earlier row named
             blocks = [bf.momentum(s.z, L) for s in sols]
             named = {}
