@@ -22,6 +22,12 @@ Conventions used throughout the package:
   bethe.check_roots its amplitude table, root sets times k, and the Gram
   matrix of the block with the most root sets.  Each is checked before
   the array is allocated.
+* The grade of a state is its number of |2> sites.  t1 and t2 raise it by
+  one, s1 and s2 lower it (OFFDIAG_SLOTS), and every other coupling keeps
+  it.  When the couplings of one direction are all exactly 0
+  (_grade_one_way), H is block triangular in the grade and the oracle
+  diagonalizes each translation block by its grade sub-blocks
+  (_sub_blocks).
 
 All arithmetic is complex double precision.
 """
@@ -398,6 +404,76 @@ def _orbit_table(L, M):
     for a in out:
         a.setflags(write=False)
     return out
+
+
+# the couplings whose row pair holds more 2s than their column pair, and
+# those whose row pair holds fewer: the ones that raise and lower the grade
+_GRADE_STEPS = tuple(
+    tuple(k for k, (r, c) in OFFDIAG_SLOTS.items()
+          if sign * (r.count(2) - c.count(2)) > 0)
+    for sign in (1, -1))
+
+
+def _grade_one_way(params):
+    """Whether H never raises or never lowers the grade of a state, its
+    number of |2> sites: the couplings that change the grade in one
+    direction (_GRADE_STEPS) are all exactly 0, as s1 = s2 = 0 or
+    t1 = t2 = 0.  Every entry of the sector matrix, and of each translation
+    block, that would move the grade that way is then exactly 0, so the
+    matrix is block triangular in the grade and its eigenvalues are
+    exactly those of its grade-diagonal blocks together."""
+    return any(all(getattr(params, k) == 0 for k in keys)
+               for keys in _GRADE_STEPS)
+
+
+@functools.lru_cache(maxsize=32)
+def _block_layout(L, M):
+    """Read-only layout of the (L, M) sector's translation blocks
+    m = 0..L-1 (oracle.BlockStack): block m holds the orbits of period p
+    with m p = 0 mod L (_orbit_table), and block 0 all k of them.  idx
+    (L, k): block m's orbits, ascending, then -1; size (L,): their count;
+    grade (k,): each orbit's number of |2> sites, the same for all its
+    states."""
+    _, _, reps, period = _orbit_table(L, M)
+    inside = np.arange(L)[:, None] * period % L == 0
+    size = np.count_nonzero(inside, axis=1)
+    filled = np.arange(len(reps)) < size[:, None]
+    idx = np.where(filled, np.argsort(~inside, axis=1, kind="stable"), -1)
+    grade = np.count_nonzero(_sector_occupations(L, M)[reps] == 2, axis=1)
+    out = idx, size, grade
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _sub_blocks(L, M, graded):
+    """The diagonal sub-blocks the (L, M) translation blocks are
+    diagonalized by, read-only and grouped by size s ascending: tuples
+    (s, m, pos, out) over the n sub-blocks of size s, in block order, with
+    m (n,) their blocks, pos (n, s) their rows and columns within the block
+    (ascending) and out (n, s) the places of their eigenvalues in the
+    sector's list, block after block.  With graded, a block's (block,
+    grade) sub-blocks, grade by grade ascending, so its eigenvalues come in
+    grade order; without, each nonempty block is one sub-block."""
+    idx, size, grade = _block_layout(L, M)
+    start = np.cumsum(size) - size
+    groups = {}
+    for m, k in enumerate(size.tolist()):
+        g = grade[idx[m, :k]] if graded else np.zeros(k, np.intp)
+        at = start[m]
+        for v in np.unique(g):
+            pos = np.flatnonzero(g == v)
+            groups.setdefault(len(pos), []).append(
+                (m, pos, at + np.arange(len(pos))))
+            at += len(pos)
+    tables = []
+    for s in sorted(groups):
+        m, pos, out = (np.array(a, np.intp) for a in zip(*groups[s]))
+        for a in (m, pos, out):
+            a.setflags(write=False)
+        tables.append((s, m, pos, out))
+    return tuple(tables)
 
 
 def _representative_rows(params, L, M):

@@ -14,11 +14,16 @@ m p = 0 mod L.  Each block matrix B_m = F_m^dagger H F_m (F_m the columns
 are built (hamiltonian._representative_rows), a (k, dim) array for the k
 orbits; the dim x dim sector matrix is built only by sector_matrix, which
 verify_sector does not call.  The L blocks are one zero-padded stack
-(BlockStack), and the blocks of one size are diagonalized by one batched
-eigensolver call.  Both refuse a sector outside the caps of hamiltonian's
-size guard before they allocate anything (the entry cap covers the stack
-too), and verify_sector diagonalizes before it solves, so an oversized
-sector is refused before the solver runs.
+(BlockStack).  Every state of an orbit has the same grade, its number of
+|2> sites.  When H never lowers, or never raises, the grade
+(hamiltonian._grade_one_way), each block is block triangular in it, with
+exact zeros, and only its (block, grade) diagonal sub-blocks are
+diagonalized; otherwise each block is one sub-block.  The sub-blocks of
+one size are diagonalized by one batched eigensolver call.  Both refuse a
+sector outside the caps of hamiltonian's size guard before they allocate
+anything (the entry cap covers the stack too), and verify_sector
+diagonalizes before it solves, so an oversized sector is refused before
+the solver runs.
 
 A Bethe state with momenta z satisfies T psi = (prod z) psi, so it lies in
 the block m with e^{2 pi i m / L} = prod z (bethe.momentum).  It is
@@ -44,13 +49,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bethe import _chunks, _momenta, _slots, check_roots, solve_bae
-from .hamiltonian import (_apply_bonds, _orbit_table, _representative_rows,
-                          _sector_occupations, check_chain, two_site_matrix)
+from .hamiltonian import (_apply_bonds, _block_layout, _grade_one_way,
+                          _orbit_table, _representative_rows,
+                          _sector_occupations, _sub_blocks, check_chain,
+                          two_site_matrix)
 
 
 @dataclass(frozen=True)
 class BlockStack:
-    """A sector's L translation blocks, zero-padded to the largest, kmax."""
+    """A sector's L translation blocks, zero-padded to the largest, kmax,
+    whole whether or not sector_spectrum splits them by grade."""
     idx: np.ndarray     # (L, kmax): block m's orbits, ascending, then -1
     B: np.ndarray       # (L, kmax, kmax): B_m = F_m^dagger H F_m, then 0
     size: np.ndarray    # (L,): block m's dimension
@@ -109,19 +117,18 @@ def _block_stack(rows, L, M):
     (a, b) is sqrt(p_a) times its component on the representative r_a:
     sqrt(p_a / p_b) sum_{d < p_b} e^{-2 pi i m d / L} H[r_a, T^d r_b], one
     FFT over d for all m at once.  Each block's orbits are then packed in
-    place to the front of its slot, chunk by chunk of blocks
-    (bethe._chunks).  Block 0 holds all k orbits, so the stack has
-    the k^2 L entries _representative_rows checks against ENTRY_CAP."""
+    place to the front of its slot (hamiltonian._block_layout), chunk by
+    chunk of blocks (bethe._chunks).  Block 0 holds all k orbits, so the
+    stack has the k^2 L entries _representative_rows checks against
+    ENTRY_CAP."""
     orbit, shift, reps, period = _orbit_table(L, M)
+    idx, size, _ = _block_layout(L, M)
     k = len(reps)
     B = np.zeros((L, k, k), complex)
     B[shift, :, orbit] = rows.T                  # B[d, a, b] = H[r_a, T^d r_b]
     B = np.fft.fft(B, axis=0)
     B *= np.sqrt(period[:, None] / period[None, :])
-    inside = np.arange(L)[:, None] * period % L == 0     # orbit b in block m
-    size = np.count_nonzero(inside, axis=1)
-    filled = np.arange(k) < size[:, None]
-    idx = np.where(filled, np.argsort(~inside, axis=1, kind="stable"), -1)
+    filled = idx >= 0
     for part in _chunks(L, k * k):
         at = np.maximum(idx[part], 0)
         packed = B[np.arange(L)[part, None, None], at[:, :, None],
@@ -129,8 +136,7 @@ def _block_stack(rows, L, M):
         packed[~filled[part]] = 0
         packed.transpose(0, 2, 1)[~filled[part]] = 0
         B[part] = packed
-    for a in (idx, B, size):
-        a.setflags(write=False)
+    B.setflags(write=False)
     return BlockStack(idx, B, size)
 
 
@@ -139,24 +145,27 @@ def sector_spectrum(params, L, M):
     labels, the block stack and the largest |entry| of the sector matrix.
     Only the sector matrix's representative rows are built, never the
     matrix itself; by translation invariance every entry of it is an entry
-    of those rows.  The blocks of one size go to one np.linalg.eigvals
-    call (per chunk of blocks), which gives each block's eigenvalues bit
-    for bit as a call on it alone."""
+    of those rows.  When H never lowers, or never raises, the grade, each
+    block's eigenvalues are those of its (block, grade) diagonal
+    sub-blocks, grade by grade ascending; otherwise each block is one
+    sub-block (hamiltonian._sub_blocks).  The sub-blocks of one size are
+    gathered from the stack into one np.linalg.eigvals call (per chunk),
+    which gives each sub-block's eigenvalues bit for bit as a call on it
+    alone."""
     rows = _representative_rows(params, L, M)
     blocks = _block_stack(rows, L, M)
     size = blocks.size
-    start = np.cumsum(size) - size
     evs = np.empty(int(size.sum()), complex)
-    for s in sorted(set(size.tolist()) - {0}):
-        same = np.flatnonzero(size == s)
-        for part in _chunks(len(same), s * s):
-            ms = same[part]
+    for s, m, pos, out in _sub_blocks(L, M, _grade_one_way(params)):
+        for part in _chunks(len(m), s * s):
+            ms, p = m[part], pos[part]
             try:
-                vals = np.linalg.eigvals(blocks.B[ms, :s, :s])
+                vals = np.linalg.eigvals(
+                    blocks.B[ms[:, None, None], p[:, :, None], p[:, None, :]])
             except np.linalg.LinAlgError as exc:
                 raise RuntimeError(f"eigensolver failed for L={L}, M={M}, "
                                    f"blocks {ms.tolist()}: {exc}")
-            evs[start[ms, None] + np.arange(s)] = vals
+            evs[out[part]] = vals
     return SectorSpectrum(M=M, eigenvalues=evs, dimension=rows.shape[1],
                           momenta=np.repeat(np.arange(L), size), L=L,
                           blocks=blocks,

@@ -404,6 +404,7 @@ class TestSectorBasis:
         """verify_sector, sector_matrix and sector_basis of one (L, M) read
         one read-only occupation table, built once."""
         for cache in (ham._sector_occupations, ham._orbit_table,
+                      ham._block_layout, ham._sub_blocks,
                       bf.bethe._sector_positions):
             cache.cache_clear()
         h, _ = family_instance("gIK", rng)
@@ -411,9 +412,15 @@ class TestSectorBasis:
         bf.verify_sector(h, L, M, bf.bethe.BAE_TOL, 1e-8)
         bf.sector_matrix(h, L, M)
         bf.sector_basis(L, M)
-        info = ham._sector_occupations.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
+        bf.sector_spectrum(h, L, M)
+        for cache in (ham._sector_occupations, ham._block_layout,
+                      ham._sub_blocks):
+            info = cache.cache_info()
+            assert (info.misses, info.currsize) == (1, 1), cache
         assert not ham._sector_occupations(L, M).flags.writeable
+        assert not any(a.flags.writeable for a in ham._block_layout(L, M))
+        assert not any(a.flags.writeable for t in ham._sub_blocks(L, M, False)
+                       for a in t[1:])
 
     def test_vacuum_sector(self):
         assert bf.sector_basis(4, 0) == [(0, 0, 0, 0)]

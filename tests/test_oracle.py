@@ -16,6 +16,8 @@ from conftest import (annulus, cdraw, family_instance, match_multiset,
 
 PRESETS_DIR = Path(bf.__file__).parent / "presets"
 PRESETS = sorted(PRESETS_DIR.glob("*.json"))
+# the presets without s1 and s2, which never lower the number of 2s
+GRADED_PRESETS = {"14V1", "14V2", "17V1a", "17V1b", "17V2"}
 
 
 class TestSectorMatrix:
@@ -546,6 +548,20 @@ def _momentum_basis(L, M, m):
     return np.array(cols, complex).reshape(-1, len(basis)).T
 
 
+def _orbit_grades(L, M):
+    """The number of 2s in each translation orbit's representative, from
+    the sector basis."""
+    basis = bf.sector_basis(L, M)
+    return np.array([basis[r].count(2)
+                     for r in bf.hamiltonian._orbit_table(L, M)[2]], int)
+
+
+def _grade_parts(B, grade):
+    """The diagonal sub-blocks of the block matrix B over orbits of the
+    given grades, one per grade, ascending."""
+    return [B[np.ix_(grade == g, grade == g)] for g in np.unique(grade)]
+
+
 def _same_multiset(a, b, tol):
     matched, _ = match_multiset(list(a), b, tol)
     return len(a) == len(b) == matched
@@ -576,11 +592,17 @@ class TestTranslationBlocks:
     @pytest.mark.parametrize("path", PRESETS, ids=lambda p: p.stem)
     def test_stacked_eigenvalues_equal_per_block_calls(self, path):
         """The eigenvalues of the stacked blocks, one eigensolver call per
-        block size, are those of np.linalg.eigvals on each block alone, bit
-        for bit, in block order: L = 2..12, M = 0..3, sectors with empty
+        sub-block size, are those of np.linalg.eigvals on each (block,
+        grade) sub-block alone, bit for bit, in block order and grade by
+        grade within a block: L = 2..12, M = 0..3, sectors with empty
         blocks (M = 0 at every L >= 2) and with blocks of unequal size
-        (L = 9 and 12 at M = 3) among them."""
+        (L = 9 and 12 at M = 3) among them.  The five presets without s1
+        and s2 split; the other fourteen change the grade both ways, so
+        each of their blocks is one sub-block and the reference is the
+        whole block."""
         h = bf.with_zero_v00(load_input(path))
+        split = path.stem in GRADED_PRESETS
+        assert bf.hamiltonian._grade_one_way(h) == split
         empty = unequal = 0
         for L in range(2, 13):
             for M in range(4):
@@ -588,7 +610,13 @@ class TestTranslationBlocks:
                 blocks = _blocks(spec.blocks)
                 assert spec.momenta.tolist() == [
                     m for m, (idx, _) in enumerate(blocks) for _ in idx]
-                want = [np.linalg.eigvals(B) for _, B in blocks if len(B)]
+                grade = _orbit_grades(L, M)
+                parts = [_grade_parts(B, grade[idx] if split else 0 * idx)
+                         for idx, B in blocks]
+                tables = bf.hamiltonian._sub_blocks(L, M, split)
+                assert sum(len(m) for _, m, _, _ in tables) == sum(
+                    map(len, parts)), (L, M)
+                want = [np.linalg.eigvals(S) for p in parts for S in p]
                 want = np.concatenate(want) if want else np.empty(0, complex)
                 assert spec.eigenvalues.tobytes() == want.tobytes(), (L, M)
                 sizes = set(spec.blocks.size.tolist())
@@ -596,7 +624,58 @@ class TestTranslationBlocks:
                 unequal += len(sizes - {0}) > 1
                 if (L, M) in ((9, 3), (12, 3)):
                     assert len(sizes) > 1, (L, M)
+                    assert split == any(len(p) > 1 for p in parts), (L, M)
         assert empty >= 11 and unequal >= 2
+
+    @pytest.mark.parametrize("tag", sorted(GRADED_PRESETS))
+    def test_grade_split_is_exact(self, tag, rng):
+        """Members of the families without s1 and s2, through every frame
+        word, gauge and telescoping term, never lower the grade (never
+        raise it in the T frames, where t1 = t2 = 0): the split applies,
+        every block entry that would move the grade the other way is
+        exactly 0, and the spectrum is the whole sector matrix's."""
+        for word in bf.hamiltonian.FRAME_WORDS:
+            h = bf.apply_frame(family_instance(tag, rng)[0], word)
+            h = bf.apply_telescopic(bf.apply_gauge(h, cdraw(rng, 3)),
+                                    cdraw(rng, 3))
+            assert bf.hamiltonian._grade_one_way(h), word
+            sign = -1 if "T" in word else 1   # row grade - column grade
+            for L in range(4, 9):
+                for M in (2, 3):
+                    spec = bf.sector_spectrum(h, L, M)
+                    grade = _orbit_grades(L, M)
+                    moved = 0
+                    for idx, B in _blocks(spec.blocks):
+                        step = sign * (grade[idx][:, None] - grade[idx])
+                        assert not B[step < 0].any(), (word, L, M)
+                        moved += np.count_nonzero(B[step > 0])
+                    assert moved, (word, L, M)
+                    H = bf.sector_matrix(h, L, M)
+                    whole = np.linalg.eigvals(H)
+                    scale = max(1.0, float(np.max(np.abs(H))))
+                    assert _same_multiset(spec.eigenvalues, whole,
+                                          1e-9 * scale), (word, L, M)
+
+    @pytest.mark.parametrize("key", ["s1", "s2", "t1", "t2"])
+    def test_one_coupling_each_way_keeps_whole_blocks(self, key, rng):
+        """A 17V1a member given s1 = 1e-3 (or s2), its t1 and t2 nonzero,
+        changes the grade both ways, and so does its time reversal given
+        t1 = 1e-3 (or t2): each block is one sub-block, and its eigenvalues
+        are np.linalg.eigvals on each whole block, bit for bit."""
+        h = family_instance("17V1a", rng)[0]
+        assert h.t1 and h.t2
+        if key in ("t1", "t2"):
+            h = bf.apply_time_reversal(h)
+        h = h.replace(**{key: 1e-3})
+        assert not bf.hamiltonian._grade_one_way(h)
+        for L in range(4, 10):
+            for M in (2, 3):
+                spec = bf.sector_spectrum(h, L, M)
+                blocks = [B for _, B in _blocks(spec.blocks) if len(B)]
+                tables = bf.hamiltonian._sub_blocks(L, M, False)
+                assert sum(len(m) for _, m, _, _ in tables) == len(blocks)
+                want = np.concatenate([np.linalg.eigvals(B) for B in blocks])
+                assert spec.eigenvalues.tobytes() == want.tobytes(), (L, M)
 
     @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
     def test_bethe_vectors_in_their_block(self, tag, rng):
@@ -634,6 +713,13 @@ class TestTranslationBlocks:
                  for tag in bf.FAMILY_ORDER
                  for L in range(3, 10) for M in (1, 2, 3)]
         cases.append((family_instance("17V1a", rng)[0], 12, 3))
+        # the T frames of the graded families never raise the grade
+        cases += [(bf.apply_frame(family_instance(tag, rng)[0], word), L, M)
+                  for tag in sorted(GRADED_PRESETS) for word in ("T", "PCT")
+                  for L in (5, 8) for M in (2, 3)]
+        # one that conserves the grade: s1 = s2 = t1 = t2 = 0
+        flat = random_params(rng).replace(s1=0, s2=0, t1=0, t2=0)
+        cases += [(flat, L, M) for L in (4, 7) for M in (2, 3, 4)]
         for h, L, M in cases:
             spec = bf.sector_spectrum(h, L, M)
             H = bf.sector_matrix(h, L, M)
