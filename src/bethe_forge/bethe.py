@@ -140,8 +140,8 @@ DEGENERATE_TOL = 1e-6    # roots this close are coincident
 MOMENTUM_TOL = 1e-6      # prod z this close to e^{2 pi i m / L} is in block m
 ASSEMBLE_CHUNK = 1 << 16  # entries per chunk of a batched pass (_chunks)
 
-# the pairs (z1, z2) at which S = -1 is tested: six points of the annulus
-# 0.5 <= |z| <= 2, the first draws of constraints.random_momenta at seed 0
+# the pairs (z1, z2) at which S = -1 is tested: six fixed points of the
+# annulus 0.5 <= |z| <= 2, drawn pair by pair by numpy's default_rng(0)
 _TRIVIAL_S_PROBES = np.array([
     (1.4074767580971808+0.37057001552752244j,
      0.8998064031495278+0.09377881996916455j),

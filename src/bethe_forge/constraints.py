@@ -21,11 +21,11 @@ on float64 arrays; Lambda, S, N and the singular rule then have one
 implementation for both.
 
 A Hamiltonian is CBA-solvable iff three symmetrized sums vanish identically in
-the momenta; this module tests that by randomized evaluation (a rational
-function vanishing at generic sample points vanishes identically, up to a
-measure-zero failure set).  Each sum's summands are one (n, M!) array:
-amps times the integrand over the momenta gathered in every permutation's
-order, with N at its adjacent pairs.
+the momenta; this module tests that at fixed generic points (SAMPLE_TABLES;
+a rational function vanishing there vanishes identically, up to a
+measure-zero failure set), so the verdict depends on the input alone.
+Each sum's summands are one (n, M!) array: amps times the integrand over
+the momenta in every permutation's order, with N at its adjacent pairs.
 
 Batch size never changes a bit of Lambda, its gradient or the pair table.
 For an array temporary of 256 KiB or more numpy computes x * (temporary),
@@ -300,7 +300,7 @@ class _PairTable:
         singular: |Lambda(z_j, z_i)| <= S_SING_TOL max(|Lambda(z_i, z_j)|,
         |Lambda(z_j, z_i)|, 1e-300).  An overflowed (infinite) Lambda is
         not singular: its S and N are not finite and fail where they are
-        used, whereas a singular point would be resampled."""
+        used, whereas is_cba_solvable replaces a singular sample row."""
         num, den = abs(self.lam), abs(self.den)
         scale = np.maximum(np.maximum(num, den), 1e-300)
         return (den <= S_SING_TOL * scale) & (scale < np.inf)
@@ -485,45 +485,47 @@ class SolvabilityVerdict:
     tol: float = 1e-9
 
 
-def random_momenta(rng, shape, rmin=0.5, rmax=2.0):
-    """Uniform draws on the annulus rmin <= |z| <= rmax."""
-    r = rng.uniform(rmin, rmax, shape)
-    ph = rng.uniform(0.0, 2 * np.pi, shape)
-    return r * np.exp(1j * ph)
+def _sample_tables():
+    """The fixed momenta of the identity test, read-only: 20 rows of 3 for
+    E21 and E12, 20 rows of 4 for E22, and a spare block of 20 rows of 4
+    whose first M columns stand in for singular rows.  They are points of
+    the annulus 0.5 <= |z| <= 2, radius then phase uniform, in the order
+    numpy's default_rng(0) draws them; no argument or option moves them."""
+    rng = np.random.default_rng(0)
+    tables = {}
+    for name, M in (("E21", 3), ("E12", 3), ("E22", 4), ("spare", 4)):
+        r = rng.uniform(0.5, 2.0, (20, M))
+        tables[name] = r * np.exp(1j * rng.uniform(0.0, 2 * np.pi, (20, M)))
+        tables[name].setflags(write=False)
+    return tables
 
 
-def is_cba_solvable(params, n_samples=20, tol=1e-9, seed=0):
-    """Randomized identity test of the three solvability constraint sums.
+SAMPLE_TABLES = _sample_tables()
 
-    Each constraint is evaluated at n_samples independent momentum tuples
-    drawn on an annulus (resampled where Lambda degenerates); the residual is
-    the sum magnitude relative to the largest individual summand, so the test
-    is scale-invariant in the parameters.
-    """
+
+def is_cba_solvable(params, tol=1e-9):
+    """Identity test of the three solvability constraint sums at the fixed
+    momenta of SAMPLE_TABLES, the first nonsingular rows of the spare block
+    standing in where Lambda degenerates.  The residual is the sum
+    magnitude relative to the largest individual summand, so the test is
+    scale-invariant in the parameters."""
     params.check_gates()
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    failing = None
-    for which in ("E21", "E12", "E22"):
-        M = _CONSTRAINTS[which][0]
-        rel = np.empty(0)
-        for _ in range(8):
-            need = n_samples - rel.size
-            if need <= 0:
-                break
-            Z = random_momenta(rng, (need, M))
-            with np.errstate(all="ignore"):   # overflow fails the test below
-                r, bad = _constraint_batch(params, Z, which)
-            rel = np.concatenate([rel, r[~bad]])
-        if rel.size < n_samples:
-            raise RuntimeError("could not draw nonsingular momenta")
+    residuals = {}
+    for which, (M, _) in _CONSTRAINTS.items():
+        Z = SAMPLE_TABLES[which]
+        with np.errstate(all="ignore"):   # overflow fails the test below
+            rel, bad = _constraint_batch(params, Z, which)
+            if bad.any():
+                spare, spare_bad = _constraint_batch(
+                    params, SAMPLE_TABLES["spare"][:, :M], which)
+                rel = np.concatenate([rel[~bad], spare[~spare_bad]])[:len(Z)]
+        if rel.size < len(Z):
+            raise RuntimeError("no nonsingular momentum samples")
         m = float(np.max(rel))
-        if not np.isfinite(m):
-            m = np.inf      # a NaN residual must fail, not compare false
-        if m > worst:
-            worst = m
-        if m > tol and failing is None:
-            failing = which
+        # a NaN residual must fail, not compare false
+        residuals[which] = m if np.isfinite(m) else np.inf
+    worst = max(residuals.values())
+    failing = next((w for w, m in residuals.items() if m > tol), None)
     return SolvabilityVerdict(solvable=worst <= tol, max_residual=worst,
-                              samples=n_samples, failing_constraint=failing,
+                              samples=len(Z), failing_constraint=failing,
                               tol=tol)

@@ -46,7 +46,7 @@ def test_criterion_1_family_solvability():
         for i in range(30):
             branch = fam.branches[i % len(fam.branches)]
             h = bf.construct(tag, draw_free(tag, rng), branch)
-            verdict = bf.is_cba_solvable(h, n_samples=20, tol=1e-9, seed=i)
+            verdict = bf.is_cba_solvable(h, tol=1e-9)
             assert verdict.solvable, (tag, i, verdict.max_residual)
             worst = max(worst, verdict.max_residual)
     dt = time.time() - t0
@@ -59,7 +59,7 @@ def test_criterion_2_negative_controls():
     """Generic draws and 1e-3 perturbations of family draws are rejected."""
     rng = np.random.default_rng(SEED + 1)
     for i in range(100):
-        verdict = bf.is_cba_solvable(random_params(rng), seed=i)
+        verdict = bf.is_cba_solvable(random_params(rng))
         assert not verdict.solvable, i
     # perturb one constrained entry per family draw
     # entries constrained by the first-vacuum identities (for the 14- and
@@ -75,7 +75,7 @@ def test_criterion_2_negative_controls():
         h = bf.construct(tag, draw_free(tag, rng))
         key = perturbable[tag]
         hp = h.replace(**{key: getattr(h, key) + 1e-3})
-        verdict = bf.is_cba_solvable(hp, seed=i)
+        verdict = bf.is_cba_solvable(hp)
         assert not verdict.solvable, (tag, key, verdict.max_residual)
         count += 1
     report(2, True, f"100 generic + {count} perturbed draws all rejected")

@@ -431,13 +431,13 @@ class TestNumericOptions:
         ["verify", "gIK", "--L", "5", "--M", "1..2", "--tol-bae", "nan"],
         ["verify", "gIK", "--L", "5", "--M", "1..2", "--tol-eig", "inf"],
         ["classify", "generic", "--tol-constraint", "inf"],
-        ["classify", "generic", "--constraint-samples", "0"],
-        ["classify", "generic", "--constraint-samples", "-1"],
+        ["classify", "generic", "--tol-constraint", "0"],
+        ["verify", "gIK", "--L", "5", "--M", "1..2", "--tol-eig=-1e-8"],
         ["classify", "generic", "--seed", "-1"],
     ])
     def test_bad_value_exit_2(self, capsys, tmp_path, rng, args):
-        """NaN or infinite tolerances, no constraint samples and a negative
-        seed are refused before any work, with no verdict printed."""
+        """NaN, infinite, zero or negative tolerances and a negative seed are
+        refused before any work, with no verdict printed."""
         from conftest import random_params
         files = {"gIK": str(PRESETS / "gIK.json"),
                  "generic": write_params(tmp_path, random_params(rng))}
@@ -446,6 +446,55 @@ class TestNumericOptions:
         assert captured.err.startswith("error:")
         assert "verified" not in captured.out
         assert "CBA-solvable" not in captured.out
+
+    def test_constraint_samples_is_no_option(self, capsys, gzf_file):
+        """The sample points are fixed, so --constraint-samples is an
+        unknown option: exit 2, no verdict printed."""
+        assert main(["classify", gzf_file, "--constraint-samples", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --constraint-samples" in captured.err
+        assert captured.out == ""
+
+
+class TestSeedFreeVerdict:
+    """The solvability verdict and its residual depend on the input alone;
+    --seed seeds only catalog's instances."""
+
+    @staticmethod
+    def _outputs(capsys, args):
+        outs = []
+        for seed in ("0", "7"):
+            main(args + ["--seed", seed])
+            outs.append(capsys.readouterr().out)
+        return outs
+
+    @pytest.mark.parametrize("path", sorted(PRESETS.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_reports_equal_across_seeds(self, capsys, path):
+        """classify --json and verify --json --L 5 --M 1..2 print the same
+        bytes at --seed 0 and --seed 7."""
+        for args in (["classify", str(path), "--json"],
+                     ["verify", str(path), "--L", "5", "--M", "1..2",
+                      "--json"]):
+            first, second = self._outputs(capsys, args)
+            assert json.loads(first)["max_constraint_residual"] <= 1e-9
+            assert first == second, args
+
+    def test_unclassified_sample_momenta_fixed(self, capsys, tmp_path, rng):
+        """An unclassified input's raw S and N are shown at the first S = -1
+        probe pair, whatever the seed."""
+        from conftest import cdraw
+        free = dict(p=cdraw(rng), q=cdraw(rng), tp=cdraw(rng), t2=cdraw(rng),
+                    t3=cdraw(rng), s3=cdraw(rng), X22=cdraw(rng))
+        path = write_params(tmp_path, bf.construct("17V1a", free,
+                                                   half_constrained=True))
+        first, second = self._outputs(capsys, ["classify", path, "--json"])
+        assert first == second
+        z1, z2 = bethe._TRIVIAL_S_PROBES[0]
+        report = json.loads(first)
+        assert report["unclassified"] is True
+        assert report["sample_momenta"] == [[z1.real, z1.imag],
+                                            [z2.real, z2.imag]]
 
 
 class TestCatalogCommand:

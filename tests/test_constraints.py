@@ -66,7 +66,7 @@ class TestBatchSize:
         """lambda_fn and lambda_grad on 3,000 random rows equal the same
         rows in chunks of 100, bit for bit."""
         h, _ = family_instance(tag, rng)
-        Z = constraints.random_momenta(rng, (3000, 12))
+        Z = cdraw(rng, 36000, rmax=2.0).reshape(3000, 12)
         z1, z2 = Z[:, :6], Z[:, 6:]
         got = bf.lambda_fn(h, z1, z2)
         want = self._chunked(lambda a, b: bf.lambda_fn(h, a, b), z1, z2)
@@ -81,7 +81,7 @@ class TestBatchSize:
         """S, N and the plane-wave amplitudes of 3,000 root sets equal those
         of the same root sets 100 at a time, bit for bit."""
         h, _ = family_instance("gIK", rng)
-        Z = constraints.random_momenta(rng, (3000, 3))
+        Z = cdraw(rng, 9000, rmax=2.0).reshape(3000, 3)
         table = _PairTable(h, Z)
         for attr in ("_s", "_n", "amps"):
             want = self._chunked(lambda a: getattr(_PairTable(h, a), attr), Z)
@@ -466,19 +466,19 @@ class TestSolvability:
     def test_families_pass(self, rng):
         for tag in bf.FAMILY_ORDER:
             h, _ = family_instance(tag, rng)
-            verdict = bf.is_cba_solvable(h, seed=1)
+            verdict = bf.is_cba_solvable(h)
             assert verdict.solvable, (tag, verdict.max_residual)
             assert verdict.max_residual <= 1e-9
 
     def test_random_draw_fails(self, rng):
-        verdict = bf.is_cba_solvable(random_params(rng), seed=1)
+        verdict = bf.is_cba_solvable(random_params(rng))
         assert not verdict.solvable
         assert verdict.failing_constraint in ("E21", "E12", "E22")
 
     def test_small_perturbation_detected(self, rng):
         h = bf.construct("gZF", draw_free("gZF", rng))
         hp = h.replace(t3=h.t3 + 1e-3)
-        verdict = bf.is_cba_solvable(hp, seed=1)
+        verdict = bf.is_cba_solvable(hp)
         assert not verdict.solvable
 
     def test_rank2_gate(self):
@@ -506,8 +506,54 @@ class TestSolvability:
         assert verdict.max_residual == float("inf")
         assert verdict.failing_constraint in ("E21", "E12", "E22")
 
+    def test_sample_tables_fixed(self):
+        """The samples are read-only tables of fixed shapes on the annulus
+        0.5 <= |z| <= 2; the first entry of each is pinned, so a change in
+        how they are drawn shows here and not as a moved verdict."""
+        tables = constraints.SAMPLE_TABLES
+        assert {k: t.shape for k, t in tables.items()} == {
+            "E21": (20, 3), "E12": (20, 3), "E22": (20, 4), "spare": (20, 4)}
+        for t in tables.values():
+            assert not t.flags.writeable
+            with pytest.raises(ValueError):
+                t[0, 0] = 1.0
+            assert np.all((abs(t) >= 0.5) & (abs(t) <= 2.0))
+        assert [tables[k][0, 0] for k in ("E21", "E12", "E22", "spare")] == [
+            -1.201459865067195 + 0.8214664653073405j,
+            0.6513644808802428 - 0.7803366867179948j,
+            -0.7118527846056448 - 0.30493308308615813j,
+            -0.5157802718795096 + 0.6157797602243086j]
+
+    def test_singular_rows_replaced_from_spare(self, monkeypatch, rng):
+        """A row where S is singular gives way to the first nonsingular
+        spare row; with none left the test refuses to answer."""
+        h, _ = family_instance("gZF", rng)
+        table = np.array(constraints.SAMPLE_TABLES["E21"])
+        # a root z1 of Lambda(z1, z0), degree 3 in z1, polished by Newton,
+        # that is no root of Lambda(z0, z1): S(z0, z1) is singular there
+        z0, x = table[0, 0], np.exp(2j * np.pi * np.arange(6) / 6)
+        roots = np.roots(np.polyfit(x, bf.lambda_fn(h, x, z0), 3))
+        z1 = roots[np.argmax(abs(bf.lambda_fn(h, z0, roots)))]
+        for _ in range(2):
+            z1 -= bf.lambda_fn(h, z1, z0) / constraints.lambda_grad(h, z1, z0)[0]
+        table[0, 1] = z1
+        assert _PairTable(h, table).singular().tolist() == [True] + [False] * 19
+        monkeypatch.setitem(constraints.SAMPLE_TABLES, "E21", table)
+        verdict = bf.is_cba_solvable(h)
+        assert verdict.solvable and verdict.samples == 20
+        rows = np.concatenate([table[1:],
+                               constraints.SAMPLE_TABLES["spare"][:1, :3]])
+        rel, bad = constraints._constraint_batch(h, rows, "E21")
+        assert not bad.any() and verdict.max_residual >= rel.max()
+        singular = np.tile(table[0], (20, 1))
+        monkeypatch.setitem(constraints.SAMPLE_TABLES, "E21", singular)
+        monkeypatch.setitem(constraints.SAMPLE_TABLES, "spare",
+                            np.tile(np.append(table[0], 1.0), (20, 1)))
+        with pytest.raises(RuntimeError, match="no nonsingular"):
+            bf.is_cba_solvable(h)
+
     def test_verdict_consistency(self, rng):
         h, _ = family_instance("17V2", rng)
-        verdict = bf.is_cba_solvable(h, n_samples=7, tol=1e-8)
-        assert verdict.samples == 7 and verdict.tol == 1e-8
+        verdict = bf.is_cba_solvable(h, tol=1e-8)
+        assert verdict.samples == 20 and verdict.tol == 1e-8
         assert verdict.solvable == (verdict.max_residual <= verdict.tol)

@@ -25,7 +25,7 @@ EXPECTED_FAMILY = {
 @pytest.mark.parametrize("name", sorted(EXPECTED_FAMILY))
 def test_preset_solvable_and_classified(name):
     params = load_input(str(PRESETS / f"{name}.json"))
-    verdict = bf.is_cba_solvable(params, seed=11)
+    verdict = bf.is_cba_solvable(params)
     assert verdict.solvable and verdict.max_residual <= 1e-9
     m = bf.classify(params)
     assert m is not None
