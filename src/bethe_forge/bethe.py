@@ -14,7 +14,7 @@ M = 1 the L-th roots of unity.  For M >= 2 the BAE are solved as the
 denominator-cleared polynomial system
 
     F_j = z_j^L prod_{n != j} Lambda(z_j, z_n)
-          - (-1)^(M-1) prod_{n != j} Lambda(z_n, z_j).
+          - (-1)^(M-1) prod_{n != j} Lambda(z_n, z_j)       (_cleared).
 
 Families with S identically -1 need no solver: their solutions are exactly
 the multisets of the trivial-scattering roots z^L = (-1)^(M-1), which for
@@ -25,9 +25,9 @@ M = 2 needs no seeds either.  The BAE force (z1 z2)^L = 1, so each solution
 lies on a line z1 z2 = e^{2 pi i n / L}, one per translation block, and on
 that line F_1 is one polynomial in z1 of degree L + 2 whose coefficients
 come from Lambda by one FFT (_m2_pairs).  Its companion roots give every
-solution; one scalar Newton step along the line, kept where it lowers the
-BAE residual, polishes each (_polish).  Every Newton step of the solver is
-thus one on a block line, scalar for M = 2 and 2 x 2 for M = 3.
+solution; one Newton step along the line, kept where it lowers the BAE
+residual, polishes each (_polish).  Every Newton step of the solver is thus
+one on a block line (_block_steps), scalar for M = 2 and 2 x 2 for M = 3.
 
 M = 3 is solved one translation block at a time as well.  S(a, b) S(b, a)
 = 1 gives (z1 z2 z3)^L = 1, so a solution lies on a line z1 z2 z3 = w =
@@ -37,12 +37,10 @@ The starts are fixed (_block_starts): every multiset of three distinct
 L-th roots of unity, the S = -1 solutions, in the block of its product, and
 the same Halton grid of (z1, z2) points in every block; no start is
 random.  All starts run as one batch, under one np.errstate.  Each
-iteration forms F_1, F_2 and the four entries of the 2 x 2 block Jacobian,
-the chain-rule reduction of the 3 x 3 one, straight from the row's Lambda
-table and one dLambda table, and solves it in closed form (_block_steps);
-no 3 x 3 Jacobian and no F_3 are built.  The Lambda table comes from the
-line search that accepted the row's point, and the residual is that of all
-three F_j, its row maxima taken as column folds (_row_max).  The line
+iteration takes the 2 x 2 block step (_block_steps) from the row's Lambda
+table, which comes from the line search that accepted the row's point, and
+the residual is that of all three F_j, its row maxima taken as column folds
+(_row_max); no F_3 enters the step.  The line
 search tries the full step on every row, then the shorter steps DAMPING^1
 .. DAMPING^5 at once on the rows the full step made worse, then DAMPING^6
 down to MIN_STEP = 2^-13 on the rows still worse; each row takes the
@@ -109,8 +107,8 @@ sector go in chunks of at most ASSEMBLE_CHUNK entries (_chunks).
 solve_bae's bookkeeping is array passes too: the canonical (Re, Im) order
 of every root set by one np.lexsort, the coincident flags by one pairwise
 np.hypot mask and the energies in Python complex arithmetic on
-PyComplexArray (_canonical_rows, _coincident_rows, _energies); _canonical,
-_coincident and energy are their one-row reads.
+PyComplexArray (_canonical_rows, _coincident_rows, _energies); _coincident
+and energy are one-row reads of the last two.
 """
 
 from __future__ import annotations
@@ -353,6 +351,14 @@ def _row_max(A):
     return out
 
 
+def _cleared(ZL, lp, lq, M):
+    """F_j = z_j^L prod_{n != j} Lambda(z_j, z_n) - (-1)^(M-1) prod_{n != j}
+    Lambda(z_n, z_j) for M-root sets, from the powers ZL = z_j^L and the
+    two products lp and lq over the pairs of _bae_pairs, all (n, k); the
+    sign picks np.subtract or np.add, which costs no pass of its own."""
+    return (np.subtract if M % 2 else np.add)(ZL * lp, lq)
+
+
 def _bae_values(params, Z, L):
     """F_j for an (n, M) batch of momentum tuples, and the Lambda table over
     the ordered pairs it is built from."""
@@ -360,8 +366,8 @@ def _bae_values(params, Z, L):
     I, J, _ = ordered_pairs(M)
     P, Q = _bae_pairs(M)
     lam = lambda_fn(params, Z[:, I], Z[:, J])
-    rhs = _pair_product(lam, Q)
-    return Z**L * _pair_product(lam, P) - (-1.0) ** (M - 1) * rhs, lam
+    F = _cleared(Z**L, _pair_product(lam, P), _pair_product(lam, Q), M)
+    return F, lam
 
 
 def _residual(params, Z, L):
@@ -372,47 +378,61 @@ def _residual(params, Z, L):
     return _row_max(np.abs(F)) / scale, lam
 
 
-def _on_line(Z2, w):
-    """The (n, 3) points (z1, z2, w / (z1 z2)) of an (n, 2) batch."""
-    Z = np.empty((len(Z2), 3), complex)
-    Z[:, :2] = Z2
-    np.divide(w, Z2[:, 0] * Z2[:, 1], out=Z[:, 2])
+def _on_line(free, w):
+    """The (n, M) points (z_1, .., z_{M-1}, w / (z_1 .. z_{M-1})) of an
+    (n, M-1) batch of free roots: the points on the block lines of w."""
+    Z = np.empty((len(free), free.shape[1] + 1), complex)
+    Z[:, :-1] = free
+    np.divide(w, functools.reduce(np.multiply, free.T), out=Z[:, -1])
     return Z
 
 
-def _block_steps(params, Z, L, lam):
-    """Newton steps on (z1, z2) of the block system F_1 = F_2 = 0, z3 = w /
-    (z1 z2), for an (n, 3) batch on its block lines with its Lambda table
-    lam: non-finite where the 2 x 2 Jacobian is singular.
+def _product_rule(lam, cols, d, e):
+    """The product of the one or two (M = 2, 3) factors lam[:, cols[:, t]]
+    that share a root, and its derivatives by that root and by the other
+    root of each factor t: d and e are lam's derivative tables in the
+    argument of the shared root and of the other."""
+    if cols.shape[1] == 1:
+        c = cols[:, 0]
+        return lam[:, c], d[:, c], [e[:, c]]
+    c0, c1 = cols.T
+    f0, f1 = lam[:, c0], lam[:, c1]
+    return (f0 * f1, d[:, c0] * f1 + d[:, c1] * f0,
+            [e[:, c0] * f1, e[:, c1] * f0])
 
-    By the chain rule the block Jacobian is A[i, k] = dF_i/dz_k - dF_i/dz_3
-    z3/z_k, i, k = 1, 2.  F_1, F_2 and the six derivatives A is made of are
-    taken straight from lam and one lambda_grad table, with the factors
-    multiplied in the order of the generic M x M Jacobian, so every entry
-    equals that of the reduction of the 3 x 3 Jacobian to the last bit (up
-    to the sign of a zero; tests: TestBlockSteps); F_3 and dF_3 are not
-    formed.  Column i of the (n, 2) arrays below belongs to F_i, whose
-    pairs are P (i, m_t) and Q (m_t, i), m_t its t-th other index: m_1 is
-    the other of z1, z2, and m_2 is z3."""
-    I, J, _ = ordered_pairs(3)
-    P, Q = (a[:2] for a in _bae_pairs(3))
+
+def _block_steps(params, Z, L, lam):
+    """Newton steps on the free roots z_1 .. z_{M-1} of the block system F_1
+    = .. = F_{M-1} = 0, z_M = w / (z_1 .. z_{M-1}) (_on_line), M = 2 or 3,
+    for an (n, M) batch with its Lambda table lam: (n, M-1) steps,
+    non-finite where the block Jacobian is singular.
+
+    By the chain rule the block Jacobian is A[i, k] = dF_i/dz_k - dF_i/dz_M
+    z_M/z_k, i, k < M.  F (_cleared, on the powers z**L the Jacobian uses)
+    and the derivatives A is made of come from lam and one lambda_grad
+    table, multiplied in the order of the generic M x M Jacobian, so every
+    entry equals that of its reduction to the last bit (up to the sign of a
+    zero; M = 3: TestBlockSteps); F_M and dF_M are not formed.  Column i of
+    the arrays below belongs to F_i, whose pairs are P (i, m_t) and Q (m_t,
+    i), m_t its t-th other index, the last one z_M."""
+    M = Z.shape[1]
+    minus = np.subtract if M % 2 else np.add    # x - (-1)^(M-1) y
+    I, J, _ = ordered_pairs(M)
+    P, Q = (a[:-1] for a in _bae_pairs(M))
     d1, d2 = lambda_grad(params, Z[:, I], Z[:, J])
-    lp0, lp1 = lam[:, P[:, 0]], lam[:, P[:, 1]]
-    lq0, lq1 = lam[:, Q[:, 0]], lam[:, Q[:, 1]]
-    z = Z[:, :2]
+    z = Z[:, :-1]
     zL, zL1 = z**L, z**(L - 1)
-    lp = lp0 * lp1
-    F = zL * lp - lq0 * lq1
-    # dF_i/dz_i, dF_i/dz_{m_1} and dF_i/dz_3
-    dP = d1[:, P[:, 0]] * lp1 + d1[:, P[:, 1]] * lp0
-    dQ = d2[:, Q[:, 0]] * lq1 + d2[:, Q[:, 1]] * lq0
-    dp0, dp1 = d2[:, P[:, 0]] * lp1, d2[:, P[:, 1]] * lp0
-    diag = L * zL1 * lp + zL * dP - dQ
-    cross = zL * dp0 - d1[:, Q[:, 0]] * lq1
-    last = zL * dp1 - d1[:, Q[:, 1]] * lq0
-    r = Z[:, 2:] / z                            # z3/z1, z3/z2
-    a = diag - last * r                         # A[0, 0], A[1, 1]
-    b = cross - last * r[:, ::-1]               # A[0, 1], A[1, 0]
+    # the two products of F_i and their derivatives by z_i and by z_{m_t}
+    lp, dP, eP = _product_rule(lam, P, d1, d2)
+    lq, dQ, eQ = _product_rule(lam, Q, d2, d1)
+    F = _cleared(zL, lp, lq, M)
+    diag = minus(L * zL1 * lp + zL * dP, dQ)        # dF_i/dz_i
+    off = [minus(zL * p, q) for p, q in zip(eP, eQ)]  # dF_i/dz_{m_t}
+    r = Z[:, -1:] / z                           # z_M / z_i
+    a = diag - off[-1] * r                      # A[i, i]
+    if M == 2:
+        return F / -a
+    b = off[0] - off[-1] * r[:, ::-1]           # A[0, 1], A[1, 0]
     det = a[:, 0] * a[:, 1] - b[:, 0] * b[:, 1]
     return (a[:, ::-1] * F - b * F[:, ::-1]) / -det[:, None]
 
@@ -553,37 +573,20 @@ def _m2_pairs(params, L):
         if top.size:
             z = np.roots(c[top[-1]::-1])
             with np.errstate(all="ignore"):
-                pairs.append(np.stack([z, w[n] / z], axis=1))
+                pairs.append(_on_line(z[:, None], w[n]))
     return np.concatenate(pairs)
 
 
 def _polish(params, Z, res, L):
-    """One Newton step along the block line z1 z2 = const for every M = 2
-    root pair of a batch with BAE residuals res, kept where it lowers the
-    BAE residual: the pairs and their residuals.
-
-    On the line z2 = w / z1, dz2/dz1 = -r with r = z2 / z1, so F_1 =
-    z1^L Lambda(z1, z2) + Lambda(z2, z1) has the derivative
-
-        L z1^(L-1) Lambda(z1, z2) + z1^L (d1 Lambda(z1, z2)
-        - d2 Lambda(z1, z2) r) + d2 Lambda(z2, z1) - d1 Lambda(z2, z1) r,
-
-    and the step z1 -> z1 - F_1 / F_1' keeps the pair on its block (z2 =
-    z1 z2 / z1').  The companion roots carry the rounding of the
-    polynomial's coefficients; the step moves a root to where the BAE
-    themselves vanish to rounding."""
+    """One block-line Newton step (_block_steps on z1, _on_line for z2) for
+    every M = 2 root pair of a batch with BAE residuals res, kept where it
+    lowers the BAE residual: the pairs and their residuals.  It moves a
+    companion root, which carries the rounding of the polynomial's
+    coefficients, to where the BAE themselves vanish to rounding."""
+    I, J, _ = ordered_pairs(2)
     with np.errstate(all="ignore"):
-        swapped = Z[:, ::-1]
-        lam = lambda_fn(params, Z, swapped)         # Lambda(z1, z2), (z2, z1)
-        d1, d2 = lambda_grad(params, Z, swapped)
-        z1, z2 = Z[:, 0], Z[:, 1]
-        r = z2 / z1
-        zL, zL1 = z1**L, z1**(L - 1)
-        F = zL * lam[:, 0] + lam[:, 1]
-        dF = (L * zL1 * lam[:, 0] + zL * (d1[:, 0] - d2[:, 0] * r)
-              + d2[:, 1] - d1[:, 1] * r)
-        t1 = z1 - F / dF
-        trial = np.column_stack([t1, z1 * z2 / t1])
+        step = _block_steps(params, Z, L, lambda_fn(params, Z[:, I], Z[:, J]))
+        trial = _on_line(Z[:, :1] + step, Z[:, 0] * Z[:, 1])
         rt = _bae_residuals(params, trial, L)
     better = rt < res
     return np.where(better[:, None], trial, Z), np.where(better, rt, res)
@@ -594,12 +597,6 @@ def _canonical_rows(Z):
     the stable sort by that key, one np.lexsort over the rows."""
     order = np.lexsort((Z.imag, Z.real), axis=1)
     return np.take_along_axis(Z, order, axis=1)
-
-
-def _canonical(z):
-    """The root set z in canonical order, a tuple: the one-row read of
-    _canonical_rows."""
-    return tuple(_canonical_rows(_row(z))[0].tolist())
 
 
 def _same(za, zb):

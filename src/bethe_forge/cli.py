@@ -569,8 +569,10 @@ def run_catalog(cfg):
                 generators.append(word)
         rows.append({
             "family": tag,
-            "vertices": 19 if tag in ("gZF", "gIK", "gB", "SpR") else
-                        (17 if tag.startswith("17") or tag == "SB5" else 14),
+            # the 9 diagonal vertices and the off-diagonal slots the family
+            # leaves nonzero (the same on every branch)
+            "vertices": 9 + sum(not families._ZERO_MASKS[tag][0] >> k & 1
+                                for k in range(len(OFFDIAG_KEYS))),
             "free_params": list(fam.free_names),
             "branches": [ {k: v for k, v in b.items()} for b in fam.branches ],
             "reduced_params": list(fam.reduced_names),

@@ -800,12 +800,6 @@ def _distances(fa, fb):
                          where=scale != 0)
 
 
-def _param_distance(a, b):
-    """Relative distance over off-diagonals and diagonal invariants (not V)."""
-    fa, fb = (np.array([_fingerprint(h)], complex) for h in (a, b))
-    return float(_distances(fa, fb)[0])
-
-
 def _ldexp(z, e):
     """z * 2**e, exact barring overflow and underflow, zero signs kept."""
     return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))

@@ -93,9 +93,6 @@ class HamiltonianParams:
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
 
-    def offdiag(self):
-        return {k: getattr(self, k) for k in OFFDIAG_KEYS}
-
     def replace(self, **kw):
         return replace(self, **kw)
 

@@ -367,8 +367,8 @@ class TestBookkeeping:
     def test_batches_and_one_row_reads(self, rng):
         """On random batches with ties in the real part, exact duplicates,
         near-coincident roots and signed zeros: the batch functions equal
-        the one-row rules row by row, and _canonical, _coincident and
-        energy (their one-row reads) do too."""
+        the one-row rules row by row, and so do _canonical_rows on the row
+        alone, _coincident and energy (their one-row reads)."""
         h, _ = family_instance("gB", rng)
         for M in (0, 1, 2, 3):
             Z = cdraw(rng, 200 * M).reshape(200, M)
@@ -384,7 +384,7 @@ class TestBookkeeping:
             for z, c, e, f in zip(Z, canon, E, flags):
                 want = _reference_canonical(z)
                 assert _bits(c) == _bits(want)
-                assert bethe._canonical(z) == want
+                assert _bits(bethe._canonical_rows(z[None])[0]) == _bits(want)
                 assert _bits(e) == _bits(_reference_energy(h, z))
                 assert _bits(bf.energy(h, z)) == _bits(e)
                 assert f == bethe._coincident(z) == _reference_coincident(z)
@@ -442,6 +442,30 @@ _M2_MATCHED_BY_NEWTON = {
     "zamolodchikov_fateev": (7, 15, 18, 28, 31, 45),
 }
 
+# matched M = 2 states per preset at L = 16 and 24 (verify --seed 0) with
+# the polish as its own scalar Newton step, before it became _block_steps'
+_M2_MATCHED_LONG = {
+    "14V1": (120, 276),
+    "14V2": (120, 276),
+    "17V1a": (120, 276),
+    "17V1b": (120, 276),
+    "17V2": (117, 269),
+    "SB5": (133, 291),
+    "SpR": (136, 300),
+    "bariev": (123, 274),
+    "gB": (133, 294),
+    "gIK": (131, 291),
+    "gZF": (136, 291),
+    "izergin_korepin": (117, 264),
+    "main_branch_genus5": (117, 265),
+    "martins_1A": (108, 241),
+    "martins_1B": (123, 276),
+    "martins_2A": (117, 264),
+    "martins_2B": (125, 279),
+    "special_branch_genus5": (133, 279),
+    "zamolodchikov_fateev": (113, 256),
+}
+
 
 class TestM2Completeness:
     @pytest.mark.parametrize("name", sorted(_M2_MATCHED_BY_NEWTON))
@@ -452,6 +476,17 @@ class TestM2Completeness:
         main_branch_genus5 at L = 6)."""
         h = load_input(PRESETS / f"{name}.json")
         for L, before in zip(range(4, 10), _M2_MATCHED_BY_NEWTON[name]):
+            rep = bf.verify_sector(h, L, 2, bethe.BAE_TOL, 1e-8)
+            assert rep.matched >= before, L
+            assert rep.passed, L
+
+    @pytest.mark.parametrize("name", sorted(_M2_MATCHED_LONG))
+    def test_not_below_floor_past_l9(self, name):
+        """At L = 16 and 24 every preset matches at least the M = 2 states
+        the separate scalar polish step did (2,342 and 5,238 over the 19
+        presets), and every root set accepted verifies and matches."""
+        h = load_input(PRESETS / f"{name}.json")
+        for L, before in zip((16, 24), _M2_MATCHED_LONG[name]):
             rep = bf.verify_sector(h, L, 2, bethe.BAE_TOL, 1e-8)
             assert rep.matched >= before, L
             assert rep.passed, L
@@ -979,8 +1014,8 @@ class TestDistinct:
         for _ in range(600):
             b = base[rng.integers(len(base))]
             step = 0.8 * bethe.DEDUP_TOL * rng.uniform(-1, 1, (3, 2))
-            sets.append(bethe._canonical(z + complex(*d)
-                                         for z, d in zip(b, step)))
+            Z = np.array([[z + complex(*d) for z, d in zip(b, step)]])
+            sets.append(tuple(bethe._canonical_rows(Z)[0].tolist()))
         got = bethe._distinct(sets)
         assert got == _reference_distinct(sets)
         assert len(base) < len(got) < len(sets)

@@ -534,6 +534,21 @@ class TestCatalogCommand:
         assert rows["14V1"] == {"PC"}
         assert rows["14V2"] == {"PC"}
 
+    def test_vertex_counts(self, capsys):
+        """19 vertices for the 19-vertex families, 17 for SB5 and the 17V
+        ones, 14 for the 14V ones: the 9 diagonal vertices and one per
+        off-diagonal slot the sample leaves nonzero."""
+        main(["catalog", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        rows = {row["family"]: row for row in report["families"]}
+        assert {tag: row["vertices"] for tag, row in rows.items()} == {
+            "gZF": 19, "gIK": 19, "gB": 19, "SpR": 19, "SB5": 17,
+            "17V1a": 17, "17V1b": 17, "17V2": 17, "14V1": 14, "14V2": 14}
+        for row in rows.values():
+            sample = row["sample"]
+            assert row["vertices"] == 9 + sum(
+                sample[k] != [0.0, 0.0] for k in OFFDIAG_KEYS)
+
     def test_sample_round_trips(self, capsys, tmp_path):
         main(["catalog", "--json"])
         report = json.loads(capsys.readouterr().out)

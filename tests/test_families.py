@@ -1,6 +1,8 @@
 """Family constructors, closed-form scattering data, and the classifier."""
 
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +52,33 @@ class TestConstructors:
             for branch in bf.FAMILIES[tag].branches:
                 h = bf.construct(tag, draw_free(tag, rng), branch)
                 assert bf.is_cba_solvable(h).solvable, tag
+
+    def test_u_roots_exact_for_the_float_v(self):
+        """_u_roots solves v^4 u^2 + (1 + 2v - v^2) u + 1 = 0 for the float
+        v it is given, to 1e-12 relative of the exact roots (fractions, then
+        decimal square roots to 60 digits), also at and near the double
+        roots v = 1 and v = -1/3.  fl(-1/3) is not -1/3: its exact roots are
+        -9 -+ 2.3229e-7, which np.roots gets to about 1e-15."""
+        def exact(v):
+            v = Fraction(v)
+            a, b = v**4, 1 + 2 * v - v**2
+            disc = b * b - 4 * a
+            with localcontext() as ctx:
+                ctx.prec = 60
+                d = lambda f: Decimal(f.numerator) / Decimal(f.denominator)
+                s, re = d(abs(disc)).sqrt() / d(2 * a), -d(b) / d(2 * a)
+                if disc >= 0:
+                    return [complex(re - s), complex(re + s)]
+                return [complex(re, -s), complex(re, s)]
+
+        for v in (1.0, -1 / 3, 1 + 1e-9, 0.4):
+            for got, want in zip(families._u_roots(v), exact(v)):
+                assert abs(got - want) <= 1e-12 * abs(want), v
+        lo, hi = exact(-1 / 3)
+        assert abs(lo + 9 + 2.3229e-7) < 1e-11
+        assert abs(hi + 9 - 2.3229e-7) < 1e-11
+        for got, want in zip(families._u_roots(-1 / 3), (lo, hi)):
+            assert abs(got - want) <= 2e-15 * abs(want)
 
     def test_degenerate_point_raises(self):
         with pytest.raises(DegenerateFamilyPoint):
@@ -314,11 +343,12 @@ class TestClassifier:
         assert m is None or "gIK" not in {t for t, _, _, _ in m.all_matches}
 
     def test_match_reconstruction_invariant(self, rng):
-        from bethe_forge.families import _param_distance
+        from bethe_forge.families import _distances, _fingerprint
         h = bf.construct("gIK", draw_free("gIK", rng), {"u": 1})
         m = bf.classify(h)
         rebuilt = bf.construct(m.tag, m.free_params, m.branch)
-        assert _param_distance(h, rebuilt) <= max(m.fit_residual, 1e-12)
+        fa, fb = (np.array([_fingerprint(x)], complex) for x in (h, rebuilt))
+        assert _distances(fa, fb)[0] <= max(m.fit_residual, 1e-12)
 
 
 def _reference_distance(a, b):
