@@ -28,9 +28,6 @@ from .hamiltonian import (
 )
 from .constraints import (
     SolvabilityVerdict,
-    constraint_e12,
-    constraint_e21,
-    constraint_e22,
     is_cba_solvable,
     lambda_fn,
     n_factor,

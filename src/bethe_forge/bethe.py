@@ -120,8 +120,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (PyComplexArray, _PairTable, lambda_fn, lambda_grad,
-                          ordered_pairs, pair_row, permutation_table)
+from .constraints import (PyComplexArray, _fixed, _PairTable, lambda_fn,
+                          lambda_grad, ordered_pairs, pair_row,
+                          permutation_table)
 from .hamiltonian import (_check_entries, _orbit_table, _sector_occupations,
                           invariants)
 
@@ -139,8 +140,9 @@ MOMENTUM_TOL = 1e-6      # prod z this close to e^{2 pi i m / L} is in block m
 ASSEMBLE_CHUNK = 1 << 16  # entries per chunk of a batched pass (_chunks)
 
 # the pairs (z1, z2) at which S = -1 is tested: six fixed points of the
-# annulus 0.5 <= |z| <= 2, drawn pair by pair by numpy's default_rng(0)
-_TRIVIAL_S_PROBES = np.array([
+# annulus 0.5 <= |z| <= 2, drawn pair by pair by numpy's default_rng(0);
+# read-only, with its pair geometry kept (constraints._fixed)
+_TRIVIAL_S_PROBES = _fixed(np.array([
     (1.4074767580971808+0.37057001552752244j,
      0.8998064031495278+0.09377881996916455j),
     (-1.3480859043241713-1.0680537616584869j,
@@ -153,8 +155,7 @@ _TRIVIAL_S_PROBES = np.array([
      -1.1603915294472242+0.6126490823354334j),
     (-0.2594744305126721-0.47640007884061064j,
      -0.41321348785272605-0.5481183969228107j),
-])
-_TRIVIAL_S_PROBES.setflags(write=False)
+]))
 
 
 @dataclass(frozen=True)

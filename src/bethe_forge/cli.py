@@ -337,6 +337,12 @@ def _analyse(cfg):
     return params, verdict, match
 
 
+def _vacuous_field(verdict):
+    """The report field that flags a vacuous verdict (every summand of the
+    constraint sums exactly 0), present only then."""
+    return {"constraints_vacuous": True} if verdict.vacuous else {}
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -347,6 +353,7 @@ def run_classify(cfg):
         "mode": "classify",
         "solvable": verdict.solvable,
         "max_constraint_residual": verdict.max_residual,
+        **_vacuous_field(verdict),
         "constraint_samples": verdict.samples,
         "failing_constraint": verdict.failing_constraint,
         "input": params_to_dict(params),
@@ -388,7 +395,9 @@ def _text_classify(report):
     if report["solvable"]:
         lines.append("CBA-solvable: yes "
                      f"(max constraint residual {report['max_constraint_residual']:.3e} "
-                     f"over {report['constraint_samples']} samples)")
+                     f"over {report['constraint_samples']} samples)"
+                     + ("; constraints vacuous: N ≡ 0"
+                        if report.get("constraints_vacuous") else ""))
     else:
         lines.append("CBA-solvable: NO "
                      f"(max constraint residual {report['max_constraint_residual']:.3e} "
@@ -441,6 +450,7 @@ def run_spectrum(cfg):
         "family": match.tag if match else None,
         "solvable": True,
         "max_constraint_residual": verdict.max_residual,
+        **_vacuous_field(verdict),
         "sectors": [{
             "M": rep.M,
             "dimension": rep.dimension,

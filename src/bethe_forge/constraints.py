@@ -26,6 +26,24 @@ a rational function vanishing there vanishes identically, up to a
 measure-zero failure set), so the verdict depends on the input alone.
 Each sum's summands are one (n, M!) array: amps times the integrand over
 the momenta in every permutation's order, with N at its adjacent pairs.
+One pass gives each sum's residual and its largest |summand|; where every
+summand is exactly 0 (N vanishes identically, as where t1 = t2 = 0) the
+verdict is vacuous and says so.
+
+A pair table splits into its geometry (_Geometry), the parts that read
+the momenta alone: the pair gathers, z_i z_j, z_i + z_j, z_i - z_j, the
+momenta in every permutation's order and the sums' sub-expressions of
+them (a + b, 1/a + 1/b + 1/c, a b, ...), and the rest, which reads the
+parameters.  The read-only batches the package builds its own tables on
+keep their geometry from import on, each part built at most once per
+process (_fixed): the E22 samples, the E21 samples stacked over the E12
+samples, the spare block's first 3 and 4 columns, and the Bethe solver's
+S = -1 probes.  Any other batch, a caller's array included, gets its
+geometry on the fly.  Each part is the
+expression its reader would evaluate, in the same order (h.sp * b * c
+stays (h.sp * b) * c), and rows never interact, so the solvability test,
+which reads E21 and E12 from one table of their 40 stacked rows, keeps
+every bit of one table per sum evaluating its momenta in place.
 
 Batch size never changes a bit of Lambda, its gradient or the pair table.
 For an array temporary of 256 KiB or more numpy computes x * (temporary),
@@ -63,8 +81,13 @@ def lambda_fn(params, z1, z2):
     """Lambda(z1, z2); polynomial in both momenta.  Vectorizes over arrays,
     each entry computed as it would be alone (see the module docstring on
     batch size)."""
+    return _lambda(params, z1 * z2, z1 + z2, z2)
+
+
+def _lambda(params, zz, zs, z2):
+    """Lambda from the momentum-only parts zz = z1 z2, zs = z1 + z2 and z2:
+    lambda_fn's kernel, and the pair table's on its geometry."""
     p, q, s1, s2, t1, t2, tp, sp, X11, Y = _coeffs(params)
-    zz, zs = z1 * z2, z1 + z2
     f1 = s1 + s2 * zz
     u = z2 * f1 * (t2 + t1 * zz)
     a = Y * zz - q * zz * zs - p * zs + sp * zz * zz + tp
@@ -278,22 +301,99 @@ def _ratio(num, den):
                      where=den != 0)
 
 
+class _Geometry:
+    """The momentum-only parts of the pair table of an (n, M) batch Z: the
+    gathers Zi, Zj of the ordered pairs and zz = Zi Zj, zs = Zi + Zj, and,
+    built on first use, zd = Zi - Zj, the momenta in every permutation's
+    order and the sub-expressions of the constraint sums that do not read
+    the parameters.  Each is the expression its reader would otherwise
+    evaluate, in the same order, so a table on this geometry has every bit
+    of one that evaluates its momenta in place."""
+
+    def __init__(self, Z):
+        self.Z = Z
+        self.M = Z.shape[1]
+        self.I, self.J, self.col = ordered_pairs(self.M)
+        self.swap = self.col[self.J, self.I]
+        self.Zi, self.Zj = Z[:, self.I], Z[:, self.J]
+        self.zz = self.Zi * self.Zj
+        self.zs = self.Zi + self.Zj
+
+    @functools.cached_property
+    def zd(self):
+        return self.Zi - self.Zj
+
+    @functools.cached_property
+    def perm_z(self):
+        """The M (n, M!) arrays of the momenta in permutation_table order."""
+        perms, _, _ = permutation_table(self.M)
+        return tuple(self.Z[:, perms[:, k]] for k in range(self.M))
+
+    @functools.cached_property
+    def adjacent(self):
+        """The M - 1 (M!,) columns of the ordered pairs (perm[k], perm[k+1])."""
+        perms, _, _ = permutation_table(self.M)
+        return tuple(self.col[perms[:, k], perms[:, k + 1]]
+                     for k in range(self.M - 1))
+
+    @functools.cached_property
+    def e21(self):
+        a, b, c = self.perm_z
+        return a + b, 1 / a + 1 / b + 1 / c, a * b
+
+    @functools.cached_property
+    def e12(self):
+        a, b, c = self.perm_z
+        return 1 / a, a + b + c, 1 / b + 1 / c
+
+    @functools.cached_property
+    def e22(self):
+        a, b, c, d = self.perm_z
+        return c * d, a * b, a + b + c + d, 1 / a + 1 / b + 1 / c + 1 / d
+
+
+# id -> the geometry of a read-only array the package owns (_fixed)
+_FIXED_GEOMETRY = {}
+
+
+def _fixed(Z):
+    """Z, made read-only and registered: every pair table of Z itself reads
+    one geometry, kept for the life of the process, so each part of it is
+    built at most once (a lazy part on a table's first read of it; the
+    spare block's only if a sample row is singular).  For arrays the
+    package owns and never writes."""
+    Z.setflags(write=False)
+    _FIXED_GEOMETRY[id(Z)] = _Geometry(Z)
+    return Z
+
+
+def _geometry(Z):
+    """The kept geometry of an array registered by _fixed, while it is
+    still read-only; a new geometry of any other batch."""
+    geom = _FIXED_GEOMETRY.get(id(Z))
+    if geom is not None and geom.Z is Z and not Z.flags.writeable:
+        return geom
+    return _Geometry(Z)
+
+
 class _PairTable:
     """Lambda over all ordered pairs of an (n, M) momentum batch, and what is
     built from it: S(i, j), N(i, j), A(perm) and the singular masks.
 
     Z may be complex128 or a PyComplexArray (or an object array of Python
     complex numbers); the table then computes in that arithmetic.  amps and
-    adjacent_n take a complex128 table."""
+    adjacent_n take a complex128 table.  The momentum-only parts come from
+    Z's geometry (_geometry), which the package's fixed arrays keep."""
 
     def __init__(self, params, Z):
-        self.I, self.J, self.col = ordered_pairs(Z.shape[1])
+        self.geom = _geometry(Z)
+        self.I, self.J, self.col = self.geom.I, self.geom.J, self.geom.col
         self.Z = Z
         self.params = params
-        self.lam = lambda_fn(params, Z[:, self.I], Z[:, self.J])
+        self.lam = _lambda(params, self.geom.zz, self.geom.zs, self.geom.Zj)
         # den[:, k] = Lambda(z_j, z_i) for pair k = (i, j): the denominator
         # of S(i, j) and N(i, j)
-        self.den = self.lam[:, self.col[self.J, self.I]]
+        self.den = self.lam[:, self.geom.swap]
 
     def singular_pairs(self):
         """(n, M(M-1)) mask of the pairs (i, j) where S(i, j) and N(i, j) are
@@ -334,11 +434,9 @@ class _PairTable:
 
     @functools.cached_property
     def _n(self):
-        h = self.params
-        Zi, Zj = self.Z[:, self.I], self.Z[:, self.J]
-        zz = Zi * Zj
-        return _ratio((Zi - Zj) * (h.p + h.q * zz) * (h.t2 + h.t1 * zz),
-                      2 * self.den)
+        h, g = self.params, self.geom
+        pq, t21 = h.p + h.q * g.zz, h.t2 + h.t1 * g.zz
+        return _ratio(g.zd * pq * t21, 2 * self.den)
 
     def S(self, i, j):
         return self._s[:, self.col[i, j]]
@@ -365,9 +463,10 @@ class _PairTable:
         """The amps column of perm."""
         return self.amps[:, permutation_table(self.Z.shape[1])[2][tuple(perm)]]
 
-    def adjacent_n(self, perms, k):
-        """(n, len(perms)) N(perm[k], perm[k+1]) of each row of perms."""
-        return self._n[:, self.col[perms[:, k], perms[:, k + 1]]]
+    def adjacent_n(self, k):
+        """(n, M!) N(perm[k], perm[k+1]) of every permutation, in
+        permutation_table order."""
+        return self._n[:, self.geom.adjacent[k]]
 
 
 def pair_row(params, z):
@@ -398,91 +497,71 @@ def n_factor(params, z1, z2):
 
 def _e21_terms(params, table):
     h, inv = params, invariants(params)
-    perms, _, _ = permutation_table(3)
-    a, b, c = (table.Z[:, perms[:, k]] for k in range(3))
-    w = c * (table.adjacent_n(perms, 0) * (inv.X21 - h.q * (a + b)
-                                           - h.p * (1 / a + 1 / b + 1 / c)
-                                           + h.tp / (a * b))
-             + table.adjacent_n(perms, 1) * h.s3 * b + h.t2 / a)
+    a, b, c = table.geom.perm_z
+    ab_sum, recip, ab = table.geom.e21
+    w = c * (table.adjacent_n(0) * (inv.X21 - h.q * ab_sum - h.p * recip
+                                    + h.tp / ab)
+             + table.adjacent_n(1) * h.s3 * b + h.t2 / a)
     return table.amps * w
 
 
 def _e12_terms(params, table):
     h, inv = params, invariants(params)
-    perms, _, _ = permutation_table(3)
-    a, b, c = (table.Z[:, perms[:, k]] for k in range(3))
-    w = (1 / a) * (table.adjacent_n(perms, 1) * (inv.X12 - h.q * (a + b + c)
-                                                 - h.p * (1 / b + 1 / c)
-                                                 + h.sp * b * c)
-                   + table.adjacent_n(perms, 0) * h.t3 / b + h.t1 * c)
+    _, b, c = table.geom.perm_z
+    inv_a, abc_sum, recip = table.geom.e12
+    w = (table.adjacent_n(1) * (inv.X12 - h.q * abc_sum - h.p * recip
+                                + h.sp * b * c)
+         + table.adjacent_n(0) * h.t3 / b + h.t1 * c)
+    w = inv_a * w
     return table.amps * w
 
 
 def _e22_terms(params, table):
     h, inv = params, invariants(params)
-    perms, _, _ = permutation_table(4)
-    a, b, c, d = (table.Z[:, perms[:, k]] for k in range(4))
-    n01, n23 = table.adjacent_n(perms, 0), table.adjacent_n(perms, 2)
-    w = c * d * (n01 * n23
-                 * (inv.X22 + inv.Y + h.tp / (a * b)
-                    - h.q * (a + b + c + d) + h.sp * c * d
-                    - h.p * (1 / a + 1 / b + 1 / c + 1 / d))
-                 + n23 * h.t2 / a + n01 * h.t1 * d)
+    a, b, c, d = table.geom.perm_z
+    cd, ab, abcd_sum, recip = table.geom.e22
+    n01, n23 = table.adjacent_n(0), table.adjacent_n(2)
+    w = (n01 * n23
+         * (inv.X22 + inv.Y + h.tp / ab - h.q * abcd_sum + h.sp * c * d
+            - h.p * recip)
+         + n23 * h.t2 / a + n01 * h.t1 * d)
+    w = cd * w
     return table.amps * w
 
 
 _CONSTRAINTS = {"E21": (3, _e21_terms), "E12": (3, _e12_terms), "E22": (4, _e22_terms)}
 
 
-def _constraint_batch(params, Z, which):
-    """(relative residuals, singular mask) for one constraint over a momentum batch."""
-    _, term_fn = _CONSTRAINTS[which]
-    table = _PairTable(params, Z)
-    bad = table.singular()
-    terms = term_fn(params, table)
-    total = sum(terms.T)       # added in permutation order
+def _sums(params, table, which):
+    """One constraint sum at every row of a pair table: (relative residual,
+    largest |summand|) per row.  The summands are added in permutation
+    order; the residual is |sum| over the largest |summand| (0 where every
+    summand is 0)."""
+    terms = _CONSTRAINTS[which][1](params, table)
+    total = np.add.accumulate(terms, axis=1)[:, -1]
     scale = np.abs(terms).max(axis=1)
-    rel = np.abs(total) / np.where(scale > 0, scale, 1.0)
-    return rel, bad
+    return np.abs(total) / np.where(scale > 0, scale, 1.0), scale
 
 
-def _single(params, z, which):
-    M, _ = _CONSTRAINTS[which]
-    z = [complex(w) for w in z]
-    if len(z) != M:
-        raise ValueError(f"{which} takes {M} momenta")
-    if any(w == 0 for w in z):
-        raise ValueError("invalid momentum z = 0")
-    table = pair_row(params, z)
-    if table.singular()[0] and np.any(table.lam[0] != 0):
-        raise ValueError("resample momenta: Lambda singular at this point")
-    # where Lambda vanishes identically on this parameter ray, resampling
-    # cannot help: S and N are NaN there, and so is the sum
-    return complex(sum(_CONSTRAINTS[which][1](params, table).T)[0])
-
-
-def constraint_e21(params, z):
-    """Symmetrized sum over S3 of the double+right-neighbour integrand."""
-    return _single(params, z, "E21")
-
-
-def constraint_e12(params, z):
-    """Symmetrized sum over S3 of the double+left-neighbour integrand."""
-    return _single(params, z, "E12")
-
-
-def constraint_e22(params, z):
-    """Symmetrized sum over S4 of the adjacent double-double integrand."""
-    return _single(params, z, "E22")
+def _constraint_batch(params, Z, which):
+    """(relative residuals, singular mask) for one constraint over a momentum
+    batch, on a pair table of its own."""
+    table = _PairTable(params, Z)
+    return _sums(params, table, which)[0], table.singular()
 
 
 @dataclass(frozen=True)
 class SolvabilityVerdict:
+    """The identity test's answer.  vacuous: every summand of all three sums
+    is exactly 0 at every sample row used (N vanishes identically, as where
+    t1 = t2 = 0), so the sums vanish without testing the couplings;
+    solvable does not look at it."""
     solvable: bool
     max_residual: float
     samples: int
     failing_constraint: str | None = None
     tol: float = 1e-9
+    vacuous: bool = False
 
 
 def _sample_tables():
@@ -501,6 +580,30 @@ def _sample_tables():
 
 
 SAMPLE_TABLES = _sample_tables()
+# the batches is_cba_solvable builds pair tables on, each with its geometry
+# kept (_fixed): the E22 rows, the E21 rows over the E12 rows (one table
+# for both three-body sums) and the spare block's first 3 and 4 columns
+_fixed(SAMPLE_TABLES["E22"])
+_THREE_BODY = (SAMPLE_TABLES["E21"], SAMPLE_TABLES["E12"],
+               _fixed(np.concatenate([SAMPLE_TABLES["E21"],
+                                      SAMPLE_TABLES["E12"]])))
+_SPARE = {M: _fixed(SAMPLE_TABLES["spare"][:, :M]) for M in (3, 4)}
+
+
+def _three_body_samples():
+    """The E21 rows of SAMPLE_TABLES over its E12 rows: the batch fixed at
+    import while those entries are the arrays built then, else a new one."""
+    e21, e12, stacked = _THREE_BODY
+    if SAMPLE_TABLES["E21"] is e21 and SAMPLE_TABLES["E12"] is e12:
+        return stacked
+    return np.concatenate([SAMPLE_TABLES["E21"], SAMPLE_TABLES["E12"]])
+
+
+def _spare(M):
+    """The first M columns of SAMPLE_TABLES' spare block: the view fixed at
+    import while that entry is the block built then, else a new view."""
+    spare = SAMPLE_TABLES["spare"]
+    return _SPARE[M] if _SPARE[M].base is spare else spare[:, :M]
 
 
 def is_cba_solvable(params, tol=1e-9):
@@ -508,24 +611,38 @@ def is_cba_solvable(params, tol=1e-9):
     momenta of SAMPLE_TABLES, the first nonsingular rows of the spare block
     standing in where Lambda degenerates.  The residual is the sum
     magnitude relative to the largest individual summand, so the test is
-    scale-invariant in the parameters."""
+    scale-invariant in the parameters.
+
+    E21 and E12 are read from one pair table of their stacked rows, E22
+    from its own; rows never interact, so each row has the bits of a table
+    of its own sum.  Each three-body sum is evaluated over all 40 rows and
+    read at its own 20: at this size a numpy pass costs its call, not its
+    rows."""
     params.check_gates()
-    residuals = {}
-    for which, (M, _) in _CONSTRAINTS.items():
-        Z = SAMPLE_TABLES[which]
-        with np.errstate(all="ignore"):   # overflow fails the test below
-            rel, bad = _constraint_batch(params, Z, which)
+    n = len(SAMPLE_TABLES["E21"])
+    residuals, vacuous = {}, True
+    with np.errstate(all="ignore"):   # overflow fails the test below
+        three = _PairTable(params, _three_body_samples())
+        four = _PairTable(params, SAMPLE_TABLES["E22"])
+        bad3, bad4 = three.singular(), four.singular()
+        for which, table, bad, rows in (("E21", three, bad3[:n], slice(None, n)),
+                                        ("E12", three, bad3[n:], slice(n, None)),
+                                        ("E22", four, bad4, slice(None))):
+            rel, scale = (x[rows] for x in _sums(params, table, which))
             if bad.any():
-                spare, spare_bad = _constraint_batch(
-                    params, SAMPLE_TABLES["spare"][:, :M], which)
-                rel = np.concatenate([rel[~bad], spare[~spare_bad]])[:len(Z)]
-        if rel.size < len(Z):
-            raise RuntimeError("no nonsingular momentum samples")
-        m = float(np.max(rel))
-        # a NaN residual must fail, not compare false
-        residuals[which] = m if np.isfinite(m) else np.inf
+                spare = _PairTable(params, _spare(table.geom.M))
+                ok = ~spare.singular()
+                rel, scale = (np.concatenate([x[~bad], y[ok]])[:len(bad)]
+                              for x, y in zip((rel, scale),
+                                              _sums(params, spare, which)))
+            if rel.size < len(bad):
+                raise RuntimeError("no nonsingular momentum samples")
+            vacuous = vacuous and not scale.any()
+            m = float(np.max(rel))
+            # a NaN residual must fail, not compare false
+            residuals[which] = m if np.isfinite(m) else np.inf
     worst = max(residuals.values())
     failing = next((w for w, m in residuals.items() if m > tol), None)
     return SolvabilityVerdict(solvable=worst <= tol, max_residual=worst,
-                              samples=len(Z), failing_constraint=failing,
-                              tol=tol)
+                              samples=len(bad), failing_constraint=failing,
+                              tol=tol, vacuous=vacuous)

@@ -497,6 +497,45 @@ class TestSeedFreeVerdict:
                                             [z2.real, z2.imag]]
 
 
+class TestVacuousVerdict:
+    """Where every summand of the constraint sums is exactly 0 (N = 0
+    identically), classify and verify reports say so beside "solvable";
+    nowhere else do they carry the field."""
+
+    @pytest.mark.parametrize("tag", ["14V1", "14V2", "17V1a", "17V1b", "17V2"])
+    def test_off_family_member_flagged(self, capsys, tmp_path, tag):
+        """The 14V/17V presets in frame PT with p scaled by 1 + 1e-3: on no
+        family, every summand 0."""
+        h = bf.apply_frame(cli.load_input(str(PRESETS / f"{tag}.json")), "PT")
+        path = write_params(tmp_path, h.replace(p=h.p * (1 + 1e-3)))
+        assert main(["classify", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["solvable"] is True and report["family"] is None
+        assert report["constraints_vacuous"] is True
+        assert main(["classify", path]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("CBA-solvable: yes")
+        assert first.endswith("; constraints vacuous: N ≡ 0")
+        main(["verify", path, "--L", "4", "--M", "1..2", "--json"])
+        assert json.loads(capsys.readouterr().out)["constraints_vacuous"] is True
+
+    def test_field_absent_elsewhere(self, capsys, tmp_path, rng):
+        """Presets, their vacuous-free frames and generic inputs carry no
+        constraints_vacuous field and no text note."""
+        from conftest import random_params
+        generic = write_params(tmp_path, random_params(rng))
+        for argv in (["classify", str(PRESETS / "17V2.json")],
+                     ["classify", str(PRESETS / "gB.json")],
+                     ["classify", generic],
+                     ["verify", str(PRESETS / "14V2.json"), "--L", "4",
+                      "--M", "1..2"]):
+            main(argv + ["--json"])
+            assert "constraints_vacuous" not in json.loads(
+                capsys.readouterr().out), argv
+            main(argv)
+            assert "vacuous" not in capsys.readouterr().out, argv
+
+
 class TestCatalogCommand:
     def test_ten_rows(self, capsys):
         code = main(["catalog", "--json"])

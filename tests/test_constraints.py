@@ -2,6 +2,7 @@
 
 import itertools
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from bethe_forge import constraints
 from bethe_forge.constraints import PyComplexArray, _PairTable, pair_row
 
 from conftest import cdraw, draw_free, family_instance, random_params
+from constraint_reference import (constraint_e12, constraint_e21,
+                                  constraint_e22)
+import constraint_reference as reference
 
 
 class TestLambda:
@@ -344,41 +348,41 @@ class TestConstraintSums:
         h = bf.construct("gZF", draw_free("gZF", rng))
         for _ in range(10):
             z3, z4 = cdraw(rng, 3), cdraw(rng, 4)
-            for fn, z in ((bf.constraint_e21, z3), (bf.constraint_e12, z3),
-                          (bf.constraint_e22, z4)):
+            for fn, z in ((constraint_e21, z3), (constraint_e12, z3),
+                          (constraint_e22, z4)):
                 assert abs(fn(h, z)) < 1e-9
 
     def test_gik_e12_and_perturbation(self, rng):
         h, _ = family_instance("gIK", rng)
         z3 = cdraw(rng, 3)
-        assert abs(bf.constraint_e12(h, z3)) < 1e-9
+        assert abs(constraint_e12(h, z3)) < 1e-9
         hp = h.replace(t3=h.t3 + 0.1)
-        assert abs(bf.constraint_e12(hp, z3)) > 1e-3
+        assert abs(constraint_e12(hp, z3)) > 1e-3
 
     def test_gb_e22_and_perturbation(self, rng):
         h, _ = family_instance("gB", rng)
         z4 = cdraw(rng, 4)
-        assert abs(bf.constraint_e22(h, z4)) < 1e-9
+        assert abs(constraint_e22(h, z4)) < 1e-9
         hp = h.replace(tp=h.tp + 0.1)
-        assert abs(bf.constraint_e22(hp, z4)) > 1e-6
+        assert abs(constraint_e22(hp, z4)) > 1e-6
 
     def test_perturbed_gzf_fails(self, rng):
         h = bf.construct("gZF", draw_free("gZF", rng))
         hp = h.replace(s3=h.s3 + 0.1)
-        assert abs(bf.constraint_e21(hp, cdraw(rng, 3))) > 1e-3
+        assert abs(constraint_e21(hp, cdraw(rng, 3))) > 1e-3
 
     def test_smoke_t2_only(self, rng):
         # Lambda vanishes identically on this ray: must evaluate, not raise
         h = bf.HamiltonianParams(t2=1)
-        bf.constraint_e21(h, cdraw(rng, 3))
+        constraint_e21(h, cdraw(rng, 3))
 
     def test_symmetrized_vanishing_for_families(self, rng):
         # on solvable points the sums vanish for every input ordering
         for _ in range(20):
             h, _ = family_instance("SpR", rng)
             z3, z4 = cdraw(rng, 3), cdraw(rng, 4)
-            for fn, z in ((bf.constraint_e21, z3), (bf.constraint_e12, z3),
-                          (bf.constraint_e22, z4)):
+            for fn, z in ((constraint_e21, z3), (constraint_e12, z3),
+                          (constraint_e22, z4)):
                 perm = list(z)
                 rng.shuffle(perm)
                 assert abs(fn(h, z)) < 1e-9 and abs(fn(h, perm)) < 1e-9
@@ -389,8 +393,8 @@ class TestConstraintSums:
         for _ in range(25):
             h = random_params(rng)
             z3, z4 = cdraw(rng, 3), cdraw(rng, 4)
-            for fn, z in ((bf.constraint_e21, z3), (bf.constraint_e12, z3),
-                          (bf.constraint_e22, z4)):
+            for fn, z in ((constraint_e21, z3), (constraint_e12, z3),
+                          (constraint_e22, z4)):
                 base = fn(h, z)
                 pi = tuple(rng.permutation(len(z)))
                 permuted = [z[i] for i in pi]
@@ -557,3 +561,195 @@ class TestSolvability:
         verdict = bf.is_cba_solvable(h, tol=1e-8)
         assert verdict.samples == 20 and verdict.tol == 1e-8
         assert verdict.solvable == (verdict.max_residual <= verdict.tol)
+
+
+def _framed_member(tag, rng):
+    """A member of family tag seen through a random P/C/T frame, gauge and
+    telescoping term."""
+    h, _ = family_instance(tag, rng)
+    word = bf.hamiltonian.FRAME_WORDS[rng.integers(8)]
+    h = bf.apply_frame(h, word)
+    return bf.apply_telescopic(bf.apply_gauge(h, cdraw(rng, 3)), cdraw(rng, 3))
+
+
+def _verdict_bits(verdict):
+    """The package's verdict as the reference's tuple, the residual by its
+    bits (float.hex tells -0.0 from 0.0)."""
+    return (verdict.solvable, verdict.max_residual.hex(),
+            verdict.failing_constraint, verdict.samples, verdict.vacuous)
+
+
+def _reference_bits(params):
+    solvable, worst, failing, samples, vacuous = reference.is_cba_solvable(
+        params)
+    return solvable, worst.hex(), failing, samples, vacuous
+
+
+def _singular_row(h, table):
+    """A writable copy of table whose row 0 has S(z0, z1) singular: z1 a
+    root of Lambda(z1, z0), degree 3 in z1, polished by Newton, that is no
+    root of Lambda(z0, z1)."""
+    table = np.array(table)
+    z0, x = table[0, 0], np.exp(2j * np.pi * np.arange(6) / 6)
+    roots = np.roots(np.polyfit(x, bf.lambda_fn(h, x, z0), 3))
+    z1 = roots[np.argmax(abs(bf.lambda_fn(h, z0, roots)))]
+    for _ in range(2):
+        z1 -= bf.lambda_fn(h, z1, z0) / constraints.lambda_grad(h, z1, z0)[0]
+    table[0, 1] = z1
+    return table
+
+
+class TestOnePass:
+    """is_cba_solvable reads E21 and E12 from one pair table of their
+    stacked rows and the momentum-only parts from geometry built once;
+    its verdict has every bit of the reference's, which builds one table
+    per sum on the fly and gathers and combines the momenta in place."""
+
+    @pytest.mark.parametrize("tag", (None,) + bf.FAMILY_ORDER)
+    def test_equals_one_table_per_sum(self, tag, rng):
+        """Members in random frames, gauges and telescoping terms, and
+        generic inputs."""
+        for _ in range(10):
+            h = (random_params(rng) if tag is None
+                 else _framed_member(tag, rng))
+            assert _verdict_bits(bf.is_cba_solvable(h)) == _reference_bits(h)
+
+    @pytest.mark.parametrize("slot", ["p", "q", "t1", "t2", "s3", "tp", "v"])
+    def test_nan_slots(self, slot, rng):
+        h = _framed_member("gB", rng)
+        if slot == "v":
+            v = np.array(h.v)
+            v[2, 1] = np.nan
+            bad = h.replace(v=v)
+        else:
+            bad = h.replace(**{slot: complex(np.nan, 0.0)})
+        verdict = bf.is_cba_solvable(bad)
+        assert not verdict.solvable and not verdict.vacuous
+        assert _verdict_bits(verdict) == _reference_bits(bad)
+
+    @pytest.mark.parametrize("which", ["E21", "E12", "E22"])
+    def test_singular_sample_row(self, which, monkeypatch, rng):
+        """A singular row of any sum's samples gives way to the spare
+        block as in the reference; the stacked E21/E12 batch is then built
+        anew from the patched entry."""
+        for h in (family_instance("gZF", rng)[0], random_params(rng)):
+            table = _singular_row(h, constraints.SAMPLE_TABLES[which])
+            assert _PairTable(h, table).singular()[0]
+            monkeypatch.setitem(constraints.SAMPLE_TABLES, which, table)
+            assert (_verdict_bits(bf.is_cba_solvable(h))
+                    == _reference_bits(h))
+            monkeypatch.undo()
+
+
+class TestSharedTable:
+    @pytest.mark.parametrize("tag", (None,) + bf.FAMILY_ORDER)
+    def test_rows_equal_tables_of_their_own(self, tag, rng):
+        """Lambda, S, N, amps and the singular mask of the 40-row E21/E12
+        table equal those of a 20-row table of each, bit for bit."""
+        h = random_params(rng) if tag is None else _framed_member(tag, rng)
+        shared = _PairTable(h, constraints._three_body_samples())
+        for rows, which in ((slice(None, 20), "E21"), (slice(20, None), "E12")):
+            own = _PairTable(h, constraints.SAMPLE_TABLES[which])
+            for attr in ("lam", "_s", "_n", "amps"):
+                assert (getattr(shared, attr)[rows].tobytes()
+                        == getattr(own, attr).tobytes()), (which, attr)
+            assert np.array_equal(shared.singular()[rows], own.singular())
+
+    def test_fixed_arrays_keep_their_geometry(self):
+        """The E22 samples, the stacked E21/E12 batch, the spare block's
+        first 3 and 4 columns and the S = -1 probes are read-only, and
+        every table of them reads one geometry, kept from import on."""
+        from bethe_forge import bethe
+        fixed = [constraints.SAMPLE_TABLES["E22"],
+                 constraints._three_body_samples(), constraints._spare(3),
+                 constraints._spare(4), bethe._TRIVIAL_S_PROBES]
+        assert constraints._spare(4).shape == (20, 4)
+        for Z in fixed:
+            assert not Z.flags.writeable
+            assert constraints._geometry(Z) is constraints._geometry(Z)
+            assert constraints._geometry(Z).Z is Z
+
+    def test_writable_batch_gets_new_geometry(self, monkeypatch, rng):
+        """A caller's writable batch, even a copy of a fixed array or a
+        fixed array made writable again, gets geometry built from its
+        current values."""
+        h = random_params(rng)
+        monkeypatch.setattr(constraints, "_FIXED_GEOMETRY",
+                            dict(constraints._FIXED_GEOMETRY))
+        copy = np.array(constraints.SAMPLE_TABLES["E22"])
+        assert constraints._geometry(copy) is not constraints._geometry(copy)
+        Z = constraints._fixed(np.array(constraints.SAMPLE_TABLES["E12"]))
+        kept = constraints._geometry(Z)
+        assert kept is constraints._FIXED_GEOMETRY[id(Z)]
+        Z.setflags(write=True)
+        Z[0] = constraints.SAMPLE_TABLES["spare"][0, :3]
+        assert constraints._geometry(Z) is not kept
+        got, want = _PairTable(h, Z), _PairTable(h, np.array(Z))
+        for attr in ("lam", "_n", "amps"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+        e21 = np.array(constraints.SAMPLE_TABLES["E21"])
+        monkeypatch.setitem(constraints.SAMPLE_TABLES, "E21", e21)
+        stacked = constraints._three_body_samples()
+        assert stacked.flags.writeable and stacked[:20].tobytes() == e21.tobytes()
+        spare = np.array(constraints.SAMPLE_TABLES["spare"])
+        monkeypatch.setitem(constraints.SAMPLE_TABLES, "spare", spare)
+        assert constraints._spare(3).base is spare
+
+    def test_geometry_parts_equal_in_place(self):
+        """Every kept part equals the same expression evaluated on a
+        writable copy, bit for bit."""
+        def parts(geom):
+            sums = geom.e21 + geom.e12 if geom.M == 3 else geom.e22
+            return [x.tobytes() for x in (geom.Zi, geom.Zj, geom.zz, geom.zs,
+                                          geom.zd, *geom.perm_z, *sums)]
+
+        for Z in (constraints._three_body_samples(),
+                  constraints.SAMPLE_TABLES["E22"]):
+            assert parts(constraints._geometry(Z)) == parts(
+                constraints._Geometry(np.array(Z)))
+
+
+class TestVacuousVerdict:
+    """Every summand of all three sums is exactly 0 where N vanishes
+    identically: the 14V/17V members in frames with t1 = t2 = 0.  The
+    verdict says so; solvable does not change."""
+
+    @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
+    def test_exactly_where_t1_and_t2_vanish(self, tag, rng):
+        for word in bf.hamiltonian.FRAME_WORDS:
+            h, _ = family_instance(tag, rng)
+            h = bf.apply_telescopic(bf.apply_gauge(bf.apply_frame(h, word),
+                                                   cdraw(rng, 3)),
+                                    cdraw(rng, 3))
+            verdict = bf.is_cba_solvable(h)
+            assert verdict.solvable
+            assert verdict.vacuous == (h.t1 == 0 and h.t2 == 0), (tag, word)
+            if verdict.vacuous:
+                assert verdict.max_residual == 0
+
+    def test_generic_inputs_not_vacuous(self, rng):
+        for _ in range(10):
+            assert not bf.is_cba_solvable(random_params(rng)).vacuous
+
+    def test_presets_not_vacuous(self):
+        from bethe_forge.cli import load_input
+        presets = sorted((Path(constraints.__file__).parent / "presets")
+                         .glob("*.json"))
+        assert len(presets) == 19
+        for path in presets:
+            verdict = bf.is_cba_solvable(load_input(path))
+            assert verdict.solvable and not verdict.vacuous, path.stem
+
+    @pytest.mark.parametrize("tag", ["14V1", "14V2", "17V1a", "17V1b", "17V2"])
+    def test_off_family_members_flagged(self, tag):
+        """The 14V/17V presets in frame PT (where t1 = t2 = 0 and p != 0),
+        with p scaled by 1 + 1e-3, are on no family, yet every summand
+        vanishes: "solvable" with residual 0, and vacuous."""
+        from bethe_forge.cli import load_input
+        path = Path(constraints.__file__).parent / "presets" / f"{tag}.json"
+        h = bf.apply_frame(load_input(path), "PT")
+        h = h.replace(p=h.p * (1 + 1e-3))
+        verdict = bf.is_cba_solvable(h)
+        assert verdict.solvable and verdict.vacuous
+        assert verdict.max_residual == 0
+        assert bf.classify(h) is None
