@@ -120,9 +120,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (PyComplexArray, _fixed, _PairTable, lambda_fn,
-                          lambda_grad, ordered_pairs, pair_row,
-                          permutation_table)
+from .constraints import (PyComplexArray, _Geometry, _PairTable, lambda_fn,
+                          lambda_grad, ordered_pairs, permutation_table)
 from .hamiltonian import (_check_entries, _orbit_table, _sector_occupations,
                           invariants)
 
@@ -141,8 +140,8 @@ ASSEMBLE_CHUNK = 1 << 16  # entries per chunk of a batched pass (_chunks)
 
 # the pairs (z1, z2) at which S = -1 is tested: six fixed points of the
 # annulus 0.5 <= |z| <= 2, drawn pair by pair by numpy's default_rng(0);
-# read-only, with its pair geometry kept (constraints._fixed)
-_TRIVIAL_S_PROBES = _fixed(np.array([
+# read-only, with their pair geometry built once, at import
+_TRIVIAL_S_PROBES = np.array([
     (1.4074767580971808+0.37057001552752244j,
      0.8998064031495278+0.09377881996916455j),
     (-1.3480859043241713-1.0680537616584869j,
@@ -155,7 +154,9 @@ _TRIVIAL_S_PROBES = _fixed(np.array([
      -1.1603915294472242+0.6126490823354334j),
     (-0.2594744305126721-0.47640007884061064j,
      -0.41321348785272605-0.5481183969228107j),
-]))
+])
+_TRIVIAL_S_PROBES.setflags(write=False)
+_TRIVIAL_S_GEOMETRY = _Geometry(_TRIVIAL_S_PROBES)
 
 
 @dataclass(frozen=True)
@@ -298,7 +299,7 @@ def bae_residual(params, z, L):
 def _is_trivial_s(params):
     """Whether S(z1, z2) = -1 at the _TRIVIAL_S_PROBES pairs (and is nowhere
     singular there), read from one pair table."""
-    table = _PairTable(params, _TRIVIAL_S_PROBES)
+    table = _PairTable(params, _TRIVIAL_S_GEOMETRY)
     off = np.abs(table.S(0, 1) + 1) > 1e-10
     return not np.any(table.singular() | off)
 
@@ -682,7 +683,7 @@ def amplitude(params, z, sigma, doubled=()):
     doubled position indices (A_id = 1; one S factor per inversion, one N per
     doubled index).  ValueError where Lambda is singular at a pair of z."""
     sigma = tuple(sigma)
-    table = pair_row(params, z).require()
+    table = _PairTable(params, _row(z)).require()
     out = complex(table.A(sigma)[0])
     for j in doubled:
         out *= complex(table.N(sigma[j], sigma[j + 1])[0])
@@ -757,7 +758,7 @@ def assemble_eigenvector(params, z, L):
     """Amplitudes a(x_1..x_M) of the Bethe vector for momenta z, over the
     whole sector basis at once: the one-row read of _assemble."""
     z = [complex(w) for w in z]
-    table = pair_row(params, z)
+    table = _PairTable(params, _row(z))
     if table.singular()[0]:
         raise ValueError(_singular_amplitude(table, 0))
     vecs, scale = _assemble(table, L)

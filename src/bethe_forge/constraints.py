@@ -12,13 +12,12 @@ every ordered pair of an (n, M) momentum batch in one call and builds S, N,
 the singular rule and amps, the (n, M!) plane-wave amplitudes of every
 permutation (the product of S over its inversions), from it.  amps is one
 gather-and-multiply pass per inversion over permutation_table's padded
-inversion index; A(perm) reads one column.  s_matrix, n_factor and
-pair_row are one-row reads of that table (s_matrix and n_factor in Python
-complex arithmetic, as the Bethe solver's BAE residuals); the Bethe solver
-and eigenvector assembly read it too.  The table computes in complex128
-or, given a PyComplexArray, in CPython's complex arithmetic, bit for bit,
-on float64 arrays; Lambda, S, N and the singular rule then have one
-implementation for both.
+inversion index; A(perm) reads one column.  s_matrix and n_factor are
+one-row reads of that table (in Python complex arithmetic, as the Bethe
+solver's BAE residuals); the Bethe solver and eigenvector assembly read it
+too.  The table computes in complex128 or, given a PyComplexArray, in
+CPython's complex arithmetic, bit for bit, on float64 arrays; Lambda, S, N
+and the singular rule then have one implementation for both.
 
 A Hamiltonian is CBA-solvable iff three symmetrized sums vanish identically in
 the momenta; this module tests that at fixed generic points (SAMPLE_TABLES;
@@ -34,16 +33,14 @@ A pair table splits into its geometry (_Geometry), the parts that read
 the momenta alone: the pair gathers, z_i z_j, z_i + z_j, z_i - z_j, the
 momenta in every permutation's order and the sums' sub-expressions of
 them (a + b, 1/a + 1/b + 1/c, a b, ...), and the rest, which reads the
-parameters.  The read-only batches the package builds its own tables on
-keep their geometry from import on, each part built at most once per
-process (_fixed): the E22 samples, the E21 samples stacked over the E12
-samples, the spare block's first 3 and 4 columns, and the Bethe solver's
-S = -1 probes.  Any other batch, a caller's array included, gets its
-geometry on the fly.  Each part is the
-expression its reader would evaluate, in the same order (h.sp * b * c
-stays (h.sp * b) * c), and rows never interact, so the solvability test,
-which reads E21 and E12 from one table of their 40 stacked rows, keeps
-every bit of one table per sum evaluating its momenta in place.
+parameters.  The geometries of the solvability test's samples (_SAMPLES)
+and of the Bethe solver's S = -1 probes are module constants, built once,
+at import; a table built on a batch rather than a geometry builds its
+own.  Each part is the expression its reader would evaluate, in the same
+order (h.sp * b * c stays (h.sp * b) * c), and rows never interact, so
+the solvability test, which reads E21 and E12 from one table of their 40
+stacked rows, keeps every bit of one table per sum evaluating its momenta
+in place.
 
 Batch size never changes a bit of Lambda, its gradient or the pair table.
 For an array temporary of 256 KiB or more numpy computes x * (temporary),
@@ -352,43 +349,19 @@ class _Geometry:
         return c * d, a * b, a + b + c + d, 1 / a + 1 / b + 1 / c + 1 / d
 
 
-# id -> the geometry of a read-only array the package owns (_fixed)
-_FIXED_GEOMETRY = {}
-
-
-def _fixed(Z):
-    """Z, made read-only and registered: every pair table of Z itself reads
-    one geometry, kept for the life of the process, so each part of it is
-    built at most once (a lazy part on a table's first read of it; the
-    spare block's only if a sample row is singular).  For arrays the
-    package owns and never writes."""
-    Z.setflags(write=False)
-    _FIXED_GEOMETRY[id(Z)] = _Geometry(Z)
-    return Z
-
-
-def _geometry(Z):
-    """The kept geometry of an array registered by _fixed, while it is
-    still read-only; a new geometry of any other batch."""
-    geom = _FIXED_GEOMETRY.get(id(Z))
-    if geom is not None and geom.Z is Z and not Z.flags.writeable:
-        return geom
-    return _Geometry(Z)
-
-
 class _PairTable:
     """Lambda over all ordered pairs of an (n, M) momentum batch, and what is
     built from it: S(i, j), N(i, j), A(perm) and the singular masks.
 
     Z may be complex128 or a PyComplexArray (or an object array of Python
     complex numbers); the table then computes in that arithmetic.  amps and
-    adjacent_n take a complex128 table.  The momentum-only parts come from
-    Z's geometry (_geometry), which the package's fixed arrays keep."""
+    adjacent_n take a complex128 table.  Z may also be a _Geometry, whose
+    momentum-only parts the table then reads; a batch gets one of its own."""
 
     def __init__(self, params, Z):
-        self.geom = _geometry(Z)
+        self.geom = Z if isinstance(Z, _Geometry) else _Geometry(Z)
         self.I, self.J, self.col = self.geom.I, self.geom.J, self.geom.col
-        self.Z = Z
+        self.Z = self.geom.Z
         self.params = params
         self.lam = _lambda(params, self.geom.zz, self.geom.zs, self.geom.Zj)
         # den[:, k] = Lambda(z_j, z_i) for pair k = (i, j): the denominator
@@ -469,11 +442,6 @@ class _PairTable:
         return self._n[:, self.geom.adjacent[k]]
 
 
-def pair_row(params, z):
-    """The pair table of the single momentum tuple z."""
-    return _PairTable(params, np.array([z], complex))
-
-
 def _exact_pair(params, z1, z2, what):
     """S(z1, z2) or N(z1, z2) (what) from the pair table of (z1, z2) in
     Python complex arithmetic (PyComplexArray), the arithmetic of the
@@ -543,13 +511,6 @@ def _sums(params, table, which):
     return np.abs(total) / np.where(scale > 0, scale, 1.0), scale
 
 
-def _constraint_batch(params, Z, which):
-    """(relative residuals, singular mask) for one constraint over a momentum
-    batch, on a pair table of its own."""
-    table = _PairTable(params, Z)
-    return _sums(params, table, which)[0], table.singular()
-
-
 @dataclass(frozen=True)
 class SolvabilityVerdict:
     """The identity test's answer.  vacuous: every summand of all three sums
@@ -579,37 +540,25 @@ def _sample_tables():
     return tables
 
 
+def _samples(tables):
+    """The geometries is_cba_solvable reads, of sample tables keyed and
+    shaped as SAMPLE_TABLES: the E21 rows over the E12 rows (one table for
+    both three-body sums), the E22 rows, and the spare block's first 3 and
+    4 columns, keyed by M."""
+    return (_Geometry(np.concatenate([tables["E21"], tables["E12"]])),
+            _Geometry(tables["E22"]),
+            {M: _Geometry(tables["spare"][:, :M]) for M in (3, 4)})
+
+
 SAMPLE_TABLES = _sample_tables()
-# the batches is_cba_solvable builds pair tables on, each with its geometry
-# kept (_fixed): the E22 rows, the E21 rows over the E12 rows (one table
-# for both three-body sums) and the spare block's first 3 and 4 columns
-_fixed(SAMPLE_TABLES["E22"])
-_THREE_BODY = (SAMPLE_TABLES["E21"], SAMPLE_TABLES["E12"],
-               _fixed(np.concatenate([SAMPLE_TABLES["E21"],
-                                      SAMPLE_TABLES["E12"]])))
-_SPARE = {M: _fixed(SAMPLE_TABLES["spare"][:, :M]) for M in (3, 4)}
-
-
-def _three_body_samples():
-    """The E21 rows of SAMPLE_TABLES over its E12 rows: the batch fixed at
-    import while those entries are the arrays built then, else a new one."""
-    e21, e12, stacked = _THREE_BODY
-    if SAMPLE_TABLES["E21"] is e21 and SAMPLE_TABLES["E12"] is e12:
-        return stacked
-    return np.concatenate([SAMPLE_TABLES["E21"], SAMPLE_TABLES["E12"]])
-
-
-def _spare(M):
-    """The first M columns of SAMPLE_TABLES' spare block: the view fixed at
-    import while that entry is the block built then, else a new view."""
-    spare = SAMPLE_TABLES["spare"]
-    return _SPARE[M] if _SPARE[M].base is spare else spare[:, :M]
+_SAMPLES = _samples(SAMPLE_TABLES)
 
 
 def is_cba_solvable(params, tol=1e-9):
     """Identity test of the three solvability constraint sums at the fixed
-    momenta of SAMPLE_TABLES, the first nonsingular rows of the spare block
-    standing in where Lambda degenerates.  The residual is the sum
+    momenta of SAMPLE_TABLES (read at import, as _SAMPLES), the first
+    nonsingular rows of the spare block standing in where Lambda
+    degenerates.  The residual is the sum
     magnitude relative to the largest individual summand, so the test is
     scale-invariant in the parameters.
 
@@ -619,18 +568,19 @@ def is_cba_solvable(params, tol=1e-9):
     read at its own 20: at this size a numpy pass costs its call, not its
     rows."""
     params.check_gates()
-    n = len(SAMPLE_TABLES["E21"])
+    three_body, four_body, spares = _SAMPLES
+    n = len(three_body.Z) // 2
     residuals, vacuous = {}, True
     with np.errstate(all="ignore"):   # overflow fails the test below
-        three = _PairTable(params, _three_body_samples())
-        four = _PairTable(params, SAMPLE_TABLES["E22"])
+        three = _PairTable(params, three_body)
+        four = _PairTable(params, four_body)
         bad3, bad4 = three.singular(), four.singular()
         for which, table, bad, rows in (("E21", three, bad3[:n], slice(None, n)),
                                         ("E12", three, bad3[n:], slice(n, None)),
                                         ("E22", four, bad4, slice(None))):
             rel, scale = (x[rows] for x in _sums(params, table, which))
             if bad.any():
-                spare = _PairTable(params, _spare(table.geom.M))
+                spare = _PairTable(params, spares[table.geom.M])
                 ok = ~spare.singular()
                 rel, scale = (np.concatenate([x[~bad], y[ok]])[:len(bad)]
                               for x, y in zip((rel, scale),

@@ -5,13 +5,13 @@ take one momentum tuple.  is_cba_solvable is the identity test as it reads
 with one pair table per sum, built on the fly from a writable copy of its
 sample rows, and with each summand's momenta gathered and combined in
 place: the package's test, which shares one table between E21 and E12 and
-reads fixed geometry, must give every bit of its answer.
+reads geometry built at import, must give every bit of its answer.
 """
 
 import numpy as np
 
 from bethe_forge import constraints
-from bethe_forge.constraints import (_PairTable, invariants, pair_row,
+from bethe_forge.constraints import (_PairTable, invariants,
                                      permutation_table)
 
 
@@ -65,7 +65,7 @@ def _single(params, z, which):
         raise ValueError(f"{which} takes {M} momenta")
     if any(w == 0 for w in z):
         raise ValueError("invalid momentum z = 0")
-    table = pair_row(params, z)
+    table = _PairTable(params, np.array([z], complex))
     if table.singular()[0] and np.any(table.lam[0] != 0):
         raise ValueError("resample momenta: Lambda singular at this point")
     # where Lambda vanishes identically on this parameter ray, resampling

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import bethe_forge as bf
-from bethe_forge import constraints
-from bethe_forge.constraints import PyComplexArray, _PairTable, pair_row
+from bethe_forge import bethe, constraints
+from bethe_forge.constraints import PyComplexArray, _Geometry, _PairTable
 
 from conftest import cdraw, draw_free, family_instance, random_params
 from constraint_reference import (constraint_e12, constraint_e21,
@@ -335,7 +335,8 @@ class TestPairTable:
             Z = np.array([cdraw(rng, M) for _ in range(5)])
             table = _PairTable(h, Z)
             for r, z in enumerate(Z):
-                assert table.singular()[r] == pair_row(h, z).singular()[0]
+                row = _PairTable(h, z[None])
+                assert table.singular()[r] == row.singular()[0]
                 for i, j in itertools.permutations(range(M), 2):
                     close(table.S(i, j)[r], bf.s_matrix(h, z[i], z[j]))
                     close(table.N(i, j)[r], bf.n_factor(h, z[i], z[j]))
@@ -461,7 +462,7 @@ class TestBatchedTerms:
                 assert np.all(np.abs(got - ref) <= 1e-13 * scale[:, None])
                 assert np.all(np.abs(got.sum(axis=1) - ref.sum(axis=1))
                               <= 1e-13 * scale)
-                rel, _ = constraints._constraint_batch(h, Z, which)
+                rel = constraints._sums(h, _PairTable(h, Z), which)[0]
                 ref_rel = np.abs(ref.sum(axis=1)) / scale
                 assert np.all(np.abs(rel - ref_rel) <= 1e-13)
 
@@ -530,29 +531,27 @@ class TestSolvability:
 
     def test_singular_rows_replaced_from_spare(self, monkeypatch, rng):
         """A row where S is singular gives way to the first nonsingular
-        spare row; with none left the test refuses to answer."""
+        spare row; with none left the test refuses to answer.  For an
+        input that fails E21 alone, the spare row that stands in is made
+        its worst row, so the verdict reads that row's residual."""
         h, _ = family_instance("gZF", rng)
-        table = np.array(constraints.SAMPLE_TABLES["E21"])
-        # a root z1 of Lambda(z1, z0), degree 3 in z1, polished by Newton,
-        # that is no root of Lambda(z0, z1): S(z0, z1) is singular there
-        z0, x = table[0, 0], np.exp(2j * np.pi * np.arange(6) / 6)
-        roots = np.roots(np.polyfit(x, bf.lambda_fn(h, x, z0), 3))
-        z1 = roots[np.argmax(abs(bf.lambda_fn(h, z0, roots)))]
-        for _ in range(2):
-            z1 -= bf.lambda_fn(h, z1, z0) / constraints.lambda_grad(h, z1, z0)[0]
-        table[0, 1] = z1
+        table = _singular_row(h, constraints.SAMPLE_TABLES["E21"])
         assert _PairTable(h, table).singular().tolist() == [True] + [False] * 19
-        monkeypatch.setitem(constraints.SAMPLE_TABLES, "E21", table)
+        failing = _failing_only(h, "E21")
+        spare, worst = _worst_spare(failing, "E21", rng)
+        _patch_samples(monkeypatch, E21=table)
         verdict = bf.is_cba_solvable(h)
         assert verdict.solvable and verdict.samples == 20
-        rows = np.concatenate([table[1:],
-                               constraints.SAMPLE_TABLES["spare"][:1, :3]])
-        rel, bad = constraints._constraint_batch(h, rows, "E21")
+        rows = _PairTable(h, np.concatenate(
+            [table[1:], constraints.SAMPLE_TABLES["spare"][:1, :3]]))
+        rel, bad = constraints._sums(h, rows, "E21")[0], rows.singular()
         assert not bad.any() and verdict.max_residual >= rel.max()
-        singular = np.tile(table[0], (20, 1))
-        monkeypatch.setitem(constraints.SAMPLE_TABLES, "E21", singular)
-        monkeypatch.setitem(constraints.SAMPLE_TABLES, "spare",
-                            np.tile(np.append(table[0], 1.0), (20, 1)))
+        _patch_samples(monkeypatch, spare=spare)
+        verdict = bf.is_cba_solvable(failing)
+        assert verdict.failing_constraint == "E21"
+        assert verdict.max_residual.hex() == worst.hex()
+        _patch_samples(monkeypatch, E21=np.tile(table[0], (20, 1)),
+                       spare=np.tile(np.append(table[0], 1.0), (20, 1)))
         with pytest.raises(RuntimeError, match="no nonsingular"):
             bf.is_cba_solvable(h)
 
@@ -583,6 +582,47 @@ def _reference_bits(params):
     solvable, worst, failing, samples, vacuous = reference.is_cba_solvable(
         params)
     return solvable, worst.hex(), failing, samples, vacuous
+
+
+def _patch_samples(monkeypatch, **tables):
+    """Patch entries of SAMPLE_TABLES and the geometry is_cba_solvable
+    reads (_SAMPLES), rebuilt from them by the package's own builder, so
+    that the package and the reference read the same samples."""
+    for name, table in tables.items():
+        monkeypatch.setitem(constraints.SAMPLE_TABLES, name, table)
+    monkeypatch.setattr(constraints, "_SAMPLES",
+                        constraints._samples(constraints.SAMPLE_TABLES))
+
+
+# the diagonal coupling that enters one sum alone, through X21, X12 or X22
+_ONE_SUM_COUPLING = {"E21": (2, 1), "E12": (1, 2), "E22": (2, 2)}
+
+
+def _failing_only(h, which):
+    """A solvable h with the coupling that enters which's sum alone moved
+    by 1e-3: which fails, the other two sums stay at rounding level, and
+    Lambda, S and N do not change."""
+    v = np.array(h.v)
+    v[_ONE_SUM_COUPLING[which]] += 1e-3
+    return h.replace(v=v)
+
+
+def _worst_spare(h, which, rng):
+    """A copy of the spare block whose first row has a larger reference
+    residual of which than every row of which's samples (taken before they
+    are patched), and that residual: the worst of 1,000 rows drawn on the
+    annulus.  The residual is read from a table of that row alone, as the
+    reference's products round by batch size (see constraints)."""
+    M = reference.TERMS[which][0]
+    floor = reference.constraint_batch(
+        h, constraints.SAMPLE_TABLES[which], which)[0].max()
+    rows = np.array([cdraw(rng, M, 0.5, 2.0) for _ in range(1000)])
+    row = rows[np.argmax(reference.constraint_batch(h, rows, which)[0])]
+    worst = reference.constraint_batch(h, row[None], which)[0][0]
+    assert worst > floor
+    spare = np.array(constraints.SAMPLE_TABLES["spare"])
+    spare[0, :M] = row
+    return spare, worst
 
 
 def _singular_row(h, table):
@@ -630,15 +670,25 @@ class TestOnePass:
     @pytest.mark.parametrize("which", ["E21", "E12", "E22"])
     def test_singular_sample_row(self, which, monkeypatch, rng):
         """A singular row of any sum's samples gives way to the spare
-        block as in the reference; the stacked E21/E12 batch is then built
-        anew from the patched entry."""
-        for h in (family_instance("gZF", rng)[0], random_params(rng)):
+        block as in the reference.  For an input that fails which alone,
+        the spare row that stands in is made the worst row: the verdict
+        reads its residual only if the patched samples are read."""
+        member = family_instance("gZF", rng)[0]
+        for h in (member, random_params(rng)):
             table = _singular_row(h, constraints.SAMPLE_TABLES[which])
             assert _PairTable(h, table).singular()[0]
-            monkeypatch.setitem(constraints.SAMPLE_TABLES, which, table)
+            _patch_samples(monkeypatch, **{which: table})
             assert (_verdict_bits(bf.is_cba_solvable(h))
                     == _reference_bits(h))
             monkeypatch.undo()
+        h = _failing_only(member, which)
+        spare, worst = _worst_spare(h, which, rng)
+        _patch_samples(monkeypatch, spare=spare, **{
+            which: _singular_row(h, constraints.SAMPLE_TABLES[which])})
+        verdict = bf.is_cba_solvable(h)
+        assert verdict.failing_constraint == which
+        assert verdict.max_residual.hex() == worst.hex()
+        assert _verdict_bits(verdict) == _reference_bits(h)
 
 
 class TestSharedTable:
@@ -647,7 +697,7 @@ class TestSharedTable:
         """Lambda, S, N, amps and the singular mask of the 40-row E21/E12
         table equal those of a 20-row table of each, bit for bit."""
         h = random_params(rng) if tag is None else _framed_member(tag, rng)
-        shared = _PairTable(h, constraints._three_body_samples())
+        shared = _PairTable(h, constraints._SAMPLES[0])
         for rows, which in ((slice(None, 20), "E21"), (slice(20, None), "E12")):
             own = _PairTable(h, constraints.SAMPLE_TABLES[which])
             for attr in ("lam", "_s", "_n", "amps"):
@@ -655,58 +705,34 @@ class TestSharedTable:
                         == getattr(own, attr).tobytes()), (which, attr)
             assert np.array_equal(shared.singular()[rows], own.singular())
 
-    def test_fixed_arrays_keep_their_geometry(self):
-        """The E22 samples, the stacked E21/E12 batch, the spare block's
-        first 3 and 4 columns and the S = -1 probes are read-only, and
-        every table of them reads one geometry, kept from import on."""
-        from bethe_forge import bethe
-        fixed = [constraints.SAMPLE_TABLES["E22"],
-                 constraints._three_body_samples(), constraints._spare(3),
-                 constraints._spare(4), bethe._TRIVIAL_S_PROBES]
-        assert constraints._spare(4).shape == (20, 4)
-        for Z in fixed:
-            assert not Z.flags.writeable
-            assert constraints._geometry(Z) is constraints._geometry(Z)
-            assert constraints._geometry(Z).Z is Z
-
-    def test_writable_batch_gets_new_geometry(self, monkeypatch, rng):
-        """A caller's writable batch, even a copy of a fixed array or a
-        fixed array made writable again, gets geometry built from its
-        current values."""
-        h = random_params(rng)
-        monkeypatch.setattr(constraints, "_FIXED_GEOMETRY",
-                            dict(constraints._FIXED_GEOMETRY))
-        copy = np.array(constraints.SAMPLE_TABLES["E22"])
-        assert constraints._geometry(copy) is not constraints._geometry(copy)
-        Z = constraints._fixed(np.array(constraints.SAMPLE_TABLES["E12"]))
-        kept = constraints._geometry(Z)
-        assert kept is constraints._FIXED_GEOMETRY[id(Z)]
-        Z.setflags(write=True)
-        Z[0] = constraints.SAMPLE_TABLES["spare"][0, :3]
-        assert constraints._geometry(Z) is not kept
-        got, want = _PairTable(h, Z), _PairTable(h, np.array(Z))
-        for attr in ("lam", "_n", "amps"):
-            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
-        e21 = np.array(constraints.SAMPLE_TABLES["E21"])
-        monkeypatch.setitem(constraints.SAMPLE_TABLES, "E21", e21)
-        stacked = constraints._three_body_samples()
-        assert stacked.flags.writeable and stacked[:20].tobytes() == e21.tobytes()
-        spare = np.array(constraints.SAMPLE_TABLES["spare"])
-        monkeypatch.setitem(constraints.SAMPLE_TABLES, "spare", spare)
-        assert constraints._spare(3).base is spare
-
     def test_geometry_parts_equal_in_place(self):
-        """Every kept part equals the same expression evaluated on a
-        writable copy, bit for bit."""
+        """Every part of the kept sample geometry equals the same
+        expression evaluated on a writable copy, bit for bit."""
         def parts(geom):
             sums = geom.e21 + geom.e12 if geom.M == 3 else geom.e22
             return [x.tobytes() for x in (geom.Zi, geom.Zj, geom.zz, geom.zs,
                                           geom.zd, *geom.perm_z, *sums)]
 
-        for Z in (constraints._three_body_samples(),
-                  constraints.SAMPLE_TABLES["E22"]):
-            assert parts(constraints._geometry(Z)) == parts(
-                constraints._Geometry(np.array(Z)))
+        three, four, spares = constraints._SAMPLES
+        assert spares[4].Z.shape == (20, 4)
+        for geom in (three, four, *spares.values()):
+            assert parts(geom) == parts(_Geometry(np.array(geom.Z)))
+
+    @pytest.mark.parametrize("tag", (None,) + bf.FAMILY_ORDER)
+    def test_fresh_geometry_reads_alike(self, tag, monkeypatch, rng):
+        """The sample geometry built anew from a copy of SAMPLE_TABLES
+        gives the verdict bits of the kept one, and the S = -1 probe reads
+        the same on a fresh geometry of the probes as on the kept one."""
+        h = random_params(rng) if tag is None else _framed_member(tag, rng)
+        kept = _verdict_bits(bf.is_cba_solvable(h)), bethe._is_trivial_s(h)
+        _patch_samples(monkeypatch, **{
+            name: np.array(table)
+            for name, table in constraints.SAMPLE_TABLES.items()})
+        monkeypatch.setattr(bethe, "_TRIVIAL_S_GEOMETRY",
+                            _Geometry(np.array(bethe._TRIVIAL_S_PROBES)))
+        assert constraints._SAMPLES[1].Z.flags.writeable
+        assert (_verdict_bits(bf.is_cba_solvable(h)),
+                bethe._is_trivial_s(h)) == kept
 
 
 class TestVacuousVerdict:
