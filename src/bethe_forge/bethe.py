@@ -95,7 +95,7 @@ by prod z; momentum(z, L) names the translation block this puts it in
 check_roots verifies the root sets of a sector in the momentum basis, from
 their amplitudes at the orbit representatives only: one pair table, one
 assembly at every representative and one BAE pass for the whole sector,
-then one zero-padded stack of every block's vectors, from which the
+then one stack of every block's vectors on the orbit axis, from which the
 norms, the residual products and the Gram matrices are each one batched
 pass; no vector or matrix of the whole sector is formed (see check_roots
 for why the residual, null test and equal-state test are exact for the
@@ -815,13 +815,13 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
     """Check the root sets sols of one (L, M) sector against its translation
     blocks: one RootCheck per root set, in order.
 
-    blocks is the sector's oracle.BlockStack: for each block m the orbits
-    idx[m] of _orbit_table whose momentum states |r, m> span it (the
-    columns of F_m) and its matrix B[m] = F_m^dagger H F_m, zero-padded to
-    the largest block (oracle.sector_spectrum).  A root set in block m is
-    read only at the orbit representatives r of idx[m], as c_r = sqrt(p_r)
-    psi(r), psi its Bethe vector, and checked as the block vector phi =
-    F_m c: F_m has orthonormal columns and H F_m = F_m B (T H = H T), so
+    blocks is the sector's oracle.BlockStack over the k orbits of
+    _orbit_table: block m's orbits inside[m], whose momentum states |r, m>
+    span it (the columns of F_m), and its matrix B[m] = F_m^dagger H F_m,
+    0 off them.  A root set in block m is read only at the representatives
+    r of inside[m], as c_r = sqrt(p_r) psi(r), psi its Bethe vector, 0 at
+    the other orbits, and checked as the block vector phi = F_m c: F_m has
+    orthonormal columns and H F_m = F_m B (T H = H T), so
     ||phi|| = ||c||, <phi_a, phi_b> = <c_a, c_b> and the eigenpair residual
     of phi is ||B c - E c|| / ||c||.  Where the BAE hold exactly, psi lies
     in block m (psi(T^d r) = e^{-2 pi i m d / L} psi(r)) and phi = psi.
@@ -845,15 +845,15 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
     assembly at every orbit representative (every full-period orbit lies in
     every block), one BAE-sides pass for the defects and one singular mask
     over all root sets that reach assembly.  The root sets are then grouped
-    by block into one zero-padded (L, rows, kmax) stack of their block
-    vectors c, rows the most root sets a block has, and the norms, the null
-    test, B c - E c and the Gram matrix of the verified sets are each one
-    batched pass over it (per chunk of blocks, _chunks, so the padded
-    temporaries stay bounded).  The padding adds only zeros to a norm, a
-    product or an overlap; the sums may round differently from those of an
-    unpadded block, within 1e-15 of the scale (tests: _per_block_checks).  A root
-    set whose prod z is no L-th root of unity (momentum None) has no block;
-    it cannot solve the BAE and is unverified.  A verified set is an
+    by block into one (L, rows, k) stack of their block vectors c, 0 past
+    a block's root sets (rows the most a block has) and off its orbits, and
+    the norms, the null test, B c - E c and the Gram matrix of the verified
+    sets are each one batched pass over it (per chunk of blocks, _chunks,
+    so the temporaries stay bounded).  The zeros add nothing to a norm, a
+    product or an overlap; the sums may round differently from those of
+    the block alone, within 1e-15 of the scale (tests: _per_block_checks).
+    A root set whose prod z is no L-th root of unity (momentum None) has no
+    block; it cannot solve the BAE and is unverified.  A verified set is an
     equivalent state when an earlier kept set of its block has an energy
     within tol_eig * scale and spans the same ray (1 - |<u0, u>| <= 1e-6
     for the unit vectors); distinct root sets can describe one state at
@@ -886,7 +886,7 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
         return out
     # slot[m, r]: the r-th live root set (in order) of block m, -1 beyond
     slot = _slots(mom[live], L)[0]
-    R, kmax = slot.shape[1], blocks.idx.shape[1]
+    R = slot.shape[1]
     _check_entries(max(live.size * len(reps), R * R), f"L={L}, M={M}")
     table = _PairTable(params, Z[live])
     C, amp = _assemble(table, L, reps)
@@ -902,17 +902,15 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
                       "equivalent"])
     code = np.zeros(live.size, np.intp)
     res = np.zeros(live.size)
-    # a chunk holds about four arrays of its padded size at once
-    for part in _chunks(L, 4 * R * max(kmax, R)):
-        rows, cols = slot[part], blocks.idx[part]
+    # a chunk holds about four arrays of its (rows, k) size at once
+    for part in _chunks(L, 4 * R * max(len(reps), R)):
+        rows = slot[part]
         real = rows >= 0
-        at = np.maximum(rows, 0)[:, :, None], np.maximum(cols, 0)[:, None, :]
-        pad = ~real, cols < 0
-        Cb, Ab = C[at], amp[at]
+        r0 = np.maximum(rows, 0)
+        Cb, Ab = C[r0], amp[r0]
         for A in (Cb, Ab):
-            A[pad[0]] = 0
-            A.transpose(0, 2, 1)[pad[1]] = 0
-        r0 = at[0][..., 0]
+            A[~real] = 0
+            A.transpose(0, 2, 1)[~blocks.inside[part]] = 0
         sing, Eb = singular[r0], E[r0]
         with np.errstate(all="ignore"):
             norms = np.linalg.norm(Cb, axis=2)

@@ -48,6 +48,10 @@ x of the same shape, in place as (temporary) * x, and complex
 multiplication, fused where the CPU has FMA, does not commute to the last
 bit.  So in lambda_fn, lambda_grad, the pair table and the Bethe solver's
 Newton kernel the right operand of such a product is always a named array.
+The three-body sums (_e21_terms, _e12_terms) do not: from 2,731 rows,
+where their (n, 6) summands reach 256 KiB, rows round by batch (2,437 and
+1,515 of 3,000 gB rows differ from one-row tables).  No caller reaches
+that size: the solvability test reads tables of 40 and 20 rows.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import invariants
+from .hamiltonian import GateViolation, invariants
 
 S_SING_TOL = 1e-13
 
@@ -566,7 +570,9 @@ def is_cba_solvable(params, tol=1e-9):
     from its own; rows never interact, so each row has the bits of a table
     of its own sum.  Each three-body sum is evaluated over all 40 rows and
     read at its own 20: at this size a numpy pass costs its call, not its
-    rows."""
+    rows.  Where Lambda is exactly 0 at every row of both tables, S and N
+    are undefined and no sample can stand in: that raises GateViolation,
+    as check_gates does."""
     params.check_gates()
     three_body, four_body, spares = _SAMPLES
     n = len(three_body.Z) // 2
@@ -574,6 +580,9 @@ def is_cba_solvable(params, tol=1e-9):
     with np.errstate(all="ignore"):   # overflow fails the test below
         three = _PairTable(params, three_body)
         four = _PairTable(params, four_body)
+        if not (three.lam.any() or four.lam.any()):
+            raise GateViolation("Lambda ≡ 0: S and N are undefined, "
+                                "outside the classification hypotheses")
         bad3, bad4 = three.singular(), four.singular()
         for which, table, bad, rows in (("E21", three, bad3[:n], slice(None, n)),
                                         ("E12", three, bad3[n:], slice(n, None)),

@@ -16,9 +16,9 @@ Conventions used throughout the package:
   does not bound (an M = 1 sector has dim = L).  The whole 3^L space
   passes up to L = 9.  No array a build makes may hold more than
   ENTRY_CAP entries either: dim^2 for a dense matrix (check_chain with
-  dense), and for the oracle's sector spectrum k^2 * L, its zero-padded
-  block stack over the k translation orbits, which is at least k * dim,
-  its representative rows (_representative_rows), and for
+  dense), and for the oracle's sector spectrum k^2 * L, its block stack
+  over the k translation orbits, which is at least k * dim, its
+  representative rows (_representative_rows), and for
   bethe.check_roots its amplitude table, root sets times k, and the Gram
   matrix of the block with the most root sets.  Each is checked before
   the array is allocated.
@@ -27,7 +27,7 @@ Conventions used throughout the package:
   it.  When the couplings of one direction are all exactly 0
   (_grade_one_way), H is block triangular in the grade and the oracle
   diagonalizes each translation block by its grade sub-blocks
-  (_sub_blocks).
+  (oracle._sub_blocks).
 
 All arithmetic is complex double precision.
 """
@@ -423,63 +423,12 @@ def _grade_one_way(params):
                for keys in _GRADE_STEPS)
 
 
-@functools.lru_cache(maxsize=32)
-def _block_layout(L, M):
-    """Read-only layout of the (L, M) sector's translation blocks
-    m = 0..L-1 (oracle.BlockStack): block m holds the orbits of period p
-    with m p = 0 mod L (_orbit_table), and block 0 all k of them.  idx
-    (L, k): block m's orbits, ascending, then -1; size (L,): their count;
-    grade (k,): each orbit's number of |2> sites, the same for all its
-    states."""
-    _, _, reps, period = _orbit_table(L, M)
-    inside = np.arange(L)[:, None] * period % L == 0
-    size = np.count_nonzero(inside, axis=1)
-    filled = np.arange(len(reps)) < size[:, None]
-    idx = np.where(filled, np.argsort(~inside, axis=1, kind="stable"), -1)
-    grade = np.count_nonzero(_sector_occupations(L, M)[reps] == 2, axis=1)
-    out = idx, size, grade
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _sub_blocks(L, M, graded):
-    """The diagonal sub-blocks the (L, M) translation blocks are
-    diagonalized by, read-only and grouped by size s ascending: tuples
-    (s, m, pos, out) over the n sub-blocks of size s, in block order, with
-    m (n,) their blocks, pos (n, s) their rows and columns within the block
-    (ascending) and out (n, s) the places of their eigenvalues in the
-    sector's list, block after block.  With graded, a block's (block,
-    grade) sub-blocks, grade by grade ascending, so its eigenvalues come in
-    grade order; without, each nonempty block is one sub-block."""
-    idx, size, grade = _block_layout(L, M)
-    start = np.cumsum(size) - size
-    groups = {}
-    for m, k in enumerate(size.tolist()):
-        g = grade[idx[m, :k]] if graded else np.zeros(k, np.intp)
-        at = start[m]
-        for v in np.unique(g):
-            pos = np.flatnonzero(g == v)
-            groups.setdefault(len(pos), []).append(
-                (m, pos, at + np.arange(len(pos))))
-            at += len(pos)
-    tables = []
-    for s in sorted(groups):
-        m, pos, out = (np.array(a, np.intp) for a in zip(*groups[s]))
-        for a in (m, pos, out):
-            a.setflags(write=False)
-        tables.append((s, m, pos, out))
-    return tuple(tables)
-
-
 def _representative_rows(params, L, M):
     """The rows H[reps] of the (L, M) sector matrix H at its translation
     orbits' representatives (_orbit_table), a (k, dim) array, without
     building H.  Each entry equals H's bit for bit (_apply_bonds).  Refused
-    before they are built when the zero-padded (L, k, k) block stack built
-    from them (oracle.BlockStack; block 0 holds all k orbits), k^2 L >= k
-    dim entries, exceeds ENTRY_CAP."""
+    before they are built when the (L, k, k) block stack built from them
+    (oracle.BlockStack), k^2 L >= k dim entries, exceeds ENTRY_CAP."""
     check_chain(L, M)
     reps = _orbit_table(L, M)[2]
     # the block stack is the larger: each orbit has at most L states
@@ -514,14 +463,13 @@ def _c_to_pair(z):
 
 
 def _pair_to_c(x):
-    """Parse a number or an [re, im] pair; NaN and inf are rejected."""
-    if isinstance(x, (int, float)):
-        z = complex(x)
-    elif (isinstance(x, (list, tuple)) and len(x) == 2
-          and all(isinstance(c, (int, float)) for c in x)):
-        z = complex(float(x[0]), float(x[1]))
-    else:
+    """Parse a number or an [re, im] pair; NaN, inf and booleans (JSON true
+    and false) are rejected."""
+    pair = x if isinstance(x, (list, tuple)) and len(x) == 2 else (x, 0.0)
+    if not all(isinstance(c, (int, float)) and not isinstance(c, bool)
+               for c in pair):
         raise ValueError(f"cannot parse complex value from {x!r}")
+    z = complex(float(pair[0]), float(pair[1]))
     if not cmath.isfinite(z):
         raise ValueError(f"non-finite complex value {x!r}")
     return z

@@ -13,8 +13,9 @@ m p = 0 mod L.  Each block matrix B_m = F_m^dagger H F_m (F_m the columns
 |r, m>) is read from H's rows at the representatives, and only those rows
 are built (hamiltonian._representative_rows), a (k, dim) array for the k
 orbits; the dim x dim sector matrix is built only by sector_matrix, which
-verify_sector does not call.  The L blocks are one zero-padded stack
-(BlockStack).  Every state of an orbit has the same grade, its number of
+verify_sector does not call.  The L blocks are one (L, k, k) stack on
+the orbit axis (BlockStack), laid out here alone (_block_layout,
+_sub_blocks).  Every state of an orbit has the same grade, its number of
 |2> sites.  When H never lowers, or never raises, the grade
 (hamiltonian._grade_one_way), each block is block triangular in it, with
 exact zeros, and only its (block, grade) diagonal sub-blocks are
@@ -44,23 +45,23 @@ pseudo-vacuum) included, into one SectorReport.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bethe import _chunks, _momenta, _slots, check_roots, solve_bae
-from .hamiltonian import (_apply_bonds, _block_layout, _grade_one_way,
-                          _orbit_table, _representative_rows,
-                          _sector_occupations, _sub_blocks, check_chain,
-                          two_site_matrix)
+from .hamiltonian import (_apply_bonds, _grade_one_way, _orbit_table,
+                          _representative_rows, _sector_occupations,
+                          check_chain, two_site_matrix)
 
 
 @dataclass(frozen=True)
 class BlockStack:
-    """A sector's L translation blocks, zero-padded to the largest, kmax,
-    whole whether or not sector_spectrum splits them by grade."""
-    idx: np.ndarray     # (L, kmax): block m's orbits, ascending, then -1
-    B: np.ndarray       # (L, kmax, kmax): B_m = F_m^dagger H F_m, then 0
+    """A sector's L translation blocks on the axis of its k orbits, whole
+    whether or not sector_spectrum splits them by grade."""
+    inside: np.ndarray  # (L, k): whether orbit b lies in block m
+    B: np.ndarray       # (L, k, k): B_m = F_m^dagger H F_m, 0 off its orbits
     size: np.ndarray    # (L,): block m's dimension
 
 
@@ -108,6 +109,54 @@ def sector_matrix(params, L, M):
     return _apply_bonds(two_site_matrix(params), occ, L, occ)
 
 
+@functools.lru_cache(maxsize=32)
+def _block_layout(L, M):
+    """Read-only layout of the (L, M) sector's translation blocks
+    m = 0..L-1 (BlockStack): block m holds the orbits of period p with
+    m p = 0 mod L (_orbit_table), and block 0 all k of them.  inside
+    (L, k): whether orbit b lies in block m; size (L,): their count;
+    grade (k,): each orbit's number of |2> sites, the same for all its
+    states."""
+    _, _, reps, period = _orbit_table(L, M)
+    inside = np.arange(L)[:, None] * period % L == 0
+    size = np.count_nonzero(inside, axis=1)
+    grade = np.count_nonzero(_sector_occupations(L, M)[reps] == 2, axis=1)
+    out = inside, size, grade
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _sub_blocks(L, M, graded):
+    """The diagonal sub-blocks the (L, M) translation blocks are
+    diagonalized by, read-only and grouped by size s ascending: tuples
+    (s, m, pos, out) over the n sub-blocks of size s, in block order, with
+    m (n,) their blocks, pos (n, s) their orbits (ascending), the rows and
+    columns of the stack's block m they take, and out (n, s) the places of
+    their eigenvalues in the sector's list, block after block.  With
+    graded, a block's (block, grade) sub-blocks, grade by grade ascending,
+    so its eigenvalues come in grade order; without, each nonempty block is
+    one sub-block."""
+    inside, _, grade = _block_layout(L, M)
+    groups, at = {}, 0
+    for m in range(L):
+        orbits = np.flatnonzero(inside[m])
+        g = grade[orbits] * graded
+        for v in np.unique(g):
+            pos = orbits[g == v]
+            groups.setdefault(len(pos), []).append(
+                (m, pos, at + np.arange(len(pos))))
+            at += len(pos)
+    tables = []
+    for s in sorted(groups):
+        m, pos, out = (np.array(a, np.intp) for a in zip(*groups[s]))
+        for a in (m, pos, out):
+            a.setflags(write=False)
+        tables.append((s, m, pos, out))
+    return tuple(tables)
+
+
 def _block_stack(rows, L, M):
     """The sector's translation blocks as one BlockStack, from rows = H[reps],
     the sector matrix's rows at the orbit representatives
@@ -116,28 +165,21 @@ def _block_stack(rows, L, M):
     T H = H T, so H F_m[:, b] is again a T-eigenvector and the block entry
     (a, b) is sqrt(p_a) times its component on the representative r_a:
     sqrt(p_a / p_b) sum_{d < p_b} e^{-2 pi i m d / L} H[r_a, T^d r_b], one
-    FFT over d for all m at once.  Each block's orbits are then packed in
-    place to the front of its slot (hamiltonian._block_layout), chunk by
-    chunk of blocks (bethe._chunks).  Block 0 holds all k orbits, so the
-    stack has the k^2 L entries _representative_rows checks against
-    ENTRY_CAP."""
+    FFT over d for all m at once.  The rows and columns of the orbits
+    outside block m (_block_layout) are then set to 0.  Block 0 holds all
+    k orbits, so the stack has the k^2 L entries _representative_rows
+    checks against ENTRY_CAP."""
     orbit, shift, reps, period = _orbit_table(L, M)
-    idx, size, _ = _block_layout(L, M)
+    inside, size, _ = _block_layout(L, M)
     k = len(reps)
     B = np.zeros((L, k, k), complex)
     B[shift, :, orbit] = rows.T                  # B[d, a, b] = H[r_a, T^d r_b]
     B = np.fft.fft(B, axis=0)
     B *= np.sqrt(period[:, None] / period[None, :])
-    filled = idx >= 0
-    for part in _chunks(L, k * k):
-        at = np.maximum(idx[part], 0)
-        packed = B[np.arange(L)[part, None, None], at[:, :, None],
-                   at[:, None, :]]
-        packed[~filled[part]] = 0
-        packed.transpose(0, 2, 1)[~filled[part]] = 0
-        B[part] = packed
+    B[~inside] = 0
+    B.transpose(0, 2, 1)[~inside] = 0
     B.setflags(write=False)
-    return BlockStack(idx, B, size)
+    return BlockStack(inside, B, size)
 
 
 def sector_spectrum(params, L, M):
@@ -148,7 +190,7 @@ def sector_spectrum(params, L, M):
     of those rows.  When H never lowers, or never raises, the grade, each
     block's eigenvalues are those of its (block, grade) diagonal
     sub-blocks, grade by grade ascending; otherwise each block is one
-    sub-block (hamiltonian._sub_blocks).  The sub-blocks of one size are
+    sub-block (_sub_blocks).  The sub-blocks of one size are
     gathered from the stack into one np.linalg.eigvals call (per chunk),
     which gives each sub-block's eigenvalues bit for bit as a call on it
     alone."""

@@ -6,6 +6,12 @@ with one pair table per sum, built on the fly from a writable copy of its
 sample rows, and with each summand's momenta gathered and combined in
 place: the package's test, which shares one table between E21 and E12 and
 reads geometry built at import, must give every bit of its answer.
+
+The right operand of every product in the sums is a named array or a
+number, never a temporary: numpy computes x * (temporary) of 256 KiB or
+more in place, as (temporary) * x, and complex multiplication does not
+commute to the last bit where the CPU fuses multiply-adds.  So each row
+of a batch, however large, has the bits of a table of its own.
 """
 
 import numpy as np
@@ -24,10 +30,11 @@ def e21_terms(params, table):
     h, inv = params, invariants(params)
     perms, _, _ = permutation_table(3)
     a, b, c = (table.Z[:, perms[:, k]] for k in range(3))
-    w = c * (_adjacent_n(table, perms, 0) * (inv.X21 - h.q * (a + b)
-                                             - h.p * (1 / a + 1 / b + 1 / c)
-                                             + h.tp / (a * b))
-             + _adjacent_n(table, perms, 1) * h.s3 * b + h.t2 / a)
+    ab_sum, recip, ab = a + b, 1 / a + 1 / b + 1 / c, a * b
+    inner = inv.X21 - h.q * ab_sum - h.p * recip + h.tp / ab
+    w = (_adjacent_n(table, perms, 0) * inner
+         + _adjacent_n(table, perms, 1) * h.s3 * b + h.t2 / a)
+    w = c * w
     return table.amps * w
 
 
@@ -35,10 +42,11 @@ def e12_terms(params, table):
     h, inv = params, invariants(params)
     perms, _, _ = permutation_table(3)
     a, b, c = (table.Z[:, perms[:, k]] for k in range(3))
-    w = (1 / a) * (_adjacent_n(table, perms, 1) * (inv.X12 - h.q * (a + b + c)
-                                                   - h.p * (1 / b + 1 / c)
-                                                   + h.sp * b * c)
-                   + _adjacent_n(table, perms, 0) * h.t3 / b + h.t1 * c)
+    inv_a, abc_sum, recip = 1 / a, a + b + c, 1 / b + 1 / c
+    inner = inv.X12 - h.q * abc_sum - h.p * recip + h.sp * b * c
+    w = (_adjacent_n(table, perms, 1) * inner
+         + _adjacent_n(table, perms, 0) * h.t3 / b + h.t1 * c)
+    w = inv_a * w
     return table.amps * w
 
 
@@ -47,11 +55,12 @@ def e22_terms(params, table):
     perms, _, _ = permutation_table(4)
     a, b, c, d = (table.Z[:, perms[:, k]] for k in range(4))
     n01, n23 = _adjacent_n(table, perms, 0), _adjacent_n(table, perms, 2)
-    w = c * d * (n01 * n23
-                 * (inv.X22 + inv.Y + h.tp / (a * b)
-                    - h.q * (a + b + c + d) + h.sp * c * d
-                    - h.p * (1 / a + 1 / b + 1 / c + 1 / d))
-                 + n23 * h.t2 / a + n01 * h.t1 * d)
+    cd, ab = c * d, a * b
+    abcd_sum, recip = a + b + c + d, 1 / a + 1 / b + 1 / c + 1 / d
+    inner = (inv.X22 + inv.Y + h.tp / ab - h.q * abcd_sum + h.sp * c * d
+             - h.p * recip)
+    w = n01 * n23 * inner + n23 * h.t2 / a + n01 * h.t1 * d
+    w = cd * w
     return table.amps * w
 
 

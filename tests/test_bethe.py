@@ -1453,7 +1453,7 @@ def _assert_checks_match_reference(params, sols, L, M):
 def _per_block_checks(params, sols, stack, L, tol_eig, scale):
     """check_roots as a loop over the translation blocks: after the same
     sector-wide pair table, assembly and BAE sides, each block takes its
-    own columns (unpadded, from the stack), its own residual product and
+    own orbits' columns (cut from the stack), its own residual product and
     the Gram matrix of its verified sets, in block order."""
     if not sols:
         return []
@@ -1486,8 +1486,8 @@ def _per_block_checks(params, sols, stack, L, tol_eig, scale):
     starts = np.flatnonzero(np.diff(m_live[order])) + 1
     for rows in np.split(order, starts):
         m = int(m_live[rows[0]])
-        k = int(stack.size[m])
-        idx, B = stack.idx[m, :k], stack.B[m, :k, :k]
+        idx = np.flatnonzero(stack.inside[m])
+        B = stack.B[m][np.ix_(idx, idx)]
         Cb = C[rows[:, None], idx]
         norms = np.linalg.norm(Cb, axis=1)
         sing = singular[rows]
@@ -1526,7 +1526,7 @@ def _per_block_checks(params, sols, stack, L, tol_eig, scale):
 
 
 def _assert_same_as_per_block(params, sols, spec, L, scale):
-    """check_roots on the padded stack gives _per_block_checks' momentum,
+    """check_roots on the block stack gives _per_block_checks' momentum,
     outcome and message for every root set, and its residual within
     1e-15 * scale."""
     got = bethe.check_roots(params, sols, spec.blocks, L, 1e-8, scale)

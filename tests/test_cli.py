@@ -78,6 +78,22 @@ class TestClassifyCommand:
         path = write_params(tmp_path, bf.HamiltonianParams(p=1, q=1))
         assert main(["classify", path]) == 3
 
+    @pytest.mark.parametrize("mode", ["classify", "verify"])
+    @pytest.mark.parametrize("couplings", [dict(s1=1, t3=1),
+                                           dict(s2=0.5, s3=2)],
+                             ids=["s1-t3", "s2-s3"])
+    def test_vanishing_lambda_exit_3(self, tmp_path, capsys, mode,
+                                     couplings):
+        """Both gates pass, but Lambda is exactly 0 wherever it is
+        sampled, so S and N are undefined: classify and verify stop at the
+        hypothesis gate with exit 3 and no report."""
+        path = write_params(tmp_path, bf.HamiltonianParams(**couplings))
+        extra = ["--L", "4", "--M", "1..2"] if mode == "verify" else []
+        assert main([mode, path, "--json"] + extra) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("hypothesis gate: Lambda ≡ 0")
+        assert captured.out == ""
+
     def test_solvable_unclassified_reports_raw_sn(self, capsys, tmp_path, rng):
         from conftest import cdraw
         free = dict(p=cdraw(rng), q=cdraw(rng), tp=cdraw(rng), t2=cdraw(rng),
@@ -152,13 +168,23 @@ class TestClassifyCommand:
         {"p": [1, 0], "t1": [1, 0], "bogus": 3},
         b'{"family": "gB\xff"}',
         "directory",
+        {"p": True, "t1": [1, 0]},
+        {"p": [True, False], "t1": [1, 0]},
+        {"p": [1, 0], "t1": [1, 0],
+         "v": [[0, 0, 0], [0, True, 0], [0, 0, 0]]},
+        {"family": "gB", "free": {**GB_FREE, "p": True}},
+        {"family": "17V1a", "free": {k: GB_FREE[k] for k in
+                                     ("p", "q", "tp", "t2")},
+         "branch": {"eps": True}},
     ], ids=["free-not-object", "branch-out-of-range", "family-not-string",
             "v-not-array", "v-flat", "v-row-not-array", "pair-with-null",
             "half-constrained-string", "no-half-constrained-form",
             "branch-bool", "branch-negative", "branch-float",
             "unknown-preset-key", "unknown-free-name", "unknown-branch-key",
             "branch-key-of-no-branch", "unknown-half-free-name",
-            "unknown-raw-key", "not-utf8", "directory"])
+            "unknown-raw-key", "not-utf8", "directory", "raw-bool",
+            "raw-pair-bool", "v-entry-bool", "free-value-bool",
+            "branch-value-bool"])
     def test_malformed_file_exit_2(self, tmp_path, capsys, content):
         """Malformed fields, keys the file's form does not know, undecodable
         bytes and an unreadable path are parse errors: exit 2, a "parse

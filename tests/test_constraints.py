@@ -1,6 +1,7 @@
 """Scattering data and the randomized solvability test."""
 
 import itertools
+import math
 import operator
 from pathlib import Path
 
@@ -467,6 +468,32 @@ class TestBatchedTerms:
                 assert np.all(np.abs(rel - ref_rel) <= 1e-13)
 
 
+class TestReferenceBatch:
+    @pytest.mark.parametrize("which, n", [("E21", 3000), ("E12", 3000),
+                                          ("E22", 1000)])
+    def test_batch_rows_equal_one_row_tables(self, which, n):
+        """The reference's summands and residuals over a batch whose (n, M!)
+        summands pass 256 KiB, where numpy computes x * (temporary) in
+        place as (temporary) * x, equal those of a table of each row alone,
+        bit for bit, on the gB preset."""
+        from bethe_forge.cli import load_input
+        h = load_input(Path(constraints.__file__).parent / "presets"
+                       / "gB.json")
+        rng = np.random.default_rng(3)
+        M, term_fn = reference.TERMS[which]
+        Z = np.array([cdraw(rng, M, 0.5, 2.0) for _ in range(n)])
+        assert n * math.factorial(M) * 16 >= 1 << 18
+        with np.errstate(all="ignore"):
+            got = term_fn(h, _PairTable(h, Z))
+            want = np.concatenate([term_fn(h, _PairTable(h, z[None]))
+                                   for z in Z])
+            rel = reference.constraint_batch(h, Z, which)[0]
+            one = [reference.constraint_batch(h, z[None], which)[0]
+                   for z in Z]
+        assert got.tobytes() == want.tobytes()
+        assert rel.tobytes() == np.concatenate(one).tobytes()
+
+
 class TestSolvability:
     def test_families_pass(self, rng):
         for tag in bf.FAMILY_ORDER:
@@ -555,6 +582,22 @@ class TestSolvability:
         with pytest.raises(RuntimeError, match="no nonsingular"):
             bf.is_cba_solvable(h)
 
+    @pytest.mark.parametrize("couplings", [dict(s1=1, t3=1),
+                                           dict(s2=0.5, s3=2)],
+                             ids=["s1-t3", "s2-s3"])
+    def test_vanishing_lambda_is_a_gate(self, couplings):
+        """Both gates pass, but Lambda is exactly 0 at every sample row and
+        every spare row, so no row can stand in: the test raises
+        GateViolation naming Lambda ≡ 0, not the RuntimeError of tables
+        patched to one singular point."""
+        h = bf.HamiltonianParams(**couplings)
+        h.check_gates()
+        three, four, spares = constraints._SAMPLES
+        for geom in (three, four, *spares.values()):
+            assert not _PairTable(h, geom).lam.any()
+        with pytest.raises(bf.GateViolation, match="Lambda ≡ 0"):
+            bf.is_cba_solvable(h)
+
     def test_verdict_consistency(self, rng):
         h, _ = family_instance("17V2", rng)
         verdict = bf.is_cba_solvable(h, tol=1e-8)
@@ -611,14 +654,14 @@ def _worst_spare(h, which, rng):
     """A copy of the spare block whose first row has a larger reference
     residual of which than every row of which's samples (taken before they
     are patched), and that residual: the worst of 1,000 rows drawn on the
-    annulus.  The residual is read from a table of that row alone, as the
-    reference's products round by batch size (see constraints)."""
+    annulus, read off their batch, whose rows have the bits of tables of
+    their own (TestReferenceBatch)."""
     M = reference.TERMS[which][0]
     floor = reference.constraint_batch(
         h, constraints.SAMPLE_TABLES[which], which)[0].max()
     rows = np.array([cdraw(rng, M, 0.5, 2.0) for _ in range(1000)])
-    row = rows[np.argmax(reference.constraint_batch(h, rows, which)[0])]
-    worst = reference.constraint_batch(h, row[None], which)[0][0]
+    rel = reference.constraint_batch(h, rows, which)[0]
+    row, worst = rows[np.argmax(rel)], rel.max()
     assert worst > floor
     spare = np.array(constraints.SAMPLE_TABLES["spare"])
     spare[0, :M] = row

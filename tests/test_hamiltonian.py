@@ -404,7 +404,7 @@ class TestSectorBasis:
         """verify_sector, sector_matrix and sector_basis of one (L, M) read
         one read-only occupation table, built once."""
         for cache in (ham._sector_occupations, ham._orbit_table,
-                      ham._block_layout, ham._sub_blocks,
+                      bf.oracle._block_layout, bf.oracle._sub_blocks,
                       bf.bethe._sector_positions):
             cache.cache_clear()
         h, _ = family_instance("gIK", rng)
@@ -413,13 +413,15 @@ class TestSectorBasis:
         bf.sector_matrix(h, L, M)
         bf.sector_basis(L, M)
         bf.sector_spectrum(h, L, M)
-        for cache in (ham._sector_occupations, ham._block_layout,
-                      ham._sub_blocks):
+        for cache in (ham._sector_occupations, bf.oracle._block_layout,
+                      bf.oracle._sub_blocks):
             info = cache.cache_info()
             assert (info.misses, info.currsize) == (1, 1), cache
         assert not ham._sector_occupations(L, M).flags.writeable
-        assert not any(a.flags.writeable for a in ham._block_layout(L, M))
-        assert not any(a.flags.writeable for t in ham._sub_blocks(L, M, False)
+        assert not any(a.flags.writeable
+                       for a in bf.oracle._block_layout(L, M))
+        assert not any(a.flags.writeable
+                       for t in bf.oracle._sub_blocks(L, M, False)
                        for a in t[1:])
 
     def test_vacuum_sector(self):

@@ -168,8 +168,8 @@ class TestSectorSpectrum:
 
 class TestStackCap:
     def test_entry_cap_covers_the_padded_stack(self, monkeypatch):
-        """The zero-padded block stack of 17V1a at L = 9, M = 3 (18 orbits
-        in block 0, so 9 x 18 x 18 entries whatever the smaller blocks
+        """The block stack of 17V1a at L = 9, M = 3 (18 orbits, all in
+        block 0, so 9 x 18 x 18 entries whatever the smaller blocks
         hold): one entry below the cap sector_spectrum refuses it before
         the rows or the stack are built, and at the cap it gives the
         spectrum of the default cap, bit for bit."""
@@ -480,12 +480,14 @@ class TestNoDenseSector:
 
 def _blocks(stack):
     """Block m of a BlockStack for m = 0..L-1, as (orbit indices, matrix),
-    its padding cut off; the padding is checked to be -1 and 0."""
+    cut to its orbits; its size is checked to count them, and its entries
+    off them to be 0."""
     out = []
-    for idx, B, k in zip(stack.idx, stack.B, stack.size.tolist()):
-        assert np.all(idx[k:] == -1)
-        assert not B[k:].any() and not B[:, k:].any()
-        out.append((idx[:k], B[:k, :k]))
+    for inside, B, k in zip(stack.inside, stack.B, stack.size.tolist()):
+        idx = np.flatnonzero(inside)
+        assert len(idx) == k
+        assert not B[~inside].any() and not B[:, ~inside].any()
+        out.append((idx, B[np.ix_(idx, idx)]))
     return out
 
 
@@ -613,7 +615,7 @@ class TestTranslationBlocks:
                 grade = _orbit_grades(L, M)
                 parts = [_grade_parts(B, grade[idx] if split else 0 * idx)
                          for idx, B in blocks]
-                tables = bf.hamiltonian._sub_blocks(L, M, split)
+                tables = bf.oracle._sub_blocks(L, M, split)
                 assert sum(len(m) for _, m, _, _ in tables) == sum(
                     map(len, parts)), (L, M)
                 want = [np.linalg.eigvals(S) for p in parts for S in p]
@@ -672,7 +674,7 @@ class TestTranslationBlocks:
             for M in (2, 3):
                 spec = bf.sector_spectrum(h, L, M)
                 blocks = [B for _, B in _blocks(spec.blocks) if len(B)]
-                tables = bf.hamiltonian._sub_blocks(L, M, False)
+                tables = bf.oracle._sub_blocks(L, M, False)
                 assert sum(len(m) for _, m, _, _ in tables) == len(blocks)
                 want = np.concatenate([np.linalg.eigvals(B) for B in blocks])
                 assert spec.eigenvalues.tobytes() == want.tobytes(), (L, M)
