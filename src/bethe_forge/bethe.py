@@ -126,6 +126,7 @@ from .hamiltonian import (_check_entries, _orbit_table, _sector_occupations,
                           invariants)
 
 BAE_TOL = 1e-10          # largest BAE residual of an accepted root set
+M_MAX = 3                # largest number of excitations solve_bae solves
 DAMPING = 0.5            # line-search step factor
 MIN_STEP = 2.0 ** -13    # smallest line-search step factor tried
 GRID_STARTS = 600        # M = 3 Halton starts per solve, ceil(600 / L) a block
@@ -654,8 +655,8 @@ def _solutions(params, Z, res):
 def solve_bae(params, L, M, bae_tol=BAE_TOL):
     """All distinct Bethe-equation solutions found for the (L, M) sector
     with a BAE residual of at most bae_tol."""
-    if M < 0 or M > 3:
-        raise ValueError("M <= 3 supported")
+    if M < 0 or M > M_MAX:
+        raise ValueError(f"M <= {M_MAX} supported")
 
     if M < 2 or _is_trivial_s(params):
         # no scattering: exactly the multisets of z^L = (-1)^(M-1)

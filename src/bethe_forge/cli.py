@@ -11,6 +11,9 @@ Subcommands:
   formulas, and the parity / charge-conjugation / time-reversal action table
   regenerated from random instances; ``--seed`` seeds these and nothing else.
 
+Each subcommand accepts only the options its run reads (build_parser), and
+every tolerance must lie strictly between 0 and 1.
+
 Input files hold either a raw Hamiltonian (keys p, q, t1, t2, s1, s2, t3, s3,
 tp, sp and a 3x3 "v" array; complex numbers as [re, im] pairs) or a family
 preset {"family": tag, "branch": ..., "free": {...}}.
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constraints, families, oracle, reductions
-from .bethe import BAE_TOL, _TRIVIAL_S_PROBES
+from .bethe import BAE_TOL, M_MAX, _TRIVIAL_S_PROBES
 from .hamiltonian import (FRAME_WORDS, OFFDIAG_KEYS, GateViolation, _pair_to_c,
                           apply_charge_conjugation, apply_frame, check_chain,
                           params_from_dict, params_to_dict, with_zero_v00)
@@ -75,9 +78,11 @@ class RunConfig:
     conjugate_vacuum: bool
 
     def __post_init__(self):
-        if not all(math.isfinite(t) and t > 0 for t in
+        # a relative tolerance of 1 or more accepts a residual as large as
+        # the quantity it is measured against
+        if not all(0 < t < 1 for t in
                    (self.tol_constraint, self.tol_bae, self.tol_eig)):
-            raise ValueError("tolerances must be finite and positive")
+            raise ValueError("tolerances must lie strictly between 0 and 1")
         if self.seed < 0:
             raise ValueError("the seed must be non-negative")
         if self.mode not in ("spectrum", "verify"):
@@ -441,8 +446,8 @@ def run_spectrum(cfg):
             f"input is not CBA-solvable (residual {verdict.max_residual:.3e}); "
             "spectrum mode refused")
     lo, hi = cfg.M_range
-    if hi > 3:
-        raise ModeRefusal("M <= 3 supported")
+    if hi > M_MAX:
+        raise ModeRefusal(f"M <= {M_MAX} supported")
     reps = [oracle.verify_sector(params, cfg.L, M, cfg.tol_bae, cfg.tol_eig)
             for M in range(lo, hi + 1)]
     all_ok = all(rep.passed for rep in reps)
@@ -643,38 +648,46 @@ def _parse_m_range(text):
 @functools.lru_cache(maxsize=1)
 def build_parser():
     """The argument parser, built once per process: parse_args keeps no
-    state between calls."""
+    state between calls.  Each subcommand declares only the options its run
+    function reads; every RunConfig field takes its default from the one
+    set_defaults below, whether or not the subcommand declares it."""
     ap = argparse.ArgumentParser(
         prog="bethe-forge",
         description="Classify and solve three-state spin-chain Hamiltonians "
                     "by coordinate Bethe ansatz.")
-    ap.set_defaults(input_path=None, L=None, M_range=None)
+    ap.set_defaults(input_path=None, L=None, M_range=None,
+                    tol_constraint=1e-9, tol_bae=BAE_TOL, tol_eig=1e-8,
+                    seed=0, json_output=False, conjugate_vacuum=False)
     sub = ap.add_subparsers(dest="mode", required=True)
 
-    def common(p, needs_file=True):
-        if needs_file:
+    def command(name, analysed=True, **kw):
+        # SUPPRESS: an option not given sets nothing, and the default above
+        # holds
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS, **kw)
+        if analysed:        # the input and the options _analyse reads
             p.add_argument("input_path", metavar="input",
                            help="Hamiltonian or preset JSON file")
-        p.add_argument("--tol-constraint", type=float, default=1e-9)
-        p.add_argument("--tol-bae", type=float, default=BAE_TOL)
-        p.add_argument("--tol-eig", type=float, default=1e-8)
-        p.add_argument("--seed", type=int, default=0, help="catalog's seed")
+            p.add_argument("--tol-constraint", type=float)
+            p.add_argument("--conjugate-vacuum", action="store_true",
+                           help="apply charge conjugation first (build on "
+                                "the second pseudo-vacuum)")
         p.add_argument("--json", action="store_true", dest="json_output")
-        p.add_argument("--conjugate-vacuum", action="store_true",
-                       help="apply charge conjugation first (build on the "
-                            "second pseudo-vacuum)")
+        return p
 
-    pc = sub.add_parser("classify", help="solvability + family classification")
-    common(pc)
+    command("classify", help="solvability + family classification")
     for mode in ("spectrum", "verify"):
-        ps = sub.add_parser(mode)
-        common(ps)
+        ps = command(mode)
+        ps.add_argument("--tol-bae", type=float)
+        ps.add_argument("--tol-eig", type=float)
+        ps.add_argument("--seed", type=int,
+                        help="ignored: the Bethe roots depend on the input "
+                             "alone")
         ps.add_argument("--L", type=int, required=True)
         ps.add_argument("--M", type=_parse_m_range, default=(1, 2),
                         dest="M_range",
                         help="excitation range, e.g. 2 or 1..2")
-    pk = sub.add_parser("catalog", help="list the ten families")
-    common(pk, needs_file=False)
+    pk = command("catalog", analysed=False, help="list the ten families")
+    pk.add_argument("--seed", type=int, help="seeds the sample instances")
     return ap
 
 

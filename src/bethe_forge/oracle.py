@@ -53,7 +53,7 @@ import numpy as np
 from .bethe import _chunks, _momenta, _slots, check_roots, solve_bae
 from .hamiltonian import (_apply_bonds, _grade_one_way, _orbit_table,
                           _representative_rows, _sector_occupations,
-                          check_chain, two_site_matrix)
+                          check_chain, two_site_matrix, with_zero_v00)
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,8 @@ def _sub_blocks(L, M, graded):
     for m in range(L):
         orbits = np.flatnonzero(inside[m])
         g = grade[orbits] * graded
-        for v in np.unique(g):
+        # the grades ascending: np.unique would import numpy.ma on first use
+        for v in np.flatnonzero(np.bincount(g)):
             pos = orbits[g == v]
             groups.setdefault(len(pos), []).append(
                 (m, pos, at + np.arange(len(pos))))
@@ -289,7 +290,11 @@ def verify_sector(params, L, M, bae_tol, tol_eig):
     """Diagonalize, solve, check and match the (L, M) sector: the root sets
     of solve_bae within bae_tol, each checked in its translation block
     (check_roots), and the verified ones matched against the block spectra
-    (compare), with tol_eig relative to the largest sector matrix entry."""
+    (compare), with tol_eig relative to the largest sector matrix entry.
+    The Bethe energies are measured from the pseudo-vacuum, so both sides
+    are taken of with_zero_v00(params): H and H + c * Identity verify
+    alike."""
+    params = with_zero_v00(params)
     spec = sector_spectrum(params, L, M)
     sols = solve_bae(params, L, M, bae_tol)
     scale = spec.scale or 1.0

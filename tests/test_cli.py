@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import argparse
 import collections
 import enum
 import gc
@@ -109,9 +110,9 @@ class TestClassifyCommand:
         assert "raw_s_matrix" in report and "raw_n_factor" in report
 
     def test_deterministic_json(self, capsys, gzf_file):
-        main(["classify", gzf_file, "--json", "--seed", "5"])
+        main(["classify", gzf_file, "--json"])
         first = capsys.readouterr().out
-        main(["classify", gzf_file, "--json", "--seed", "5"])
+        main(["classify", gzf_file, "--json"])
         second = capsys.readouterr().out
         assert first == second
 
@@ -459,11 +460,20 @@ class TestNumericOptions:
         ["classify", "generic", "--tol-constraint", "inf"],
         ["classify", "generic", "--tol-constraint", "0"],
         ["verify", "gIK", "--L", "5", "--M", "1..2", "--tol-eig=-1e-8"],
-        ["classify", "generic", "--seed", "-1"],
+        ["catalog", "--seed", "-1"],
+        ["classify", "gIK", "--tol-constraint", "1"],
+        ["classify", "generic", "--tol-constraint", "10"],
+        ["spectrum", "gIK", "--L", "5", "--M", "1..2", "--tol-constraint", "1"],
+        ["spectrum", "gIK", "--L", "5", "--M", "1..2", "--tol-bae", "10"],
+        ["spectrum", "gIK", "--L", "5", "--M", "1..2", "--tol-eig", "1.0"],
+        ["verify", "gIK", "--L", "5", "--M", "1..2", "--tol-constraint", "10"],
+        ["verify", "gIK", "--L", "5", "--M", "1..2", "--tol-bae", "1"],
+        ["verify", "gIK", "--L", "5", "--M", "1..2", "--tol-eig", "1e300"],
     ])
     def test_bad_value_exit_2(self, capsys, tmp_path, rng, args):
-        """NaN, infinite, zero or negative tolerances and a negative seed are
-        refused before any work, with no verdict printed."""
+        """NaN, infinite, zero or negative tolerances, tolerances of 1 or
+        more and a negative seed are refused before any work, with no
+        verdict printed."""
         from conftest import random_params
         files = {"gIK": str(PRESETS / "gIK.json"),
                  "generic": write_params(tmp_path, random_params(rng))}
@@ -482,40 +492,111 @@ class TestNumericOptions:
         assert captured.out == ""
 
 
-class TestSeedFreeVerdict:
-    """The solvability verdict and its residual depend on the input alone;
-    --seed seeds only catalog's instances."""
+class TestOptionsPerSubcommand:
+    """Each subcommand accepts only the options its run reads, and only
+    tolerances strictly between 0 and 1: a relative tolerance of 1 or more
+    accepts a residual as large as what it is measured against."""
 
-    @staticmethod
-    def _outputs(capsys, args):
+    def test_declared_options(self):
+        """21 options over the four subcommands: 3, 8, 8 and 2."""
+        spectrum = {"--tol-constraint", "--conjugate-vacuum", "--json",
+                    "--tol-bae", "--tol-eig", "--seed", "--L", "--M"}
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        declared = {mode: {o for a in p._actions for o in a.option_strings}
+                    - {"-h", "--help"} for mode, p in sub.choices.items()}
+        assert declared == {
+            "classify": {"--tol-constraint", "--conjugate-vacuum", "--json"},
+            "spectrum": spectrum, "verify": spectrum,
+            "catalog": {"--seed", "--json"}}
+
+    @pytest.mark.parametrize("mode, option", [
+        ("classify", ["--tol-bae", "1e-3"]),
+        ("classify", ["--tol-eig", "1e-3"]),
+        ("classify", ["--seed", "5"]),
+        ("catalog", ["--tol-constraint", "1e-3"]),
+        ("catalog", ["--tol-bae", "1e-3"]),
+        ("catalog", ["--tol-eig", "1e-3"]),
+        ("catalog", ["--conjugate-vacuum"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_unread_option_refused(self, capsys, mode, option):
+        """An option the subcommand does not read is unknown to it: exit 2,
+        nothing printed to stdout."""
+        path = [str(PRESETS / "gB.json")] if mode == "classify" else []
+        assert main([mode, *path, *option, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {option[0]}" in captured.err
+        assert captured.out == ""
+
+    def test_abbreviated_tolerance(self, capsys):
+        """argparse takes a unique prefix for the option.  classify has one
+        tolerance, so --tol is --tol-constraint there and is held to the
+        same range.  spectrum and verify have three, so --tol is ambiguous
+        there: exit 2."""
+        gb = str(PRESETS / "gB.json")
         outs = []
-        for seed in ("0", "7"):
-            main(args + ["--seed", seed])
+        for option in ("--tol", "--tol-constraint"):
+            assert main(["classify", gb, option, "1e-3", "--json"]) == 0
             outs.append(capsys.readouterr().out)
-        return outs
+        assert outs[0] == outs[1]
+        assert main(["classify", gb, "--tol", "10", "--json"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        for mode in ("spectrum", "verify"):
+            assert main([mode, gb, "--L", "5", "--tol", "1e-3"]) == 2
+            captured = capsys.readouterr()
+            assert "ambiguous option: --tol" in captured.err
+            assert captured.out == ""
+
+    def test_generic_input_neither_solvable_nor_verified(self, capsys,
+                                                         tmp_path, rng):
+        """A generic 19-vertex input, whose constraint residual lies between
+        1 and 10, read as solvable under --tol-constraint 10 and as all
+        verified with every tolerance at 10.  Both runs now exit 2 with no
+        report."""
+        from conftest import random_params
+        path = write_params(tmp_path, random_params(rng))
+        assert main(["classify", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert not report["solvable"]
+        assert 1 < report["max_constraint_residual"] < 10
+        for args in (["classify", path, "--tol-constraint", "10"],
+                     ["verify", path, "--L", "5", "--M", "1..2",
+                      "--tol-constraint", "10", "--tol-bae", "10",
+                      "--tol-eig", "10"]):
+            assert main(args + ["--json"]) == 2, args
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:")
+            assert captured.out == ""
+
+
+class TestSeedFreeVerdict:
+    """The solvability verdict and its residual depend on the input alone:
+    verify ignores --seed, and classify takes none."""
 
     @pytest.mark.parametrize("path", sorted(PRESETS.glob("*.json")),
                              ids=lambda p: p.stem)
     def test_reports_equal_across_seeds(self, capsys, path):
-        """classify --json and verify --json --L 5 --M 1..2 print the same
-        bytes at --seed 0 and --seed 7."""
-        for args in (["classify", str(path), "--json"],
-                     ["verify", str(path), "--L", "5", "--M", "1..2",
-                      "--json"]):
-            first, second = self._outputs(capsys, args)
-            assert json.loads(first)["max_constraint_residual"] <= 1e-9
-            assert first == second, args
+        """verify --json --L 5 --M 1..2 prints the same bytes at --seed 0
+        and --seed 7."""
+        outs = []
+        for seed in ("0", "7"):
+            main(["verify", str(path), "--L", "5", "--M", "1..2", "--json",
+                  "--seed", seed])
+            outs.append(capsys.readouterr().out)
+        first, second = outs
+        assert json.loads(first)["max_constraint_residual"] <= 1e-9
+        assert first == second
 
     def test_unclassified_sample_momenta_fixed(self, capsys, tmp_path, rng):
         """An unclassified input's raw S and N are shown at the first S = -1
-        probe pair, whatever the seed."""
+        probe pair."""
         from conftest import cdraw
         free = dict(p=cdraw(rng), q=cdraw(rng), tp=cdraw(rng), t2=cdraw(rng),
                     t3=cdraw(rng), s3=cdraw(rng), X22=cdraw(rng))
         path = write_params(tmp_path, bf.construct("17V1a", free,
                                                    half_constrained=True))
-        first, second = self._outputs(capsys, ["classify", path, "--json"])
-        assert first == second
+        main(["classify", path, "--json"])
+        first = capsys.readouterr().out
         z1, z2 = bethe._TRIVIAL_S_PROBES[0]
         report = json.loads(first)
         assert report["unclassified"] is True
@@ -841,6 +922,30 @@ def test_python_dash_m_runs_the_cli():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(proc.stdout)["families"]) == 10
+
+
+def test_classify_and_verify_import_no_numpy_ma():
+    """A fresh interpreter that runs classify and verify --L 5 --M 1..3, on
+    a preset with whole translation blocks and on one split by grade,
+    never imports numpy.ma: np.unique imports it on first use (numpy 2.4),
+    so the oracle lists a block's grades without it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from bethe_forge.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        *[f"    assert main({argv!r}) == 0"
+          for name in ("gB", "17V1a")
+          for argv in (["classify", str(PRESETS / f"{name}.json")],
+                       ["verify", str(PRESETS / f"{name}.json"), "--L", "5",
+                        "--M", "1..3"])],
+        "print('numpy.ma' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("args, code", [

@@ -448,6 +448,23 @@ class TestVerifySector:
                               and not rep.unmatched)
 
 
+    @pytest.mark.parametrize("name, matched", [
+        ("gB", [6, 21, 45]), ("17V1a", [6, 15, 20]),
+        ("izergin_korepin", [6, 18, 25]), ("gZF", [6, 21, 35]),
+    ])
+    def test_constant_shift_is_harmless(self, name, matched):
+        """H + c * Identity verifies as H, sector by sector (M = 1..3 at
+        L = 6): verify_sector measures the Bethe energies and the block
+        spectra alike from the pseudo-vacuum, with_zero_v00(H)."""
+        h = load_input(PRESETS_DIR / f"{name}.json")
+        for c in (0, 0.7, -1.3 + 0.4j, 25j):
+            hc = h.replace(v=h.v + c)
+            reps = [bf.verify_sector(hc, 6, M, bf.bethe.BAE_TOL, 1e-8)
+                    for M in (1, 2, 3)]
+            assert [rep.matched for rep in reps] == matched, c
+            assert all(rep.passed for rep in reps), c
+
+
 class TestNoDenseSector:
     @pytest.mark.parametrize("tag", ["gIK", "17V1a"])
     def test_verify_sector_builds_only_representative_rows(
