@@ -41,9 +41,6 @@ from .families import (
     TRIVIAL_S_TAGS,
     classify,
     construct,
-    family_n_factor,
-    family_reduced,
-    family_s_matrix,
     reduced_parameters,
 )
 from .reductions import reduce_hamiltonian, reduce_two_site

@@ -8,8 +8,8 @@ Subcommands:
   residuals, sector-by-sector comparison with dense diagonalization.
 * ``verify <file> --L n --M a..b``  spectrum pipeline with a pass/fail exit.
 * ``catalog``  the ten families, their free/reduced parameters, S and N
-  formulas, and the parity / charge-conjugation / time-reversal action table
-  regenerated from random instances; ``--seed`` seeds these and nothing else.
+  formulas, and the parity / charge-conjugation / time-reversal action table,
+  read at each family's fixed generic member (Family.generic_free).
 
 Each subcommand accepts only the options its run reads (build_parser), and
 every tolerance must lie strictly between 0 and 1.
@@ -73,7 +73,6 @@ class RunConfig:
     tol_constraint: float
     tol_bae: float
     tol_eig: float
-    seed: int
     json_output: bool
     conjugate_vacuum: bool
 
@@ -83,8 +82,6 @@ class RunConfig:
         if not all(0 < t < 1 for t in
                    (self.tol_constraint, self.tol_bae, self.tol_eig)):
             raise ValueError("tolerances must lie strictly between 0 and 1")
-        if self.seed < 0:
-            raise ValueError("the seed must be non-negative")
         if self.mode not in ("spectrum", "verify"):
             return
         lo, hi = self.M_range
@@ -97,6 +94,7 @@ class RunConfig:
 
 _escape = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
+_JSON_TYPES = (dict, list, tuple, str, int, float, complex)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -213,26 +211,18 @@ def to_json(obj):
             emit(int.__repr__(obj))
         elif obj is None:
             emit("null")
-        # subclasses of the types above, and the other numpy types
-        elif isinstance(obj, (complex, np.complexfloating)):
-            render(complex(obj), nl)
-        elif isinstance(obj, (np.floating, np.integer, np.bool_)):
+        elif isinstance(obj, np.generic):
             render(obj.item(), nl)
         elif isinstance(obj, np.ndarray):
             render(obj.tolist(), nl)
-        elif isinstance(obj, str):
-            emit(_escape(obj))
-        elif isinstance(obj, int):
-            emit(int.__repr__(obj))
-        elif isinstance(obj, float):
-            emit(ftext(obj))
-        elif isinstance(obj, dict):
-            render(dict(obj), nl)
-        elif isinstance(obj, (list, tuple)):
-            render(list(obj), nl)
         else:
-            raise TypeError(
-                f"Object of type {t.__name__} is not JSON serializable")
+            # a subclass of a type above (an IntEnum, a namedtuple) is
+            # written as that type
+            base = next((b for b in _JSON_TYPES if isinstance(obj, b)), None)
+            if base is None:
+                raise TypeError(
+                    f"Object of type {t.__name__} is not JSON serializable")
+            render(base(obj), nl)
 
     render(obj, "\n")
     # render refers to itself: empty its cell so that the pieces, the chunks
@@ -556,34 +546,39 @@ def _word_group(words):
     return out
 
 
+def _pct_table(tag, params):
+    """(actions, invariances) of params, a member of family tag on its
+    first branch: the family, frame and branch each of P, C and T maps it
+    to, and generators of the frame words that leave it in tag, on the same
+    branch, in the identity frame."""
+    branch0 = dict(families.FAMILIES[tag].branches[0])
+    images = {word: families.classify(apply_frame(params, word), tol=1e-8)
+              for word in FRAME_WORDS[1:]}     # every word but identity
+    actions = {}
+    for word in ("P", "C", "T"):
+        m = images[word]
+        if m is None:
+            actions[word] = "outside catalog"
+        else:
+            note = " (branch swapped)" if m.branch != branch0 else ""
+            frame = m.frame or "identity"
+            actions[word] = f"{m.tag} via {frame}{note}"
+    generators = []
+    for word, m in images.items():
+        if (m is not None and m.tag == tag and m.frame == ""
+                and all(abs(complex(m.branch[k]) - complex(v)) < 1e-9
+                        for k, v in branch0.items())
+                and word not in _word_group(generators)):
+            generators.append(word)
+    return actions, generators
+
+
 def run_catalog(cfg):
-    rng = np.random.default_rng(cfg.seed)
     rows = []
     for tag in families.FAMILY_ORDER:
         fam = families.FAMILIES[tag]
-        free = _random_free(fam, rng)
-        branch0 = dict(fam.branches[0])
-        params = fam.build(free, fam.branches[0])
-        images = {word: families.classify(apply_frame(params, word), tol=1e-8)
-                  for word in FRAME_WORDS[1:]}     # every word but identity
-        actions = {}
-        for word in ("P", "C", "T"):
-            m = images[word]
-            if m is None:
-                actions[word] = "outside catalog"
-            else:
-                note = " (branch swapped)" if m.branch != branch0 else ""
-                frame = m.frame or "identity"
-                actions[word] = f"{m.tag} via {frame}{note}"
-        # generators of the invariance words: image = same family, same
-        # branch, identity frame
-        generators = []
-        for word, m in images.items():
-            if (m is not None and m.tag == tag and m.frame == ""
-                    and all(abs(complex(m.branch[k]) - complex(v)) < 1e-9
-                            for k, v in branch0.items())
-                    and word not in _word_group(generators)):
-                generators.append(word)
+        params = fam.build(fam.generic_free(), fam.branches[0])
+        actions, generators = _pct_table(tag, params)
         rows.append({
             "family": tag,
             # the 9 diagonal vertices and the off-diagonal slots the family
@@ -600,15 +595,6 @@ def run_catalog(cfg):
             "sample": params_to_dict(params),
         })
     return {"mode": "catalog", "families": rows}
-
-
-def _random_free(fam, rng):
-    free = {}
-    for name in fam.free_names:
-        r = rng.uniform(0.6, 1.4)
-        ph = rng.uniform(0, 2 * np.pi)
-        free[name] = r * np.exp(1j * ph)
-    return free
 
 
 def _text_catalog(report):
@@ -657,7 +643,7 @@ def build_parser():
                     "by coordinate Bethe ansatz.")
     ap.set_defaults(input_path=None, L=None, M_range=None,
                     tol_constraint=1e-9, tol_bae=BAE_TOL, tol_eig=1e-8,
-                    seed=0, json_output=False, conjugate_vacuum=False)
+                    json_output=False, conjugate_vacuum=False)
     sub = ap.add_subparsers(dest="mode", required=True)
 
     def command(name, analysed=True, **kw):
@@ -686,8 +672,7 @@ def build_parser():
         ps.add_argument("--M", type=_parse_m_range, default=(1, 2),
                         dest="M_range",
                         help="excitation range, e.g. 2 or 1..2")
-    pk = command("catalog", analysed=False, help="list the ten families")
-    pk.add_argument("--seed", type=int, help="seeds the sample instances")
+    command("catalog", analysed=False, help="list the ten families")
     return ap
 
 
@@ -697,8 +682,10 @@ def main(argv=None):
         ns = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
+    options = vars(ns)
+    options.pop("seed", None)           # accepted and read by no run
     try:
-        cfg = RunConfig(**vars(ns))
+        cfg = RunConfig(**options)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

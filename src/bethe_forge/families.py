@@ -152,6 +152,12 @@ class Family:
         DegenerateFamilyPoint where a relation divides by zero."""
         raise NotImplementedError
 
+    def generic_free(self):
+        """The family's fixed generic free-parameter point: the k-th free
+        name is 0.9 + 0.13 k + (0.4 - 0.21 k) i."""
+        return {n: complex(0.9 + 0.13 * k, 0.4 - 0.21 * k)
+                for k, n in enumerate(self.free_names)}
+
     def build(self, free, branch):
         """The member of free and branch, with free.get("V", 0) for V."""
         return _member(self.couplings(free, branch), free.get("V", 0))
@@ -704,12 +710,10 @@ TRIVIAL_S_TAGS = ("17V1a", "17V1b", "14V2")
 
 def _zero_mask(fam, branch):
     """The fingerprint slots that fam's couplings leave exactly zero for
-    every member of branch, as bits (bit k for slot k), read at a generic
-    free-parameter point."""
-    free = {n: complex(0.9 + 0.13 * k, 0.4 - 0.21 * k)
-            for k, n in enumerate(fam.free_names)}
-    return sum(1 << k for k, c in enumerate(fam.couplings(free, branch))
-               if c == 0)
+    every member of branch, as bits (bit k for slot k), read at the generic
+    point fam.generic_free()."""
+    return sum(1 << k for k, c in
+               enumerate(fam.couplings(fam.generic_free(), branch)) if c == 0)
 
 
 _ZERO_MASKS = {tag: tuple(_zero_mask(fam, b) for b in fam.branches)
@@ -746,27 +750,6 @@ def _normalize_branch(fam, branch):
         return fam.branches[branch]
     raise ValueError(f"branch must be null, an object or an index "
                      f"0..{len(fam.branches) - 1}, not {branch!r}")
-
-
-def family_reduced(tag, free, branch=None):
-    fam = FAMILIES[tag]
-    return fam.reduced(free, _normalize_branch(fam, branch))
-
-
-def family_s_matrix(tag, red, z1, z2):
-    """The family's closed-form scattering amplitude."""
-    val = FAMILIES[tag].s_closed(red, z1, z2)
-    if not np.all(np.isfinite(np.atleast_1d(val))):
-        raise ValueError("singular S")
-    return val
-
-
-def family_n_factor(tag, red, z1, z2):
-    """The family's closed-form decay coefficient."""
-    val = FAMILIES[tag].n_closed(red, z1, z2)
-    if not np.all(np.isfinite(np.atleast_1d(val))):
-        raise ValueError("singular N")
-    return val
 
 
 @dataclass
@@ -819,10 +802,14 @@ def classify(params, tol=1e-9):
     their slots for every family and branch and takes the member
     fingerprint they give.  One array pass compares every member with its
     framed input and accepts when all off-diagonals and diagonal invariants
-    agree to the relative tolerance.  Returns the first match by (frame,
-    family, branch) precedence with every other match recorded, or None
-    when nothing fits.  Solvability is not tested here: that is
-    constraints.is_cba_solvable's answer, which the CLI gives beside it.
+    agree to the relative tolerance.  Returns None when nothing fits.
+    Otherwise the family is the one whose match fits best (smallest fit
+    residual, ties to the earlier match by (frame, family, branch)
+    precedence), and its first match by that precedence is returned, with
+    every match recorded.  The frame is not chosen by residual: a symmetric
+    member fits several frames to rounding level.  Solvability is not
+    tested here: that is constraints.is_cba_solvable's answer, which the
+    CLI gives beside it.
 
     A candidate is skipped unbuilt when a slot its family and branch leave
     exactly zero (_ZERO_MASKS) holds more than 2 tol of the framed input's
@@ -868,7 +855,8 @@ def classify(params, tol=1e-9):
             matches.append((tag, branch, free, word, r))
     if not matches:
         return None
-    tag, branch, free, word, res = matches[0]
+    best = min(matches, key=lambda m: m[4])[0]
+    tag, branch, free, word, res = next(m for m in matches if m[0] == best)
     free = {n: _ldexp(x, e) if n in _SLOT_NAMES else x
             for n, x in free.items()}
     distinct_tags = {m[0] for m in matches}

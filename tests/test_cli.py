@@ -460,7 +460,6 @@ class TestNumericOptions:
         ["classify", "generic", "--tol-constraint", "inf"],
         ["classify", "generic", "--tol-constraint", "0"],
         ["verify", "gIK", "--L", "5", "--M", "1..2", "--tol-eig=-1e-8"],
-        ["catalog", "--seed", "-1"],
         ["classify", "gIK", "--tol-constraint", "1"],
         ["classify", "generic", "--tol-constraint", "10"],
         ["spectrum", "gIK", "--L", "5", "--M", "1..2", "--tol-constraint", "1"],
@@ -471,9 +470,8 @@ class TestNumericOptions:
         ["verify", "gIK", "--L", "5", "--M", "1..2", "--tol-eig", "1e300"],
     ])
     def test_bad_value_exit_2(self, capsys, tmp_path, rng, args):
-        """NaN, infinite, zero or negative tolerances, tolerances of 1 or
-        more and a negative seed are refused before any work, with no
-        verdict printed."""
+        """NaN, infinite, zero or negative tolerances and tolerances of 1
+        or more are refused before any work, with no verdict printed."""
         from conftest import random_params
         files = {"gIK": str(PRESETS / "gIK.json"),
                  "generic": write_params(tmp_path, random_params(rng))}
@@ -498,7 +496,7 @@ class TestOptionsPerSubcommand:
     accepts a residual as large as what it is measured against."""
 
     def test_declared_options(self):
-        """21 options over the four subcommands: 3, 8, 8 and 2."""
+        """20 options over the four subcommands: 3, 8, 8 and 1."""
         spectrum = {"--tol-constraint", "--conjugate-vacuum", "--json",
                     "--tol-bae", "--tol-eig", "--seed", "--L", "--M"}
         (sub,) = [a for a in cli.build_parser()._actions
@@ -508,7 +506,7 @@ class TestOptionsPerSubcommand:
         assert declared == {
             "classify": {"--tol-constraint", "--conjugate-vacuum", "--json"},
             "spectrum": spectrum, "verify": spectrum,
-            "catalog": {"--seed", "--json"}}
+            "catalog": {"--json"}}
 
     @pytest.mark.parametrize("mode, option", [
         ("classify", ["--tol-bae", "1e-3"]),
@@ -518,6 +516,7 @@ class TestOptionsPerSubcommand:
         ("catalog", ["--tol-bae", "1e-3"]),
         ("catalog", ["--tol-eig", "1e-3"]),
         ("catalog", ["--conjugate-vacuum"]),
+        ("catalog", ["--seed", "0"]),
     ], ids=lambda v: v if isinstance(v, str) else v[0])
     def test_unread_option_refused(self, capsys, mode, option):
         """An option the subcommand does not read is unknown to it: exit 2,
@@ -711,6 +710,36 @@ class TestCatalogCommand:
         out = capsys.readouterr().out
         assert "10 solution families" in out
         assert "gIK" in out and "14V2" in out
+
+    def test_sample_is_generic_member(self, capsys):
+        """Each row's sample is its family's member at the fixed generic
+        point on the first branch."""
+        main(["catalog", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        for row in report["families"]:
+            fam = bf.FAMILIES[row["family"]]
+            member = fam.build(fam.generic_free(), fam.branches[0])
+            assert row["sample"] == json.loads(
+                cli.to_json(bf.params_to_dict(member)))
+
+    @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
+    def test_table_same_at_random_members(self, capsys, rng, tag):
+        """The P/C/T actions, invariances and vertex count of the catalog
+        row hold at 20 random members of the first branch, each free value
+        drawn with modulus in [0.6, 1.4) and a uniform phase."""
+        main(["catalog", "--json"])
+        (row,) = [r for r in json.loads(capsys.readouterr().out)["families"]
+                  if r["family"] == tag]
+        fam = bf.FAMILIES[tag]
+        for _ in range(20):
+            free = {n: rng.uniform(0.6, 1.4) * np.exp(1j * rng.uniform(
+                0, 2 * np.pi)) for n in fam.free_names}
+            h = fam.build(free, fam.branches[0])
+            actions, invariances = cli._pct_table(tag, h)
+            assert (actions, invariances) == (row["pct_actions"],
+                                              row["invariances"])
+            assert row["vertices"] == 9 + sum(getattr(h, k) != 0
+                                              for k in OFFDIAG_KEYS)
 
 
 def _jsonable(obj):

@@ -27,12 +27,13 @@ class TestLambda:
         """For the gZF family Lambda factorizes; S built from it must match
         the family's printed two-parameter form."""
         h = bf.construct("gZF", draw_free("gZF", rng))
-        red = bf.family_reduced("gZF", {k: getattr(h, k) for k in
-                                        ("p", "tp", "t2", "s1")})
+        fam = bf.FAMILIES["gZF"]
+        red = fam.reduced({k: getattr(h, k) for k in ("p", "tp", "t2", "s1")},
+                          fam.branches[0])
         for _ in range(20):
             z1, z2 = cdraw(rng), cdraw(rng)
             s = bf.s_matrix(h, z1, z2)
-            s_fam = bf.family_s_matrix("gZF", red, z1, z2)
+            s_fam = fam.s_closed(red, z1, z2)
             assert abs(s - s_fam) < 1e-10 * abs(s_fam)
 
     def test_equal_momenta_smoke(self, rng):
@@ -290,10 +291,11 @@ class TestNFactor:
     def test_gzf_closed_form(self, rng):
         free = draw_free("gZF", rng)
         h = bf.construct("gZF", free)
-        red = bf.family_reduced("gZF", free)
+        fam = bf.FAMILIES["gZF"]
+        red = fam.reduced(free, fam.branches[0])
         for _ in range(20):
             z1, z2 = cdraw(rng), cdraw(rng)
-            expect = bf.family_n_factor("gZF", red, z1, z2)
+            expect = fam.n_closed(red, z1, z2)
             assert abs(bf.n_factor(h, z1, z2) - expect) < 1e-10 * max(1, abs(expect))
 
     def test_14v2_closed_form(self, rng):

@@ -122,3 +122,17 @@ def test_preset_spectrum_pipeline(name, capsys):
     assert report["sectors"][0]["completeness"] == 1.0
     m2 = report["sectors"][1]
     assert m2["matched"] == m2["verified"]
+
+
+@pytest.mark.parametrize("tol", ["0.5", "0.7", "0.999"])
+@pytest.mark.parametrize("name", sorted(EXPECTED_FAMILY))
+def test_preset_family_at_loose_tolerance(name, tol, capsys):
+    """Under a loose --tol-constraint several families fit a preset; the
+    best-fitting one is reported, which is the preset's own (the first fit
+    by precedence was often another, e.g. gIK for gB at 0.7, or gZF, whose
+    reduction then failed)."""
+    from bethe_forge.cli import main
+    code = main(["classify", str(PRESETS / f"{name}.json"),
+                 "--tol-constraint", tol, "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["family"] == EXPECTED_FAMILY[name]

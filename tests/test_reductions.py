@@ -297,7 +297,7 @@ class TestPhysicalDataInvariance:
         h2, red2 = reduce_family(tag, free2, dict(branch))
         scale = max(1.0, float(np.max(np.abs(h1))))
         assert np.max(np.abs(h1 - h2)) < 1e-10 * scale
-        red1 = bf.family_reduced(tag, free1, dict(branch))
+        red1 = fam.reduced(free1, branch)
         for k, val in red1.as_dict().items():
             assert abs(val - getattr(red2, k)) < 1e-10 * max(1, abs(val))
 
