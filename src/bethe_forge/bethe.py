@@ -18,8 +18,9 @@ denominator-cleared polynomial system
 
 Families with S identically -1 need no solver: their solutions are exactly
 the multisets of the trivial-scattering roots z^L = (-1)^(M-1), which for
-M < 2 are the exact sets above (_multiset_seeds).  S = -1 is tested at six
-fixed pairs of momenta (_TRIVIAL_S_PROBES).
+M < 2 are the exact sets above (_multiset_seeds).  S = -1 is tested at
+every ordered pair of the solvability test's three-body samples
+(constraints._SAMPLES).
 
 M = 2 needs no seeds either.  The BAE force (z1 z2)^L = 1, so each solution
 lies on a line z1 z2 = e^{2 pi i n / L}, one per translation block, and on
@@ -73,7 +74,7 @@ arXiv:1308.4645.
 
 S, N, the plane-wave amplitudes A and the singular rule all come from the
 pair table of constraints (_PairTable): the BAE residuals of a whole batch
-of root sets, the trivial-S probe and the amplitudes of a batch of root
+of root sets, the S = -1 test and the amplitudes of a batch of root
 sets are reads of one table each.  The BAE residuals and the energies are
 computed in Python's complex arithmetic, bit for bit, on float64 arrays
 (constraints.PyComplexArray), so that no fused product moves a root set
@@ -120,8 +121,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (PyComplexArray, _Geometry, _PairTable, lambda_fn,
-                          lambda_grad, ordered_pairs, permutation_table)
+from . import constraints
+from .constraints import (PyComplexArray, _PairTable, _require_lambda,
+                          lambda_fn, lambda_grad, ordered_pairs,
+                          permutation_table)
 from .hamiltonian import (_check_entries, _orbit_table, _sector_occupations,
                           invariants)
 
@@ -138,27 +141,6 @@ DEDUP_TOL = 1e-8         # root sets this close are one solution
 DEGENERATE_TOL = 1e-6    # roots this close are coincident
 MOMENTUM_TOL = 1e-6      # prod z this close to e^{2 pi i m / L} is in block m
 ASSEMBLE_CHUNK = 1 << 16  # entries per chunk of a batched pass (_chunks)
-
-# the pairs (z1, z2) at which S = -1 is tested: six fixed points of the
-# annulus 0.5 <= |z| <= 2, drawn pair by pair by numpy's default_rng(0);
-# read-only, with their pair geometry built once, at import
-_TRIVIAL_S_PROBES = np.array([
-    (1.4074767580971808+0.37057001552752244j,
-     0.8998064031495278+0.09377881996916455j),
-    (-1.3480859043241713-1.0680537616584869j,
-     -0.2401291693776874-1.8536443891956824j),
-    (0.5288902015281042-1.204429714617546j,
-     1.902326995877117+0.03273562780124551j),
-    (-0.22769420549010114-1.771533650277791j,
-     0.2478443252211732+0.4914158451537818j),
-    (-0.5515230696313601+1.7079273562317374j,
-     -1.1603915294472242+0.6126490823354334j),
-    (-0.2594744305126721-0.47640007884061064j,
-     -0.41321348785272605-0.5481183969228107j),
-])
-_TRIVIAL_S_PROBES.setflags(write=False)
-_TRIVIAL_S_GEOMETRY = _Geometry(_TRIVIAL_S_PROBES)
-
 
 @dataclass(frozen=True)
 class BetheSolution:
@@ -298,11 +280,14 @@ def bae_residual(params, z, L):
 
 
 def _is_trivial_s(params):
-    """Whether S(z1, z2) = -1 at the _TRIVIAL_S_PROBES pairs (and is nowhere
-    singular there), read from one pair table."""
-    table = _PairTable(params, _TRIVIAL_S_GEOMETRY)
-    off = np.abs(table.S(0, 1) + 1) > 1e-10
-    return not np.any(table.singular() | off)
+    """Whether S = -1 at every ordered pair of the solvability test's
+    three-body samples (constraints._SAMPLES), and no row is singular,
+    read from one pair table.  GateViolation where Lambda is exactly 0 at
+    every sample, as is_cba_solvable raises: S is undefined there."""
+    table = _PairTable(params, constraints._SAMPLES[0])
+    _require_lambda(table)
+    off = np.abs(table.S(table.I, table.J) + 1) > 1e-10
+    return not np.any(table.singular() | np.any(off, axis=1))
 
 
 def _coincident_rows(Z):

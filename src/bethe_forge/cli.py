@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constraints, families, oracle, reductions
-from .bethe import BAE_TOL, M_MAX, _TRIVIAL_S_PROBES
+from .bethe import BAE_TOL, M_MAX
 from .hamiltonian import (FRAME_WORDS, OFFDIAG_KEYS, GateViolation, _pair_to_c,
                           apply_charge_conjugation, apply_frame, check_chain,
                           params_from_dict, params_to_dict, with_zero_v00)
@@ -359,7 +359,7 @@ def run_classify(cfg):
         report["family"] = None
         return report
     if match is None:
-        z1, z2 = _TRIVIAL_S_PROBES[0]
+        z1, z2 = constraints.SAMPLE_TABLES["E21"][0, :2]
         report["family"] = None
         report["unclassified"] = True
         report["sample_momenta"] = [z1, z2]

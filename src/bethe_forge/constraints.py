@@ -34,13 +34,13 @@ the momenta alone: the pair gathers, z_i z_j, z_i + z_j, z_i - z_j, the
 momenta in every permutation's order and the sums' sub-expressions of
 them (a + b, 1/a + 1/b + 1/c, a b, ...), and the rest, which reads the
 parameters.  The geometries of the solvability test's samples (_SAMPLES)
-and of the Bethe solver's S = -1 probes are module constants, built once,
-at import; a table built on a batch rather than a geometry builds its
-own.  Each part is the expression its reader would evaluate, in the same
-order (h.sp * b * c stays (h.sp * b) * c), and rows never interact, so
-the solvability test, which reads E21 and E12 from one table of their 40
-stacked rows, keeps every bit of one table per sum evaluating its momenta
-in place.
+are module constants, built once, at import; the Bethe solver's S = -1
+test reads the three-body one too.  A table built on a batch rather than
+a geometry builds its own.  Each part is the expression its reader would
+evaluate, in the same order (h.sp * b * c stays (h.sp * b) * c), and rows
+never interact, so the solvability test, which reads E21 and E12 from one
+table of their 40 stacked rows, keeps every bit of one table per sum
+evaluating its momenta in place.
 
 Batch size never changes a bit of Lambda, its gradient or the pair table.
 For an array temporary of 256 KiB or more numpy computes x * (temporary),
@@ -446,6 +446,14 @@ class _PairTable:
         return self._n[:, self.geom.adjacent[k]]
 
 
+def _require_lambda(*tables):
+    """Raise GateViolation where Lambda is exactly 0 at every row of the
+    pair tables: S and N are then undefined, as check_gates would say."""
+    if not any(table.lam.any() for table in tables):
+        raise GateViolation("Lambda ≡ 0: S and N are undefined, "
+                            "outside the classification hypotheses")
+
+
 def _exact_pair(params, z1, z2, what):
     """S(z1, z2) or N(z1, z2) (what) from the pair table of (z1, z2) in
     Python complex arithmetic (PyComplexArray), the arithmetic of the
@@ -580,9 +588,7 @@ def is_cba_solvable(params, tol=1e-9):
     with np.errstate(all="ignore"):   # overflow fails the test below
         three = _PairTable(params, three_body)
         four = _PairTable(params, four_body)
-        if not (three.lam.any() or four.lam.any()):
-            raise GateViolation("Lambda ≡ 0: S and N are undefined, "
-                                "outside the classification hypotheses")
+        _require_lambda(three, four)
         bad3, bad4 = three.singular(), four.singular()
         for which, table, bad, rows in (("E21", three, bad3[:n], slice(None, n)),
                                         ("E12", three, bad3[n:], slice(n, None)),

@@ -11,17 +11,16 @@ Conventions used throughout the package:
   by construction.
 * Chains are periodic: site L+1 is identified with site 1.
 * One size guard, check_chain, precedes every chain or sector matrix:
-  L >= 2, dim <= SECTOR_DIM_CAP and dim * L^2 <= WORK_CAP, the cost of the
-  translation-orbit table (L shifts of the dim x L basis), which dim alone
-  does not bound (an M = 1 sector has dim = L).  The whole 3^L space
-  passes up to L = 9.  No array a build makes may hold more than
-  ENTRY_CAP entries either: dim^2 for a dense matrix (check_chain with
-  dense), and for the oracle's sector spectrum k^2 * L, its block stack
-  over the k translation orbits, which is at least k * dim, its
-  representative rows (_representative_rows), and for
-  bethe.check_roots its amplitude table, root sets times k, and the Gram
-  matrix of the block with the most root sets.  Each is checked before
-  the array is allocated.
+  L >= 2 and dim * L^2 <= WORK_CAP, the cost of the translation-orbit
+  table (L shifts of the dim x L basis), which dim alone does not bound
+  (an M = 1 sector has dim = L).  The whole 3^L space passes up to
+  L = 9.  No array a build makes may hold more than ENTRY_CAP entries
+  either: dim^2 for a dense matrix (check_chain with dense), and for the
+  oracle's sector spectrum k^2 * L, its block stack over the k
+  translation orbits, which is at least k * dim, its representative rows
+  (_representative_rows), and for bethe.check_roots its amplitude table,
+  root sets times k, and the Gram matrix of the block with the most root
+  sets.  Each is checked before the array is allocated.
 * The grade of a state is its number of |2> sites.  t1 and t2 raise it by
   one, s1 and s2 lower it (OFFDIAG_SLOTS), and every other coupling keeps
   it.  When the couplings of one direction are all exactly 0
@@ -57,7 +56,6 @@ OFFDIAG_SLOTS = {
     "sp": ((2, 0), (0, 2)),
 }
 
-SECTOR_DIM_CAP = 20000       # largest basis a chain matrix is built on
 WORK_CAP = 5_000_000         # largest dim * L^2 of a chain or sector
 ENTRY_CAP = 10_000_000       # largest array a chain or sector build makes
 
@@ -265,18 +263,15 @@ def apply_telescopic(params, a):
 
 def check_chain(L, M=None, dense=False):
     """Raise ValueError unless a chain of L sites may be built on its S^z = M
-    sector, or with M None on its whole 3^L space: L >= 2, dim <=
-    SECTOR_DIM_CAP and dim * L^2 <= WORK_CAP, dim counted, not listed; with
-    dense, the dim x dim matrix also within ENTRY_CAP."""
+    sector, or with M None on its whole 3^L space: L >= 2 and dim * L^2 <=
+    WORK_CAP, dim counted, not listed; with dense, the dim x dim matrix
+    also within ENTRY_CAP."""
     if L < 2:
         raise ValueError("chain length must be at least 2")
     if M is None:
         dim, where = 3 ** L, f"L={L}"
     else:
         dim, where = sector_dimension(L, M), f"L={L}, M={M}"
-    if dim > SECTOR_DIM_CAP:
-        raise ValueError(f"chain too large: dimension {dim} at {where} "
-                         f"exceeds cap {SECTOR_DIM_CAP}")
     if dim * L * L > WORK_CAP:
         raise ValueError(f"chain too large: dimension {dim} times L^2 at "
                          f"{where} exceeds cap {WORK_CAP}")

@@ -226,6 +226,41 @@ class TestSolveBAE:
             for z in s.z:
                 assert abs(z**L + 1) < 1e-10
 
+    @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
+    def test_trivial_s_encodings_agree(self, tag):
+        """At the generic member of every branch of every family, S = -1
+        at the samples (_is_trivial_s) exactly where the tag is in
+        TRIVIAL_S_TAGS and exactly where its closed form is "-1"; there
+        solve_bae at L = 5, M = 2 and 3 returns the multiset seeds."""
+        fam = bf.FAMILIES[tag]
+        trivial = tag in bf.TRIVIAL_S_TAGS
+        assert (fam.s_formula == "-1") == trivial
+        for branch in fam.branches:
+            h = fam.build(fam.generic_free(), branch)
+            assert bethe._is_trivial_s(h) == trivial, branch
+            if not trivial:
+                continue
+            for M in (2, 3):
+                got = [_bits(s.z) for s in bf.solve_bae(h, 5, M)]
+                assert got == [_bits(_reference_canonical(zs))
+                               for zs in bethe._multiset_seeds(5, M)]
+
+    def test_lambda_zero_is_a_gate(self):
+        """gB scaled by 1e-200 underflows Lambda to exactly 0 at every
+        sample: S is undefined, and solve_bae raises the verdict's
+        GateViolation for M >= 2 rather than pass with nothing matched.
+        M = 1 reads no S and still matches all L states."""
+        h0 = load_input(PRESETS / "gB.json")
+        h = h0.replace(v=h0.v * 1e-200, **{
+            k: getattr(h0, k) * 1e-200 for k in bf.hamiltonian.OFFDIAG_KEYS})
+        with pytest.raises(bf.GateViolation, match="Lambda ≡ 0"):
+            bf.is_cba_solvable(h)
+        rep = bf.verify_sector(h, 5, 1, bethe.BAE_TOL, 1e-8)
+        assert rep.passed and rep.matched == 5
+        for M in (2, 3):
+            with pytest.raises(bf.GateViolation, match="Lambda ≡ 0"):
+                bf.verify_sector(h, 5, M, bethe.BAE_TOL, 1e-8)
+
     def test_m_cap(self, rng):
         with pytest.raises(ValueError, match="M <= 3"):
             bf.solve_bae(random_params(rng), 4, 4)

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import bethe_forge as bf
-from bethe_forge import bethe, cli
+from bethe_forge import bethe, cli, constraints
 from bethe_forge.cli import main
 from bethe_forge.hamiltonian import OFFDIAG_KEYS
 
@@ -587,8 +587,8 @@ class TestSeedFreeVerdict:
         assert first == second
 
     def test_unclassified_sample_momenta_fixed(self, capsys, tmp_path, rng):
-        """An unclassified input's raw S and N are shown at the first S = -1
-        probe pair."""
+        """An unclassified input's raw S and N are shown at the first two
+        momenta of the first E21 sample row."""
         from conftest import cdraw
         free = dict(p=cdraw(rng), q=cdraw(rng), tp=cdraw(rng), t2=cdraw(rng),
                     t3=cdraw(rng), s3=cdraw(rng), X22=cdraw(rng))
@@ -596,7 +596,7 @@ class TestSeedFreeVerdict:
                                                    half_constrained=True))
         main(["classify", path, "--json"])
         first = capsys.readouterr().out
-        z1, z2 = bethe._TRIVIAL_S_PROBES[0]
+        z1, z2 = constraints.SAMPLE_TABLES["E21"][0, :2]
         report = json.loads(first)
         assert report["unclassified"] is True
         assert report["sample_momenta"] == [[z1.real, z1.imag],

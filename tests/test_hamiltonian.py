@@ -272,11 +272,12 @@ class TestChain:
         assert np.max(np.abs((H @ e0)[1:])) == 0
 
     def test_chain_too_large(self, rng, monkeypatch):
-        """One size guard: L >= 2, dim <= SECTOR_DIM_CAP and dim L^2 <=
-        WORK_CAP.  The whole chain fits up to L = 9 (3^10 > 20,000); the
-        work cap admits M = 3 up to L = 30, M = 2 up to 55 and M = 1 up to
-        170.  chain_matrix and sz_matrix, dense over all 3^L states,
-        refuse L = 10 before they list the basis."""
+        """One size guard: L >= 2 and dim L^2 <= WORK_CAP.  The whole
+        chain fits up to L = 9; the work cap admits M = 3 up to L = 30,
+        M = 2 up to 55 and M = 1 up to 170.  Over L = 2..60 at M = 0..3,
+        and the whole space at L = 2..12, it accepts exactly those.
+        chain_matrix and sz_matrix, dense over all 3^L states, refuse
+        L = 10 before they list the basis."""
         def no_basis(*args):
             raise AssertionError("basis listed past the guard")
 
@@ -287,17 +288,27 @@ class TestChain:
         for L, M in ((10, None), (31, 3), (56, 2), (171, 1)):
             with pytest.raises(ValueError, match="chain too large"):
                 bf.check_chain(L, M)
+        sweep = [(L, M) for L in range(2, 61) for M in range(4)]
+        sweep += [(L, None) for L in range(2, 13)]
+        for L, M in sweep:
+            dim = 3 ** L if M is None else ham.sector_dimension(L, M)
+            if dim * L * L <= ham.WORK_CAP:
+                bf.check_chain(L, M)
+            else:
+                with pytest.raises(ValueError, match="times L\\^2"):
+                    bf.check_chain(L, M)
         monkeypatch.setattr(np, "ndindex", no_basis)
         h = random_params(rng)
         for build in (lambda: bf.chain_matrix(h, 10),
                       lambda: ham.sz_matrix(10)):
-            with pytest.raises(ValueError, match="dimension 59049 at L=10 "):
+            with pytest.raises(ValueError, match="dimension 59049 times L\\^2 "
+                               "at L=10 exceeds cap 5000000"):
                 build()
 
     def test_dense_chain_entry_cap(self, rng, monkeypatch):
         """The dense 3^L x 3^L chain and S^z matrices stay within
-        ENTRY_CAP up to L = 7; at L = 8 and 9, which pass the dimension
-        cap, they are refused before the basis is listed."""
+        ENTRY_CAP up to L = 7; at L = 8 and 9, which pass the work cap,
+        they are refused before the basis is listed."""
         def no_basis(*args):
             raise AssertionError("basis listed past the guard")
 

@@ -115,15 +115,6 @@ class TestSectorSpectrum:
             assert np.max(np.abs(ev - ref)) < 1e-9 * scale
 
 
-    def test_dimension_cap_checked_before_the_matrix(self, rng, monkeypatch):
-        def build(*args):
-            raise AssertionError("sector matrix built past the cap")
-        monkeypatch.setattr(bf.hamiltonian, "SECTOR_DIM_CAP", 10)
-        monkeypatch.setattr(bf.oracle, "sector_matrix", build)
-        with pytest.raises(ValueError,
-                           match="dimension 16 at L=4, M=3 exceeds cap 10"):
-            bf.sector_spectrum(random_params(rng), 4, 3)
-
     def test_work_cap_checked_before_the_basis(self, rng, monkeypatch):
         """M = 3 at L = 31 and M = 1 at L = 171 are small sectors (dim
         5,425 and 171) whose orbit table, L shifts of the dim x L basis,
@@ -141,10 +132,12 @@ class TestSectorSpectrum:
 
 
     def test_entry_cap_checked_before_the_arrays(self, rng, monkeypatch):
-        """L = 11, M = 9 (dim 19,855) passes the dimension and work caps,
-        but its 1,805 orbits would need a (k, k, L) block table, and
-        (k, dim) representative rows, of 35.8 million entries:
-        sector_spectrum refuses it before the rows are built.  sector_matrix refuses M = 3 at L = 26 (dim 3,250,
+        """L = 11, M = 9 (dim 19,855) passes the work cap, but its 1,805
+        orbits would need a (k, k, L) block table, and (k, dim)
+        representative rows, of 35.8 million entries: sector_spectrum
+        refuses it before the rows are built.  So it refuses the seven
+        sectors of more than 20,000 states that pass the work cap, all
+        with M > 3.  sector_matrix refuses M = 3 at L = 26 (dim 3,250,
         10.6 million entries dense).  Every sector the CLI admits (M <= 3
         up to L = 30, M = 2 to 55, M = 1 to 170) stays within the cap."""
         def no_rows(*args):
@@ -155,6 +148,13 @@ class TestSectorSpectrum:
         with pytest.raises(ValueError, match="chain too large: 35838275 "
                            "array entries at L=11, M=9 exceed cap 10000000"):
             bf.sector_spectrum(h, 11, 9)
+        for L, M in ((11, 10), (11, 11), (11, 12), (12, 8), (12, 16),
+                     (13, 7), (13, 19)):
+            assert bf.hamiltonian.sector_dimension(L, M) > 20_000
+            bf.check_chain(L, M)
+            with pytest.raises(ValueError, match="array entries at "
+                               f"L={L}, M={M} exceed cap 10000000"):
+                bf.sector_spectrum(h, L, M)
         monkeypatch.setattr(bf.oracle, "_sector_occupations", no_rows)
         with pytest.raises(ValueError, match="10562500 array entries at "
                            "L=26, M=3 exceed"):
