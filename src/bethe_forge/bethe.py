@@ -20,7 +20,16 @@ Families with S identically -1 need no solver: their solutions are exactly
 the multisets of the trivial-scattering roots z^L = (-1)^(M-1), which for
 M < 2 are the exact sets above (_multiset_seeds).  S = -1 is tested at
 every ordered pair of the solvability test's three-body samples
-(constraints._SAMPLES).
+(constraints._SAMPLES), once per Hamiltonian (memoized on the instance).
+Everything about these closed-form sectors that reads no coupling is one
+cached, read-only table per (L, M) (_closed_form): the multisets, their
+canonical order and coincident flags, the momentum-only parts of their
+BAE pair table, and the layout check_roots starts from (_RootLayout:
+translation blocks, live rows, their block slots and pair geometry).  Per
+call only Lambda and what reads it is computed: pair tables, residuals,
+energies, amplitudes and block checks.  The tables of M = 1..3 hold about
+0.5 MB at L = 12 and 6.5 MB at L = 30; nothing that grows like n M L (the
+powers z**x of assembly) is kept.
 
 M = 2 needs no seeds either.  The BAE force (z1 z2)^L = 1, so each solution
 lies on a line z1 z2 = e^{2 pi i n / L}, one per translation block, and on
@@ -102,7 +111,8 @@ pass; no vector or matrix of the whole sector is formed (see check_roots
 for why the residual, null test and equal-state test are exact for the
 block vector, and how that vector relates to the Bethe vector).  It
 returns one RootCheck per root set; oracle.verify_sector collects them
-into the sector's report.  Batched passes whose temporaries grow with the
+into the sector's report, reading a closed-form sector's layout from its
+table rather than from the root sets.  Batched passes whose temporaries grow with the
 sector go in chunks of at most ASSEMBLE_CHUNK entries (_chunks).
 
 solve_bae's bookkeeping is array passes too: the canonical (Re, Im) order
@@ -117,14 +127,15 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import constraints
-from .constraints import (PyComplexArray, _PairTable, _require_lambda,
-                          lambda_fn, lambda_grad, ordered_pairs,
-                          permutation_table)
+from .constraints import (PyComplexArray, _Geometry, _PairTable,
+                          _require_lambda, lambda_fn, lambda_grad,
+                          ordered_pairs, permutation_table)
 from .hamiltonian import (_check_entries, _orbit_table, _sector_occupations,
                           invariants)
 
@@ -235,8 +246,10 @@ def momentum(z, L):
     return None if m < 0 else m
 
 
-def _bae_residuals(params, Z, L):
+def _bae_residuals(params, Z, L, zL=None):
     """bae_residual of every row of an (n, M) batch, from one pair table.
+    Z may also be the _Geometry of a PyComplexArray batch, with zL its
+    powers z^L, as the closed-form table (_closed_form) holds them.
 
     The residual is relative, at the scale of Newton's _residual: a root
     set whose polynomial roots are right to rounding has a residual at
@@ -250,19 +263,21 @@ def _bae_residuals(params, Z, L):
     set across bae_tol.  Python complex products round the same way on
     every machine and in every batch."""
     with np.errstate(all="ignore"):
-        table = _PairTable(params, PyComplexArray.of(Z))
-        lhs, rhs = _bae_sides(table, L)
+        table = _PairTable(params, Z if isinstance(Z, _Geometry)
+                           else PyComplexArray.of(Z))
+        lhs, rhs = _bae_sides(table, L, zL)
         scale = np.maximum(1.0, abs(lhs).max(axis=1, initial=0.0))
         res = abs(lhs - rhs).max(axis=1, initial=0.0) / scale
         res[table.singular() | ~np.isfinite(res)] = np.inf
     return res
 
 
-def _bae_sides(table, L):
+def _bae_sides(table, L, zL=None):
     """Both sides of the BAE at every row of a pair table, in its
-    arithmetic: the (n, M) arrays z_j^L and prod_{n != j} S(z_n, z_j)."""
+    arithmetic: the (n, M) arrays z_j^L (zL, if given) and prod_{n != j}
+    S(z_n, z_j)."""
     n, M = table.Z.shape
-    lhs = table.Z ** L
+    lhs = table.Z ** L if zL is None else zL
     rhs = lhs.copy()                    # overwritten column by column
     for j in range(M):
         prod = np.ones(n, complex)
@@ -282,12 +297,19 @@ def bae_residual(params, z, L):
 def _is_trivial_s(params):
     """Whether S = -1 at every ordered pair of the solvability test's
     three-body samples (constraints._SAMPLES), and no row is singular,
-    read from one pair table.  GateViolation where Lambda is exactly 0 at
-    every sample, as is_cba_solvable raises: S is undefined there."""
-    table = _PairTable(params, constraints._SAMPLES[0])
-    _require_lambda(table)
-    off = np.abs(table.S(table.I, table.J) + 1) > 1e-10
-    return not np.any(table.singular() | np.any(off, axis=1))
+    read from one pair table and memoized on the instance.  A non-finite
+    S (an overflowed Lambda) is not -1.  GateViolation where Lambda is
+    exactly 0 at every sample, as is_cba_solvable raises: S is undefined
+    there."""
+    trivial = params.__dict__.get("_trivial_s")
+    if trivial is None:
+        with np.errstate(all="ignore"):     # overflow is no S = -1
+            table = _PairTable(params, constraints._SAMPLES[0])
+            _require_lambda(table)
+            off = ~(np.abs(table.S(table.I, table.J) + 1) <= 1e-10)
+            trivial = not np.any(table.singular() | np.any(off, axis=1))
+        object.__setattr__(params, "_trivial_s", trivial)
+    return trivial
 
 
 def _coincident_rows(Z):
@@ -627,14 +649,107 @@ def _multiset_seeds(L, M):
             for c in itertools.combinations_with_replacement(roots, M)]
 
 
-def _solutions(params, Z, res):
-    """BetheSolutions of the root sets of an (n, M) batch Z with BAE
-    residuals res: z in canonical order, the energy summed in Z's order;
-    orders, energies and coincident flags each one array pass."""
-    sets = [tuple(z) for z in _canonical_rows(Z).tolist()]
-    E, flags = _energies(params, Z), _coincident_rows(Z)
-    return [BetheSolution(z, e, r, f) for z, e, r, f
-            in zip(sets, E, res.tolist(), flags.tolist())]
+def _solutions(sets, E, res, flags):
+    """BetheSolutions of canonical root sets with their energies, BAE
+    residuals and coincident flags."""
+    return [BetheSolution(z, e, r, f)
+            for z, e, r, f in zip(sets, E, res.tolist(), flags)]
+
+
+def _read_only(*arrays):
+    """Set every array, and both parts of every PyComplexArray, read-only."""
+    for a in arrays:
+        for part in (a.re, a.im) if isinstance(a, PyComplexArray) else (a,):
+            part.setflags(write=False)
+
+
+class _RootLayout:
+    """What check_roots reads of a sector's root sets before it reads the
+    couplings: the (n, M) root sets Z in canonical order, their coincident
+    flags, their translation blocks (_momenta), the live rows, which reach
+    assembly (not flagged, in a block), their slot table by block (_slots)
+    and the RootChecks of the other rows, None at the live ones; then, on
+    first use (after check_roots' size check), the pair geometry of the
+    live rows and their powers z^L."""
+
+    def __init__(self, Z, flagged, L):
+        self.Z, self.flagged, self.L = Z, flagged, L
+        self.momenta = mom = _momenta(Z, L)
+        self.live = np.flatnonzero(~flagged & (mom >= 0))
+        self.slot = _slots(mom[self.live], L)[0]
+        # the plane-wave form degenerates when two roots coincide: such sets
+        # give a null vector, or pass the BAE check and still fail as
+        # eigenvectors
+        out = [None] * len(Z)
+        for i in np.flatnonzero(flagged):
+            out[i] = RootCheck(None if mom[i] < 0 else int(mom[i]),
+                               "coincident")
+        for i in np.flatnonzero(~flagged & (mom < 0)):
+            out[i] = RootCheck(None, "unverified", message=(
+                f"no translation block: prod z = {complex(np.prod(Z[i]))} "
+                "is not an L-th root of unity"))
+        self.settled = tuple(out)
+
+    @functools.cached_property
+    def geom(self):
+        return _Geometry(self.Z[self.live])
+
+    @functools.cached_property
+    def zL(self):
+        return self.geom.Z ** self.L
+
+
+@dataclass(frozen=True)
+class _ClosedForm:
+    """The root sets of a closed-form sector (_closed_form), read-only."""
+    seeds: np.ndarray           # (n, M): the multisets, _multiset_seeds order
+    sets: tuple                 # their canonical tuples, solve_bae's z
+    flags: tuple                # their coincident flags
+    bae: _Geometry | None       # M >= 2: the seeds' pair geometry and z^L in
+    zL: PyComplexArray | None   # Python complex arithmetic (_bae_residuals)
+    layout: _RootLayout         # the canonical rows, for check_roots
+
+    def solved(self, sols):
+        """Whether sols are this table's root sets as solve_bae returns
+        them: its own canonical tuples, in order."""
+        return (len(sols) == len(self.sets)
+                and all(map(operator.is_, (s.z for s in sols), self.sets)))
+
+
+@functools.lru_cache(maxsize=4)
+def _closed_form(L, M):
+    """The read-only table of everything about the (L, M) sector's
+    closed-form root sets, the multisets of z^L = (-1)^(M-1)
+    (_multiset_seeds), that reads no coupling: the multisets in seed order
+    (in which solve_bae sums their energies), their canonical tuples and
+    coincident flags, for M >= 2 the momentum-only parts of their BAE pair
+    table in Python complex arithmetic with their z^L, and the layout
+    check_roots starts from, with its live rows' pair geometry and their
+    z^L built.  The tables of M = 1..3 hold about 0.5 MB at L = 12 and
+    6.5 MB at L = 30; four are kept, one verify run's M = 0..3."""
+    multisets = _multiset_seeds(L, M)
+    seeds = np.array(multisets, complex).reshape(len(multisets), M)
+    layout = _RootLayout(_canonical_rows(seeds), _coincident_rows(seeds), L)
+    bae = zL = None
+    with np.errstate(all="ignore"):
+        if M >= 2:
+            bae = _Geometry(PyComplexArray.of(seeds))
+            zL = bae.Z ** L
+        geom = layout.geom
+        _read_only(seeds, layout.Z, layout.flagged, layout.momenta,
+                   layout.live, layout.slot, layout.zL, geom.Z, geom.Zi,
+                   geom.Zj, geom.zz, geom.zs, geom.zd, *(
+                       (zL, bae.Z, bae.Zi, bae.Zj, bae.zz, bae.zs) if bae
+                       else ()))
+    sets = tuple(tuple(z) for z in layout.Z.tolist())
+    return _ClosedForm(seeds, sets, tuple(layout.flagged.tolist()), bae, zL,
+                       layout)
+
+
+def _closed_form_of(params, L, M):
+    """The (L, M) closed-form table (_closed_form) where params' sector is
+    closed form, M < 2 or S = -1 (_is_trivial_s), else None."""
+    return _closed_form(L, M) if M < 2 or _is_trivial_s(params) else None
 
 
 def solve_bae(params, L, M, bae_tol=BAE_TOL):
@@ -643,12 +758,13 @@ def solve_bae(params, L, M, bae_tol=BAE_TOL):
     if M < 0 or M > M_MAX:
         raise ValueError(f"M <= {M_MAX} supported")
 
-    if M < 2 or _is_trivial_s(params):
+    table = _closed_form_of(params, L, M)
+    if table is not None:
         # no scattering: exactly the multisets of z^L = (-1)^(M-1)
-        sets = _multiset_seeds(L, M)
-        Z = np.array(sets, complex).reshape(len(sets), M)
-        res = _bae_residuals(params, Z, L) if M >= 2 else np.zeros(len(Z))
-        return _solutions(params, Z, res)
+        res = (_bae_residuals(params, table.bae, L, table.zL) if M >= 2
+               else np.zeros(len(table.sets)))
+        return _solutions(table.sets, _energies(params, table.seeds), res,
+                          table.flags)
 
     if M == 2:
         Z = _m2_pairs(params, L)
@@ -660,8 +776,11 @@ def solve_bae(params, L, M, bae_tol=BAE_TOL):
         Z, res = _polish(params, Z, res, L)
     ok = res <= bae_tol
     Z = _canonical_rows(Z[ok])
-    keep = _distinct([tuple(z) for z in Z.tolist()])
-    return _solutions(params, Z[keep], res[ok][keep])
+    sets = [tuple(z) for z in Z.tolist()]
+    keep = _distinct(sets)
+    Z = Z[keep]
+    return _solutions([sets[k] for k in keep], _energies(params, Z),
+                      res[ok][keep], _coincident_rows(Z).tolist())
 
 
 def amplitude(params, z, sigma, doubled=()):
@@ -849,36 +968,36 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
     is shared across them.  The amplitude table (root sets x orbits) and a
     block's Gram matrix (rows x rows), the largest arrays of the pass, are
     refused above hamiltonian.ENTRY_CAP entries before anything is
-    allocated."""
+    allocated.  What reads no coupling, the blocks, the rows that reach
+    assembly and their pair geometry, is the root sets' _RootLayout, taken
+    here from sols and by verify_sector from a closed-form sector's table
+    (_check_roots)."""
     if not sols:
         return []
     Z = np.array([sol.z for sol in sols], complex)
-    n, M = Z.shape
-    reps, period = _orbit_table(L, M)[2:]
-    mom = _momenta(Z, L)
-    # the plane-wave form degenerates when two roots coincide: such sets
-    # give a null vector, or pass the BAE check and still fail as
-    # eigenvectors
     flagged = np.array([sol.degenerate_flag for sol in sols], bool)
-    out = [None] * n
-    for i in np.flatnonzero(flagged):
-        out[i] = RootCheck(None if mom[i] < 0 else int(mom[i]), "coincident")
-    for i in np.flatnonzero(~flagged & (mom < 0)):
-        out[i] = RootCheck(None, "unverified", message=(
-            f"no translation block: prod z = {complex(np.prod(Z[i]))} "
-            "is not an L-th root of unity"))
-    live = np.flatnonzero(~flagged & (mom >= 0))
+    return _check_roots(params, sols, _RootLayout(Z, flagged, L), blocks, L,
+                        tol_eig, scale)
+
+
+def _check_roots(params, sols, layout, blocks, L, tol_eig, scale):
+    """check_roots of the root sets sols, from their _RootLayout: one
+    derived from sols, or the closed-form table's (oracle.verify_sector)."""
+    M = layout.Z.shape[1]
+    reps, period = _orbit_table(L, M)[2:]
+    mom, live = layout.momenta, layout.live
+    out = list(layout.settled)
     if not live.size:
         return out
     # slot[m, r]: the r-th live root set (in order) of block m, -1 beyond
-    slot = _slots(mom[live], L)[0]
+    slot = layout.slot
     R = slot.shape[1]
     _check_entries(max(live.size * len(reps), R * R), f"L={L}, M={M}")
-    table = _PairTable(params, Z[live])
+    table = _PairTable(params, layout.geom)
     C, amp = _assemble(table, L, reps)
     C *= np.sqrt(period)
     singular = table.singular()
-    lhs, rhs = _bae_sides(table, L)
+    lhs, rhs = _bae_sides(table, L, layout.zL)
     with np.errstate(all="ignore"):
         defect = np.abs(1 - rhs / lhs).max(axis=1, initial=0.0)
     E = np.array([sols[i].energy for i in live], complex)

@@ -578,9 +578,10 @@ def is_cba_solvable(params, tol=1e-9):
     from its own; rows never interact, so each row has the bits of a table
     of its own sum.  Each three-body sum is evaluated over all 40 rows and
     read at its own 20: at this size a numpy pass costs its call, not its
-    rows.  Where Lambda is exactly 0 at every row of both tables, S and N
-    are undefined and no sample can stand in: that raises GateViolation,
-    as check_gates does."""
+    rows.  Where Lambda is exactly 0 at every row of both tables, or where
+    no nonsingular row is left to stand in (Lambda underflows to a
+    subnormal, below the singular rule's 1e-300 floor), S and N are
+    undefined: that raises GateViolation, as check_gates does."""
     params.check_gates()
     three_body, four_body, spares = _SAMPLES
     n = len(three_body.Z) // 2
@@ -601,7 +602,10 @@ def is_cba_solvable(params, tol=1e-9):
                               for x, y in zip((rel, scale),
                                               _sums(params, spare, which)))
             if rel.size < len(bad):
-                raise RuntimeError("no nonsingular momentum samples")
+                raise GateViolation(
+                    "S is singular at every momentum sample, as where Lambda "
+                    "underflows: S and N are undefined, outside the "
+                    "classification hypotheses")
             vacuous = vacuous and not scale.any()
             m = float(np.max(rel))
             # a NaN residual must fail, not compare false

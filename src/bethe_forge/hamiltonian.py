@@ -178,8 +178,13 @@ def with_zero_v00(params):
     """Subtract v00 * Identity so the pseudo-vacuum has eigenvalue zero.
 
     On the coupling table this lowers every v[i, j] by the same constant.
+    Where v00 is +0 in both parts, v - v00 is v bit for bit, and params
+    itself is returned, with what is memoized on it.
     """
-    return params.replace(v=params.v - params.v[0, 0] * np.ones((3, 3)))
+    v00 = params.v[0, 0]
+    if not (v00 or np.signbit(v00.real) or np.signbit(v00.imag)):
+        return params
+    return params.replace(v=params.v - v00 * np.ones((3, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,8 @@ def is_cba_solvable(params, tol=1e-9):
                 rel = np.concatenate([rel[~bad], s_rel[~s_bad]])[:len(Z)]
                 scale = np.concatenate([scale[~bad], s_scale[~s_bad]])[:len(Z)]
         if rel.size < len(Z):
-            raise RuntimeError("no nonsingular momentum samples")
+            raise constraints.GateViolation(
+                "S is singular at every momentum sample")
         vacuous = vacuous and bool(np.all(scale == 0))
         m = float(np.max(rel))
         residuals[which] = m if np.isfinite(m) else np.inf

@@ -261,6 +261,22 @@ class TestSolveBAE:
             with pytest.raises(bf.GateViolation, match="Lambda ≡ 0"):
                 bf.verify_sector(h, 5, M, bethe.BAE_TOL, 1e-8)
 
+    def test_overflowing_lambda_is_not_trivial_s(self):
+        """gB scaled by 1e155 overflows Lambda to inf at the samples, where
+        S = -inf / inf is NaN: that is no S = -1, so solve_bae at L = 5,
+        M = 2 does not return the 15 multisets of z^5 = -1.  The decision
+        is memoized on the instance."""
+        h0 = load_input(PRESETS / "gB.json")
+        h = h0.replace(v=h0.v * 1e155, **{
+            k: getattr(h0, k) * 1e155 for k in bf.hamiltonian.OFFDIAG_KEYS})
+        assert not bethe._is_trivial_s(h)
+        assert h.__dict__["_trivial_s"] is False
+        with np.errstate(all="ignore"):
+            sols = bf.solve_bae(h, 5, 2)
+        seeds = [_bits(_reference_canonical(zs))
+                 for zs in bethe._multiset_seeds(5, 2)]
+        assert [_bits(s.z) for s in sols] != seeds
+
     def test_m_cap(self, rng):
         with pytest.raises(ValueError, match="M <= 3"):
             bf.solve_bae(random_params(rng), 4, 4)
@@ -425,6 +441,134 @@ class TestBookkeeping:
                 assert f == bethe._coincident(z) == _reference_coincident(z)
             if M >= 2:
                 assert 0 < flags.sum() < len(Z)
+
+
+def _check_bits(chk):
+    """A RootCheck with its residual by its bits."""
+    res = None if chk.eig_residual is None else chk.eig_residual.hex()
+    return chk.momentum, chk.outcome, res, chk.message
+
+
+class TestClosedForm:
+    """The closed-form table (_closed_form): the root sets of M < 2 and
+    S = -1 sectors and everything about them that reads no coupling."""
+
+    @staticmethod
+    def _arrays(table):
+        """Every array the table holds, the parts of PyComplexArrays
+        included."""
+        lay = table.layout
+        out = [table.seeds, lay.Z, lay.flagged, lay.momenta, lay.live,
+               lay.slot, lay.zL, lay.geom.zd]
+        for g in (lay.geom, table.bae):
+            if g is not None:
+                out += [g.Z, g.Zi, g.Zj, g.zz, g.zs]
+        if table.zL is not None:
+            out.append(table.zL)
+        parts = []
+        for a in out:
+            parts += [a.re, a.im] if hasattr(a, "re") else [a]
+        return parts
+
+    def test_read_only(self):
+        """Every array of the table is read-only, and its root sets,
+        flags and settled checks are tuples."""
+        for L, M in ((5, 0), (5, 1), (6, 2), (7, 3)):
+            table = bethe._closed_form(L, M)
+            for a in self._arrays(table):
+                assert isinstance(a, np.ndarray) and not a.flags.writeable
+            assert isinstance(table.sets, tuple)
+            assert isinstance(table.flags, tuple)
+            assert isinstance(table.layout.settled, tuple)
+
+    def test_matches_multiset_seeds(self):
+        """L = 2..12, M = 0..3: the seeds are _multiset_seeds' multisets,
+        and the canonical sets, coincident flags, blocks, live rows and
+        slots are the one-row Python rules on them, bit for bit."""
+        for L in range(2, 13):
+            for M in range(4):
+                table = bethe._closed_form(L, M)
+                seeds = bethe._multiset_seeds(L, M)
+                assert [_bits(z) for z in table.seeds] == \
+                    [_bits(z) for z in seeds]
+                assert [_bits(z) for z in table.sets] == \
+                    [_bits(_reference_canonical(z)) for z in seeds]
+                assert table.flags == tuple(_reference_coincident(z)
+                                            for z in seeds)
+                blocks = [_reference_momentum(z, L) for z in table.sets]
+                lay = table.layout
+                assert [None if m < 0 else m
+                        for m in lay.momenta.tolist()] == blocks
+                live = [i for i, (m, f) in enumerate(zip(blocks, table.flags))
+                        if m is not None and not f]
+                assert lay.live.tolist() == live
+                for m in range(L):
+                    want = [k for k, i in enumerate(live) if blocks[i] == m]
+                    assert [k for k in lay.slot[m].tolist() if k >= 0] == want
+
+    @pytest.mark.parametrize("name, Ms", [
+        ("17V1a", range(4)), ("17V1b", range(4)), ("14V2", range(4)),
+        ("gB", (1,))], ids=["17V1a", "17V1b", "14V2", "gB"])
+    def test_same_as_layout_from_root_sets(self, name, Ms):
+        """L = 4..12: solve_bae from the table gives the BetheSolutions of
+        the multisets solved as a batch of root sets, and check_roots from
+        the table's layout (as verify_sector runs it) the RootChecks of
+        the layout built from those solutions, bit for bit."""
+        h = bf.with_zero_v00(load_input(PRESETS / f"{name}.json"))
+        for L in range(4, 13):
+            for M in Ms:
+                seeds = bethe._multiset_seeds(L, M)
+                Z = np.array(seeds, complex).reshape(len(seeds), M)
+                res = (bethe._bae_residuals(h, Z, L) if M >= 2
+                       else np.zeros(len(Z)))
+                E = bethe._energies(h, Z)
+                flags = bethe._coincident_rows(Z)
+                sols = bf.solve_bae(h, L, M)
+                assert bethe._closed_form(L, M).solved(sols)
+                assert len(sols) == len(Z)
+                for sol, z, r, e, f in zip(sols, bethe._canonical_rows(Z),
+                                           res, E, flags):
+                    assert _bits(sol.z) == _bits(z)
+                    assert sol.bae_residual.hex() == float(r).hex()
+                    assert _bits(sol.energy) == _bits(e)
+                    assert sol.degenerate_flag == f
+                spec = bf.sector_spectrum(h, L, M)
+                args = (spec.blocks, L, 1e-8, spec.scale or 1.0)
+                want = bethe.check_roots(h, sols, *args)
+                got = bethe._check_roots(
+                    h, sols, bethe._closed_form(L, M).layout, *args)
+                rep = bf.verify_sector(h, L, M, bethe.BAE_TOL, 1e-8)
+                assert [_check_bits(c) for c in got] \
+                    == [_check_bits(c) for c in want] \
+                    == [_check_bits(c) for c in rep.checks]
+                assert rep.passed, (name, L, M)
+
+    def test_substituted_root_sets_take_their_own_layout(self, monkeypatch):
+        """verify_sector takes the table's layout only for the table's own
+        root sets, as solve_bae returns them.  Equal root sets in new
+        tuples, or the table's with a stray set appended, as a substituted
+        solve_bae returns them, are checked from their own layout: the
+        checks are check_roots' on them."""
+        L, M = 6, 2
+        h = bf.with_zero_v00(load_input(PRESETS / "17V1a.json"))
+        sols = bf.solve_bae(h, L, M)
+        table = bethe._closed_form(L, M)
+        assert table.solved(sols) and not table.solved(sols[:-1])
+        z = (1.1 + 0.2j, 0.7 - 0.4j)
+        spec = bf.sector_spectrum(h, L, M)
+        for batch in ([bethe.BetheSolution(tuple(list(s.z)), s.energy,
+                                           s.bae_residual, s.degenerate_flag)
+                       for s in sols],
+                      sols + [bethe.BetheSolution(z, bf.energy(h, z), 0.0)]):
+            assert not table.solved(batch)
+            monkeypatch.setattr(bf.oracle, "solve_bae",
+                                lambda *args, batch=batch: batch)
+            rep = bf.verify_sector(h, L, M, bethe.BAE_TOL, 1e-8)
+            want = bethe.check_roots(h, batch, spec.blocks, L, 1e-8,
+                                     spec.scale)
+            assert [_check_bits(c) for c in rep.checks] \
+                == [_check_bits(c) for c in want]
+        assert rep.checks[-1].outcome == "unverified"
 
 
 class TestBlockStarts:

@@ -95,6 +95,22 @@ class TestClassifyCommand:
         assert captured.err.startswith("hypothesis gate: Lambda ≡ 0")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("mode", ["classify", "verify"])
+    def test_underflowing_lambda_exit_3(self, tmp_path, capsys, mode):
+        """The gB preset scaled by 1e-160: Lambda is subnormal, so S is
+        singular at every sample and every spare row and none can stand
+        in.  classify and verify stop at the hypothesis gate with exit 3,
+        not as an internal error."""
+        h0 = cli.load_input(PRESETS / "gB.json")
+        path = write_params(tmp_path, h0.replace(v=h0.v * 1e-160, **{
+            k: getattr(h0, k) * 1e-160 for k in OFFDIAG_KEYS}))
+        extra = ["--L", "5"] if mode == "verify" else []
+        assert main([mode, path, "--json"] + extra) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "hypothesis gate: S is singular at every momentum sample")
+        assert captured.out == ""
+
     def test_solvable_unclassified_reports_raw_sn(self, capsys, tmp_path, rng):
         from conftest import cdraw
         free = dict(p=cdraw(rng), q=cdraw(rng), tp=cdraw(rng), t2=cdraw(rng),

@@ -560,7 +560,8 @@ class TestSolvability:
 
     def test_singular_rows_replaced_from_spare(self, monkeypatch, rng):
         """A row where S is singular gives way to the first nonsingular
-        spare row; with none left the test refuses to answer.  For an
+        spare row; with none left S and N are undefined at every sample,
+        and the test raises the hypothesis gate's GateViolation.  For an
         input that fails E21 alone, the spare row that stands in is made
         its worst row, so the verdict reads that row's residual."""
         h, _ = family_instance("gZF", rng)
@@ -581,7 +582,7 @@ class TestSolvability:
         assert verdict.max_residual.hex() == worst.hex()
         _patch_samples(monkeypatch, E21=np.tile(table[0], (20, 1)),
                        spare=np.tile(np.append(table[0], 1.0), (20, 1)))
-        with pytest.raises(RuntimeError, match="no nonsingular"):
+        with pytest.raises(bf.GateViolation, match="singular at every"):
             bf.is_cba_solvable(h)
 
     @pytest.mark.parametrize("couplings", [dict(s1=1, t3=1),
@@ -590,8 +591,8 @@ class TestSolvability:
     def test_vanishing_lambda_is_a_gate(self, couplings):
         """Both gates pass, but Lambda is exactly 0 at every sample row and
         every spare row, so no row can stand in: the test raises
-        GateViolation naming Lambda ≡ 0, not the RuntimeError of tables
-        patched to one singular point."""
+        GateViolation naming Lambda ≡ 0, not the singular samples of
+        tables patched to one singular point."""
         h = bf.HamiltonianParams(**couplings)
         h.check_gates()
         three, four, spares = constraints._SAMPLES

@@ -102,6 +102,21 @@ class TestInvariants:
         delta = bf.two_site_matrix(h) - bf.two_site_matrix(hz)
         assert np.allclose(delta, h.v[0, 0] * np.eye(9))
 
+    def test_zero_v00_returns_a_zeroed_input_itself(self, rng):
+        """With v00 = +0 in both parts, v - v00 is v bit for bit, and
+        with_zero_v00 returns its argument, memos and all; with v00 = -0.0
+        in either part it returns a new instance."""
+        h = bf.with_zero_v00(random_params(rng))
+        assert bf.with_zero_v00(h) is h
+        assert (h.v - h.v[0, 0] * np.ones((3, 3))).tobytes() == h.v.tobytes()
+        for v00 in (complex(-0.0, 0.0), complex(0.0, -0.0)):
+            v = np.array(h.v)
+            v[0, 0] = v00
+            hn = h.replace(v=v)
+            hz = bf.with_zero_v00(hn)
+            assert hz is not hn
+            assert hz.v.tobytes() == (hn.v - v00 * np.ones((3, 3))).tobytes()
+
     def test_symmetric_diagonal_roundtrip(self, rng):
         h = random_params(rng)
         inv = bf.invariants(h)
