@@ -111,8 +111,7 @@ pass; no vector or matrix of the whole sector is formed (see check_roots
 for why the residual, null test and equal-state test are exact for the
 block vector, and how that vector relates to the Bethe vector).  It
 returns one RootCheck per root set; oracle.verify_sector collects them
-into the sector's report, reading a closed-form sector's layout from its
-table rather than from the root sets.  Batched passes whose temporaries grow with the
+into the sector's report.  Batched passes whose temporaries grow with the
 sector go in chunks of at most ASSEMBLE_CHUNK entries (_chunks).
 
 solve_bae's bookkeeping is array passes too: the canonical (Re, Im) order
@@ -134,8 +133,8 @@ import numpy as np
 
 from . import constraints
 from .constraints import (PyComplexArray, _Geometry, _PairTable,
-                          _require_lambda, lambda_fn, lambda_grad,
-                          ordered_pairs, permutation_table)
+                          _require_lambda, _require_rows, lambda_fn,
+                          lambda_grad, ordered_pairs, permutation_table)
 from .hamiltonian import (_check_entries, _orbit_table, _sector_occupations,
                           invariants)
 
@@ -299,15 +298,17 @@ def _is_trivial_s(params):
     three-body samples (constraints._SAMPLES), and no row is singular,
     read from one pair table and memoized on the instance.  A non-finite
     S (an overflowed Lambda) is not -1.  GateViolation where Lambda is
-    exactly 0 at every sample, as is_cba_solvable raises: S is undefined
-    there."""
+    exactly 0 at every sample, or S singular at every sample (Lambda
+    underflows), as is_cba_solvable raises: S is undefined there."""
     trivial = params.__dict__.get("_trivial_s")
     if trivial is None:
         with np.errstate(all="ignore"):     # overflow is no S = -1
             table = _PairTable(params, constraints._SAMPLES[0])
             _require_lambda(table)
+            singular = table.singular()
+            _require_rows(np.count_nonzero(~singular), 1)
             off = ~(np.abs(table.S(table.I, table.J) + 1) <= 1e-10)
-            trivial = not np.any(table.singular() | np.any(off, axis=1))
+            trivial = not np.any(singular | np.any(off, axis=1))
         object.__setattr__(params, "_trivial_s", trivial)
     return trivial
 
@@ -969,21 +970,19 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
     block's Gram matrix (rows x rows), the largest arrays of the pass, are
     refused above hamiltonian.ENTRY_CAP entries before anything is
     allocated.  What reads no coupling, the blocks, the rows that reach
-    assembly and their pair geometry, is the root sets' _RootLayout, taken
-    here from sols and by verify_sector from a closed-form sector's table
-    (_check_roots)."""
+    assembly and their pair geometry, is the root sets' _RootLayout: the
+    closed-form table's (_closed_form_of) for its own root sets, as
+    solve_bae returns them (_ClosedForm.solved), else one built here."""
     if not sols:
         return []
-    Z = np.array([sol.z for sol in sols], complex)
-    flagged = np.array([sol.degenerate_flag for sol in sols], bool)
-    return _check_roots(params, sols, _RootLayout(Z, flagged, L), blocks, L,
-                        tol_eig, scale)
-
-
-def _check_roots(params, sols, layout, blocks, L, tol_eig, scale):
-    """check_roots of the root sets sols, from their _RootLayout: one
-    derived from sols, or the closed-form table's (oracle.verify_sector)."""
-    M = layout.Z.shape[1]
+    M = len(sols[0].z)
+    closed = _closed_form_of(params, L, M)
+    if closed is not None and closed.solved(sols):
+        layout = closed.layout
+    else:
+        layout = _RootLayout(
+            np.array([sol.z for sol in sols], complex),
+            np.array([sol.degenerate_flag for sol in sols], bool), L)
     reps, period = _orbit_table(L, M)[2:]
     mom, live = layout.momenta, layout.live
     out = list(layout.settled)

@@ -454,6 +454,16 @@ def _require_lambda(*tables):
                             "outside the classification hypotheses")
 
 
+def _require_rows(kept, needed):
+    """Raise GateViolation where fewer than needed sample rows are kept
+    nonsingular, as where Lambda underflows to a subnormal (below the
+    singular rule's 1e-300 floor): S and N are undefined."""
+    if kept < needed:
+        raise GateViolation("S is singular at every momentum sample, as where "
+                            "Lambda underflows: S and N are undefined, "
+                            "outside the classification hypotheses")
+
+
 def _exact_pair(params, z1, z2, what):
     """S(z1, z2) or N(z1, z2) (what) from the pair table of (z1, z2) in
     Python complex arithmetic (PyComplexArray), the arithmetic of the
@@ -579,8 +589,7 @@ def is_cba_solvable(params, tol=1e-9):
     of its own sum.  Each three-body sum is evaluated over all 40 rows and
     read at its own 20: at this size a numpy pass costs its call, not its
     rows.  Where Lambda is exactly 0 at every row of both tables, or where
-    no nonsingular row is left to stand in (Lambda underflows to a
-    subnormal, below the singular rule's 1e-300 floor), S and N are
+    no nonsingular row is left to stand in (_require_rows), S and N are
     undefined: that raises GateViolation, as check_gates does."""
     params.check_gates()
     three_body, four_body, spares = _SAMPLES
@@ -601,11 +610,7 @@ def is_cba_solvable(params, tol=1e-9):
                 rel, scale = (np.concatenate([x[~bad], y[ok]])[:len(bad)]
                               for x, y in zip((rel, scale),
                                               _sums(params, spare, which)))
-            if rel.size < len(bad):
-                raise GateViolation(
-                    "S is singular at every momentum sample, as where Lambda "
-                    "underflows: S and N are undefined, outside the "
-                    "classification hypotheses")
+            _require_rows(rel.size, len(bad))
             vacuous = vacuous and not scale.any()
             m = float(np.max(rel))
             # a NaN residual must fail, not compare false

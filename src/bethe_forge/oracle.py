@@ -39,7 +39,9 @@ eigenvalue is consumed once per multiplicity) with an absolute tolerance
 after normalizing by the largest matrix entry.
 
 verify_sector runs the whole pipeline of one sector, M = 0 (the
-pseudo-vacuum) included, into one SectorReport.
+pseudo-vacuum) included, into one SectorReport: sector_spectrum, solve_bae,
+check_roots and compare for every sector.  check_roots itself reads a
+closed-form sector's root-set layout from its cached table (bethe).
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bethe import (_check_roots, _chunks, _closed_form_of, _momenta, _slots,
-                    check_roots, solve_bae)
+from .bethe import _chunks, _momenta, _slots, check_roots, solve_bae
 from .hamiltonian import (_apply_bonds, _grade_one_way, _orbit_table,
                           _representative_rows, _sector_occupations,
                           check_chain, two_site_matrix, with_zero_v00)
@@ -294,19 +295,13 @@ def verify_sector(params, L, M, bae_tol, tol_eig):
     (compare), with tol_eig relative to the largest sector matrix entry.
     The Bethe energies are measured from the pseudo-vacuum, so both sides
     are taken of with_zero_v00(params): H and H + c * Identity verify
-    alike.  A closed-form sector (M < 2 or S = -1) is checked from the
-    layout of its cached table (bethe._closed_form), when the root sets
-    are that table's own, as solve_bae returns them."""
+    alike.  A closed-form sector's (M < 2 or S = -1) root sets are its
+    cached table's own, whose layout check_roots reads itself."""
     params = with_zero_v00(params)
     spec = sector_spectrum(params, L, M)
     sols = solve_bae(params, L, M, bae_tol)
     scale = spec.scale or 1.0
-    table = _closed_form_of(params, L, M)
-    if table is not None and table.solved(sols):
-        checks = _check_roots(params, sols, table.layout, spec.blocks, L,
-                              tol_eig, scale)
-    else:
-        checks = check_roots(params, sols, spec.blocks, L, tol_eig, scale)
+    checks = check_roots(params, sols, spec.blocks, L, tol_eig, scale)
     verified = [sol for sol, chk in zip(sols, checks)
                 if chk.outcome == "verified"]
     rep = compare(verified, spec, tol=tol_eig, scale=scale)

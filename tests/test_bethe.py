@@ -261,6 +261,24 @@ class TestSolveBAE:
             with pytest.raises(bf.GateViolation, match="Lambda ≡ 0"):
                 bf.verify_sector(h, 5, M, bethe.BAE_TOL, 1e-8)
 
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_underflowing_lambda_is_a_gate(self, M):
+        """gB scaled by 1e-160: Lambda is subnormal, so every three-body
+        sample row of the S = -1 test is singular.  solve_bae and
+        verify_sector raise the GateViolation is_cba_solvable raises
+        there, rather than fail in np.roots (M = 2) or pass with nothing
+        matched (M = 3)."""
+        h0 = load_input(PRESETS / "gB.json")
+        h = h0.replace(v=h0.v * 1e-160, **{
+            k: getattr(h0, k) * 1e-160 for k in bf.hamiltonian.OFFDIAG_KEYS})
+        match = "singular at every momentum sample"
+        with pytest.raises(bf.GateViolation, match=match):
+            bf.is_cba_solvable(h)
+        with pytest.raises(bf.GateViolation, match=match):
+            bf.solve_bae(h, 5, M)
+        with pytest.raises(bf.GateViolation, match=match):
+            bf.verify_sector(h, 5, M, bethe.BAE_TOL, 1e-8)
+
     def test_overflowing_lambda_is_not_trivial_s(self):
         """gB scaled by 1e155 overflows Lambda to inf at the samples, where
         S = -inf / inf is NaN: that is no S = -1, so solve_bae at L = 5,
@@ -511,9 +529,10 @@ class TestClosedForm:
         ("gB", (1,))], ids=["17V1a", "17V1b", "14V2", "gB"])
     def test_same_as_layout_from_root_sets(self, name, Ms):
         """L = 4..12: solve_bae from the table gives the BetheSolutions of
-        the multisets solved as a batch of root sets, and check_roots from
-        the table's layout (as verify_sector runs it) the RootChecks of
-        the layout built from those solutions, bit for bit."""
+        the multisets solved as a batch of root sets, and check_roots on
+        them (which reads the table's layout) the RootChecks of equal root
+        sets in new tuples (whose layout is built from them), bit for bit,
+        and those of verify_sector."""
         h = bf.with_zero_v00(load_input(PRESETS / f"{name}.json"))
         for L in range(4, 13):
             for M in Ms:
@@ -532,16 +551,44 @@ class TestClosedForm:
                     assert sol.bae_residual.hex() == float(r).hex()
                     assert _bits(sol.energy) == _bits(e)
                     assert sol.degenerate_flag == f
+                copies = [bethe.BetheSolution(tuple(list(s.z)), s.energy,
+                                              s.bae_residual,
+                                              s.degenerate_flag)
+                          for s in sols]
+                # () is one object: M = 0 has no new tuple to take
+                assert bethe._closed_form(L, M).solved(copies) == (M == 0)
                 spec = bf.sector_spectrum(h, L, M)
                 args = (spec.blocks, L, 1e-8, spec.scale or 1.0)
-                want = bethe.check_roots(h, sols, *args)
-                got = bethe._check_roots(
-                    h, sols, bethe._closed_form(L, M).layout, *args)
+                want = bethe.check_roots(h, copies, *args)
+                got = bethe.check_roots(h, sols, *args)
                 rep = bf.verify_sector(h, L, M, bethe.BAE_TOL, 1e-8)
                 assert [_check_bits(c) for c in got] \
                     == [_check_bits(c) for c in want] \
                     == [_check_bits(c) for c in rep.checks]
                 assert rep.passed, (name, L, M)
+
+    def test_layouts_built_by_verify_sector(self, monkeypatch):
+        """verify_sector builds no _RootLayout for a closed-form sector,
+        once its table is cached: every 17V1a sector at L = 6..9, and gB's
+        M < 2 sectors.  gB's Newton sectors, M = 2 and 3, build one each,
+        from their own root sets."""
+        built = []
+
+        class Counted(bethe._RootLayout):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        for name, want in (("17V1a", [0, 0, 0, 0]), ("gB", [0, 0, 1, 1])):
+            h = load_input(PRESETS / f"{name}.json")
+            for L in range(6, 10):
+                for M, n in enumerate(want):
+                    bethe._closed_form(L, M)
+                    monkeypatch.setattr(bethe, "_RootLayout", Counted)
+                    built.clear()
+                    rep = bf.verify_sector(h, L, M, bethe.BAE_TOL, 1e-8)
+                    monkeypatch.undo()
+                    assert rep.solutions and len(built) == n, (name, L, M)
 
     def test_substituted_root_sets_take_their_own_layout(self, monkeypatch):
         """verify_sector takes the table's layout only for the table's own
