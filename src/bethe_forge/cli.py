@@ -512,6 +512,8 @@ def _text_spectrum(report):
                 extra = f"  eig res {ent['eig_residual']:.1e}"
             elif "eigenvector" in ent:
                 extra = f"  [{ent['eigenvector']}]"
+            if ent.get("verified") is False:
+                extra += "  [unverified]"
             if "rejected" in ent:
                 extra += f"  [rejected: {ent['rejected']}]"
             flag = (" (same state as an earlier root set)"
@@ -530,22 +532,6 @@ def _text_spectrum(report):
 # catalog
 # ---------------------------------------------------------------------------
 
-def _word_group(words):
-    """Subgroup of the (Z/2)^3 frame group generated by the given words."""
-    out = {""}
-    grown = True
-    while grown:
-        grown = False
-        for w in list(out):
-            for g in words:
-                prod = "".join(ch for ch in "PCT"
-                               if (ch in w) != (ch in g))
-                if prod not in out:
-                    out.add(prod)
-                    grown = True
-    return out
-
-
 def _pct_table(tag, params):
     """(actions, invariances) of params, a member of family tag on its
     first branch: the family, frame and branch each of P, C and T maps it
@@ -563,13 +549,16 @@ def _pct_table(tag, params):
             note = " (branch swapped)" if m.branch != branch0 else ""
             frame = m.frame or "identity"
             actions[word] = f"{m.tag} via {frame}{note}"
-    generators = []
+    # the frame words the generators span, as letter sets: the frame group
+    # is (Z/2)^3, whose product is the symmetric difference
+    generators, span = [], {frozenset()}
     for word, m in images.items():
         if (m is not None and m.tag == tag and m.frame == ""
                 and all(abs(complex(m.branch[k]) - complex(v)) < 1e-9
                         for k, v in branch0.items())
-                and word not in _word_group(generators)):
+                and frozenset(word) not in span):
             generators.append(word)
+            span |= {w ^ frozenset(word) for w in span}
     return actions, generators
 
 

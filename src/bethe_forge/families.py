@@ -13,6 +13,14 @@ Each family's closed-form relations give a member's fingerprint
 X12, X21, X22.  build wraps a fingerprint into HamiltonianParams, so the
 relations have one implementation.
 
+Each family's S and N in its reduced parameters are one text each,
+s_formula and n_formula: catalog and classify print them, and s_closed and
+n_closed evaluate them (_parse, _evaluate).  Their notation: names,
+integers, + - / ^, parentheses, a leading minus over its term, and
+juxtaposition as a product binding tighter than / and looser than ^
+(a / 2(b) is a / (2 b), x y/u is (x y) / u, -A / B is -(A / B)).  A
+clause " with L = body" defines L(a, b) as body at z1 = a, z2 = b.
+
 Classification works modulo parity / charge conjugation / time reversal and
 gauge: the gauge orbit only rescales (t1, t2) against (s1, s2) and every
 family keeps t2 free, so reading the free parameters off their slots absorbs
@@ -33,7 +41,10 @@ is matched at unit scale, divided by the power of two of its largest slot
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,12 +142,98 @@ def _u_roots(v):
 
 
 # ---------------------------------------------------------------------------
+# the formula notation
+# ---------------------------------------------------------------------------
+
+_TOKENS = re.compile(r"\d+|\w+|\S")
+_OPS = {"+": operator.add, "-": operator.sub, "/": operator.truediv,
+        "*": operator.mul, "^": operator.pow, "neg": operator.neg}
+_LEVELS = (("+", "-"), ("/",), (), ("^",))  # loosest first; () juxtaposes
+
+
+def _parse(text, defs):
+    """The tree of a formula text (module docstring): a name, an int,
+    (op, *operands) for op in _OPS, or ("call", body, a, b) for NAME(a, b)
+    where the dict defs maps NAME to the tree body.  The text's own
+    " with NAME = body" clauses are added to defs first.  Raises ValueError
+    where text is not in the notation."""
+    text, *clauses = text.split(" with ")
+    for clause in clauses:
+        name, body = clause.split(" = ", 1)
+        defs[name] = _parse(body, defs)
+    tokens = _TOKENS.findall(text)[::-1]        # the next token last
+
+    def take(want=None):
+        if not tokens or want not in (None, tokens[-1]):
+            raise ValueError(f"{text!r}: {want or 'a term'} expected "
+                             f"before {' '.join(tokens[::-1])!r}")
+        return tokens.pop()
+
+    def level(k):
+        if k == len(_LEVELS):
+            return atom()
+        if k == 0 and tokens[-1:] == ["-"]:
+            take()
+            node = ("neg", level(1))
+        else:
+            node = level(k + 1)
+        while tokens:
+            tok = tokens[-1]
+            if tok in _LEVELS[k]:
+                op = take()
+            elif k == 2 and (tok == "(" or tok.isdigit()
+                             or tok.isidentifier()):
+                op = "*"
+            else:
+                break
+            node = (op, node, level(k + 1))
+        return node
+
+    def atom():
+        tok = take()
+        if tok.isdigit():
+            return int(tok)
+        if tok.isidentifier() and tok not in defs:
+            return tok
+        if tok in defs:
+            take("(")
+            a = level(0)
+            take(",")
+            node = ("call", defs[tok], a, level(0))
+        elif tok == "(":
+            node = level(0)
+        else:
+            raise ValueError(f"{text!r}: {tok!r} starts no term")
+        take(")")
+        return node
+
+    node = level(0)
+    if tokens:
+        raise ValueError(f"{text!r}: {' '.join(tokens[::-1])!r} left over")
+    return node
+
+
+def _evaluate(node, names):
+    """The value of the tree node (_parse) at the dict names: Python's
+    operators in the tree's order, so the arithmetic of the same expression
+    in Python.  NAME(a, b) is its body at z1 = a, z2 = b."""
+    if not isinstance(node, tuple):
+        return names[node] if isinstance(node, str) else node
+    op, *args = node
+    if op == "call":
+        body, a, b = args
+        return _evaluate(body, {**names, "z1": _evaluate(a, names),
+                                "z2": _evaluate(b, names)})
+    return _OPS[op](*(_evaluate(a, names) for a in args))
+
+
+# ---------------------------------------------------------------------------
 # family definitions
 # ---------------------------------------------------------------------------
 
 class Family:
-    """One solution family: constructor, closed-form S and N, reduction
-    gauge."""
+    """One solution family: constructor, classifier reading, reduction
+    gauge, and S and N as the texts s_formula and n_formula (s_closed)."""
 
     name = ""
     free_names = ()
@@ -177,11 +274,9 @@ class Family:
         family and branch that params would be: the free values read_free
         reads and the member's fingerprint (couplings); params's fit
         residual is the larger of the floor and the fingerprint distance
-        (_distances).  None where read_free refuses.  Raises as couplings
-        does where no member can be built."""
+        (_distances).  Raises as couplings does where no member can be
+        built."""
         free = self.read_free(params, inv, branch)
-        if free is None:
-            return None
         return free, self.couplings(free, branch), 0.0
 
     def reduced(self, free, branch):
@@ -193,11 +288,26 @@ class Family:
         family reads more of them off member."""
         return self.reduced(free, branch)
 
+    @functools.cached_property
+    def _trees(self):
+        """s_formula and n_formula parsed (_parse), on first use; a with
+        clause of s_formula serves n_formula too."""
+        defs = {}
+        return _parse(self.s_formula, defs), _parse(self.n_formula, defs)
+
+    def _closed(self, k, red, z1, z2):
+        """Formula k (0: s_formula, 1: n_formula) at the reduced parameters
+        red (as_dict and extra, with u = u_t1 for gIK) and z1, z2."""
+        names = {**red.as_dict(), **red.extra, "z1": z1, "z2": z2}
+        names["u"] = red.extra.get("u_t1")
+        return _evaluate(self._trees[k], names)
+
     def s_closed(self, red, z1, z2):
-        raise NotImplementedError
+        """S(z1, z2) by s_formula; n_closed gives N by n_formula."""
+        return self._closed(0, red, z1, z2)
 
     def n_closed(self, red, z1, z2):
-        raise NotImplementedError
+        return self._closed(1, red, z1, z2)
 
     def reduction_gauge(self, free, branch, red):
         """(N0, gamma) of the normalization + gauge map; gamma = g0 g2 / g1^2."""
@@ -227,16 +337,6 @@ class GZF(Family):
         p, tp, t2, s1 = _require(free, "p", "tp", "t2", "s1")
         return ReducedParams(tau_p=tp / p, tau_2=t2 / p, sigma=s1 * t2 / p**2,
                              theta=p**2 / tp**2)
-
-    def s_closed(self, red, z1, z2):
-        tp, sg = red.tau_p, red.sigma
-        return -((z1 * z2 - tp * (z1 + z2 - sg * z2) + tp**2)
-                 / (z1 * z2 - tp * (z1 + z2 - sg * z1) + tp**2))
-
-    def n_closed(self, red, z1, z2):
-        tp, sg = red.tau_p, red.sigma
-        return (red.tau_2 * tp * (z1 - z2)
-                / (2 * (z1 * z2 - tp * (z1 + z2 - sg * z1) + tp**2)))
 
     def reduction_gauge(self, free, branch, red):
         p, tp, t2, s1 = _require(free, "p", "tp", "t2", "s1")
@@ -333,20 +433,6 @@ class GIK(Family):
         """As reduced, with u read off the member's t1 slot as fit does."""
         return self.reduced(free, branch, self._read_us(member, free))
 
-    def s_closed(self, red, z1, z2):
-        tp, v = red.tau_p, red.extra["v"]
-        num = ((v**2 * z1 * z2 - tp * (z1 + v * z2) + tp**2)
-               * (v**2 * z1 * z2 - tp * (1 + v) * z2 + tp**2))
-        den = ((v**2 * z1 * z2 - tp * (z2 + v * z1) + tp**2)
-               * (v**2 * z1 * z2 - tp * (1 + v) * z1 + tp**2))
-        return -num / den
-
-    def n_closed(self, red, z1, z2):
-        tp, v, u_t1 = red.tau_p, red.extra["v"], red.extra["u_t1"]
-        den = ((v**2 * z1 * z2 - tp * (z2 + v * z1) + tp**2)
-               * (v**2 * z1 * z2 - tp * (1 + v) * z1 + tp**2))
-        return red.tau_2 * tp * (z1 - z2) * (z1 * z2 / u_t1 + tp**2) / (2 * den)
-
     def reduction_gauge(self, free, branch, red):
         p, tp, t2, v = _require(free, "p", "tp", "t2", "v")
         if v == 1:
@@ -390,23 +476,6 @@ class GB(Family):
         return ReducedParams(tau_p=tp / p, tau_2=t2 / p, theta=q / p,
                              mu=t1 / t2, extra=dict(J=branch["J"]))
 
-    @staticmethod
-    def _lam(red, z1, z2):
-        tp, th, mu, J = red.tau_p, red.theta, red.mu, red.extra["J"]
-        return (J * mu**4 * tp**2 * z1**2 * z2**2
-                - mu**2 * tp * th * z1 * z2 * (z1 + z2)
-                - J**2 * mu**3 * tp * z1 * z2**2
-                + (mu - th) * (mu - J**2 * th) * z1 * z2
-                + J**2 * mu**3 * tp**2 * z2**2 - mu**2 * tp * (z1 + z2)
-                - J * mu * tp * th * z2 + mu**2 * tp**2)
-
-    def s_closed(self, red, z1, z2):
-        return -self._lam(red, z1, z2) / self._lam(red, z2, z1)
-
-    def n_closed(self, red, z1, z2):
-        return (red.tau_2 * red.tau_p * red.mu**2 * (z1 - z2)
-                * (1 + red.mu * z1 * z2) / (2 * self._lam(red, z2, z1)))
-
     def reduction_gauge(self, free, branch, red):
         p, q, t1, t2, tp = _require(free, "p", "q", "t1", "t2", "tp")
         return np.sqrt(1 / complex(red.mu)) / p, p / t2
@@ -436,18 +505,6 @@ class SPR(Family):
         return ReducedParams(tau_p=tp / p, tau_2=t2 / p, tau_3=t3 / p,
                              theta=q / p)
 
-    def s_closed(self, red, z1, z2):
-        tp, t3 = red.tau_p, red.tau_3
-        c = t3**2 - t3 + 1
-        return -((c * z1 * z2 - tp * (z1 + z2 - t3 * z2) + tp**2)
-                 / (c * z1 * z2 - tp * (z1 + z2 - t3 * z1) + tp**2))
-
-    def n_closed(self, red, z1, z2):
-        tp, t3 = red.tau_p, red.tau_3
-        c = t3**2 - t3 + 1
-        return (red.tau_2 * tp * (z1 - z2)
-                / (2 * (c * z1 * z2 - tp * (z1 + z2 - t3 * z1) + tp**2)))
-
 
 class SB5(Family):
     name = "SB5"
@@ -474,20 +531,6 @@ class SB5(Family):
         p, q, t2, Y = _require(free, "p", "q", "t2", "Y")
         return ReducedParams(tau_2=t2 / p, theta=q / p, upsilon=Y / p,
                              extra=dict(J=branch["J"]))
-
-    @staticmethod
-    def _den(red, z1, z2):
-        th, up, J = red.theta, red.upsilon, red.extra["J"]
-        return th * z1 * z2 * (z2 - J**2 * z1) - up * z1 * z2 + z2 - J * z1
-
-    def s_closed(self, red, z1, z2):
-        th, up, J = red.theta, red.upsilon, red.extra["J"]
-        num = th * z1 * z2 * (z1 - J**2 * z2) - up * z1 * z2 + z1 - J * z2
-        return -num / self._den(red, z1, z2)
-
-    def n_closed(self, red, z1, z2):
-        return (-red.tau_2 * (z1 - z2) * (red.theta * z1 * z2 + 1)
-                / (2 * self._den(red, z1, z2)))
 
     def reduction_gauge(self, free, branch, red):
         p, t2, Y = _require(free, "p", "t2", "Y")
@@ -531,13 +574,6 @@ class V17_1A(Family):
         return ReducedParams(tau_p=tp / p, tau_2=t2 / p, theta=q / p,
                              extra=dict(eps=branch["eps"]))
 
-    def s_closed(self, red, z1, z2):
-        return -1.0 + 0j + 0 * z1 * z2
-
-    def n_closed(self, red, z1, z2):
-        tp = red.tau_p
-        return red.tau_2 * tp * (z1 - z2) / (2 * (z1 - tp) * (z2 - tp))
-
 
 class V17_1B(Family):
     name = "17V1b"
@@ -565,9 +601,6 @@ class V17_1B(Family):
         I = branch["I"]
         return ReducedParams(tau_p=tp / p, tau_2=t2 / p, theta=I * p**2 / tp**2,
                              extra=dict(I=I))
-
-    s_closed = V17_1A.s_closed
-    n_closed = V17_1A.n_closed
 
 
 class V17_2(Family):
@@ -606,17 +639,6 @@ class V17_2(Family):
         p, q, tp, t2 = _require(free, "p", "q", "tp", "t2")
         return ReducedParams(tau_p=tp / p, tau_2=t2 / p, theta=q / p)
 
-    def s_closed(self, red, z1, z2):
-        tp, th = red.tau_p, red.theta
-        return -((th * tp * z1 * z2 - (th * tp**2 + 1) * z2 + tp)
-                 / (th * tp * z1 * z2 - (th * tp**2 + 1) * z1 + tp))
-
-    def n_closed(self, red, z1, z2):
-        tp, th = red.tau_p, red.theta
-        return (-red.tau_2 * (z1 - z2) * (z1 * z2 - tp**2)
-                / (2 * (th * tp * z1 * z2 - (th * tp**2 + 1) * z1 + tp)
-                   * (z1 - tp) * (z2 - tp)))
-
 
 class V14_1(Family):
     name = "14V1"
@@ -652,15 +674,6 @@ class V14_1(Family):
         return ReducedParams(tau_p=tp / p, tau_2=t2 / p,
                              extra=dict(eps=branch["eps"], xi=X22 / p))
 
-    def s_closed(self, red, z1, z2):
-        tp = red.tau_p
-        return -(z2 - tp) / (z1 - tp)
-
-    def n_closed(self, red, z1, z2):
-        tp = red.tau_p
-        return (red.tau_2 * (z1 - z2) * (z1 * z2 - tp**2)
-                / (2 * (z1 - tp)**2 * (z2 - tp)))
-
 
 class V14_2(Family):
     name = "14V2"
@@ -692,13 +705,6 @@ class V14_2(Family):
     def reduced(self, free, branch):
         p, tp, t2 = _require(free, "p", "tp", "t2")
         return ReducedParams(tau_p=tp / p, tau_2=t2 / p)
-
-    s_closed = V17_1A.s_closed
-
-    def n_closed(self, red, z1, z2):
-        tp = red.tau_p
-        return (red.tau_2 * (z1 - z2) * (z1 * z2 + tp**2)
-                / (2 * tp * (z1 - tp) * (z2 - tp)))
 
 
 FAMILIES = {f.name: f for f in

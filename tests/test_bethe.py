@@ -1819,6 +1819,28 @@ class TestCheckRoots:
         assert str(complex(z[0] * z[1])) in chk.message
         assert outcomes[:2] == outcomes[3:5] == ["verified"] * 2
 
+    def test_no_root_sets(self, rng):
+        h, _ = family_instance("gIK", rng)
+        blocks = bf.sector_spectrum(h, 5, 2).blocks
+        assert bethe.check_roots(h, [], blocks, 5, 1e-8, 1.0) == []
+
+    def test_no_live_root_set_assembles_nothing(self, rng, monkeypatch):
+        """Root sets that all stop before assembly, coincident or in no
+        block, are settled without an amplitude being assembled."""
+        h, _ = family_instance("gIK", rng)
+        L, M = 5, 2
+        blocks = bf.sector_spectrum(h, L, M).blocks
+        w = np.exp(1j * np.pi / L)              # w * w is an L-th root of 1
+        batch = [bethe.BetheSolution((w, w), bf.energy(h, (w, w)), 0.0, True),
+                 bethe.BetheSolution((1.1 + 0.2j, 0.7 - 0.4j), 0j, 0.0)]
+
+        def refuse(*args):
+            raise AssertionError("assembled with no live root set")
+        monkeypatch.setattr(bethe, "_assemble", refuse)
+        checks = bethe.check_roots(h, batch, blocks, L, 1e-8, 1.0)
+        assert [(c.momentum, c.outcome) for c in checks] \
+            == [(1, "coincident"), (None, "unverified")]
+
     @pytest.mark.parametrize("name, M", [
         ("izergin_korepin", 2), ("izergin_korepin", 3), ("bariev", 2),
         ("zamolodchikov_fateev", 2)])

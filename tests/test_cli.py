@@ -2,6 +2,7 @@
 
 import argparse
 import collections
+import dataclasses
 import enum
 import gc
 import json
@@ -48,6 +49,21 @@ class TestClassifyCommand:
         assert code == 0
         assert "family: gZF" in out
         assert "CBA-solvable: yes" in out
+
+    def test_degenerate_point_in_text(self, capsys, tmp_path, rng):
+        """At a point two families share (gZF at sigma = 1, an SpR member)
+        the text names every family that fits, as the JSON lists them."""
+        from conftest import cdraw
+        p, tp, t2 = cdraw(rng), cdraw(rng), cdraw(rng)
+        path = write_params(tmp_path, bf.construct(
+            "gZF", dict(p=p, tp=tp, t2=t2, s1=p**2 / t2)))
+        main(["classify", path, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        tags = sorted({m["family"] for m in report["all_matches"]})
+        assert report["degenerate_match"] and len(tags) > 1
+        main(["classify", path])
+        assert (f"degenerate point: also consistent with {tags}"
+                in capsys.readouterr().out.splitlines())
 
     def test_fit_residual_in_json(self, capsys, gzf_file):
         code = main(["classify", gzf_file, "--json"])
@@ -370,6 +386,26 @@ class TestSpectrumCommand:
         assert ent["verified"] is False and ent["eig_residual"] <= 1e-8
         assert ent["rejected"].startswith("translation defect")
         assert not report["all_verified"]
+
+    def test_unmatched_energies_in_text(self, capsys, monkeypatch):
+        """A sector whose verified energies all miss the ED spectrum (each
+        moved by 1 before matching) lists them on its unmatched line, as
+        the JSON report does."""
+        compare = bf.oracle.compare
+
+        def shifted(verified, spec, **kw):
+            return compare([dataclasses.replace(s, energy=s.energy + 1)
+                            for s in verified], spec, **kw)
+        monkeypatch.setattr(bf.oracle, "compare", shifted)
+        argv = ["spectrum", str(PRESETS / "gB.json"), "--L", "4", "--M", "1"]
+        main(argv + ["--json"])
+        (sec,) = json.loads(capsys.readouterr().out)["sectors"]
+        unmatched = [complex(*e) for e in sec["unmatched_energies"]]
+        assert sec["matched"] == 0 and len(unmatched) == sec["dimension"]
+        main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert ("    unmatched: " + ", ".join(map(cli._fmt_c, unmatched))
+                in lines)
 
     def test_unsolvable_refused_exit_4(self, tmp_path, rng):
         from conftest import random_params
@@ -868,26 +904,33 @@ class TestJsonReport:
         assert '"unclassified": true' in printed[0]
         assert '"max_constraint_residual": Infinity' in printed[1]
 
-    def test_singular_null_and_equivalent_root_sets(self, capsys, monkeypatch,
-                                                    tmp_path, rng):
-        """A sector whose solver hands over a singular, a null, a
-        non-eigenvector and repeated root sets, as in TestCheckRoots."""
+    @staticmethod
+    def _odd_root_sets(tmp_path, rng):
+        """A 14V1 member's file and a solve_bae stand-in that hands over a
+        singular, a null and a non-eigenvector root set, then the solver's
+        root sets and each again reversed, as in TestCheckRoots."""
         from conftest import cdraw, draw_free
         free = draw_free("14V1", rng)
         path = write_params(tmp_path, bf.construct("14V1", free, {"eps": 1}))
-        solve = bf.oracle.solve_bae
+        solve, u = bf.oracle.solve_bae, cdraw(rng)
 
         def batch(h, L, M, cfg):
             sols = [s for s in solve(h, L, M, cfg) if not s.degenerate_flag]
             K = np.exp(2j * np.pi * bf.momentum(sols[0].z, L) / L)
-            taup, w, u = free["tp"] / free["p"], np.sqrt(K), cdraw(rng)
+            taup, w = free["tp"] / free["p"], np.sqrt(K)
 
             def sol(z):
                 return bethe.BetheSolution(tuple(z), bf.energy(h, z), 0.0)
             again = [sol(s.z[::-1]) for s in sols]
             return ([sol([taup, K / taup]), sol([w, w]), sol([u, K / u])]
                     + sols + again)
+        return path, batch
 
+    def test_singular_null_and_equivalent_root_sets(self, capsys, monkeypatch,
+                                                    tmp_path, rng):
+        """A sector whose solver hands over a singular, a null, a
+        non-eigenvector and repeated root sets, as in TestCheckRoots."""
+        path, batch = self._odd_root_sets(tmp_path, rng)
         monkeypatch.setattr(bf.oracle, "solve_bae", batch)
         printed, reference = self._printed_and_reference(
             ["spectrum", path, "--L", "4", "--M", "2", "--json"], capsys,
@@ -898,6 +941,23 @@ class TestJsonReport:
         assert entries[1]["eigenvector"] == "null"
         assert entries[2]["verified"] is False
         assert any(e.get("equivalent_state") for e in entries)
+
+    def test_text_marks_what_json_calls_unverified(self, capsys, monkeypatch,
+                                                   tmp_path, rng):
+        """Each root set's text line says [unverified] exactly where its
+        JSON entry has "verified": false."""
+        path, batch = self._odd_root_sets(tmp_path, rng)
+        monkeypatch.setattr(bf.oracle, "solve_bae", batch)
+        argv = ["spectrum", path, "--L", "4", "--M", "2"]
+        main(argv + ["--json"])
+        (sec,) = json.loads(capsys.readouterr().out)["sectors"]
+        entries = sec["solutions"]
+        main(argv)
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("    z = (")]
+        marked = [e.get("verified") is False for e in entries]
+        assert [" [unverified]" in line for line in lines] == marked
+        assert any(marked) and not all(marked)
 
     @pytest.mark.parametrize("reports", [
         ([0.1, {"a": 0.1, "b": [0.1, {"c": (0.1, complex(0.1, 0.1))}]},

@@ -1,5 +1,8 @@
 """Family constructors, closed-form scattering data, and the classifier."""
 
+import os
+import subprocess
+import sys
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -18,6 +21,7 @@ from bethe_forge.hamiltonian import FRAME_WORDS, OFFDIAG_KEYS
 from conftest import annulus, cdraw, draw_free, random_params
 
 PRESETS = Path(bf.__file__).parent / "presets"
+SRC = str(Path(bf.__file__).resolve().parent.parent)
 
 # slots each family's build needs nonzero, where not (p, tp)
 _NONZERO_SLOTS = {"gB": ("t1", "t2", "tp"), "SpR": ("p", "tp", "t2"),
@@ -200,6 +204,50 @@ class TestClosedForms:
         z1, z2 = cdraw(rng), cdraw(rng)
         expect = tau2 * taup * (z1 - z2) / (2 * (z1 - taup) * (z2 - taup))
         assert abs(bf.n_factor(h, z1, z2) - expect) < 1e-10 * abs(expect)
+
+
+class TestFormulaNotation:
+    """The notation of s_formula and n_formula, which s_closed and n_closed
+    evaluate."""
+
+    @pytest.mark.parametrize("text, tree", [
+        ("a / 2(b)", ("/", "a", ("*", 2, "b"))),
+        ("x y/u", ("/", ("*", "x", "y"), "u")),
+        ("-A / B", ("neg", ("/", "A", "B"))),
+        ("v^2 z1", ("*", ("^", "v", 2), "z1")),
+        ("a - b + c d", ("+", ("-", "a", "b"), ("*", "c", "d"))),
+        ("tau_p(1+v)z2", ("*", ("*", "tau_p", ("+", 1, "v")), "z2")),
+        ("2(a)^2(b)", ("*", ("*", 2, ("^", "a", 2)), "b")),
+    ])
+    def test_precedence(self, text, tree):
+        assert families._parse(text, {}) == tree
+
+    def test_with_clause_defines_a_call_for_both_texts(self):
+        defs = {}
+        s = families._parse("-L(z1,z2)/L(z2,z1) with L = z1 - 2 z2", defs)
+        n = families._parse("3 L(z2,z1)", defs)
+        body = ("-", "z1", ("*", 2, "z2"))
+        assert s == ("neg", ("/", ("call", body, "z1", "z2"),
+                             ("call", body, "z2", "z1")))
+        assert n == ("*", 3, ("call", body, "z2", "z1"))
+        names = {"z1": 5, "z2": 7}
+        assert families._evaluate(s, names) == -(5 - 14) / (7 - 10)
+        assert families._evaluate(n, names) == 3 * (7 - 10)
+
+    @pytest.mark.parametrize("text", ["a +", "(a b", "a b)", "a $ b", "",
+                                      "L(a) with L = z1"])
+    def test_text_outside_the_notation_raises(self, text):
+        with pytest.raises(ValueError):
+            families._parse(text, {})
+
+    def test_import_parses_nothing(self):
+        """The texts are parsed on first use, never at import."""
+        code = ("import bethe_forge.cli as cli, bethe_forge.families as f; "
+                "print(any('_trees' in vars(x) for x in f.FAMILIES.values()))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=SRC)).stdout
+        assert out == "False\n"
 
 
 class TestClassifier:

@@ -1,9 +1,11 @@
 """tools/same_output.py: the byte check of two source trees."""
 
+import argparse
 import importlib.util
 from pathlib import Path
 
 import bethe_forge as bf
+from bethe_forge import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(Path(bf.__file__).resolve().parent.parent)
@@ -46,3 +48,21 @@ def test_names_the_first_difference(tmp_path):
     assert lines[0] == "differs: " + " ".join(cases[0])
     assert "0 (parent) vs 1 (change)" in lines[1]
     assert lines[2] == "  stdout line 1:"
+
+
+def test_grid_runs_every_subcommand_in_both_renderings():
+    """Every subcommand of the parser runs as text and as --json, catalog
+    included, and every preset is read by each mode of its rows."""
+    cases = same_output.verify_cases(SRC) + same_output.preset_cases(SRC)
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    ran = {(c[0], "--json" in c) for c in cases}
+    assert ran == {(mode, j) for mode in sub.choices for j in (False, True)}
+    presets = {c[1] for c in cases if c[0] != "catalog"}
+    assert len(presets) == 19
+    for path in presets:
+        assert {(c[0], "--json" in c, "--conjugate-vacuum" in c)
+                for c in cases if c[1:2] == [path]} == {
+            ("classify", False, False), ("classify", True, True),
+            ("verify", False, False), ("verify", True, False),
+            ("spectrum", False, False), ("spectrum", True, False)}

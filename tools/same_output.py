@@ -8,9 +8,16 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories that hold the
 
 * ``verify PRESET --L L --M 0..3 --json`` for every preset of PARENT_SRC and
   L = 2..12 (19 x 11 = 209 runs), then
+* for every preset, ``classify PRESET``, ``classify PRESET
+  --conjugate-vacuum --json``, ``verify PRESET --L 6 --M 0..3`` and
+  ``spectrum PRESET --L 5 --M 0..3`` with and without ``--json`` (19 x 5
+  = 95 runs), then ``catalog`` and ``catalog --json``, which print every
+  family's formula text, then
 * ``classify INPUT --json`` over the classify-mix inputs of workload seeds 0
   and 1 (1,200 runs), written to a temporary folder by
   ``perfbench/workloads.py`` under PARENT_SRC.
+
+So every subcommand runs in both renderings, text and ``--json``.
 
 Both trees read the same input files.  Each tree runs the whole grid in one
 subprocess of its own, with PYTHONPATH set to the tree and
@@ -35,12 +42,30 @@ TOOLS = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(TOOLS), "perfbench")
 
 
+def _presets(src):
+    """The preset files of the tree src, sorted by name."""
+    folder = os.path.join(src, "bethe_forge", "presets")
+    return [os.path.join(folder, name) for name in sorted(os.listdir(folder))]
+
+
 def verify_cases(src, Ls=range(2, 13)):
-    """The verify runs of the grid, over the presets of the tree src."""
-    presets = os.path.join(src, "bethe_forge", "presets")
-    return [["verify", os.path.join(presets, name), "--L", str(L),
-             "--M", "0..3", "--json"]
-            for name in sorted(os.listdir(presets)) for L in Ls]
+    """The verify --json runs of the grid, over the presets of the tree
+    src."""
+    return [["verify", path, "--L", str(L), "--M", "0..3", "--json"]
+            for path in _presets(src) for L in Ls]
+
+
+def preset_cases(src):
+    """The runs of the grid in each rendering: five per preset of the tree
+    src, then catalog as text and as JSON."""
+    spectrum = ["--L", "5", "--M", "0..3"]
+    return [case for path in _presets(src) for case in (
+        ["classify", path],
+        ["classify", path, "--conjugate-vacuum", "--json"],
+        ["verify", path, "--L", "6", "--M", "0..3"],
+        ["spectrum", path, *spectrum],
+        ["spectrum", path, *spectrum, "--json"],
+    )] + [["catalog"], ["catalog", "--json"]]
 
 
 def classify_cases(src, folder):
@@ -143,7 +168,8 @@ def main(argv=None):
         return 2
     parent, change = argv
     with tempfile.TemporaryDirectory() as folder:
-        cases = verify_cases(parent) + classify_cases(parent, folder)
+        cases = (verify_cases(parent) + preset_cases(parent)
+                 + classify_cases(parent, folder))
         diff = first_difference(parent, change, cases)
     if diff is not None:
         print("\n".join(describe(diff)))
