@@ -19,8 +19,9 @@ denominator-cleared polynomial system
 Families with S identically -1 need no solver: their solutions are exactly
 the multisets of the trivial-scattering roots z^L = (-1)^(M-1), which for
 M < 2 are the exact sets above (_multiset_seeds).  S = -1 is tested at
-every ordered pair of the solvability test's three-body samples
-(constraints._SAMPLES), once per Hamiltonian (memoized on the instance).
+every ordered pair of the solvability test's three-body samples, on the
+pair table that test reads (constraints._three_body), once per
+Hamiltonian (memoized on the instance).
 Everything about these closed-form sectors that reads no coupling is one
 cached, read-only table per (L, M) (_closed_form): the multisets, their
 canonical order and coincident flags, the momentum-only parts of their
@@ -296,14 +297,15 @@ def bae_residual(params, z, L):
 def _is_trivial_s(params):
     """Whether S = -1 at every ordered pair of the solvability test's
     three-body samples (constraints._SAMPLES), and no row is singular,
-    read from one pair table and memoized on the instance.  A non-finite
+    read from the pair table is_cba_solvable reads there
+    (constraints._three_body) and memoized on the instance.  A non-finite
     S (an overflowed Lambda) is not -1.  GateViolation where Lambda is
     exactly 0 at every sample, or S singular at every sample (Lambda
     underflows), as is_cba_solvable raises: S is undefined there."""
     trivial = params.__dict__.get("_trivial_s")
     if trivial is None:
         with np.errstate(all="ignore"):     # overflow is no S = -1
-            table = _PairTable(params, constraints._SAMPLES[0])
+            table = constraints._three_body(params)
             _require_lambda(table)
             singular = table.singular()
             _require_rows(np.count_nonzero(~singular), 1)

@@ -523,6 +523,10 @@ def _text_spectrum(report):
         if sec["unmatched_energies"]:
             lines.append("    unmatched: "
                          + ", ".join(_fmt_c(e) for e in sec["unmatched_energies"]))
+        if any(sec["uncovered_by_momentum"]):
+            lines.append("    ED states uncovered, per momentum block: "
+                         + ", ".join(f"{m}: {n}" for m, n in enumerate(
+                             sec["uncovered_by_momentum"]) if n))
     lines.append("all eigenpairs verified" if report["all_verified"]
                  else "SOME EIGENPAIRS FAILED VERIFICATION")
     return "\n".join(lines)

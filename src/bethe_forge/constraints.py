@@ -34,13 +34,14 @@ the momenta alone: the pair gathers, z_i z_j, z_i + z_j, z_i - z_j, the
 momenta in every permutation's order and the sums' sub-expressions of
 them (a + b, 1/a + 1/b + 1/c, a b, ...), and the rest, which reads the
 parameters.  The geometries of the solvability test's samples (_SAMPLES)
-are module constants, built once, at import; the Bethe solver's S = -1
-test reads the three-body one too.  A table built on a batch rather than
-a geometry builds its own.  Each part is the expression its reader would
-evaluate, in the same order (h.sp * b * c stays (h.sp * b) * c), and rows
-never interact, so the solvability test, which reads E21 and E12 from one
-table of their 40 stacked rows, keeps every bit of one table per sum
-evaluating its momenta in place.
+are module constants, built once, at import.  The three-body table is
+built once per Hamiltonian and memoized on it (_three_body): the Bethe
+solver's S = -1 test reads the table the solvability test reads.  A
+table built on a batch rather than a geometry builds its own.  Each part
+is the expression its reader would evaluate, in the same order (h.sp * b
+* c stays (h.sp * b) * c), and rows never interact, so the solvability
+test, which reads E21 and E12 from one table of their 40 stacked rows,
+keeps every bit of one table per sum evaluating its momenta in place.
 
 Batch size never changes a bit of Lambda, its gradient or the pair table.
 For an array temporary of 256 KiB or more numpy computes x * (temporary),
@@ -366,7 +367,9 @@ class _PairTable:
         self.geom = Z if isinstance(Z, _Geometry) else _Geometry(Z)
         self.I, self.J, self.col = self.geom.I, self.geom.J, self.geom.col
         self.Z = self.geom.Z
-        self.params = params
+        # N's couplings, not params: a table memoized on params (_three_body)
+        # holds no reference cycle, so it goes when params goes
+        self.n_couplings = params.p, params.q, params.t2, params.t1
         self.lam = _lambda(params, self.geom.zz, self.geom.zs, self.geom.Zj)
         # den[:, k] = Lambda(z_j, z_i) for pair k = (i, j): the denominator
         # of S(i, j) and N(i, j)
@@ -411,8 +414,8 @@ class _PairTable:
 
     @functools.cached_property
     def _n(self):
-        h, g = self.params, self.geom
-        pq, t21 = h.p + h.q * g.zz, h.t2 + h.t1 * g.zz
+        (p, q, t2, t1), g = self.n_couplings, self.geom
+        pq, t21 = p + q * g.zz, t2 + t1 * g.zz
         return _ratio(g.zd * pq * t21, 2 * self.den)
 
     def S(self, i, j):
@@ -576,6 +579,18 @@ SAMPLE_TABLES = _sample_tables()
 _SAMPLES = _samples(SAMPLE_TABLES)
 
 
+def _three_body(params):
+    """The pair table of params on the three-body samples (_SAMPLES[0]),
+    built once per Hamiltonian and samples and memoized on the instance, as
+    invariants is: is_cba_solvable and bethe._is_trivial_s read the same
+    one."""
+    table = params.__dict__.get("_three_body")
+    if table is None or table.geom is not _SAMPLES[0]:
+        table = _PairTable(params, _SAMPLES[0])
+        object.__setattr__(params, "_three_body", table)
+    return table
+
+
 def is_cba_solvable(params, tol=1e-9):
     """Identity test of the three solvability constraint sums at the fixed
     momenta of SAMPLE_TABLES (read at import, as _SAMPLES), the first
@@ -596,7 +611,7 @@ def is_cba_solvable(params, tol=1e-9):
     n = len(three_body.Z) // 2
     residuals, vacuous = {}, True
     with np.errstate(all="ignore"):   # overflow fails the test below
-        three = _PairTable(params, three_body)
+        three = _three_body(params)
         four = _PairTable(params, four_body)
         _require_lambda(three, four)
         bad3, bad4 = three.singular(), four.singular()

@@ -29,13 +29,21 @@ family and branch: it reads the free parameters off the framed input, takes
 the member fingerprint they give, and compares it with the framed input's
 fingerprint, all candidates in one array pass.
 
-Most candidates are ruled out before they are built, by the vanishing
-vertices that tell 19-, 17- and 14-vertex families apart.  Each family and
-branch caches the slots its couplings leave exactly zero, read once at a
-generic point.  A candidate whose zero slot holds c > 2 tol of the framed
-input's largest slot cannot match: the member's fingerprint distance is at
-least c / (1 + c) > tol for tol < 1/4.  Every family is a cone, so the input
-is matched at unit scale, divided by the power of two of its largest slot
+Most candidates are ruled out before they are built, by two rules that
+hold for every member of a family and branch.  The vanishing vertices tell
+19-, 17- and 14-vertex families apart: each family and branch caches the
+slots its couplings leave exactly zero, read once at a generic point, and a
+candidate whose zero slot holds c > 2 tol of the framed input's largest
+slot A cannot match (its fingerprint distance is at least c / (1 + c) >
+tol).  And each family and branch keeps up to three two-term relations
+f_a f_b = c f_c f_d among its slots (t3 = p appears as p p = t3 p), found
+on first use where two slot products keep their ratio between two generic
+points (_relations).  A member within tol of the input is at most D = tol A
+/ (1 - tol) from it in every slot, so the input breaks the relation by at
+most (1 + |c|)(2 A D + D^2) < 3.2 (1 + |c|) tol A^2; the candidate is
+skipped above 7 (1 + |c|) tol A^2 plus a rounding allowance.  Neither rule
+skips anything for tol >= 1/4.  Every family is a cone, so the input is
+matched at unit scale, divided by the power of two of its largest slot
 (exactly), and the free values are scaled back.
 """
 
@@ -46,6 +54,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,10 +258,12 @@ class Family:
         DegenerateFamilyPoint where a relation divides by zero."""
         raise NotImplementedError
 
-    def generic_free(self):
-        """The family's fixed generic free-parameter point: the k-th free
-        name is 0.9 + 0.13 k + (0.4 - 0.21 k) i."""
-        return {n: complex(0.9 + 0.13 * k, 0.4 - 0.21 * k)
+    def generic_free(self, point=0):
+        """One of the family's fixed generic free-parameter points: at point
+        0, the k-th free name is 0.9 + 0.13 k + (0.4 - 0.21 k) i, and each
+        further point adds 0.05 (k + 1) + 0.07 i."""
+        return {n: complex(0.9 + 0.13 * k + 0.05 * point * (k + 1),
+                           0.4 - 0.21 * k + 0.07 * point)
                 for k, n in enumerate(self.free_names)}
 
     def build(self, free, branch):
@@ -711,7 +722,12 @@ FAMILIES = {f.name: f for f in
             (GZF(), GIK(), GB(), SPR(), SB5(),
              V17_1A(), V17_1B(), V17_2(), V14_1(), V14_2())}
 
-TRIVIAL_S_TAGS = ("17V1a", "17V1b", "14V2")
+TRIVIAL_S_TAGS = tuple(tag for tag in FAMILY_ORDER
+                       if FAMILIES[tag].s_formula == "-1")
+
+# every (family, branch) the classifier tries in a frame, in precedence order
+_CANDIDATES = tuple((tag, fam, branch) for tag, fam in FAMILIES.items()
+                    for branch in fam.branches)
 
 
 def _zero_mask(fam, branch):
@@ -724,8 +740,103 @@ def _zero_mask(fam, branch):
 
 _ZERO_MASKS = {tag: tuple(_zero_mask(fam, b) for b in fam.branches)
                for tag, fam in FAMILIES.items()}
+_ZERO_BITS = np.array([m for tag in FAMILIES for m in _ZERO_MASKS[tag]])
 _SLOT_NAMES = OFFDIAG_KEYS + ("X11", "Y", "X12", "X21", "X22")
 _SLOT_BITS = 1 << np.arange(len(_SLOT_NAMES))
+
+# the 120 slot products f_a f_b, a <= b, in row-major order
+_PAIRS = np.triu_indices(len(_SLOT_NAMES))
+_RELATIONS_KEPT = 3          # per family and branch
+_GENERIC_TOL = 1e-9          # a relation holds at a generic point to this
+# of (1 + |c|) A^2: the rounding of a built member's couplings, of c and of
+# the residual (3,000 random members of each branch break their relations
+# by at most 5e-16 (1 + |c|) A^2)
+_ROUNDING = 2.0**-40
+
+
+class _Relations(NamedTuple):
+    """Two-term relations P_x = c P_y between slot products (_PAIRS)."""
+    x: np.ndarray            # (R,) the product f_a f_b
+    y: np.ndarray            # (R,) the product f_c f_d
+    const: np.ndarray        # (R,) c
+    owner: np.ndarray        # (R, candidates): the relation's _CANDIDATES entry
+
+
+def _unit(fps):
+    """The fingerprints fps, (n, 15), each divided by its largest slot
+    magnitude A, as the columns of a (15, n) array: a relation's residual
+    there is its residual over A^2."""
+    with np.errstate(all="ignore"):     # a zero row is NaN: breaks nothing
+        return (fps / np.abs(fps).max(axis=1, keepdims=True)).T
+
+
+def _breaks(unit, x, y, const, share):
+    """(relations, n) mask: |P_x - c P_y| exceeds share of (1 + |c|) in a
+    column of the unit fingerprints unit (_unit)."""
+    a, b = _PAIRS
+    px, py = (unit[a[k]] * unit[b[k]] for k in (x, y))
+    return (np.abs(px - const[:, None] * py)
+            > share * (1 + np.abs(const))[:, None])
+
+
+def _mined_relations(fam, branch, catalog):
+    """(x, y, const) of at most _RELATIONS_KEPT two-term relations f_a f_b
+    = c f_c f_d among the fingerprint slots of fam's branch.
+
+    Two nonzero slot products are related where their ratio c is the same
+    to _GENERIC_TOL at the generic points 0 and 1, that is where each
+    changes by the same factor from one point to the other; an equal pair
+    of slots appears as f_a^2 = f_b^2.  Sorted by factor, the products of
+    one factor are a run, and each is related to the first of them in
+    row-major order (the others follow).  Of these relations, each one
+    kept breaks in the most columns of catalog (unit fingerprints) that
+    those kept before it leave standing, the first by f_c f_d among
+    equals."""
+    p0, p1 = (np.array(fam.couplings(fam.generic_free(point), branch))
+              for point in (0, 1))
+    p0, p1 = (fp[_PAIRS[0]] * fp[_PAIRS[1]] for fp in (p0, p1))
+    live = np.flatnonzero(p0 * p1 != 0)
+    factor = p1[live] / p0[live]
+    order = np.lexsort((factor.imag, factor.real))
+    f = factor[order]
+    starts = np.r_[True, np.abs(np.diff(f)) > _GENERIC_TOL * np.abs(f[1:])]
+    heads = np.minimum.reduceat(order, np.flatnonzero(starts))
+    head = np.arange(len(p0))           # each product's first of its run
+    head[live[order]] = live[heads[np.cumsum(starts) - 1]]
+    y = np.flatnonzero(head < np.arange(len(p0)))
+    x = head[y]
+    const = p0[x] / p0[y]
+    broken = np.concatenate([          # in blocks, to keep the arrays small
+        _breaks(catalog, x[k:k + 16], y[k:k + 16], const[k:k + 16],
+                _GENERIC_TOL) for k in range(0, max(len(x), 1), 16)])
+    kept = []
+    for _ in range(_RELATIONS_KEPT):
+        gain = broken.sum(axis=1)
+        if not gain.any():
+            break
+        kept.append(int(np.argmax(gain)))
+        broken = broken & ~broken[kept[-1]]
+    return x[kept], y[kept], const[kept]
+
+
+@functools.cache
+def _relations():
+    """Every candidate's relations (_mined_relations), mined on first use,
+    against the catalog of every branch's generic member in every frame;
+    read-only, since every caller gets the one table."""
+    members = [fam.build(fam.generic_free(), branch)
+               for _, fam, branch in _CANDIDATES]
+    catalog = _unit(np.array([_fingerprint(apply_frame(h, word))
+                              for h in members for word in FRAME_WORDS],
+                             complex))
+    mined = [_mined_relations(fam, branch, catalog)
+             for _, fam, branch in _CANDIDATES]
+    owner = np.repeat(np.eye(len(_CANDIDATES), dtype=bool),
+                      [len(x) for x, _, _ in mined], axis=0)
+    table = _Relations(*map(np.concatenate, zip(*mined)), owner)
+    for column in table:
+        column.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +931,11 @@ def classify(params, tol=1e-9):
     A candidate is skipped unbuilt when a slot its family and branch leave
     exactly zero (_ZERO_MASKS) holds more than 2 tol of the framed input's
     largest slot: with c that share, its distance is at least c / (1 + c),
-    above tol for tol < 1/4 (nothing is skipped for larger tol).  Families
+    above tol for tol < 1/4.  It is skipped too when the framed input
+    breaks one of its relations (_relations) by more than 7 tol + _ROUNDING
+    of (1 + |c|) A^2, A that largest slot, all frames in one array pass:
+    a member within tol breaks it by less than 3.2 tol of that (module
+    docstring).  Nothing is skipped for tol >= 1/4.  Families
     are cones, so the input is matched divided by 2**e, e the binary
     exponent of its largest slot; the division is exact, the couplings'
     products of up to five slots stay in range at any scale, and the free
@@ -832,26 +947,26 @@ def classify(params, tol=1e-9):
     unit = _scaled(params, -e)
     frames = [apply_frame(unit, word) for word in FRAME_WORDS]
     targets = np.array([_fingerprint(f) for f in frames], complex)
-    mags = np.abs(targets)
-    large = ((mags > 2 * tol * mags.max(axis=1, keepdims=True)) @ _SLOT_BITS
-             if tol < 0.25 else np.zeros(len(frames), int)).tolist()
+    skip = np.zeros((len(frames), len(_CANDIDATES)), bool)
+    if tol < 0.25:
+        mags = np.abs(targets)
+        large = (mags > 2 * tol * mags.max(axis=1, keepdims=True)) @ _SLOT_BITS
+        rel = _relations()
+        broken = _breaks(_unit(targets), rel.x, rel.y, rel.const,
+                         7 * tol + _ROUNDING)
+        skip = ((large[:, None] & _ZERO_BITS) != 0) | (broken.T @ rel.owner)
     found, rows, members = [], [], []
-    for i, (word, framed) in enumerate(zip(FRAME_WORDS, frames)):
-        inv = invariants(framed)
-        for tag in FAMILY_ORDER:
-            fam = FAMILIES[tag]
-            for branch, zeros in zip(fam.branches, _ZERO_MASKS[tag]):
-                if zeros & large[i]:
-                    continue
-                try:
-                    cand = fam.candidate(framed, inv, branch)
-                except (DegenerateFamilyPoint, ZeroDivisionError):
-                    continue
-                if cand is not None:
-                    free, fp, floor = cand
-                    found.append((tag, dict(branch), free, word, floor))
-                    rows.append(i)
-                    members.append(fp)
+    for i, k in np.argwhere(~skip).tolist():    # (frame, candidate) order
+        tag, fam, branch = _CANDIDATES[k]
+        try:
+            cand = fam.candidate(frames[i], invariants(frames[i]), branch)
+        except (DegenerateFamilyPoint, ZeroDivisionError):
+            continue
+        if cand is not None:
+            free, fp, floor = cand
+            found.append((tag, dict(branch), free, FRAME_WORDS[i], floor))
+            rows.append(i)
+            members.append(fp)
     dists = (_distances(targets[rows], np.array(members, complex))
              if found else [])
     matches = []

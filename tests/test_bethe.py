@@ -228,14 +228,17 @@ class TestSolveBAE:
 
     @pytest.mark.parametrize("tag", bf.FAMILY_ORDER)
     def test_trivial_s_encodings_agree(self, tag):
-        """At the generic member of every branch of every family, S = -1
+        """At three generic members of every branch of every family, S = -1
         at the samples (_is_trivial_s) exactly where the tag is in
-        TRIVIAL_S_TAGS and exactly where its closed form is "-1"; there
+        TRIVIAL_S_TAGS, the families whose closed form is "-1"; there
         solve_bae at L = 5, M = 2 and 3 returns the multiset seeds."""
         fam = bf.FAMILIES[tag]
         trivial = tag in bf.TRIVIAL_S_TAGS
-        assert (fam.s_formula == "-1") == trivial
+        assert bf.TRIVIAL_S_TAGS == ("17V1a", "17V1b", "14V2")
         for branch in fam.branches:
+            for point in (1, 2):
+                h = fam.build(fam.generic_free(point), branch)
+                assert bethe._is_trivial_s(h) == trivial, (branch, point)
             h = fam.build(fam.generic_free(), branch)
             assert bethe._is_trivial_s(h) == trivial, branch
             if not trivial:

@@ -407,6 +407,25 @@ class TestSpectrumCommand:
         assert ("    unmatched: " + ", ".join(map(cli._fmt_c, unmatched))
                 in lines)
 
+    def test_uncovered_states_in_text(self, capsys):
+        """A sector below full completeness names the ED states no Bethe
+        state covers on one line, block: count for each momentum block the
+        JSON report's uncovered_by_momentum counts some in (gB at L = 7
+        misses 13 of its 77 M = 3 states); a complete sector has none."""
+        argv = ["spectrum", str(PRESETS / "gB.json"), "--L", "7", "--M", "1..3"]
+        main(argv + ["--json"])
+        secs = json.loads(capsys.readouterr().out)["sectors"]
+        assert [sum(s["uncovered_by_momentum"]) for s in secs] == [0, 0, 13]
+        assert secs[2]["completeness"] < 1 == secs[0]["completeness"]
+        main(argv)
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if "uncovered" in ln]
+        counts = secs[2]["uncovered_by_momentum"]
+        assert lines == ["    ED states uncovered, per momentum block: "
+                         + ", ".join(f"{m}: {n}" for m, n in enumerate(counts)
+                                     if n)]
+        assert lines[0].endswith("0: 3, 1: 1, 2: 1, 3: 3, 4: 2, 5: 2, 6: 1")
+
     def test_unsolvable_refused_exit_4(self, tmp_path, rng):
         from conftest import random_params
         path = write_params(tmp_path, random_params(rng))

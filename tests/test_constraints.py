@@ -751,6 +751,29 @@ class TestSharedTable:
                         == getattr(own, attr).tobytes()), (which, attr)
             assert np.array_equal(shared.singular()[rows], own.singular())
 
+    @pytest.mark.parametrize("tag", (None, "gB", "17V1a"))
+    def test_one_three_body_table_per_hamiltonian(self, tag, rng):
+        """is_cba_solvable and the S = -1 test read one three-body table,
+        built once, with every bit of a table of its own; the memo holds
+        no reference back to the Hamiltonian, so it goes with it."""
+        import gc
+        import weakref
+        h = random_params(rng) if tag is None else _framed_member(tag, rng)
+        bf.is_cba_solvable(h)
+        table = h.__dict__["_three_body"]
+        bethe._is_trivial_s(h)
+        assert constraints._three_body(h) is table
+        own = _PairTable(h, constraints._SAMPLES[0])
+        for attr in ("lam", "_s", "_n", "amps"):
+            assert getattr(table, attr).tobytes() == getattr(own, attr).tobytes()
+        gone = weakref.ref(table)
+        gc.disable()
+        try:
+            del h, table
+            assert gone() is None
+        finally:
+            gc.enable()
+
     def test_geometry_parts_equal_in_place(self):
         """Every part of the kept sample geometry equals the same
         expression evaluated on a writable copy, bit for bit."""

@@ -648,6 +648,92 @@ class TestCandidateSkip:
         assert len(calls) == 128
 
 
+def _answer(m):
+    """Every field of a classify answer, floats and free values as bits."""
+    if m is None:
+        return None
+    return (m.tag, m.branch, m.frame, m.fit_residual.hex(), m.degenerate,
+            [(t, b, w, r.hex()) for t, b, w, r in m.all_matches],
+            _bits(m.free_params))
+
+
+def _moved_members(rng, tol):
+    """Every family and branch: a random member, that member with each slot
+    that holds no free value moved by 0.95 tol of its largest slot, and
+    with every slot moved by 5 tol of it (random phases), each seen through
+    all eight frames.  The first moved one reads the member's own free
+    values, so it fits within tol, as near the relation bound as a fit
+    gets; the second breaks relations past it."""
+    for tag in bf.FAMILY_ORDER:
+        fam = bf.FAMILIES[tag]
+        held = np.array([s not in fam.free_names for s in families._SLOT_NAMES])
+        for branch in fam.branches:
+            fp = np.array(fam.couplings(draw_free(tag, rng), branch))
+            phases = np.exp(2j * np.pi * rng.uniform(0, 1, 15))
+            for move in (0 * phases, 0.95 * held * phases, 5 * phases):
+                h = families._member(tuple(fp + move * tol * np.abs(fp).max()),
+                                     0)
+                for word in FRAME_WORDS:
+                    yield bf.apply_frame(h, word)
+
+
+def _without_relations(monkeypatch):
+    """Empty the relation table classify reads from now on."""
+    rel = families._relations()
+    monkeypatch.setattr(families, "_relations",
+                        lambda: families._Relations(*(a[:0] for a in rel)))
+
+
+class TestRelationSkip:
+    @pytest.mark.parametrize("tol", [1e-14, 1e-9, 1e-6, 0.2, 0.3])
+    def test_same_answer_as_without_relations(self, tol, monkeypatch):
+        """classify gives every bit of the answer it gives with the
+        relation table emptied (the zero-slot skip alone), on random
+        members, moved members and classify-mix draws in all frames."""
+        rng = np.random.default_rng(22)
+        inputs = list(_moved_members(rng, tol))
+        inputs += [_classify_mix_input(rng) for _ in range(60)]
+        pruned = [_answer(bf.classify(h, tol=tol)) for h in inputs]
+        _without_relations(monkeypatch)
+        assert [_answer(bf.classify(h, tol=tol)) for h in inputs] == pruned
+        assert sum(a is not None for a in pruned) >= 200
+
+    @pytest.mark.parametrize("k", range(len(families._CANDIDATES)))
+    def test_relations_hold_at_a_third_generic_point(self, k, rng):
+        """Each kept relation of a family and branch holds, to rounding,
+        at its generic point 2, which mining never read, and at random
+        members."""
+        tag, fam, branch = families._CANDIDATES[k]
+        rel = families._relations()
+        mine = rel.owner[:, k]
+        x, y, const = rel.x[mine], rel.y[mine], rel.const[mine]
+        assert 1 <= len(x) <= families._RELATIONS_KEPT
+        points = [fam.generic_free(2)] + [draw_free(tag, rng) for _ in range(5)]
+        fps = np.array([fam.couplings(free, branch) for free in points])
+        broken = families._breaks(families._unit(fps), x, y, const,
+                                  1e-12)
+        assert not broken.any()
+
+    def test_relations_skip_more(self, rng, monkeypatch):
+        """Members of every family in every frame build fewer candidates
+        with the relations than with the zero-slot skip alone, and gB, which
+        leaves no slot zero, builds some but not all 16 per frame."""
+        inputs = [bf.apply_frame(bf.construct(tag, draw_free(tag, rng)), w)
+                  for tag in bf.FAMILY_ORDER for w in FRAME_WORDS]
+        calls = _count_candidates(monkeypatch)
+        for h in inputs:
+            bf.classify(h)
+        pruned = len(calls)
+        gb = bf.construct("gB", draw_free("gB", rng))
+        bf.classify(gb)
+        assert len(calls) - pruned < 128
+        _without_relations(monkeypatch)
+        calls.clear()
+        for h in inputs:
+            bf.classify(h)
+        assert pruned < len(calls) / 2
+
+
 def _times(h, f):
     return bf.HamiltonianParams(
         v=h.v * f, **{k: getattr(h, k) * f for k in OFFDIAG_KEYS})

@@ -15,7 +15,9 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories that hold the
   family's formula text, then
 * ``classify INPUT --json`` over the classify-mix inputs of workload seeds 0
   and 1 (1,200 runs), written to a temporary folder by
-  ``perfbench/workloads.py`` under PARENT_SRC.
+  ``perfbench/workloads.py`` under PARENT_SRC, then the same with
+  ``--tol-constraint`` 1e-6 and 0.2 (2,400 runs): the bounds by which
+  classify skips a candidate unbuilt scale with the tolerance.
 
 So every subcommand runs in both renderings, text and ``--json``.
 
@@ -40,6 +42,7 @@ import tempfile
 
 TOOLS = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(TOOLS), "perfbench")
+CLASSIFY_TOLS = ("1e-6", "0.2")      # beside the default 1e-9
 
 
 def _presets(src):
@@ -71,12 +74,14 @@ def preset_cases(src):
 def classify_cases(src, folder):
     """The classify runs of the grid: perfbench's classify-mix inputs of
     workload seeds 0 and 1, written into folder by a subprocess on the
-    tree src."""
+    tree src, at the default tolerance and then at each of CLASSIFY_TOLS."""
     code = "import same_output; same_output._write_inputs()"
     out = subprocess.run([sys.executable, "-c", code], env=_env(src),
                          input=folder, capture_output=True, text=True,
                          check=True).stdout
-    return json.loads(out)
+    cases = json.loads(out)
+    return cases + [argv + ["--tol-constraint", tol]
+                    for tol in CLASSIFY_TOLS for argv in cases]
 
 
 def _write_inputs():
