@@ -22,15 +22,14 @@ M < 2 are the exact sets above (_multiset_seeds).  S = -1 is tested at
 every ordered pair of the solvability test's three-body samples, on the
 pair table that test reads (constraints._three_body), once per
 Hamiltonian (memoized on the instance).
-Everything about these closed-form sectors that reads no coupling is one
-cached, read-only table per (L, M) (_closed_form): the multisets, their
-canonical order and coincident flags, the momentum-only parts of their
-BAE pair table, and the layout check_roots starts from (_RootLayout:
-translation blocks, live rows, their block slots and pair geometry).  Per
-call only Lambda and what reads it is computed: pair tables, residuals,
-energies, amplitudes and block checks.  The tables of M = 1..3 hold about
-0.5 MB at L = 12 and 6.5 MB at L = 30; nothing that grows like n M L (the
-powers z**x of assembly) is kept.
+The bookkeeping of these closed-form sectors, what reads no coupling, is
+one cached, read-only table per (L, M) (_closed_form): the multisets,
+their canonical order and coincident flags, and the layout check_roots
+starts from (_RootLayout: translation blocks, live rows and their block
+slots).  Per call the arithmetic is computed: pair tables, z^L,
+residuals, energies, amplitudes and block checks.  The tables of M =
+1..3 hold about 0.18 MB at L = 12 and 1.8 MB at L = 30; every array in
+them is per root set, none per pair.
 
 M = 2 needs no seeds either.  The BAE force (z1 z2)^L = 1, so each solution
 lies on a line z1 z2 = e^{2 pi i n / L}, one per translation block, and on
@@ -133,9 +132,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constraints
-from .constraints import (PyComplexArray, _Geometry, _PairTable,
-                          _require_lambda, _require_rows, lambda_fn,
-                          lambda_grad, ordered_pairs, permutation_table)
+from .constraints import (PyComplexArray, _PairTable, _require_lambda,
+                          _require_rows, lambda_fn, lambda_grad,
+                          ordered_pairs, permutation_table)
 from .hamiltonian import (_check_entries, _orbit_table, _sector_occupations,
                           invariants)
 
@@ -246,10 +245,8 @@ def momentum(z, L):
     return None if m < 0 else m
 
 
-def _bae_residuals(params, Z, L, zL=None):
+def _bae_residuals(params, Z, L):
     """bae_residual of every row of an (n, M) batch, from one pair table.
-    Z may also be the _Geometry of a PyComplexArray batch, with zL its
-    powers z^L, as the closed-form table (_closed_form) holds them.
 
     The residual is relative, at the scale of Newton's _residual: a root
     set whose polynomial roots are right to rounding has a residual at
@@ -263,21 +260,19 @@ def _bae_residuals(params, Z, L, zL=None):
     set across bae_tol.  Python complex products round the same way on
     every machine and in every batch."""
     with np.errstate(all="ignore"):
-        table = _PairTable(params, Z if isinstance(Z, _Geometry)
-                           else PyComplexArray.of(Z))
-        lhs, rhs = _bae_sides(table, L, zL)
+        table = _PairTable(params, PyComplexArray.of(Z))
+        lhs, rhs = _bae_sides(table, L)
         scale = np.maximum(1.0, abs(lhs).max(axis=1, initial=0.0))
         res = abs(lhs - rhs).max(axis=1, initial=0.0) / scale
         res[table.singular() | ~np.isfinite(res)] = np.inf
     return res
 
 
-def _bae_sides(table, L, zL=None):
+def _bae_sides(table, L):
     """Both sides of the BAE at every row of a pair table, in its
-    arithmetic: the (n, M) arrays z_j^L (zL, if given) and prod_{n != j}
-    S(z_n, z_j)."""
+    arithmetic: the (n, M) arrays z_j^L and prod_{n != j} S(z_n, z_j)."""
     n, M = table.Z.shape
-    lhs = table.Z ** L if zL is None else zL
+    lhs = table.Z ** L
     rhs = lhs.copy()                    # overwritten column by column
     for j in range(M):
         prod = np.ones(n, complex)
@@ -659,24 +654,15 @@ def _solutions(sets, E, res, flags):
             for z, e, r, f in zip(sets, E, res.tolist(), flags)]
 
 
-def _read_only(*arrays):
-    """Set every array, and both parts of every PyComplexArray, read-only."""
-    for a in arrays:
-        for part in (a.re, a.im) if isinstance(a, PyComplexArray) else (a,):
-            part.setflags(write=False)
-
-
 class _RootLayout:
     """What check_roots reads of a sector's root sets before it reads the
     couplings: the (n, M) root sets Z in canonical order, their coincident
     flags, their translation blocks (_momenta), the live rows, which reach
     assembly (not flagged, in a block), their slot table by block (_slots)
-    and the RootChecks of the other rows, None at the live ones; then, on
-    first use (after check_roots' size check), the pair geometry of the
-    live rows and their powers z^L."""
+    and the RootChecks of the other rows, None at the live ones."""
 
     def __init__(self, Z, flagged, L):
-        self.Z, self.flagged, self.L = Z, flagged, L
+        self.Z, self.flagged = Z, flagged
         self.momenta = mom = _momenta(Z, L)
         self.live = np.flatnonzero(~flagged & (mom >= 0))
         self.slot = _slots(mom[self.live], L)[0]
@@ -693,14 +679,6 @@ class _RootLayout:
                 "is not an L-th root of unity"))
         self.settled = tuple(out)
 
-    @functools.cached_property
-    def geom(self):
-        return _Geometry(self.Z[self.live])
-
-    @functools.cached_property
-    def zL(self):
-        return self.geom.Z ** self.L
-
 
 @dataclass(frozen=True)
 class _ClosedForm:
@@ -708,8 +686,6 @@ class _ClosedForm:
     seeds: np.ndarray           # (n, M): the multisets, _multiset_seeds order
     sets: tuple                 # their canonical tuples, solve_bae's z
     flags: tuple                # their coincident flags
-    bae: _Geometry | None       # M >= 2: the seeds' pair geometry and z^L in
-    zL: PyComplexArray | None   # Python complex arithmetic (_bae_residuals)
     layout: _RootLayout         # the canonical rows, for check_roots
 
     def solved(self, sols):
@@ -725,28 +701,17 @@ def _closed_form(L, M):
     closed-form root sets, the multisets of z^L = (-1)^(M-1)
     (_multiset_seeds), that reads no coupling: the multisets in seed order
     (in which solve_bae sums their energies), their canonical tuples and
-    coincident flags, for M >= 2 the momentum-only parts of their BAE pair
-    table in Python complex arithmetic with their z^L, and the layout
-    check_roots starts from, with its live rows' pair geometry and their
-    z^L built.  The tables of M = 1..3 hold about 0.5 MB at L = 12 and
-    6.5 MB at L = 30; four are kept, one verify run's M = 0..3."""
+    coincident flags, and the layout check_roots starts from.  Every array
+    is per root set.  The tables of M = 1..3 hold about 0.18 MB at L = 12
+    and 1.8 MB at L = 30; four are kept, one verify run's M = 0..3."""
     multisets = _multiset_seeds(L, M)
     seeds = np.array(multisets, complex).reshape(len(multisets), M)
     layout = _RootLayout(_canonical_rows(seeds), _coincident_rows(seeds), L)
-    bae = zL = None
-    with np.errstate(all="ignore"):
-        if M >= 2:
-            bae = _Geometry(PyComplexArray.of(seeds))
-            zL = bae.Z ** L
-        geom = layout.geom
-        _read_only(seeds, layout.Z, layout.flagged, layout.momenta,
-                   layout.live, layout.slot, layout.zL, geom.Z, geom.Zi,
-                   geom.Zj, geom.zz, geom.zs, geom.zd, *(
-                       (zL, bae.Z, bae.Zi, bae.Zj, bae.zz, bae.zs) if bae
-                       else ()))
+    for a in (seeds, layout.Z, layout.flagged, layout.momenta, layout.live,
+              layout.slot):
+        a.setflags(write=False)
     sets = tuple(tuple(z) for z in layout.Z.tolist())
-    return _ClosedForm(seeds, sets, tuple(layout.flagged.tolist()), bae, zL,
-                       layout)
+    return _ClosedForm(seeds, sets, tuple(layout.flagged.tolist()), layout)
 
 
 def _closed_form_of(params, L, M):
@@ -764,7 +729,7 @@ def solve_bae(params, L, M, bae_tol=BAE_TOL):
     table = _closed_form_of(params, L, M)
     if table is not None:
         # no scattering: exactly the multisets of z^L = (-1)^(M-1)
-        res = (_bae_residuals(params, table.bae, L, table.zL) if M >= 2
+        res = (_bae_residuals(params, table.seeds, L) if M >= 2
                else np.zeros(len(table.sets)))
         return _solutions(table.sets, _energies(params, table.seeds), res,
                           table.flags)
@@ -971,10 +936,10 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
     is shared across them.  The amplitude table (root sets x orbits) and a
     block's Gram matrix (rows x rows), the largest arrays of the pass, are
     refused above hamiltonian.ENTRY_CAP entries before anything is
-    allocated.  What reads no coupling, the blocks, the rows that reach
-    assembly and their pair geometry, is the root sets' _RootLayout: the
-    closed-form table's (_closed_form_of) for its own root sets, as
-    solve_bae returns them (_ClosedForm.solved), else one built here."""
+    allocated.  What reads no coupling, the blocks and the rows that reach
+    assembly, is the root sets' _RootLayout: the closed-form table's
+    (_closed_form_of) for its own root sets, as solve_bae returns them
+    (_ClosedForm.solved), else one built here."""
     if not sols:
         return []
     M = len(sols[0].z)
@@ -994,11 +959,11 @@ def check_roots(params, sols, blocks, L, tol_eig, scale):
     slot = layout.slot
     R = slot.shape[1]
     _check_entries(max(live.size * len(reps), R * R), f"L={L}, M={M}")
-    table = _PairTable(params, layout.geom)
+    table = _PairTable(params, layout.Z[live])
     C, amp = _assemble(table, L, reps)
     C *= np.sqrt(period)
     singular = table.singular()
-    lhs, rhs = _bae_sides(table, L, layout.zL)
+    lhs, rhs = _bae_sides(table, L)
     with np.errstate(all="ignore"):
         defect = np.abs(1 - rhs / lhs).max(axis=1, initial=0.0)
     E = np.array([sols[i].energy for i in live], complex)

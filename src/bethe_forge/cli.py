@@ -635,7 +635,8 @@ def build_parser():
         description="Classify and solve three-state spin-chain Hamiltonians "
                     "by coordinate Bethe ansatz.")
     ap.set_defaults(input_path=None, L=None, M_range=None,
-                    tol_constraint=1e-9, tol_bae=BAE_TOL, tol_eig=1e-8,
+                    tol_constraint=constraints.CONSTRAINT_TOL,
+                    tol_bae=BAE_TOL, tol_eig=oracle.EIG_TOL,
                     json_output=False, conjugate_vacuum=False)
     sub = ap.add_subparsers(dest="mode", required=True)
 

@@ -66,6 +66,7 @@ import numpy as np
 from .hamiltonian import GateViolation, invariants
 
 S_SING_TOL = 1e-13
+CONSTRAINT_TOL = 1e-9    # default tolerance of the sums and of classify
 
 
 def _coeffs(params):
@@ -546,7 +547,7 @@ class SolvabilityVerdict:
     max_residual: float
     samples: int
     failing_constraint: str | None = None
-    tol: float = 1e-9
+    tol: float = CONSTRAINT_TOL
     vacuous: bool = False
 
 
@@ -591,7 +592,7 @@ def _three_body(params):
     return table
 
 
-def is_cba_solvable(params, tol=1e-9):
+def is_cba_solvable(params, tol=CONSTRAINT_TOL):
     """Identity test of the three solvability constraint sums at the fixed
     momenta of SAMPLE_TABLES (read at import, as _SAMPLES), the first
     nonsingular rows of the spare block standing in where Lambda

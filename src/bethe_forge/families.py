@@ -58,6 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .constraints import CONSTRAINT_TOL
 from .hamiltonian import (DiagonalInvariants, HamiltonianParams, OFFDIAG_KEYS,
                           apply_frame, FRAME_WORDS, invariants,
                           symmetric_diagonal)
@@ -912,7 +913,7 @@ def _scaled(params, e):
         k: _ldexp(getattr(params, k), e) for k in OFFDIAG_KEYS})
 
 
-def classify(params, tol=1e-9):
+def classify(params, tol=CONSTRAINT_TOL):
     """Match a Hamiltonian to a solution family modulo P/C/T and gauge.
 
     Tries all eight frames; in each, reads the candidate free parameters off

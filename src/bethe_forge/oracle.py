@@ -57,6 +57,8 @@ from .hamiltonian import (_apply_bonds, _grade_one_way, _orbit_table,
                           _representative_rows, _sector_occupations,
                           check_chain, two_site_matrix, with_zero_v00)
 
+EIG_TOL = 1e-8           # default eigenpair and matching tolerance
+
 
 @dataclass(frozen=True)
 class BlockStack:
@@ -217,7 +219,7 @@ def sector_spectrum(params, L, M):
                           scale=float(np.max(np.abs(rows), initial=0.0)))
 
 
-def compare(cba_solutions, ed, tol=1e-8, scale=1.0):
+def compare(cba_solutions, ed, tol=EIG_TOL, scale=1.0):
     """Match accepted Bethe energies against a sector spectrum, each only
     against the eigenvalues of its own translation block; a root set with
     no block (prod z not an L-th root of unity) is unmatched.

@@ -12,8 +12,9 @@ import pytest
 import bethe_forge as bf
 from bethe_forge import bethe
 from bethe_forge.cli import load_input, main
-from bethe_forge.constraints import (_PairTable, lambda_fn, lambda_grad,
-                                     ordered_pairs, permutation_table)
+from bethe_forge.constraints import (PyComplexArray, _PairTable, lambda_fn,
+                                     lambda_grad, ordered_pairs,
+                                     permutation_table)
 
 from conftest import cdraw, draw_free, family_instance, random_params
 
@@ -476,20 +477,10 @@ class TestClosedForm:
 
     @staticmethod
     def _arrays(table):
-        """Every array the table holds, the parts of PyComplexArrays
-        included."""
+        """Every array the table holds: the seeds and the layout's."""
         lay = table.layout
-        out = [table.seeds, lay.Z, lay.flagged, lay.momenta, lay.live,
-               lay.slot, lay.zL, lay.geom.zd]
-        for g in (lay.geom, table.bae):
-            if g is not None:
-                out += [g.Z, g.Zi, g.Zj, g.zz, g.zs]
-        if table.zL is not None:
-            out.append(table.zL)
-        parts = []
-        for a in out:
-            parts += [a.re, a.im] if hasattr(a, "re") else [a]
-        return parts
+        return [table.seeds, lay.Z, lay.flagged, lay.momenta, lay.live,
+                lay.slot]
 
     def test_read_only(self):
         """Every array of the table is read-only, and its root sets,
@@ -501,6 +492,27 @@ class TestClosedForm:
             assert isinstance(table.sets, tuple)
             assert isinstance(table.flags, tuple)
             assert isinstance(table.layout.settled, tuple)
+
+    @pytest.mark.parametrize("L", [5, 12, 30])
+    def test_arrays_are_per_root_set(self, L):
+        """M = 0..3: every array the table or its layout holds is one of
+        _arrays, and per root set: (n,) or (n, M) over the n root sets,
+        (live,) over the live ones, or the (L, R) slot table.  None is
+        indexed by pair, and none is a PyComplexArray; the pair tables and
+        z^L are computed per call."""
+        for M in range(4):
+            table = bethe._closed_form(L, M)
+            n, lay = len(table.sets), table.layout
+            held = [v for obj in (table, lay) for v in vars(obj).values()
+                    if isinstance(v, (np.ndarray, PyComplexArray))]
+            assert not any(isinstance(v, PyComplexArray) for v in held)
+            assert sorted(map(id, held)) == \
+                sorted(map(id, self._arrays(table)))
+            assert table.seeds.shape == lay.Z.shape == (n, M)
+            assert lay.flagged.shape == lay.momenta.shape == (n,)
+            assert lay.live.ndim == 1 and lay.live.size <= n
+            counts = np.bincount(lay.momenta[lay.live], minlength=L)
+            assert lay.slot.shape == (L, max(1, counts.max()))
 
     def test_matches_multiset_seeds(self):
         """L = 2..12, M = 0..3: the seeds are _multiset_seeds' multisets,

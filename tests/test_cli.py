@@ -5,6 +5,7 @@ import collections
 import dataclasses
 import enum
 import gc
+import inspect
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import bethe_forge as bf
-from bethe_forge import bethe, cli, constraints
+from bethe_forge import bethe, cli, constraints, families, oracle
 from bethe_forge.cli import main
 from bethe_forge.hamiltonian import OFFDIAG_KEYS
 
@@ -597,6 +598,26 @@ class TestOptionsPerSubcommand:
         captured = capsys.readouterr()
         assert f"unrecognized arguments: {option[0]}" in captured.err
         assert captured.out == ""
+
+    def test_tolerance_defaults_are_named_once(self):
+        """Every default of a tolerance is its module's one constant:
+        constraints.CONSTRAINT_TOL for the constraint sums and classify,
+        bethe.BAE_TOL for the BAE and oracle.EIG_TOL for eigenpairs and
+        matching, in the parser as in the library's signatures."""
+        def default(fn, name="tol"):
+            return inspect.signature(fn).parameters[name].default
+
+        ns = cli.build_parser().parse_args(
+            ["verify", str(PRESETS / "gB.json"), "--L", "5"])
+        assert (ns.tol_constraint, ns.tol_bae, ns.tol_eig) == (
+            constraints.CONSTRAINT_TOL, bethe.BAE_TOL, oracle.EIG_TOL)
+        assert (default(constraints.is_cba_solvable),
+                default(families.classify),
+                constraints.SolvabilityVerdict(True, 0.0, 0).tol) == \
+            (constraints.CONSTRAINT_TOL,) * 3
+        assert default(bethe.solve_bae, "bae_tol") == bethe.BAE_TOL
+        assert default(oracle.compare) == oracle.EIG_TOL
+        assert (constraints.CONSTRAINT_TOL, oracle.EIG_TOL) == (1e-9, 1e-8)
 
     def test_abbreviated_tolerance(self, capsys):
         """argparse takes a unique prefix for the option.  classify has one

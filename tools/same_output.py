@@ -7,7 +7,9 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories that hold the
 ``git archive`` of its parent commit.  The grid is
 
 * ``verify PRESET --L L --M 0..3 --json`` for every preset of PARENT_SRC and
-  L = 2..12 (19 x 11 = 209 runs), then
+  L = 2..12 (19 x 11 = 209 runs), and for the three S = -1 presets (14V2,
+  17V1a, 17V1b) at L = 16, 24 and 30 (9 runs), where the closed-form
+  sectors are largest, then
 * for every preset, ``classify PRESET``, ``classify PRESET
   --conjugate-vacuum --json``, ``verify PRESET --L 6 --M 0..3`` and
   ``spectrum PRESET --L 5 --M 0..3`` with and without ``--json`` (19 x 5
@@ -25,9 +27,10 @@ Both trees read the same input files.  Each tree runs the whole grid in one
 subprocess of its own, with PYTHONPATH set to the tree and
 OPENBLAS_NUM_THREADS=1; every case is an in-process call to
 ``bethe_forge.cli.main``, whose stdout is captured and whose stderr is
-dropped.  The two run side by side, and the first case whose stdout or exit
-code differs is printed, with the first line where the outputs part; the
-exit code is then 1, else 0.
+dropped.  The two run side by side over the whole grid.  The count of
+cases whose stdout or exit code differs is printed, and for the first
+MAX_SHOWN of them the case, both exit codes and the first line where the
+outputs part; the exit code is then 1, else 0.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ import tempfile
 TOOLS = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(TOOLS), "perfbench")
 CLASSIFY_TOLS = ("1e-6", "0.2")      # beside the default 1e-9
+TRIVIAL_PRESETS = ("14V2.json", "17V1a.json", "17V1b.json")  # S = -1
+TRIVIAL_LS = (16, 24, 30)
+MAX_SHOWN = 10                       # differing cases described in full
 
 
 def _presets(src):
@@ -56,6 +62,12 @@ def verify_cases(src, Ls=range(2, 13)):
     src."""
     return [["verify", path, "--L", str(L), "--M", "0..3", "--json"]
             for path in _presets(src) for L in Ls]
+
+
+def trivial_cases(src):
+    """The verify --json runs of the S = -1 presets at TRIVIAL_LS."""
+    return [case for case in verify_cases(src, TRIVIAL_LS)
+            if os.path.basename(case[1]) in TRIVIAL_PRESETS]
 
 
 def preset_cases(src):
@@ -126,11 +138,13 @@ def run(src, cases):
     return proc
 
 
-def first_difference(parent, change, cases):
-    """None when the trees parent and change give every case the same exit
-    code and stdout, else (case, parent's (code, stdout), change's); a
-    tree that stops early answers (None, its exit status) from there."""
+def differences(parent, change, cases):
+    """Every case to which the trees parent and change give a different
+    exit code or stdout, in order, as (case, parent's (code, stdout),
+    change's); a tree that stops early answers (None, its exit status) from
+    there."""
     procs = [run(parent, cases), run(change, cases)]
+    out = []
     try:
         for argv in cases:
             got = []
@@ -139,8 +153,8 @@ def first_difference(parent, change, cases):
                 got.append(tuple(json.loads(line)) if line
                            else (None, f"stopped, exit {proc.wait()}"))
             if got[0] != got[1]:
-                return argv, got[0], got[1]
-        return None
+                out.append((argv, got[0], got[1]))
+        return out
     finally:
         for proc in procs:
             proc.kill()
@@ -149,7 +163,7 @@ def first_difference(parent, change, cases):
 
 
 def describe(diff):
-    """Readable lines for a first_difference result."""
+    """Readable lines for one entry of differences."""
     argv, (rc_a, out_a), (rc_b, out_b) = diff
     lines = [f"differs: {' '.join(argv)}",
              f"  exit code: {rc_a} (parent) vs {rc_b} (change)"]
@@ -164,6 +178,17 @@ def describe(diff):
     return lines
 
 
+def summary(diffs, runs):
+    """The report on differences over a grid of runs cases: the count of
+    those that differ and the first MAX_SHOWN of them, described."""
+    if not diffs:
+        return [f"same stdout and exit code: {runs} runs"]
+    lines = [f"{len(diffs)} of {runs} runs differ"]
+    for diff in diffs[:MAX_SHOWN]:
+        lines += describe(diff)
+    return lines
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2 or not all(
@@ -173,14 +198,11 @@ def main(argv=None):
         return 2
     parent, change = argv
     with tempfile.TemporaryDirectory() as folder:
-        cases = (verify_cases(parent) + preset_cases(parent)
-                 + classify_cases(parent, folder))
-        diff = first_difference(parent, change, cases)
-    if diff is not None:
-        print("\n".join(describe(diff)))
-        return 1
-    print(f"same stdout and exit code: {len(cases)} runs")
-    return 0
+        cases = (verify_cases(parent) + trivial_cases(parent)
+                 + preset_cases(parent) + classify_cases(parent, folder))
+        diffs = differences(parent, change, cases)
+    print("\n".join(summary(diffs, len(cases))))
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":
